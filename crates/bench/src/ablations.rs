@@ -105,22 +105,22 @@ pub fn cell_batching(fast: bool) -> String {
     )
 }
 
-/// §9 future work: the multi-level descent-table R-MAT against the plain
-/// per-level generator.
+/// §9 future work: the composed-table R-MAT against the plain per-level
+/// generator.
 pub fn rmat_tables(fast: bool) -> String {
-    use kagen_core::Rmat;
+    use kagen_core::{Rmat, RmatKernel};
     let m: u64 = if fast { 1 << 18 } else { 1 << 21 };
     let scale = 24u32;
     let mut rows = Vec::new();
     for levels in [0u32, 4, 8] {
-        let gen = if levels == 0 {
-            Rmat::new(scale, m).with_seed(33).with_chunks(1)
-        } else {
-            Rmat::new(scale, m)
-                .with_seed(33)
-                .with_chunks(1)
-                .with_table_levels(levels)
-        };
+        let gen = Rmat::new(scale, m)
+            .with_seed(33)
+            .with_chunks(1)
+            .with_kernel(if levels == 0 {
+                RmatKernel::Plain
+            } else {
+                RmatKernel::Linear { levels }
+            });
         let stats = run_generator(&gen);
         rows.push(vec![
             if levels == 0 {

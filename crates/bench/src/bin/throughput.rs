@@ -1,12 +1,12 @@
 //! `throughput` — the edges/second harness behind `BENCH_throughput.json`.
 //!
-//! Measures every hot generator twice on a single core:
-//!
-//! * **per-edge** — `stream_pe`, one virtual `emit` per edge; for R-MAT
-//!   and BA this re-derives the hashed seed per edge, i.e. the seed
-//!   repository's original hot path;
-//! * **batched** — `stream_pe_batched`, slice delivery with per-block
-//!   seed hashing and hoisted descent dispatch.
+//! Measures every hot generator on a single core through
+//! `stream_pe_batched` — the one delivery primitive every product path
+//! (`kagen stream`, `launch`, `worker`) runs — once into a checksum fold
+//! and once into a boxed `BinarySink` (the shard path minus the file).
+//! The headline `*_vs_*` ratios compare kernels, both sides on that same
+//! path: linear-work R-MAT against plain descent, skip-sampled G(n,p)
+//! against the Algorithm-D leaves.
 //!
 //! ```text
 //! throughput [--quick] [--reps N] [--out PATH] [--max-workers W]
@@ -35,14 +35,15 @@
 //!                    detector, not a percent-level tracker)
 //! ```
 //!
-//! Besides the single-core per-edge/batched comparison, the harness runs
-//! a **multi-worker scaling sweep** (the paper's §8 scaling experiments,
+//! Besides the single-core measurements, the harness runs a
+//! **multi-worker scaling sweep** (the paper's §8 scaling experiments,
 //! emulated in-process): the PE range is split into `W` contiguous rank
 //! ranges — the identical plan the `kagen_cluster` multi-process
 //! launcher uses — and executed on `W` threads via
 //! [`kagen_runtime::run_rank_ranges`]. *Strong* points keep the instance
 //! fixed as `W` grows; *weak* points scale the edge count linearly with
-//! `W` (the paper's weak-scaling setup, Figs. 7–18).
+//! `W` (the paper's weak-scaling setup, Figs. 7–18). A 1-core box has
+//! no curve to measure: it writes `"scaling": []`.
 //!
 //! The JSON is machine-readable so future PRs have a trajectory to beat;
 //! the paper's headline metric (§8.6.1) is exactly this rate.
@@ -67,16 +68,10 @@ struct Measurement {
     model: &'static str,
     params: String,
     edges: u64,
-    per_edge_secs: f64,
     batched_secs: f64,
-    /// The two delivery paths produced the identical edge stream
-    /// (edge count + xor-fold checksum compared every run); a `false`
-    /// still emits JSON, and CI fails on it.
-    paths_checksum_match: bool,
-    /// Writer-boundary timings: the instance streamed into a boxed
+    /// Writer-boundary timing: the instance streamed into a boxed
     /// `BinarySink` (the `kagen stream` shard path, minus the file) via
-    /// per-edge `accept` vs `push_batch`.
-    sink_per_edge_secs: f64,
+    /// `push_batch`.
     sink_batched_secs: f64,
     /// Peak bytes allocated during one batched streaming pass (counting
     /// allocator high-water above the pre-pass baseline): the working
@@ -86,49 +81,9 @@ struct Measurement {
 }
 
 impl Measurement {
-    fn per_edge_eps(&self) -> f64 {
-        self.edges as f64 / self.per_edge_secs
-    }
-
     fn batched_eps(&self) -> f64 {
         self.edges as f64 / self.batched_secs
     }
-
-    fn speedup(&self) -> f64 {
-        self.per_edge_secs / self.batched_secs
-    }
-}
-
-/// Best-of-`reps` wall time of one full instance streamed per edge;
-/// returns the xor-fold checksum of the stream along with it. Every
-/// timed region here and below is an obs span: one wall-clock source
-/// for the JSON numbers and for `--trace-out`.
-fn time_per_edge<G: StreamingGenerator + ?Sized>(
-    name: &str,
-    gen: &G,
-    reps: u32,
-) -> (u64, f64, u64) {
-    let mut edges = 0u64;
-    let mut best = f64::INFINITY;
-    let mut checksum = 0u64;
-    for _ in 0..reps {
-        let mut acc = 0u64;
-        let mut count = 0u64;
-        let span = trace::span(format!("{name}.per_edge"));
-        for pe in 0..gen.num_chunks() {
-            gen.stream_pe(pe, &mut |u, v| {
-                // Order-sensitive fold: a reordered or swapped-pair
-                // stream must not collide, or the batched-vs-per-edge
-                // equality below proves less than it claims.
-                acc = acc.rotate_left(1) ^ u.wrapping_add(v.rotate_left(17));
-                count += 1;
-            });
-        }
-        best = best.min(span.finish().max(1e-9));
-        checksum = black_box(acc);
-        edges = count;
-    }
-    (edges, best, checksum)
 }
 
 /// The sink the writer-boundary measurements stream into: the binary
@@ -139,24 +94,10 @@ fn null_binary_sink() -> Box<dyn EdgeSink> {
     Box::new(BinarySink::new(std::io::BufWriter::new(std::io::sink())))
 }
 
-/// Best-of-`reps` wall time streamed into a boxed binary sink, one
-/// virtual `accept` plus one 16-byte encode per edge.
-fn time_sink_per_edge<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let mut sink = null_binary_sink();
-        let span = trace::span(format!("{name}.sink_per_edge"));
-        for pe in 0..gen.num_chunks() {
-            gen.stream_pe(pe, &mut |u, v| sink.accept(u, v));
-        }
-        best = best.min(span.finish().max(1e-9));
-        black_box(sink.finish().unwrap());
-    }
-    best
-}
-
-/// Best-of-`reps` wall time streamed into the same boxed sink through
-/// `push_batch`: one virtual call and one buffered write per batch.
+/// Best-of-`reps` wall time streamed into a boxed binary sink through
+/// `push_batch`: one virtual call and one buffered write per batch. Every
+/// timed region here and below is an obs span: one wall-clock source for
+/// the JSON numbers and for `--trace-out`.
 fn time_sink_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> f64 {
     let mut best = f64::INFINITY;
     let mut buf = Vec::with_capacity(BATCH_EDGES);
@@ -172,12 +113,12 @@ fn time_sink_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: 
     best
 }
 
-/// Best-of-`reps` wall time of one full instance streamed in batches;
-/// returns the xor-fold checksum of the stream along with it.
-fn time_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> (u64, f64, u64) {
+/// Best-of-`reps` wall time of one full instance streamed in batches
+/// into an order-sensitive checksum fold (so the stream is consumed, not
+/// optimized away); returns the edge count along with it.
+fn time_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> (u64, f64) {
     let mut edges = 0u64;
     let mut best = f64::INFINITY;
-    let mut checksum = 0u64;
     let mut buf = Vec::with_capacity(BATCH_EDGES);
     for _ in 0..reps {
         let mut acc = 0u64;
@@ -192,10 +133,10 @@ fn time_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) 
             });
         }
         best = best.min(span.finish().max(1e-9));
-        checksum = black_box(acc);
+        black_box(acc);
         edges = count;
     }
-    (edges, best, checksum)
+    (edges, best)
 }
 
 /// Peak allocation of one batched streaming pass over the whole
@@ -224,43 +165,21 @@ fn measure<G: StreamingGenerator + ?Sized>(
     gen: &G,
     reps: u32,
 ) -> Measurement {
-    let (edges_a, per_edge_secs, acc_a) = time_per_edge(name, gen, reps);
-    let (edges_b, batched_secs, acc_b) = time_batched(name, gen, reps);
-    // The batched delivery must be the identical stream, not merely the
-    // same count — the rotate-xor fold is order- and content-sensitive.
-    // A divergence is *recorded*, not panicked on: the JSON must still
-    // be written so the CI assertion on `paths_checksum_match` is a
-    // live check rather than one that can never observe a false.
-    let paths_checksum_match = edges_a == edges_b && acc_a == acc_b;
-    if !paths_checksum_match {
-        error!(
-            "{name}: BATCHED PATH DIVERGES from per-edge \
-             ({edges_a} vs {edges_b} edges, checksums {acc_a:#x} vs {acc_b:#x})"
-        );
-    }
-    let sink_per_edge_secs = time_sink_per_edge(name, gen, reps);
+    let (edges, batched_secs) = time_batched(name, gen, reps);
     let sink_batched_secs = time_sink_batched(name, gen, reps);
     let peak_alloc_bytes = measure_peak_alloc(gen);
     info!(
-        "{name:<16} {edges:>10} edges   per-edge {pe:>7.1} Meps   batched {ba:>7.1} Meps ({sp:.2}x)   sink {spe:>7.1} -> {sba:>7.1} Meps ({ssp:.2}x)   peak {peak:>8} B",
-        edges = edges_a,
-        pe = edges_a as f64 / per_edge_secs / 1e6,
-        ba = edges_a as f64 / batched_secs / 1e6,
-        sp = per_edge_secs / batched_secs,
-        spe = edges_a as f64 / sink_per_edge_secs / 1e6,
-        sba = edges_a as f64 / sink_batched_secs / 1e6,
-        ssp = sink_per_edge_secs / sink_batched_secs,
+        "{name:<16} {edges:>10} edges   batched {ba:>7.1} Meps   sink {sba:>7.1} Meps   peak {peak:>8} B",
+        ba = edges as f64 / batched_secs / 1e6,
+        sba = edges as f64 / sink_batched_secs / 1e6,
         peak = peak_alloc_bytes,
     );
     Measurement {
         name,
         model,
         params,
-        edges: edges_a,
-        per_edge_secs,
+        edges,
         batched_secs,
-        paths_checksum_match,
-        sink_per_edge_secs,
         sink_batched_secs,
         peak_alloc_bytes,
     }
@@ -389,8 +308,13 @@ fn compare_ratios(baseline: &str, fresh: &[(&str, f64)], tolerance: f64) -> Vec<
 }
 
 /// Worker counts of the sweep: powers of two up to `max`, plus `max`.
-fn worker_counts(max: usize) -> Vec<usize> {
+/// None on a 1-core box: workers sharing one core measure the scheduler,
+/// and rows of them read as a flat scaling curve.
+fn worker_counts(detected_cores: usize, max: usize) -> Vec<usize> {
     let mut counts = Vec::new();
+    if detected_cores == 1 {
+        return counts;
+    }
     let mut w = 1;
     while w <= max {
         counts.push(w);
@@ -408,19 +332,19 @@ fn scaling_sweep(
     scale: u32,
     m: u64,
     chunks: usize,
-    max_workers: usize,
+    worker_counts: &[usize],
     reps: u32,
 ) -> Vec<ScalingPoint> {
     let mut points = Vec::new();
-    for workers in worker_counts(max_workers) {
+    for &workers in worker_counts {
         // Strong scaling: the instance is fixed, workers grow.
         let gen = Rmat::new(scale, m)
             .with_seed(1)
             .with_chunks(chunks)
-            .with_table_levels(8);
+            .with_kernel(RmatKernel::Linear { levels: 8 });
         let (edges, secs) = time_rank_ranges("strong", &gen, workers, reps);
         points.push(ScalingPoint {
-            name: "rmat_table8",
+            name: "rmat_linear",
             mode: "strong",
             workers,
             edges,
@@ -432,10 +356,10 @@ fn scaling_sweep(
         let gen = Rmat::new(scale, m * workers as u64)
             .with_seed(1)
             .with_chunks(chunks)
-            .with_table_levels(8);
+            .with_kernel(RmatKernel::Linear { levels: 8 });
         let (edges, secs) = time_rank_ranges("weak", &gen, workers, reps);
         points.push(ScalingPoint {
-            name: "rmat_table8",
+            name: "rmat_linear",
             mode: "weak",
             workers,
             edges,
@@ -539,18 +463,8 @@ fn main() {
         &Rmat::new(scale, m).with_seed(1).with_chunks(chunks),
         reps,
     ));
-    results.push(measure(
-        "rmat_table8",
-        "rmat",
-        format!("scale={scale} m={m} table_levels=8"),
-        &Rmat::new(scale, m)
-            .with_seed(1)
-            .with_chunks(chunks)
-            .with_table_levels(8),
-        reps,
-    ));
-    // The linear-work composed-table kernel (the CLI default since the
-    // linear-work rework): one fused alias draw per 8-level path block,
+    // The linear-work composed-table kernel (the CLI default): one
+    // fused alias draw per 8-level path block,
     // deinterleaved halves, pow2 word sampling. Levels are pinned at 8
     // rather than auto-sized so the recorded params reproduce the same
     // instance on any box regardless of its L2.
@@ -564,9 +478,8 @@ fn main() {
             .with_kernel(RmatKernel::Linear { levels: 8 }),
         reps,
     ));
-    // Beyond the scale-32 wall: the legacy interleaved table cannot run
-    // here (2·scale Morton bits overflow u64), so this pair records what
-    // the composed kernel buys where only plain descent used to work.
+    // Scale 32: u and v no longer fit one interleaved word; the composed
+    // kernel accumulates them separately and keeps its rate.
     let (s32_scale, s32_m) = (32u32, if quick { 1u64 << 15 } else { 1u64 << 21 });
     results.push(measure(
         "rmat_plain_s32",
@@ -617,10 +530,10 @@ fn main() {
             .with_chunks(chunks),
         reps,
     ));
-    // The per-edge Algorithm-D G(n,p) baseline (binomial counts +
-    // Vitter Method D per leaf — the pre-skip-kernel path, kept in-tree
-    // behind `GnpLeaves::AlgoD`): the comparison point the batched skip
-    // kernel is measured against.
+    // The Algorithm-D G(n,p) baseline (binomial counts + Vitter Method D
+    // per leaf — the pre-skip-kernel instance, kept in-tree behind
+    // `GnpLeaves::AlgoD`): the comparison point the skip kernel is
+    // measured against.
     results.push(measure(
         "gnp_directed_algoD",
         "gnp_directed",
@@ -715,42 +628,27 @@ fn main() {
         reps,
     ));
 
-    // The R-MAT acceptance ratios. Legacy: batched interleaved-table
-    // descent against the per-edge-seeded plain descent (the seed
-    // repository's hot path). New: the linear-work composed kernel
-    // against the legacy table's batched path — the tentpole target
-    // (>= 2x at scale 20) — and against plain at scale 32, where the
-    // table kernel cannot run at all.
+    // The R-MAT acceptance ratios: the linear-work composed kernel
+    // against plain descent, at scale 20 and at scale 32.
     let by_name = |needle: &str| results.iter().find(|r| r.name == needle).unwrap();
-    let plain = by_name("rmat_plain");
-    let table = by_name("rmat_table8");
-    let linear = by_name("rmat_linear");
-    let rmat_ratio = plain.per_edge_secs / table.batched_secs;
-    let rmat_linear_vs_table = table.batched_secs / linear.batched_secs;
-    let rmat_linear_vs_plain = plain.per_edge_secs / linear.batched_secs;
-    info!("rmat batched(table) vs per-edge(plain): {rmat_ratio:.2}x (target >= 3x at scale 20)");
-    info!(
-        "rmat batched(linear) vs batched(table8): {rmat_linear_vs_table:.2}x \
-         (target >= 2x at scale 20), vs per-edge(plain): {rmat_linear_vs_plain:.2}x"
-    );
+    let rmat_ratio = by_name("rmat_plain").batched_secs / by_name("rmat_linear").batched_secs;
     let rmat_s32_ratio =
         by_name("rmat_plain_s32").batched_secs / by_name("rmat_linear_s32").batched_secs;
-    info!("rmat scale-32 batched(linear) vs batched(plain): {rmat_s32_ratio:.2}x");
+    info!(
+        "rmat batched(linear) vs batched(plain): {rmat_ratio:.2}x, at scale 32: {rmat_s32_ratio:.2}x"
+    );
 
-    // The ER acceptance ratios: the batched geometric-skip G(n,p) path
-    // (the CLI default) against the per-edge Algorithm-D baseline.
-    // Throughput is normalized per *edge* (the instances are distinct
-    // same-distribution samples, so edge counts differ slightly).
-    let er_ratio = |skip: &str, algod: &str| {
-        let s = by_name(skip);
-        let d = by_name(algod);
-        (s.edges as f64 / s.batched_secs) / (d.edges as f64 / d.per_edge_secs)
-    };
+    // The ER acceptance ratios: the geometric-skip G(n,p) leaves (the
+    // CLI default) against the Algorithm-D leaves. Throughput is
+    // normalized per *edge* (the instances are distinct same-distribution
+    // samples, so edge counts differ slightly).
+    let er_ratio =
+        |skip: &str, algod: &str| by_name(skip).batched_eps() / by_name(algod).batched_eps();
     let er_directed_ratio = er_ratio("gnp_directed", "gnp_directed_algoD");
     let er_undirected_ratio = er_ratio("gnp_undirected", "gnp_undirected_algoD");
     info!(
-        "er skip-batched vs per-edge algo-D: directed {er_directed_ratio:.2}x, \
-         undirected {er_undirected_ratio:.2}x (target >= 2x at scale 20)"
+        "er skip vs algo-D (both batched): directed {er_directed_ratio:.2}x, \
+         undirected {er_undirected_ratio:.2}x"
     );
 
     // Multi-worker scaling sweep (paper §8): edges/sec vs worker count
@@ -762,26 +660,27 @@ fn main() {
         warn!("scaling sweep: capping --max-workers {max_workers} at {chunks} chunks");
         max_workers = chunks;
     }
-    info!("scaling sweep: 1..{max_workers} workers, rank-range plan over {chunks} chunks");
-    let scaling = scaling_sweep(scale, m, chunks, max_workers, reps);
-
-    // A 1-core box clamps the sweep to a single point; downstream
-    // consumers reading the curve must see that it is degenerate rather
-    // than mistake it for a flat scaling result.
+    // A sweep of fewer than two worker counts is no curve; downstream
+    // consumers must see that rather than mistake it for a flat scaling
+    // result. On a 1-core box it has no points at all.
     let detected_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let degenerate_sweep = max_workers <= 1;
+    let counts = worker_counts(detected_cores, max_workers);
+    let degenerate_sweep = counts.len() <= 1;
     if degenerate_sweep {
         warn!(
-            "scaling sweep is DEGENERATE (one point): {detected_cores} core(s) detected — \
-             re-run on a multi-core box for a real curve"
+            "scaling sweep is DEGENERATE ({} point(s)): {detected_cores} core(s) detected — \
+             re-run on a multi-core box for a real curve",
+            counts.len()
         );
     }
+    info!("scaling sweep: workers {counts:?}, rank-range plan over {chunks} chunks");
+    let scaling = scaling_sweep(scale, m, chunks, &counts, reps);
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"kagen-throughput/v5\",\n");
+    json.push_str("  \"schema\": \"kagen-throughput/v6\",\n");
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"repetitions\": {reps},");
     let _ = writeln!(json, "  \"chunks\": {chunks},");
@@ -789,7 +688,7 @@ fn main() {
     let _ = writeln!(json, "  \"detected_cores\": {detected_cores},");
     let _ = writeln!(json, "  \"max_workers\": {max_workers},");
     let _ = writeln!(json, "  \"degenerate_sweep\": {degenerate_sweep},");
-    // v5: the obs scalar snapshot of the whole run — counters, gauge
+    // The obs scalar snapshot of the whole run — counters, gauge
     // peaks, histogram count/sum. Empty unless --metrics, so the
     // default timings carry zero registry overhead inside the loops.
     let _ = writeln!(json, "  \"metrics_enabled\": {metrics},");
@@ -803,15 +702,7 @@ fn main() {
     json.push_str("},\n");
     let _ = writeln!(
         json,
-        "  \"rmat_table_batched_vs_plain_per_edge\": {rmat_ratio:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rmat_linear_batched_vs_table8_batched\": {rmat_linear_vs_table:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"rmat_linear_batched_vs_plain_per_edge\": {rmat_linear_vs_plain:.3},"
+        "  \"rmat_linear_batched_vs_plain_batched\": {rmat_ratio:.3},"
     );
     let _ = writeln!(
         json,
@@ -819,11 +710,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"er_skip_batched_vs_algoD_per_edge_directed\": {er_directed_ratio:.3},"
+        "  \"er_skip_batched_vs_algoD_batched_directed\": {er_directed_ratio:.3},"
     );
     let _ = writeln!(
         json,
-        "  \"er_skip_batched_vs_algoD_per_edge_undirected\": {er_undirected_ratio:.3},"
+        "  \"er_skip_batched_vs_algoD_batched_undirected\": {er_undirected_ratio:.3},"
     );
     json.push_str("  \"scaling\": [\n");
     for (i, p) in scaling.iter().enumerate() {
@@ -843,30 +734,12 @@ fn main() {
         let _ = writeln!(json, "      \"model\": \"{}\",", r.model);
         let _ = writeln!(json, "      \"params\": \"{}\",", r.params);
         let _ = writeln!(json, "      \"edges\": {},", r.edges);
-        let _ = writeln!(json, "      \"per_edge_seconds\": {:.6},", r.per_edge_secs);
-        let _ = writeln!(json, "      \"per_edge_eps\": {:.0},", r.per_edge_eps());
         let _ = writeln!(json, "      \"batched_seconds\": {:.6},", r.batched_secs);
         let _ = writeln!(json, "      \"batched_eps\": {:.0},", r.batched_eps());
-        let _ = writeln!(json, "      \"speedup\": {:.3},", r.speedup());
-        let _ = writeln!(
-            json,
-            "      \"paths_checksum_match\": {},",
-            r.paths_checksum_match
-        );
-        let _ = writeln!(
-            json,
-            "      \"sink_per_edge_eps\": {:.0},",
-            r.edges as f64 / r.sink_per_edge_secs
-        );
         let _ = writeln!(
             json,
             "      \"sink_batched_eps\": {:.0},",
             r.edges as f64 / r.sink_batched_secs
-        );
-        let _ = writeln!(
-            json,
-            "      \"sink_speedup\": {:.3},",
-            r.sink_per_edge_secs / r.sink_batched_secs
         );
         let _ = writeln!(json, "      \"peak_alloc_bytes\": {}", r.peak_alloc_bytes);
         json.push_str(if i + 1 < results.len() {
@@ -917,13 +790,13 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{compare_ratios, discover_ratio_keys, extract_f64};
+    use super::{compare_ratios, discover_ratio_keys, extract_f64, worker_counts};
 
     const BASELINE: &str = r#"{
-  "schema": "kagen-throughput/v5",
-  "rmat_table_batched_vs_plain_per_edge": 4.779,
-  "rmat_linear_batched_vs_table8_batched": 2.4,
-  "er_skip_batched_vs_algoD_per_edge_directed": 2.080,
+  "schema": "kagen-throughput/v6",
+  "rmat_linear_batched_vs_plain_batched": 4.779,
+  "rmat_linear_s32_batched_vs_plain_batched": 2.4,
+  "er_skip_batched_vs_algoD_batched_directed": 2.080,
   "eps_note": "negative and exponent forms parse too",
   "name_vs_nothing_numeric": "a_vs_b string value, not a ratio",
   "neg": -1.5,
@@ -933,7 +806,7 @@ mod tests {
     #[test]
     fn extracts_floats_by_key() {
         assert_eq!(
-            extract_f64(BASELINE, "rmat_table_batched_vs_plain_per_edge"),
+            extract_f64(BASELINE, "rmat_linear_batched_vs_plain_batched"),
             Some(4.779)
         );
         assert_eq!(extract_f64(BASELINE, "neg"), Some(-1.5));
@@ -947,13 +820,13 @@ mod tests {
         // 4.779 * (1 - 0.5) = 2.3895: 2.5 passes, 2.0 fails.
         assert!(compare_ratios(
             BASELINE,
-            &[("rmat_table_batched_vs_plain_per_edge", 2.5)],
+            &[("rmat_linear_batched_vs_plain_batched", 2.5)],
             0.5
         )
         .is_empty());
         let failures = compare_ratios(
             BASELINE,
-            &[("rmat_table_batched_vs_plain_per_edge", 2.0)],
+            &[("rmat_linear_batched_vs_plain_batched", 2.0)],
             0.5,
         );
         assert_eq!(failures.len(), 1);
@@ -965,7 +838,7 @@ mod tests {
         // A key absent from the baseline is skipped, not failed.
         assert!(compare_ratios(
             BASELINE,
-            &[("er_skip_batched_vs_algoD_per_edge_undirected", 0.1)],
+            &[("er_skip_batched_vs_algoD_batched_undirected", 0.1)],
             0.5
         )
         .is_empty());
@@ -979,13 +852,25 @@ mod tests {
         assert_eq!(
             discover_ratio_keys(BASELINE),
             vec![
-                "rmat_table_batched_vs_plain_per_edge",
-                "rmat_linear_batched_vs_table8_batched",
-                "er_skip_batched_vs_algoD_per_edge_directed",
+                "rmat_linear_batched_vs_plain_batched",
+                "rmat_linear_s32_batched_vs_plain_batched",
+                "er_skip_batched_vs_algoD_batched_directed",
             ]
         );
         let doubled = format!("{BASELINE}{BASELINE}");
         assert_eq!(discover_ratio_keys(&doubled).len(), 3);
         assert!(discover_ratio_keys("{\"plain\": 1.0}").is_empty());
+    }
+
+    #[test]
+    fn one_core_sweeps_nothing() {
+        assert!(worker_counts(1, 1).is_empty());
+        assert!(
+            worker_counts(1, 8).is_empty(),
+            "--max-workers cannot add cores"
+        );
+        assert_eq!(worker_counts(4, 4), vec![1, 2, 4]);
+        assert_eq!(worker_counts(8, 6), vec![1, 2, 4, 6]);
+        assert_eq!(worker_counts(8, 1), vec![1]);
     }
 }

@@ -3,8 +3,8 @@
 use super::{GnpLeaves, MonotoneEdgeDecoder};
 use crate::{Generator, PeGraph};
 use kagen_dist::binomial;
-use kagen_sampling::vitter::{sample_sorted, sample_sorted_batched};
-use kagen_sampling::{bernoulli_sample, bernoulli_sample_batched, DistributedSampler};
+use kagen_sampling::vitter::sample_sorted_batched;
+use kagen_sampling::{bernoulli_sample_batched, DistributedSampler};
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64};
 
@@ -126,14 +126,13 @@ impl Generator for GnmDirected {
 }
 
 impl GnmDirected {
-    /// One body for both delivery shapes — `BATCHED` only selects the
-    /// leaf kernel (block-treated Method D vs per-draw), so the PE walk
-    /// and decode can never drift apart between the two paths.
-    fn stream_edges_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
-        &self,
-        pe: usize,
-        emit: &mut F,
-    ) {
+    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
+    /// the one edge-producing function behind `generate_pe` and
+    /// `stream_pe_batched`. Every leaf runs the block-treated Method D
+    /// (`sample_sorted_batched`: uniforms served from a block-buffered
+    /// PRNG); `emit` is monomorphic, so the decode-and-push loop inlines
+    /// into the caller.
+    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let Some(sampler) = self.sampler() else {
             return;
         };
@@ -141,30 +140,10 @@ impl GnmDirected {
         // Sample indices arrive sorted across the PE's blocks: decode
         // rows incrementally instead of a u128 division per edge.
         let mut dec = MonotoneEdgeDecoder::new(self.n);
-        let mut on_idx = |idx: u128| {
+        sampler.sample_range_batched(lo, hi, &mut |idx: u128| {
             let (u, v) = dec.decode(idx);
             emit(u, v);
-        };
-        if BATCHED {
-            sampler.sample_range_batched(lo, hi, &mut on_idx);
-        } else {
-            sampler.sample_range(lo, hi, &mut on_idx);
-        }
-    }
-
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming).
-    /// Generic over the consumer so concrete callers (the batched path,
-    /// `generate_pe`) monomorphize with no per-edge virtual dispatch.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64) + ?Sized>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<false, F>(pe, emit);
-    }
-
-    /// Block-treated [`Self::stream_edges`]: the identical edge stream,
-    /// with every leaf's Method D uniforms served from a block-buffered
-    /// PRNG (see `sample_sorted_batched`). `emit` is monomorphic so the
-    /// whole decode-and-push loop inlines into the caller's batcher.
-    pub(crate) fn stream_edges_batched<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<true, F>(pe, emit);
+        });
     }
 }
 
@@ -250,15 +229,13 @@ impl GnpDirected {
         Some((universe, er_blocks(universe, expected.max(1))))
     }
 
-    /// One body for both delivery shapes — `BATCHED` only selects the
-    /// leaf kernels (blocked skip conversion / block-treated Method D
-    /// vs their per-draw forms), so the leaf walk, seeding and decode
-    /// can never drift apart between the two paths.
-    fn stream_edges_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
-        &self,
-        pe: usize,
-        emit: &mut F,
-    ) {
+    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
+    /// the one edge-producing function behind `generate_pe` and
+    /// `stream_pe_batched`. Leaves run the block kernels: skips drawn
+    /// and converted in blocks (`bernoulli_sample_batched`, off the
+    /// per-edge `ln` bound) or the block-treated Method D; `emit` is
+    /// monomorphic, so the decode-and-push loop inlines into the caller.
+    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let Some((universe, blocks)) = self.leaf_plan() else {
             return;
         };
@@ -280,15 +257,11 @@ impl GnpDirected {
                     // Geometric skip sampling: one uniform per edge from
                     // the leaf-seeded PRNG, no count draw needed.
                     let mut rng = Mt64::new(derive_seed(self.seed, &[stream::SAMPLE, b]));
-                    if BATCHED {
-                        bernoulli_sample_batched(&mut rng, len, self.p, &mut |idxs| {
-                            for &i in idxs {
-                                on_idx(i);
-                            }
-                        });
-                    } else {
-                        bernoulli_sample(&mut rng, len, self.p, &mut on_idx);
-                    }
+                    bernoulli_sample_batched(&mut rng, len, self.p, &mut |idxs| {
+                        for &i in idxs {
+                            on_idx(i);
+                        }
+                    });
                 }
                 GnpLeaves::AlgoD => {
                     // The historical path: a "predetermined" binomial
@@ -296,28 +269,10 @@ impl GnpDirected {
                     let mut count_rng = Mt64::new(derive_seed(self.seed, &[stream::COUNT, b]));
                     let count = binomial(&mut count_rng, len as u128, self.p);
                     let mut sample_rng = Mt64::new(derive_seed(self.seed, &[stream::SAMPLE, b]));
-                    if BATCHED {
-                        sample_sorted_batched(&mut sample_rng, len, count, &mut on_idx);
-                    } else {
-                        sample_sorted(&mut sample_rng, len, count, &mut on_idx);
-                    }
+                    sample_sorted_batched(&mut sample_rng, len, count, &mut on_idx);
                 }
             }
         }
-    }
-
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming).
-    /// Generic over the consumer — see [`GnmDirected::stream_edges`].
-    pub(crate) fn stream_edges<F: FnMut(u64, u64) + ?Sized>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<false, F>(pe, emit);
-    }
-
-    /// Block-batched [`Self::stream_edges`]: skips drawn and converted
-    /// in blocks (`bernoulli_sample_batched`), indices decoded in a
-    /// monomorphic loop — the identical edge stream, delivered off the
-    /// per-edge `ln` bound.
-    pub(crate) fn stream_edges_batched<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<true, F>(pe, emit);
     }
 }
 
@@ -467,25 +422,6 @@ mod tests {
                 .with_chunks(13),
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gnp_batched_equals_per_edge_both_samplers() {
-        // The block-batched fill must reproduce the per-edge stream
-        // bit-for-bit under both leaf samplers.
-        for leaves in [GnpLeaves::Skip, GnpLeaves::AlgoD] {
-            let gen = GnpDirected::new(400, 0.03)
-                .with_seed(5)
-                .with_chunks(7)
-                .with_leaves(leaves);
-            for pe in 0..7 {
-                let mut a = Vec::new();
-                gen.stream_edges(pe, &mut |u: u64, v: u64| a.push((u, v)));
-                let mut b = Vec::new();
-                gen.stream_edges_batched(pe, &mut |u, v| b.push((u, v)));
-                assert_eq!(a, b, "leaves={leaves:?} pe={pe}");
-            }
-        }
     }
 
     #[test]

@@ -16,10 +16,10 @@ pub use undirected::{GnmUndirected, GnpUndirected};
 ///
 /// The default is geometric skip sampling (Batagelj–Brandes): one
 /// uniform per emitted edge, converted by the block-batched kernel
-/// (`kagen_dist::geometric`) on the batched path. `AlgoD` reproduces the
-/// pre-skip-kernel instances (per-leaf binomial count + Vitter Method D)
-/// for anyone holding manifests generated before the kernel swap; it is
-/// also the bench harness's "per-edge Algorithm D" comparison point.
+/// (`kagen_dist::geometric`). `AlgoD` reproduces the pre-skip-kernel
+/// instances (per-leaf binomial count + Vitter Method D) for anyone
+/// holding manifests generated before the kernel swap; it is also the
+/// bench harness's Algorithm-D comparison point.
 /// Both samplers draw G(n,p) exactly — every pair kept independently
 /// with probability `p` — they just walk different PRNG streams, so the
 /// two settings produce different (equally valid) fixed-seed instances.

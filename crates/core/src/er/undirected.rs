@@ -16,8 +16,8 @@
 use super::{GnpLeaves, MonotoneTriangleDecoder, RowSplitter64};
 use crate::{Generator, PeGraph};
 use kagen_dist::{binomial, hypergeometric};
-use kagen_sampling::vitter::{sample_sorted, sample_sorted_batched};
-use kagen_sampling::{bernoulli_sample, bernoulli_sample_batched};
+use kagen_sampling::bernoulli_sample_batched;
+use kagen_sampling::vitter::sample_sorted_batched;
 use kagen_util::seed::{stream, SeedTree};
 use kagen_util::{derive_seed, Mt64};
 
@@ -141,11 +141,11 @@ fn chunk_universe(grid: &ChunkMatrix, i: u64, j: u64) -> u64 {
 }
 
 /// Sample the `count` edges of chunk `(i, j)` — identical on both owning
-/// PEs because the PRNG is seeded by the chunk id alone. `BATCHED`
-/// selects the block-treated Method D (same edges, buffered uniforms);
-/// the index consumers stay monomorphic either way, so the decode loops
-/// inline into the caller's batcher.
-fn sample_chunk_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
+/// PEs because the PRNG is seeded by the chunk id alone — with the
+/// block-treated Method D (uniforms served from a block-buffered PRNG).
+/// The index consumers are monomorphic, so the decode loops inline into
+/// the caller.
+fn sample_chunk<F: FnMut(u64, u64)>(
     grid: &ChunkMatrix,
     seed: u64,
     i: u64,
@@ -159,37 +159,26 @@ fn sample_chunk_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
     if i == j {
         // Sorted samples: advance the triangle row incrementally.
         let mut dec = MonotoneTriangleDecoder::new();
-        let mut on_t = |t: u64| {
+        sample_sorted_batched(&mut rng, universe, count, &mut |t: u64| {
             let (u, v) = dec.decode(t as u128);
             emit(row_start + u, row_start + v);
-        };
-        if BATCHED {
-            sample_sorted_batched(&mut rng, universe, count, &mut on_t);
-        } else {
-            sample_sorted(&mut rng, universe, count, &mut on_t);
-        }
+        });
     } else {
         let col_start = grid.start(j);
         // Reciprocal row split: sampled gaps hop many rows at once, so
         // the O(1) estimate beats a monotone advance.
         let rows = RowSplitter64::new(grid.span(j, j + 1));
-        let mut on_t = |t: u64| {
+        sample_sorted_batched(&mut rng, universe, count, &mut |t: u64| {
             let (row, off) = rows.split(t);
             emit(row_start + row, col_start + off);
-        };
-        if BATCHED {
-            sample_sorted_batched(&mut rng, universe, count, &mut on_t);
-        } else {
-            sample_sorted(&mut rng, universe, count, &mut on_t);
-        }
+        });
     }
 }
 
 /// Skip-sample chunk `(i, j)` of a G(n,p) instance: every pair kept with
-/// probability `p` via geometric skips from the chunk-seeded PRNG —
-/// identical on both owning PEs. `BATCHED` selects the block-converted
-/// kernel; the edge stream is bit-identical either way.
-fn skip_chunk_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
+/// probability `p` via geometric skips from the chunk-seeded PRNG, drawn
+/// and converted in blocks — identical on both owning PEs.
+fn skip_chunk<F: FnMut(u64, u64)>(
     grid: &ChunkMatrix,
     seed: u64,
     p: f64,
@@ -202,35 +191,21 @@ fn skip_chunk_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
     let row_start = grid.start(i);
     if i == j {
         let mut dec = MonotoneTriangleDecoder::new();
-        let mut on_t = |t: u64| {
-            let (u, v) = dec.decode(t as u128);
-            emit(row_start + u, row_start + v);
-        };
-        if BATCHED {
-            bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
-                for &t in idxs {
-                    on_t(t);
-                }
-            });
-        } else {
-            bernoulli_sample(&mut rng, universe, p, &mut on_t);
-        }
+        bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
+            for &t in idxs {
+                let (u, v) = dec.decode(t as u128);
+                emit(row_start + u, row_start + v);
+            }
+        });
     } else {
         let col_start = grid.start(j);
         let rows = RowSplitter64::new(grid.span(j, j + 1));
-        let mut on_t = |t: u64| {
-            let (row, off) = rows.split(t);
-            emit(row_start + row, col_start + off);
-        };
-        if BATCHED {
-            bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
-                for &t in idxs {
-                    on_t(t);
-                }
-            });
-        } else {
-            bernoulli_sample(&mut rng, universe, p, &mut on_t);
-        }
+        bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
+            for &t in idxs {
+                let (row, off) = rows.split(t);
+                emit(row_start + row, col_start + off);
+            }
+        });
     }
 }
 
@@ -304,15 +279,11 @@ impl Generator for GnmUndirected {
 }
 
 impl GnmUndirected {
-    /// One body for both delivery shapes — `BATCHED` only selects the
-    /// chunk kernel (block-treated Method D vs per-draw), so the count
-    /// recursion and chunk walk can never drift apart between the two
-    /// paths.
-    fn stream_edges_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
-        &self,
-        pe: usize,
-        emit: &mut F,
-    ) {
+    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
+    /// the one edge-producing function behind `generate_pe` and
+    /// `stream_pe_batched`, generic over the consumer so callers
+    /// monomorphize.
+    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let grid = ChunkMatrix::new(self.n, self.chunks);
         if self.n < 2 {
             return;
@@ -333,22 +304,8 @@ impl GnmUndirected {
             rec.tri(root, 0, grid.q, self.m);
         }
         for (i, j, c) in chunks_found {
-            sample_chunk_impl::<BATCHED, F>(&grid, self.seed, i, j, c, emit);
+            sample_chunk(&grid, self.seed, i, j, c, emit);
         }
-    }
-
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming).
-    /// Generic over the consumer so concrete callers monomorphize.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64) + ?Sized>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<false, F>(pe, emit);
-    }
-
-    /// Block-treated [`Self::stream_edges`]: the identical edge stream,
-    /// with every chunk's Method D uniforms served from a block-buffered
-    /// PRNG; `emit` is monomorphic, so the decode loops inline into the
-    /// caller's batcher.
-    pub(crate) fn stream_edges_batched<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<true, F>(pe, emit);
     }
 }
 
@@ -433,14 +390,11 @@ impl GnpUndirected {
             .chain((pe_id + 1..grid.q).map(move |i| (i, pe_id)))
     }
 
-    /// One body for both delivery shapes — `BATCHED` only selects the
-    /// chunk kernels, so the chunk walk and seeding can never drift
-    /// apart between the two paths.
-    fn stream_edges_impl<const BATCHED: bool, F: FnMut(u64, u64) + ?Sized>(
-        &self,
-        pe: usize,
-        emit: &mut F,
-    ) {
+    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
+    /// the one edge-producing function behind `generate_pe` and
+    /// `stream_pe_batched`, generic over the consumer so callers
+    /// monomorphize.
+    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let grid = ChunkMatrix::new(self.n, self.chunks);
         let pe_id = pe as u64;
         if self.n < 2 || self.p == 0.0 {
@@ -451,7 +405,7 @@ impl GnpUndirected {
                 GnpLeaves::Skip => {
                     // Geometric skip sampling straight off the chunk
                     // universe: one uniform per edge, no count draw.
-                    skip_chunk_impl::<BATCHED, F>(&grid, self.seed, self.p, i, j, emit);
+                    skip_chunk(&grid, self.seed, self.p, i, j, emit);
                 }
                 GnpLeaves::AlgoD => {
                     let universe = if i == j {
@@ -461,22 +415,10 @@ impl GnpUndirected {
                     };
                     let mut count_rng = Mt64::new(derive_seed(self.seed, &[stream::COUNT, i, j]));
                     let count = binomial(&mut count_rng, universe, self.p);
-                    sample_chunk_impl::<BATCHED, F>(&grid, self.seed, i, j, count, emit);
+                    sample_chunk(&grid, self.seed, i, j, count, emit);
                 }
             }
         }
-    }
-
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming).
-    /// Generic over the consumer so concrete callers monomorphize.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64) + ?Sized>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<false, F>(pe, emit);
-    }
-
-    /// Block-batched [`Self::stream_edges`]: skips drawn and converted
-    /// in blocks, the identical edge stream.
-    pub(crate) fn stream_edges_batched<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        self.stream_edges_impl::<true, F>(pe, emit);
     }
 }
 
@@ -677,35 +619,6 @@ mod tests {
                     .collect();
                 assert_eq!(set_i, set_j, "chunk ({i},{j}) differs between owners");
             }
-        }
-    }
-
-    #[test]
-    fn gnp_batched_equals_per_edge_both_samplers() {
-        for leaves in [GnpLeaves::Skip, GnpLeaves::AlgoD] {
-            let gen = GnpUndirected::new(300, 0.04)
-                .with_seed(5)
-                .with_chunks(6)
-                .with_leaves(leaves);
-            for pe in 0..6 {
-                let mut a = Vec::new();
-                gen.stream_edges(pe, &mut |u: u64, v: u64| a.push((u, v)));
-                let mut b = Vec::new();
-                gen.stream_edges_batched(pe, &mut |u, v| b.push((u, v)));
-                assert_eq!(a, b, "leaves={leaves:?} pe={pe}");
-            }
-        }
-    }
-
-    #[test]
-    fn gnm_batched_equals_per_edge() {
-        let gen = GnmUndirected::new(300, 2500).with_seed(8).with_chunks(6);
-        for pe in 0..6 {
-            let mut a = Vec::new();
-            gen.stream_edges(pe, &mut |u: u64, v: u64| a.push((u, v)));
-            let mut b = Vec::new();
-            gen.stream_edges_batched(pe, &mut |u, v| b.push((u, v)));
-            assert_eq!(a, b, "pe={pe}");
         }
     }
 

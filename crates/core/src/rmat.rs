@@ -9,16 +9,12 @@
 //! cost is exactly the slowdown relative to the ER generators that Fig. 17
 //! and 18 demonstrate.
 //!
-//! **Kernels.** Three descent kernels sample the identical distribution but
+//! **Kernels.** Two descent kernels sample the identical distribution but
 //! consume randomness differently (so each defines its own — equally
 //! valid — instance per seed):
 //!
 //! * [`RmatKernel::Plain`] — one uniform variate per level, Θ(scale) per
 //!   edge. Works at every scale; the reference semantics.
-//! * [`RmatKernel::Table`] — the legacy multi-level descent table: one
-//!   alias draw per `levels` recursion steps plus a remainder table, paths
-//!   kept bit-interleaved until a final Morton deinterleave. Limited to
-//!   `scale < 32` (2·scale interleaved bits must fit a u64).
 //! * [`RmatKernel::Linear`] — the linear-work scheme of Hübschle-Schneider
 //!   & Sanders ("Linear Work Generation of R-MAT Graphs"): one alias table
 //!   over *path blocks*, sized to the L2 cache, whose entries store the u-
@@ -27,8 +23,8 @@
 //!   levels, which is exact because the per-level quadrant choices are
 //!   i.i.d. (the marginal of the first r levels of an L-level path *is*
 //!   the r-level path distribution). No remainder table, no deinterleave,
-//!   and no scale cap: u and v accumulate separately, so `scale ≥ 32` is
-//!   degree-exact instead of falling back to plain descent.
+//!   and no scale cap: u and v accumulate separately, so every scale up
+//!   to 63 is degree-exact.
 //!
 //! **Hot-path seeding.** Edge `e`'s PRNG is seeded in two steps: one hashed
 //! seed per fixed-size *block* of `SEED_BLOCK_EDGES` consecutive edge
@@ -48,14 +44,11 @@ use kagen_util::{derive_seed, Rng64, SplitMix64};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Edges descended through the legacy multi-level alias tables (counted
-/// once per seed block, not per edge).
-static RMAT_TABLE_EDGES: Counter = Counter::new("gen.rmat.table_edges");
 /// Edges descended with the plain per-level loop.
 static RMAT_PLAIN_EDGES: Counter = Counter::new("gen.rmat.plain_edges");
 /// Edges descended with the linear-work composed-table kernel.
 static RMAT_LINEAR_EDGES: Counter = Counter::new("gen.rmat.linear_edges");
-/// Descent-table construction wall time — shows how build cost amortizes
+/// Composed-table construction wall time — shows how build cost amortizes
 /// against the per-edge savings in `--metrics-out` dumps.
 static RMAT_TABLE_BUILD_US: Histogram = Histogram::new("rmat.table_build_us");
 
@@ -68,78 +61,18 @@ pub const SEED_BLOCK_EDGES: u64 = 4096;
 /// pipeline instead of serializing behind one PRNG chain.
 const FILL_LANES: usize = 16;
 
-/// Compact the even-position bits of `x` (bits 0, 2, 4, …) into the low
-/// half — the Morton deinterleave step of the legacy table kernel.
-#[inline(always)]
-fn compact_even_bits(mut x: u64) -> u64 {
-    x &= 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF
-}
-
-/// Descent kernel selection. All kernels sample the same edge
+/// Descent kernel selection. Both kernels sample the same edge
 /// distribution; they differ in randomness consumption (distinct streams
 /// per seed) and in cost per edge. See the module docs for the trade-offs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RmatKernel {
     /// One uniform variate per recursion level.
     Plain,
-    /// Legacy interleaved descent tables (`scale < 32` only).
-    Table {
-        /// Levels collapsed per draw, 1..=12 (clamped to `scale`).
-        levels: u32,
-    },
     /// Linear-work composed path-block table (any scale).
     Linear {
         /// Levels per path block, 1..=12 (clamped to `scale`).
         levels: u32,
     },
-}
-
-/// Legacy precomputed multi-level descent table: one alias draw selects
-/// `levels` recursion steps at once (the §9 "faster R-MAT" extension).
-///
-/// An outcome is a *path*: `levels` quadrant choices of 2 bits each,
-/// most-significant level first, so the u-bits sit at odd and the v-bits
-/// at even positions of the path index. The sampler therefore needs no
-/// per-outcome payload array — the bits deinterleave from the index in a
-/// handful of ALU ops, keeping the table's memory traffic to the single
-/// fused alias slot per draw.
-#[derive(Clone, Debug)]
-struct DescentTable {
-    levels: u32,
-    alias: AliasTable,
-}
-
-impl DescentTable {
-    fn new(levels: u32, a: f64, b: f64, c: f64) -> Self {
-        assert!((1..=12).contains(&levels));
-        let d = 1.0 - a - b - c;
-        let quadrant = [a, b, c, d]; // (u_bit, v_bit) = (0,0) (0,1) (1,0) (1,1)
-        let k = 1usize << (2 * levels);
-        let mut weights = Vec::with_capacity(k);
-        for path in 0..k {
-            let mut w = 1.0f64;
-            for level in 0..levels {
-                w *= quadrant[(path >> (2 * level)) & 3];
-            }
-            weights.push(w);
-        }
-        DescentTable {
-            levels,
-            alias: AliasTable::new(&weights),
-        }
-    }
-
-    /// Draw one path: `levels` quadrant choices, u- and v-bits still
-    /// interleaved (u at odd, v at even positions).
-    #[inline(always)]
-    fn sample_path<R: Rng64>(&self, rng: &mut R) -> u64 {
-        self.alias.sample(rng) as u64
-    }
 }
 
 /// Linear-work composed path-block table.
@@ -217,7 +150,6 @@ pub struct Rmat {
 #[derive(Clone, Debug)]
 enum KernelState {
     Plain,
-    Table(Arc<(DescentTable, Option<DescentTable>)>),
     Linear(Arc<ComposedTable>),
 }
 
@@ -259,29 +191,11 @@ impl Rmat {
         self
     }
 
-    /// Select the descent kernel explicitly. `Table` panics at
-    /// `scale ≥ 32` (its interleaved path bits overflow a u64 there — use
-    /// `Linear`); `levels` outside 1..=12 panics; levels above `scale` are
-    /// clamped to `scale`.
+    /// Select the descent kernel. `levels` outside 1..=12 panics; levels
+    /// above `scale` are clamped to `scale`.
     pub fn with_kernel(mut self, kernel: RmatKernel) -> Self {
         self.kernel = match kernel {
             RmatKernel::Plain => KernelState::Plain,
-            RmatKernel::Table { levels } => {
-                assert!(
-                    self.scale < 32,
-                    "table kernel needs scale < 32 (2·scale interleaved bits per u64); \
-                     use RmatKernel::Linear at scale {}",
-                    self.scale
-                );
-                assert!((1..=12).contains(&levels), "table levels must be 1..=12");
-                let levels = levels.min(self.scale);
-                let span = kagen_obs::span("rmat.table_build");
-                let main = DescentTable::new(levels, self.a, self.b, self.c);
-                let rem = self.scale % levels;
-                let remainder = (rem > 0).then(|| DescentTable::new(rem, self.a, self.b, self.c));
-                RMAT_TABLE_BUILD_US.record((span.finish() * 1e6) as u64);
-                KernelState::Table(Arc::new((main, remainder)))
-            }
             RmatKernel::Linear { levels } => {
                 assert!((1..=12).contains(&levels), "linear levels must be 1..=12");
                 let levels = levels.min(self.scale);
@@ -294,29 +208,10 @@ impl Rmat {
         self
     }
 
-    /// Legacy kernel selector, kept for instance compatibility:
-    /// `levels = 0` selects plain descent; otherwise `scale < 32` builds
-    /// the legacy interleaved tables (bit-identical streams to every
-    /// earlier release) and `scale ≥ 32` — where the request used to be
-    /// *silently ignored* — now selects the linear-work kernel with the
-    /// same level count.
-    pub fn with_table_levels(self, levels: u32) -> Self {
-        if levels == 0 {
-            self.with_kernel(RmatKernel::Plain)
-        } else if self.scale < 32 {
-            let levels = levels.clamp(1, 12);
-            self.with_kernel(RmatKernel::Table { levels })
-        } else {
-            let levels = levels.clamp(1, 12);
-            self.with_kernel(RmatKernel::Linear { levels })
-        }
-    }
-
     /// The resolved kernel (after clamping), for display and accounting.
     pub fn kernel(&self) -> RmatKernel {
         match &self.kernel {
             KernelState::Plain => RmatKernel::Plain,
-            KernelState::Table(t) => RmatKernel::Table { levels: t.0.levels },
             KernelState::Linear(t) => RmatKernel::Linear { levels: t.levels },
         }
     }
@@ -371,32 +266,6 @@ impl Rmat {
             v = (v << 1) | (t0 ^ t1 ^ t2);
         }
         (u, v)
-    }
-
-    /// Legacy table descent: one alias draw per `levels` recursion steps,
-    /// plus one remainder draw when `levels ∤ scale`. The drawn paths stay
-    /// *interleaved* while they accumulate (one shift+or per draw) and
-    /// deinterleave once per edge — `scale < 32` always holds when this
-    /// kernel is enabled, so the 2·scale interleaved bits fit a u64.
-    #[inline(always)]
-    fn descend_tables<R: Rng64>(
-        &self,
-        tables: &(DescentTable, Option<DescentTable>),
-        rng: &mut R,
-    ) -> (u64, u64) {
-        let (main, remainder) = tables;
-        let mut z = 0u64;
-        let mut remaining = self.scale;
-        while remaining >= main.levels {
-            z = (z << (2 * main.levels)) | main.sample_path(rng);
-            remaining -= main.levels;
-        }
-        if remaining > 0 {
-            let t = remainder.as_ref().expect("remainder table");
-            debug_assert_eq!(t.levels, remaining);
-            z = (z << (2 * t.levels)) | t.sample_path(rng);
-        }
-        (compact_even_bits(z >> 1), compact_even_bits(z))
     }
 
     /// Linear-work descent: `full_draws` whole path blocks composed by
@@ -472,7 +341,6 @@ impl Rmat {
         let mut rng = SplitMix64::at(block_seed, e % SEED_BLOCK_EDGES);
         match &self.kernel {
             KernelState::Plain => self.descend_plain(&mut rng),
-            KernelState::Table(tables) => self.descend_tables(tables.as_ref(), &mut rng),
             KernelState::Linear(t) => self.descend_linear(t.as_ref(), &mut rng),
         }
     }
@@ -499,14 +367,6 @@ impl Rmat {
                     out.extend(offsets.map(|off| {
                         let mut rng = SplitMix64::at(block_seed, off);
                         self.descend_plain(&mut rng)
-                    }));
-                }
-                KernelState::Table(tables) => {
-                    RMAT_TABLE_EDGES.add(hi - e);
-                    let tables = tables.as_ref();
-                    out.extend(offsets.map(|off| {
-                        let mut rng = SplitMix64::at(block_seed, off);
-                        self.descend_tables(tables, &mut rng)
                     }));
                 }
                 KernelState::Linear(t) => {
@@ -607,7 +467,6 @@ mod tests {
         let range = SEED_BLOCK_EDGES - 50..SEED_BLOCK_EDGES + 50;
         for gen in [
             Rmat::new(10, m).with_seed(5),
-            Rmat::new(10, m).with_seed(5).with_table_levels(4),
             Rmat::new(10, m)
                 .with_seed(5)
                 .with_kernel(RmatKernel::Linear { levels: 4 }),
@@ -624,9 +483,12 @@ mod tests {
 
     #[test]
     fn table_levels_zero_disables_tables() {
+        // Re-selecting plain drops the composed table again.
         let plain = Rmat::new(9, 500).with_seed(3);
-        let toggled = Rmat::new(9, 500).with_seed(3).with_table_levels(8);
-        let off = toggled.with_table_levels(0);
+        let toggled = Rmat::new(9, 500)
+            .with_seed(3)
+            .with_kernel(RmatKernel::Linear { levels: 8 });
+        let off = toggled.with_kernel(RmatKernel::Plain);
         assert_eq!(
             generate_directed(&plain).edges,
             generate_directed(&off).edges
@@ -643,8 +505,9 @@ mod tests {
 
     #[test]
     fn table_variant_same_distribution() {
-        // Table- and composed-table-accelerated sampling draw from the
-        // identical edge distribution: compare first-level quadrant masses.
+        // Composed-table sampling draws from the identical edge
+        // distribution as plain descent: compare first-level quadrant
+        // masses, with levels dividing the scale (5 | 10) and not (4 ∤ 10).
         let m = 60_000u64;
         let plain = generate_directed(&Rmat::new(10, m).with_seed(6));
         let half = 1u64 << 9;
@@ -656,14 +519,12 @@ mod tests {
             q
         };
         let qa = mass(&plain);
-        for fast in [
-            generate_directed(&Rmat::new(10, m).with_seed(6).with_table_levels(5)),
-            generate_directed(
+        for levels in [5u32, 4] {
+            let fast = generate_directed(
                 &Rmat::new(10, m)
                     .with_seed(6)
-                    .with_kernel(RmatKernel::Linear { levels: 4 }),
-            ),
-        ] {
+                    .with_kernel(RmatKernel::Linear { levels }),
+            );
             assert_eq!(fast.edges.len() as u64, m);
             let qb = mass(&fast);
             for k in 0..4 {
@@ -679,13 +540,13 @@ mod tests {
             let a = generate_directed(
                 &Rmat::new(8, 2000)
                     .with_seed(9)
-                    .with_table_levels(levels)
+                    .with_kernel(RmatKernel::Linear { levels })
                     .with_chunks(1),
             );
             let b = generate_directed(
                 &Rmat::new(8, 2000)
                     .with_seed(9)
-                    .with_table_levels(levels)
+                    .with_kernel(RmatKernel::Linear { levels })
                     .with_chunks(7),
             );
             assert_eq!(a, b);
@@ -694,8 +555,10 @@ mod tests {
 
     #[test]
     fn table_levels_not_dividing_scale() {
-        // scale = 10, levels = 4 → remainder table of 2 levels.
-        let gen = Rmat::new(10, 100).with_seed(3).with_table_levels(4);
+        // scale = 10, levels = 4 → final draw truncated to 2 levels.
+        let gen = Rmat::new(10, 100)
+            .with_seed(3)
+            .with_kernel(RmatKernel::Linear { levels: 4 });
         let el = generate_directed(&gen);
         assert!(!el.has_out_of_range());
         assert_eq!(el.edges.len(), 100);
@@ -724,17 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn with_table_levels_at_large_scale_is_no_longer_a_noop() {
-        // The silent fallback to plain descent at scale ≥ 32 is gone: the
-        // request now resolves to the linear kernel.
-        let gen = Rmat::new(32, 100).with_seed(3).with_table_levels(8);
-        assert_eq!(gen.kernel(), RmatKernel::Linear { levels: 8 });
-        let el = generate_directed(&gen);
-        assert_eq!(el.edges.len(), 100);
-        assert!(!el.has_out_of_range());
-    }
-
-    #[test]
     fn auto_levels_track_cache_size() {
         // Table budget is l2/4: 8·4^L bytes per table.
         assert_eq!(Rmat::auto_linear_levels(30, 2 * 1024 * 1024), 8);
@@ -743,11 +595,5 @@ mod tests {
         // Clamped to scale, and never below one level.
         assert_eq!(Rmat::auto_linear_levels(5, 2 * 1024 * 1024), 5);
         assert_eq!(Rmat::auto_linear_levels(30, 0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "scale < 32")]
-    fn explicit_table_kernel_rejects_large_scale() {
-        let _ = Rmat::new(32, 10).with_kernel(RmatKernel::Table { levels: 8 });
     }
 }

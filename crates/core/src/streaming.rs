@@ -2,15 +2,18 @@
 //! generators to use a streaming approach … drastically reduce the memory
 //! needed").
 //!
-//! [`StreamingGenerator::stream_pe`] emits a PE's edges through a callback
-//! instead of materializing a [`PeGraph`](crate::PeGraph), so a PE's memory footprint is
-//! its generator state (cells, counts, PRNGs) — not its output. For the
-//! index-based generators (ER, BA, R-MAT, SBM) the state is O(log)-sized;
-//! for the spatial/hyperbolic family it is the active cell neighborhood
-//! of the cell-cursor core (`kagen_geometry::cell_stream`): the current
-//! cell group plus an evicting frontier of recomputable cells (RGG/RDG),
-//! the active query window (RHG/soft RHG), or replicated globals plus
-//! the active-request windows (sRHG).
+//! [`StreamingGenerator::stream_pe_batched`] is the one edge-delivery
+//! primitive: a PE's edges arrive as slices of a caller-provided batch
+//! buffer instead of a materialized [`PeGraph`](crate::PeGraph), so a
+//! PE's memory footprint is its generator state (cells, counts, PRNGs)
+//! plus one batch — not its output. Per-edge delivery, counting and the
+//! whole-instance drivers are provided adapters over that one method.
+//! For the index-based generators (ER, BA, R-MAT, SBM) the state is
+//! O(log)-sized; for the spatial/hyperbolic family it is the active cell
+//! neighborhood of the cell-cursor core (`kagen_geometry::cell_stream`):
+//! the current cell group plus an evicting frontier of recomputable
+//! cells (RGG/RDG), the active query window (RHG/soft RHG), or
+//! replicated globals plus the active-request windows (sRHG).
 //!
 //! Every implementation emits exactly `generate_pe`'s edge *set* in a
 //! deterministic, chunk-stable order (asserted in tests): streaming
@@ -32,56 +35,57 @@ use crate::srhg::Srhg;
 use crate::Generator;
 use kagen_obs::Counter;
 
-/// Edges delivered through the batched streaming path (counted once per
-/// flushed batch — never on the per-edge path).
+/// Edges delivered by the generators (counted once per flushed batch).
 static GEN_EDGES: Counter = Counter::new("gen.edges");
-/// Batches flushed through the batched streaming path.
+/// Batches flushed by the generators.
 static GEN_BATCHES: Counter = Counter::new("gen.batches");
 
-/// Default batch size (edges) of the batched streaming path: large enough
-/// to amortize per-batch costs (seed hashing, virtual dispatch, slice
-/// encoding), small enough to stay L1/L2-resident (64 KiB of pairs).
+/// Default batch size (edges): large enough to amortize per-batch costs
+/// (seed hashing, virtual dispatch, slice encoding), small enough to stay
+/// L1/L2-resident (64 KiB of pairs).
 pub const BATCH_EDGES: usize = 4096;
 
-/// The buffer-and-flush protocol of the batched streaming path, in one
-/// place: push edges, emit a full slice whenever the buffer reaches its
-/// capacity, and emit the ragged final slice on `finish`. The `push`
-/// call is concrete and inlined, so generators streaming through a
-/// `Batcher` keep their monomorphized hot loop.
+/// The buffer-and-flush protocol, in one place: push edges, emit a full
+/// slice whenever the buffer reaches its capacity, and emit the ragged
+/// final slice at the end. The `push` call is concrete and inlined, so
+/// generators streaming through a `Batcher` keep their monomorphized hot
+/// loop.
 struct Batcher<'a, 'e> {
     buf: &'a mut Vec<(u64, u64)>,
     emit: &'a mut BatchEmit<'e>,
     cap: usize,
 }
 
-impl<'a, 'e> Batcher<'a, 'e> {
-    fn new(buf: &'a mut Vec<(u64, u64)>, emit: &'a mut BatchEmit<'e>) -> Self {
+impl Batcher<'_, '_> {
+    /// Run `produce` against a batcher over `buf` (its capacity sets the
+    /// batch size; reserved to [`BATCH_EDGES`] if empty), then flush the
+    /// ragged tail.
+    fn run(buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit, produce: impl FnOnce(&mut Batcher)) {
         buf.clear();
         if buf.capacity() == 0 {
             buf.reserve(BATCH_EDGES);
         }
         let cap = buf.capacity();
-        Batcher { buf, emit, cap }
+        let mut b = Batcher { buf, emit, cap };
+        produce(&mut b);
+        if !b.buf.is_empty() {
+            b.flush();
+        }
     }
 
     #[inline(always)]
     fn push(&mut self, u: u64, v: u64) {
         self.buf.push((u, v));
         if self.buf.len() >= self.cap {
-            GEN_EDGES.add(self.buf.len() as u64);
-            GEN_BATCHES.incr();
-            (self.emit)(self.buf);
-            self.buf.clear();
+            self.flush();
         }
     }
 
-    fn finish(self) {
-        if !self.buf.is_empty() {
-            GEN_EDGES.add(self.buf.len() as u64);
-            GEN_BATCHES.incr();
-            (self.emit)(self.buf);
-            self.buf.clear();
-        }
+    fn flush(&mut self) {
+        GEN_EDGES.add(self.buf.len() as u64);
+        GEN_BATCHES.incr();
+        (self.emit)(self.buf);
+        self.buf.clear();
     }
 }
 
@@ -94,70 +98,67 @@ fn fill_range_batched(
     emit: &mut BatchEmit,
     fill: impl Fn(std::ops::Range<u64>, &mut Vec<(u64, u64)>),
 ) {
-    buf.clear();
-    if buf.capacity() == 0 {
-        buf.reserve(BATCH_EDGES);
-    }
-    let cap = buf.capacity() as u64;
-    let mut lo = range.start;
-    while lo < range.end {
-        let hi = (lo + cap).min(range.end);
-        fill(lo..hi, buf);
-        GEN_EDGES.add(buf.len() as u64);
-        GEN_BATCHES.incr();
-        emit(buf);
-        buf.clear();
-        lo = hi;
-    }
+    Batcher::run(buf, emit, |b| {
+        let mut lo = range.start;
+        while lo < range.end {
+            let hi = (lo + b.cap as u64).min(range.end);
+            fill(lo..hi, b.buf);
+            b.flush();
+            lo = hi;
+        }
+    });
 }
 
-/// The slice-consumer side of the batched streaming path.
+/// The slice-consumer side of [`StreamingGenerator::stream_pe_batched`].
 pub type BatchEmit<'a> = dyn FnMut(&[(u64, u64)]) + 'a;
 
-/// Edge-streaming extension of [`Generator`].
+/// Edge-streaming extension of [`Generator`]. Implementors supply
+/// [`stream_pe_batched`](Self::stream_pe_batched); everything else is an
+/// adapter over it.
 pub trait StreamingGenerator: Generator {
     /// Emit every edge PE `pe` is responsible for — exactly
     /// `generate_pe`'s edge set, in a deterministic order that is stable
     /// across thread counts and batch sizes (for most generators it is
     /// `generate_pe`'s order; RDG and sRHG stream in generation-sweep
-    /// order, see the module docs).
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64));
+    /// order, see the module docs) — as non-empty slices. `buf` is a
+    /// caller-provided scratch buffer (its capacity sets the batch size;
+    /// reserved to [`BATCH_EDGES`] if empty) and `emit` receives each
+    /// filled slice. The concatenation of all slices is the PE's stream:
+    /// the batch size changes delivery granularity, never the instance.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit);
 
-    /// Emit PE `pe`'s edges in batches: `buf` is a caller-provided
-    /// scratch buffer (its capacity sets the batch size; reserved to
-    /// [`BATCH_EDGES`] if empty) and `emit` receives full slices. The
-    /// concatenation of all slices equals the `stream_pe` stream
-    /// edge-for-edge — batching changes delivery granularity, never the
-    /// instance.
-    ///
-    /// The default buffers `stream_pe`; generators whose per-edge work
-    /// can be amortized (seed hashing, descent-mode dispatch) override
-    /// this with a genuinely batched fill.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.stream_pe(pe, &mut |u, v| b.push(u, v));
-        b.finish();
+    /// PE `pe`'s stream, one edge per `emit` call.
+    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
+        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            for &(u, v) in edges {
+                emit(u, v);
+            }
+        });
     }
 
     /// Count a PE's edges without materializing them.
     fn count_pe(&self, pe: usize) -> u64 {
         let mut count = 0;
-        self.stream_pe(pe, &mut |_, _| count += 1);
+        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            count += edges.len() as u64
+        });
         count
+    }
+
+    /// Drive every PE in order through `emit`, one edge per call. Peak
+    /// memory is generator state plus one batch.
+    fn stream_all(&self, emit: &mut dyn FnMut(u64, u64)) {
+        self.stream_all_batched(&mut Vec::new(), &mut |edges| {
+            for &(u, v) in edges {
+                emit(u, v);
+            }
+        });
     }
 
     /// Drive every PE in order through `emit` — the sequential sink
     /// driver used by the output pipeline when a single consumer wants
-    /// the whole instance as one stream. Peak memory stays at
-    /// generator-state size; no edge is ever buffered here.
-    fn stream_all(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for pe in 0..self.num_chunks() {
-            self.stream_pe(pe, emit);
-        }
-    }
-
-    /// Batched analogue of [`StreamingGenerator::stream_all`]: every PE in
-    /// order, slices instead of single edges. Peak memory is one batch.
+    /// the whole instance as one stream. Peak memory is generator state
+    /// plus one batch.
     fn stream_all_batched(&self, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         for pe in 0..self.num_chunks() {
             self.stream_pe_batched(pe, buf, emit);
@@ -166,79 +167,46 @@ pub trait StreamingGenerator: Generator {
 
     /// Total edge count of the instance without materializing it.
     fn count_edges(&self) -> u64 {
-        (0..self.num_chunks()).map(|pe| self.count_pe(pe)).sum()
+        let mut count = 0;
+        self.stream_all_batched(&mut Vec::new(), &mut |edges| count += edges.len() as u64);
+        count
     }
-}
-
-/// Shared override body for generators with a monomorphic
-/// `stream_edges<F>`: push through a concrete closure (no per-edge
-/// virtual dispatch), flush full slices.
-macro_rules! batched_via_stream_edges {
-    () => {
-        fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-            let mut b = Batcher::new(buf, emit);
-            self.stream_edges(pe, &mut |u: u64, v: u64| b.push(u, v));
-            b.finish();
-        }
-    };
-}
-
-/// Shared override body for the ER generators: the block-batched fill
-/// (`stream_edges_batched` — blocked skip conversion for G(n,p), the
-/// block-treated Method D for G(n,m)) pushing through a concrete
-/// closure into the batcher. Same edge stream as `stream_pe`, off the
-/// per-edge transcendental/dispatch bound.
-macro_rules! batched_via_fill {
-    () => {
-        fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-            let mut b = Batcher::new(buf, emit);
-            self.stream_edges_batched(pe, &mut |u: u64, v: u64| b.push(u, v));
-            b.finish();
-        }
-    };
 }
 
 impl StreamingGenerator for GnmDirected {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_edges(pe, emit);
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
-
-    batched_via_fill!();
 }
 
 impl StreamingGenerator for GnpDirected {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_edges(pe, emit);
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
-
-    batched_via_fill!();
 }
 
 impl StreamingGenerator for GnmUndirected {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_edges(pe, emit);
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
-
-    batched_via_fill!();
 }
 
 impl StreamingGenerator for GnpUndirected {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_edges(pe, emit);
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
-
-    batched_via_fill!();
 }
 
 impl StreamingGenerator for BarabasiAlbert {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        for slot in self.pe_slot_range(pe) {
-            let (u, v) = self.edge(slot);
-            emit(u, v);
-        }
-    }
-
-    /// Batched fill: the hashed resolve-base seed is derived once per
+    /// Range fill: the hashed resolve-base seed is derived once per
     /// batch instead of once per edge.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         fill_range_batched(self.pe_slot_range(pe), buf, emit, |r, out| {
@@ -248,14 +216,7 @@ impl StreamingGenerator for BarabasiAlbert {
 }
 
 impl StreamingGenerator for Rmat {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        for e in self.pe_edge_range(pe) {
-            let (u, v) = self.edge(e);
-            emit(u, v);
-        }
-    }
-
-    /// Batched fill: one hashed seed per edge block and one descent-mode
+    /// Range fill: one hashed seed per edge block and one kernel
     /// dispatch per batch (see [`Rmat::fill_edges`]) — the §8.6.1 variate
     /// cost drops from hash+descent to `mix2`+descent per edge.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
@@ -266,25 +227,21 @@ impl StreamingGenerator for Rmat {
 }
 
 impl StreamingGenerator for StochasticBlockModel {
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_edges(pe, emit);
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
-
-    batched_via_stream_edges!();
 }
 
 impl<const D: usize> StreamingGenerator for Rgg<D> {
     /// Cell-cursor streaming (§5): Morton walk with an evicting frontier
     /// of recomputable cells — memory is the active 3^d neighborhood,
     /// the stream is edge-for-edge `generate_pe`'s.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_cells(pe, &mut |u, v| emit(u, v));
-    }
-
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.stream_cells(pe, &mut |u, v| b.push(u, v));
-        b.finish();
+        Batcher::run(buf, emit, |b| {
+            self.stream_cells(pe, &mut |u, v| b.push(u, v));
+        });
     }
 }
 
@@ -294,14 +251,10 @@ impl<const D: usize> StreamingGenerator for Rdg<D> {
     /// edges it owns — memory is one cell group plus the distance-1
     /// halo frontier. The stream is ordered cell-by-cell (sorted within
     /// a cell); as a set it equals `generate_pe`'s sorted list.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_cells(pe, &mut |u, v| emit(u, v));
-    }
-
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.stream_cells(pe, &mut |u, v| b.push(u, v));
-        b.finish();
+        Batcher::run(buf, emit, |b| {
+            self.stream_cells(pe, &mut |u, v| b.push(u, v));
+        });
     }
 }
 
@@ -309,14 +262,10 @@ impl StreamingGenerator for Rhg {
     /// Streaming Δθ queries (§7.1) over the evicting frontier cache —
     /// memory is the active query window, the stream is edge-for-edge
     /// `generate_pe`'s sorted list.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_query(pe, &mut |u, v| emit(u, v));
-    }
-
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.stream_query(pe, &mut |u, v| b.push(u, v));
-        b.finish();
+        Batcher::run(buf, emit, |b| {
+            self.stream_query(pe, &mut |u, v| b.push(u, v));
+        });
     }
 }
 
@@ -326,28 +275,20 @@ impl StreamingGenerator for Srhg {
     /// stream is emitted in sweep order: as a set it equals
     /// `generate_pe`'s (sorted) list; cross-PE duplicates deduplicate on
     /// merge as for every undirected generator.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.sweep(pe, &mut |u, v| emit(u, v), None);
-    }
-
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.sweep(pe, &mut |u, v| b.push(u, v), None);
-        b.finish();
+        Batcher::run(buf, emit, |b| {
+            self.sweep(pe, &mut |u, v| b.push(u, v), None);
+        });
     }
 }
 
 impl StreamingGenerator for SoftRhg {
     /// Streaming truncated-radius queries (§9 soft model) over the
     /// evicting frontier cache; edge-for-edge `generate_pe`'s list.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_query(pe, &mut |u, v| emit(u, v));
-    }
-
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        let mut b = Batcher::new(buf, emit);
-        self.stream_query(pe, &mut |u, v| b.push(u, v));
-        b.finish();
+        Batcher::run(buf, emit, |b| {
+            self.stream_query(pe, &mut |u, v| b.push(u, v));
+        });
     }
 }
 
@@ -445,15 +386,9 @@ mod tests {
             &Rmat::new(9, 3000)
                 .with_seed(6)
                 .with_chunks(8)
-                .with_table_levels(4),
-        );
-        assert_stream_matches(
-            &Rmat::new(9, 3000)
-                .with_seed(6)
-                .with_chunks(8)
                 .with_kernel(crate::RmatKernel::Linear { levels: 4 }),
         );
-        // Linear kernel above the old scale-32 table cliff.
+        // Above scale 32, where u and v no longer fit one interleaved word.
         assert_stream_matches(
             &Rmat::new(33, 3000)
                 .with_seed(6)
@@ -507,12 +442,6 @@ mod tests {
             );
             assert_batched_matches(&BarabasiAlbert::new(500, 3).with_seed(5).with_chunks(chunks));
             assert_batched_matches(&Rmat::new(9, 3000).with_seed(6).with_chunks(chunks));
-            assert_batched_matches(
-                &Rmat::new(9, 3000)
-                    .with_seed(6)
-                    .with_chunks(chunks)
-                    .with_table_levels(4),
-            );
             assert_batched_matches(
                 &Rmat::new(9, 3000)
                     .with_seed(6)
@@ -597,6 +526,68 @@ mod tests {
         }
         assert_eq!(streamed, materialized);
         assert_eq!(gen.count_edges(), 2000);
+    }
+
+    /// A generator that supplies only the required method.
+    struct Ramp;
+
+    impl Generator for Ramp {
+        fn num_vertices(&self) -> u64 {
+            64
+        }
+        fn num_chunks(&self) -> usize {
+            4
+        }
+        fn directed(&self) -> bool {
+            true
+        }
+        fn generate_pe(&self, pe: usize) -> PeGraph {
+            let mut out = PeGraph {
+                pe,
+                ..PeGraph::default()
+            };
+            self.stream_pe(pe, &mut |u, v| out.edges.push((u, v)));
+            out
+        }
+    }
+
+    impl StreamingGenerator for Ramp {
+        fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+            // PE 0 is empty; the others end on a ragged batch.
+            Batcher::run(buf, emit, |b| {
+                for i in 0..pe as u64 * 5 {
+                    b.push(pe as u64, i);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn provided_adapters_equal_the_concatenated_batches() {
+        let rmat = Rmat::new(9, 2500).with_seed(12).with_chunks(6);
+        for gen in [&Ramp as &dyn StreamingGenerator, &rmat] {
+            for cap in [1usize, 7, 0] {
+                let mut buf = Vec::with_capacity(cap);
+                let mut whole = Vec::new();
+                for pe in 0..gen.num_chunks() {
+                    let mut batched = Vec::new();
+                    gen.stream_pe_batched(pe, &mut buf, &mut |edges| {
+                        assert!(!edges.is_empty(), "empty batch emitted");
+                        batched.extend_from_slice(edges);
+                    });
+                    let mut streamed = Vec::new();
+                    gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
+                    assert_eq!(streamed, batched, "PE {pe} cap {cap}");
+                    assert_eq!(gen.count_pe(pe), batched.len() as u64);
+                    whole.extend(batched);
+                }
+                let mut all = Vec::new();
+                gen.stream_all(&mut |u, v| all.push((u, v)));
+                assert_eq!(all, whole, "cap {cap}");
+                assert_eq!(gen.count_edges(), whole.len() as u64);
+            }
+        }
+        assert_eq!(Ramp.count_edges(), 5 + 10 + 15);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! fill — and each block runs the same composed-table descent the CPU
 //! kernel runs. Randomness is derived from decision identities, never from
 //! execution order, so the concatenated device output is **bit-identical**
-//! to [`kagen_core::Rmat::fill_edges`] for every kernel
-//! ([`RmatKernel::Plain`], [`RmatKernel::Table`], [`RmatKernel::Linear`]) —
-//! asserted in tests and smoked via `cmp` in CI.
+//! to [`kagen_core::Rmat::fill_edges`] for both kernels
+//! ([`RmatKernel::Plain`], [`RmatKernel::Linear`]) — asserted in tests and
+//! smoked via `cmp` in CI.
 //!
 //! Device model notes: the composed alias table is built host-side once
 //! and shared read-only by all blocks (on a real GPU it would live in
@@ -63,9 +63,7 @@ impl GpuRmat {
         let draw_bytes = match inner.kernel() {
             // One fused 8-byte alias slot per table draw, remainder draw
             // included: ⌈scale/levels⌉ draws per edge.
-            RmatKernel::Table { levels } | RmatKernel::Linear { levels } => {
-                8 * inner.scale().div_ceil(levels) as usize
-            }
+            RmatKernel::Linear { levels } => 8 * inner.scale().div_ceil(levels) as usize,
             RmatKernel::Plain => 0,
         };
         let per_block: Vec<Vec<(u64, u64)>> = dev.launch(jobs, move |ctx, (lo, hi)| {
@@ -117,10 +115,11 @@ mod tests {
     #[test]
     fn plain_and_table_kernels_bit_identical() {
         device_matches_cpu(Rmat::new(12, 2 * SEED_BLOCK_EDGES).with_seed(7));
+        // 5 ∤ 12: the final composed-table draw is truncated.
         device_matches_cpu(
             Rmat::new(12, 2 * SEED_BLOCK_EDGES)
                 .with_seed(7)
-                .with_kernel(RmatKernel::Table { levels: 5 }),
+                .with_kernel(RmatKernel::Linear { levels: 5 }),
         );
     }
 

@@ -5,9 +5,9 @@
 //! use a streaming approach") turned into a production output path.
 //!
 //! The seed crates could already *generate* edges as a stream
-//! ([`StreamingGenerator::stream_pe`]), but every consumer materialized a
-//! full edge vector, capping instance size at RAM. This crate keeps the
-//! whole path at generator-state memory:
+//! ([`StreamingGenerator::stream_pe_batched`]), but every consumer
+//! materialized a full edge vector, capping instance size at RAM. This
+//! crate keeps the whole path at generator-state memory:
 //!
 //! * [`sink`] — the [`EdgeSink`] trait plus composable sinks: counting,
 //!   checksumming, degree statistics, text / binary / compressed writers,
@@ -95,7 +95,7 @@ pub fn stream_into<G: StreamingGenerator + ?Sized, S: EdgeSink>(
     gen: &G,
     sink: &mut S,
 ) -> io::Result<u64> {
-    gen.stream_all(&mut |u, v| sink.accept(u, v));
+    gen.stream_all_batched(&mut Vec::new(), &mut |edges| sink.push_batch(edges));
     sink.finish()
 }
 

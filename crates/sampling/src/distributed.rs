@@ -235,6 +235,29 @@ mod tests {
     }
 
     #[test]
+    fn batched_range_equals_per_draw_range() {
+        // Sparse (Method D) and dense (Method A / full enumeration)
+        // leaves, whole ranges and sub-ranges.
+        for (universe, k, blocks) in [
+            (1u128 << 20, 5000u64, 64u64),
+            (4000, 3500, 8),
+            (512, 512, 4),
+        ] {
+            let s = DistributedSampler::new(universe, k, blocks, 11);
+            for (lo, hi) in [(0, blocks), (1, blocks - 1)] {
+                let mut per_draw = Vec::new();
+                s.sample_range(lo, hi, &mut |x| per_draw.push(x));
+                let mut batched = Vec::new();
+                s.sample_range_batched(lo, hi, &mut |x| batched.push(x));
+                assert_eq!(
+                    per_draw, batched,
+                    "universe {universe} k {k} blocks {lo}..{hi}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn samples_valid() {
         let s = DistributedSampler::new(100_000, 2_000, 16, 3);
         let all = all_samples(&s);

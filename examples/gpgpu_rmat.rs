@@ -67,9 +67,9 @@ fn main() {
         write_edges(dir, "rmat_gpu.txt", &gpu);
     }
 
-    // ---- R-MAT beyond the scale-32 wall --------------------------------
-    // The legacy interleaved table cannot represent these paths; the
-    // composed kernel runs unchanged.
+    // ---- R-MAT beyond scale 32 -----------------------------------------
+    // u and v no longer fit one interleaved word; the composed kernel
+    // accumulates them separately and runs unchanged.
     let (scale, m) = (34u32, 1u64 << 16);
     let cpu_gen = Rmat::new(scale, m)
         .with_seed(seed)

@@ -26,16 +26,16 @@
 //!   soft-rhg        -n <vertices> -d <avg-deg> -g <gamma> -T <temperature>
 //!   ba              -n <vertices> -d <edges-per-vertex>
 //!   rmat            -n <vertices=2^k> -m <edges>
-//!                   --rmat-kernel <k>  linear | table | plain (default
-//!                                      linear: the linear-work composed
-//!                                      path-block table, any scale;
-//!                                      table = legacy interleaved
-//!                                      descent tables, scale < 32 only)
-//!                   --rmat-levels <k>  levels per table draw, 1..=12
-//!                                      (default: sized to the L2 cache
-//!                                      for linear, 8 for table; 0 =
-//!                                      plain per-level descent, the
-//!                                      pre-table instance)
+//!                   --rmat-kernel <k>  linear | plain (default linear:
+//!                                      the linear-work composed
+//!                                      path-block table; plain: one
+//!                                      variate per level, the reference
+//!                                      semantics). `table` is retired
+//!                                      and exits 2
+//!                   --rmat-levels <k>  levels per composed-table draw,
+//!                                      1..=12 (default: sized to the L2
+//!                                      cache; 0 = legacy spelling of
+//!                                      --rmat-kernel plain)
 //!   sbm             -n <vertices> -b <blocks> --p-in <p> --p-out <p>
 //!
 //! common options:
@@ -405,9 +405,17 @@ fn validate(o: &Options) {
     // R-MAT kernel/levels: typos and out-of-range values die here, before
     // any worker spawns, regardless of mode.
     if let Some(name) = o.rmat_kernel.as_deref() {
-        if !matches!(name, "linear" | "table" | "plain") {
+        if name == "table" {
+            fail(
+                "--rmat-kernel table is retired (slower than linear wherever it ran, \
+                 capped at scale < 32); use --rmat-kernel linear, which defines a \
+                 different instance per seed"
+                    .into(),
+            );
+        }
+        if !matches!(name, "linear" | "plain") {
             fail(format!(
-                "unknown --rmat-kernel '{name}' (want linear | table | plain)"
+                "unknown --rmat-kernel '{name}' (want linear | plain)"
             ));
         }
     }
@@ -423,27 +431,14 @@ fn validate(o: &Options) {
                     "--rmat-levels {levels} conflicts with --rmat-kernel plain (only 0 allowed)"
                 ));
             }
-            Some("table") | Some("linear") if levels == 0 => {
-                fail(format!(
-                    "--rmat-levels 0 (plain descent) conflicts with --rmat-kernel {}",
-                    o.rmat_kernel.as_deref().unwrap()
-                ));
+            Some("linear") if levels == 0 => {
+                fail("--rmat-levels 0 (plain descent) conflicts with --rmat-kernel linear".into());
             }
             _ => {}
         }
     }
-    if o.model == "rmat" {
-        if o.n > 1u64 << 63 {
-            fail(format!("rmat needs n <= 2^63, got {}", o.n));
-        }
-        let (kernel, _) = rmat_config(o);
-        if kernel == "table" && rmat_scale(o) >= 32 {
-            fail(format!(
-                "--rmat-kernel table needs scale < 32 (n < 2^32), got scale {}; \
-                 use --rmat-kernel linear",
-                rmat_scale(o)
-            ));
-        }
+    if o.model == "rmat" && o.n > 1u64 << 63 {
+        fail(format!("rmat needs n <= 2^63, got {}", o.n));
     }
     // Which flags each mode accepts.
     let reject = |present: bool, flag: &str, wanted: &str| {
@@ -630,7 +625,6 @@ fn rmat_scale(o: &Options) -> u32 {
 fn rmat_config(o: &Options) -> (&'static str, u32) {
     let kernel = match o.rmat_kernel.as_deref() {
         Some("plain") => "plain",
-        Some("table") => "table",
         Some("linear") => "linear",
         None if o.rmat_levels == Some(0) => "plain",
         None => "linear",
@@ -639,7 +633,6 @@ fn rmat_config(o: &Options) -> (&'static str, u32) {
     let scale = rmat_scale(o);
     let levels = match kernel {
         "plain" => 0,
-        "table" => o.rmat_levels.unwrap_or(8).clamp(1, 12).min(scale),
         _ => o
             .rmat_levels
             .unwrap_or_else(|| Rmat::auto_linear_levels(scale, kagen_repro::util::l2_cache_bytes()))
@@ -649,12 +642,12 @@ fn rmat_config(o: &Options) -> (&'static str, u32) {
 }
 
 /// The R-MAT params string of manifests and resume ledgers. As with
-/// [`gnp_params`], the legacy spelling (`scale=.. m=.. levels=..`, no
-/// kernel marker) stays with the *legacy* instances — plain (`levels=0`)
-/// and the interleaved descent tables — so run directories written before
-/// the linear-work kernel resume under `--rmat-kernel table|plain`
-/// without a header mismatch, and can never be silently "resumed" by the
-/// new linear default, whose shards belong to a different instance.
+/// [`gnp_params`], the spelling without a kernel marker (`scale=.. m=..
+/// levels=0`) stays with the plain instance, so run directories written
+/// before the linear-work kernel resume under `--rmat-kernel plain`
+/// without a header mismatch. A ledger of the retired table kernel
+/// (`levels=N`, N > 0, no marker) matches neither spelling: `--resume`
+/// refuses it instead of mixing in shards of a different instance.
 fn rmat_params(o: &Options) -> String {
     let (kernel, levels) = rmat_config(o);
     let scale = rmat_scale(o);
@@ -764,7 +757,6 @@ fn build_generator(o: &Options) -> (Box<dyn StreamingGenerator>, String) {
                 .with_chunks(o.chunks);
             let gen = match kernel {
                 "plain" => gen.with_kernel(RmatKernel::Plain),
-                "table" => gen.with_kernel(RmatKernel::Table { levels }),
                 _ => gen.with_kernel(RmatKernel::Linear { levels }),
             };
             (Box::new(gen), rmat_params(o))

@@ -564,19 +564,6 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
             ],
             "conflicts with --rmat-kernel plain",
         ),
-        (
-            vec![
-                "launch",
-                "rmat",
-                "--shard-dir",
-                dir_s,
-                "-n",
-                "4294967296",
-                "--rmat-kernel",
-                "table",
-            ],
-            "needs scale < 32",
-        ),
     ] {
         let (ok, stderr) = kagen(&args, &[]);
         assert!(!ok, "{args:?} must be rejected");
@@ -586,4 +573,105 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
             "{args:?} must be rejected before anything is written"
         );
     }
+}
+
+/// `--rmat-kernel table` is a retired spelling: every mode exits 2 with
+/// the retirement message before a worker spawns or a byte is written,
+/// at a scale the kernel used to serve (11) and one it never did (33).
+#[test]
+fn retired_rmat_table_kernel_exits_2_in_every_mode() {
+    let dir = tmp("retired_table");
+    let dir_s = dir.to_str().unwrap();
+    for n in ["2048", "8589934592"] {
+        for mode in [
+            vec!["stream", "rmat", "--shard-dir", dir_s],
+            vec!["launch", "rmat", "--shard-dir", dir_s],
+            vec!["worker", "rmat", "--shard-dir", dir_s, "--pe-range", "0..1"],
+            vec!["rmat"],
+        ] {
+            let mut args = mode.clone();
+            args.extend(["-n", n, "-m", "4000", "--rmat-kernel", "table"]);
+            let out = Command::new(KAGEN)
+                .args(&args)
+                .output()
+                .expect("cannot spawn kagen");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains("--rmat-kernel table is retired")
+                    && stderr.contains("--rmat-kernel linear")
+                    && stderr.contains("different instance per seed"),
+                "{args:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+            assert!(!dir.exists(), "{args:?} created the shard dir");
+        }
+    }
+}
+
+/// A run directory left behind by the retired table kernel (ledger params
+/// `scale=.. m=.. levels=8`, no kernel marker) matches no surviving
+/// spelling: `--resume` refuses it under either kernel and leaves every
+/// file as it was.
+#[test]
+fn resume_refuses_a_table_era_ledger() {
+    let dir = tmp("table_era");
+    let dir_s = dir.to_str().unwrap();
+    let base = [
+        "launch",
+        "rmat",
+        "-n",
+        "2048",
+        "-m",
+        "4000",
+        "-c",
+        "4",
+        "--workers",
+        "2",
+        "--shard-dir",
+        dir_s,
+    ];
+    let mut plain = base.to_vec();
+    plain.extend(["--rmat-kernel", "plain"]);
+    let (ok, stderr) = kagen(&plain, &[]);
+    assert!(ok, "launch failed:\n{stderr}");
+    let ledger_path = dir.join("ledger.json");
+    let ledger = std::fs::read_to_string(&ledger_path).unwrap();
+    assert!(ledger.contains("scale=11 m=4000 levels=0"), "{ledger}");
+    std::fs::write(
+        &ledger_path,
+        ledger.replace("scale=11 m=4000 levels=0", "scale=11 m=4000 levels=8"),
+    )
+    .unwrap();
+
+    let snapshot = |dir: &std::path::Path| {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let meta = e.metadata().unwrap();
+                (
+                    e.file_name(),
+                    meta.modified().unwrap(),
+                    std::fs::read(e.path()).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot(&dir);
+    for kernel in [vec![], vec!["--rmat-kernel", "plain"]] {
+        let mut args = base.to_vec();
+        args.extend(kernel);
+        args.push("--resume");
+        let (ok, stderr) = kagen(&args, &[]);
+        assert!(!ok, "{args:?} must not resume a table-era run");
+        assert!(
+            stderr.contains("resume parameter mismatch") && stderr.contains("levels=8"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(snapshot(&dir), before, "{args:?} touched the run dir");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

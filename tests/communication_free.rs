@@ -185,7 +185,7 @@ fn rmat_table_invariants() {
         |s, c| {
             Rmat::new(9, 4000)
                 .with_seed(s)
-                .with_table_levels(8)
+                .with_kernel(RmatKernel::Linear { levels: 8 })
                 .with_chunks(c)
         },
         &[1, 2, 8],

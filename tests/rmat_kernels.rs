@@ -1,20 +1,16 @@
-//! R-MAT kernel-matrix tests: the plain, interleaved-table, and
-//! linear-work composed-table kernels across boundary scales (31 is the
-//! last legacy-table scale, 32 the first composed-only one, 63 the
-//! vertex-id ceiling), `levels ∤ scale` remainder cells, and — via
-//! proptest — bit-identical delivery across per-edge, batched, and bulk
-//! fill for every `(scale, levels, kernel)` cell.
+//! R-MAT kernel-matrix tests: the plain and linear-work composed-table
+//! kernels across boundary scales (31/32/33 straddle the point where u
+//! and v stop fitting one interleaved word, 63 is the vertex-id ceiling),
+//! `levels ∤ scale` remainder cells, and — via proptest — bit-identical
+//! delivery across point queries, batched streaming, and bulk fill for
+//! every `(scale, levels, kernel)` cell.
 
 use kagen_repro::core::prelude::*;
 use proptest::prelude::*;
 
-/// Concatenated per-edge stream over all chunks.
-fn stream_per_edge(gen: &Rmat) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    for pe in 0..gen.num_chunks() {
-        gen.stream_pe(pe, &mut |u, v| out.push((u, v)));
-    }
-    out
+/// Every edge as an independent point query.
+fn point_queries(gen: &Rmat) -> Vec<(u64, u64)> {
+    (0..gen.num_edges()).map(|e| gen.edge(e)).collect()
 }
 
 /// Concatenated batched stream over all chunks.
@@ -29,10 +25,9 @@ fn stream_batched(gen: &Rmat) -> Vec<(u64, u64)> {
 
 #[test]
 fn boundary_scales_are_degree_exact_and_in_range() {
-    // 31: last scale the legacy table handles; 32/33: composed-only
-    // territory (the old `with_table_levels` silently fell back to plain
-    // here); 63: the top of the supported range, where u and v each use
-    // all their bits below the sign position.
+    // 31/32/33: 2·scale crosses 64 bits, so u and v must accumulate
+    // separately; 63: the top of the supported range, where u and v each
+    // use all their bits below the sign position.
     for scale in [31u32, 32, 33, 63] {
         let m = 40_000u64;
         let gen = Rmat::new(scale, m)
@@ -46,7 +41,7 @@ fn boundary_scales_are_degree_exact_and_in_range() {
             assert_eq!(u >> scale, 0, "scale {scale}: u {u:#x} out of range");
             assert_eq!(v >> scale, 0, "scale {scale}: v {v:#x} out of range");
         }
-        assert_eq!(stream_per_edge(&gen), fill, "scale {scale}: per-edge");
+        assert_eq!(point_queries(&gen), fill, "scale {scale}: point queries");
         assert_eq!(stream_batched(&gen), fill, "scale {scale}: batched");
         // Chunk-count invariance: the stream is a pure function of the
         // edge-index range, not of the partition walked to cover it.
@@ -60,16 +55,17 @@ fn boundary_scales_are_degree_exact_and_in_range() {
 
 #[test]
 fn default_levels_dispatch_crosses_the_scale32_wall() {
-    // `with_table_levels(8)` (the old CLI default) keeps its legacy
-    // bit-identical table below scale 32 and now upgrades to the
-    // composed kernel above it — previously a silent no-op to plain.
+    // One kernel on both sides of scale 32: the request resolves as
+    // given, with levels clamped to the scale only.
+    for scale in [31u32, 32] {
+        let linear = RmatKernel::Linear { levels: 8 };
+        assert_eq!(Rmat::new(scale, 10).with_kernel(linear).kernel(), linear);
+    }
     assert_eq!(
-        Rmat::new(31, 10).with_table_levels(8).kernel(),
-        RmatKernel::Table { levels: 8 }
-    );
-    assert_eq!(
-        Rmat::new(32, 10).with_table_levels(8).kernel(),
-        RmatKernel::Linear { levels: 8 }
+        Rmat::new(5, 10)
+            .with_kernel(RmatKernel::Linear { levels: 8 })
+            .kernel(),
+        RmatKernel::Linear { levels: 5 }
     );
 }
 
@@ -90,7 +86,11 @@ fn remainder_cells_stay_bit_stable() {
             assert_eq!(u >> scale, 0, "({scale},{levels}): u out of range");
             assert_eq!(v >> scale, 0, "({scale},{levels}): v out of range");
         }
-        assert_eq!(stream_per_edge(&gen), fill, "({scale},{levels}): per-edge");
+        assert_eq!(
+            point_queries(&gen),
+            fill,
+            "({scale},{levels}): point queries"
+        );
         assert_eq!(stream_batched(&gen), fill, "({scale},{levels}): batched");
     }
 }
@@ -125,25 +125,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Every (scale, levels, kernel) cell delivers the identical edge
-    // sequence through bulk fill, per-edge streaming, and batched
-    // streaming, at any chunking — the bit-stability contract the CLI
-    // kernel flag relies on.
+    // sequence through bulk fill, point queries, and batched streaming,
+    // at any chunking — the bit-stability contract the CLI kernel flag
+    // relies on.
     #[test]
     fn delivery_paths_agree_for_every_kernel_cell(
         scale in 1u32..=63,
         levels in 1u32..=12,
-        kernel_sel in 0usize..3,
+        linear in any::<bool>(),
         m in 1u64..3_000,
         seed in any::<u64>(),
         chunks in 1usize..9,
     ) {
         let levels = levels.min(scale);
-        let kernel = match kernel_sel {
-            0 => RmatKernel::Plain,
-            // The legacy table is defined only below scale 32; fold
-            // those cells into the composed kernel above the wall.
-            1 if scale < 32 => RmatKernel::Table { levels },
-            _ => RmatKernel::Linear { levels },
+        let kernel = if linear {
+            RmatKernel::Linear { levels }
+        } else {
+            RmatKernel::Plain
         };
         let gen = Rmat::new(scale, m)
             .with_seed(seed)
@@ -156,7 +154,7 @@ proptest! {
             prop_assert_eq!(u >> scale, 0);
             prop_assert_eq!(v >> scale, 0);
         }
-        prop_assert_eq!(&stream_per_edge(&gen), &fill);
+        prop_assert_eq!(&point_queries(&gen), &fill);
         prop_assert_eq!(&stream_batched(&gen), &fill);
     }
 }
