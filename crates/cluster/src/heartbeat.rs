@@ -20,7 +20,7 @@
 //! (operators inspecting a run by hand), not part of the staleness
 //! decision.
 
-use kagen_pipeline::manifest::json;
+use kagen_obs::json::{self, Layout};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,10 +32,6 @@ pub const HEARTBEAT_SCHEMA: &str = "kagen-heartbeat/v1";
 
 /// Default publisher sampling interval.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// Heartbeat file name for the rank covering PEs `[pe_begin, pe_end)`.
 pub fn heartbeat_file_name(pe_begin: u64, pe_end: u64) -> String {
@@ -79,41 +75,35 @@ pub struct Heartbeat {
 }
 
 impl Heartbeat {
-    /// Serialize as integer-only JSON.
+    /// Serialize as compact, integer-only JSON.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{HEARTBEAT_SCHEMA}\",\"pe_begin\":{},\"pe_end\":{},\
-             \"stage\":\"{}\",\"pes_done\":{},\"edges\":{},\"seq\":{},\"unix_us\":{}}}",
-            self.pe_begin,
-            self.pe_end,
-            self.stage,
-            self.pes_done,
-            self.edges,
-            self.seq,
-            self.unix_us
-        )
+        json::obj([
+            ("schema", HEARTBEAT_SCHEMA.into()),
+            ("pe_begin", self.pe_begin.into()),
+            ("pe_end", self.pe_end.into()),
+            ("stage", self.stage.as_str().into()),
+            ("pes_done", self.pes_done.into()),
+            ("edges", self.edges.into()),
+            ("seq", self.seq.into()),
+            ("unix_us", self.unix_us.into()),
+        ])
+        .render(Layout::Compact)
     }
 
     /// Parse a document produced by [`Heartbeat::to_json`].
-    pub fn from_json(text: &str) -> io::Result<Heartbeat> {
-        let parse = || -> Result<Heartbeat, String> {
-            let doc = json::parse(text)?;
-            let obj = doc.as_obj("heartbeat")?;
-            let schema = obj.get("schema")?.as_str("schema")?;
-            if schema != HEARTBEAT_SCHEMA {
-                return Err(format!("unsupported heartbeat schema '{schema}'"));
-            }
-            Ok(Heartbeat {
-                pe_begin: obj.get("pe_begin")?.as_u64("pe_begin")?,
-                pe_end: obj.get("pe_end")?.as_u64("pe_end")?,
-                stage: obj.get("stage")?.as_str("stage")?.to_string(),
-                pes_done: obj.get("pes_done")?.as_u64("pes_done")?,
-                edges: obj.get("edges")?.as_u64("edges")?,
-                seq: obj.get("seq")?.as_u64("seq")?,
-                unix_us: obj.get("unix_us")?.as_u64("unix_us")?,
-            })
-        };
-        parse().map_err(invalid)
+    pub fn from_json(text: &str) -> Result<Heartbeat, String> {
+        let doc = json::parse(text)?;
+        let obj = doc.as_obj("heartbeat")?;
+        obj.expect_schema(HEARTBEAT_SCHEMA)?;
+        Ok(Heartbeat {
+            pe_begin: obj.u64("pe_begin")?,
+            pe_end: obj.u64("pe_end")?,
+            stage: obj.str("stage")?.to_string(),
+            pes_done: obj.u64("pes_done")?,
+            edges: obj.u64("edges")?,
+            seq: obj.u64("seq")?,
+            unix_us: obj.u64("unix_us")?,
+        })
     }
 }
 
@@ -124,24 +114,18 @@ fn unix_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Write `hb` atomically: the document lands under a temporary name and
-/// is renamed into place, so a polling reader sees either the previous
-/// or the new heartbeat, never a torn one.
+/// Write `hb` atomically (see [`json::save_atomic`]), so a polling
+/// reader sees either the previous or the new heartbeat, never a torn
+/// one.
 pub fn write_atomic(dir: &Path, hb: &Heartbeat) -> io::Result<()> {
     let path = dir.join(heartbeat_file_name(hb.pe_begin, hb.pe_end));
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, hb.to_json())?;
-    std::fs::rename(&tmp, &path)
+    json::save_atomic(&path, &hb.to_json())
 }
 
 /// Read the heartbeat for PEs `[pe_begin, pe_end)`, if present.
 pub fn read(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<Option<Heartbeat>> {
     let path = dir.join(heartbeat_file_name(pe_begin, pe_end));
-    match std::fs::read_to_string(&path) {
-        Ok(t) => Heartbeat::from_json(&t).map(Some),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
+    json::load_optional(&path, Heartbeat::from_json)
 }
 
 /// Every heartbeat currently published in `dir` (live ranks of a
@@ -158,8 +142,7 @@ pub fn read_all(dir: &Path) -> Vec<Heartbeat> {
     names.sort();
     names
         .iter()
-        .filter_map(|n| std::fs::read_to_string(dir.join(n)).ok())
-        .filter_map(|t| Heartbeat::from_json(&t).ok())
+        .filter_map(|n| json::load(&dir.join(n), Heartbeat::from_json).ok())
         .collect()
 }
 
@@ -296,6 +279,18 @@ mod tests {
         assert_eq!(back, hb);
         let bad = hb.to_json().replace("kagen-heartbeat/v1", "x/v0");
         assert!(Heartbeat::from_json(&bad).is_err());
+    }
+
+    #[test]
+    fn stage_is_escaped_not_interpolated() {
+        // The stage used to be spliced between bare quotes, so a quote
+        // in it produced a document no reader accepted.
+        let hb = Heartbeat {
+            stage: "ge\"ner\\ate\n".into(),
+            ..Heartbeat::default()
+        };
+        assert!(hb.to_json().contains("\"stage\":\"ge\\\"ner\\\\ate\\n\""));
+        assert_eq!(Heartbeat::from_json(&hb.to_json()).unwrap(), hb);
     }
 
     #[test]

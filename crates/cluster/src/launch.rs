@@ -17,6 +17,7 @@ use crate::plan::{plan_ranks, plan_repairs, RankTask};
 use crate::trace::{RankTrace, WorkerTrace};
 use crate::worker::{run_worker, FailureInjection};
 use kagen_core::streaming::StreamingGenerator;
+use kagen_obs::json::invalid;
 use kagen_obs::{trace, Counter, Histogram, HistogramSnapshot};
 use kagen_pipeline::{
     validate_shard, validate_shard_sampled, Manifest, PartialManifest, RunHeader, ShardFormat,
@@ -435,10 +436,6 @@ pub struct LaunchReport {
     /// order — the input [`crate::trace::federate_chrome_trace`] turns
     /// into the run-wide timeline.
     pub rank_traces: Vec<RankTrace>,
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 /// Prepare the ledger and task list for this launch (fresh or resume).

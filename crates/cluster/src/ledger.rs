@@ -14,13 +14,12 @@
 //! The coordinator rewrites the ledger (atomically, via rename) after
 //! every rank completion, so a killed coordinator loses at most the
 //! in-flight ranks — their PEs simply remain `pending` and are
-//! regenerated on resume. Serialization reuses the manifest's hand-rolled
-//! JSON ([`kagen_pipeline::manifest::json`]).
+//! regenerated on resume. The document is a struct over
+//! [`kagen_obs::json`], in the manifest's layout.
 
 use crate::plan::RankTask;
-use kagen_pipeline::manifest::{json, push_str_value};
+use kagen_obs::json::{self, Layout, Value};
 use kagen_pipeline::{RunHeader, ShardInfo};
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -179,53 +178,28 @@ impl Ledger {
 
     /// Serialize to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        self.header.push_json_fields(&mut s);
-        let _ = writeln!(s, "  \"workers\": {},", self.workers);
-        s.push_str("  \"shards\": [\n");
-        for (i, sh) in self.shards.iter().enumerate() {
-            let pe = i as u64;
-            match sh {
-                ShardState::Pending => {
-                    let _ = write!(s, "    {{\"pe\": {pe}, \"status\": \"pending\"}}");
-                }
-                ShardState::Done(info) => {
-                    let _ = write!(s, "    {{\"pe\": {pe}, \"status\": \"done\", \"file\": ");
-                    push_str_value(&mut s, &info.file);
-                    let _ = write!(
-                        s,
-                        ", \"edges\": {}, \"checksum\": {}}}",
-                        info.edges, info.checksum
-                    );
-                }
+        let shard = |(pe, state): (usize, &ShardState)| match state {
+            ShardState::Pending => json::obj([("pe", pe.into()), ("status", "pending".into())]),
+            ShardState::Done(info) => {
+                let head = [("pe", Value::from(pe)), ("status", "done".into())];
+                json::obj(head.into_iter().chain(info.payload_fields()))
             }
-            s.push_str(if i + 1 < self.shards.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ],\n  \"ranks\": [\n");
-        for (i, r) in self.ranks.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"rank\": {}, \"pe_begin\": {}, \"pe_end\": {}, \
-                 \"status\": \"{}\", \"attempts\": {}}}",
-                r.rank,
-                r.pe_begin,
-                r.pe_end,
-                r.status.name(),
-                r.attempts
-            );
-            s.push_str(if i + 1 < self.ranks.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        };
+        let rank = |r: &RankRecord| {
+            json::obj([
+                ("rank", Value::from(r.rank)),
+                ("pe_begin", r.pe_begin.into()),
+                ("pe_end", r.pe_end.into()),
+                ("status", r.status.name().into()),
+                ("attempts", r.attempts.into()),
+            ])
+        };
+        let mut fields = self.header.json_fields();
+        fields.push(("workers", self.workers.into()));
+        let shards = self.shards.iter().enumerate().map(shard);
+        fields.push(("shards", Value::Arr(shards.collect())));
+        fields.push(("ranks", Value::Arr(self.ranks.iter().map(rank).collect())));
+        json::obj(fields).render(Layout::Pretty)
     }
 
     /// Parse from JSON (inverse of [`Ledger::to_json`]).
@@ -233,9 +207,9 @@ impl Ledger {
         let value = json::parse(text)?;
         let obj = value.as_obj("ledger")?;
         let header = RunHeader::from_json_obj(&obj)?;
-        let workers = obj.get("workers")?.as_u64("workers")? as usize;
+        let workers = obj.u64("workers")? as usize;
 
-        let shard_values = obj.get("shards")?.as_arr("shards")?;
+        let shard_values = obj.arr("shards")?;
         if shard_values.len() as u64 != header.chunks {
             return Err(format!(
                 "ledger: {} shard entries for {} chunks",
@@ -246,32 +220,26 @@ impl Ledger {
         let mut shards = Vec::with_capacity(shard_values.len());
         for (i, sv) in shard_values.iter().enumerate() {
             let so = sv.as_obj(&format!("shards[{i}]"))?;
-            let pe = so.get("pe")?.as_u64("pe")?;
+            let pe = so.u64("pe")?;
             if pe != i as u64 {
                 return Err(format!("ledger: shard entry {i} has pe {pe}"));
             }
-            let status = so.get("status")?.as_str("status")?;
-            shards.push(match status {
+            shards.push(match so.str("status")? {
                 "pending" => ShardState::Pending,
-                "done" => ShardState::Done(ShardInfo {
-                    pe,
-                    file: so.get("file")?.as_str("file")?.to_string(),
-                    edges: so.get("edges")?.as_u64("edges")?,
-                    checksum: so.get("checksum")?.as_u64("checksum")?,
-                }),
+                "done" => ShardState::Done(ShardInfo::from_json_obj(&so)?),
                 other => return Err(format!("ledger: unknown shard status '{other}'")),
             });
         }
 
         let mut ranks = Vec::new();
-        for (i, rv) in obj.get("ranks")?.as_arr("ranks")?.iter().enumerate() {
+        for (i, rv) in obj.arr("ranks")?.iter().enumerate() {
             let ro = rv.as_obj(&format!("ranks[{i}]"))?;
             ranks.push(RankRecord {
-                rank: ro.get("rank")?.as_u64("rank")? as usize,
-                pe_begin: ro.get("pe_begin")?.as_u64("pe_begin")? as usize,
-                pe_end: ro.get("pe_end")?.as_u64("pe_end")? as usize,
-                status: RankStatus::parse(ro.get("status")?.as_str("status")?)?,
-                attempts: ro.get("attempts")?.as_u64("attempts")?,
+                rank: ro.u64("rank")? as usize,
+                pe_begin: ro.u64("pe_begin")? as usize,
+                pe_end: ro.u64("pe_end")? as usize,
+                status: RankStatus::parse(ro.str("status")?)?,
+                attempts: ro.u64("attempts")?,
             });
         }
 
@@ -283,19 +251,16 @@ impl Ledger {
         })
     }
 
-    /// Write `ledger.json` into `dir` atomically (write a temp file,
-    /// then rename over the old ledger) — a crash mid-save never leaves
-    /// a truncated ledger behind.
+    /// Write `ledger.json` into `dir` atomically (see
+    /// [`json::save_atomic`]) — a crash mid-save never leaves a
+    /// truncated ledger behind.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        let tmp = dir.join(format!("{LEDGER_FILE}.tmp"));
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, dir.join(LEDGER_FILE))
+        json::save_atomic(&dir.join(LEDGER_FILE), &self.to_json())
     }
 
     /// Load `ledger.json` from `dir`.
     pub fn load(dir: &Path) -> io::Result<Ledger> {
-        let text = std::fs::read_to_string(dir.join(LEDGER_FILE))?;
-        Ledger::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        json::load(&dir.join(LEDGER_FILE), Ledger::from_json)
     }
 
     /// Whether a ledger exists in `dir`.

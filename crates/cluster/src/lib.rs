@@ -58,7 +58,7 @@ pub use launch::{
     ValidateMode, WorkerRunner, SAMPLED_BLOCKS,
 };
 pub use ledger::{Ledger, RankRecord, RankStatus, ShardState, LEDGER_FILE};
-pub use metrics::{RankMetrics, RunMetrics, SidecarTelemetry, METRICS_SCHEMA, METRICS_SCHEMA_V1};
+pub use metrics::{RankMetrics, RunMetrics, SidecarTelemetry, METRICS_SCHEMA};
 pub use plan::{plan_ranks, plan_repairs, RankTask};
 pub use trace::{RankTrace, WorkerTrace, TRACE_SIDECAR_SCHEMA};
 pub use worker::{run_worker, FailureInjection};

@@ -12,136 +12,37 @@
 //! `reused_edges` (shards validated and kept from a previous run, which
 //! no rank of *this* launch generated).
 //!
-//! Every value is an unsigned integer (wall time is microseconds), so
-//! the documents round-trip through the workspace's hand-rolled parser
-//! (`kagen_pipeline::manifest::json`) — floats never enter the format.
+//! Every value is an unsigned integer (wall time is microseconds):
+//! the documents are structs over [`kagen_obs::json`], whose subset has
+//! no floats.
 //!
-//! Schema v2 adds full histogram federation: sidecars and the run-wide
-//! document carry each histogram's log2 bucket vector, and the
-//! coordinator merges them bucket-wise across ranks
-//! ([`RunMetrics::merged_histograms`]) so per-stage latency
+//! Sidecars and the run-wide document carry each histogram's log2
+//! bucket vector, and the coordinator merges them bucket-wise across
+//! ranks ([`RunMetrics::merged_histograms`]) so per-stage latency
 //! distributions survive federation instead of collapsing to
-//! count/sum. The v1 invariant is preserved: every histogram still
-//! appears in the flat counter lists as `.count`/`.sum` scalars, and
-//! the merged vectors reconcile with those totals exactly.
+//! count/sum. Every histogram also appears in the flat counter lists
+//! as `.count`/`.sum` scalars, and the merged vectors reconcile with
+//! those totals exactly.
 
+use kagen_obs::json::{self, Layout, Value};
+use kagen_obs::metrics::{counters_from, counters_value, histograms_from, histograms_value};
 use kagen_obs::HistogramSnapshot;
-use kagen_pipeline::manifest::{json, push_str_value};
 use kagen_pipeline::Manifest;
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// What one worker's metrics sidecar carries: this process's
+/// [`kagen_obs::Telemetry`] document, under the name the launcher has
+/// always used for it.
+pub use kagen_obs::Telemetry as SidecarTelemetry;
+
 /// Schema tag of the federated metrics document.
 pub const METRICS_SCHEMA: &str = "kagen-metrics/v2";
-
-/// Previous schema tag, still accepted by [`RunMetrics::from_json`]
-/// (v1 documents carry no histogram vectors).
-pub const METRICS_SCHEMA_V1: &str = "kagen-metrics/v1";
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// Sidecar file name for the rank covering PEs `[pe_begin, pe_end)` —
 /// the partial manifest's name with a `.metrics.json` suffix.
 pub fn sidecar_file_name(pe_begin: u64, pe_end: u64) -> String {
     format!("part-{pe_begin:05}-{pe_end:05}.metrics.json")
-}
-
-fn counters_json(counters: &[(String, u64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_value(&mut out, name);
-        out.push_str(&format!(":{v}"));
-    }
-    out.push('}');
-    out
-}
-
-fn histograms_json(hists: &[(String, HistogramSnapshot)]) -> String {
-    let mut out = String::from("{");
-    for (i, (name, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_str_value(&mut out, name);
-        out.push_str(&format!(
-            ":{{\"count\":{},\"sum\":{},\"buckets\":[",
-            h.count, h.sum
-        ));
-        for (j, (b, c)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"bucket\":{b},\"count\":{c}}}"));
-        }
-        out.push_str("]}");
-    }
-    out.push('}');
-    out
-}
-
-fn parse_histograms(v: &json::Value) -> Result<Vec<(String, HistogramSnapshot)>, String> {
-    let json::Value::Obj(fields) = v else {
-        return Err("histograms is not an object".into());
-    };
-    let mut out = Vec::with_capacity(fields.len());
-    for (name, h) in fields {
-        let obj = h.as_obj(name)?;
-        let mut buckets = Vec::new();
-        for e in obj.get("buckets")?.as_arr("buckets")? {
-            let e = e.as_obj("bucket entry")?;
-            buckets.push((
-                e.get("bucket")?.as_u64("bucket")? as usize,
-                e.get("count")?.as_u64("count")?,
-            ));
-        }
-        out.push((
-            name.clone(),
-            HistogramSnapshot {
-                count: obj.get("count")?.as_u64("count")?,
-                sum: obj.get("sum")?.as_u64("sum")?,
-                buckets,
-            },
-        ));
-    }
-    Ok(out)
-}
-
-/// What one worker's metrics sidecar carries: the flat counter scalars
-/// (the v1 payload, histogram `.count`/`.sum` included) plus the full
-/// histogram bucket vectors added in v2.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SidecarTelemetry {
-    /// Flat `(name, value)` scalars, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Full histogram snapshots, sorted by name.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-/// Serialize this process's current obs metrics as a sidecar document:
-/// the flat scalars under `"counters"` plus full histogram bucket
-/// vectors under `"histograms"`.
-pub fn sidecar_json() -> String {
-    let counters = kagen_obs::metrics::scalars();
-    let hists: Vec<(String, HistogramSnapshot)> = kagen_obs::metrics::histograms()
-        .into_iter()
-        .map(|(n, h)| (n.to_string(), h))
-        .collect();
-    format!(
-        "{{\"counters\":{},\"histograms\":{}}}",
-        counters_json(&counters),
-        histograms_json(&hists)
-    )
-}
-
-/// Write this process's current obs metrics (see [`sidecar_json`]) to
-/// an explicit path — the `kagen worker --metrics-out` document.
-pub fn write_sidecar_to(path: &Path) -> io::Result<()> {
-    std::fs::write(path, sidecar_json())
 }
 
 /// Write this process's current obs metrics as the sidecar for PEs
@@ -150,50 +51,23 @@ pub fn write_sidecar_to(path: &Path) -> io::Result<()> {
 /// pipeline — output bytes are untouched.
 pub fn write_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PathBuf> {
     let path = dir.join(sidecar_file_name(pe_begin, pe_end));
-    write_sidecar_to(&path)?;
+    std::fs::write(&path, SidecarTelemetry::capture().to_json())?;
     Ok(path)
 }
 
 /// Load (and leave in place) the sidecar for PEs `[pe_begin, pe_end)`.
 /// `Ok(None)` if no sidecar exists — the worker ran without telemetry.
-/// A v1 sidecar (no `"histograms"` key) loads with empty histograms.
 pub fn load_sidecar(
     dir: &Path,
     pe_begin: u64,
     pe_end: u64,
 ) -> io::Result<Option<SidecarTelemetry>> {
     let path = dir.join(sidecar_file_name(pe_begin, pe_end));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let parse = || -> Result<SidecarTelemetry, String> {
-        let doc = json::parse(&text)?;
-        let obj = doc.as_obj("metrics sidecar")?;
-        let mut counters = Vec::new();
-        match obj.get("counters")? {
-            json::Value::Obj(fields) => {
-                for (name, v) in fields {
-                    counters.push((name.clone(), v.as_u64(name)?));
-                }
-            }
-            _ => return Err("metrics sidecar: counters is not an object".into()),
-        }
-        let histograms = match obj.get("histograms") {
-            Ok(v) => parse_histograms(v)?,
-            Err(_) => Vec::new(),
-        };
-        Ok(SidecarTelemetry {
-            counters,
-            histograms,
-        })
-    };
-    parse().map(Some).map_err(invalid)
+    json::load_optional(&path, SidecarTelemetry::from_json)
 }
 
 /// One finished rank's telemetry, as the coordinator saw it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RankMetrics {
     /// Rank id (plan order).
     pub rank: u64,
@@ -217,7 +91,7 @@ pub struct RankMetrics {
 }
 
 /// The federated, run-wide metrics document behind `--metrics-out`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunMetrics {
     /// Generator model name (from the manifest).
     pub model: String,
@@ -259,33 +133,34 @@ impl RunMetrics {
         }
     }
 
-    /// Serialize as integer-only JSON (see the module docs).
+    /// Serialize as compact, integer-only JSON (see the module docs).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":");
-        push_str_value(&mut out, METRICS_SCHEMA);
-        out.push_str(",\"model\":");
-        push_str_value(&mut out, &self.model);
-        out.push_str(&format!(
-            ",\"seed\":{},\"chunks\":{},\"edges\":{},\"reused_shards\":{},\"reused_edges\":{},\"wall_us\":{},\"ranks\":[",
-            self.seed, self.chunks, self.edges, self.reused_shards, self.reused_edges, self.wall_us
-        ));
-        for (i, r) in self.ranks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rank\":{},\"pe_begin\":{},\"pe_end\":{},\"edges\":{},\"wall_us\":{},\"attempts\":{},\"counters\":{},\"histograms\":{}}}",
-                r.rank, r.pe_begin, r.pe_end, r.edges, r.wall_us, r.attempts,
-                counters_json(&r.counters),
-                histograms_json(&r.histograms)
-            ));
-        }
-        out.push_str("],\"totals\":");
-        out.push_str(&counters_json(&self.totals()));
-        out.push_str(",\"histograms\":");
-        out.push_str(&histograms_json(&self.merged_histograms()));
-        out.push('}');
-        out
+        let rank = |r: &RankMetrics| {
+            json::obj([
+                ("rank", Value::from(r.rank)),
+                ("pe_begin", r.pe_begin.into()),
+                ("pe_end", r.pe_end.into()),
+                ("edges", r.edges.into()),
+                ("wall_us", r.wall_us.into()),
+                ("attempts", r.attempts.into()),
+                ("counters", counters_value(&r.counters)),
+                ("histograms", histograms_value(&r.histograms)),
+            ])
+        };
+        json::obj([
+            ("schema", METRICS_SCHEMA.into()),
+            ("model", self.model.as_str().into()),
+            ("seed", self.seed.into()),
+            ("chunks", self.chunks.into()),
+            ("edges", self.edges.into()),
+            ("reused_shards", self.reused_shards.into()),
+            ("reused_edges", self.reused_edges.into()),
+            ("wall_us", self.wall_us.into()),
+            ("ranks", Value::Arr(self.ranks.iter().map(rank).collect())),
+            ("totals", counters_value(&self.totals())),
+            ("histograms", histograms_value(&self.merged_histograms())),
+        ])
+        .render(Layout::Compact)
     }
 
     /// Sum of the per-rank worker counters, merged by name (the
@@ -327,52 +202,36 @@ impl RunMetrics {
     }
 
     /// Parse a document produced by [`RunMetrics::to_json`] (the
-    /// `totals` field is recomputed from the ranks, not read back).
-    pub fn from_json(text: &str) -> io::Result<RunMetrics> {
-        let parse = || -> Result<RunMetrics, String> {
-            let doc = json::parse(text)?;
-            let obj = doc.as_obj("metrics")?;
-            let schema = obj.get("schema")?.as_str("schema")?;
-            if schema != METRICS_SCHEMA && schema != METRICS_SCHEMA_V1 {
-                return Err(format!("unsupported metrics schema '{schema}'"));
-            }
-            let mut ranks = Vec::new();
-            for v in obj.get("ranks")?.as_arr("ranks")? {
-                let r = v.as_obj("rank entry")?;
-                let mut counters = Vec::new();
-                if let json::Value::Obj(fields) = r.get("counters")? {
-                    for (name, v) in fields {
-                        counters.push((name.clone(), v.as_u64(name)?));
-                    }
-                }
-                // v1 rank entries carry no histogram vectors.
-                let histograms = match r.get("histograms") {
-                    Ok(v) => parse_histograms(v)?,
-                    Err(_) => Vec::new(),
-                };
-                ranks.push(RankMetrics {
-                    rank: r.get("rank")?.as_u64("rank")?,
-                    pe_begin: r.get("pe_begin")?.as_u64("pe_begin")?,
-                    pe_end: r.get("pe_end")?.as_u64("pe_end")?,
-                    edges: r.get("edges")?.as_u64("edges")?,
-                    wall_us: r.get("wall_us")?.as_u64("wall_us")?,
-                    attempts: r.get("attempts")?.as_u64("attempts")?,
-                    counters,
-                    histograms,
-                });
-            }
-            Ok(RunMetrics {
-                model: obj.get("model")?.as_str("model")?.to_string(),
-                seed: obj.get("seed")?.as_u64("seed")?,
-                chunks: obj.get("chunks")?.as_u64("chunks")?,
-                edges: obj.get("edges")?.as_u64("edges")?,
-                reused_shards: obj.get("reused_shards")?.as_u64("reused_shards")?,
-                reused_edges: obj.get("reused_edges")?.as_u64("reused_edges")?,
-                wall_us: obj.get("wall_us")?.as_u64("wall_us")?,
-                ranks,
-            })
-        };
-        parse().map_err(invalid)
+    /// `totals` and merged `histograms` fields are recomputed from the
+    /// ranks, not read back).
+    pub fn from_json(text: &str) -> Result<RunMetrics, String> {
+        let doc = json::parse(text)?;
+        let obj = doc.as_obj("metrics")?;
+        obj.expect_schema(METRICS_SCHEMA)?;
+        let mut ranks = Vec::new();
+        for v in obj.arr("ranks")? {
+            let r = v.as_obj("rank entry")?;
+            ranks.push(RankMetrics {
+                rank: r.u64("rank")?,
+                pe_begin: r.u64("pe_begin")?,
+                pe_end: r.u64("pe_end")?,
+                edges: r.u64("edges")?,
+                wall_us: r.u64("wall_us")?,
+                attempts: r.u64("attempts")?,
+                counters: counters_from(r.get("counters")?)?,
+                histograms: histograms_from(r.get("histograms")?)?,
+            });
+        }
+        Ok(RunMetrics {
+            model: obj.str("model")?.to_string(),
+            seed: obj.u64("seed")?,
+            chunks: obj.u64("chunks")?,
+            edges: obj.u64("edges")?,
+            reused_shards: obj.u64("reused_shards")?,
+            reused_edges: obj.u64("reused_edges")?,
+            wall_us: obj.u64("wall_us")?,
+            ranks,
+        })
     }
 }
 
@@ -384,7 +243,7 @@ mod tests {
         // One histogram with 2 observations per rank; the matching
         // `.count`/`.sum` scalars ride in `counters` exactly as
         // `kagen_obs::metrics::scalars()` would flatten them, so the
-        // v1 reconciliation invariant is testable end to end.
+        // reconciliation invariant is testable end to end.
         let hist = HistogramSnapshot {
             count: 2,
             sum: edges + 10,
@@ -461,16 +320,9 @@ mod tests {
         let rm = RunMetrics::federate(&m, vec![rank(0, 0, 2, 40), rank(1, 2, 4, 60)], 5000);
         let text = rm.to_json();
         let back = RunMetrics::from_json(&text).unwrap();
-        assert_eq!(back.model, rm.model);
-        assert_eq!(back.edges, rm.edges);
-        assert_eq!(back.wall_us, 5000);
-        assert_eq!(back.ranks.len(), 2);
-        assert_eq!(back.ranks[1].counters, rm.ranks[1].counters);
-        assert_eq!(back.ranks[1].histograms, rm.ranks[1].histograms);
+        assert_eq!(back, rm);
         assert_eq!(back.totals(), rm.totals());
         assert_eq!(back.merged_histograms(), rm.merged_histograms());
-        // Integer-only values by construction: the hand-rolled u64-only
-        // parser accepted every number in the round trip above.
     }
 
     #[test]
@@ -484,7 +336,7 @@ mod tests {
         // Ranks land in different top buckets (4 vs 5); bucket 3 merges.
         assert_eq!(h.buckets, vec![(3, 2), (4, 1), (5, 1)]);
         assert_eq!(h.bucket_total(), h.count);
-        // The v2 vectors reconcile exactly with the v1 scalar totals.
+        // The vectors reconcile exactly with the scalar totals.
         let totals = rm.totals();
         let scalar = |k: &str| totals.iter().find(|(n, _)| n == k).unwrap().1;
         assert_eq!(h.count, scalar("sink.shard_wall_us.count"));
@@ -492,20 +344,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse() {
-        let v1 = "{\"schema\":\"kagen-metrics/v1\",\"model\":\"gnm_directed\",\"seed\":42,\
-                  \"chunks\":2,\"edges\":10,\"reused_shards\":0,\"reused_edges\":0,\
-                  \"wall_us\":99,\"ranks\":[{\"rank\":0,\"pe_begin\":0,\"pe_end\":2,\
-                  \"edges\":10,\"wall_us\":98,\"attempts\":1,\
-                  \"counters\":{\"gen.edges\":10}}],\"totals\":{\"gen.edges\":10}}";
-        let rm = RunMetrics::from_json(v1).unwrap();
-        assert_eq!(rm.edges, 10);
-        assert_eq!(rm.ranks[0].counters, vec![("gen.edges".into(), 10)]);
-        assert!(rm.ranks[0].histograms.is_empty());
-        assert!(rm.merged_histograms().is_empty());
-        // Unknown schemas are still rejected.
-        let bad = v1.replace("kagen-metrics/v1", "kagen-metrics/v9");
-        assert!(RunMetrics::from_json(&bad).is_err());
+    fn retired_and_unknown_schemas_are_rejected() {
+        let m = manifest(2, 10);
+        let text = RunMetrics::federate(&m, vec![rank(0, 0, 2, 10)], 99).to_json();
+        assert!(RunMetrics::from_json(&text).is_ok());
+        for tag in ["kagen-metrics/v1", "kagen-metrics/v9"] {
+            let err = RunMetrics::from_json(&text.replace(METRICS_SCHEMA, tag)).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{err}");
+        }
+    }
+
+    #[test]
+    fn rank_counters_must_be_an_object() {
+        // `"counters": 7` used to fall through an `if let` and load as
+        // an empty list.
+        let m = manifest(2, 10);
+        let mut bare = rank(0, 0, 2, 10);
+        bare.counters.clear();
+        let text = RunMetrics::federate(&m, vec![bare], 99).to_json();
+        assert!(RunMetrics::from_json(&text).is_ok());
+        let bad = text.replacen("\"counters\":{}", "\"counters\":7", 1);
+        assert_ne!(bad, text);
+        let err = RunMetrics::from_json(&bad).unwrap_err();
+        assert!(err.contains("counters is not an object"), "{err}");
     }
 
     #[test]
@@ -514,26 +375,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // No sidecar -> None, not an error.
         assert!(load_sidecar(&dir, 90, 95).unwrap().is_none());
-        // A v1 sidecar (counters only) still loads.
         let path = dir.join(sidecar_file_name(0, 3));
-        std::fs::write(&path, "{\"counters\":{\"gen.edges\":12,\"rng.words\":256}}").unwrap();
+        std::fs::write(
+            &path,
+            "{\"counters\":{\"gen.edges\":12,\"rng.words\":256},\"histograms\":\
+             {\"sink.shard_wall_us\":{\"count\":2,\"sum\":300,\
+             \"buckets\":[{\"bucket\":8,\"count\":2}]}}}",
+        )
+        .unwrap();
         let side = load_sidecar(&dir, 0, 3).unwrap().unwrap();
         assert_eq!(
             side.counters,
             vec![("gen.edges".into(), 12), ("rng.words".into(), 256)]
         );
-        assert!(side.histograms.is_empty());
-        // A v2 sidecar carries bucket vectors.
-        std::fs::write(
-            &path,
-            "{\"counters\":{\"gen.edges\":12},\"histograms\":{\"sink.shard_wall_us\":\
-             {\"count\":2,\"sum\":300,\"buckets\":[{\"bucket\":8,\"count\":2}]}}}",
-        )
-        .unwrap();
-        let side = load_sidecar(&dir, 0, 3).unwrap().unwrap();
         assert_eq!(side.histograms.len(), 1);
         assert_eq!(side.histograms[0].1.count, 2);
         assert_eq!(side.histograms[0].1.buckets, vec![(8, 2)]);
+        // A malformed sidecar is an error naming the file.
+        std::fs::write(&path, "{\"counters\":7,\"histograms\":{}}").unwrap();
+        let err = load_sidecar(&dir, 0, 3).unwrap_err();
+        assert!(err.to_string().contains("metrics.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -553,7 +414,7 @@ mod tests {
             .expect("recorded histogram must appear in the sidecar");
         assert!(h.count >= 1);
         assert_eq!(h.bucket_total(), h.count);
-        // The flattened v1 scalars ride alongside.
+        // The flattened scalars ride alongside.
         assert!(side
             .counters
             .iter()

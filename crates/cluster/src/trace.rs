@@ -3,12 +3,13 @@
 //!
 //! Each worker process buffers its spans with `kagen_obs::trace` and,
 //! when launch telemetry is on, dumps them as a sidecar next to its
-//! partial manifest (`part-<a>-<b>.trace.json`). The sidecar is itself
-//! a valid Chrome trace (it has a `traceEvents` array), but its
-//! timestamps are microseconds on the *worker's* monotonic clock — so
-//! the header carries the wall-clock anchor captured when that clock's
-//! epoch was pinned ([`kagen_obs::trace::epoch_unix_us`]), and the
-//! coordinator realigns every worker event onto its own timeline:
+//! partial manifest (`part-<a>-<b>.trace.json`). The sidecar is the
+//! same document `kagen stream --trace-out` writes, itself a valid
+//! Chrome trace (it has a `traceEvents` array), but its timestamps are
+//! microseconds on the *worker's* monotonic clock — so the header
+//! carries the wall-clock anchor captured when that clock's epoch was
+//! pinned ([`kagen_obs::trace::epoch_unix_us`]), and the coordinator
+//! realigns every worker event onto its own timeline:
 //!
 //! ```text
 //! ts' = ts + (worker_anchor − coordinator_anchor)
@@ -26,74 +27,21 @@
 //! Like every telemetry file, sidecars are plain extra files: the shard
 //! pipeline never reads them and output bytes are untouched.
 
-use kagen_obs::metrics::escape_json_into;
+use kagen_obs::json::{self, Layout, Value};
+use kagen_obs::trace::chrome_trace_value;
 use kagen_obs::TraceEvent;
-use kagen_pipeline::manifest::json;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Schema tag of the worker trace sidecar.
-pub const TRACE_SIDECAR_SCHEMA: &str = "kagen-trace-sidecar/v1";
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
+/// One worker process's span buffer plus the header fields federation
+/// needs (its OS pid and the wall-clock anchor of its trace epoch):
+/// the [`kagen_obs::ProcessTrace`] document, under the names the
+/// launcher has always used for it.
+pub use kagen_obs::trace::{ProcessTrace as WorkerTrace, TRACE_SCHEMA as TRACE_SIDECAR_SCHEMA};
 
 /// Sidecar file name for the rank covering PEs `[pe_begin, pe_end)`.
 pub fn trace_sidecar_file_name(pe_begin: u64, pe_end: u64) -> String {
     format!("part-{pe_begin:05}-{pe_end:05}.trace.json")
-}
-
-/// One worker process's span buffer plus the header fields federation
-/// needs: its OS pid and the wall-clock anchor of its trace epoch.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerTrace {
-    /// The worker's OS process id.
-    pub pid: u64,
-    /// Wall-clock unix microseconds when the worker's trace epoch was
-    /// pinned; every event `ts_us` is relative to this instant.
-    pub epoch_unix_us: u64,
-    /// The worker's finished spans.
-    pub events: Vec<TraceEvent>,
-}
-
-fn events_json(out: &mut String, events: &[TraceEvent], pid: u64, ts_shift: i64) {
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Clamp at zero: trace viewers accept negative timestamps, but
-        // the workspace's u64-only JSON parser (which tests round-trip
-        // through) does not — and a worker event genuinely predating
-        // the coordinator epoch only occurs under clock skew.
-        let ts = (ev.ts_us as i64 + ts_shift).max(0) as u64;
-        out.push_str("{\"name\":");
-        escape_json_into(out, &ev.name);
-        out.push_str(&format!(
-            ",\"cat\":\"kagen\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-            ts, ev.dur_us, pid, ev.tid
-        ));
-    }
-}
-
-/// Serialize this process's current span buffer as a sidecar document.
-/// A valid Chrome trace in its own right, with the federation header
-/// fields (`schema`, `pid`, `epoch_unix_us`) as extra top-level keys
-/// that trace viewers ignore.
-pub fn sidecar_json() -> String {
-    let events = kagen_obs::trace::events();
-    let pid = std::process::id() as u64;
-    let mut out = String::with_capacity(128 + events.len() * 96);
-    out.push_str("{\"schema\":");
-    escape_json_into(&mut out, TRACE_SIDECAR_SCHEMA);
-    out.push_str(&format!(
-        ",\"pid\":{},\"epoch_unix_us\":{},\"traceEvents\":[",
-        pid,
-        kagen_obs::trace::epoch_unix_us()
-    ));
-    events_json(&mut out, &events, pid, 0);
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 /// Write this process's span buffer as the trace sidecar for PEs
@@ -101,7 +49,7 @@ pub fn sidecar_json() -> String {
 /// manifest is complete.
 pub fn write_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PathBuf> {
     let path = dir.join(trace_sidecar_file_name(pe_begin, pe_end));
-    std::fs::write(&path, sidecar_json())?;
+    kagen_obs::trace::write_chrome_trace(&path)?;
     Ok(path)
 }
 
@@ -110,35 +58,7 @@ pub fn write_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PathB
 /// ran without tracing.
 pub fn load_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<Option<WorkerTrace>> {
     let path = dir.join(trace_sidecar_file_name(pe_begin, pe_end));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let parse = || -> Result<WorkerTrace, String> {
-        let doc = json::parse(&text)?;
-        let obj = doc.as_obj("trace sidecar")?;
-        let schema = obj.get("schema")?.as_str("schema")?;
-        if schema != TRACE_SIDECAR_SCHEMA {
-            return Err(format!("unsupported trace sidecar schema '{schema}'"));
-        }
-        let mut events = Vec::new();
-        for v in obj.get("traceEvents")?.as_arr("traceEvents")? {
-            let e = v.as_obj("trace event")?;
-            events.push(TraceEvent {
-                name: e.get("name")?.as_str("name")?.to_string(),
-                ts_us: e.get("ts")?.as_u64("ts")?,
-                dur_us: e.get("dur")?.as_u64("dur")?,
-                tid: e.get("tid")?.as_u64("tid")?,
-            });
-        }
-        Ok(WorkerTrace {
-            pid: obj.get("pid")?.as_u64("pid")?,
-            epoch_unix_us: obj.get("epoch_unix_us")?.as_u64("epoch_unix_us")?,
-            events,
-        })
-    };
-    parse().map(Some).map_err(invalid)
+    json::load_optional(&path, WorkerTrace::from_json)
 }
 
 /// One rank's collected worker trace, tagged with its plan position.
@@ -154,15 +74,41 @@ pub struct RankTrace {
     pub trace: WorkerTrace,
 }
 
-fn metadata_row(out: &mut String, pid: u64, name: &str, sort_index: u64) {
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
-    out.push_str(&format!("{pid},\"tid\":0,\"args\":{{\"name\":"));
-    escape_json_into(out, name);
-    out.push_str("}},");
-    out.push_str(&format!(
-        "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"sort_index\":{sort_index}}}}}"
-    ));
+/// The two metadata rows naming a process and ordering it in the UI.
+fn metadata_rows(pid: u64, name: &str, sort_index: u64) -> [Value; 2] {
+    let row = |kind: &str, arg: (&str, Value)| {
+        json::obj([
+            ("name", kind.into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", 0u64.into()),
+            ("args", json::obj([arg])),
+        ])
+    };
+    [
+        row("process_name", ("name", name.into())),
+        row("process_sort_index", ("sort_index", sort_index.into())),
+    ]
+}
+
+/// One end of a flow arrow (`ph` `s` = start, `f` = finish) for `rank`.
+fn flow_row(rank: u64, ph: &str, ts: u64, pid: u64, tid: u64) -> Value {
+    let mut fields = vec![
+        ("name", format!("rank-{rank}").as_str().into()),
+        ("cat", "flow".into()),
+        ("ph", ph.into()),
+    ];
+    if ph == "f" {
+        // Bind to the enclosing slice, not the next one to start.
+        fields.push(("bp", "e".into()));
+    }
+    fields.extend([
+        ("id", rank.into()),
+        ("ts", ts.into()),
+        ("pid", pid.into()),
+        ("tid", tid.into()),
+    ]);
+    json::obj(fields)
 }
 
 /// The timestamp/tid anchor of a rank's process-level span: the
@@ -180,58 +126,38 @@ fn worker_anchor(events: &[TraceEvent]) -> Option<&TraceEvent> {
 /// for the shape). Timestamps are realigned onto the coordinator's
 /// clock via the sidecar wall anchors.
 pub fn federate_chrome_trace(ranks: &[RankTrace]) -> String {
-    federate_with(
-        &WorkerTrace {
-            pid: std::process::id() as u64,
-            epoch_unix_us: kagen_obs::trace::epoch_unix_us(),
-            events: kagen_obs::trace::events(),
-        },
-        ranks,
-    )
+    federate_with(&WorkerTrace::capture(), ranks)
 }
 
 /// [`federate_chrome_trace`] against an explicit coordinator view
 /// instead of this process's live trace buffer (deterministic tests,
 /// offline re-federation of saved sidecars).
 pub fn federate_with(coord: &WorkerTrace, ranks: &[RankTrace]) -> String {
-    let coord_events = &coord.events;
-    let coord_pid = coord.pid;
-    let coord_anchor = coord.epoch_unix_us as i64;
+    let shift = |rt: &RankTrace| rt.trace.epoch_unix_us as i64 - coord.epoch_unix_us as i64;
 
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[");
-    metadata_row(&mut out, coord_pid, "kagen launch (coordinator)", 0);
+    let mut rows = Vec::new();
+    rows.extend(metadata_rows(coord.pid, "kagen launch (coordinator)", 0));
     for rt in ranks {
-        out.push(',');
-        metadata_row(
-            &mut out,
-            rt.trace.pid,
-            &format!(
-                "rank {} worker (PEs {}..{})",
-                rt.rank, rt.pe_begin, rt.pe_end
-            ),
-            rt.rank + 1,
+        let name = format!(
+            "rank {} worker (PEs {}..{})",
+            rt.rank, rt.pe_begin, rt.pe_end
         );
+        rows.extend(metadata_rows(rt.trace.pid, &name, rt.rank + 1));
     }
-    if !coord_events.is_empty() {
-        out.push(',');
-        events_json(&mut out, coord_events, coord_pid, 0);
-    }
+    rows.extend(coord.events.iter().map(|e| e.to_value(coord.pid, 0)));
     for rt in ranks {
-        if rt.trace.events.is_empty() {
-            continue;
-        }
-        let shift = rt.trace.epoch_unix_us as i64 - coord_anchor;
-        out.push(',');
-        events_json(&mut out, &rt.trace.events, rt.trace.pid, shift);
+        let events = rt.trace.events.iter();
+        rows.extend(events.map(|e| e.to_value(rt.trace.pid, shift(rt))));
     }
     // Flow arrows: supervisor `rank-N` span -> worker process span.
     // A retried rank has several `rank-N` spans; the sidecar belongs to
     // the successful (last) attempt, so the arrow starts there.
     for rt in ranks {
-        let Some(rank_span) = coord_events
+        let rank_name = format!("rank-{}", rt.rank);
+        let Some(rank_span) = coord
+            .events
             .iter()
-            .filter(|e| e.name == format!("rank-{}", rt.rank))
+            .filter(|e| e.name == rank_name)
             .max_by_key(|e| e.ts_us)
         else {
             continue;
@@ -239,28 +165,17 @@ pub fn federate_with(coord: &WorkerTrace, ranks: &[RankTrace]) -> String {
         let Some(anchor) = worker_anchor(&rt.trace.events) else {
             continue;
         };
-        let shift = rt.trace.epoch_unix_us as i64 - coord_anchor;
-        let worker_ts = (anchor.ts_us as i64 + shift).max(0) as u64;
-        out.push(',');
-        out.push_str(&format!(
-            "{{\"name\":\"rank-{r}\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":{r},\
-             \"ts\":{},\"pid\":{},\"tid\":{}}}",
+        let worker_ts = anchor.shifted_ts(shift(rt));
+        rows.push(flow_row(
+            rt.rank,
+            "s",
             rank_span.ts_us,
-            coord_pid,
+            coord.pid,
             rank_span.tid,
-            r = rt.rank,
         ));
-        out.push_str(&format!(
-            ",{{\"name\":\"rank-{r}\",\"cat\":\"flow\",\"ph\":\"f\",\"bp\":\"e\",\
-             \"id\":{r},\"ts\":{},\"pid\":{},\"tid\":{}}}",
-            worker_ts,
-            rt.trace.pid,
-            anchor.tid,
-            r = rt.rank,
-        ));
+        rows.push(flow_row(rt.rank, "f", worker_ts, rt.trace.pid, anchor.tid));
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    chrome_trace_value(Vec::new(), rows).render(Layout::Compact)
 }
 
 /// Write the federated timeline (see [`federate_chrome_trace`]) to

@@ -20,6 +20,9 @@
 //!   workspace's one wall-clock source: [`Span::finish`] returns the
 //!   elapsed seconds, so bench timings and `metrics.json` come off the
 //!   same clock.
+//! * [`json`] — the workspace's one JSON layer (value tree, parser,
+//!   escaper, writer, file helpers); every on-disk document of the
+//!   pipeline and the launcher is a struct over it.
 //! * [`log`] — the leveled logger behind `-v`/`-q` and `KAGEN_LOG`,
 //!   replacing ad-hoc `eprintln!`s with consistent
 //!   `kagen <subcmd>:`-prefixed lines on stderr.
@@ -36,10 +39,11 @@
 //! assert!(metrics::counters().iter().any(|(n, v)| *n == "doc.edges" && *v >= 4096));
 //! ```
 
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod trace;
 
 pub use log::Level;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue};
-pub use trace::{span, Span, TraceEvent};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Telemetry};
+pub use trace::{span, ProcessTrace, Span, TraceEvent};

@@ -16,10 +16,11 @@
 //! Everything is gated on one process-global flag (off by default): a
 //! disabled update is a single relaxed load and an early return, and
 //! callers only instrument batch/block-granular sites, so the disabled
-//! cost is unmeasurable. Values are `u64` throughout — snapshots
-//! serialize to integer-only JSON that the workspace's hand-rolled
-//! parser (`kagen_pipeline::manifest::json`) can read back.
+//! cost is unmeasurable. Values are `u64` throughout, so a snapshot
+//! ([`Telemetry`]) serializes to the integer-only JSON of
+//! [`crate::json`] and reads back exactly.
 
+use crate::json::{self, Layout, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -469,7 +470,7 @@ impl HistogramSnapshot {
 }
 
 /// Histogram snapshots only, sorted by name.
-pub fn histograms() -> Vec<(&'static str, HistogramSnapshot)> {
+pub fn histograms() -> Vec<(String, HistogramSnapshot)> {
     snapshot()
         .into_iter()
         .filter_map(|(n, v)| match v {
@@ -478,7 +479,7 @@ pub fn histograms() -> Vec<(&'static str, HistogramSnapshot)> {
                 sum,
                 buckets,
             } => Some((
-                n,
+                n.to_string(),
                 HistogramSnapshot {
                     count,
                     sum,
@@ -490,84 +491,108 @@ pub fn histograms() -> Vec<(&'static str, HistogramSnapshot)> {
         .collect()
 }
 
-/// Append `s` to `out` as a JSON string literal (quotes included).
-/// Public so sidecar/federation serializers in other crates emit
-/// strings byte-compatibly with the metrics JSON here.
-pub fn escape_json_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl HistogramSnapshot {
+    /// `{"count", "sum", "buckets": [{"bucket", "count"}, …]}` — the one
+    /// histogram serializer; sidecars and the federated run document
+    /// embed it verbatim.
+    pub fn to_value(&self) -> Value {
+        let buckets = self
+            .buckets
+            .iter()
+            .map(|&(b, c)| json::obj([("bucket", Value::from(b)), ("count", c.into())]));
+        json::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("buckets", Value::Arr(buckets.collect())),
+        ])
     }
-    out.push('"');
+
+    /// Inverse of [`HistogramSnapshot::to_value`].
+    pub fn from_value(value: &Value, what: &str) -> Result<HistogramSnapshot, String> {
+        let obj = value.as_obj(what)?;
+        let mut buckets = Vec::new();
+        for entry in obj.arr("buckets")? {
+            let entry = entry.as_obj("bucket entry")?;
+            buckets.push((entry.u64("bucket")? as usize, entry.u64("count")?));
+        }
+        Ok(HistogramSnapshot {
+            count: obj.u64("count")?,
+            sum: obj.u64("sum")?,
+            buckets,
+        })
+    }
 }
 
-/// Serialize the current snapshot as integer-only JSON:
-///
-/// ```json
-/// {
-///   "counters": {"gen.edges": 4096},
-///   "gauges": {"geo.frontier": {"value": 0, "peak": 812}},
-///   "histograms": {"sink.batch": {"count": 2, "sum": 6000,
-///                                 "buckets": [{"bucket": 12, "count": 2}]}}
-/// }
-/// ```
-///
-/// Every value is an unsigned integer, so the output round-trips
-/// through `kagen_pipeline::manifest::json::parse`.
-pub fn to_json() -> String {
-    snapshot_to_json(&snapshot())
+/// A `(name, value)` list as a JSON object, in list order.
+pub fn counters_value(counters: &[(String, u64)]) -> Value {
+    json::obj(counters.iter().map(|(n, v)| (n.as_str(), Value::from(*v))))
 }
 
-/// Serialize an explicit snapshot (see [`to_json`]).
-pub fn snapshot_to_json(snap: &[(&str, MetricValue)]) -> String {
-    let mut counters = String::new();
-    let mut gauges = String::new();
-    let mut hists = String::new();
-    for (name, v) in snap {
-        match v {
-            MetricValue::Counter(c) => {
-                if !counters.is_empty() {
-                    counters.push(',');
-                }
-                escape_json_into(&mut counters, name);
-                counters.push_str(&format!(":{c}"));
-            }
-            MetricValue::Gauge { value, peak } => {
-                if !gauges.is_empty() {
-                    gauges.push(',');
-                }
-                escape_json_into(&mut gauges, name);
-                gauges.push_str(&format!(":{{\"value\":{value},\"peak\":{peak}}}"));
-            }
-            MetricValue::Histogram {
-                count,
-                sum,
-                buckets,
-            } => {
-                if !hists.is_empty() {
-                    hists.push(',');
-                }
-                escape_json_into(&mut hists, name);
-                hists.push_str(&format!(":{{\"count\":{count},\"sum\":{sum},\"buckets\":["));
-                for (j, (i, c)) in buckets.iter().enumerate() {
-                    if j > 0 {
-                        hists.push(',');
-                    }
-                    hists.push_str(&format!("{{\"bucket\":{i},\"count\":{c}}}"));
-                }
-                hists.push_str("]}");
-            }
+/// Inverse of [`counters_value`]; anything but an object of unsigned
+/// integers is an error.
+pub fn counters_from(value: &Value) -> Result<Vec<(String, u64)>, String> {
+    let fields = value.as_obj("counters")?.fields();
+    fields
+        .iter()
+        .map(|(name, v)| Ok((name.clone(), v.as_u64(name)?)))
+        .collect()
+}
+
+/// A `(name, histogram)` list as a JSON object, in list order.
+pub fn histograms_value(hists: &[(String, HistogramSnapshot)]) -> Value {
+    json::obj(hists.iter().map(|(n, h)| (n.as_str(), h.to_value())))
+}
+
+/// Inverse of [`histograms_value`].
+pub fn histograms_from(value: &Value) -> Result<Vec<(String, HistogramSnapshot)>, String> {
+    let fields = value.as_obj("histograms")?.fields();
+    fields
+        .iter()
+        .map(|(name, h)| Ok((name.clone(), HistogramSnapshot::from_value(h, name)?)))
+        .collect()
+}
+
+/// One process's metrics as a document: the flat [`scalars`] under
+/// `"counters"` plus the full bucket vectors of every histogram under
+/// `"histograms"` — what a worker leaves next to its partial manifest
+/// (`part-<a>-<b>.metrics.json`) and `kagen worker --metrics-out`
+/// writes. Every histogram appears in both halves, and they reconcile:
+/// `<name>.count`/`<name>.sum` equal the vector's totals.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Telemetry {
+    /// Flat `(name, value)` scalars, sorted by name.
+    pub counters: Vec<(String, u64)>,
+    /// Full histogram snapshots, sorted by name.
+    pub histograms: Vec<(String, HistogramSnapshot)>,
+}
+
+impl Telemetry {
+    /// Snapshot this process's registry.
+    pub fn capture() -> Telemetry {
+        Telemetry {
+            counters: scalars(),
+            histograms: histograms(),
         }
     }
-    format!("{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}")
+
+    /// Serialize as compact, integer-only JSON.
+    pub fn to_json(&self) -> String {
+        json::obj([
+            ("counters", counters_value(&self.counters)),
+            ("histograms", histograms_value(&self.histograms)),
+        ])
+        .render(Layout::Compact)
+    }
+
+    /// Parse a document produced by [`Telemetry::to_json`].
+    pub fn from_json(text: &str) -> Result<Telemetry, String> {
+        let doc = json::parse(text)?;
+        let obj = doc.as_obj("metrics document")?;
+        Ok(Telemetry {
+            counters: counters_from(obj.get("counters")?)?,
+            histograms: histograms_from(obj.get("histograms")?)?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -681,19 +706,42 @@ mod tests {
     fn snapshot_json_is_integer_only_and_sorted() {
         static C1: Counter = Counter::new("test.json.b");
         static C2: Counter = Counter::new("test.json.a");
+        static H: Histogram = Histogram::new("test.json.h");
         let _g = locked();
         set_enabled(true);
         C1.add(2);
         C2.add(1);
-        let snap = snapshot();
-        let names: Vec<_> = snap.iter().map(|(n, _)| *n).collect();
+        H.record(5);
+        let doc = Telemetry::capture();
+        let names: Vec<_> = doc.counters.iter().map(|(n, _)| n.clone()).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
-        let json = to_json();
-        assert!(json.contains("\"test.json.a\":"));
-        assert!(json.contains("\"test.json.b\":"));
-        assert!(!json.contains('.') || !json.contains("e-"), "{json}");
+        // Histograms ride in both halves and reconcile.
+        let (_, h) = doc
+            .histograms
+            .iter()
+            .find(|(n, _)| n == "test.json.h")
+            .unwrap();
+        let scalar = |k: &str| doc.counters.iter().find(|(n, _)| n == k).unwrap().1;
+        assert_eq!(h.count, scalar("test.json.h.count"));
+        assert_eq!(h.sum, scalar("test.json.h.sum"));
+        let text = doc.to_json();
+        assert!(text.starts_with("{\"counters\":{"), "{text}");
+        assert!(text.contains("\"test.json.a\":"));
+        assert_eq!(Telemetry::from_json(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn counters_must_be_an_object_of_integers() {
+        for bad in [
+            "{\"counters\":7,\"histograms\":{}}",
+            "{\"counters\":{\"a\":\"x\"},\"histograms\":{}}",
+            "{\"counters\":{},\"histograms\":[]}",
+            "{\"counters\":{}}",
+        ] {
+            assert!(Telemetry::from_json(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -739,12 +787,5 @@ mod tests {
         assert_eq!(snap.count, 2);
         assert_eq!(snap.sum, 112);
         assert_eq!(snap.bucket_total(), 2);
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        let mut s = String::new();
-        escape_json_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
     }
 }

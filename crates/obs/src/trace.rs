@@ -8,11 +8,13 @@
 //!
 //! When tracing is enabled ([`set_enabled`]), each finished span is
 //! buffered as a Chrome "complete" event (`"ph": "X"`) and
-//! [`write_chrome_trace`] dumps the buffer as a JSON object loadable in
-//! `chrome://tracing` or <https://ui.perfetto.dev>. Timestamps are
-//! microseconds since a process-wide epoch pinned on first use, thread
-//! lanes are small dense ids in spawn order, and the `pid` is the real
-//! OS pid so traces from federated worker ranks can be concatenated.
+//! [`write_chrome_trace`] dumps the buffer as one [`ProcessTrace`]
+//! document, loadable in `chrome://tracing` or
+//! <https://ui.perfetto.dev>. Timestamps are microseconds since a
+//! process-wide epoch pinned on first use, thread lanes are small dense
+//! ids in spawn order, and the header carries the real OS pid and the
+//! epoch's wall-clock anchor — so `stream --trace-out`, a worker's
+//! `--trace-out` and the sidecar a launch federates are the same shape.
 //!
 //! ```
 //! use kagen_obs::trace;
@@ -21,9 +23,10 @@
 //! let span = trace::span("doc.phase");
 //! let secs = span.finish();
 //! assert!(secs >= 0.0);
-//! assert!(trace::chrome_trace_json().contains("doc.phase"));
+//! assert!(trace::ProcessTrace::capture().to_json().contains("doc.phase"));
 //! ```
 
+use crate::json::{self, Layout, Value};
 use std::borrow::Cow;
 use std::io;
 use std::path::Path;
@@ -191,32 +194,107 @@ pub fn clear() {
     EVENTS.lock().unwrap().clear();
 }
 
-/// Serialize the buffered events as a Chrome trace-event JSON object:
-/// `{"traceEvents": [{"name", "cat", "ph": "X", "ts", "dur", "pid",
-/// "tid"}]}`. All values are strings or unsigned integers.
-pub fn chrome_trace_json() -> String {
-    let events = EVENTS.lock().unwrap();
-    let pid = std::process::id();
-    let mut out = String::with_capacity(64 + events.len() * 80);
-    out.push_str("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        crate::metrics::escape_json_into(&mut out, &ev.name);
-        out.push_str(&format!(
-            ",\"cat\":\"kagen\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
-            ev.ts_us, ev.dur_us, pid, ev.tid
-        ));
+impl TraceEvent {
+    /// The start timestamp moved by `ts_shift` microseconds (federation
+    /// realigns worker clocks onto the coordinator's), clamped at zero:
+    /// the integer-only JSON subset has no negative numbers, and a
+    /// worker event that predates the coordinator epoch only occurs
+    /// under clock skew.
+    pub fn shifted_ts(&self, ts_shift: i64) -> u64 {
+        (self.ts_us as i64 + ts_shift).max(0) as u64
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+
+    /// The Chrome "complete" event row of this span in process `pid`,
+    /// on a timeline shifted by `ts_shift` (see
+    /// [`TraceEvent::shifted_ts`]) — the one span serializer.
+    pub fn to_value(&self, pid: u64, ts_shift: i64) -> Value {
+        json::obj([
+            ("name", self.name.as_str().into()),
+            ("cat", "kagen".into()),
+            ("ph", "X".into()),
+            ("ts", self.shifted_ts(ts_shift).into()),
+            ("dur", self.dur_us.into()),
+            ("pid", pid.into()),
+            ("tid", self.tid.into()),
+        ])
+    }
 }
 
-/// Write the buffered events to `path` as Chrome trace-event JSON.
+/// Schema tag of a [`ProcessTrace`] document.
+pub const TRACE_SCHEMA: &str = "kagen-trace-sidecar/v1";
+
+/// One process's span buffer as a document: a valid Chrome trace
+/// (`traceEvents` array) whose extra top-level keys — ignored by trace
+/// viewers — are what federation needs to place it on a shared axis.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ProcessTrace {
+    /// The process's OS pid.
+    pub pid: u64,
+    /// Wall-clock unix microseconds when the process's trace epoch was
+    /// pinned; every event `ts_us` is relative to this instant.
+    pub epoch_unix_us: u64,
+    /// The finished spans.
+    pub events: Vec<TraceEvent>,
+}
+
+/// The top-level object every Chrome trace document of the workspace
+/// shares: `header` fields, then the event rows.
+pub fn chrome_trace_value(header: Vec<(&str, Value)>, events: Vec<Value>) -> Value {
+    let tail = [
+        ("traceEvents", Value::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+    ];
+    json::obj(header.into_iter().chain(tail))
+}
+
+impl ProcessTrace {
+    /// Snapshot this process's span buffer.
+    pub fn capture() -> ProcessTrace {
+        ProcessTrace {
+            pid: std::process::id() as u64,
+            epoch_unix_us: epoch_unix_us(),
+            events: events(),
+        }
+    }
+
+    /// Serialize as compact JSON; all values are strings or unsigned
+    /// integers.
+    pub fn to_json(&self) -> String {
+        let header = vec![
+            ("schema", TRACE_SCHEMA.into()),
+            ("pid", self.pid.into()),
+            ("epoch_unix_us", self.epoch_unix_us.into()),
+        ];
+        let events = self.events.iter().map(|e| e.to_value(self.pid, 0));
+        chrome_trace_value(header, events.collect()).render(Layout::Compact)
+    }
+
+    /// Parse a document produced by [`ProcessTrace::to_json`].
+    pub fn from_json(text: &str) -> Result<ProcessTrace, String> {
+        let doc = json::parse(text)?;
+        let obj = doc.as_obj("trace document")?;
+        obj.expect_schema(TRACE_SCHEMA)?;
+        let mut events = Vec::new();
+        for row in obj.arr("traceEvents")? {
+            let row = row.as_obj("trace event")?;
+            events.push(TraceEvent {
+                name: row.str("name")?.to_string(),
+                ts_us: row.u64("ts")?,
+                dur_us: row.u64("dur")?,
+                tid: row.u64("tid")?,
+            });
+        }
+        Ok(ProcessTrace {
+            pid: obj.u64("pid")?,
+            epoch_unix_us: obj.u64("epoch_unix_us")?,
+            events,
+        })
+    }
+}
+
+/// Write this process's span buffer to `path` (see [`ProcessTrace`]).
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
-    std::fs::write(path, chrome_trace_json())
+    std::fs::write(path, ProcessTrace::capture().to_json())
 }
 
 #[cfg(test)]
@@ -266,9 +344,13 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         let secs = s.finish();
         assert!(secs >= 0.001);
-        let json = chrome_trace_json();
-        assert!(json.starts_with("{\"traceEvents\":["));
+        let doc = ProcessTrace::capture();
+        let json = doc.to_json();
+        assert!(json.starts_with("{\"schema\":\"kagen-trace-sidecar/v1\",\"pid\":"));
+        assert!(json.contains(",\"traceEvents\":[{"));
+        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
         assert!(json.contains("\"ph\":\"X\""));
+        assert_eq!(ProcessTrace::from_json(&json).unwrap(), doc);
         assert!(json.contains("\"name\":\"shape \\\"quoted\\\"\""));
         assert!(json.contains("\"dur\":"));
         set_enabled(false);
@@ -303,7 +385,7 @@ mod tests {
         let name = format!("rank-{}", 3);
         let s = span(name);
         let _ = s.finish();
-        assert!(chrome_trace_json().contains("rank-3"));
+        assert!(events().iter().any(|e| e.name == "rank-3"));
         set_enabled(false);
         clear();
     }

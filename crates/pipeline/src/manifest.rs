@@ -11,14 +11,15 @@
 //! written, because every field is a pure function of `(model, params,
 //! seed, format)` plus the per-shard infos.
 //!
-//! Serialization is hand-rolled (the build environment vendors no serde):
-//! [`Manifest::to_json`] emits canonical JSON and [`Manifest::from_json`]
-//! parses the subset of JSON that `to_json` produces (objects, arrays,
-//! strings with escapes, unsigned integers, booleans). The parser lives
-//! in the public [`json`] module so sibling crates (the cluster ledger)
-//! can reuse it.
+//! Both documents are structs over the workspace's JSON layer
+//! ([`kagen_obs::json`], re-exported here as [`json`]): `to_json` builds
+//! a [`Value`] and renders it in the [`Layout::Pretty`] layout,
+//! `from_json` parses and reads the fields back.
 
-use std::fmt::Write as _;
+pub use kagen_obs::json;
+pub use kagen_obs::json::push_str_value;
+
+use json::{Layout, Obj, Value};
 use std::io;
 use std::path::Path;
 
@@ -40,28 +41,23 @@ pub struct ShardInfo {
 }
 
 impl ShardInfo {
-    /// Serialize as a single-line JSON object (the form every manifest
-    /// flavor and the cluster ledger embed).
-    pub fn to_json_inline(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(s, "{{\"pe\": {}, \"file\": ", self.pe);
-        push_str_value(&mut s, &self.file);
-        let _ = write!(
-            s,
-            ", \"edges\": {}, \"checksum\": {}}}",
-            self.edges, self.checksum
-        );
-        s
+    /// The `file`/`edges`/`checksum` fields — what a manifest entry and
+    /// a done ledger entry both append after their `pe` (and status).
+    pub fn payload_fields(&self) -> [(&'static str, Value); 3] {
+        [
+            ("file", self.file.as_str().into()),
+            ("edges", self.edges.into()),
+            ("checksum", self.checksum.into()),
+        ]
     }
 
-    /// Parse from a JSON value (inverse of [`ShardInfo::to_json_inline`]).
-    pub fn from_json_value(value: &json::Value, what: &str) -> Result<ShardInfo, String> {
-        let obj = value.as_obj(what)?;
+    /// Read a shard entry (inverse of `pe` + [`ShardInfo::payload_fields`]).
+    pub fn from_json_obj(obj: &Obj<'_>) -> Result<ShardInfo, String> {
         Ok(ShardInfo {
-            pe: obj.get("pe")?.as_u64("pe")?,
-            file: obj.get("file")?.as_str("file")?.to_string(),
-            edges: obj.get("edges")?.as_u64("edges")?,
-            checksum: obj.get("checksum")?.as_u64("checksum")?,
+            pe: obj.u64("pe")?,
+            file: obj.str("file")?.to_string(),
+            edges: obj.u64("edges")?,
+            checksum: obj.u64("checksum")?,
         })
     }
 }
@@ -129,33 +125,30 @@ impl RunHeader {
 
     /// Parse the header fields out of a JSON object that embeds them
     /// (a manifest or a cluster ledger).
-    pub fn from_json_obj(obj: &json::Obj<'_>) -> Result<RunHeader, String> {
+    pub fn from_json_obj(obj: &Obj<'_>) -> Result<RunHeader, String> {
         Ok(RunHeader {
-            model: obj.get("model")?.as_str("model")?.to_string(),
-            params: obj.get("params")?.as_str("params")?.to_string(),
-            seed: obj.get("seed")?.as_u64("seed")?,
-            n: obj.get("n")?.as_u64("n")?,
-            directed: obj.get("directed")?.as_bool("directed")?,
-            chunks: obj.get("chunks")?.as_u64("chunks")?,
-            format: obj.get("format")?.as_str("format")?.to_string(),
+            model: obj.str("model")?.to_string(),
+            params: obj.str("params")?.to_string(),
+            seed: obj.u64("seed")?,
+            n: obj.u64("n")?,
+            directed: obj.bool("directed")?,
+            chunks: obj.u64("chunks")?,
+            format: obj.str("format")?.to_string(),
         })
     }
 
-    /// Append the header fields to a JSON object body, one per line at
-    /// two-space indentation, each line ending in `,` (callers append
+    /// The header as the leading fields of a document (callers append
     /// their own fields after).
-    pub fn push_json_fields(&self, s: &mut String) {
-        let _ = write!(s, "  \"model\": ");
-        push_str_value(s, &self.model);
-        let _ = write!(s, ",\n  \"params\": ");
-        push_str_value(s, &self.params);
-        let _ = write!(s, ",\n  \"seed\": {},", self.seed);
-        let _ = write!(s, "\n  \"n\": {},", self.n);
-        let _ = write!(s, "\n  \"directed\": {},", self.directed);
-        let _ = write!(s, "\n  \"chunks\": {},", self.chunks);
-        let _ = write!(s, "\n  \"format\": ");
-        push_str_value(s, &self.format);
-        s.push_str(",\n");
+    pub fn json_fields(&self) -> Vec<(&'static str, Value)> {
+        vec![
+            ("model", self.model.as_str().into()),
+            ("params", self.params.as_str().into()),
+            ("seed", self.seed.into()),
+            ("n", self.n.into()),
+            ("directed", self.directed.into()),
+            ("chunks", self.chunks.into()),
+            ("format", self.format.as_str().into()),
+        ]
     }
 }
 
@@ -182,41 +175,20 @@ pub struct Manifest {
     pub shards: Vec<ShardInfo>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+fn shards_value(shards: &[ShardInfo]) -> Value {
+    let entry = |s: &ShardInfo| {
+        let pe = [("pe", Value::from(s.pe))];
+        json::obj(pe.into_iter().chain(s.payload_fields()))
+    };
+    Value::Arr(shards.iter().map(entry).collect())
 }
 
-/// Serialize a shard list as an indented JSON array under key `name`,
-/// closing bracket included but no trailing newline or comma.
-fn push_shards_field(s: &mut String, name: &str, shards: &[ShardInfo]) {
-    let _ = writeln!(s, "  \"{name}\": [");
-    for (i, sh) in shards.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {}{}",
-            sh.to_json_inline(),
-            if i + 1 < shards.len() { ",\n" } else { "\n" }
-        );
-    }
-    s.push_str("  ]");
-}
-
-fn parse_shards_field(obj: &json::Obj<'_>, name: &str) -> Result<Vec<ShardInfo>, String> {
+fn shards_from(obj: &Obj<'_>) -> Result<Vec<ShardInfo>, String> {
     let mut shards = Vec::new();
-    for (i, sh) in obj.get(name)?.as_arr(name)?.iter().enumerate() {
-        shards.push(ShardInfo::from_json_value(sh, &format!("{name}[{i}]"))?);
+    for (i, entry) in obj.arr("shards")?.iter().enumerate() {
+        shards.push(ShardInfo::from_json_obj(
+            &entry.as_obj(&format!("shards[{i}]"))?,
+        )?);
     }
     Ok(shards)
 }
@@ -238,13 +210,10 @@ impl Manifest {
 
     /// Serialize to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        self.header().push_json_fields(&mut s);
-        let _ = writeln!(s, "  \"edges\": {},", self.edges);
-        push_shards_field(&mut s, "shards", &self.shards);
-        s.push_str("\n}\n");
-        s
+        let mut fields = self.header().json_fields();
+        fields.push(("edges", self.edges.into()));
+        fields.push(("shards", shards_value(&self.shards)));
+        json::obj(fields).render(Layout::Pretty)
     }
 
     /// Parse from JSON (inverse of [`Manifest::to_json`]).
@@ -260,8 +229,8 @@ impl Manifest {
             directed: header.directed,
             chunks: header.chunks,
             format: header.format,
-            edges: obj.get("edges")?.as_u64("edges")?,
-            shards: parse_shards_field(&obj, "shards")?,
+            edges: obj.u64("edges")?,
+            shards: shards_from(&obj)?,
         })
     }
 
@@ -272,8 +241,7 @@ impl Manifest {
 
     /// Load `manifest.json` from `dir`.
     pub fn load(dir: &Path) -> io::Result<Manifest> {
-        let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))?;
-        Manifest::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        json::load(&dir.join(MANIFEST_FILE), Manifest::from_json)
     }
 }
 
@@ -300,13 +268,12 @@ impl PartialManifest {
 
     /// Serialize to pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"pe_begin\": {},", self.pe_begin);
-        let _ = writeln!(s, "  \"pe_end\": {},", self.pe_end);
-        push_shards_field(&mut s, "shards", &self.shards);
-        s.push_str("\n}\n");
-        s
+        json::obj([
+            ("pe_begin", self.pe_begin.into()),
+            ("pe_end", self.pe_end.into()),
+            ("shards", shards_value(&self.shards)),
+        ])
+        .render(Layout::Pretty)
     }
 
     /// Parse from JSON (inverse of [`PartialManifest::to_json`]).
@@ -314,9 +281,9 @@ impl PartialManifest {
         let value = json::parse(text)?;
         let obj = value.as_obj("partial manifest")?;
         let part = PartialManifest {
-            pe_begin: obj.get("pe_begin")?.as_u64("pe_begin")?,
-            pe_end: obj.get("pe_end")?.as_u64("pe_end")?,
-            shards: parse_shards_field(&obj, "shards")?,
+            pe_begin: obj.u64("pe_begin")?,
+            pe_end: obj.u64("pe_end")?,
+            shards: shards_from(&obj)?,
         };
         // Compare without materializing the range — the file is
         // untrusted input, and a corrupt `pe_end` must come back as a
@@ -346,281 +313,8 @@ impl PartialManifest {
 
     /// Load and validate a worker's partial manifest from `dir`.
     pub fn load(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PartialManifest> {
-        let text = std::fs::read_to_string(dir.join(Self::file_name(pe_begin, pe_end)))?;
-        PartialManifest::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-}
-
-/// Append `s` as a JSON string literal (quotes and escapes included) —
-/// the one escaper every manifest flavor and the cluster ledger share.
-pub fn push_str_value(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
-
-pub mod json {
-    //! Minimal JSON parser for the manifest subset (objects, arrays,
-    //! strings with escapes, unsigned integers, booleans) — public so
-    //! the cluster ledger and other sibling metadata files reuse one
-    //! parser instead of growing their own.
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug)]
-    pub enum Value {
-        /// Object as ordered key/value pairs.
-        Obj(Vec<(String, Value)>),
-        /// Array.
-        Arr(Vec<Value>),
-        /// String.
-        Str(String),
-        /// Unsigned integer (all numbers the manifest emits).
-        Num(u64),
-        /// Boolean.
-        Bool(bool),
-    }
-
-    /// Accessor helpers for the typed object view.
-    #[derive(Debug)]
-    pub struct Obj<'a>(&'a [(String, Value)]);
-
-    impl<'a> Obj<'a> {
-        /// Look up a required key.
-        pub fn get(&self, key: &str) -> Result<&'a Value, String> {
-            self.0
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("manifest: missing key '{key}'"))
-        }
-    }
-
-    impl Value {
-        /// View as object.
-        pub fn as_obj(&self, what: &str) -> Result<Obj<'_>, String> {
-            match self {
-                Value::Obj(fields) => Ok(Obj(fields)),
-                _ => Err(format!("manifest: {what} is not an object")),
-            }
-        }
-
-        /// View as array.
-        pub fn as_arr(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(format!("manifest: {what} is not an array")),
-            }
-        }
-
-        /// View as string.
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("manifest: {what} is not a string")),
-            }
-        }
-
-        /// View as unsigned integer.
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(x) => Ok(*x),
-                _ => Err(format!("manifest: {what} is not an integer")),
-            }
-        }
-
-        /// View as boolean.
-        pub fn as_bool(&self, what: &str) -> Result<bool, String> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(format!("manifest: {what} is not a boolean")),
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parse a JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.pos < self.bytes.len()
-                && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' | b'f' => self.boolean(),
-                b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    c => return Err(format!("expected ',' or '}}', got '{}'", c as char)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    c => return Err(format!("expected ',' or ']', got '{}'", c as char)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let Some(&b) = self.bytes.get(self.pos) else {
-                    return Err("unterminated string".to_string());
-                };
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let Some(&esc) = self.bytes.get(self.pos) else {
-                            return Err("unterminated escape".to_string());
-                        };
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                self.pos += 4;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            }
-                            c => return Err(format!("bad escape '\\{}'", c as char)),
-                        }
-                    }
-                    b => {
-                        // Re-assemble UTF-8 multibyte sequences verbatim.
-                        let start = self.pos - 1;
-                        let len = match b {
-                            0x00..=0x7f => 1,
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            _ => 4,
-                        };
-                        let slice = self
-                            .bytes
-                            .get(start..start + len)
-                            .ok_or("truncated UTF-8 sequence")?;
-                        out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            let start = self.pos;
-            while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if start == self.pos {
-                return Err(format!("expected number at byte {start}"));
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .unwrap()
-                .parse::<u64>()
-                .map(Value::Num)
-                .map_err(|e| format!("bad number: {e}"))
-        }
-
-        fn boolean(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            if self.bytes[self.pos..].starts_with(b"true") {
-                self.pos += 4;
-                Ok(Value::Bool(true))
-            } else if self.bytes[self.pos..].starts_with(b"false") {
-                self.pos += 5;
-                Ok(Value::Bool(false))
-            } else {
-                Err(format!("expected boolean at byte {}", self.pos))
-            }
-        }
+        let path = dir.join(Self::file_name(pe_begin, pe_end));
+        json::load(&path, PartialManifest::from_json)
     }
 }
 

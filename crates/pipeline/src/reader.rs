@@ -7,6 +7,7 @@ use crate::sink::checksum_step;
 use crate::writer::ShardFormat;
 use kagen_graph::io::CompressedEdgeReader;
 use kagen_graph::EdgeList;
+use kagen_obs::json::invalid;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -17,10 +18,6 @@ pub struct ShardReader {
     manifest: Manifest,
     format: ShardFormat,
     dir: PathBuf,
-}
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl ShardReader {

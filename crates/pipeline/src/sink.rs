@@ -1,13 +1,14 @@
 //! The [`EdgeSink`] trait and the composable sinks that terminate a
 //! streaming generation run.
 //!
-//! A sink receives edges one at a time via [`EdgeSink::accept`] — or a
-//! whole slice at once via [`EdgeSink::push_batch`], the hot path of the
-//! batched generation pipeline — and is closed with [`EdgeSink::finish`].
-//! IO sinks buffer writes internally and defer errors: `accept` and
-//! `push_batch` stay infallible (they sit on the hot path), the first IO
-//! error is latched and surfaced by `finish`. Every sink counts the edges
-//! it accepts; `finish` returns that count.
+//! A sink receives edges a slice at a time via [`EdgeSink::push_batch`]
+//! — the one delivery primitive, matching the generators'
+//! `stream_pe_batched` — and is closed with [`EdgeSink::finish`];
+//! [`EdgeSink::accept`] is the provided one-edge adapter over it. IO
+//! sinks buffer writes internally and defer errors: `push_batch` stays
+//! infallible (it sits on the hot path), the first IO error is latched
+//! and surfaced by `finish`. Every sink counts the edges it accepts;
+//! `finish` returns that count.
 
 use kagen_graph::io::CompressedEdgeWriter;
 use kagen_graph::stats::DegreeStats;
@@ -15,18 +16,14 @@ use std::io::{self, Write};
 
 /// A streaming consumer of edges.
 pub trait EdgeSink {
-    /// Consume one edge.
-    fn accept(&mut self, u: u64, v: u64);
+    /// Consume a batch of edges, in order. How a stream is cut into
+    /// batches never changes what a sink produces.
+    fn push_batch(&mut self, edges: &[(u64, u64)]);
 
-    /// Consume a whole batch of edges — semantically identical to calling
-    /// [`EdgeSink::accept`] per element, but a single virtual call per
-    /// slice. Sinks override this to process slices without per-edge
-    /// dispatch (tight count/checksum loops, one buffered write per
-    /// batch).
-    fn push_batch(&mut self, edges: &[(u64, u64)]) {
-        for &(u, v) in edges {
-            self.accept(u, v);
-        }
+    /// Consume one edge: a one-element [`EdgeSink::push_batch`].
+    #[inline]
+    fn accept(&mut self, u: u64, v: u64) {
+        self.push_batch(&[(u, v)]);
     }
 
     /// Close the sink: flush buffers, surface any deferred IO error, and
@@ -38,13 +35,6 @@ pub trait EdgeSink {
 /// Lets optional pipeline branches (e.g. `--stats`) compose without a
 /// separate code path.
 impl<S: EdgeSink> EdgeSink for Option<S> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        if let Some(s) = self {
-            s.accept(u, v);
-        }
-    }
-
     #[inline]
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         if let Some(s) = self {
@@ -61,11 +51,6 @@ impl<S: EdgeSink> EdgeSink for Option<S> {
 }
 
 impl<S: EdgeSink + ?Sized> EdgeSink for Box<S> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        (**self).accept(u, v)
-    }
-
     #[inline]
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         (**self).push_batch(edges)
@@ -104,11 +89,6 @@ impl CountingSink {
 
 impl EdgeSink for CountingSink {
     #[inline]
-    fn accept(&mut self, _u: u64, _v: u64) {
-        self.count += 1;
-    }
-
-    #[inline]
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         self.count += edges.len() as u64;
     }
@@ -144,12 +124,6 @@ impl ChecksumSink {
 }
 
 impl EdgeSink for ChecksumSink {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.checksum = checksum_step(self.checksum, u, v);
-        self.count += 1;
-    }
-
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         let mut acc = self.checksum;
         for &(u, v) in edges {
@@ -202,17 +176,6 @@ impl DegreeStatsSink {
 }
 
 impl EdgeSink for DegreeStatsSink {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.count += 1;
-        self.out_deg[u as usize] += 1;
-        if self.directed {
-            self.in_deg[v as usize] += 1;
-        } else {
-            self.out_deg[v as usize] += 1;
-        }
-    }
-
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         // Directedness is per-sink, not per-edge: branch once per batch.
         self.count += edges.len() as u64;
@@ -257,16 +220,6 @@ impl<W: Write> TextSink<W> {
 }
 
 impl<W: Write> EdgeSink for TextSink<W> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.count += 1;
-        if self.err.is_none() {
-            if let Err(e) = writeln!(self.w, "{u} {v}") {
-                self.err = Some(e);
-            }
-        }
-    }
-
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         use std::fmt::Write as _;
         self.count += edges.len() as u64;
@@ -318,19 +271,6 @@ impl<W: Write> BinarySink<W> {
 }
 
 impl<W: Write> EdgeSink for BinarySink<W> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.count += 1;
-        if self.err.is_none() {
-            let mut rec = [0u8; 16];
-            rec[..8].copy_from_slice(&u.to_le_bytes());
-            rec[8..].copy_from_slice(&v.to_le_bytes());
-            if let Err(e) = self.w.write_all(&rec) {
-                self.err = Some(e);
-            }
-        }
-    }
-
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         self.count += edges.len() as u64;
         if self.err.is_some() {
@@ -380,18 +320,6 @@ impl<W: Write> CompressedSink<W> {
 }
 
 impl<W: Write> EdgeSink for CompressedSink<W> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.count += 1;
-        if self.err.is_none() {
-            if let Some(enc) = self.enc.as_mut() {
-                if let Err(e) = enc.push(u, v) {
-                    self.err = Some(e);
-                }
-            }
-        }
-    }
-
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         // Whole-slice varint encode into the encoder's reusable scratch
         // buffer; one buffered write per batch.
@@ -434,12 +362,6 @@ impl<A: EdgeSink, B: EdgeSink> TeeSink<A, B> {
 
 impl<A: EdgeSink, B: EdgeSink> EdgeSink for TeeSink<A, B> {
     #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.a.accept(u, v);
-        self.b.accept(u, v);
-    }
-
-    #[inline]
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
         self.a.push_batch(edges);
         self.b.push_batch(edges);
@@ -481,10 +403,11 @@ impl<F: FnMut(u64, u64)> FnSink<F> {
 }
 
 impl<F: FnMut(u64, u64)> EdgeSink for FnSink<F> {
-    #[inline]
-    fn accept(&mut self, u: u64, v: u64) {
-        self.count += 1;
-        (self.f)(u, v);
+    fn push_batch(&mut self, edges: &[(u64, u64)]) {
+        self.count += edges.len() as u64;
+        for &(u, v) in edges {
+            (self.f)(u, v);
+        }
     }
 
     fn finish(&mut self) -> io::Result<u64> {
@@ -553,11 +476,14 @@ mod tests {
 
     #[test]
     fn push_batch_equals_per_edge_for_every_sink() {
-        let edges: Vec<(u64, u64)> = (0..100u64).map(|i| (i / 3, (i * 7) % 41)).collect();
+        // Long enough to cross two compressed block boundaries and the
+        // text/binary scratch chunk size.
+        let m = 2 * kagen_graph::io::COMPRESSED_BLOCK_EDGES + 1234;
+        let edges: Vec<(u64, u64)> = (0..m).map(|i| (i / 3, (i * 7) % 41)).collect();
 
-        // Feed the same stream once edge-by-edge, once in ragged batches
-        // (including an empty one); every sink must produce identical
-        // output, counts and checksums.
+        // Feed the same stream once as 1-slices (`accept`), once in
+        // ragged batches (including an empty one); every sink must
+        // produce identical output, counts and checksums.
         macro_rules! both {
             ($mk:expr, $extract:expr) => {{
                 let mut per_edge = $mk;
@@ -569,41 +495,44 @@ mod tests {
                 batched.push_batch(&[]);
                 batched.push_batch(&edges[33..34]);
                 batched.push_batch(&edges[34..]);
-                assert_eq!(per_edge.finish().unwrap(), batched.finish().unwrap());
-                let a = $extract(per_edge);
-                let b = $extract(batched);
-                assert_eq!(a, b);
+                let a = $extract(&mut per_edge);
+                let b = $extract(&mut batched);
+                assert!(a == b, "{} differs", stringify!($mk));
+                assert_eq!(per_edge.finish().unwrap(), m);
+                assert_eq!(batched.finish().unwrap(), m);
             }};
         }
 
-        both!(CountingSink::new(), |s: CountingSink| s.count());
-        both!(ChecksumSink::new(), |s: ChecksumSink| s.checksum());
-        both!(TextSink::new(Vec::new()), |s: TextSink<Vec<u8>>| s.w);
-        both!(BinarySink::new(Vec::new()), |s: BinarySink<Vec<u8>>| s.w);
-        // CompressedSink: grab the encoded bytes before `finish` drops
-        // the writer.
-        {
-            let mut per_edge = CompressedSink::new(Vec::new(), 100).unwrap();
-            for &(u, v) in &edges {
-                per_edge.accept(u, v);
-            }
-            let mut batched = CompressedSink::new(Vec::new(), 100).unwrap();
-            batched.push_batch(&edges[..33]);
-            batched.push_batch(&[]);
-            batched.push_batch(&edges[33..]);
-            let a = per_edge.enc.take().unwrap().finish().unwrap().0;
-            let b = batched.enc.take().unwrap().finish().unwrap().0;
-            assert_eq!(a, b);
-            assert_eq!(per_edge.finish().unwrap(), batched.finish().unwrap());
-        }
+        both!(CountingSink::new(), |s: &mut CountingSink| s.count());
+        both!(ChecksumSink::new(), |s: &mut ChecksumSink| s.checksum());
+        both!(TextSink::new(Vec::new()), |s: &mut TextSink<Vec<u8>>| s
+            .w
+            .clone());
+        both!(BinarySink::new(Vec::new()), |s: &mut BinarySink<
+            Vec<u8>,
+        >| s.w.clone());
+        // Take the encoder out to reach the encoded bytes; `finish`
+        // then only reports the count.
         both!(
-            DegreeStatsSink::new(100, true),
-            |s: DegreeStatsSink| format!("{:?}", s.stats())
+            CompressedSink::new(Vec::new(), m).unwrap(),
+            |s: &mut CompressedSink<Vec<u8>>| s.enc.take().unwrap().finish().unwrap().0
+        );
+        both!(
+            DegreeStatsSink::new(m, true),
+            |s: &mut DegreeStatsSink| format!("{:?}", s.stats())
         );
         both!(
             TeeSink::new(CountingSink::new(), ChecksumSink::new()),
-            |s: TeeSink<CountingSink, ChecksumSink>| (s.a.count(), s.b.checksum())
+            |s: &mut TeeSink<CountingSink, ChecksumSink>| (s.a.count(), s.b.checksum())
         );
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        let mut per_edge = FnSink::new(|u, v| one.push((u, v)));
+        edges.iter().for_each(|&(u, v)| per_edge.accept(u, v));
+        let mut batched = FnSink::new(|u, v| many.push((u, v)));
+        batched.push_batch(&edges);
+        assert_eq!(per_edge.finish().unwrap(), batched.finish().unwrap());
+        assert_eq!(one, edges);
+        assert_eq!(many, edges);
     }
 
     #[test]

@@ -139,8 +139,10 @@
 //!                         worker's spans realigned onto the
 //!                         coordinator's clock, one pid row per rank,
 //!                         flow arrows from each supervisor rank-N span
-//!                         to its worker. A standalone worker writes its
-//!                         sidecar document (also a valid Chrome trace)
+//!                         to its worker. Every other mode writes this
+//!                         process's own spans as the same document a
+//!                         worker sidecar is (a Chrome trace with a
+//!                         schema/pid/epoch_unix_us header)
 //!
 //! Telemetry never touches an RNG stream or an output byte: shards and
 //! manifest.json are bit-identical with metrics/tracing on or off.
@@ -964,6 +966,7 @@ fn run_stream(o: &Options) {
     if let Some(path) = &o.metrics_out {
         ALLOC_LIVE_END.set(CountingAlloc::live());
         let wall_us = (run_started.elapsed().as_secs_f64() * 1e6) as u64;
+        let telemetry = kagen_obs::Telemetry::capture();
         let rank = RankMetrics {
             rank: 0,
             pe_begin: 0,
@@ -971,11 +974,8 @@ fn run_stream(o: &Options) {
             edges: manifest.edges,
             wall_us,
             attempts: 1,
-            counters: kagen_obs::metrics::scalars(),
-            histograms: kagen_obs::metrics::histograms()
-                .into_iter()
-                .map(|(n, h)| (n.to_string(), h))
-                .collect(),
+            counters: telemetry.counters,
+            histograms: telemetry.histograms,
         };
         RunMetrics::federate(&manifest, vec![rank], wall_us)
             .save(Path::new(path))
@@ -1222,13 +1222,12 @@ fn run_worker(o: &Options) {
             // machines): the same sidecar-shaped documents, at paths of
             // the operator's choosing.
             if let Some(path) = &o.metrics_out {
-                kagen_repro::cluster::metrics::write_sidecar_to(Path::new(path))
+                std::fs::write(path, kagen_obs::Telemetry::capture().to_json())
                     .expect("cannot write metrics file");
                 kagen_obs::debug!("metrics -> {path}");
             }
             if let Some(path) = &o.trace_out {
-                std::fs::write(path, kagen_repro::cluster::trace::sidecar_json())
-                    .expect("cannot write trace file");
+                trace::write_chrome_trace(Path::new(path)).expect("cannot write trace file");
                 kagen_obs::debug!("trace -> {path}");
             }
             let edges: u64 = shards.iter().map(|s| s.edges).sum();
