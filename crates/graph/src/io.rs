@@ -612,6 +612,64 @@ mod tests {
     }
 
     #[test]
+    fn push_slice_bytes_identical_to_per_edge_push_at_varint_boundaries() {
+        // Every ordered pair of ids around the 1-, 8- and 9-byte varint
+        // boundaries (a zigzagged delta d ≥ 0 encodes 2d, so the
+        // half-values sit exactly on them) and the ends of the id
+        // range: deltas of every encoded length from 1 to 10 bytes, in
+        // both directions.
+        let ids = [
+            0u64,
+            (1 << 6) - 1,
+            1 << 6,
+            (1 << 7) - 1,
+            1 << 7,
+            (1 << 55) - 1,
+            1 << 55,
+            (1 << 56) - 1,
+            1 << 56,
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX,
+        ];
+        let mut edges = Vec::new();
+        for &a in &ids {
+            for &b in &ids {
+                edges.push((a, b));
+                edges.push((b, a));
+            }
+        }
+        let mut per_edge = CompressedEdgeWriter::new(Vec::new(), u64::MAX).unwrap();
+        for &(u, v) in &edges {
+            per_edge.push(u, v).unwrap();
+        }
+        let (a, _) = per_edge.finish().unwrap();
+        for cut in [1usize, 5, edges.len()] {
+            let mut sliced = CompressedEdgeWriter::new(Vec::new(), u64::MAX).unwrap();
+            for chunk in edges.chunks(cut) {
+                sliced.push_slice(chunk).unwrap();
+            }
+            let (b, _) = sliced.finish().unwrap();
+            assert_eq!(a, b, "cut {cut}");
+        }
+        let back = read_compressed(&a[..]).unwrap();
+        assert_eq!(back.edges, edges);
+        let lens: std::collections::BTreeSet<u64> = edges
+            .windows(2)
+            .flat_map(|w| {
+                [
+                    varint_len(zigzag(w[1].0 as i128 - w[0].0 as i128)),
+                    varint_len(zigzag(w[1].1 as i128 - w[0].1 as i128)),
+                ]
+            })
+            .collect();
+        assert!(
+            [1, 2, 8, 9, 10].iter().all(|l| lens.contains(l)),
+            "{lens:?}"
+        );
+    }
+
+    #[test]
     fn compressed_empty_stream() {
         let el = EdgeList::new(5, vec![]);
         let mut buf = Vec::new();
