@@ -641,7 +641,9 @@ mod tests {
         assert_eq!(loaded, report.manifest);
         let reader = kagen_pipeline::ShardReader::open(&dir).unwrap();
         let mut count = 0u64;
-        reader.stream(&mut |_, _| count += 1).unwrap();
+        reader
+            .stream(&mut |batch| count += batch.len() as u64)
+            .unwrap();
         assert_eq!(count, report.manifest.edges);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,7 +2,7 @@
 //! compressed varint+delta shard codec used by `kagen-pipeline`.
 
 use crate::EdgeList;
-use std::io::{self, BufRead, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufWriter, Read, Seek, Write};
 
 /// Magic prefix of the compressed edge-stream format (version 2:
 /// restart blocks with per-block checksums — random access and sampled
@@ -47,42 +47,42 @@ pub fn write_varint<W: Write>(w: &mut W, mut x: u128) -> io::Result<()> {
     }
 }
 
+/// Decode one LEB128 varint from a byte source (`Ok(None)` = no more
+/// bytes): `Ok(None)` when the source ends before the first byte, an
+/// error when it ends mid-number or the number overflows `u128`.
+fn varint_from(mut next_byte: impl FnMut() -> io::Result<Option<u8>>) -> io::Result<Option<u128>> {
+    let mut x = 0u128;
+    let mut shift = 0u32;
+    loop {
+        let Some(byte) = next_byte()? else {
+            return if shift == 0 {
+                Ok(None)
+            } else {
+                Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "truncated varint",
+                ))
+            };
+        };
+        let payload = (byte & 0x7f) as u128;
+        // Reject both too-long varints and a final byte whose high
+        // payload bits would be shifted out of u128.
+        if shift >= 128 || (shift > 121 && payload >> (128 - shift) != 0) {
+            return Err(invalid_data("varint overflows u128"));
+        }
+        x |= payload << shift;
+        if byte & 0x80 == 0 {
+            return Ok(Some(x));
+        }
+        shift += 7;
+    }
+}
+
 /// Decode one LEB128 varint; `Ok(None)` on clean EOF before the first
 /// byte, an error on truncation mid-number.
 pub fn read_varint<R: Read>(r: &mut R) -> io::Result<Option<u128>> {
-    let mut x = 0u128;
-    let mut shift = 0u32;
     let mut buf = [0u8; 1];
-    loop {
-        match r.read(&mut buf)? {
-            0 => {
-                return if shift == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "truncated varint",
-                    ))
-                };
-            }
-            _ => {
-                let payload = (buf[0] & 0x7f) as u128;
-                // Reject both too-long varints and a final byte whose
-                // high payload bits would be shifted out of u128.
-                if shift >= 128 || (shift > 121 && payload >> (128 - shift) != 0) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "varint overflows u128",
-                    ));
-                }
-                x |= payload << shift;
-                if buf[0] & 0x80 == 0 {
-                    return Ok(Some(x));
-                }
-                shift += 7;
-            }
-        }
-    }
+    varint_from(|| Ok((r.read(&mut buf)? != 0).then_some(buf[0])))
 }
 
 /// Zigzag-map a signed delta to an unsigned varint payload.
@@ -95,6 +95,71 @@ fn zigzag(d: i128) -> u128 {
 #[inline]
 fn unzigzag(z: u128) -> i128 {
     ((z >> 1) as i128) ^ -((z & 1) as i128)
+}
+
+/// Longest varint [`read_varint`] accepts (a full `u128`).
+const MAX_VARINT_BYTES: usize = 19;
+
+/// Upper bound on a block's payload length per edge: two varints of
+/// [`MAX_VARINT_BYTES`]. Readers reject a block header claiming more
+/// before they allocate for it; the writer's scratch is sized by it.
+const MAX_EDGE_BYTES: usize = 2 * MAX_VARINT_BYTES;
+
+/// Longest block header: `varint(count ≤ 4096)` (2 bytes),
+/// `varint(len ≤ 4096 · 38)` (3 bytes), 8 checksum bytes — rounded up.
+const HEADER_RESERVE: usize = 16;
+
+const BLOCK_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
+
+/// Bit 7 of every byte of a word: the varint continuation bits.
+const CONT_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Store the varint of `z` at `buf[pos..]` and return the position
+/// after it. Writes up to 8 bytes past `pos` for values below 2^56
+/// (callers keep that slack), exactly the varint's bytes above.
+#[inline(always)]
+fn put_varint(buf: &mut [u8], pos: usize, z: u64) -> usize {
+    if z < 0x80 {
+        buf[pos] = z as u8;
+        return pos + 1;
+    }
+    if z >> 56 != 0 {
+        return put_varint_wide(buf, pos, z as u128);
+    }
+    // 2..=8 bytes, no loop: spread the 7-bit groups one per byte
+    // (28|28, then 14|14 in each half, then 7|7 in each quarter), set
+    // the continuation bit of every byte but the last, store 8 bytes.
+    let len = (70 - z.leading_zeros() as usize) / 7;
+    let mut x = ((z & 0x00ff_ffff_f000_0000) << 4) | (z & 0x0000_0000_0fff_ffff);
+    x = ((x & 0x0fff_c000_0fff_c000) << 2) | (x & 0x0000_3fff_0000_3fff);
+    x = ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f);
+    x |= CONT_BITS >> (72 - 8 * len);
+    buf[pos..pos + 8].copy_from_slice(&x.to_le_bytes());
+    pos + len
+}
+
+/// The bytewise encoder ([`write_varint`]) for 9- and 10-byte varints:
+/// deltas at or beyond ±2^55, up to the 65-bit deltas between ids at
+/// opposite ends of the `u64` range.
+#[cold]
+fn put_varint_wide(buf: &mut [u8], pos: usize, z: u128) -> usize {
+    let end = buf.len();
+    let mut rest = &mut buf[pos..];
+    write_varint(&mut rest, z).expect("the scratch holds a worst-case block");
+    end - rest.len()
+}
+
+/// Store the zigzag-varint of the delta `to − from` at `buf[pos..]`
+/// (with [`put_varint`]'s slack) and return the position after it.
+#[inline(always)]
+fn put_delta(buf: &mut [u8], pos: usize, from: u64, to: u64) -> usize {
+    let d = to.wrapping_sub(from) as i64;
+    if (d >= 0) == (to >= from) {
+        put_varint(buf, pos, ((d << 1) ^ (d >> 63)) as u64)
+    } else {
+        // The delta needs 65 bits (never, for ids below 2^63).
+        put_varint_wide(buf, pos, zigzag(to as i128 - from as i128))
+    }
 }
 
 /// Streaming encoder of the compressed edge format: a `KGSHRD02` magic,
@@ -113,15 +178,17 @@ pub struct CompressedEdgeWriter<W: Write> {
     prev_u: u64,
     prev_v: u64,
     count: u64,
-    block_count: u64,
+    block_count: usize,
     block_checksum: u64,
-    /// Pending block payload; at most one block (~152 KiB) is ever
-    /// buffered.
+    /// The pending block: [`HEADER_RESERVE`] bytes the header is
+    /// right-aligned into at flush time, then the payload (`pos` is its
+    /// end), so a block leaves in one write. Sized once for the worst
+    /// case (~152 KiB; pages a stream never fills stay untouched).
     scratch: Vec<u8>,
-    header: Vec<u8>,
+    pos: usize,
 }
 
-// Manual impl: `W` need not be `Debug`, and the scratch buffers are
+// Manual impl: `W` need not be `Debug`, and the scratch buffer is
 // noise — report the stream position instead.
 impl<W: Write> std::fmt::Debug for CompressedEdgeWriter<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -144,34 +211,45 @@ impl<W: Write> CompressedEdgeWriter<W> {
             count: 0,
             block_count: 0,
             block_checksum: 0,
-            scratch: Vec::new(),
-            header: Vec::new(),
+            scratch: vec![0; HEADER_RESERVE + BLOCK_EDGES * MAX_EDGE_BYTES + 8],
+            pos: HEADER_RESERVE,
         })
     }
 
-    #[inline]
-    fn encode_edge(&mut self, u: u64, v: u64) {
-        // Writing into a Vec cannot fail; unwrap keeps the loop tight.
-        write_varint(&mut self.scratch, zigzag(u as i128 - self.prev_u as i128)).unwrap();
-        write_varint(&mut self.scratch, zigzag(v as i128 - self.prev_v as i128)).unwrap();
-        self.prev_u = u;
-        self.prev_v = v;
-        self.block_checksum = edge_checksum_step(self.block_checksum, u, v);
-        self.block_count += 1;
-        self.count += 1;
+    /// Encode `edges` (which fit the pending block) into the scratch.
+    fn encode(&mut self, edges: &[(u64, u64)]) {
+        let buf = &mut self.scratch[..];
+        let (mut prev_u, mut prev_v) = (self.prev_u, self.prev_v);
+        let mut checksum = self.block_checksum;
+        let mut pos = self.pos;
+        for &(u, v) in edges {
+            pos = put_delta(buf, pos, prev_u, u);
+            pos = put_delta(buf, pos, prev_v, v);
+            checksum = edge_checksum_step(checksum, u, v);
+            (prev_u, prev_v) = (u, v);
+        }
+        (self.prev_u, self.prev_v) = (prev_u, prev_v);
+        self.block_checksum = checksum;
+        self.pos = pos;
+        self.block_count += edges.len();
+        self.count += edges.len() as u64;
     }
 
     fn flush_block(&mut self) -> io::Result<()> {
         if self.block_count == 0 {
             return Ok(());
         }
-        self.header.clear();
-        write_varint(&mut self.header, self.block_count as u128).unwrap();
-        write_varint(&mut self.header, self.scratch.len() as u128).unwrap();
-        self.w.write_all(&self.header)?;
-        self.w.write_all(&self.block_checksum.to_le_bytes())?;
-        self.w.write_all(&self.scratch)?;
-        self.scratch.clear();
+        let mut header = [0u8; HEADER_RESERVE];
+        let mut rest = &mut header[..];
+        write_varint(&mut rest, self.block_count as u128)?;
+        write_varint(&mut rest, (self.pos - HEADER_RESERVE) as u128)?;
+        rest.write_all(&self.block_checksum.to_le_bytes())?;
+        let header_len = HEADER_RESERVE - rest.len();
+        // Right-align the header against the payload: one write.
+        let start = HEADER_RESERVE - header_len;
+        self.scratch[start..HEADER_RESERVE].copy_from_slice(&header[..header_len]);
+        self.w.write_all(&self.scratch[start..self.pos])?;
+        self.pos = HEADER_RESERVE;
         self.block_count = 0;
         self.block_checksum = 0;
         self.prev_u = 0;
@@ -179,25 +257,24 @@ impl<W: Write> CompressedEdgeWriter<W> {
         Ok(())
     }
 
-    /// Append one edge.
+    /// Append one edge: a one-element [`Self::push_slice`].
     #[inline]
     pub fn push(&mut self, u: u64, v: u64) -> io::Result<()> {
-        self.encode_edge(u, v);
-        if self.block_count == COMPRESSED_BLOCK_EDGES {
-            self.flush_block()?;
-        }
-        Ok(())
+        self.push_slice(&[(u, v)])
     }
 
-    /// Append a whole slice of edges — byte-identical to pushing them
-    /// one at a time (both feed the same block state machine); the
-    /// pending-block buffer bounds memory regardless of slice length.
-    pub fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
-        for &(u, v) in edges {
-            self.encode_edge(u, v);
-            if self.block_count == COMPRESSED_BLOCK_EDGES {
+    /// Append a slice of edges. How a stream is cut into slices never
+    /// shows in the bytes; the pending block bounds memory regardless
+    /// of slice length.
+    pub fn push_slice(&mut self, mut edges: &[(u64, u64)]) -> io::Result<()> {
+        while !edges.is_empty() {
+            let room = BLOCK_EDGES - self.block_count;
+            let (head, tail) = edges.split_at(room.min(edges.len()));
+            self.encode(head);
+            if self.block_count == BLOCK_EDGES {
                 self.flush_block()?;
             }
+            edges = tail;
         }
         Ok(())
     }
@@ -216,29 +293,127 @@ impl<W: Write> CompressedEdgeWriter<W> {
     }
 }
 
-/// Streaming decoder of the compressed edge format; memory footprint is
-/// O(1) regardless of stream length.
+fn invalid_data(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+#[cold]
+fn truncated_payload() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "block truncated mid-payload")
+}
+
+#[cold]
+fn id_out_of_range() -> io::Error {
+    invalid_data("edge delta decodes outside the u64 vertex-id range")
+}
+
+/// Decode the zigzag-varint delta at `payload[*pos..]` and apply it to
+/// `prev`, advancing `pos`.
+#[inline(always)]
+fn next_id(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
+    let at = *pos;
+    let z = if let Some(&byte) = payload.get(at).filter(|&&b| b < 0x80) {
+        // Sorted streams are mostly one-byte deltas.
+        *pos = at + 1;
+        byte as u64
+    } else if let Some(word) = payload.get(at..at + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        // The lowest byte without a continuation bit ends the varint.
+        let stops = !w & CONT_BITS;
+        if stops == 0 {
+            return next_id_wide(payload, pos, prev);
+        }
+        let len = (stops.trailing_zeros() as usize >> 3) + 1;
+        *pos = at + len;
+        // Drop the bytes behind the varint and the continuation bits,
+        // then close up the 7-bit groups: the encoder's spread in
+        // reverse.
+        let mut x = w & (u64::MAX >> (64 - 8 * len)) & !CONT_BITS;
+        x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
+        x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
+        ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
+    } else {
+        return next_id_wide(payload, pos, prev);
+    };
+    let delta = ((z >> 1) as i64) ^ -((z & 1) as i64);
+    prev.checked_add_signed(delta).ok_or_else(id_out_of_range)
+}
+
+/// The bytewise decoder — the rules of [`read_varint`] (any length up
+/// to a full `u128`, overflow rejected) — for varints of 9 bytes and
+/// more and for the last 8 bytes of a payload.
+#[cold]
+fn next_id_wide(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
+    let mut rest = payload[*pos..].iter();
+    let z = varint_from(|| Ok(rest.next().copied()))?.ok_or_else(truncated_payload)?;
+    *pos = payload.len() - rest.as_slice().len();
+    (prev as i128)
+        .checked_add(unzigzag(z))
+        .and_then(|id| u64::try_from(id).ok())
+        .ok_or_else(id_out_of_range)
+}
+
+/// Decode one standalone restart-block payload (`count` edges, deltas
+/// starting from `(0, 0)`) into `out`, replacing its contents, and
+/// return the folded [`edge_checksum_step`] checksum. Errors on
+/// truncation, trailing bytes, varint overflow and deltas outside the
+/// `u64` id range. The one decoder of the format: every reader fetches
+/// blocks through [`CompressedEdgeReader::next_block`], which runs it.
+pub fn decode_block_into(
+    payload: &[u8],
+    count: usize,
+    out: &mut Vec<(u64, u64)>,
+) -> io::Result<u64> {
+    out.clear();
+    // An edge takes at least two bytes, so this also keeps `count` —
+    // a number from a file — from sizing `out` beyond the payload.
+    if payload.len() / 2 < count {
+        return Err(truncated_payload());
+    }
+    out.reserve(count);
+    let (mut prev_u, mut prev_v) = (0u64, 0u64);
+    let mut checksum = 0u64;
+    let mut pos = 0usize;
+    for _ in 0..count {
+        prev_u = next_id(payload, &mut pos, prev_u)?;
+        prev_v = next_id(payload, &mut pos, prev_v)?;
+        checksum = edge_checksum_step(checksum, prev_u, prev_v);
+        out.push((prev_u, prev_v));
+    }
+    if pos != payload.len() {
+        return Err(invalid_data("block has trailing bytes"));
+    }
+    Ok(checksum)
+}
+
+/// Block-at-a-time decoder of the compressed edge format. A block is
+/// exposed only after its length and checksum have been verified, so
+/// reads are self-validating even without a manifest. Memory is one
+/// payload buffer and one block of edges, both capped by the format's
+/// block limits whatever the file claims.
 pub struct CompressedEdgeReader<R: BufRead> {
     r: R,
     n: u64,
-    prev_u: u64,
-    prev_v: u64,
-    /// Edges left in the current block (0 = at a block boundary).
-    remaining: u64,
-    /// The current block's stored checksum, verified at the block
-    /// boundary — reads are self-validating even without a manifest.
-    expected_checksum: u64,
-    running_checksum: u64,
+    payload: Vec<u8>,
+    /// The current block's edges (empty before the first block and
+    /// after the last).
+    edges: Vec<(u64, u64)>,
 }
 
-// Manual impl: `R` need not be `Debug`.
+// Manual impl: `R` need not be `Debug`, and the buffers are noise.
 impl<R: BufRead> std::fmt::Debug for CompressedEdgeReader<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompressedEdgeReader")
             .field("n", &self.n)
-            .field("remaining", &self.remaining)
             .finish_non_exhaustive()
     }
+}
+
+/// A block header that passed the format's limits.
+struct BlockHeader {
+    count: usize,
+    len: usize,
+    checksum: u64,
 }
 
 impl<R: BufRead> CompressedEdgeReader<R> {
@@ -247,21 +422,15 @@ impl<R: BufRead> CompressedEdgeReader<R> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if magic != COMPRESSED_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a KGSHRD02 compressed edge stream",
-            ));
+            return Err(invalid_data("not a KGSHRD02 compressed edge stream"));
         }
         let mut n_bytes = [0u8; 8];
         r.read_exact(&mut n_bytes)?;
         Ok(CompressedEdgeReader {
             r,
             n: u64::from_le_bytes(n_bytes),
-            prev_u: 0,
-            prev_v: 0,
-            remaining: 0,
-            expected_checksum: 0,
-            running_checksum: 0,
+            payload: Vec::new(),
+            edges: Vec::new(),
         })
     }
 
@@ -270,113 +439,91 @@ impl<R: BufRead> CompressedEdgeReader<R> {
         self.n
     }
 
-    /// Decode the next edge; `Ok(None)` at end of stream.
-    pub fn next_edge(&mut self) -> io::Result<Option<(u64, u64)>> {
-        if self.remaining == 0 {
-            // Block boundary: read the next block header (or clean EOF).
-            let Some(count) = read_varint(&mut self.r)? else {
-                return Ok(None);
-            };
-            let Some(_len) = read_varint(&mut self.r)? else {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "block header truncated after edge count",
-                ));
-            };
-            let mut checksum = [0u8; 8];
-            self.r.read_exact(&mut checksum)?;
-            let count = u64::try_from(count).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "block edge count overflows u64")
-            })?;
-            if count == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "empty compressed block",
-                ));
-            }
-            self.remaining = count;
-            self.prev_u = 0;
-            self.prev_v = 0;
-            self.expected_checksum = u64::from_le_bytes(checksum);
-            self.running_checksum = 0;
-        }
-        let Some(zu) = read_varint(&mut self.r)? else {
+    /// Read the next block header; `Ok(None)` on clean EOF before its
+    /// first byte. Enforces `1 ≤ count ≤ COMPRESSED_BLOCK_EDGES` and
+    /// `len ≤ MAX_EDGE_BYTES · count`, so nothing downstream sizes a
+    /// buffer or a seek by an unchecked number from the file.
+    fn read_header(&mut self) -> io::Result<Option<BlockHeader>> {
+        let Some(count) = read_varint(&mut self.r)? else {
+            return Ok(None);
+        };
+        let Some(len) = read_varint(&mut self.r)? else {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
-                "block truncated mid-payload",
+                "block header truncated after edge count",
             ));
         };
-        let Some(zv) = read_varint(&mut self.r)? else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "edge record truncated after u-delta",
-            ));
-        };
-        let u = self.prev_u as i128 + unzigzag(zu);
-        let v = self.prev_v as i128 + unzigzag(zv);
-        let (Ok(u), Ok(v)) = (u64::try_from(u), u64::try_from(v)) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "edge delta decodes outside the u64 vertex-id range",
-            ));
-        };
-        self.prev_u = u;
-        self.prev_v = v;
-        self.running_checksum = edge_checksum_step(self.running_checksum, u, v);
-        self.remaining -= 1;
-        if self.remaining == 0 && self.running_checksum != self.expected_checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "block checksum mismatch (corrupt block)",
-            ));
+        let mut checksum = [0u8; 8];
+        self.r.read_exact(&mut checksum)?;
+        if count == 0 || count > COMPRESSED_BLOCK_EDGES as u128 {
+            return Err(invalid_data("block edge count outside 1..=4096"));
         }
-        Ok(Some((u, v)))
+        if len > (count as usize * MAX_EDGE_BYTES) as u128 {
+            return Err(invalid_data("block length exceeds 38 bytes per edge"));
+        }
+        Ok(Some(BlockHeader {
+            count: count as usize,
+            len: len as usize,
+            checksum: u64::from_le_bytes(checksum),
+        }))
+    }
+
+    /// Fetch, decode and verify the next block; `Ok(None)` at end of
+    /// stream. The slice is also available from [`Self::block`] until
+    /// the next call.
+    pub fn next_block(&mut self) -> io::Result<Option<&[(u64, u64)]>> {
+        self.edges.clear();
+        let Some(header) = self.read_header()? else {
+            return Ok(None);
+        };
+        self.payload.resize(header.len, 0);
+        self.r.read_exact(&mut self.payload)?;
+        let verified =
+            decode_block_into(&self.payload, header.count, &mut self.edges).and_then(|checksum| {
+                if checksum == header.checksum {
+                    Ok(())
+                } else {
+                    Err(invalid_data("block checksum mismatch (corrupt block)"))
+                }
+            });
+        if let Err(e) = verified {
+            self.edges.clear();
+            return Err(e);
+        }
+        Ok(Some(&self.edges))
+    }
+
+    /// The block the last [`Self::next_block`] returned (empty before
+    /// the first block, after the last, and after an error).
+    pub fn block(&self) -> &[(u64, u64)] {
+        &self.edges
     }
 }
 
-/// Decode one standalone restart-block payload (`count` edges, deltas
-/// starting from `(0, 0)`), returning the folded
-/// [`edge_checksum_step`] checksum. Errors on truncation, trailing
-/// bytes, or deltas outside the u64 id range — the single decoder
-/// shared by [`CompressedEdgeReader`] consumers that random-access
-/// blocks (e.g. sampled shard validation).
-pub fn decode_block(payload: &[u8], count: u64) -> io::Result<u64> {
-    let mut cursor = payload;
-    let (mut prev_u, mut prev_v) = (0i128, 0i128);
-    let mut checksum = 0u64;
-    for _ in 0..count {
-        let (Some(zu), Some(zv)) = (read_varint(&mut cursor)?, read_varint(&mut cursor)?) else {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "block truncated mid-payload",
-            ));
+impl<R: BufRead + Seek> CompressedEdgeReader<R> {
+    /// Step over the next block without reading its payload; returns
+    /// its edge count, `Ok(None)` at end of stream. Seeking does not
+    /// notice a payload that ends early — compare the final position
+    /// with the file length.
+    pub fn skip_block(&mut self) -> io::Result<Option<u64>> {
+        self.edges.clear();
+        let Some(header) = self.read_header()? else {
+            return Ok(None);
         };
-        let u = prev_u + unzigzag(zu);
-        let v = prev_v + unzigzag(zv);
-        let (Ok(uu), Ok(vv)) = (u64::try_from(u), u64::try_from(v)) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "edge delta decodes outside the u64 vertex-id range",
-            ));
-        };
-        checksum = edge_checksum_step(checksum, uu, vv);
-        (prev_u, prev_v) = (u, v);
+        self.r.seek_relative(header.len as i64)?;
+        Ok(Some(header.count as u64))
     }
-    if !cursor.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "block has trailing bytes",
-        ));
+
+    /// Byte offset of the next unread byte of the stream.
+    pub fn position(&mut self) -> io::Result<u64> {
+        self.r.stream_position()
     }
-    Ok(checksum)
 }
 
 /// Write a whole edge list in the compressed varint+delta format.
 pub fn write_compressed<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
     let mut enc = CompressedEdgeWriter::new(BufWriter::new(w), el.n)?;
-    for &(u, v) in &el.edges {
-        enc.push(u, v)?;
-    }
+    enc.push_slice(&el.edges)?;
     enc.finish()?;
     Ok(())
 }
@@ -386,8 +533,8 @@ pub fn write_compressed<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
 pub fn read_compressed<R: BufRead>(r: R) -> io::Result<EdgeList> {
     let mut dec = CompressedEdgeReader::new(r)?;
     let mut edges = Vec::new();
-    while let Some(e) = dec.next_edge()? {
-        edges.push(e);
+    while let Some(block) = dec.next_block()? {
+        edges.extend_from_slice(block);
     }
     Ok(EdgeList::new(dec.n(), edges))
 }
@@ -700,16 +847,183 @@ mod tests {
         assert!(read_compressed(&buf[..]).is_err());
     }
 
+    /// A one-block stream over 5 vertices with the given header fields
+    /// and payload.
+    fn raw_stream(count: u128, len: u128, checksum: u64, payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&COMPRESSED_MAGIC);
+        buf.extend_from_slice(&5u64.to_le_bytes());
+        write_varint(&mut buf, count).unwrap();
+        write_varint(&mut buf, len).unwrap();
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    fn kind_of(stream: &[u8]) -> io::ErrorKind {
+        read_compressed(stream).unwrap_err().kind()
+    }
+
     #[test]
     fn compressed_rejects_underflowing_delta() {
         // A first record whose u-delta is negative would decode to a
         // vertex id below zero: must be InvalidData, not a wrapped id.
+        // zigzag(-1) = 1, zigzag(0) = 0.
+        let buf = raw_stream(1, 2, 0, &[1, 0]);
+        assert_eq!(kind_of(&buf), io::ErrorKind::InvalidData);
+        // Same on the bytewise path (a padded ten-byte zigzag(-1)).
+        let mut wide = vec![0x81u8; 1];
+        wide.extend_from_slice(&[0x80; 8]);
+        wide.extend_from_slice(&[0, 0]);
+        let buf = raw_stream(1, wide.len() as u128, 0, &wide);
+        assert_eq!(kind_of(&buf), io::ErrorKind::InvalidData);
+        // And past the top of the id range: u64::MAX then +1.
+        let mut payload = Vec::new();
+        write_varint(&mut payload, zigzag(u64::MAX as i128)).unwrap();
+        payload.extend_from_slice(&[0, 2, 0]);
+        let buf = raw_stream(2, payload.len() as u128, 0, &payload);
+        assert_eq!(kind_of(&buf), io::ErrorKind::InvalidData);
+        // The largest delta a varint can carry, on top of a nonzero id.
+        let mut payload = vec![2, 0];
+        write_varint(&mut payload, u128::MAX - 1).unwrap();
+        payload.push(0);
+        let buf = raw_stream(2, payload.len() as u128, 0, &payload);
+        assert_eq!(kind_of(&buf), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn block_length_field_must_match_the_payload() {
+        // A `len` that lies by one in either direction is an error even
+        // when count, checksum and every varint are intact.
+        let edges = [(1u64, 2u64), (300, 2), (300, 70_000)];
+        let mut payload = Vec::new();
+        let mut checksum = 0;
+        let (mut pu, mut pv) = (0i128, 0i128);
+        for &(u, v) in &edges {
+            write_varint(&mut payload, zigzag(u as i128 - pu)).unwrap();
+            write_varint(&mut payload, zigzag(v as i128 - pv)).unwrap();
+            (pu, pv) = (u as i128, v as i128);
+            checksum = edge_checksum_step(checksum, u, v);
+        }
+        let len = payload.len() as u128;
+        let good = raw_stream(3, len, checksum, &payload);
+        assert_eq!(read_compressed(&good[..]).unwrap().edges, edges);
+        // The writer produces exactly these bytes.
+        let mut written = Vec::new();
+        write_compressed(&mut written, &EdgeList::new(5, edges.to_vec())).unwrap();
+        assert_eq!(written, good);
+
+        assert!(read_compressed(&raw_stream(3, len - 1, checksum, &payload)[..]).is_err());
+        assert!(read_compressed(&raw_stream(3, len + 1, checksum, &payload)[..]).is_err());
+        // One byte too long with the byte present: the block has
+        // trailing bytes.
+        let mut padded = payload.clone();
+        padded.push(0);
+        let buf = raw_stream(3, len + 1, checksum, &padded);
+        assert_eq!(kind_of(&buf), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn block_header_limits_are_checked_before_the_payload_is_read() {
+        // No payload follows any of these headers: a reader that sized
+        // a buffer by them, or tried to read the payload first, would
+        // report UnexpectedEof (or abort) instead.
+        let block = COMPRESSED_BLOCK_EDGES as u128;
+        for (count, len) in [
+            (0, 0),
+            (block + 1, 2 * (block + 1)),
+            (1 << 60, 1 << 61),
+            (u64::MAX as u128 + 1, 2),
+            (1, MAX_EDGE_BYTES as u128 + 1),
+            (block, block * MAX_EDGE_BYTES as u128 + 1),
+            (2, 1 << 40),
+            (2, u128::MAX),
+        ] {
+            let buf = raw_stream(count, len, 0, &[]);
+            assert_eq!(
+                kind_of(&buf),
+                io::ErrorKind::InvalidData,
+                "count {count} len {len}"
+            );
+        }
+        // The limits themselves are legal headers (here: truncated).
+        let buf = raw_stream(block, block * MAX_EDGE_BYTES as u128, 0, &[]);
+        assert_eq!(kind_of(&buf), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn decoder_accepts_every_encoding_read_varint_accepts() {
+        // Reference: the payload decoded varint by varint.
+        fn reference(mut payload: &[u8], count: usize) -> io::Result<Vec<(u64, u64)>> {
+            let mut out = Vec::new();
+            let (mut pu, mut pv) = (0i128, 0i128);
+            for _ in 0..count {
+                let (Some(zu), Some(zv)) = (read_varint(&mut payload)?, read_varint(&mut payload)?)
+                else {
+                    return Err(truncated_payload());
+                };
+                (pu, pv) = (pu + unzigzag(zu), pv + unzigzag(zv));
+                let (Ok(u), Ok(v)) = (u64::try_from(pu), u64::try_from(pv)) else {
+                    return Err(id_out_of_range());
+                };
+                out.push((u, v));
+            }
+            if payload.is_empty() {
+                Ok(out)
+            } else {
+                Err(invalid_data("trailing bytes"))
+            }
+        }
+        // Zero-padded encodings of every length up to the 19-byte cap,
+        // for small and large values, followed by enough one-byte
+        // records that the long varint is also met away from the
+        // payload's last 8 bytes.
+        let mut out = Vec::new();
+        for value in [0u128, 1, 2, 0x7e, 0x3ffe, (1 << 56) - 2, 1 << 56, 1 << 64] {
+            for total_len in varint_len(value) as usize..=MAX_VARINT_BYTES + 1 {
+                let mut payload = Vec::new();
+                write_varint(&mut payload, value).unwrap();
+                while payload.len() < total_len {
+                    *payload.last_mut().unwrap() |= 0x80;
+                    payload.push(0);
+                }
+                payload.push(0); // v-delta of the first edge
+                for tail in [0usize, 12] {
+                    let mut payload = payload.clone();
+                    payload.resize(payload.len() + 2 * tail, 0);
+                    let want = reference(&payload, 1 + tail);
+                    let got = decode_block_into(&payload, 1 + tail, &mut out);
+                    match want {
+                        Ok(edges) => {
+                            got.unwrap();
+                            assert_eq!(out, edges, "value {value} in {total_len} bytes");
+                        }
+                        Err(e) => assert_eq!(got.unwrap_err().kind(), e.kind()),
+                    }
+                }
+            }
+        }
+        // A count the payload cannot hold is refused before `out` grows.
+        let mut out = Vec::new();
+        assert!(decode_block_into(&[0, 0], usize::MAX, &mut out).is_err());
+        assert_eq!(out.capacity(), 0);
+    }
+
+    #[test]
+    fn a_block_that_fails_verification_is_never_exposed() {
+        let m = COMPRESSED_BLOCK_EDGES + 10;
+        let el = EdgeList::new(100, (0..m).map(|i| (i % 100, (i + 1) % 100)).collect());
         let mut buf = Vec::new();
-        buf.extend_from_slice(&COMPRESSED_MAGIC);
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        write_varint(&mut buf, 1).unwrap(); // zigzag(-1)
-        write_varint(&mut buf, 0).unwrap(); // zigzag(0)
-        assert!(read_compressed(&buf[..]).is_err());
+        write_compressed(&mut buf, &el).unwrap();
+        let last = buf.len() - 1;
+        buf[last] ^= 0x01; // inside the second block's payload
+        let mut dec = CompressedEdgeReader::new(&buf[..]).unwrap();
+        assert_eq!(
+            dec.next_block().unwrap().unwrap(),
+            &el.edges[..COMPRESSED_BLOCK_EDGES as usize]
+        );
+        assert!(dec.next_block().is_err());
+        assert!(dec.block().is_empty());
     }
 
     #[test]
@@ -772,17 +1086,14 @@ mod tests {
         );
         let mut buf = Vec::new();
         write_compressed(&mut buf, &el).unwrap();
-        let mut r = &buf[16..];
+        let mut dec = CompressedEdgeReader::new(io::Cursor::new(&buf)).unwrap();
         let mut total = 0u64;
         let mut blocks = 0;
-        while let Some(count) = read_varint(&mut r).unwrap() {
-            let len = read_varint(&mut r).unwrap().unwrap() as usize;
-            let mut ck = [0u8; 8];
-            r.read_exact(&mut ck).unwrap();
-            r = &r[len..];
-            total += count as u64;
+        while let Some(count) = dec.skip_block().unwrap() {
+            total += count;
             blocks += 1;
         }
+        assert_eq!(dec.position().unwrap(), buf.len() as u64);
         assert_eq!(total, m as u64);
         assert_eq!(blocks, 2);
     }

@@ -18,7 +18,9 @@
 //!   and checksums. Shard bytes are independent of the thread count.
 //!   [`write_shard`] is the single-PE building block the multi-process
 //!   cluster workers reuse.
-//! * [`reader`] — stream shards back (validating the checksums),
+//! * [`reader`] — stream shards back a verified block at a time
+//!   ([`stream_shard_file`], the read-side mirror of
+//!   [`EdgeSink::push_batch`]; validating the checksums),
 //!   [`validate_shard`] against recorded info (the resume-time integrity
 //!   check), or reassemble an [`EdgeList`](kagen_graph::EdgeList).
 //! * [`manifest`] — manifest (de)serialization, plus the multi-process

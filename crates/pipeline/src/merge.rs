@@ -7,9 +7,11 @@
 //!
 //! 1. **Run formation with shard-level parallel reading** — the shard
 //!    list is split into one contiguous group per reader worker; every
-//!    worker concurrently streams *its own shards* (decode, checksum
-//!    validation and canonicalization all run in parallel), buffering at
-//!    most `budget_edges / workers` edges. Each full local buffer is
+//!    worker concurrently streams *its own shards* a verified block at
+//!    a time (decode, checksum validation and canonicalization all run
+//!    in parallel), buffering at most `budget_edges / workers` edges —
+//!    spills trigger at exactly that many edges, however the reader
+//!    cut the stream into blocks. Each full local buffer is
 //!    canonicalized (undirected edges re-oriented to `(min,max)`),
 //!    sorted, locally deduplicated and spilled as sorted *runs* in the
 //!    compressed shard codec (sorted runs delta-compress to a few bytes
@@ -17,7 +19,9 @@
 //!    there are fewer shards than threads, the leftover threads sort
 //!    each spill as concurrent in-place pieces instead.
 //! 2. **K-way merge tree with bounded fan-in** — runs are merged with a
-//!    binary heap of one cursor per run, at most [`DEFAULT_FAN_IN`]
+//!    binary heap of one cursor per run (a decoded block and an index;
+//!    the heap's top is replaced in place as its run advances), at most
+//!    [`DEFAULT_FAN_IN`]
 //!    (configurable) runs at a time: while more runs exist than the
 //!    fan-in cap, contiguous groups are merged into intermediate runs,
 //!    then the surviving runs merge into the sink. Cross-PE duplicates
@@ -41,7 +45,7 @@
 use crate::reader::ShardReader;
 use crate::sink::EdgeSink;
 use kagen_graph::io::{CompressedEdgeReader, CompressedEdgeWriter};
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -106,18 +110,34 @@ impl MergeStats {
 /// [`OUT_BATCH_EDGES`]-sized slice).
 type BatchConsumer<'a> = dyn FnMut(&[(u64, u64)]) -> io::Result<()> + 'a;
 
-/// One run's read cursor during the k-way merge.
+/// One run's read cursor during the k-way merge: the decoder's current
+/// (verified) block and an index into it.
 struct RunCursor {
     dec: CompressedEdgeReader<BufReader<File>>,
+    at: usize,
 }
 
 impl RunCursor {
+    fn open(path: &Path) -> io::Result<RunCursor> {
+        let dec = CompressedEdgeReader::new(BufReader::new(File::open(path)?))?;
+        Ok(RunCursor { dec, at: 0 })
+    }
+
     fn next(&mut self) -> io::Result<Option<(u64, u64)>> {
-        self.dec.next_edge()
+        if self.at == self.dec.block().len() {
+            self.at = 0;
+            if self.dec.next_block()?.is_none() {
+                return Ok(None);
+            }
+        }
+        let edge = self.dec.block()[self.at];
+        self.at += 1;
+        Ok(Some(edge))
     }
 }
 
 /// Heap entry: min-heap by edge via reversed `Ord`.
+#[derive(Clone, Copy)]
 struct HeapEntry {
     edge: (u64, u64),
     run: usize,
@@ -325,30 +345,37 @@ impl ExternalMerge {
         let mut spill_err: Option<io::Error> = None;
         let mut seq = 0usize;
         for shard in shard_range {
-            let mut on_edge = |u: u64, v: u64| {
-                if spill_err.is_some() {
-                    return;
-                }
-                report.edges_in += 1;
-                let e = if undirected && u > v { (v, u) } else { (u, v) };
-                buf.push(e);
-                report.max_buffered = report.max_buffered.max(buf.len());
-                if buf.len() >= local_budget {
-                    if let Err(e) = Self::spill_local(
-                        &self.run_dir,
-                        worker,
-                        seq,
-                        piece_threads,
-                        &mut buf,
-                        undirected,
-                        &mut report.runs,
-                    ) {
-                        spill_err = Some(e);
+            let mut on_batch = |mut batch: &[(u64, u64)]| {
+                report.edges_in += batch.len() as u64;
+                // Fill the buffer to exactly `local_budget` before each
+                // spill, so run boundaries do not depend on how the
+                // shard reader cut the stream.
+                while !batch.is_empty() && spill_err.is_none() {
+                    let room = local_budget - buf.len();
+                    let (head, tail) = batch.split_at(room.min(batch.len()));
+                    if undirected {
+                        buf.extend(head.iter().map(|&(u, v)| (u.min(v), u.max(v))));
+                    } else {
+                        buf.extend_from_slice(head);
                     }
-                    seq += 1;
+                    batch = tail;
+                    report.max_buffered = report.max_buffered.max(buf.len());
+                    if buf.len() == local_budget {
+                        spill_err = Self::spill_local(
+                            &self.run_dir,
+                            worker,
+                            seq,
+                            piece_threads,
+                            &mut buf,
+                            undirected,
+                            &mut report.runs,
+                        )
+                        .err();
+                        seq += 1;
+                    }
                 }
             };
-            reader.stream_shard(shard, &mut on_edge)?;
+            reader.stream_shard(shard, &mut on_batch)?;
             if let Some(e) = spill_err.take() {
                 return Err(e);
             }
@@ -375,20 +402,20 @@ impl ExternalMerge {
         on_batch: &mut BatchConsumer,
     ) -> io::Result<()> {
         let mut cursors = Vec::with_capacity(paths.len());
-        for path in paths {
-            cursors.push(RunCursor {
-                dec: CompressedEdgeReader::new(BufReader::new(File::open(path)?))?,
-            });
-        }
-        let mut heap = BinaryHeap::with_capacity(cursors.len());
-        for (i, c) in cursors.iter_mut().enumerate() {
-            if let Some(edge) = c.next()? {
-                heap.push(HeapEntry { edge, run: i });
+        let mut heap = BinaryHeap::with_capacity(paths.len());
+        for (run, path) in paths.iter().enumerate() {
+            let mut cursor = RunCursor::open(path)?;
+            if let Some(edge) = cursor.next()? {
+                heap.push(HeapEntry { edge, run });
             }
+            cursors.push(cursor);
         }
         let mut last: Option<(u64, u64)> = None;
         let mut batch: Vec<(u64, u64)> = Vec::with_capacity(OUT_BATCH_EDGES);
-        while let Some(HeapEntry { edge, run }) = heap.pop() {
+        // The winner is replaced in place (one sift per edge) and only
+        // popped when its run is exhausted.
+        while let Some(mut top) = heap.peek_mut() {
+            let HeapEntry { edge, run } = *top;
             if !(undirected && last == Some(edge)) {
                 batch.push(edge);
                 if batch.len() >= OUT_BATCH_EDGES {
@@ -397,8 +424,11 @@ impl ExternalMerge {
                 }
                 last = Some(edge);
             }
-            if let Some(next) = cursors[run].next()? {
-                heap.push(HeapEntry { edge: next, run });
+            match cursors[run].next()? {
+                Some(next) => top.edge = next,
+                None => {
+                    PeekMut::pop(top);
+                }
             }
         }
         if !batch.is_empty() {

@@ -1,16 +1,27 @@
-//! Reading shard directories back: stream shards edge-by-edge with O(1)
-//! memory (validating the manifest checksums as it goes), or reassemble
-//! the whole instance into an [`EdgeList`] when it fits.
+//! Reading shard directories back: stream shards a slice at a time with
+//! O(block) memory (validating the manifest checksums as it goes), or
+//! reassemble the whole instance into an [`EdgeList`] when it fits.
+//!
+//! [`stream_shard_file`] is the read-side batch primitive, the mirror of
+//! [`crate::EdgeSink::push_batch`]: every format delivers
+//! `&[(u64, u64)]` slices of at most one restart block's worth of edges
+//! ([`COMPRESSED_BLOCK_EDGES`]), and a compressed block is delivered
+//! only after its length and checksum have been verified.
 
 use crate::manifest::{Manifest, ShardInfo};
 use crate::sink::checksum_step;
 use crate::writer::ShardFormat;
-use kagen_graph::io::CompressedEdgeReader;
+use kagen_core::streaming::BatchEmit;
+use kagen_graph::io::{CompressedEdgeReader, COMPRESSED_BLOCK_EDGES};
 use kagen_graph::EdgeList;
 use kagen_obs::json::invalid;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
+
+/// Largest slice a shard reader delivers: one compressed restart block,
+/// 64 KiB of binary records.
+const READ_BATCH_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
 
 /// A shard directory opened for reading.
 #[derive(Debug)]
@@ -41,40 +52,20 @@ impl ShardReader {
 
     /// Stream one shard through `emit`, verifying its edge count and
     /// checksum against the manifest. Returns the edge count.
-    pub fn stream_shard(&self, index: usize, emit: &mut dyn FnMut(u64, u64)) -> io::Result<u64> {
+    pub fn stream_shard(&self, index: usize, emit: &mut BatchEmit) -> io::Result<u64> {
         let info = self.manifest.shards.get(index).ok_or_else(|| {
             invalid(format!(
                 "shard index {index} out of range ({} shards)",
                 self.manifest.shards.len()
             ))
         })?;
-        let path = self.dir.join(&info.file);
-        let mut count = 0u64;
-        let mut checksum = 0u64;
-        let mut counted_emit = |u: u64, v: u64| {
-            count += 1;
-            checksum = checksum_step(checksum, u, v);
-            emit(u, v);
-        };
-        stream_shard_file(&path, self.format, &mut counted_emit)?;
-        if count != info.edges {
-            return Err(invalid(format!(
-                "shard {}: {count} edges on disk, {} in manifest",
-                info.file, info.edges
-            )));
-        }
-        if checksum != info.checksum {
-            return Err(invalid(format!(
-                "shard {}: checksum mismatch (corrupt or reordered)",
-                info.file
-            )));
-        }
-        Ok(count)
+        stream_verified(&self.dir, self.format, info, emit)?;
+        Ok(info.edges)
     }
 
-    /// Stream every shard in PE order; total memory stays O(1).
+    /// Stream every shard in PE order; total memory stays O(block).
     /// Returns the total edge count.
-    pub fn stream(&self, emit: &mut dyn FnMut(u64, u64)) -> io::Result<u64> {
+    pub fn stream(&self, emit: &mut BatchEmit) -> io::Result<u64> {
         let mut total = 0;
         for i in 0..self.manifest.shards.len() {
             total += self.stream_shard(i, emit)?;
@@ -84,23 +75,19 @@ impl ShardReader {
 
     /// Reassemble the whole instance in memory, exactly as the per-PE
     /// streams concatenate (no dedup, no sort — see
-    /// [`crate::merge::external_merge`] for canonical merging).
+    /// [`crate::merge::ExternalMerge`] for canonical merging).
     pub fn read_all(&self) -> io::Result<EdgeList> {
         // Cap the pre-allocation: the manifest is untrusted input until
         // the per-shard counts and checksums have been validated.
         let cap = (self.manifest.edges as usize).min(1 << 20);
         let mut edges = Vec::with_capacity(cap);
-        self.stream(&mut |u, v| edges.push((u, v)))?;
+        self.stream(&mut |batch| edges.extend_from_slice(batch))?;
         Ok(EdgeList::new(self.manifest.n, edges))
     }
 }
 
 /// Stream one shard *file* (no manifest required) through `emit`.
-pub fn stream_shard_file(
-    path: &Path,
-    format: ShardFormat,
-    emit: &mut dyn FnMut(u64, u64),
-) -> io::Result<()> {
+pub fn stream_shard_file(path: &Path, format: ShardFormat, emit: &mut BatchEmit) -> io::Result<()> {
     match format {
         ShardFormat::EdgeList => stream_text(path, emit),
         ShardFormat::Binary => stream_binary(path, emit),
@@ -108,18 +95,22 @@ pub fn stream_shard_file(
     }
 }
 
-/// Re-read the shard described by `info` from `dir` and verify its edge
-/// count and checksum. This is the resume-time integrity check: a
-/// missing, truncated, corrupted or reordered shard comes back as an
-/// error; `Ok(())` means the bytes on disk still produce exactly the
-/// edge stream recorded at generation time.
-pub fn validate_shard(dir: &Path, format: ShardFormat, info: &ShardInfo) -> io::Result<()> {
-    let path = dir.join(&info.file);
+/// Stream the shard described by `info` through `emit`, then verify its
+/// edge count and checksum against `info`.
+fn stream_verified(
+    dir: &Path,
+    format: ShardFormat,
+    info: &ShardInfo,
+    emit: &mut BatchEmit,
+) -> io::Result<()> {
     let mut count = 0u64;
     let mut checksum = 0u64;
-    stream_shard_file(&path, format, &mut |u, v| {
-        count += 1;
-        checksum = checksum_step(checksum, u, v);
+    stream_shard_file(&dir.join(&info.file), format, &mut |batch| {
+        count += batch.len() as u64;
+        checksum = batch
+            .iter()
+            .fold(checksum, |acc, &(u, v)| checksum_step(acc, u, v));
+        emit(batch);
     })?;
     if count != info.edges {
         return Err(invalid(format!(
@@ -136,6 +127,15 @@ pub fn validate_shard(dir: &Path, format: ShardFormat, info: &ShardInfo) -> io::
     Ok(())
 }
 
+/// Re-read the shard described by `info` from `dir` and verify its edge
+/// count and checksum. This is the resume-time integrity check: a
+/// missing, truncated, corrupted or reordered shard comes back as an
+/// error; `Ok(())` means the bytes on disk still produce exactly the
+/// edge stream recorded at generation time.
+pub fn validate_shard(dir: &Path, format: ShardFormat, info: &ShardInfo) -> io::Result<()> {
+    stream_verified(dir, format, info, &mut |_| {})
+}
+
 /// Fast-path shard validation: a size/structure check plus
 /// `sample_blocks` fully decoded (and checksum-verified) restart blocks,
 /// instead of [`validate_shard`]'s full re-read.
@@ -145,8 +145,8 @@ pub fn validate_shard(dir: &Path, format: ShardFormat, info: &ShardInfo) -> io::
 /// * **compressed** — walk the block headers (seeking over payloads),
 ///   verify the header-derived edge total against the manifest, then
 ///   decode `sample_blocks` evenly spaced blocks and verify their
-///   stored per-block checksums. O(blocks + samples·block) instead of
-///   O(edges).
+///   lengths and stored per-block checksums. O(blocks + samples·block)
+///   instead of O(edges).
 /// * **edge-list** — text has no sampled structure; falls back to the
 ///   full re-read.
 ///
@@ -165,177 +165,142 @@ pub fn validate_shard_sampled(
     match format {
         ShardFormat::Binary => {
             let len = std::fs::metadata(&path)?.len();
-            if len != info.edges * 16 {
+            if Some(len) != info.edges.checked_mul(16) {
                 return Err(invalid(format!(
-                    "shard {}: {len} bytes on disk, {} expected for {} edges",
-                    info.file,
-                    info.edges * 16,
-                    info.edges
+                    "shard {}: {len} bytes on disk, 16 expected for each of {} edges",
+                    info.file, info.edges
                 )));
             }
             Ok(())
         }
         ShardFormat::EdgeList => validate_shard(dir, format, info),
-        ShardFormat::Compressed => validate_compressed_sampled(&path, info, sample_blocks),
+        ShardFormat::Compressed => validate_compressed_sampled(&path, info.edges, sample_blocks)
+            .map_err(|e| io::Error::new(e.kind(), format!("shard {}: {e}", info.file))),
     }
 }
 
-/// Walk every restart block of an open compressed shard positioned
-/// right after the 16-byte file header. `on_block(index, count,
-/// checksum, reader)` returns whether it consumed the payload itself
-/// (`len` bytes); otherwise the walk seeks over it. Returns
-/// `(blocks, total_edges, end_pos)`. Memory is O(1) — the huge-run fast
-/// path must not materialize per-block metadata.
-fn walk_blocks(
-    r: &mut BufReader<File>,
-    file: &str,
-    mut on_block: impl FnMut(u64, u64, u64, u64, &mut BufReader<File>) -> io::Result<bool>,
-) -> io::Result<(u64, u64, u64)> {
-    use kagen_graph::io::{read_varint, varint_len};
-    let mut pos = 16u64;
+/// The compressed half of [`validate_shard_sampled`]. Both passes hold
+/// O(block) memory — the huge-run fast path must not materialize
+/// per-block metadata.
+fn validate_compressed_sampled(path: &Path, edges: u64, sample_blocks: usize) -> io::Result<()> {
+    let open = || CompressedEdgeReader::new(BufReader::new(File::open(path)?));
+
+    // Pass 1 — structural walk, headers only.
+    let mut dec = open()?;
     let mut blocks = 0u64;
     let mut total = 0u64;
-    while let Some(count) = read_varint(r)? {
-        let Some(len) = read_varint(r)? else {
-            return Err(invalid(format!("shard {file}: block header truncated")));
-        };
-        let mut ck = [0u8; 8];
-        r.read_exact(&mut ck)?;
-        let (Ok(count), Ok(len)) = (u64::try_from(count), u64::try_from(len)) else {
-            return Err(invalid(format!("shard {file}: block header overflows u64")));
-        };
-        if count == 0 {
-            return Err(invalid(format!("shard {file}: empty block")));
-        }
-        pos += varint_len(count as u128) + varint_len(len as u128) + 8;
-        total = total
-            .checked_add(count)
-            .ok_or_else(|| invalid(format!("shard {file}: edge total overflows")))?;
-        if !on_block(blocks, count, len, u64::from_le_bytes(ck), r)? {
-            r.seek_relative(
-                i64::try_from(len)
-                    .map_err(|_| invalid(format!("shard {file}: implausible block length")))?,
-            )?;
-        }
-        pos += len;
+    while let Some(count) = dec.skip_block()? {
         blocks += 1;
+        total += count;
     }
-    Ok((blocks, total, pos))
-}
-
-fn validate_compressed_sampled(
-    path: &Path,
-    info: &ShardInfo,
-    sample_blocks: usize,
-) -> io::Result<()> {
-    use kagen_graph::io::{decode_block, COMPRESSED_MAGIC};
-    use std::io::Seek;
-    let open = |path: &Path| -> io::Result<BufReader<File>> {
-        let mut r = BufReader::new(File::open(path)?);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic != COMPRESSED_MAGIC {
-            return Err(invalid(format!(
-                "shard {}: not a compressed edge stream",
-                info.file
-            )));
-        }
-        let mut n_bytes = [0u8; 8];
-        r.read_exact(&mut n_bytes)?;
-        Ok(r)
-    };
-
-    // Pass 1 — structural walk, headers only, O(1) memory.
-    let mut r = open(path)?;
-    let (blocks, total, pos) = walk_blocks(&mut r, &info.file, |_, _, _, _, _| Ok(false))?;
-    if total != info.edges {
+    if total != edges {
         return Err(invalid(format!(
-            "shard {}: {total} edges in block headers, {} in manifest",
-            info.file, info.edges
+            "{total} edges in block headers, {edges} in manifest"
         )));
     }
     // The walk's end position must be the exact file size: seeking does
     // not notice a truncated final payload, the byte count does.
-    let file_len = std::fs::metadata(path)?.len();
+    let (pos, file_len) = (dec.position()?, std::fs::metadata(path)?.len());
     if pos != file_len {
         return Err(invalid(format!(
-            "shard {}: {file_len} bytes on disk, {pos} accounted by block headers",
-            info.file
+            "{file_len} bytes on disk, {pos} accounted by block headers"
         )));
     }
 
-    // Pass 2 — decode the evenly spaced sample blocks in stream order
-    // and verify their stored checksums.
-    let picks = sample_blocks.min(blocks as usize) as u64;
-    if picks == 0 {
-        return Ok(());
-    }
+    // Pass 2 — fetch the evenly spaced sample blocks in stream order;
+    // the fetch verifies their lengths and stored checksums.
+    let picks = (sample_blocks as u64).min(blocks);
+    let mut dec = open()?;
     let mut next_sample = 0u64;
-    let mut payload = Vec::new();
-    let mut r = open(path)?;
-    r.seek(io::SeekFrom::Start(16))?;
-    walk_blocks(&mut r, &info.file, |idx, count, len, checksum, r| {
-        if next_sample >= picks || idx != next_sample * blocks / picks {
-            return Ok(false);
+    for idx in 0..blocks {
+        if next_sample == picks {
+            break;
         }
-        next_sample += 1;
-        payload.resize(len as usize, 0);
-        r.read_exact(&mut payload)?;
-        let got = decode_block(&payload, count)
-            .map_err(|e| invalid(format!("shard {}: sampled block: {e}", info.file)))?;
-        if got != checksum {
-            return Err(invalid(format!(
-                "shard {}: sampled block checksum mismatch (corrupt)",
-                info.file
-            )));
+        if idx as u128 == next_sample as u128 * blocks as u128 / picks as u128 {
+            next_sample += 1;
+            dec.next_block()
+                .map_err(|e| io::Error::new(e.kind(), format!("sampled block {idx}: {e}")))?;
+        } else {
+            dec.skip_block()?;
         }
-        Ok(true)
-    })?;
+    }
     Ok(())
 }
 
-fn stream_text(path: &Path, emit: &mut dyn FnMut(u64, u64)) -> io::Result<()> {
-    let r = BufReader::new(File::open(path)?);
-    for (lineno, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
+fn stream_text(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
+    let mut r = BufReader::new(File::open(path)?);
+    let mut batch = Vec::with_capacity(READ_BATCH_EDGES);
+    let mut line = String::new();
+    let mut lineno = 0usize;
+    loop {
+        line.clear();
+        if r.read_line(&mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
+        let text = line.trim();
+        if text.is_empty() || text.starts_with('#') || text.starts_with('%') {
             continue;
         }
-        let mut it = line.split_whitespace();
+        let mut it = text.split_whitespace();
         let mut field = || -> io::Result<u64> {
             it.next()
-                .ok_or_else(|| invalid(format!("line {}: missing field", lineno + 1)))?
+                .ok_or_else(|| invalid(format!("line {lineno}: missing field")))?
                 .parse::<u64>()
-                .map_err(|e| invalid(format!("line {}: {e}", lineno + 1)))
+                .map_err(|e| invalid(format!("line {lineno}: {e}")))
         };
-        let u = field()?;
-        let v = field()?;
-        emit(u, v);
+        batch.push((field()?, field()?));
+        if batch.len() == READ_BATCH_EDGES {
+            emit(&batch);
+            batch.clear();
+        }
+    }
+    if !batch.is_empty() {
+        emit(&batch);
     }
     Ok(())
 }
 
-fn stream_binary(path: &Path, emit: &mut dyn FnMut(u64, u64)) -> io::Result<()> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut rec = [0u8; 16];
+fn stream_binary(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
+    let mut file = File::open(path)?;
+    let mut bytes = vec![0u8; READ_BATCH_EDGES * 16];
+    let mut batch = Vec::with_capacity(READ_BATCH_EDGES);
     loop {
-        match r.read_exact(&mut rec) {
-            Ok(()) => {
-                let u = u64::from_le_bytes(rec[..8].try_into().unwrap());
-                let v = u64::from_le_bytes(rec[8..].try_into().unwrap());
-                emit(u, v);
+        // Fill the buffer; only end of file leaves it short.
+        let mut filled = 0;
+        while filled < bytes.len() {
+            match file.read(&mut bytes[filled..]) {
+                Ok(0) => break,
+                Ok(k) => filled += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
         }
+        if filled % 16 != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "binary shard ends inside a 16-byte record",
+            ));
+        }
+        if filled == 0 {
+            return Ok(());
+        }
+        batch.clear();
+        batch.extend(bytes[..filled].chunks_exact(16).map(|rec| {
+            let (u, v) = rec.split_at(8);
+            (
+                u64::from_le_bytes(u.try_into().expect("8 bytes")),
+                u64::from_le_bytes(v.try_into().expect("8 bytes")),
+            )
+        }));
+        emit(&batch);
     }
 }
 
-fn stream_compressed(path: &Path, emit: &mut dyn FnMut(u64, u64)) -> io::Result<()> {
+fn stream_compressed(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
     let mut dec = CompressedEdgeReader::new(BufReader::new(File::open(path)?))?;
-    while let Some((u, v)) = dec.next_edge()? {
-        emit(u, v);
+    while let Some(block) = dec.next_block()? {
+        emit(block);
     }
     Ok(())
 }
@@ -462,6 +427,76 @@ mod tests {
         // Deletion.
         std::fs::remove_file(&path).unwrap();
         assert!(validate_shard_sampled(&dir, ShardFormat::Compressed, info, 2).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lying_block_length_fails_full_and_sampled_validation() {
+        // A first block header whose `len` is off by one — count,
+        // checksum and payload intact — must fail every reader alike.
+        use kagen_graph::io::{read_compressed, read_varint, write_varint};
+        let gen = GnmDirected::new(2000, 20_000).with_seed(9).with_chunks(1);
+        let dir = std::env::temp_dir().join("kagen_reader_lying_len");
+        std::fs::remove_dir_all(&dir).ok();
+        let meta = InstanceMeta {
+            model: "gnm_directed".into(),
+            params: String::new(),
+            seed: 9,
+        };
+        let format = ShardFormat::Compressed;
+        let manifest = write_sharded(&gen, &meta, &StreamConfig::new(&dir, format)).unwrap();
+        let info = &manifest.shards[0];
+        let path = dir.join(&info.file);
+        let pristine = std::fs::read(&path).unwrap();
+        let mut rest = &pristine[16..];
+        let count = read_varint(&mut rest).unwrap().unwrap();
+        let len = read_varint(&mut rest).unwrap().unwrap();
+        assert!(info.edges as u128 > count, "want more than one block");
+
+        for lie in [len - 1, len + 1] {
+            let mut bytes = pristine[..16].to_vec();
+            write_varint(&mut bytes, count).unwrap();
+            write_varint(&mut bytes, lie).unwrap();
+            bytes.extend_from_slice(rest);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(validate_shard(&dir, format, info).is_err(), "full, {lie}");
+            assert!(
+                validate_shard_sampled(&dir, format, info, 1).is_err(),
+                "sampled, {lie}"
+            );
+            assert!(
+                read_compressed(&bytes[..]).is_err(),
+                "read_compressed, {lie}"
+            );
+        }
+        std::fs::write(&path, &pristine).unwrap();
+        validate_shard(&dir, format, info).unwrap();
+        validate_shard_sampled(&dir, format, info, 1).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn binary_shard_ending_inside_a_record_is_an_error() {
+        let dir = std::env::temp_dir().join("kagen_reader_ragged_bin");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ragged.bin");
+        let mut bytes = Vec::new();
+        for x in 0..3u64 {
+            bytes.extend_from_slice(&x.to_le_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let mut seen = Vec::new();
+        let res = stream_shard_file(&path, ShardFormat::Binary, &mut |batch| {
+            seen.extend_from_slice(batch)
+        });
+        assert!(res.is_err());
+        assert!(seen.is_empty());
+        std::fs::write(&path, &bytes[..16]).unwrap();
+        stream_shard_file(&path, ShardFormat::Binary, &mut |batch| {
+            seen.extend_from_slice(batch)
+        })
+        .unwrap();
+        assert_eq!(seen, vec![(0, 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

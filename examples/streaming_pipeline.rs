@@ -56,13 +56,15 @@ fn main() {
         shard_bytes as f64 / manifest.edges as f64,
     );
 
-    // Stream the shards back with O(1) memory, validating checksums.
+    // Stream the shards back a block at a time, validating checksums.
     let reader = ShardReader::open(&dir).expect("cannot open shards");
     let mut histogram = [0u64; 8];
     reader
-        .stream(&mut |u, _v| {
+        .stream(&mut |batch| {
             // Bucket sources by their top 3 bits: R-MAT skew at a glance.
-            histogram[(u >> 15) as usize] += 1;
+            for &(u, _v) in batch {
+                histogram[(u >> 15) as usize] += 1;
+            }
         })
         .expect("stream-back failed");
     println!("source-vertex octant masses (R-MAT skew): {histogram:?}");

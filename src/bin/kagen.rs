@@ -949,7 +949,7 @@ fn run_stream(o: &Options) {
         let reader = ShardReader::open(shard_dir).expect("cannot open shard dir");
         let mut deg = DegreeStatsSink::new(manifest.n, manifest.directed);
         reader
-            .stream(&mut |u, v| deg.accept(u, v))
+            .stream(&mut |batch| deg.push_batch(batch))
             .expect("shard read-back failed");
         let label = if manifest.directed {
             "per-PE streams"
