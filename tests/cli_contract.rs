@@ -1,0 +1,994 @@
+//! Golden CLI contract: what the `kagen` binary does with every flag in
+//! every mode, with every model at the edges of its parameter ranges,
+//! and with a list of argvs that are rejected for a reason of their own.
+//!
+//! Each cell runs the real binary in an empty scratch directory and pins
+//! three things as a checked-in constant, `"<exit> <disk> <line>"`:
+//! the exit code, whether the run changed anything on disk (`D`) or not
+//! (`-`), and the first non-blank line of stderr with the scratch path, panic
+//! location details and timings scrubbed. `{mode}` in an expectation
+//! stands for the prefix of the mode's own error lines (`kagen <model>`,
+//! `kagen stream`, `kagen launch`, `kagen worker`), so a row whose four
+//! cells differ only by that prefix is written once.
+//!
+//! On a mismatch the test prints the whole table as it found it, in
+//! source form.
+
+use std::path::Path;
+use std::process::Command;
+
+const KAGEN: &str = env!("CARGO_BIN_EXE_kagen");
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Mode {
+    Materialize,
+    Stream,
+    Launch,
+    Worker,
+}
+use Mode::*;
+
+const MODES: [Mode; 4] = [Materialize, Stream, Launch, Worker];
+
+impl Mode {
+    fn prefix(self) -> &'static str {
+        match self {
+            Materialize => "kagen <model>",
+            Stream => "kagen stream",
+            Launch => "kagen launch",
+            Worker => "kagen worker",
+        }
+    }
+
+    /// `model_args` as this mode runs them: the mode word, one thread
+    /// and one worker (so log lines come in one order), and the flags
+    /// the mode cannot run without. `extra` goes last and wins.
+    fn argv(self, model_args: &str, extra: &str) -> String {
+        let (word, required) = match self {
+            Materialize => ("", ""),
+            Stream => ("stream", "--shard-dir {root}/shards"),
+            Launch => ("launch", "--shard-dir {root}/shards --workers 1"),
+            Worker => ("worker", "--shard-dir {root}/shards --pe-range 0..1"),
+        };
+        format!("{word} {model_args} -t 1 {required} {extra}")
+    }
+}
+
+/// The expected outcome of one row across the four modes.
+enum Want {
+    /// The same text in every mode once `{mode}` is expanded.
+    All(&'static str),
+    /// Materialize, stream, launch, worker.
+    Each([&'static str; 4]),
+}
+use Want::*;
+
+/// Every regular file under `dir`, relative path and bytes, sorted.
+fn snapshot(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    fn walk(dir: &Path, rel: &str, out: &mut Vec<(String, Vec<u8>)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let entry = entry.unwrap();
+            let name = format!("{rel}/{}", entry.file_name().to_string_lossy());
+            if entry.file_type().unwrap().is_dir() {
+                out.push((format!("{name}/"), Vec::new()));
+                walk(&entry.path(), &name, out);
+            } else {
+                out.push((name, std::fs::read(entry.path()).unwrap()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, "", &mut out);
+    out.sort();
+    out
+}
+
+/// Replace every `<digits>.<digits>s` (a printed duration) by `<t>s`.
+fn scrub_durations(line: &str) -> String {
+    let bytes = line.as_bytes();
+    let mut out = String::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        let mut j = i;
+        while j < bytes.len() && bytes[j].is_ascii_digit() {
+            j += 1;
+        }
+        if j > start && j < bytes.len() && bytes[j] == b'.' {
+            let mut k = j + 1;
+            while k < bytes.len() && bytes[k].is_ascii_digit() {
+                k += 1;
+            }
+            if k > j + 1 && k < bytes.len() && bytes[k] == b's' {
+                out.push_str("<t>s");
+                i = k + 1;
+                continue;
+            }
+        }
+        let end = j.max(start + 1);
+        out.push_str(&line[start..end]);
+        i = end;
+    }
+    out
+}
+
+/// The first non-blank stderr line, made comparable across runs and machines.
+fn scrub(stderr: &str, root: &Path) -> String {
+    let line = stderr.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
+    let line = line.replace(root.to_str().unwrap(), "<tmp>");
+    // `thread 'main' (1234) panicked at crates/x/src/y.rs:12:9:` keeps
+    // only the file: thread ids and line numbers are not a contract.
+    if let Some((_, at)) = line.split_once(" panicked at ") {
+        if line.starts_with("thread '") {
+            let file = at.split(':').next().unwrap_or(at);
+            return format!("panicked at {file}");
+        }
+    }
+    scrub_durations(&line)
+}
+
+/// Run `argv` (whitespace-separated, `{root}` = a fresh scratch
+/// directory holding `precreated` files) and describe what happened.
+fn run_cell(tag: &str, argv: &str, precreated: &[(&str, &str)]) -> String {
+    let root = std::env::temp_dir().join(format!("kagen_cli_contract_{tag}"));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).unwrap();
+    for (name, content) in precreated {
+        std::fs::write(root.join(name), content).unwrap();
+    }
+    let before = snapshot(&root);
+    let args: Vec<String> = argv
+        .split_whitespace()
+        .map(|a| a.replace("{root}", root.to_str().unwrap()))
+        .collect();
+    let out = Command::new(KAGEN)
+        .args(&args)
+        .env_remove("KAGEN_LOG")
+        .output()
+        .expect("cannot spawn kagen");
+    let code = match out.status.code() {
+        Some(c) => c.to_string(),
+        None => "signal".to_string(),
+    };
+    let disk = if snapshot(&root) == before { '-' } else { 'D' };
+    let line = scrub(&String::from_utf8_lossy(&out.stderr), &root);
+    std::fs::remove_dir_all(&root).ok();
+    format!("{code} {disk} {line}").trim_end().to_string()
+}
+
+/// Run a `(row label, argv per mode)` table and compare it against the
+/// checked-in expectations.
+fn check_table(table: &str, rows: &[(String, [String; 4], &Want)]) {
+    let mut found = String::new();
+    let mut mismatches = Vec::new();
+    for (i, (label, argvs, want)) in rows.iter().enumerate() {
+        let got: Vec<String> = MODES
+            .iter()
+            .zip(argvs)
+            .map(|(mode, argv)| run_cell(&format!("{table}_{i}_{mode:?}"), argv, &[]))
+            .collect();
+        // Source form: `{mode}` back in, one string if all four agree.
+        let folded: Vec<String> = MODES
+            .iter()
+            .zip(&got)
+            .map(|(m, g)| g.replacen(&format!("{}:", m.prefix()), "{mode}:", 1))
+            .collect();
+        if folded.iter().all(|f| *f == folded[0]) {
+            found.push_str(&format!("    ({label:?}, All({:?})),\n", folded[0]));
+        } else {
+            found.push_str(&format!("    ({label:?}, Each([\n"));
+            for f in &folded {
+                found.push_str(&format!("        {f:?},\n"));
+            }
+            found.push_str("    ])),\n");
+        }
+        for (k, mode) in MODES.iter().enumerate() {
+            let want = match want {
+                All(w) => w,
+                Each(w) => w[k],
+            }
+            .replace("{mode}", mode.prefix());
+            if got[k] != want {
+                mismatches.push(format!(
+                    "{label} [{mode:?}]\n  want: {want}\n  got:  {}",
+                    got[k]
+                ));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} cells of the {table} table differ:\n{}\n\nthe table as found:\n{found}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// The model every flag cell runs.
+const TINY: &str = "gnm_undirected -n 64 -m 128 -c 4";
+
+/// Every spelling the parser knows, with a value it accepts.
+#[rustfmt::skip] // one row per line (or five), so a flipped row is a one-row diff
+const FLAG_MATRIX: &[(&str, Want)] = &[
+    ("-n 64", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-m 128", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-p 0.5", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-r 0.5", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-d 4", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-T 0.5", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-b 2", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--p-in 0.1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--p-out 0.1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--rmat-levels 4", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--rmat-kernel linear", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--gnp-leaves skip", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-s 7", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 226 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 226 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 62 edges in <t>s",
+    ])),
+    ("-c 4", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-t 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-o {root}/out", Each([
+        "0 D",
+        "2 - {mode}: -o requires --merge external (shards go to --shard-dir)",
+        "2 - {mode}: -o requires `kagen stream --merge external` or `kagen <model>`",
+        "2 - {mode}: -o requires `kagen stream --merge external` or `kagen <model>`",
+    ])),
+    ("-f binary", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format binary -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--stats", Each([
+        "0 - kagen: n = 64, m = 128, degrees 0/4.00/10, generated in <t>s",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --stats requires `kagen <model>` or `kagen stream`",
+        "2 - {mode}: --stats requires `kagen <model>` or `kagen stream`",
+    ])),
+    ("--shard-dir {root}/shards", Each([
+        "2 - {mode}: --shard-dir requires `kagen stream|launch|worker`",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--merge external", Each([
+        "2 - {mode}: --merge requires `kagen stream`",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --merge requires `kagen stream`",
+        "2 - {mode}: --merge requires `kagen stream`",
+    ])),
+    ("--merge-budget 1000", Each([
+        "2 - {mode}: --merge-budget requires `kagen stream`",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --merge-budget requires `kagen stream`",
+        "2 - {mode}: --merge-budget requires `kagen stream`",
+    ])),
+    ("--merge-fan-in 8", Each([
+        "2 - {mode}: --merge-fan-in requires `kagen stream`",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --merge-fan-in requires `kagen stream`",
+        "2 - {mode}: --merge-fan-in requires `kagen stream`",
+    ])),
+    ("--workers 1", Each([
+        "2 - {mode}: --workers requires `kagen launch`",
+        "2 - {mode}: --workers requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --workers requires `kagen launch`",
+    ])),
+    ("--resume", Each([
+        "2 - {mode}: --resume requires `kagen launch`",
+        "2 - {mode}: --resume requires `kagen launch`",
+        "1 D {mode}: No such file or directory (os error 2)",
+        "2 - {mode}: --resume requires `kagen launch`",
+    ])),
+    ("--no-validate", Each([
+        "2 - {mode}: --no-validate requires `kagen launch`",
+        "2 - {mode}: --no-validate requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --no-validate requires `kagen launch`",
+    ])),
+    ("--validate full", Each([
+        "2 - {mode}: --validate requires `kagen launch`",
+        "2 - {mode}: --validate requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --validate requires `kagen launch`",
+    ])),
+    ("--retries 1", Each([
+        "2 - {mode}: --retries requires `kagen launch`",
+        "2 - {mode}: --retries requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --retries requires `kagen launch`",
+    ])),
+    ("--pe-range 0..1", Each([
+        "2 - {mode}: --pe-range requires `kagen worker`",
+        "2 - {mode}: --pe-range requires `kagen worker`",
+        "2 - {mode}: --pe-range requires `kagen worker` (launch plans ranks itself)",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--rank 3", Each([
+        "2 - {mode}: --rank requires `kagen worker`",
+        "2 - {mode}: --rank requires `kagen worker`",
+        "2 - {mode}: --rank requires `kagen worker`",
+        "0 D kagen worker rank 3: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-v", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-vv", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("-q", Each([
+        "0 -",
+        "0 D",
+        "0 D",
+        "0 D",
+    ])),
+    ("-qq", Each([
+        "0 -",
+        "0 D",
+        "0 D",
+        "0 D",
+    ])),
+    ("--metrics-out {root}/m.json", Each([
+        "2 - {mode}: --metrics-out requires `kagen stream|launch|worker`",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--trace-out {root}/t.json", Each([
+        "0 D",
+        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--metrics-sidecar", Each([
+        "2 - {mode}: --metrics-sidecar requires `kagen worker` (launch --metrics-out sets it)",
+        "2 - {mode}: --metrics-sidecar requires `kagen worker` (launch --metrics-out sets it)",
+        "2 - {mode}: --metrics-sidecar requires `kagen worker` (launch --metrics-out sets it)",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--trace-sidecar", Each([
+        "2 - {mode}: --trace-sidecar requires `kagen worker` (launch --trace-out sets it)",
+        "2 - {mode}: --trace-sidecar requires `kagen worker` (launch --trace-out sets it)",
+        "2 - {mode}: --trace-sidecar requires `kagen worker` (launch --trace-out sets it)",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--heartbeat", Each([
+        "2 - {mode}: --heartbeat requires `kagen worker` (launch --progress/--stall-timeout set it)",
+        "2 - {mode}: --heartbeat requires `kagen worker` (launch --progress/--stall-timeout set it)",
+        "2 - {mode}: --heartbeat requires `kagen worker` (launch --progress/--stall-timeout set it)",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
+    ])),
+    ("--progress 1", Each([
+        "2 - {mode}: --progress requires `kagen launch`",
+        "2 - {mode}: --progress requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --progress requires `kagen launch`",
+    ])),
+    ("--stall-timeout 5", Each([
+        "2 - {mode}: --stall-timeout requires `kagen launch`",
+        "2 - {mode}: --stall-timeout requires `kagen launch`",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
+        "2 - {mode}: --stall-timeout requires `kagen launch`",
+    ])),
+];
+
+#[test]
+fn flag_by_mode_matrix() {
+    let rows: Vec<_> = FLAG_MATRIX
+        .iter()
+        .map(|(flag, want)| {
+            let argvs = MODES.map(|m| m.argv(TINY, flag));
+            (flag.to_string(), argvs, want)
+        })
+        .collect();
+    check_table("flags", &rows);
+}
+
+/// Each model at, just inside and just outside every range its
+/// constructor asserts (`-c 4` unless the row says otherwise).
+#[rustfmt::skip] // one row per line (or five), so a flipped row is a one-row diff
+const MODEL_CORNERS: &[(&str, Want)] = &[
+    ("gnm_directed -n 10 -m 89", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 89 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 89 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnm_directed -n 10 -m 90", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 90 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 90 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnm_directed -n 10 -m 91", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnm_directed -n 0 -m 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnm_directed -n 0 -m 1", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnm_undirected -n 10 -m 44", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 80 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 80 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 17 edges in <t>s",
+    ])),
+    ("gnm_undirected -n 10 -m 45", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 82 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 82 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 17 edges in <t>s",
+    ])),
+    ("gnm_undirected -n 10 -m 46", All("101 - panicked at crates/core/src/er/undirected.rs")),
+    ("gnm_undirected -n 64 -m 128 -c 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 128 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 128 edges in <t>s",
+    ])),
+    ("gnm_undirected -n 64 -m 128 -c 0", Each([
+        "101 - panicked at crates/core/src/er/undirected.rs",
+        "101 - panicked at crates/core/src/er/undirected.rs",
+        "101 - panicked at crates/core/src/er/undirected.rs",
+        "2 - {mode}: --pe-range 0..1 is not a non-empty sub-range of 0..0 (-c)",
+    ])),
+    ("gnp_directed -n 64 -p 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnp_directed -n 64 -p 0.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 41 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 41 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnp_directed -n 64 -p 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 4032 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 4032 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 1008 edges in <t>s",
+    ])),
+    ("gnp_directed -n 64 -p 1.01", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnp_directed -n 64 -p -0.01", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnp_directed -n 64 -p nan", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnp_undirected -n 64 -p 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnp_undirected -n 64 -p 0.99", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 3518 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 3518 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 881 edges in <t>s",
+    ])),
+    ("gnp_undirected -n 64 -p 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 3552 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 3552 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 888 edges in <t>s",
+    ])),
+    ("gnp_undirected -n 64 -p 2", All("101 - panicked at crates/core/src/er/undirected.rs")),
+    ("gnp_undirected -n 64 -p -0.01", All("101 - panicked at crates/core/src/er/undirected.rs")),
+    ("rgg2d -n 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg2d -n 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rgg2d -n 64 -r 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg2d -n 64 -r 0.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 2 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 2 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 2 edges in <t>s",
+    ])),
+    ("rgg2d -n 64 -r 0.99", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 1959 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 1959 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 1959 edges in <t>s",
+    ])),
+    ("rgg2d -n 64 -r 1", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg2d -n 64 -r 5", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg3d -n 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg3d -n 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rgg3d -n 64 -r 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg3d -n 64 -r 0.02", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rgg3d -n 64 -r 0.99", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 1840 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 1840 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 1840 edges in <t>s",
+    ])),
+    ("rgg3d -n 64 -r 1", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rdg2d -n 3", All("101 - panicked at crates/core/src/rdg.rs")),
+    ("rdg2d -n 4", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 6 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 6 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 6 edges in <t>s",
+    ])),
+    ("rdg2d -n 5", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 9 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 9 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 9 edges in <t>s",
+    ])),
+    ("rdg3d -n 4", All("101 - panicked at crates/core/src/rdg.rs")),
+    ("rdg3d -n 5", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 10 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 10 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 10 edges in <t>s",
+    ])),
+    ("rdg3d -n 6", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 15 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 15 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 15 edges in <t>s",
+    ])),
+    ("rhg -n 1 -d 0.5 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("rhg -n 2 -d 0.5 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rhg -n 64 -d 0 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("rhg -n 64 -d 0.01 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rhg -n 64 -d 4 -g 2", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("rhg -n 64 -d 4 -g 2.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("rhg -n 64 -d 4 -g 1.5", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("rhg -n 2 -d 8 -g 2.8", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("rhg -n 3 -d 8 -g 2.8", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 5 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 5 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("srhg -n 1 -d 0.5 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("srhg -n 2 -d 0.5 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("srhg -n 64 -d 0 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("srhg -n 64 -d 0.01 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("srhg -n 64 -d 4 -g 2", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("srhg -n 64 -d 4 -g 2.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("srhg -n 2 -d 8 -g 2.8", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("srhg -n 3 -d 8 -g 2.8", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 3 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 3 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("soft-rhg -n 1 -d 0.5 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("soft-rhg -n 2 -d 0.5 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("soft-rhg -n 64 -d 0 -g 3", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("soft-rhg -n 64 -d 0.01 -g 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("soft-rhg -n 64 -d 4 -g 2", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("soft-rhg -n 64 -d 4 -g 2.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("soft-rhg -n 2 -d 8 -g 2.8", Each([
+        "101 - panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+        "1 D panicked at crates/geometry/src/hyperbolic.rs",
+        "101 D panicked at crates/geometry/src/hyperbolic.rs",
+    ])),
+    ("soft-rhg -n 3 -d 8 -g 2.8", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 5 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 5 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 0", All("101 - panicked at crates/core/src/rhg/soft.rs")),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 0.01", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 114 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 114 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 28 edges in <t>s",
+    ])),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 0.99", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 483 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 483 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 107 edges in <t>s",
+    ])),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 1", All("101 - panicked at crates/core/src/rhg/soft.rs")),
+    ("ba -n 64 -d 0", All("101 - panicked at crates/core/src/ba.rs")),
+    ("ba -n 64 -d 0.5", All("101 - panicked at crates/core/src/ba.rs")),
+    ("ba -n 64 -d 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 64 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 64 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 16 edges in <t>s",
+    ])),
+    ("ba -n 64 -d 2", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
+    ])),
+    ("ba -n 64 -d 2.7", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
+    ])),
+    ("ba -n 64 -d -1", All("101 - panicked at crates/core/src/ba.rs")),
+    ("rmat -n 9223372036854775808 -m 16", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 16 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 16 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 4 edges in <t>s",
+    ])),
+    ("rmat -n 9223372036854775809 -m 16", All("2 - {mode}: rmat needs n <= 2^63, got 9223372036854775809")),
+    ("rmat -n 64 -m 128 --rmat-levels 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
+    ])),
+    ("rmat -n 64 -m 128 --rmat-levels 12", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
+    ])),
+    ("rmat -n 64 -m 128 --rmat-levels 13", All("2 - {mode}: --rmat-levels 13 out of range (want 0..=12)")),
+    ("sbm -n 64 -b 0", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 23 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 23 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 23 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 64", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 4 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 4 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 65", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-in 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 2 --p-in 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 992 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 992 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 496 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 2 --p-in 1.01", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-in -0.01", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-out 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 9 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 9 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 6 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 2 --p-out 1", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 1033 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 1033 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 6 edges in <t>s",
+    ])),
+    ("sbm -n 64 -b 2 --p-out 1.01", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-out -0.01", All("101 - panicked at crates/core/src/sbm.rs")),
+];
+
+#[test]
+fn model_parameter_corners() {
+    let rows: Vec<_> = MODEL_CORNERS
+        .iter()
+        .map(|(model_args, want)| {
+            let chunks = if model_args.contains(" -c ") {
+                ""
+            } else {
+                "-c 4"
+            };
+            let argvs = MODES.map(|m| m.argv(model_args, chunks));
+            (model_args.to_string(), argvs, want)
+        })
+        .collect();
+    check_table("corners", &rows);
+}
+
+/// `(name, content)` of files present before a run.
+type Files = &'static [(&'static str, &'static str)];
+
+/// Argvs rejected (or accepted) for a reason of their own: one mode
+/// each, `{root}` holding the listed files beforehand.
+#[rustfmt::skip] // one row per line (or five), so a flipped row is a one-row diff
+const SPECIAL: &[(&str, Files, &str)] = &[
+    ("", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("--help", &[], "0 -"),
+    ("frobnicate -n 64", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("stream", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("gnm_undirected -n 64 -m 128 -c 4 --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("gnm_undirected -n 64 -m 128 -c 4 -n", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("gnm_undirected -n 64 -m 128 -c 4 -n abc", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 3", &[], "2 - kagen worker: --pe-range wants `a..b`, got '3'"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range a..b", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("gnm_directed -n 64 -m 128 -f bogus -o {root}/x.txt", &[("x.txt", "keep\n")], "2 D see `kagen --help` (module docs) for usage"),
+    ("gnm_directed -n 64 -m 128 -f bogus", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("gnm_directed -n 64 -m 128 -f metis -o {root}/x.txt", &[("x.txt", "keep\n")], "0 D"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f metis", &[], "2 - kagen stream: unknown shard format 'metis'"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen stream: unknown shard format 'bogus'"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen launch: unknown shard format 'bogus'"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge sideways", &[], "2 - kagen stream: unknown merge mode 'sideways'"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -o {root}/merged", &[], "2 - kagen stream: -o requires --merge external (shards go to --shard-dir)"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge-budget 10 --merge-fan-in 0", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge none --merge-budget 10", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 0", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 1", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 1", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 2", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate full", &[], "2 - kagen launch: --no-validate conflicts with --validate full"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate maybe", &[], "2 - kagen launch: unknown validate mode 'maybe'"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 0", &[], "2 - kagen launch: --workers must be >= 1"),
+    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "0 -"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 (plain descent) conflicts with --rmat-kernel linear"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-levels 4 conflicts with --rmat-kernel plain (only 0 allowed)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel table is retired (slower than linear wherever it ran, capped at scale < 32); use --rmat-kernel linear, which defines a different instance per seed"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: unknown --rmat-kernel 'liner' (want linear | plain)"),
+    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "0 D kagen stream: wrote 4 shards, 6 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: unknown --gnp-leaves 'vitter' (want skip | algo-d)"),
+    ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "1 D panicked at crates/geometry/src/hyperbolic.rs"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --progress 0", &[], "2 - kagen launch: --progress wants a positive interval, got 0"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 2..2", &[], "2 - kagen worker: --pe-range 2..2 is not a non-empty sub-range of 0..4 (-c)"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 0..5", &[], "2 - kagen worker: --pe-range 0..5 is not a non-empty sub-range of 0..4 (-c)"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s", &[], "2 - kagen worker: --pe-range is required"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4", &[], "2 - kagen stream: --shard-dir is required"),
+];
+
+#[test]
+fn special_cases() {
+    let mut found = String::new();
+    let mut mismatches = Vec::new();
+    for (i, (argv, precreated, want)) in SPECIAL.iter().enumerate() {
+        let got = run_cell(&format!("special_{i}"), argv, precreated);
+        found.push_str(&format!("    ({argv:?}, &{precreated:?}, {got:?}),\n"));
+        if got != *want {
+            mismatches.push(format!("{argv}\n  want: {want}\n  got:  {got}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} special cases differ:\n{}\n\nthe table as found:\n{found}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+#[test]
+fn scrubbing_keeps_what_matters() {
+    let root = Path::new("/tmp/x");
+    assert_eq!(
+        scrub(
+            "thread 'main' (9537) panicked at crates/core/src/er/directed.rs:54:9:\nm=91",
+            root
+        ),
+        "panicked at crates/core/src/er/directed.rs"
+    );
+    assert_eq!(
+        scrub(
+            "kagen stream: wrote 4 shards -> /tmp/x/shards in 0.012s",
+            root
+        ),
+        "kagen stream: wrote 4 shards -> <tmp>/shards in <t>s"
+    );
+    assert_eq!(
+        scrub_durations("p=0.5 n=12 1.5x 10.25s."),
+        "p=0.5 n=12 1.5x <t>s."
+    );
+}
