@@ -14,14 +14,12 @@ use crate::heartbeat;
 use crate::ledger::{Ledger, RankStatus};
 use crate::metrics::RankMetrics;
 use crate::plan::{plan_ranks, plan_repairs, RankTask};
-use crate::trace::{RankTrace, WorkerTrace};
+use crate::trace::RankTrace;
 use crate::worker::{run_worker, FailureInjection};
 use kagen_core::streaming::StreamingGenerator;
 use kagen_obs::json::invalid;
-use kagen_obs::{trace, Counter, Histogram, HistogramSnapshot};
-use kagen_pipeline::{
-    validate_shard, validate_shard_sampled, Manifest, PartialManifest, RunHeader, ShardFormat,
-};
+use kagen_obs::{trace, Counter, Histogram};
+use kagen_pipeline::{validate_shard, validate_shard_sampled, Manifest, RunHeader, ShardFormat};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::io;
@@ -51,36 +49,19 @@ static CLUSTER_STALLS: Counter = Counter::new("cluster.stalls");
 /// machine) without process-spawn overhead, and so tests can inject
 /// failures deterministically.
 pub trait WorkerRunner: Sync {
-    /// Execute `task`, returning the shard infos it produced.
-    /// An `Err` marks the rank failed; its PEs stay pending.
-    fn run(&self, task: &RankTask) -> io::Result<Vec<kagen_pipeline::ShardInfo>>;
-
-    /// Worker-side telemetry for `task`'s just-finished run — e.g.
-    /// parsed from the sidecars the worker process wrote. Called once
-    /// after a successful [`WorkerRunner::run`]. The default reports
-    /// none: in-process runs share the coordinator's process-global
-    /// metrics and trace buffer, and attributing those to a single
-    /// rank would double-count them.
-    fn take_telemetry(&self, _task: &RankTask) -> RankTelemetry {
-        RankTelemetry::default()
-    }
+    /// Execute `task` and hand back its rank report: the shard infos it
+    /// produced and whatever telemetry the worker was asked for. An
+    /// `Err` — a failed worker, or a report that does not parse — marks
+    /// the rank failed; its PEs stay pending.
+    fn run(&self, task: &RankTask) -> io::Result<RankReport>;
 }
 
-/// What a runner hands the coordinator after a successful rank: the
-/// worker's metric scalars, its full histogram snapshots, and (when the
-/// worker traced) its span sidecar for federation.
-#[derive(Clone, Debug, Default)]
-pub struct RankTelemetry {
-    /// Flat `(name, value)` counter scalars from the metrics sidecar.
-    pub counters: Vec<(String, u64)>,
-    /// Full histogram snapshots from the metrics sidecar.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// The worker's trace sidecar, if it wrote one.
-    pub trace: Option<WorkerTrace>,
-}
+/// What a finished rank hands the coordinator: the document a worker
+/// process leaves as `part-<a>-<b>.json`.
+pub use kagen_pipeline::PartialManifest as RankReport;
 
 /// Spawn `exe worker <args> --pe-range a..b --rank r` as a child
-/// process, wait for it, and collect its partial manifest.
+/// process, wait for it, and collect its rank report.
 #[derive(Debug)]
 pub struct ProcessRunner {
     /// Binary to execute (normally `std::env::current_exe()` — the
@@ -89,7 +70,7 @@ pub struct ProcessRunner {
     /// Everything the worker needs except the PE range and rank: the
     /// model name, its parameters, seed, chunks, format, shard dir.
     pub worker_args: Vec<String>,
-    /// Shard directory (to read partial manifests back).
+    /// Shard directory (to read rank reports back).
     pub dir: PathBuf,
     /// Kill a worker whose heartbeat file has not *changed* within this
     /// window and report the attempt as failed (feeding the retry
@@ -145,12 +126,13 @@ impl ProcessRunner {
 }
 
 impl WorkerRunner for ProcessRunner {
-    fn run(&self, task: &RankTask) -> io::Result<Vec<kagen_pipeline::ShardInfo>> {
+    fn run(&self, task: &RankTask) -> io::Result<RankReport> {
+        let (a, b) = (task.pe_begin as u64, task.pe_end as u64);
         let mut cmd = std::process::Command::new(&self.exe);
         cmd.arg("worker")
             .args(&self.worker_args)
             .arg("--pe-range")
-            .arg(format!("{}..{}", task.pe_begin, task.pe_end))
+            .arg(format!("{a}..{b}"))
             .arg("--rank")
             .arg(task.rank.to_string());
         let result = match self.stall_timeout {
@@ -161,44 +143,19 @@ impl WorkerRunner for ProcessRunner {
         // way: success ends the liveness question, and a failed/stalled
         // attempt must not leave bytes a retry would then have to
         // overwrite before the watchdog trusts the file again.
-        std::fs::remove_file(self.dir.join(heartbeat::heartbeat_file_name(
-            task.pe_begin as u64,
-            task.pe_end as u64,
-        )))
-        .ok();
+        std::fs::remove_file(self.dir.join(heartbeat::heartbeat_file_name(a, b))).ok();
         let status = result?;
         if !status.success() {
             return Err(io::Error::other(format!(
-                "worker rank {} (PEs {}..{}) exited with {status}",
-                task.rank, task.pe_begin, task.pe_end
+                "worker rank {} (PEs {a}..{b}) exited with {status}",
+                task.rank
             )));
         }
-        let part = PartialManifest::load(&self.dir, task.pe_begin as u64, task.pe_end as u64)?;
-        // The ledger takes over as the record; drop the part file.
-        std::fs::remove_file(self.dir.join(PartialManifest::file_name(
-            task.pe_begin as u64,
-            task.pe_end as u64,
-        )))
-        .ok();
-        Ok(part.shards)
-    }
-
-    fn take_telemetry(&self, task: &RankTask) -> RankTelemetry {
-        let (a, b) = (task.pe_begin as u64, task.pe_end as u64);
-        // Absent sidecars (worker ran without telemetry) are not an
-        // error; the rank entry simply carries no worker telemetry.
-        let side = crate::metrics::load_sidecar(&self.dir, a, b)
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        std::fs::remove_file(self.dir.join(crate::metrics::sidecar_file_name(a, b))).ok();
-        let worker_trace = crate::trace::load_sidecar(&self.dir, a, b).ok().flatten();
-        std::fs::remove_file(self.dir.join(crate::trace::trace_sidecar_file_name(a, b))).ok();
-        RankTelemetry {
-            counters: side.counters,
-            histograms: side.histograms,
-            trace: worker_trace,
-        }
+        // The ledger and the federated documents take over as the
+        // record; the report file goes whether or not it parsed.
+        let report = RankReport::load(&self.dir, a, b);
+        std::fs::remove_file(self.dir.join(RankReport::file_name(a, b))).ok();
+        report
     }
 }
 
@@ -249,7 +206,10 @@ impl<'a> InProcessRunner<'a> {
 }
 
 impl WorkerRunner for InProcessRunner<'_> {
-    fn run(&self, task: &RankTask) -> io::Result<Vec<kagen_pipeline::ShardInfo>> {
+    /// No telemetry: an in-process rank shares the coordinator's
+    /// process-global metrics and trace buffer, and attributing those to
+    /// a single rank would double-count them.
+    fn run(&self, task: &RankTask) -> io::Result<RankReport> {
         let inject = FailureInjection {
             fail_before_pe: task.pes().find(|pe| self.fail_pes.contains(pe)),
             ..Default::default()
@@ -262,12 +222,13 @@ impl WorkerRunner for InProcessRunner<'_> {
             self.threads,
             inject,
         )?;
-        std::fs::remove_file(self.dir.join(PartialManifest::file_name(
-            task.pe_begin as u64,
-            task.pe_end as u64,
-        )))
-        .ok();
-        Ok(shards)
+        Ok(RankReport {
+            pe_begin: task.pe_begin as u64,
+            pe_end: task.pe_end as u64,
+            shards,
+            metrics: None,
+            trace: None,
+        })
     }
 }
 
@@ -427,12 +388,12 @@ pub struct LaunchReport {
     /// PEs whose existing shards failed resume-time validation and were
     /// regenerated (subset of `regenerated_pes`).
     pub invalidated_pes: Vec<usize>,
-    /// Per-rank telemetry (wall time, attempts, edges, worker sidecar
+    /// Per-rank telemetry (wall time, attempts, edges, the worker's
     /// counters and histograms) for every rank that finished, in rank
     /// order — the input [`crate::metrics::RunMetrics::federate`] turns
     /// into `metrics.json`.
     pub rank_metrics: Vec<RankMetrics>,
-    /// Worker trace sidecars collected from ranks that traced, in rank
+    /// Worker traces collected from ranks that traced, in rank
     /// order — the input [`crate::trace::federate_chrome_trace`] turns
     /// into the run-wide timeline.
     pub rank_traces: Vec<RankTrace>,
@@ -540,14 +501,12 @@ pub fn launch(
     });
     let wake = Condvar::new();
     /// What a supervisor reports per attempt: the task, its attempt
-    /// index, the attempt's wall microseconds, the worker's sidecar
-    /// telemetry (successful attempts only), and the outcome.
+    /// index, the attempt's wall microseconds, and the outcome.
     struct RankOutcome {
         task: RankTask,
         attempt: u64,
         wall_us: u64,
-        telemetry: RankTelemetry,
-        result: io::Result<Vec<kagen_pipeline::ShardInfo>>,
+        result: io::Result<RankReport>,
     }
     let (tx, rx) = mpsc::channel::<RankOutcome>();
     let supervisors = opts.workers.min(tasks.len()).max(1);
@@ -647,16 +606,10 @@ pub fn launch(
                             Err(io::Error::other(format!("worker panicked: {msg}")))
                         });
                 let wall_us = (rank_span.finish() * 1e6) as u64;
-                let telemetry = if result.is_ok() {
-                    runner.take_telemetry(&task)
-                } else {
-                    RankTelemetry::default()
-                };
                 let outcome = RankOutcome {
                     task,
                     attempt,
                     wall_us,
-                    telemetry,
                     result,
                 };
                 if tx.send(outcome).is_err() {
@@ -670,15 +623,15 @@ pub fn launch(
                 task,
                 attempt,
                 wall_us,
-                telemetry,
                 result,
             } = outcome;
             let rank = task.rank;
             let mut finished = true;
             match result {
-                Ok(shards) => {
+                Ok(report) => {
                     CLUSTER_RANK_WALL_US.record(wall_us);
-                    let edges: u64 = shards.iter().map(|s| s.edges).sum();
+                    let telemetry = report.metrics.unwrap_or_default();
+                    let edges: u64 = report.shards.iter().map(|s| s.edges).sum();
                     done_pes.fetch_add((task.pe_end - task.pe_begin) as u64, Ordering::Relaxed);
                     done_edges.fetch_add(edges, Ordering::Relaxed);
                     rank_metrics.push(RankMetrics {
@@ -691,15 +644,15 @@ pub fn launch(
                         counters: telemetry.counters,
                         histograms: telemetry.histograms,
                     });
-                    if let Some(wt) = telemetry.trace {
+                    if let Some(trace) = report.trace {
                         rank_traces.push(RankTrace {
                             rank: rank as u64,
                             pe_begin: task.pe_begin as u64,
                             pe_end: task.pe_end as u64,
-                            trace: wt,
+                            trace,
                         });
                     }
-                    ledger.record_rank_done(rank, shards);
+                    ledger.record_rank_done(rank, report.shards);
                 }
                 Err(e) if attempt < opts.retries => {
                     kagen_obs::warn!(

@@ -40,7 +40,7 @@ pub enum ShardState {
 pub enum RankStatus {
     /// Not yet spawned, or spawned and not yet finished.
     Pending,
-    /// Worker exited successfully and its partial manifest was merged.
+    /// Worker exited successfully and its rank report was merged.
     Done,
     /// Worker exited with an error; its PEs stay pending.
     Failed,

@@ -9,15 +9,16 @@
 //! * [`plan`] — split the PE range into contiguous rank ranges
 //!   (fresh runs) or coalesce missing PEs into repair tasks (resume).
 //! * [`worker`] — the worker body: generate a PE range into shard files
-//!   plus a partial manifest; shared verbatim between `kagen worker`
-//!   subprocesses and the in-process runner.
+//!   and return their infos; shared verbatim between `kagen worker`
+//!   subprocesses (which wrap them into a rank report file) and the
+//!   in-process runner.
 //! * [`ledger`] — `ledger.json`: per-shard state with generation-time
 //!   checksums and per-rank status, rewritten atomically after every
 //!   rank, so an interrupted run resumes instead of restarting.
 //! * [`launch`] — the coordinator: supervise up to W concurrent workers
 //!   ([`ProcessRunner`] re-execs the `kagen` binary, [`InProcessRunner`]
 //!   calls the same code in-process), validate shard checksums, federate
-//!   partial manifests into the final `manifest.json` — byte-identical
+//!   the rank reports into the final `manifest.json` — byte-identical
 //!   to a single-process `kagen stream` run of the same instance.
 //!
 //! ## Quickstart (in-process runner)
@@ -54,8 +55,8 @@ pub mod worker;
 
 pub use heartbeat::{Heartbeat, HeartbeatPublisher, HEARTBEAT_INTERVAL, HEARTBEAT_SCHEMA};
 pub use launch::{
-    launch, InProcessRunner, LaunchOptions, LaunchReport, ProcessRunner, RankTelemetry,
-    ValidateMode, WorkerRunner, SAMPLED_BLOCKS,
+    launch, InProcessRunner, LaunchOptions, LaunchReport, ProcessRunner, RankReport, ValidateMode,
+    WorkerRunner, SAMPLED_BLOCKS,
 };
 pub use ledger::{Ledger, RankRecord, RankStatus, ShardState, LEDGER_FILE};
 pub use metrics::{RankMetrics, RunMetrics, SidecarTelemetry, METRICS_SCHEMA};
@@ -311,7 +312,7 @@ mod tests {
             inside: AtomicUsize,
         }
         impl WorkerRunner for Rendezvous<'_> {
-            fn run(&self, task: &RankTask) -> std::io::Result<Vec<kagen_pipeline::ShardInfo>> {
+            fn run(&self, task: &RankTask) -> std::io::Result<RankReport> {
                 self.inside.fetch_add(1, Ordering::SeqCst);
                 let deadline = Instant::now() + Duration::from_secs(10);
                 while self.inside.load(Ordering::SeqCst) < 2 {
@@ -365,7 +366,7 @@ mod tests {
         }
         use std::sync::Mutex;
         impl WorkerRunner for Flaky<'_> {
-            fn run(&self, task: &RankTask) -> std::io::Result<Vec<kagen_pipeline::ShardInfo>> {
+            fn run(&self, task: &RankTask) -> std::io::Result<RankReport> {
                 if self.first_attempts.lock().unwrap().insert(task.rank) {
                     self.failures.fetch_add(1, Ordering::SeqCst);
                     return Err(std::io::Error::other("transient fault"));
@@ -449,7 +450,7 @@ mod tests {
             inner: InProcessRunner<'a>,
         }
         impl WorkerRunner for Panicky<'_> {
-            fn run(&self, task: &RankTask) -> std::io::Result<Vec<kagen_pipeline::ShardInfo>> {
+            fn run(&self, task: &RankTask) -> std::io::Result<RankReport> {
                 if task.pes().contains(&3) {
                     panic!("degenerate configuration on rank {}", task.rank);
                 }
@@ -615,6 +616,41 @@ mod tests {
             sampled_4.is_ok(),
             "expected the K=4 spacing to miss a mid-payload flip in this layout"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One document, one verdict: a worker process that exits 0 but
+    /// leaves a rank report that does not parse fails its rank, and the
+    /// report file is consumed either way.
+    #[cfg(unix)]
+    #[test]
+    fn unparsable_rank_report_fails_the_rank() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmp("bad_report");
+        std::fs::create_dir_all(&dir).unwrap();
+        let report = dir.join("part-00000-00002.json");
+        let exe = dir.join("fake-worker.sh");
+        let body = "{\"pe_begin\": 0, \"pe_end\": 2, \"shards\": [], \"metrics\": 7}";
+        std::fs::write(
+            &exe,
+            format!("#!/bin/sh\necho '{body}' > {}\n", report.display()),
+        )
+        .unwrap();
+        std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+        let runner = ProcessRunner {
+            exe,
+            worker_args: Vec::new(),
+            dir: dir.clone(),
+            stall_timeout: None,
+        };
+        let task = RankTask {
+            rank: 0,
+            pe_begin: 0,
+            pe_end: 2,
+        };
+        let err = runner.run(&task).unwrap_err();
+        assert!(err.to_string().contains("part-00000-00002.json"), "{err}");
+        assert!(!report.exists(), "the report must be consumed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,9 +1,9 @@
-//! Per-rank telemetry federation: worker sidecars in, one run-wide
+//! Per-rank telemetry federation: rank reports in, one run-wide
 //! `metrics.json` out — the metrics mirror of `RunHeader::federate`.
 //!
-//! Each worker process snapshots its obs counters into a sidecar next
-//! to its partial manifest (`part-<a>-<b>.metrics.json`); the
-//! coordinator collects one [`RankMetrics`] per finished rank (sidecar
+//! Each worker process snapshots its obs counters into the `metrics`
+//! member of its rank report (`part-<a>-<b>.json`); the coordinator
+//! collects one [`RankMetrics`] per finished rank (the report's
 //! counters, shard edge totals, its own wall-clock and attempt
 //! bookkeeping) and [`RunMetrics`] federates them into a single
 //! document. The same invariant the manifest federation enforces holds
@@ -16,7 +16,7 @@
 //! the documents are structs over [`kagen_obs::json`], whose subset has
 //! no floats.
 //!
-//! Sidecars and the run-wide document carry each histogram's log2
+//! Rank reports and the run-wide document carry each histogram's log2
 //! bucket vector, and the coordinator merges them bucket-wise across
 //! ranks ([`RunMetrics::merged_histograms`]) so per-stage latency
 //! distributions survive federation instead of collapsing to
@@ -29,42 +29,15 @@ use kagen_obs::metrics::{counters_from, counters_value, histograms_from, histogr
 use kagen_obs::HistogramSnapshot;
 use kagen_pipeline::Manifest;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// What one worker's metrics sidecar carries: this process's
+/// What a rank report's `metrics` member carries: the worker process's
 /// [`kagen_obs::Telemetry`] document, under the name the launcher has
 /// always used for it.
 pub use kagen_obs::Telemetry as SidecarTelemetry;
 
 /// Schema tag of the federated metrics document.
 pub const METRICS_SCHEMA: &str = "kagen-metrics/v2";
-
-/// Sidecar file name for the rank covering PEs `[pe_begin, pe_end)` —
-/// the partial manifest's name with a `.metrics.json` suffix.
-pub fn sidecar_file_name(pe_begin: u64, pe_end: u64) -> String {
-    format!("part-{pe_begin:05}-{pe_end:05}.metrics.json")
-}
-
-/// Write this process's current obs metrics as the sidecar for PEs
-/// `[pe_begin, pe_end)`. Called by the worker after its partial
-/// manifest is complete; a plain extra file, never read by the shard
-/// pipeline — output bytes are untouched.
-pub fn write_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PathBuf> {
-    let path = dir.join(sidecar_file_name(pe_begin, pe_end));
-    std::fs::write(&path, SidecarTelemetry::capture().to_json())?;
-    Ok(path)
-}
-
-/// Load (and leave in place) the sidecar for PEs `[pe_begin, pe_end)`.
-/// `Ok(None)` if no sidecar exists — the worker ran without telemetry.
-pub fn load_sidecar(
-    dir: &Path,
-    pe_begin: u64,
-    pe_end: u64,
-) -> io::Result<Option<SidecarTelemetry>> {
-    let path = dir.join(sidecar_file_name(pe_begin, pe_end));
-    json::load_optional(&path, SidecarTelemetry::from_json)
-}
 
 /// One finished rank's telemetry, as the coordinator saw it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,10 +55,10 @@ pub struct RankMetrics {
     pub wall_us: u64,
     /// Attempts consumed (1 = first try succeeded).
     pub attempts: u64,
-    /// Worker-side counter snapshot from the sidecar (empty when the
-    /// worker ran without telemetry or in the coordinator's process).
+    /// Worker-side counter snapshot from the rank report (empty when
+    /// the worker ran without telemetry or in the coordinator's process).
     pub counters: Vec<(String, u64)>,
-    /// Worker-side full histogram snapshots from the sidecar (empty
+    /// Worker-side full histogram snapshots from the rank report (empty
     /// under the same conditions as `counters`).
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -371,19 +344,12 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrip() {
-        let dir = std::env::temp_dir().join("kagen_metrics_sidecar");
-        std::fs::create_dir_all(&dir).unwrap();
-        // No sidecar -> None, not an error.
-        assert!(load_sidecar(&dir, 90, 95).unwrap().is_none());
-        let path = dir.join(sidecar_file_name(0, 3));
-        std::fs::write(
-            &path,
+        let side = SidecarTelemetry::from_json(
             "{\"counters\":{\"gen.edges\":12,\"rng.words\":256},\"histograms\":\
              {\"sink.shard_wall_us\":{\"count\":2,\"sum\":300,\
              \"buckets\":[{\"bucket\":8,\"count\":2}]}}}",
         )
         .unwrap();
-        let side = load_sidecar(&dir, 0, 3).unwrap().unwrap();
         assert_eq!(
             side.counters,
             vec![("gen.edges".into(), 12), ("rng.words".into(), 256)]
@@ -391,27 +357,21 @@ mod tests {
         assert_eq!(side.histograms.len(), 1);
         assert_eq!(side.histograms[0].1.count, 2);
         assert_eq!(side.histograms[0].1.buckets, vec![(8, 2)]);
-        // A malformed sidecar is an error naming the file.
-        std::fs::write(&path, "{\"counters\":7,\"histograms\":{}}").unwrap();
-        let err = load_sidecar(&dir, 0, 3).unwrap_err();
-        assert!(err.to_string().contains("metrics.json"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        let err = SidecarTelemetry::from_json("{\"counters\":7,\"histograms\":{}}").unwrap_err();
+        assert!(err.contains("counters is not an object"), "{err}");
     }
 
     #[test]
     fn live_sidecar_write_carries_histograms() {
         static H: kagen_obs::Histogram = kagen_obs::Histogram::new("test.cluster.sidecar_hist");
-        let dir = std::env::temp_dir().join("kagen_metrics_sidecar_live");
-        std::fs::create_dir_all(&dir).unwrap();
         kagen_obs::metrics::set_enabled(true);
         H.record(100);
-        write_sidecar(&dir, 10, 12).unwrap();
-        let side = load_sidecar(&dir, 10, 12).unwrap().unwrap();
+        let side = SidecarTelemetry::from_json(&SidecarTelemetry::capture().to_json()).unwrap();
         let (_, h) = side
             .histograms
             .iter()
             .find(|(n, _)| n == "test.cluster.sidecar_hist")
-            .expect("recorded histogram must appear in the sidecar");
+            .expect("recorded histogram must appear in the document");
         assert!(h.count >= 1);
         assert_eq!(h.bucket_total(), h.count);
         // The flattened scalars ride alongside.
@@ -419,6 +379,5 @@ mod tests {
             .counters
             .iter()
             .any(|(n, _)| n == "test.cluster.sidecar_hist.count"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,12 +1,12 @@
-//! Cross-rank trace federation: worker span sidecars in, one
-//! Perfetto-loadable timeline out.
+//! Cross-rank trace federation: the `trace` members of the rank reports
+//! in, one Perfetto-loadable timeline out.
 //!
 //! Each worker process buffers its spans with `kagen_obs::trace` and,
-//! when launch telemetry is on, dumps them as a sidecar next to its
-//! partial manifest (`part-<a>-<b>.trace.json`). The sidecar is the
+//! when launch telemetry is on, puts them into its rank report
+//! (`part-<a>-<b>.json`) as the `trace` member. The member is the
 //! same document `kagen stream --trace-out` writes, itself a valid
 //! Chrome trace (it has a `traceEvents` array), but its timestamps are
-//! microseconds on the *worker's* monotonic clock — so the header
+//! microseconds on the *worker's* monotonic clock — so its header
 //! carries the wall-clock anchor captured when that clock's epoch was
 //! pinned ([`kagen_obs::trace::epoch_unix_us`]), and the coordinator
 //! realigns every worker event onto its own timeline:
@@ -21,45 +21,20 @@
 //! (`rank 2 worker (PEs 8..12)`), ranks sort under the coordinator, and
 //! a flow arrow links each supervisor `rank-N` span to the worker
 //! process-level span it spawned — retries included, because only the
-//! successful attempt writes a sidecar, and the arrow starts from the
+//! successful attempt writes a report, and the arrow starts from the
 //! *last* `rank-N` span.
-//!
-//! Like every telemetry file, sidecars are plain extra files: the shard
-//! pipeline never reads them and output bytes are untouched.
 
 use kagen_obs::json::{self, Layout, Value};
 use kagen_obs::trace::chrome_trace_value;
 use kagen_obs::TraceEvent;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One worker process's span buffer plus the header fields federation
 /// needs (its OS pid and the wall-clock anchor of its trace epoch):
 /// the [`kagen_obs::ProcessTrace`] document, under the names the
 /// launcher has always used for it.
 pub use kagen_obs::trace::{ProcessTrace as WorkerTrace, TRACE_SCHEMA as TRACE_SIDECAR_SCHEMA};
-
-/// Sidecar file name for the rank covering PEs `[pe_begin, pe_end)`.
-pub fn trace_sidecar_file_name(pe_begin: u64, pe_end: u64) -> String {
-    format!("part-{pe_begin:05}-{pe_end:05}.trace.json")
-}
-
-/// Write this process's span buffer as the trace sidecar for PEs
-/// `[pe_begin, pe_end)`. Called by the worker after its partial
-/// manifest is complete.
-pub fn write_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<PathBuf> {
-    let path = dir.join(trace_sidecar_file_name(pe_begin, pe_end));
-    kagen_obs::trace::write_chrome_trace(&path)?;
-    Ok(path)
-}
-
-/// Load (and leave in place) the trace sidecar for PEs
-/// `[pe_begin, pe_end)`. `Ok(None)` if no sidecar exists — the worker
-/// ran without tracing.
-pub fn load_sidecar(dir: &Path, pe_begin: u64, pe_end: u64) -> io::Result<Option<WorkerTrace>> {
-    let path = dir.join(trace_sidecar_file_name(pe_begin, pe_end));
-    json::load_optional(&path, WorkerTrace::from_json)
-}
 
 /// One rank's collected worker trace, tagged with its plan position.
 #[derive(Clone, Debug)]
@@ -70,7 +45,7 @@ pub struct RankTrace {
     pub pe_begin: u64,
     /// One past the rank's last PE.
     pub pe_end: u64,
-    /// The worker's sidecar payload.
+    /// The `trace` member of the rank's report.
     pub trace: WorkerTrace,
 }
 
@@ -122,16 +97,16 @@ fn worker_anchor(events: &[TraceEvent]) -> Option<&TraceEvent> {
 }
 
 /// Merge the coordinator's current span buffer with every rank's
-/// sidecar into one Chrome trace JSON document (see the module docs
+/// trace into one Chrome trace JSON document (see the module docs
 /// for the shape). Timestamps are realigned onto the coordinator's
-/// clock via the sidecar wall anchors.
+/// clock via the workers' wall anchors.
 pub fn federate_chrome_trace(ranks: &[RankTrace]) -> String {
     federate_with(&WorkerTrace::capture(), ranks)
 }
 
 /// [`federate_chrome_trace`] against an explicit coordinator view
 /// instead of this process's live trace buffer (deterministic tests,
-/// offline re-federation of saved sidecars).
+/// offline re-federation of saved traces).
 pub fn federate_with(coord: &WorkerTrace, ranks: &[RankTrace]) -> String {
     let shift = |rt: &RankTrace| rt.trace.epoch_unix_us as i64 - coord.epoch_unix_us as i64;
 
@@ -150,7 +125,7 @@ pub fn federate_with(coord: &WorkerTrace, ranks: &[RankTrace]) -> String {
         rows.extend(events.map(|e| e.to_value(rt.trace.pid, shift(rt))));
     }
     // Flow arrows: supervisor `rank-N` span -> worker process span.
-    // A retried rank has several `rank-N` spans; the sidecar belongs to
+    // A retried rank has several `rank-N` spans; the trace belongs to
     // the successful (last) attempt, so the arrow starts there.
     for rt in ranks {
         let rank_name = format!("rank-{}", rt.rank);
@@ -199,47 +174,35 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrip_preserves_events_and_anchor() {
-        let dir = std::env::temp_dir().join("kagen_trace_sidecar_rt");
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(load_sidecar(&dir, 4, 8).unwrap().is_none());
-        // Hand-written sidecar with a known anchor.
-        std::fs::write(
-            dir.join(trace_sidecar_file_name(4, 8)),
+        // Hand-written document with a known anchor.
+        let wt = WorkerTrace::from_json(
             "{\"schema\":\"kagen-trace-sidecar/v1\",\"pid\":4242,\
              \"epoch_unix_us\":1000000,\"traceEvents\":[{\"name\":\"worker.generate\",\
              \"cat\":\"kagen\",\"ph\":\"X\",\"ts\":5,\"dur\":90,\"pid\":4242,\"tid\":1}],\
              \"displayTimeUnit\":\"ms\"}",
         )
         .unwrap();
-        let wt = load_sidecar(&dir, 4, 8).unwrap().unwrap();
         assert_eq!(wt.pid, 4242);
         assert_eq!(wt.epoch_unix_us, 1_000_000);
         assert_eq!(wt.events, vec![ev("worker.generate", 5, 90, 1)]);
         // Unknown schema is rejected, not silently misread.
-        std::fs::write(
-            dir.join(trace_sidecar_file_name(4, 8)),
+        assert!(WorkerTrace::from_json(
             "{\"schema\":\"kagen-trace-sidecar/v9\",\"pid\":1,\"epoch_unix_us\":1,\
-             \"traceEvents\":[]}",
+             \"traceEvents\":[]}"
         )
-        .unwrap();
-        assert!(load_sidecar(&dir, 4, 8).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        .is_err());
     }
 
     #[test]
     fn live_sidecar_is_chrome_shaped_and_parses_back() {
-        let dir = std::env::temp_dir().join("kagen_trace_sidecar_live");
-        std::fs::create_dir_all(&dir).unwrap();
         kagen_obs::trace::set_enabled(true);
         let s = kagen_obs::trace::span("test.trace.live");
         let _ = s.finish();
-        write_sidecar(&dir, 0, 2).unwrap();
-        let wt = load_sidecar(&dir, 0, 2).unwrap().unwrap();
+        let wt = WorkerTrace::from_json(&WorkerTrace::capture().to_json()).unwrap();
         assert_eq!(wt.pid, std::process::id() as u64);
         assert_eq!(wt.epoch_unix_us, kagen_obs::trace::epoch_unix_us());
         assert!(wt.events.iter().any(|e| e.name == "test.trace.live"));
         kagen_obs::trace::set_enabled(false);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -329,7 +292,7 @@ mod tests {
     fn federation_links_flows_to_last_rank_span() {
         // The coordinator saw two rank-0 spans (a failed and a
         // successful attempt); the flow must start from the later one,
-        // because only the successful attempt wrote a sidecar.
+        // because only the successful attempt wrote a report.
         let coord = WorkerTrace {
             pid: 8000,
             epoch_unix_us: 5_000_000,

@@ -1,16 +1,18 @@
 //! The worker side of a multi-process run: generate a contiguous PE
-//! range into shard files and record the slice as a partial manifest.
+//! range into shard files and hand back their infos.
 //!
 //! This is the code path behind `kagen worker` — but it is a plain
 //! library function, so the in-process runner (tests, examples, single
 //! machine runs without process overhead) executes *exactly* the same
-//! logic. A worker never reads the ledger and never talks to its
-//! siblings: its output is a pure function of `(generator, pe range,
-//! format)`, which is the whole point of the paper.
+//! logic. `kagen worker` wraps the infos (and, when asked, its telemetry)
+//! into the rank report file the coordinator collects; the in-process
+//! runner hands them over directly. A worker never reads the ledger and
+//! never talks to its siblings: its output is a pure function of
+//! `(generator, pe range, format)`, which is the whole point of the paper.
 
 use kagen_core::streaming::StreamingGenerator;
 use kagen_obs::Counter;
-use kagen_pipeline::{write_shard, PartialManifest, ShardFormat, ShardInfo};
+use kagen_pipeline::{write_shard, ShardFormat, ShardInfo};
 use std::io;
 use std::ops::Range;
 use std::path::Path;
@@ -61,11 +63,8 @@ impl FailureInjection {
 
 /// Generate every shard of `pes` into `dir` on `threads` worker threads
 /// (0 = all cores; multi-process launches default to 1 so W workers use
-/// W cores), then persist the slice as `part-<a>-<b>.json`. Returns the
-/// shard infos in PE order.
-///
-/// The partial manifest is written only after *every* shard of the range
-/// is on disk — its existence is the worker's completion record.
+/// W cores) and return the shard infos in PE order — only after *every*
+/// shard of the range is on disk.
 pub fn run_worker(
     gen: &dyn StreamingGenerator,
     dir: &Path,
@@ -110,12 +109,6 @@ pub fn run_worker(
     for r in results {
         shards.push(r?);
     }
-    let part = PartialManifest {
-        pe_begin: begin as u64,
-        pe_end: end as u64,
-        shards: shards.clone(),
-    };
-    part.save(dir)?;
     crate::heartbeat::set_stage("done");
     Ok(shards)
 }
@@ -124,10 +117,10 @@ pub fn run_worker(
 mod tests {
     use super::*;
     use kagen_core::prelude::*;
-    use kagen_pipeline::{validate_shard, PartialManifest};
+    use kagen_pipeline::validate_shard;
 
     #[test]
-    fn worker_writes_its_range_and_partial_manifest() {
+    fn worker_writes_exactly_its_range() {
         let gen = GnmUndirected::new(200, 1200).with_seed(5).with_chunks(6);
         let dir = std::env::temp_dir().join("kagen_worker_range");
         std::fs::remove_dir_all(&dir).ok();
@@ -144,16 +137,22 @@ mod tests {
         for info in &shards {
             validate_shard(&dir, ShardFormat::Compressed, info).unwrap();
         }
-        let part = PartialManifest::load(&dir, 2, 5).unwrap();
-        assert_eq!(part.shards, shards);
-        // PEs outside the range were never touched.
-        assert!(!dir.join("shard-00000.kgc").exists());
-        assert!(!dir.join("shard-00005.kgc").exists());
+        // Three shard files and nothing else: PEs outside the range were
+        // never touched, and the report is the caller's to write.
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            ["shard-00002.kgc", "shard-00003.kgc", "shard-00004.kgc"]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn injected_failure_leaves_no_partial_manifest() {
+    fn injected_failure_fails_the_whole_range() {
         let gen = GnmUndirected::new(200, 1200).with_seed(5).with_chunks(6);
         let dir = std::env::temp_dir().join("kagen_worker_fail");
         std::fs::remove_dir_all(&dir).ok();
@@ -170,9 +169,11 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("injected"), "{err}");
-        // Earlier shards may exist (killed mid-run), but the completion
-        // record must not.
-        assert!(PartialManifest::load(&dir, 0, 6).is_err());
+        // Earlier shards exist (the footprint of a worker killed
+        // mid-run), the failing one does not, and no infos come back for
+        // a caller to report.
+        assert!(dir.join("shard-00002.kgc").exists());
+        assert!(!dir.join("shard-00003.kgc").exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

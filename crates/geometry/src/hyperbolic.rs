@@ -35,12 +35,7 @@ impl RhgSpace {
         assert!(gamma > 2.0, "power-law exponent must be > 2 (α > 1/2)");
         assert!(avg_deg > 0.0);
         let alpha = (gamma - 1.0) / 2.0;
-        // Eq. 2 solved for C:
-        //   d̄ = (2/π) [α/(α−1/2)]² e^{−C/2}
-        //   C = −2 ln( d̄ (π/2) [(α−1/2)/α]² )
-        let ratio = (alpha - 0.5) / alpha;
-        let c = -2.0 * (avg_deg * std::f64::consts::FRAC_PI_2 * ratio * ratio).ln();
-        let r_max = 2.0 * (n as f64).ln() + c;
+        let r_max = Self::disk_radius(n, avg_deg, gamma);
         assert!(r_max > 0.0, "degenerate geometry: R <= 0");
         let k = ((alpha * r_max) / std::f64::consts::LN_2).floor().max(1.0) as usize;
         let mut bounds = Vec::with_capacity(k + 1);
@@ -55,6 +50,20 @@ impl RhgSpace {
             cosh_r: r_max.cosh(),
             bounds,
         }
+    }
+
+    /// The disk radius `R = 2 ln n + C` the parameters ask for. Not
+    /// positive (or NaN) when `avg_deg` is too large for `n`, which
+    /// [`RhgSpace::new`] refuses; callers that must not panic test this
+    /// first.
+    pub fn disk_radius(n: u64, avg_deg: f64, gamma: f64) -> f64 {
+        let alpha = (gamma - 1.0) / 2.0;
+        // Eq. 2 solved for C:
+        //   d̄ = (2/π) [α/(α−1/2)]² e^{−C/2}
+        //   C = −2 ln( d̄ (π/2) [(α−1/2)/α]² )
+        let ratio = (alpha - 0.5) / alpha;
+        let c = -2.0 * (avg_deg * std::f64::consts::FRAC_PI_2 * ratio * ratio).ln();
+        2.0 * (n as f64).ln() + c
     }
 
     /// Number of annuli.

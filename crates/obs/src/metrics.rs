@@ -376,7 +376,7 @@ pub fn counters() -> Vec<(&'static str, u64)> {
 /// Every touched metric flattened to sorted `(name, u64)` scalars:
 /// counters as-is, gauges as their high-water mark (suffixed `.peak`),
 /// histograms as `.count` and `.sum`. This is the flat list federated
-/// into per-rank metric sidecars and run-wide metrics files — summing
+/// into per-rank reports and run-wide metrics files — summing
 /// a `.peak` entry across ranks bounds the run-wide peak from above.
 pub fn scalars() -> Vec<(String, u64)> {
     let mut out = Vec::new();
@@ -493,8 +493,8 @@ pub fn histograms() -> Vec<(String, HistogramSnapshot)> {
 
 impl HistogramSnapshot {
     /// `{"count", "sum", "buckets": [{"bucket", "count"}, …]}` — the one
-    /// histogram serializer; sidecars and the federated run document
-    /// embed it verbatim.
+    /// histogram serializer; rank reports and the federated run
+    /// document embed it verbatim.
     pub fn to_value(&self) -> Value {
         let buckets = self
             .buckets
@@ -554,9 +554,9 @@ pub fn histograms_from(value: &Value) -> Result<Vec<(String, HistogramSnapshot)>
 
 /// One process's metrics as a document: the flat [`scalars`] under
 /// `"counters"` plus the full bucket vectors of every histogram under
-/// `"histograms"` — what a worker leaves next to its partial manifest
-/// (`part-<a>-<b>.metrics.json`) and `kagen worker --metrics-out`
-/// writes. Every histogram appears in both halves, and they reconcile:
+/// `"histograms"` — the `metrics` member of a worker's rank report
+/// (`part-<a>-<b>.json`) and what `kagen worker --metrics-out` writes.
+/// Every histogram appears in both halves, and they reconcile:
 /// `<name>.count`/`<name>.sum` equal the vector's totals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Telemetry {
@@ -575,23 +575,31 @@ impl Telemetry {
         }
     }
 
-    /// Serialize as compact, integer-only JSON.
-    pub fn to_json(&self) -> String {
+    /// The document as a JSON value (what a rank report embeds).
+    pub fn to_value(&self) -> Value {
         json::obj([
             ("counters", counters_value(&self.counters)),
             ("histograms", histograms_value(&self.histograms)),
         ])
-        .render(Layout::Compact)
     }
 
-    /// Parse a document produced by [`Telemetry::to_json`].
-    pub fn from_json(text: &str) -> Result<Telemetry, String> {
-        let doc = json::parse(text)?;
-        let obj = doc.as_obj("metrics document")?;
+    /// Inverse of [`Telemetry::to_value`].
+    pub fn from_value(value: &Value) -> Result<Telemetry, String> {
+        let obj = value.as_obj("metrics document")?;
         Ok(Telemetry {
             counters: counters_from(obj.get("counters")?)?,
             histograms: histograms_from(obj.get("histograms")?)?,
         })
+    }
+
+    /// Serialize as compact, integer-only JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().render(Layout::Compact)
+    }
+
+    /// Parse a document produced by [`Telemetry::to_json`].
+    pub fn from_json(text: &str) -> Result<Telemetry, String> {
+        Telemetry::from_value(&json::parse(text)?)
     }
 }
 

@@ -14,7 +14,8 @@
 //! process-wide epoch pinned on first use, thread lanes are small dense
 //! ids in spawn order, and the header carries the real OS pid and the
 //! epoch's wall-clock anchor — so `stream --trace-out`, a worker's
-//! `--trace-out` and the sidecar a launch federates are the same shape.
+//! `--trace-out` and the rank-report member a launch federates are the
+//! same shape.
 //!
 //! ```
 //! use kagen_obs::trace;
@@ -163,7 +164,7 @@ pub fn event_count() -> usize {
     EVENTS.lock().unwrap().len()
 }
 
-/// One finished span, exported for sidecar serialization and trace
+/// One finished span, exported for serialization and trace
 /// federation. Timestamps are microseconds relative to this process's
 /// trace epoch (see [`epoch_unix_us`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -257,22 +258,21 @@ impl ProcessTrace {
         }
     }
 
-    /// Serialize as compact JSON; all values are strings or unsigned
-    /// integers.
-    pub fn to_json(&self) -> String {
+    /// The document as a JSON value (what a rank report embeds); all
+    /// leaves are strings or unsigned integers.
+    pub fn to_value(&self) -> Value {
         let header = vec![
             ("schema", TRACE_SCHEMA.into()),
             ("pid", self.pid.into()),
             ("epoch_unix_us", self.epoch_unix_us.into()),
         ];
         let events = self.events.iter().map(|e| e.to_value(self.pid, 0));
-        chrome_trace_value(header, events.collect()).render(Layout::Compact)
+        chrome_trace_value(header, events.collect())
     }
 
-    /// Parse a document produced by [`ProcessTrace::to_json`].
-    pub fn from_json(text: &str) -> Result<ProcessTrace, String> {
-        let doc = json::parse(text)?;
-        let obj = doc.as_obj("trace document")?;
+    /// Inverse of [`ProcessTrace::to_value`].
+    pub fn from_value(value: &Value) -> Result<ProcessTrace, String> {
+        let obj = value.as_obj("trace document")?;
         obj.expect_schema(TRACE_SCHEMA)?;
         let mut events = Vec::new();
         for row in obj.arr("traceEvents")? {
@@ -289,6 +289,16 @@ impl ProcessTrace {
             epoch_unix_us: obj.u64("epoch_unix_us")?,
             events,
         })
+    }
+
+    /// Serialize as compact JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().render(Layout::Compact)
+    }
+
+    /// Parse a document produced by [`ProcessTrace::to_json`].
+    pub fn from_json(text: &str) -> Result<ProcessTrace, String> {
+        ProcessTrace::from_value(&json::parse(text)?)
     }
 }
 

@@ -5,8 +5,9 @@
 //!
 //! Multi-process runs (`kagen_cluster`) split the PE range across worker
 //! processes; each worker records its slice as a [`PartialManifest`]
-//! (`part-<a>-<b>.json`) and the coordinator *federates* the parts into
-//! the final `manifest.json` with [`RunHeader::federate`] — byte-identical
+//! (`part-<a>-<b>.json`, its rank report) and the coordinator
+//! *federates* the parts into the final `manifest.json` with
+//! [`RunHeader::federate`] — byte-identical
 //! to what a single-process [`crate::write_sharded`] run would have
 //! written, because every field is a pure function of `(model, params,
 //! seed, format)` plus the per-shard infos.
@@ -245,10 +246,13 @@ impl Manifest {
     }
 }
 
-/// One worker's slice of a multi-process run: the shards it wrote for
-/// its contiguous PE range `pe_begin..pe_end`. Workers persist this as
-/// `part-<a>-<b>.json` in the shard directory; the coordinator collects
-/// the parts, validates them, and federates the final [`Manifest`].
+/// One worker's rank report: the shards it wrote for its contiguous PE
+/// range `pe_begin..pe_end`, plus — when the worker was asked for them —
+/// its metrics and its spans. Workers persist this as `part-<a>-<b>.json`
+/// in the shard directory, last, so the file is their completion record;
+/// the coordinator reads it, moves its content into the ledger and the
+/// federated documents, and deletes it. A report without telemetry is
+/// the three-member document older coordinators read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartialManifest {
     /// First PE of the worker's range.
@@ -257,6 +261,10 @@ pub struct PartialManifest {
     pub pe_end: u64,
     /// Shard infos for exactly the PEs in `pe_begin..pe_end`, in order.
     pub shards: Vec<ShardInfo>,
+    /// The worker's counters and histograms (`--metrics-sidecar`).
+    pub metrics: Option<kagen_obs::Telemetry>,
+    /// The worker's span buffer (`--trace-sidecar`).
+    pub trace: Option<kagen_obs::ProcessTrace>,
 }
 
 impl PartialManifest {
@@ -266,24 +274,33 @@ impl PartialManifest {
         format!("part-{pe_begin:05}-{pe_end:05}.json")
     }
 
-    /// Serialize to pretty-printed JSON.
+    /// Serialize to pretty-printed JSON; absent telemetry leaves no key.
     pub fn to_json(&self) -> String {
-        json::obj([
+        let mut fields = vec![
             ("pe_begin", self.pe_begin.into()),
             ("pe_end", self.pe_end.into()),
             ("shards", shards_value(&self.shards)),
-        ])
-        .render(Layout::Pretty)
+        ];
+        fields.extend(self.metrics.as_ref().map(|m| ("metrics", m.to_value())));
+        fields.extend(self.trace.as_ref().map(|t| ("trace", t.to_value())));
+        json::obj(fields).render(Layout::Pretty)
     }
 
     /// Parse from JSON (inverse of [`PartialManifest::to_json`]).
     pub fn from_json(text: &str) -> Result<PartialManifest, String> {
         let value = json::parse(text)?;
         let obj = value.as_obj("partial manifest")?;
+        let member = |key: &str| obj.fields().iter().find(|(k, _)| k == key).map(|(_, v)| v);
         let part = PartialManifest {
             pe_begin: obj.u64("pe_begin")?,
             pe_end: obj.u64("pe_end")?,
             shards: shards_from(&obj)?,
+            metrics: member("metrics")
+                .map(kagen_obs::Telemetry::from_value)
+                .transpose()?,
+            trace: member("trace")
+                .map(kagen_obs::ProcessTrace::from_value)
+                .transpose()?,
         };
         // Compare without materializing the range — the file is
         // untrusted input, and a corrupt `pe_end` must come back as a
@@ -416,13 +433,26 @@ mod tests {
     #[test]
     fn partial_manifest_roundtrip() {
         let m = sample();
-        let part = PartialManifest {
+        let mut part = PartialManifest {
             pe_begin: 0,
             pe_end: 2,
             shards: m.shards.clone(),
+            metrics: None,
+            trace: None,
         };
         let back = PartialManifest::from_json(&part.to_json()).unwrap();
         assert_eq!(back, part);
+        // Telemetry members round-trip, and a malformed one fails the
+        // whole report — naming the file when it is loaded from one.
+        part.metrics = Some(kagen_obs::Telemetry {
+            counters: vec![("gen.edges".into(), 4096)],
+            histograms: Vec::new(),
+        });
+        part.trace = Some(kagen_obs::ProcessTrace::default());
+        let text = part.to_json();
+        assert_eq!(PartialManifest::from_json(&text).unwrap(), part);
+        part.metrics = None;
+        part.trace = None;
 
         let dir = std::env::temp_dir().join("kagen_partial_manifest_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -430,6 +460,9 @@ mod tests {
         assert_eq!(path.file_name().unwrap(), "part-00000-00002.json");
         let loaded = PartialManifest::load(&dir, 0, 2).unwrap();
         assert_eq!(loaded, part);
+        std::fs::write(&path, text.replace("\"counters\": {", "\"counters\": [")).unwrap();
+        let err = PartialManifest::load(&dir, 0, 2).unwrap_err();
+        assert!(err.to_string().contains("part-00000-00002.json"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -440,6 +473,8 @@ mod tests {
             pe_begin: 3,
             pe_end: 5, // but the shards are PEs 0 and 1
             shards: m.shards.clone(),
+            metrics: None,
+            trace: None,
         };
         let err = PartialManifest::from_json(&part.to_json()).unwrap_err();
         assert!(err.contains("covers PEs"), "{err}");

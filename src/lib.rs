@@ -24,6 +24,8 @@
 //! assert_eq!(graph.edges.len(), 5000);
 //! ```
 
+pub mod cli;
+
 pub use kagen_baselines as baselines;
 pub use kagen_cluster as cluster;
 pub use kagen_core as core;

@@ -13,7 +13,14 @@
 //!
 //! On a mismatch the test prints the whole table as it found it, in
 //! source form.
+//!
+//! The last tests read the tables the binary is built from
+//! (`kagen_repro::cli::{FLAGS, MODELS}`) directly: their rows are
+//! well-formed, a model's `check` refuses exactly the corner rows whose
+//! constructor would panic, and the argv `launch` hands a worker parses
+//! back to the same instance.
 
+use kagen_repro::cli::{self, Forward, Options, FLAGS, MODELS};
 use std::path::Path;
 use std::process::Command;
 
@@ -338,13 +345,13 @@ const FLAG_MATRIX: &[(&str, Want)] = &[
     ])),
     ("--merge-budget 1000", Each([
         "2 - {mode}: --merge-budget requires `kagen stream`",
-        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --merge-budget requires --merge external",
         "2 - {mode}: --merge-budget requires `kagen stream`",
         "2 - {mode}: --merge-budget requires `kagen stream`",
     ])),
     ("--merge-fan-in 8", Each([
         "2 - {mode}: --merge-fan-in requires `kagen stream`",
-        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
+        "2 - {mode}: --merge-fan-in requires --merge external",
         "2 - {mode}: --merge-fan-in requires `kagen stream`",
         "2 - {mode}: --merge-fan-in requires `kagen stream`",
     ])),
@@ -360,12 +367,7 @@ const FLAG_MATRIX: &[(&str, Want)] = &[
         "1 D {mode}: No such file or directory (os error 2)",
         "2 - {mode}: --resume requires `kagen launch`",
     ])),
-    ("--no-validate", Each([
-        "2 - {mode}: --no-validate requires `kagen launch`",
-        "2 - {mode}: --no-validate requires `kagen launch`",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
-        "2 - {mode}: --no-validate requires `kagen launch`",
-    ])),
+    ("--no-validate", All("2 - {mode}: --no-validate is retired; spell it `--validate none`")),
     ("--validate full", Each([
         "2 - {mode}: --validate requires `kagen launch`",
         "2 - {mode}: --validate requires `kagen launch`",
@@ -486,14 +488,14 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 90 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("gnm_directed -n 10 -m 91", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnm_directed -n 10 -m 91", All("2 - {mode}: gnm_directed: -m must be <= n(n-1) = 90, got 91")),
     ("gnm_directed -n 0 -m 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("gnm_directed -n 0 -m 1", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnm_directed -n 0 -m 1", All("2 - {mode}: gnm_directed: -m must be <= n(n-1) = 0, got 1")),
     ("gnm_undirected -n 10 -m 44", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 80 edges, format compressed -> <tmp>/shards in <t>s",
@@ -506,7 +508,7 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 82 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 17 edges in <t>s",
     ])),
-    ("gnm_undirected -n 10 -m 46", All("101 - panicked at crates/core/src/er/undirected.rs")),
+    ("gnm_undirected -n 10 -m 46", All("2 - {mode}: gnm_undirected: -m must be <= n(n-1)/2 = 45, got 46")),
     ("gnm_undirected -n 64 -m 128 -c 1", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
@@ -514,9 +516,9 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 128 edges in <t>s",
     ])),
     ("gnm_undirected -n 64 -m 128 -c 0", Each([
-        "101 - panicked at crates/core/src/er/undirected.rs",
-        "101 - panicked at crates/core/src/er/undirected.rs",
-        "101 - panicked at crates/core/src/er/undirected.rs",
+        "2 - {mode}: gnm_undirected: -c must be >= 1, got 0",
+        "2 - {mode}: gnm_undirected: -c must be >= 1, got 0",
+        "2 - {mode}: gnm_undirected: -c must be >= 1, got 0",
         "2 - {mode}: --pe-range 0..1 is not a non-empty sub-range of 0..0 (-c)",
     ])),
     ("gnp_directed -n 64 -p 0", Each([
@@ -537,9 +539,9 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 4032 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 1008 edges in <t>s",
     ])),
-    ("gnp_directed -n 64 -p 1.01", All("101 - panicked at crates/core/src/er/directed.rs")),
-    ("gnp_directed -n 64 -p -0.01", All("101 - panicked at crates/core/src/er/directed.rs")),
-    ("gnp_directed -n 64 -p nan", All("101 - panicked at crates/core/src/er/directed.rs")),
+    ("gnp_directed -n 64 -p 1.01", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got 1.01")),
+    ("gnp_directed -n 64 -p -0.01", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got -0.01")),
+    ("gnp_directed -n 64 -p nan", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got NaN")),
     ("gnp_undirected -n 64 -p 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
@@ -558,16 +560,16 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 3552 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 888 edges in <t>s",
     ])),
-    ("gnp_undirected -n 64 -p 2", All("101 - panicked at crates/core/src/er/undirected.rs")),
-    ("gnp_undirected -n 64 -p -0.01", All("101 - panicked at crates/core/src/er/undirected.rs")),
-    ("rgg2d -n 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("gnp_undirected -n 64 -p 2", All("2 - {mode}: gnp_undirected: -p must be in [0, 1], got 2")),
+    ("gnp_undirected -n 64 -p -0.01", All("2 - {mode}: gnp_undirected: -p must be in [0, 1], got -0.01")),
+    ("rgg2d -n 0", All("2 - {mode}: rgg2d: -n must be >= 1, got 0")),
     ("rgg2d -n 1", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("rgg2d -n 64 -r 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg2d -n 64 -r 0", All("2 - {mode}: rgg2d: -r must be in (0, 1), got 0")),
     ("rgg2d -n 64 -r 0.01", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 2 edges, format compressed -> <tmp>/shards in <t>s",
@@ -580,16 +582,16 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 1959 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 1959 edges in <t>s",
     ])),
-    ("rgg2d -n 64 -r 1", All("101 - panicked at crates/core/src/rgg.rs")),
-    ("rgg2d -n 64 -r 5", All("101 - panicked at crates/core/src/rgg.rs")),
-    ("rgg3d -n 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg2d -n 64 -r 1", All("2 - {mode}: rgg2d: -r must be in (0, 1), got 1")),
+    ("rgg2d -n 64 -r 5", All("2 - {mode}: rgg2d: -r must be in (0, 1), got 5")),
+    ("rgg3d -n 0", All("2 - {mode}: rgg3d: -n must be >= 1, got 0")),
     ("rgg3d -n 1", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("rgg3d -n 64 -r 0", All("101 - panicked at crates/core/src/rgg.rs")),
+    ("rgg3d -n 64 -r 0", All("2 - {mode}: rgg3d: -r must be in (0, 1), got 0")),
     ("rgg3d -n 64 -r 0.02", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
@@ -602,8 +604,8 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 1840 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 1840 edges in <t>s",
     ])),
-    ("rgg3d -n 64 -r 1", All("101 - panicked at crates/core/src/rgg.rs")),
-    ("rdg2d -n 3", All("101 - panicked at crates/core/src/rdg.rs")),
+    ("rgg3d -n 64 -r 1", All("2 - {mode}: rgg3d: -r must be in (0, 1), got 1")),
+    ("rdg2d -n 3", All("2 - {mode}: rdg2d: -n must be >= 4, got 3")),
     ("rdg2d -n 4", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 6 edges, format compressed -> <tmp>/shards in <t>s",
@@ -616,7 +618,7 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 9 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 9 edges in <t>s",
     ])),
-    ("rdg3d -n 4", All("101 - panicked at crates/core/src/rdg.rs")),
+    ("rdg3d -n 4", All("2 - {mode}: rdg3d: -n must be >= 5, got 4")),
     ("rdg3d -n 5", Each([
         "0 -",
         "0 D {mode}: wrote 1 shards, 10 edges, format compressed -> <tmp>/shards in <t>s",
@@ -629,157 +631,92 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 15 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 15 edges in <t>s",
     ])),
-    ("rhg -n 1 -d 0.5 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("rhg -n 1 -d 0.5 -g 3", All("2 - {mode}: rhg: -n must be >= 2, got 1")),
     ("rhg -n 2 -d 0.5 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("rhg -n 64 -d 0 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("rhg -n 64 -d 0 -g 3", All("2 - {mode}: rhg: -d must be > 0, got 0")),
     ("rhg -n 64 -d 0.01 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("rhg -n 64 -d 4 -g 2", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("rhg -n 64 -d 4 -g 2", All("2 - {mode}: rhg: -g must be > 2, got 2")),
     ("rhg -n 64 -d 4 -g 2.01", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("rhg -n 64 -d 4 -g 1.5", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
-    ("rhg -n 2 -d 8 -g 2.8", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("rhg -n 64 -d 4 -g 1.5", All("2 - {mode}: rhg: -g must be > 2, got 1.5")),
+    ("rhg -n 2 -d 8 -g 2.8", All("2 - {mode}: rhg: -d must be small enough for n = 2 (disk radius -0.43203326795337516 <= 0), got 8")),
     ("rhg -n 3 -d 8 -g 2.8", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 5 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 5 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("srhg -n 1 -d 0.5 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("srhg -n 1 -d 0.5 -g 3", All("2 - {mode}: srhg: -n must be >= 2, got 1")),
     ("srhg -n 2 -d 0.5 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("srhg -n 64 -d 0 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("srhg -n 64 -d 0 -g 3", All("2 - {mode}: srhg: -d must be > 0, got 0")),
     ("srhg -n 64 -d 0.01 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("srhg -n 64 -d 4 -g 2", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("srhg -n 64 -d 4 -g 2", All("2 - {mode}: srhg: -g must be > 2, got 2")),
     ("srhg -n 64 -d 4 -g 2.01", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("srhg -n 2 -d 8 -g 2.8", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("srhg -n 2 -d 8 -g 2.8", All("2 - {mode}: srhg: -d must be small enough for n = 2 (disk radius -0.43203326795337516 <= 0), got 8")),
     ("srhg -n 3 -d 8 -g 2.8", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 3 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 3 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("soft-rhg -n 1 -d 0.5 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("soft-rhg -n 1 -d 0.5 -g 3", All("2 - {mode}: soft-rhg: -n must be >= 2, got 1")),
     ("soft-rhg -n 2 -d 0.5 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("soft-rhg -n 64 -d 0 -g 3", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("soft-rhg -n 64 -d 0 -g 3", All("2 - {mode}: soft-rhg: -d must be > 0, got 0")),
     ("soft-rhg -n 64 -d 0.01 -g 3", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("soft-rhg -n 64 -d 4 -g 2", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("soft-rhg -n 64 -d 4 -g 2", All("2 - {mode}: soft-rhg: -g must be > 2, got 2")),
     ("soft-rhg -n 64 -d 4 -g 2.01", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("soft-rhg -n 2 -d 8 -g 2.8", Each([
-        "101 - panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-        "1 D panicked at crates/geometry/src/hyperbolic.rs",
-        "101 D panicked at crates/geometry/src/hyperbolic.rs",
-    ])),
+    ("soft-rhg -n 2 -d 8 -g 2.8", All("2 - {mode}: soft-rhg: -d must be small enough for n = 2 (disk radius -0.43203326795337516 <= 0), got 8")),
     ("soft-rhg -n 3 -d 8 -g 2.8", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 5 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 5 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("soft-rhg -n 64 -d 4 -g 3 -T 0", All("101 - panicked at crates/core/src/rhg/soft.rs")),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 0", All("2 - {mode}: soft-rhg: -T must be in (0, 1), got 0")),
     ("soft-rhg -n 64 -d 4 -g 3 -T 0.01", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 114 edges, format compressed -> <tmp>/shards in <t>s",
@@ -792,9 +729,9 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 483 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 107 edges in <t>s",
     ])),
-    ("soft-rhg -n 64 -d 4 -g 3 -T 1", All("101 - panicked at crates/core/src/rhg/soft.rs")),
-    ("ba -n 64 -d 0", All("101 - panicked at crates/core/src/ba.rs")),
-    ("ba -n 64 -d 0.5", All("101 - panicked at crates/core/src/ba.rs")),
+    ("soft-rhg -n 64 -d 4 -g 3 -T 1", All("2 - {mode}: soft-rhg: -T must be in (0, 1), got 1")),
+    ("ba -n 64 -d 0", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 0")),
+    ("ba -n 64 -d 0.5", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 0.5")),
     ("ba -n 64 -d 1", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 64 edges, format compressed -> <tmp>/shards in <t>s",
@@ -807,20 +744,15 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
     ])),
-    ("ba -n 64 -d 2.7", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
-    ])),
-    ("ba -n 64 -d -1", All("101 - panicked at crates/core/src/ba.rs")),
+    ("ba -n 64 -d 2.7", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 2.7")),
+    ("ba -n 64 -d -1", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got -1")),
     ("rmat -n 9223372036854775808 -m 16", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 16 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 16 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 4 edges in <t>s",
     ])),
-    ("rmat -n 9223372036854775809 -m 16", All("2 - {mode}: rmat needs n <= 2^63, got 9223372036854775809")),
+    ("rmat -n 9223372036854775809 -m 16", All("2 - {mode}: rmat: needs n <= 2^63, got 9223372036854775809")),
     ("rmat -n 64 -m 128 --rmat-levels 1", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
@@ -834,7 +766,7 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
     ])),
     ("rmat -n 64 -m 128 --rmat-levels 13", All("2 - {mode}: --rmat-levels 13 out of range (want 0..=12)")),
-    ("sbm -n 64 -b 0", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 0", All("2 - {mode}: sbm: -b must be in 1..=n, got 0")),
     ("sbm -n 64 -b 1", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 23 edges, format compressed -> <tmp>/shards in <t>s",
@@ -847,7 +779,7 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 4 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
-    ("sbm -n 64 -b 65", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 65", All("2 - {mode}: sbm: -b must be in 1..=n, got 65")),
     ("sbm -n 64 -b 2 --p-in 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
@@ -860,8 +792,8 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 992 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 496 edges in <t>s",
     ])),
-    ("sbm -n 64 -b 2 --p-in 1.01", All("101 - panicked at crates/core/src/sbm.rs")),
-    ("sbm -n 64 -b 2 --p-in -0.01", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-in 1.01", All("2 - {mode}: sbm: --p-in must be in [0, 1], got 1.01")),
+    ("sbm -n 64 -b 2 --p-in -0.01", All("2 - {mode}: sbm: --p-in must be in [0, 1], got -0.01")),
     ("sbm -n 64 -b 2 --p-out 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 9 edges, format compressed -> <tmp>/shards in <t>s",
@@ -874,8 +806,8 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 1033 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 6 edges in <t>s",
     ])),
-    ("sbm -n 64 -b 2 --p-out 1.01", All("101 - panicked at crates/core/src/sbm.rs")),
-    ("sbm -n 64 -b 2 --p-out -0.01", All("101 - panicked at crates/core/src/sbm.rs")),
+    ("sbm -n 64 -b 2 --p-out 1.01", All("2 - {mode}: sbm: --p-out must be in [0, 1], got 1.01")),
+    ("sbm -n 64 -b 2 --p-out -0.01", All("2 - {mode}: sbm: --p-out must be in [0, 1], got -0.01")),
 ];
 
 #[test]
@@ -902,48 +834,48 @@ type Files = &'static [(&'static str, &'static str)];
 /// each, `{root}` holding the listed files beforehand.
 #[rustfmt::skip] // one row per line (or five), so a flipped row is a one-row diff
 const SPECIAL: &[(&str, Files, &str)] = &[
-    ("", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("", &[], "2 - kagen: no model given (see `kagen --help`)"),
     ("--help", &[], "0 -"),
-    ("frobnicate -n 64", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("stream", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("gnm_undirected -n 64 -m 128 -c 4 --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("gnm_undirected -n 64 -m 128 -c 4 -n", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("gnm_undirected -n 64 -m 128 -c 4 -n abc", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("frobnicate -n 64", &[], "2 - kagen <model>: unknown model 'frobnicate' (see `kagen --help`)"),
+    ("stream", &[], "2 - kagen stream: no model given (see `kagen --help`)"),
+    ("gnm_undirected -n 64 -m 128 -c 4 --foo", &[], "2 - kagen <model>: unknown option '--foo' (see `kagen --help`)"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - kagen stream: unknown option '--foo' (see `kagen --help`)"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --foo", &[], "2 - kagen launch: unknown option '--foo' (see `kagen --help`)"),
+    ("gnm_undirected -n 64 -m 128 -c 4 -n", &[], "2 - kagen <model>: -n wants a value <vertices>"),
+    ("gnm_undirected -n 64 -m 128 -c 4 -n abc", &[], "2 - kagen <model>: -n wants a number, got 'abc'"),
     ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 3", &[], "2 - kagen worker: --pe-range wants `a..b`, got '3'"),
-    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range a..b", &[], "2 - see `kagen --help` (module docs) for usage"),
-    ("gnm_directed -n 64 -m 128 -f bogus -o {root}/x.txt", &[("x.txt", "keep\n")], "2 D see `kagen --help` (module docs) for usage"),
-    ("gnm_directed -n 64 -m 128 -f bogus", &[], "2 - see `kagen --help` (module docs) for usage"),
+    ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range a..b", &[], "2 - kagen worker: --pe-range wants a number, got 'a'"),
+    ("gnm_directed -n 64 -m 128 -f bogus -o {root}/x.txt", &[("x.txt", "keep\n")], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
+    ("gnm_directed -n 64 -m 128 -f bogus", &[], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
     ("gnm_directed -n 64 -m 128 -f metis -o {root}/x.txt", &[("x.txt", "keep\n")], "0 D"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f metis", &[], "2 - kagen stream: unknown shard format 'metis'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen stream: unknown shard format 'bogus'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen launch: unknown shard format 'bogus'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge sideways", &[], "2 - kagen stream: unknown merge mode 'sideways'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -o {root}/merged", &[], "2 - kagen stream: -o requires --merge external (shards go to --shard-dir)"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge-budget 10 --merge-fan-in 0", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge none --merge-budget 10", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 0", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge-budget 10 --merge-fan-in 0", &[], "2 - kagen stream: --merge-budget requires --merge external"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge none --merge-budget 10", &[], "2 - kagen stream: --merge-budget requires --merge external"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 0", &[], "2 - kagen stream: --merge-budget must be >= 1"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 1", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 1", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 1", &[], "2 - kagen stream: --merge-fan-in must be >= 2"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 2", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
-    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
-    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
-    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate full", &[], "2 - kagen launch: --no-validate conflicts with --validate full"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate none", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),
+    ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate full", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate maybe", &[], "2 - kagen launch: unknown validate mode 'maybe'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 0", &[], "2 - kagen launch: --workers must be >= 1"),
-    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "0 -"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 (plain descent) conflicts with --rmat-kernel linear"),
+    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "2 - kagen <model>: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-levels 4 conflicts with --rmat-kernel plain (only 0 allowed)"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel table is retired (slower than linear wherever it ran, capped at scale < 32); use --rmat-kernel linear, which defines a different instance per seed"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: unknown --rmat-kernel 'liner' (want linear | plain)"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "0 D kagen stream: wrote 4 shards, 6 edges, format compressed -> <tmp>/s in <t>s"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: unknown --gnp-leaves 'vitter' (want skip | algo-d)"),
-    ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "1 D panicked at crates/geometry/src/hyperbolic.rs"),
+    ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "2 - kagen launch: rhg: -g must be > 2, got 1.5"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --progress 0", &[], "2 - kagen launch: --progress wants a positive interval, got 0"),
     ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 2..2", &[], "2 - kagen worker: --pe-range 2..2 is not a non-empty sub-range of 0..4 (-c)"),
     ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 0..5", &[], "2 - kagen worker: --pe-range 0..5 is not a non-empty sub-range of 0..4 (-c)"),
@@ -991,4 +923,140 @@ fn scrubbing_keeps_what_matters() {
         scrub_durations("p=0.5 n=12 1.5x 10.25s."),
         "p=0.5 n=12 1.5x <t>s."
     );
+}
+
+fn strings(args: &str) -> Vec<String> {
+    args.split_whitespace().map(String::from).collect()
+}
+
+#[test]
+fn table_rows_are_well_formed() {
+    let mut spellings: Vec<&str> = FLAGS.iter().flat_map(|f| f.names).copied().collect();
+    let count = spellings.len();
+    spellings.sort_unstable();
+    spellings.dedup();
+    assert_eq!(spellings.len(), count, "a spelling appears twice");
+    for flag in FLAGS {
+        assert!(!flag.names.is_empty());
+        assert!(!flag.help.is_empty(), "{} has no help text", flag.name());
+        assert_ne!(flag.modes(), 0, "{} is accepted nowhere", flag.name());
+    }
+    for model in MODELS {
+        for flag in model.flags {
+            assert!(
+                FLAGS.iter().any(|f| std::ptr::eq(*f, *flag)),
+                "{} reads {}, which is not in FLAGS",
+                model.name,
+                flag.name()
+            );
+            assert!(
+                matches!(flag.forward, Forward::Param(_)),
+                "{} reads {}, which is not forwarded as a parameter",
+                model.name,
+                flag.name()
+            );
+        }
+    }
+    // Every flag cell of the matrix is a real spelling and vice versa.
+    let in_matrix: Vec<&str> = FLAG_MATRIX
+        .iter()
+        .map(|(cell, _)| cell.split_whitespace().next().unwrap())
+        .filter(|name| *name != "--no-validate")
+        .collect();
+    assert_eq!(in_matrix.len(), count);
+    assert!(in_matrix.iter().all(|name| spellings.contains(name)));
+}
+
+/// The corner row as `Options`, range checks bypassed: the model's
+/// defaults with the row's values put in by the flags' own setters.
+/// `None` if a setter refuses a value outright.
+fn corner_options(row: &str) -> Option<Options> {
+    let mut words = row.split_whitespace();
+    let mut o = cli::parse(&strings(words.next().unwrap())).expect("defaults are valid");
+    o.chunks = 4;
+    while let Some(name) = words.next() {
+        let flag = FLAGS.iter().find(|f| f.names.contains(&name)).unwrap();
+        (flag.set)(&mut o, name, words.next().unwrap()).ok()?;
+    }
+    Some(o)
+}
+
+/// `check` and the constructors' own asserts state the same ranges: on
+/// every corner row, `check` is `Ok` exactly when building the
+/// generator and streaming PE 0 does not panic.
+#[test]
+fn check_refuses_exactly_what_would_panic() {
+    for (row, _) in MODEL_CORNERS {
+        let Some(o) = corner_options(row) else {
+            continue;
+        };
+        let survives = std::panic::catch_unwind(|| {
+            let mut edges = 0usize;
+            o.build()
+                .stream_pe_batched(0, &mut Vec::new(), &mut |batch| edges += batch.len());
+        })
+        .is_ok();
+        // The one place `check` is stricter: a fractional BA degree ran,
+        // silently truncated.
+        let truncated = *row == "ba -n 64 -d 2.7";
+        assert_eq!(
+            o.check_model().is_ok() || truncated,
+            survives,
+            "{row}: check says {:?}",
+            o.check_model()
+        );
+    }
+}
+
+/// What `launch` forwards, parsed as a worker would, is the same
+/// instance: same params string, seed, chunks, format, telemetry.
+#[test]
+fn forwarded_argv_reparses_to_the_same_instance() {
+    let common = "-s 9 -c 5 -f binary --shard-dir /tmp/x --metrics-out /tmp/m -v --progress 1";
+    for extra in [
+        "gnm_directed -n 400 -m 2000",
+        "gnm_undirected -n 400 -m 2000",
+        "gnp_directed -n 400 -p 0.01",
+        "gnp_undirected -n 400 -p 0.01 --gnp-leaves algo-d",
+        "rgg2d -n 300",
+        "rgg3d -n 300 -r 0.2",
+        "rdg2d -n 300",
+        "rdg3d -n 200",
+        "rhg -n 300 -d 6 -g 2.9",
+        "srhg -n 300 -d 6 -g 2.9",
+        "soft-rhg -n 300 -d 6 -g 2.9 -T 0.4",
+        "ba -n 400 -d 4",
+        "rmat -n 512 -m 4000",
+        "rmat -n 512 -m 4000 --rmat-levels 3",
+        "rmat -n 512 -m 4000 --rmat-kernel plain",
+        "sbm -n 400 -b 3 --p-in 0.02 --p-out 0.002",
+    ] {
+        let launch = cli::parse(&strings(&format!("launch {extra} {common}"))).unwrap();
+        let mut argv = vec!["worker".to_string()];
+        argv.extend(cli::worker_args(&launch));
+        argv.extend(strings("--pe-range 0..5 --rank 0"));
+        let worker = cli::parse(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        assert_eq!(worker.params(), launch.params(), "{extra}");
+        assert_eq!(worker.model.name, launch.model.name);
+        assert_eq!(
+            (worker.seed, worker.chunks, worker.threads, worker.verbosity),
+            (9, 5, 1, 1),
+            "{argv:?}"
+        );
+        assert_eq!(worker.shard_format(), launch.shard_format());
+        assert_eq!(worker.shard_dir(), launch.shard_dir());
+        assert!(worker.metrics_sidecar && worker.heartbeat && !worker.trace_sidecar);
+        // Only the model's own parameters travel.
+        for flag in FLAGS
+            .iter()
+            .filter(|f| matches!(f.forward, Forward::Param(_)))
+        {
+            let reads = launch.model.flags.iter().any(|f| std::ptr::eq(*f, *flag));
+            assert!(
+                reads || !argv.contains(&flag.name().to_string()),
+                "{argv:?}"
+            );
+        }
+    }
+    assert_eq!(MODELS.len(), 14, "a new model wants a row above");
 }

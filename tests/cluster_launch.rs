@@ -96,15 +96,16 @@ fn launch_matches_stream_byte_for_byte() {
             assert_eq!(a, b, "shard {name} differs between launch and stream");
         }
     }
-    // The launch dir additionally holds the ledger; no partial
-    // manifests survive a successful run.
+    // The launch dir additionally holds the ledger and nothing else: no
+    // rank report survives a successful run.
+    for entry in std::fs::read_dir(&launch_dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            name.starts_with("shard-") || name == "manifest.json" || name == "ledger.json",
+            "{name} left in the launch directory"
+        );
+    }
     assert!(launch_dir.join("ledger.json").exists());
-    assert!(!std::fs::read_dir(&launch_dir).unwrap().any(|e| e
-        .unwrap()
-        .file_name()
-        .to_str()
-        .unwrap()
-        .starts_with("part-")));
 
     std::fs::remove_dir_all(&launch_dir).ok();
     std::fs::remove_dir_all(&stream_dir).ok();
@@ -151,6 +152,43 @@ fn killed_worker_is_resumable_and_resume_spawns_only_missing_ranges() {
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&stream_dir).ok();
+}
+
+/// The rank report is a worker's completion record: a worker that dies
+/// mid-range leaves its earlier shards but no report, and one that
+/// finishes leaves exactly one, written after its shards.
+#[test]
+fn rank_report_is_written_last_or_not_at_all() {
+    let dir = tmp("report_last");
+    let mut args: Vec<String> = vec!["worker".into()];
+    args.extend(model_args(dir.to_str().unwrap()));
+    args.extend(["--pe-range".into(), "2..5".into()]);
+    let argv: Vec<&str> = args.iter().map(|s| s.as_str()).collect();
+    let names = |dir: &std::path::Path| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let (ok, stderr) = kagen(&argv, &[("KAGEN_WORKER_FAIL_PE", "4")]);
+    assert!(!ok, "the injected failure must fail the worker:\n{stderr}");
+    assert_eq!(names(&dir), ["shard-00002.kgc", "shard-00003.kgc"]);
+
+    let (ok, stderr) = kagen(&argv, &[]);
+    assert!(ok, "worker failed:\n{stderr}");
+    assert_eq!(
+        names(&dir),
+        [
+            "part-00002-00005.json",
+            "shard-00002.kgc",
+            "shard-00003.kgc",
+            "shard-00004.kgc"
+        ]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -498,10 +536,32 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
                 "--shard-dir",
                 dir_s,
                 "--no-validate",
-                "--validate",
-                "full",
             ],
-            "--no-validate conflicts",
+            "--no-validate is retired",
+        ),
+        // The lazily-validated hyperbolic models are the sharp case:
+        // this used to pass validation, spawn six workers that each
+        // panicked, and leave a ledger behind as "resumable".
+        (
+            vec![
+                "launch",
+                "rhg",
+                "-n",
+                "1000",
+                "-d",
+                "8",
+                "-g",
+                "1.5",
+                "--workers",
+                "2",
+                "-c",
+                "8",
+                "--retries",
+                "2",
+                "--shard-dir",
+                dir_s,
+            ],
+            "rhg: -g must be > 2, got 1.5",
         ),
         (
             vec![
@@ -568,6 +628,9 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
         let (ok, stderr) = kagen(&args, &[]);
         assert!(!ok, "{args:?} must be rejected");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("resumable"), "{args:?}: {stderr}");
+        // A spawned worker would have prefixed its lines with its rank.
+        assert!(!stderr.contains("kagen worker rank"), "{args:?}: {stderr}");
         assert!(
             !dir.exists(),
             "{args:?} must be rejected before anything is written"

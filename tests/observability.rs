@@ -146,9 +146,8 @@ fn telemetry_on_off_shards_bit_identical_every_model() {
 }
 
 /// A launch-mode metrics file reconciles with its manifest: per-rank
-/// edge counts (and the rank-local `gen.edges` counters from the worker
-/// sidecars) sum to the federated edge total, and the sidecars are
-/// cleaned off the shard directory after federation.
+/// edge counts (and the rank-local `gen.edges` counters from the rank
+/// reports) sum to the federated edge total.
 #[test]
 fn launch_metrics_reconcile_with_manifest() {
     let dir = tmp("launch_metrics");
@@ -194,20 +193,11 @@ fn launch_metrics_reconcile_with_manifest() {
         let counters: std::collections::HashMap<_, _> =
             r.counters.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         // The rank's own generator counter agrees with its ledger edge
-        // count — the sidecar really came from that worker process.
+        // count — the report really came from that worker process.
         assert_eq!(counters.get("gen.edges"), Some(&r.edges), "{r:?}");
         assert!(counters.get("rng.words").copied().unwrap_or(0) > 0, "{r:?}");
         assert!(r.wall_us > 0, "{r:?}");
     }
-
-    // Sidecars are consumed during federation, not left as litter that
-    // a `--resume` of a different telemetry setting could misread.
-    let leftover: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".metrics.json"))
-        .collect();
-    assert!(leftover.is_empty(), "sidecars not cleaned up: {leftover:?}");
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&metrics).ok();
@@ -601,13 +591,11 @@ fn launch_full_telemetry_still_byte_identical() {
     assert!(!off.is_empty());
     assert_eq!(off, on, "full telemetry changed launch output bytes");
 
-    // No telemetry litter inside the shard dir: heartbeats and sidecars
-    // are consumed or removed by the coordinator.
+    // Shards, manifest and ledger only: heartbeats and rank reports are
+    // consumed by the coordinator.
     for (name, _) in dir_contents(&dir_on) {
         assert!(
-            !name.ends_with(".heartbeat.json")
-                && !name.ends_with(".trace.json")
-                && !name.ends_with(".metrics.json"),
+            keep(&name) || name == "ledger.json",
             "telemetry file left behind: {name}"
         );
     }
@@ -693,8 +681,9 @@ fn launch_metrics_v2_histograms_reconcile_with_v1_scalars() {
 
 /// A standalone `kagen worker --pe-range a..b` (hand-run ranks over a
 /// shared filesystem) accepts `--metrics-out`/`--trace-out` directly
-/// and writes sidecar-shaped documents to those paths, plus a heartbeat
-/// file under `--heartbeat`.
+/// and writes its counters + histograms document and its span document
+/// to those paths, plus a heartbeat file under `--heartbeat`; its rank
+/// report carries telemetry only under the two `--*-sidecar` switches.
 #[test]
 fn worker_standalone_telemetry_files() {
     let dir = tmp("worker_standalone");
@@ -723,9 +712,8 @@ fn worker_standalone_telemetry_files() {
     ]);
     assert!(ok, "standalone worker failed:\n{stderr}");
 
-    // Metrics: a sidecar-shaped document (the same counters +
-    // histogram-vectors payload the coordinator federates) with live
-    // values from this rank.
+    // Metrics: the same counters + histogram-vectors payload the
+    // coordinator federates, with live values from this rank.
     let m = std::fs::read_to_string(&metrics).expect("missing metrics file");
     let doc = json::parse(&m).unwrap();
     let counters = doc
@@ -746,13 +734,20 @@ fn worker_standalone_telemetry_files() {
     );
     assert!(m.contains("sink.shard_wall_us"), "{m}");
 
-    // Trace: a valid Chrome document that is also a loadable sidecar
+    // Trace: a valid Chrome document that federation could load
     // (schema + pid + wall anchor), containing the worker span.
     let t = std::fs::read_to_string(&trace).expect("missing trace file");
     assert!(t.contains("\"schema\":\"kagen-trace-sidecar/v1\""), "{t}");
     assert!(t.contains("\"epoch_unix_us\":"), "{t}");
     assert!(t.contains("worker.generate"), "{t}");
     json::parse(&t).unwrap();
+
+    // The rank report is the plain three-member document: nobody asked
+    // for telemetry *in the report*.
+    let report = std::fs::read_to_string(dir.join("part-00002-00005.json")).unwrap();
+    let report = kagen_repro::pipeline::PartialManifest::from_json(&report).unwrap();
+    assert_eq!(report.shards.len(), 3);
+    assert!(report.metrics.is_none() && report.trace.is_none());
 
     // Heartbeat: the final beat reports the done stage and the full
     // range (standalone workers leave it as their liveness record; in a

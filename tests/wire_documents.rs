@@ -1,15 +1,16 @@
 //! Golden wire bytes: the files workers and the coordinator leave for
 //! each other are the whole protocol of a communication-free launch, so
 //! the exact text of each one is pinned here against literal constants
-//! built from fixed inputs — a manifest, a partial manifest, a ledger
-//! with pending and done shards, a heartbeat, a v2 run-metrics document
-//! and a federated trace. Strings carry a quote, a backslash, a tab and
-//! a control byte so the escaper is pinned with them.
+//! built from fixed inputs — a manifest, a partial manifest (the rank
+//! report, without and with telemetry), a ledger with pending and done
+//! shards, a heartbeat, a v2 run-metrics document and a federated
+//! trace. Strings carry a quote, a backslash, a tab and a control byte
+//! so the escaper is pinned with them.
 
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::cluster::trace::{federate_with, RankTrace, WorkerTrace};
 use kagen_repro::cluster::{plan_ranks, Heartbeat, Ledger};
-use kagen_repro::obs::{HistogramSnapshot, TraceEvent};
+use kagen_repro::obs::{HistogramSnapshot, Telemetry, TraceEvent};
 use kagen_repro::pipeline::{Manifest, PartialManifest, RunHeader, ShardInfo};
 
 fn shard(pe: u64) -> ShardInfo {
@@ -60,10 +61,12 @@ fn manifest_bytes() {
 
 #[test]
 fn partial_manifest_bytes() {
-    let part = PartialManifest {
+    let mut part = PartialManifest {
         pe_begin: 1,
         pe_end: 3,
         shards: vec![shard(1), shard(2)],
+        metrics: None,
+        trace: None,
     };
     assert_eq!(
         part.to_json(),
@@ -71,6 +74,34 @@ fn partial_manifest_bytes() {
          {\"pe\": 1, \"file\": \"shard-00001.kgc\", \"edges\": 1001, \"checksum\": 16045690981097406465},\n    \
          {\"pe\": 2, \"file\": \"shard-00002.kgc\", \"edges\": 1002, \"checksum\": 16045690981097406466}\n  \
          ]\n}\n"
+    );
+    // A worker asked for telemetry appends it; the three members above
+    // keep their bytes.
+    let hist = HistogramSnapshot {
+        count: 2,
+        sum: 300,
+        buckets: vec![(3, 1), (8, 1)],
+    };
+    part.metrics = Some(Telemetry {
+        counters: vec![("gen.edges".into(), 2003)],
+        histograms: vec![("sink.shard_wall_us".into(), hist)],
+    });
+    part.trace = Some(WorkerTrace {
+        pid: 9001,
+        epoch_unix_us: 5_000_100,
+        events: vec![ev("worker.generate \"q\"", 10, 500, 1)],
+    });
+    assert_eq!(
+        part.to_json(),
+        "{\n  \"pe_begin\": 1,\n  \"pe_end\": 3,\n  \"shards\": [\n    \
+         {\"pe\": 1, \"file\": \"shard-00001.kgc\", \"edges\": 1001, \"checksum\": 16045690981097406465},\n    \
+         {\"pe\": 2, \"file\": \"shard-00002.kgc\", \"edges\": 1002, \"checksum\": 16045690981097406466}\n  \
+         ],\n  \"metrics\": {\n    \"counters\": {\"gen.edges\": 2003},\n    \
+         \"histograms\": {\"sink.shard_wall_us\": {\"count\": 2, \"sum\": 300, \"buckets\": [{\"bucket\": 3, \"count\": 1}, {\"bucket\": 8, \"count\": 1}]}}\n  \
+         },\n  \"trace\": {\n    \"schema\": \"kagen-trace-sidecar/v1\",\n    \"pid\": 9001,\n    \
+         \"epoch_unix_us\": 5000100,\n    \
+         \"traceEvents\": [{\"name\": \"worker.generate \\\"q\\\"\", \"cat\": \"kagen\", \"ph\": \"X\", \"ts\": 10, \"dur\": 500, \"pid\": 9001, \"tid\": 1}],\n    \
+         \"displayTimeUnit\": \"ms\"\n  }\n}\n"
     );
 }
 

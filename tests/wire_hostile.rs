@@ -1,4 +1,4 @@
-//! Hostile input, one table: each of the seven on-disk documents must
+//! Hostile input, one table: each of the eight on-disk documents must
 //! round-trip exactly, reject every proper prefix of itself, and answer
 //! every single-byte substitution with a value or an `Err` — never a
 //! panic, never an allocation sized by a number read from the file.
@@ -77,6 +77,8 @@ fn documents() -> Vec<Doc> {
         pe_begin: 1,
         pe_end: 3,
         shards: vec![shard(1), shard(2)],
+        metrics: None,
+        trace: None,
     };
     let mut ledger = Ledger::new(header(), 2, &plan_ranks(3, 2));
     ledger.record_rank_done(0, vec![shard(0)]);
@@ -112,6 +114,11 @@ fn documents() -> Vec<Doc> {
             tid: 1,
         }],
     };
+    let report = PartialManifest {
+        metrics: Some(t.clone()),
+        trace: Some(trace.clone()),
+        ..part.clone()
+    };
     vec![
         doc(
             "manifest",
@@ -122,6 +129,12 @@ fn documents() -> Vec<Doc> {
         doc(
             "partial manifest",
             &part,
+            PartialManifest::to_json,
+            PartialManifest::from_json,
+        ),
+        doc(
+            "rank report with telemetry",
+            &report,
             PartialManifest::to_json,
             PartialManifest::from_json,
         ),
@@ -223,6 +236,8 @@ fn untrusted_numbers_do_not_size_allocations() {
         pe_begin: 0,
         pe_end: 1,
         shards: vec![shard(0)],
+        metrics: None,
+        trace: None,
     };
     let huge = part
         .to_json()
