@@ -98,7 +98,7 @@ fn null_binary_sink() -> Box<dyn EdgeSink> {
 /// `push_batch`: one virtual call and one buffered write per batch. Every
 /// timed region here and below is an obs span: one wall-clock source for
 /// the JSON numbers and for `--trace-out`.
-fn time_sink_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> f64 {
+fn time_sink_batched<G: Generator + ?Sized>(name: &str, gen: &G, reps: u32) -> f64 {
     let mut best = f64::INFINITY;
     let mut buf = Vec::with_capacity(BATCH_EDGES);
     for _ in 0..reps {
@@ -116,7 +116,7 @@ fn time_sink_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: 
 /// Best-of-`reps` wall time of one full instance streamed in batches
 /// into an order-sensitive checksum fold (so the stream is consumed, not
 /// optimized away); returns the edge count along with it.
-fn time_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) -> (u64, f64) {
+fn time_batched<G: Generator + ?Sized>(name: &str, gen: &G, reps: u32) -> (u64, f64) {
     let mut edges = 0u64;
     let mut best = f64::INFINITY;
     let mut buf = Vec::with_capacity(BATCH_EDGES);
@@ -142,7 +142,7 @@ fn time_batched<G: StreamingGenerator + ?Sized>(name: &str, gen: &G, reps: u32) 
 /// Peak allocation of one batched streaming pass over the whole
 /// instance, measured with the counting allocator (batch buffer
 /// pre-reserved outside the window; the consumer keeps only a checksum).
-fn measure_peak_alloc<G: StreamingGenerator + ?Sized>(gen: &G) -> u64 {
+fn measure_peak_alloc<G: Generator + ?Sized>(gen: &G) -> u64 {
     let mut buf = Vec::with_capacity(BATCH_EDGES);
     let mut acc = 0u64;
     let peak = CountingAlloc::peak_during(|| {
@@ -158,7 +158,7 @@ fn measure_peak_alloc<G: StreamingGenerator + ?Sized>(gen: &G) -> u64 {
     peak
 }
 
-fn measure<G: StreamingGenerator + ?Sized>(
+fn measure<G: Generator + ?Sized>(
     name: &'static str,
     model: &'static str,
     params: String,
@@ -201,7 +201,7 @@ struct ScalingPoint {
 /// ranges on `workers` threads — the in-process twin of
 /// `kagen launch --workers W`, sharing its plan via
 /// [`kagen_runtime::run_rank_ranges`].
-fn time_rank_ranges<G: StreamingGenerator + Sync + ?Sized>(
+fn time_rank_ranges<G: Generator + Sync + ?Sized>(
     label: &str,
     gen: &G,
     workers: usize,

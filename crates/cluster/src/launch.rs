@@ -16,7 +16,7 @@ use crate::metrics::RankMetrics;
 use crate::plan::{plan_ranks, plan_repairs, RankTask};
 use crate::trace::RankTrace;
 use crate::worker::{run_worker, FailureInjection};
-use kagen_core::streaming::StreamingGenerator;
+use kagen_core::Generator;
 use kagen_obs::json::invalid;
 use kagen_obs::{trace, Counter, Histogram};
 use kagen_pipeline::{validate_shard, validate_shard_sampled, Manifest, RunHeader, ShardFormat};
@@ -164,7 +164,7 @@ impl WorkerRunner for ProcessRunner {
 /// supervision and resume tests.
 pub struct InProcessRunner<'a> {
     /// The generator every worker derives its slice from.
-    pub gen: &'a dyn StreamingGenerator,
+    pub gen: &'a dyn Generator,
     /// Shard directory.
     pub dir: PathBuf,
     /// Shard format.
@@ -190,11 +190,7 @@ impl std::fmt::Debug for InProcessRunner<'_> {
 impl<'a> InProcessRunner<'a> {
     /// Runner for `gen` writing `format` shards into `dir`, serial per
     /// task, no injected failures.
-    pub fn new(
-        gen: &'a dyn StreamingGenerator,
-        dir: impl Into<PathBuf>,
-        format: ShardFormat,
-    ) -> Self {
+    pub fn new(gen: &'a dyn Generator, dir: impl Into<PathBuf>, format: ShardFormat) -> Self {
         InProcessRunner {
             gen,
             dir: dir.into(),

@@ -10,7 +10,7 @@
 //! never talks to its siblings: its output is a pure function of
 //! `(generator, pe range, format)`, which is the whole point of the paper.
 
-use kagen_core::streaming::StreamingGenerator;
+use kagen_core::Generator;
 use kagen_obs::Counter;
 use kagen_pipeline::{write_shard, ShardFormat, ShardInfo};
 use std::io;
@@ -66,7 +66,7 @@ impl FailureInjection {
 /// W cores) and return the shard infos in PE order — only after *every*
 /// shard of the range is on disk.
 pub fn run_worker(
-    gen: &dyn StreamingGenerator,
+    gen: &dyn Generator,
     dir: &Path,
     format: ShardFormat,
     pes: Range<usize>,

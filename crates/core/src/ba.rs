@@ -13,6 +13,7 @@
 //! The chain `r → r' → …` halves at least the index each step in
 //! expectation; its length is O(1) expected and O(log) w.h.p.
 
+use crate::streaming::{fill_range_batched, BatchEmit};
 use crate::{Generator, PeGraph};
 use kagen_util::seed::stream;
 use kagen_util::splitmix::mix2;
@@ -125,19 +126,25 @@ impl Generator for BarabasiAlbert {
         true
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
+    /// Range fill: the hashed resolve-base seed is derived once per
+    /// batch instead of once per edge.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        fill_range_batched(self.pe_slot_range(pe), buf, emit, |r, out| {
+            self.fill_edges(r, out)
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
         // PE p owns a contiguous vertex range and therefore the slot range
         // [begin*d, end*d).
         let begin = self.n * pe as u64 / self.chunks as u64;
         let end = self.n * (pe as u64 + 1) / self.chunks as u64;
-        let mut out = PeGraph {
+        PeGraph {
             pe,
             vertex_begin: begin,
             vertex_end: end,
             ..PeGraph::default()
-        };
-        self.fill_edges(self.pe_slot_range(pe), &mut out.edges);
-        out
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Directed G(n,m) and G(n,p) (§4.1, §4.3).
 
 use super::{GnpLeaves, MonotoneEdgeDecoder};
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_dist::binomial;
 use kagen_sampling::vitter::sample_sorted_batched;
@@ -107,12 +108,17 @@ impl Generator for GnmDirected {
         true
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
         let mut out = PeGraph {
             pe,
             ..PeGraph::default()
         };
-        self.stream_edges(pe, &mut |u, v| out.edges.push((u, v)));
         if let Some(sampler) = self.sampler() {
             let (lo, hi) = pe_block_range(sampler.blocks(), self.chunks, pe);
             let n = self.n;
@@ -127,8 +133,8 @@ impl Generator for GnmDirected {
 
 impl GnmDirected {
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `generate_pe` and
-    /// `stream_pe_batched`. Every leaf runs the block-treated Method D
+    /// the one edge-producing function behind `stream_pe_batched`.
+    /// Every leaf runs the block-treated Method D
     /// (`sample_sorted_batched`: uniforms served from a block-buffered
     /// PRNG); `emit` is monomorphic, so the decode-and-push loop inlines
     /// into the caller.
@@ -205,13 +211,10 @@ impl Generator for GnpDirected {
         true
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
-        let mut out = PeGraph {
-            pe,
-            ..PeGraph::default()
-        };
-        self.stream_edges(pe, &mut |u, v| out.edges.push((u, v)));
-        out
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
     }
 }
 
@@ -230,8 +233,8 @@ impl GnpDirected {
     }
 
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `generate_pe` and
-    /// `stream_pe_batched`. Leaves run the block kernels: skips drawn
+    /// the one edge-producing function behind `stream_pe_batched`.
+    /// Leaves run the block kernels: skips drawn
     /// and converted in blocks (`bernoulli_sample_batched`, off the
     /// per-edge `ln` bound) or the block-treated Method D; `emit` is
     /// monomorphic, so the decode-and-push loop inlines into the caller.

@@ -14,6 +14,7 @@
 //! reconstructs identical counts along its paths.
 
 use super::{GnpLeaves, MonotoneTriangleDecoder, RowSplitter64};
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_dist::{binomial, hypergeometric};
 use kagen_sampling::bernoulli_sample_batched;
@@ -265,24 +266,27 @@ impl Generator for GnmUndirected {
         false
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
         let grid = ChunkMatrix::new(self.n, self.chunks);
-        let mut out = PeGraph {
+        PeGraph {
             pe,
             vertex_begin: grid.start(pe as u64),
             vertex_end: grid.start(pe as u64 + 1),
             ..PeGraph::default()
-        };
-        self.stream_edges(pe, &mut |u, v| out.edges.push((u, v)));
-        out
+        }
     }
 }
 
 impl GnmUndirected {
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `generate_pe` and
-    /// `stream_pe_batched`, generic over the consumer so callers
-    /// monomorphize.
+    /// the one edge-producing function behind `stream_pe_batched`,
+    /// generic over the consumer so callers monomorphize.
     pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let grid = ChunkMatrix::new(self.n, self.chunks);
         if self.n < 2 {
@@ -367,17 +371,21 @@ impl Generator for GnpUndirected {
         false
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
         let grid = ChunkMatrix::new(self.n, self.chunks);
         let pe_id = pe as u64;
-        let mut out = PeGraph {
+        PeGraph {
             pe,
             vertex_begin: grid.start(pe_id),
             vertex_end: grid.start(pe_id + 1),
             ..PeGraph::default()
-        };
-        self.stream_edges(pe, &mut |u, v| out.edges.push((u, v)));
-        out
+        }
     }
 }
 
@@ -391,9 +399,8 @@ impl GnpUndirected {
     }
 
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `generate_pe` and
-    /// `stream_pe_batched`, generic over the consumer so callers
-    /// monomorphize.
+    /// the one edge-producing function behind `stream_pe_batched`,
+    /// generic over the consumer so callers monomorphize.
     pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let grid = ChunkMatrix::new(self.n, self.chunks);
         let pe_id = pe as u64;

@@ -3,12 +3,29 @@
 //! The paper's contribution: communication-free distributed graph
 //! generators.
 //!
-//! Every generator implements [`Generator`]: the instance is fully defined
-//! by its parameters plus a seed, and [`Generator::generate_pe`] produces
-//! the part of that one instance belonging to logical PE `pe` — all edges
-//! incident to the PE's local vertices — as a pure function. PEs never
+//! Every generator implements the one trait [`Generator`]: the instance
+//! is fully defined by its parameters plus a seed, and the part of it
+//! belonging to logical PE `pe` — all edges incident to the PE's local
+//! vertices — is a pure function of `(parameters, seed, pe)`. PEs never
 //! communicate; overlap regions are recomputed deterministically through
 //! seed derivation (see `kagen-util::seed`).
+//!
+//! A model supplies four methods: `num_vertices`, `num_chunks`,
+//! `directed` and the batched stream
+//! [`stream_pe_batched`](Generator::stream_pe_batched) (see
+//! [`streaming`]). Everything else is provided over the stream: per-edge
+//! delivery, counting, the whole-instance drivers, and
+//! [`generate_pe`](Generator::generate_pe), which collects the PE's
+//! batches into a [`PeGraph`] and takes the vertex range and coordinates
+//! from [`pe_vertices`](Generator::pe_vertices). Three models override
+//! `generate_pe` with an in-memory engine, because holding the PE's
+//! whole neighbourhood at once is measurably faster than the streaming
+//! frontier's recomputation (`kagen <model>` vs `kagen stream` at `-c 16
+//! -t 1`; README "Memory model" has the table): RDG 3.4–5.9× (one
+//! triangulation per chunk instead of one per cell), RHG 3.2–3.8× and
+//! soft RHG 1.33× (every queried cell generated once instead of once
+//! per sweep window). [`Srhg`] overrides it to return its sweep sorted.
+//! For every other model `generate_pe` *is* the stream, collected.
 //!
 //! | Model | Type | Paper section |
 //! |-------|------|---------------|
@@ -33,6 +50,7 @@ pub mod srhg;
 pub mod streaming;
 
 use kagen_graph::EdgeList;
+use streaming::BatchEmit;
 
 /// Per-PE output: the subgraph a single processing element generates.
 #[derive(Clone, Debug, Default)]
@@ -54,7 +72,9 @@ pub struct PeGraph {
     pub coords3: Vec<(u64, [f64; 3])>,
 }
 
-/// A communication-free graph generator.
+/// A communication-free graph generator. Implementors supply the three
+/// instance facts and [`stream_pe_batched`](Self::stream_pe_batched);
+/// everything else is an adapter over that stream.
 pub trait Generator: Sync {
     /// Total number of vertices of the instance.
     fn num_vertices(&self) -> u64;
@@ -62,9 +82,84 @@ pub trait Generator: Sync {
     fn num_chunks(&self) -> usize;
     /// Whether emitted edges are directed.
     fn directed(&self) -> bool;
-    /// Generate PE `pe`'s part of the instance. Pure function of
-    /// `(parameters, seed, pe)`.
-    fn generate_pe(&self, pe: usize) -> PeGraph;
+
+    /// Emit every edge PE `pe` is responsible for — a pure function of
+    /// `(parameters, seed, pe)`, in a deterministic order that is stable
+    /// across thread counts and batch sizes — as non-empty slices. `buf`
+    /// is a caller-provided scratch buffer (its capacity sets the batch
+    /// size; reserved to [`BATCH_EDGES`](streaming::BATCH_EDGES) if
+    /// empty) and `emit` receives each filled slice. The concatenation
+    /// of all slices is the PE's stream: the batch size changes delivery
+    /// granularity, never the instance.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit);
+
+    /// PE `pe`'s local vertices — id range and, for the spatial models,
+    /// coordinates — as a [`PeGraph`] without edges. Models with no
+    /// contiguous ownership keep the default empty range.
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
+        PeGraph {
+            pe,
+            ..PeGraph::default()
+        }
+    }
+
+    /// PE `pe`'s part of the instance, materialized: its vertices plus
+    /// its stream collected in order. RDG, RHG and soft RHG override
+    /// this with an in-memory engine that returns the same edge set
+    /// sorted (for the two RHG models that *is* the stream's order), and
+    /// sRHG sorts its sweep — see the crate docs for why those stay.
+    fn generate_pe(&self, pe: usize) -> PeGraph {
+        let mut out = self.pe_vertices(pe);
+        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            out.edges.extend_from_slice(edges)
+        });
+        out
+    }
+
+    /// PE `pe`'s stream, one edge per `emit` call.
+    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
+        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            for &(u, v) in edges {
+                emit(u, v);
+            }
+        });
+    }
+
+    /// Count a PE's edges without materializing them.
+    fn count_pe(&self, pe: usize) -> u64 {
+        let mut count = 0;
+        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            count += edges.len() as u64
+        });
+        count
+    }
+
+    /// Drive every PE in order through `emit`, one edge per call. Peak
+    /// memory is generator state plus one batch.
+    fn stream_all(&self, emit: &mut dyn FnMut(u64, u64)) {
+        self.stream_all_batched(&mut Vec::new(), &mut |edges| {
+            for &(u, v) in edges {
+                emit(u, v);
+            }
+        });
+    }
+
+    /// Drive every PE in order through `emit` — the sequential sink
+    /// driver used by the output pipeline when a single consumer wants
+    /// the whole instance as one stream. Peak memory is generator state
+    /// plus one batch.
+    fn stream_all_batched(&self, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        for pe in 0..self.num_chunks() {
+            self.stream_pe_batched(pe, buf, emit);
+        }
+    }
+
+    /// Total edge count of the instance without materializing it.
+    fn count_edges(&self) -> u64 {
+        let mut count = 0;
+        self.stream_all_batched(&mut Vec::new(), &mut |edges| count += edges.len() as u64);
+        count
+    }
 }
 
 /// Run all PEs of a generator on `threads` worker threads.
@@ -72,22 +167,31 @@ pub fn generate_parallel<G: Generator + ?Sized>(gen: &G, threads: usize) -> Vec<
     kagen_runtime::run_chunks(gen.num_chunks(), threads, |pe| gen.generate_pe(pe))
 }
 
-/// Generate and merge an undirected instance into canonical form
-/// (cross-PE duplicates removed).
-pub fn generate_undirected<G: Generator + ?Sized>(gen: &G) -> EdgeList {
-    assert!(!gen.directed());
-    let parts = generate_parallel(gen, 0);
-    kagen_graph::merge_pe_edges(gen.num_vertices(), parts.into_iter().map(|p| p.edges))
+/// Generate every PE on `threads` worker threads (0 = all cores) and
+/// merge into the canonical instance. Undirected: cross-PE duplicates
+/// removed. Directed: edges concatenated and sorted (PEs own disjoint
+/// edge sets, so no deduplication is involved).
+pub fn generate_merged<G: Generator + ?Sized>(gen: &G, threads: usize) -> EdgeList {
+    let parts = generate_parallel(gen, threads);
+    if gen.directed() {
+        let mut edges: Vec<(u64, u64)> = parts.into_iter().flat_map(|p| p.edges).collect();
+        edges.sort_unstable();
+        EdgeList::new(gen.num_vertices(), edges)
+    } else {
+        kagen_graph::merge_pe_edges(gen.num_vertices(), parts.into_iter().map(|p| p.edges))
+    }
 }
 
-/// Generate and merge a directed instance (edges concatenated and sorted;
-/// PEs own disjoint edge sets so no deduplication is involved).
+/// [`generate_merged`] on all cores, for an undirected generator.
+pub fn generate_undirected<G: Generator + ?Sized>(gen: &G) -> EdgeList {
+    assert!(!gen.directed());
+    generate_merged(gen, 0)
+}
+
+/// [`generate_merged`] on all cores, for a directed generator.
 pub fn generate_directed<G: Generator + ?Sized>(gen: &G) -> EdgeList {
     assert!(gen.directed());
-    let parts = generate_parallel(gen, 0);
-    let mut edges: Vec<(u64, u64)> = parts.into_iter().flat_map(|p| p.edges).collect();
-    edges.sort_unstable();
-    EdgeList::new(gen.num_vertices(), edges)
+    generate_merged(gen, 0)
 }
 
 /// Convenient re-exports.
@@ -100,10 +204,13 @@ pub mod prelude {
     pub use crate::rmat::{Rmat, RmatKernel};
     pub use crate::sbm::StochasticBlockModel;
     pub use crate::srhg::Srhg;
-    pub use crate::streaming::StreamingGenerator;
     pub use crate::{
-        generate_directed, generate_parallel, generate_undirected, Generator, PeGraph,
+        generate_directed, generate_merged, generate_parallel, generate_undirected, Generator,
+        PeGraph,
     };
+    // The trait's former second name; `streaming` says why the alias
+    // exists and when it goes.
+    pub use crate::Generator as StreamingGenerator;
 }
 
 pub use prelude::*;

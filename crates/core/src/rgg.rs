@@ -14,6 +14,7 @@
 //! Vertex ids are global Morton-prefix sums over cell counts, derivable by
 //! any PE in O(levels) per cell via the count tree.
 
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::cell_points::cell_points;
 use kagen_geometry::grid::levels_for_min_side;
@@ -126,13 +127,13 @@ impl<const D: usize> Rgg<D> {
     /// memory is bounded by the active cell neighborhood — never by the
     /// PE's edge count.
     ///
-    /// The emitted stream is edge-for-edge identical to
-    /// [`Generator::generate_pe`]'s `edges` (which is built on this very
-    /// function): within-cell pairs first, then the 3^d neighbors in
+    /// Stream order: within-cell pairs first, then the 3^d neighbors in
     /// enumeration order; local–local cell pairs are processed once (at
     /// the smaller Morton rank), local–halo pairs always (the neighbor
-    /// PE emits its own copy; merge deduplicates).
-    pub(crate) fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
+    /// PE emits its own copy; merge deduplicates). The returned frontier
+    /// accounting is what the memory-regression tests read to prove the
+    /// working set stays bounded by the cell neighborhood.
+    pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let (grid, tree, b) = self.count_tree();
         let (lo, hi) = self.cell_range(&grid, b, pe);
         let cursor = CellRangeCursor::new(&grid, &tree, lo, hi);
@@ -185,17 +186,6 @@ impl<const D: usize> Rgg<D> {
         });
         cache.stats()
     }
-
-    /// Stream PE `pe`'s edges and report the frontier accounting — the
-    /// hook the memory-regression tests use to prove the working set
-    /// stays bounded by the cell neighborhood.
-    pub fn stream_pe_instrumented(
-        &self,
-        pe: usize,
-        emit: &mut impl FnMut(u64, u64),
-    ) -> FrontierStats {
-        self.stream_cells(pe, emit)
-    }
 }
 
 impl<const D: usize> Generator for Rgg<D> {
@@ -212,7 +202,15 @@ impl<const D: usize> Generator for Rgg<D> {
         false
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
+    /// Cell-cursor streaming (§5): Morton walk with an evicting frontier
+    /// of recomputable cells — memory is the active 3^d neighborhood.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_cells(pe, &mut |u, v| b.push(u, v));
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
         let (grid, tree, b) = self.count_tree();
         let (lo, hi) = self.cell_range(&grid, b, pe);
         let cursor = CellRangeCursor::new(&grid, &tree, lo, hi);
@@ -238,13 +236,6 @@ impl<const D: usize> Generator for Rgg<D> {
                 }
             }
         });
-
-        // Edges through the identical cell-cursor walk the streaming
-        // path uses — materializing changes the container, never the
-        // stream.
-        let mut edges = Vec::new();
-        self.stream_cells(pe, &mut |u, v| edges.push((u, v)));
-        out.edges = edges;
         out
     }
 }

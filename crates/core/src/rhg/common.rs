@@ -14,12 +14,13 @@
 //! The instance is a pure function of `(n, d̄, γ, seed)`; the number of PEs
 //! does not enter (DESIGN.md: instance-vs-P decoupling).
 
+use crate::PeGraph;
 use kagen_dist::{binomial, multinomial};
 use kagen_geometry::hyperbolic::{PrePoint, RhgSpace};
 use kagen_geometry::{FrontierCache, FrontierStats};
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64, Rng64};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Target expected points per angular cell (the paper's tuning parameter c,
 /// "typically 8", §7.2.1).
@@ -271,6 +272,75 @@ pub(crate) fn stream_pe_queries(
     cache.stats()
 }
 
+/// The in-memory form of [`stream_pe_queries`], shared by the same two
+/// generators as their [`crate::Generator::generate_pe`]: the same
+/// sector, Δθ-bounded queries and pair rule (`dt` and `adjacent` as
+/// there), but every cell a query touches is generated once and *held*
+/// in a [`CellCache`] instead of retiring behind the sweep — which is
+/// why it outruns the streaming pass (RHG 3.2–3.8×, soft RHG 1.33× at
+/// `-c 16`) and why its footprint is every recomputed cell, the §7.2
+/// motivation for sRHG. Returns the PE's vertices (with `[r, θ]`
+/// coordinates) and sorted edge list — edge-for-edge the stream — plus
+/// the number of points held (the `abl-mem` footprint proxy).
+pub(crate) fn generate_pe_queries(
+    inst: &RhgInstance,
+    chunks: usize,
+    pe: usize,
+    dt: &impl Fn(&PrePoint, usize) -> f64,
+    adjacent: &impl Fn(&PrePoint, &PrePoint) -> bool,
+) -> (PeGraph, u64) {
+    let tau = std::f64::consts::TAU;
+    let (lo, hi) = (
+        tau * pe as f64 / chunks as f64,
+        tau * (pe as f64 + 1.0) / chunks as f64,
+    );
+    let annuli = (0..inst.num_annuli()).filter(|&i| inst.ann_counts[i] > 0);
+    let mut cache = CellCache::default();
+
+    // Local vertices: cells overlapping the sector, filtered by angular
+    // ownership.
+    let mut locals: Vec<PrePoint> = Vec::new();
+    for i in annuli.clone() {
+        inst.cells_overlapping(i, lo, hi, &mut |c| {
+            let owned = cache
+                .get(inst, i, c)
+                .iter()
+                .filter(|p| p.theta >= lo && p.theta < hi);
+            locals.extend(owned);
+        });
+    }
+    locals.sort_by_key(|p| p.id);
+    let local_ids: BTreeSet<u64> = locals.iter().map(|p| p.id).collect();
+
+    // Neighborhood queries: all incident edges of local vertices,
+    // oriented local-first; local–local pairs once (id order).
+    let mut edges = Vec::new();
+    for v in &locals {
+        for j in annuli.clone() {
+            let d = dt(v, j);
+            inst.cells_overlapping(j, v.theta - d, v.theta + d, &mut |c| {
+                for u in cache.get(inst, j, c) {
+                    if u.id != v.id && adjacent(u, v) && (!local_ids.contains(&u.id) || u.id > v.id)
+                    {
+                        edges.push((v.id, u.id));
+                    }
+                }
+            });
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup();
+    let out = PeGraph {
+        pe,
+        vertex_begin: locals.first().map_or(0, |p| p.id),
+        vertex_end: locals.last().map_or(0, |p| p.id + 1),
+        edges,
+        coords2: locals.iter().map(|v| (v.id, [v.r, v.theta])).collect(),
+        coords3: Vec::new(),
+    };
+    (out, cache.generated_points())
+}
+
 /// A per-PE cache of generated cells (local and recomputed remote ones).
 #[derive(Default, Debug)]
 pub struct CellCache {
@@ -283,12 +353,6 @@ impl CellCache {
         self.cells
             .entry((i, c))
             .or_insert_with(|| inst.cell_points(i, c))
-    }
-
-    /// Number of cells generated so far (for the recomputation accounting
-    /// in the experiments).
-    pub fn generated_cells(&self) -> usize {
-        self.cells.len()
     }
 
     /// Number of points held across all generated cells — the in-memory

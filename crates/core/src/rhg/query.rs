@@ -8,9 +8,9 @@
 //! the paper's inward/outward search recomputation, realized through the
 //! deterministic cell scheme of [`super::common`].
 
-use super::common::{stream_pe_queries, CellCache, RhgInstance};
+use super::common::{generate_pe_queries, stream_pe_queries, RhgInstance};
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_geometry::hyperbolic::PrePoint;
 use kagen_geometry::FrontierStats;
 
 /// Random hyperbolic graph (threshold model), in-memory generator.
@@ -54,67 +54,48 @@ impl Rhg {
         RhgInstance::new(self.n, self.avg_deg, self.gamma, self.seed)
     }
 
-    /// All neighbors of `v` found by scanning every annulus with the Δθ
-    /// bound. `emit` receives each adjacent point (including non-local).
-    pub(crate) fn query_neighbors(
-        inst: &RhgInstance,
-        cache: &mut CellCache,
-        v: &PrePoint,
-        emit: &mut impl FnMut(&PrePoint),
-    ) {
-        let cosh_r = inst.space.cosh_r;
-        for j in 0..inst.num_annuli() {
-            if inst.ann_counts[j] == 0 {
-                continue;
-            }
-            let dt = inst.space.delta_theta(v.r, inst.space.bounds[j].max(1e-12));
-            let mut cells = Vec::new();
-            inst.cells_overlapping(j, v.theta - dt, v.theta + dt, &mut |c| cells.push(c));
-            for c in cells {
-                for u in cache.get(inst, j, c) {
-                    if u.id != v.id && v.is_adjacent(u, cosh_r) {
-                        emit(u);
-                    }
-                }
-            }
-        }
+    /// Angular query half-width (Eq. 8) of a vertex at radius `r` into
+    /// annulus `j`.
+    fn dt(inst: &RhgInstance, r: f64, j: usize) -> f64 {
+        inst.space.delta_theta(r, inst.space.bounds[j].max(1e-12))
     }
-}
 
-impl Rhg {
     /// The native streaming pass: the same Δθ-bounded queries as
     /// [`Generator::generate_pe`], but through the evicting frontier
     /// cache of [`stream_pe_queries`] — the emitted stream equals the
     /// in-memory generator's sorted edge list edge-for-edge, with memory
     /// bounded by the active query window instead of every recomputed
-    /// cell.
-    pub(crate) fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
+    /// cell. Returns the frontier accounting the memory-regression tests
+    /// read.
+    pub fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let inst = self.instance();
         let cosh_r = inst.space.cosh_r;
         stream_pe_queries(
             &inst,
             self.chunks,
             pe,
-            &|i, j| {
-                inst.space.delta_theta(
-                    inst.space.bounds[i].max(1e-12),
-                    inst.space.bounds[j].max(1e-12),
-                )
-            },
-            &|v, j| inst.space.delta_theta(v.r, inst.space.bounds[j].max(1e-12)),
+            &|i, j| Self::dt(&inst, inst.space.bounds[i].max(1e-12), j),
+            &|v, j| Self::dt(&inst, v.r, j),
             &|u, v| v.is_adjacent(u, cosh_r),
             emit,
         )
     }
 
-    /// Stream PE `pe`'s edges and report the frontier accounting — the
-    /// hook the memory-regression tests use.
-    pub fn stream_pe_instrumented(
-        &self,
-        pe: usize,
-        emit: &mut impl FnMut(u64, u64),
-    ) -> FrontierStats {
-        self.stream_query(pe, emit)
+    /// Like [`Generator::generate_pe`], additionally returning the number
+    /// of points this PE had to generate (local + recomputed) — the
+    /// memory-footprint proxy of the `abl-mem` experiment. The in-memory
+    /// generator must *hold* all of them for its queries, which is the
+    /// §7.2 motivation for sRHG.
+    pub fn generate_pe_stats(&self, pe: usize) -> (PeGraph, u64) {
+        let inst = self.instance();
+        let cosh_r = inst.space.cosh_r;
+        generate_pe_queries(
+            &inst,
+            self.chunks,
+            pe,
+            &|v, j| Self::dt(&inst, v.r, j),
+            &|u, v| v.is_adjacent(u, cosh_r),
+        )
     }
 }
 
@@ -131,70 +112,18 @@ impl Generator for Rhg {
         false
     }
 
+    /// Streaming Δθ queries (§7.1) over the evicting frontier cache —
+    /// memory is the active query window.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_query(pe, &mut |u, v| b.push(u, v));
+        });
+    }
+
+    /// The in-memory engine (`common::generate_pe_queries`): same edge list as
+    /// the stream, 3.2–3.8× faster for holding every queried cell.
     fn generate_pe(&self, pe: usize) -> PeGraph {
         self.generate_pe_stats(pe).0
-    }
-}
-
-impl Rhg {
-    /// Like [`Generator::generate_pe`], additionally returning the number
-    /// of points this PE had to generate (local + recomputed) — the
-    /// memory-footprint proxy of the `abl-mem` experiment. The in-memory
-    /// generator must *hold* all of them for its queries, which is the
-    /// §7.2 motivation for sRHG.
-    pub fn generate_pe_stats(&self, pe: usize) -> (PeGraph, u64) {
-        let inst = self.instance();
-        let tau = std::f64::consts::TAU;
-        let sector = (
-            tau * pe as f64 / self.chunks as f64,
-            tau * (pe as f64 + 1.0) / self.chunks as f64,
-        );
-        let mut cache = CellCache::default();
-        let mut out = PeGraph {
-            pe,
-            ..PeGraph::default()
-        };
-
-        // Collect local vertices: cells overlapping the sector, filtered by
-        // angular ownership.
-        let mut locals: Vec<PrePoint> = Vec::new();
-        for i in 0..inst.num_annuli() {
-            if inst.ann_counts[i] == 0 {
-                continue;
-            }
-            let mut cells = Vec::new();
-            inst.cells_overlapping(i, sector.0, sector.1, &mut |c| cells.push(c));
-            for c in cells {
-                for p in cache.get(&inst, i, c) {
-                    if p.theta >= sector.0 && p.theta < sector.1 {
-                        locals.push(*p);
-                    }
-                }
-            }
-        }
-        locals.sort_by_key(|p| p.id);
-
-        let local_ids: std::collections::BTreeSet<u64> = locals.iter().map(|p| p.id).collect();
-        for v in &locals {
-            out.coords2.push((v.id, [v.r, v.theta]));
-        }
-        out.vertex_begin = locals.first().map_or(0, |p| p.id);
-        out.vertex_end = locals.last().map_or(0, |p| p.id + 1);
-
-        // Neighborhood queries: all incident edges of local vertices;
-        // local–local pairs emitted once (id order).
-        let mut edges = Vec::new();
-        for v in &locals {
-            Rhg::query_neighbors(&inst, &mut cache, v, &mut |u| {
-                if !local_ids.contains(&u.id) || u.id > v.id {
-                    edges.push((v.id, u.id));
-                }
-            });
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        out.edges = edges;
-        (out, cache.generated_points())
     }
 }
 

@@ -27,7 +27,8 @@
 //! a documented approximation of the ideal model; its error bound is
 //! checked statistically in the tests.
 
-use super::common::{stream_pe_queries, CellCache, RhgInstance};
+use super::common::{generate_pe_queries, stream_pe_queries, RhgInstance};
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::hyperbolic::PrePoint;
 use kagen_geometry::FrontierStats;
@@ -130,31 +131,14 @@ impl SoftRhg {
         self.pair_coin(u.id, v.id) < self.connection_prob(inst, d)
     }
 
-    /// All soft neighbors of `v` within the truncated query range.
-    fn query_neighbors(
-        &self,
-        inst: &RhgInstance,
-        cache: &mut CellCache,
-        r_eff: f64,
-        cosh_r_eff: f64,
-        v: &PrePoint,
-        emit: &mut impl FnMut(&PrePoint),
-    ) {
-        for j in 0..inst.num_annuli() {
-            if inst.ann_counts[j] == 0 {
-                continue;
-            }
-            let b = inst.space.bounds[j].max(1e-12);
-            let dt = inst.space.delta_theta_at(v.r, b, r_eff, cosh_r_eff);
-            let mut cells = Vec::new();
-            inst.cells_overlapping(j, v.theta - dt, v.theta + dt, &mut |c| cells.push(c));
-            for c in cells {
-                for u in cache.get(inst, j, c) {
-                    if u.id != v.id && self.pair_connected(inst, u, v) {
-                        emit(u);
-                    }
-                }
-            }
+    /// The truncated query: `R_eff` and the angular half-width (Eq. 8 at
+    /// `R_eff`) of a vertex at radius `r` into annulus `j`.
+    fn dt<'a>(&self, inst: &'a RhgInstance) -> impl Fn(f64, usize) -> f64 + 'a {
+        let r_eff = self.effective_radius(inst);
+        let cosh_r_eff = r_eff.cosh();
+        move |r, j| {
+            inst.space
+                .delta_theta_at(r, inst.space.bounds[j].max(1e-12), r_eff, cosh_r_eff)
         }
     }
 
@@ -164,24 +148,13 @@ impl SoftRhg {
     /// bounded by the active query window.
     pub(crate) fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let inst = self.instance();
-        let r_eff = self.effective_radius(&inst);
-        let cosh_r_eff = r_eff.cosh();
+        let dt = self.dt(&inst);
         stream_pe_queries(
             &inst,
             self.chunks,
             pe,
-            &|i, j| {
-                inst.space.delta_theta_at(
-                    inst.space.bounds[i].max(1e-12),
-                    inst.space.bounds[j].max(1e-12),
-                    r_eff,
-                    cosh_r_eff,
-                )
-            },
-            &|v, j| {
-                inst.space
-                    .delta_theta_at(v.r, inst.space.bounds[j].max(1e-12), r_eff, cosh_r_eff)
-            },
+            &|i, j| dt(inst.space.bounds[i].max(1e-12), j),
+            &|v, j| dt(v.r, j),
             &|u, v| self.pair_connected(&inst, u, v),
             emit,
         )
@@ -201,61 +174,23 @@ impl Generator for SoftRhg {
         false
     }
 
+    /// Streaming truncated-radius queries (§9 soft model) over the
+    /// evicting frontier cache.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_query(pe, &mut |u, v| b.push(u, v));
+        });
+    }
+
+    /// The in-memory engine (`common::generate_pe_queries`): same edge list as
+    /// the stream, 1.33× faster for holding every queried cell.
     fn generate_pe(&self, pe: usize) -> PeGraph {
         let inst = self.instance();
-        let r_eff = self.effective_radius(&inst);
-        let cosh_r_eff = r_eff.cosh();
-        let tau = std::f64::consts::TAU;
-        let sector = (
-            tau * pe as f64 / self.chunks as f64,
-            tau * (pe as f64 + 1.0) / self.chunks as f64,
-        );
-        let mut cache = CellCache::default();
-        let mut out = PeGraph {
-            pe,
-            ..PeGraph::default()
-        };
-
-        // Local vertices: angular ownership, as in the threshold Rhg.
-        let mut locals: Vec<PrePoint> = Vec::new();
-        for i in 0..inst.num_annuli() {
-            if inst.ann_counts[i] == 0 {
-                continue;
-            }
-            let mut cells = Vec::new();
-            inst.cells_overlapping(i, sector.0, sector.1, &mut |c| cells.push(c));
-            for c in cells {
-                for p in cache.get(&inst, i, c) {
-                    if p.theta >= sector.0 && p.theta < sector.1 {
-                        locals.push(*p);
-                    }
-                }
-            }
-        }
-        locals.sort_by_key(|p| p.id);
-        let local_ids: std::collections::BTreeSet<u64> = locals.iter().map(|p| p.id).collect();
-        for v in &locals {
-            out.coords2.push((v.id, [v.r, v.theta]));
-        }
-        out.vertex_begin = locals.first().map_or(0, |p| p.id);
-        out.vertex_end = locals.last().map_or(0, |p| p.id + 1);
-
-        let mut edges = Vec::new();
-        for v in &locals {
-            self.query_neighbors(&inst, &mut cache, r_eff, cosh_r_eff, v, &mut |u| {
-                if !local_ids.contains(&u.id) || u.id > v.id {
-                    // Oriented local-first, like the threshold Rhg: the
-                    // sorted result is then exactly the order the native
-                    // streaming pass emits (normalization happens on
-                    // merge, as for every undirected generator).
-                    edges.push((v.id, u.id));
-                }
-            });
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        out.edges = edges;
-        out
+        let dt = self.dt(&inst);
+        generate_pe_queries(&inst, self.chunks, pe, &|v, j| dt(v.r, j), &|u, v| {
+            self.pair_connected(&inst, u, v)
+        })
+        .0
     }
 }
 

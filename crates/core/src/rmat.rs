@@ -36,6 +36,7 @@
 //! seed of edge `e` depends only on `(instance seed, e)`, never on the PE
 //! boundaries.
 
+use crate::streaming::{fill_range_batched, BatchEmit};
 use crate::{Generator, PeGraph};
 use kagen_dist::AliasTable;
 use kagen_obs::{Counter, Histogram};
@@ -400,15 +401,22 @@ impl Generator for Rmat {
         true
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
-        let mut out = PeGraph {
+    /// Range fill: one hashed seed per edge block and one kernel
+    /// dispatch per batch (see [`Rmat::fill_edges`]) — the §8.6.1 variate
+    /// cost drops from hash+descent to `mix2`+descent per edge.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        fill_range_batched(self.pe_edge_range(pe), buf, emit, |r, out| {
+            self.fill_edges(r, out)
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
+        PeGraph {
             pe,
             vertex_begin: 0,
             vertex_end: self.num_vertices(),
             ..PeGraph::default()
-        };
-        self.fill_edges(self.pe_edge_range(pe), &mut out.edges);
-        out
+        }
     }
 }
 

@@ -13,6 +13,7 @@
 //! the PE count and no communication is ever needed.
 
 use crate::er::triangle_index_to_pair;
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_dist::binomial;
 use kagen_sampling::vitter::sample_sorted;
@@ -181,15 +182,19 @@ impl Generator for StochasticBlockModel {
         false
     }
 
-    fn generate_pe(&self, pe: usize) -> PeGraph {
-        let mut out = PeGraph {
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.stream_edges(pe, &mut |u, v| b.push(u, v))
+        });
+    }
+
+    fn pe_vertices(&self, pe: usize) -> PeGraph {
+        PeGraph {
             pe,
             vertex_begin: 0,
             vertex_end: self.num_vertices(),
             ..PeGraph::default()
-        };
-        self.stream_edges(pe, &mut |u, v| out.edges.push((u, v)));
-        out
+        }
     }
 }
 

@@ -24,6 +24,7 @@
 //! generators emit the *identical* graph — asserted in tests.
 
 use crate::rhg::common::RhgInstance;
+use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::hyperbolic::PrePoint;
 
@@ -142,6 +143,17 @@ impl Generator for Srhg {
         false
     }
 
+    /// The request-centric sweep (§7.2) with sliding request insertion —
+    /// live state is replicated globals + active-request windows. The
+    /// stream is emitted in sweep order; cross-PE duplicates deduplicate
+    /// on merge as for every undirected generator.
+    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        Batcher::run(buf, emit, |b| {
+            self.sweep(pe, &mut |u, v| b.push(u, v), None);
+        });
+    }
+
+    /// The sweep, sorted (and the sector's vertices with coordinates).
     fn generate_pe(&self, pe: usize) -> PeGraph {
         self.generate_pe_stats(pe).0
     }

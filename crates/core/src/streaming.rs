@@ -1,39 +1,43 @@
 //! Streaming edge output (§9 future work: "extend our remaining
 //! generators to use a streaming approach … drastically reduce the memory
-//! needed").
+//! needed"), and the batching protocol every model's stream is written
+//! against.
 //!
-//! [`StreamingGenerator::stream_pe_batched`] is the one edge-delivery
-//! primitive: a PE's edges arrive as slices of a caller-provided batch
-//! buffer instead of a materialized [`PeGraph`](crate::PeGraph), so a
-//! PE's memory footprint is its generator state (cells, counts, PRNGs)
-//! plus one batch — not its output. Per-edge delivery, counting and the
-//! whole-instance drivers are provided adapters over that one method.
-//! For the index-based generators (ER, BA, R-MAT, SBM) the state is
-//! O(log)-sized; for the spatial/hyperbolic family it is the active cell
-//! neighborhood of the cell-cursor core (`kagen_geometry::cell_stream`):
-//! the current cell group plus an evicting frontier of recomputable
-//! cells (RGG/RDG), the active query window (RHG/soft RHG), or
-//! replicated globals plus the active-request windows (sRHG).
+//! [`Generator::stream_pe_batched`] is the one edge-delivery primitive
+//! and the one method with edge code a model must write: a PE's edges
+//! arrive as slices of a caller-provided batch buffer instead of a
+//! materialized [`PeGraph`](crate::PeGraph), so a PE's memory footprint
+//! is its generator state (cells, counts, PRNGs) plus one batch — not
+//! its output. Per-edge delivery, counting, the whole-instance drivers
+//! and the materialized [`Generator::generate_pe`] are provided adapters
+//! over that one method. For the index-based generators (ER, BA, R-MAT,
+//! SBM) the state is O(log)-sized; for the spatial/hyperbolic family it
+//! is the active cell neighborhood of the cell-cursor core
+//! (`kagen_geometry::cell_stream`): the current cell group plus an
+//! evicting frontier of recomputable cells (RGG/RDG), the active query
+//! window (RHG/soft RHG), or replicated globals plus the active-request
+//! windows (sRHG).
 //!
-//! Every implementation emits exactly `generate_pe`'s edge *set* in a
-//! deterministic, chunk-stable order (asserted in tests): streaming
-//! changes the delivery, never the instance. All generators except RDG
-//! and sRHG preserve `generate_pe`'s edge *order* too; those two emit in
-//! generation-sweep order (per cell group / per sweep annulus), because
-//! reproducing the materialized path's globally sorted order would
-//! require buffering the very output the streaming path exists to
-//! avoid.
+//! `generate_pe` returns exactly the stream's edge *set* for every
+//! model, and for all but RDG and sRHG its *order* too (asserted in the
+//! tests below and pinned by `tests/golden_streams.rs`): ER, BA, R-MAT,
+//! SBM and RGG collect the stream, RHG and soft RHG run an in-memory
+//! engine whose sorted list is the order the streaming queries emit.
+//! RDG and sRHG stream in generation-sweep order (per cell group / per
+//! sweep annulus) and materialize sorted, because streaming the globally
+//! sorted order would require buffering the very output the streaming
+//! path exists to avoid.
 
-use crate::ba::BarabasiAlbert;
-use crate::er::{GnmDirected, GnmUndirected, GnpDirected, GnpUndirected};
-use crate::rdg::Rdg;
-use crate::rgg::Rgg;
-use crate::rhg::{Rhg, SoftRhg};
-use crate::rmat::Rmat;
-use crate::sbm::StochasticBlockModel;
-use crate::srhg::Srhg;
-use crate::Generator;
 use kagen_obs::Counter;
+
+// The trait's former second name, from when streaming was an extension
+// trait. It exists solely because `benchmark/src/{layers,workloads,
+// kernels}.rs` import it from here and from the prelude, call
+// `stream_pe_batched`/`stream_all_batched` through it, and the PR that
+// merged the traits was not allowed to edit `benchmark/`. The next PR
+// that may edit that directory ports those three files and deletes
+// both alias lines.
+pub use crate::Generator as StreamingGenerator;
 
 /// Edges delivered by the generators (counted once per flushed batch).
 static GEN_EDGES: Counter = Counter::new("gen.edges");
@@ -45,12 +49,15 @@ static GEN_BATCHES: Counter = Counter::new("gen.batches");
 /// L1/L2-resident (64 KiB of pairs).
 pub const BATCH_EDGES: usize = 4096;
 
+/// The slice-consumer side of [`Generator::stream_pe_batched`].
+pub type BatchEmit<'a> = dyn FnMut(&[(u64, u64)]) + 'a;
+
 /// The buffer-and-flush protocol, in one place: push edges, emit a full
 /// slice whenever the buffer reaches its capacity, and emit the ragged
 /// final slice at the end. The `push` call is concrete and inlined, so
 /// generators streaming through a `Batcher` keep their monomorphized hot
 /// loop.
-struct Batcher<'a, 'e> {
+pub(crate) struct Batcher<'a, 'e> {
     buf: &'a mut Vec<(u64, u64)>,
     emit: &'a mut BatchEmit<'e>,
     cap: usize,
@@ -60,7 +67,11 @@ impl Batcher<'_, '_> {
     /// Run `produce` against a batcher over `buf` (its capacity sets the
     /// batch size; reserved to [`BATCH_EDGES`] if empty), then flush the
     /// ragged tail.
-    fn run(buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit, produce: impl FnOnce(&mut Batcher)) {
+    pub(crate) fn run(
+        buf: &mut Vec<(u64, u64)>,
+        emit: &mut BatchEmit,
+        produce: impl FnOnce(&mut Batcher),
+    ) {
         buf.clear();
         if buf.capacity() == 0 {
             buf.reserve(BATCH_EDGES);
@@ -74,7 +85,7 @@ impl Batcher<'_, '_> {
     }
 
     #[inline(always)]
-    fn push(&mut self, u: u64, v: u64) {
+    pub(crate) fn push(&mut self, u: u64, v: u64) {
         self.buf.push((u, v));
         if self.buf.len() >= self.cap {
             self.flush();
@@ -92,7 +103,7 @@ impl Batcher<'_, '_> {
 /// Shared driver for range-fill generators (R-MAT, BA): carve the index
 /// range into capacity-sized sub-ranges, let `fill` append each one to
 /// the buffer, emit every full buffer.
-fn fill_range_batched(
+pub(crate) fn fill_range_batched(
     range: std::ops::Range<u64>,
     buf: &mut Vec<(u64, u64)>,
     emit: &mut BatchEmit,
@@ -109,195 +120,17 @@ fn fill_range_batched(
     });
 }
 
-/// The slice-consumer side of [`StreamingGenerator::stream_pe_batched`].
-pub type BatchEmit<'a> = dyn FnMut(&[(u64, u64)]) + 'a;
-
-/// Edge-streaming extension of [`Generator`]. Implementors supply
-/// [`stream_pe_batched`](Self::stream_pe_batched); everything else is an
-/// adapter over it.
-pub trait StreamingGenerator: Generator {
-    /// Emit every edge PE `pe` is responsible for — exactly
-    /// `generate_pe`'s edge set, in a deterministic order that is stable
-    /// across thread counts and batch sizes (for most generators it is
-    /// `generate_pe`'s order; RDG and sRHG stream in generation-sweep
-    /// order, see the module docs) — as non-empty slices. `buf` is a
-    /// caller-provided scratch buffer (its capacity sets the batch size;
-    /// reserved to [`BATCH_EDGES`] if empty) and `emit` receives each
-    /// filled slice. The concatenation of all slices is the PE's stream:
-    /// the batch size changes delivery granularity, never the instance.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit);
-
-    /// PE `pe`'s stream, one edge per `emit` call.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
-            for &(u, v) in edges {
-                emit(u, v);
-            }
-        });
-    }
-
-    /// Count a PE's edges without materializing them.
-    fn count_pe(&self, pe: usize) -> u64 {
-        let mut count = 0;
-        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
-            count += edges.len() as u64
-        });
-        count
-    }
-
-    /// Drive every PE in order through `emit`, one edge per call. Peak
-    /// memory is generator state plus one batch.
-    fn stream_all(&self, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_all_batched(&mut Vec::new(), &mut |edges| {
-            for &(u, v) in edges {
-                emit(u, v);
-            }
-        });
-    }
-
-    /// Drive every PE in order through `emit` — the sequential sink
-    /// driver used by the output pipeline when a single consumer wants
-    /// the whole instance as one stream. Peak memory is generator state
-    /// plus one batch.
-    fn stream_all_batched(&self, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        for pe in 0..self.num_chunks() {
-            self.stream_pe_batched(pe, buf, emit);
-        }
-    }
-
-    /// Total edge count of the instance without materializing it.
-    fn count_edges(&self) -> u64 {
-        let mut count = 0;
-        self.stream_all_batched(&mut Vec::new(), &mut |edges| count += edges.len() as u64);
-        count
-    }
-}
-
-impl StreamingGenerator for GnmDirected {
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl StreamingGenerator for GnpDirected {
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl StreamingGenerator for GnmUndirected {
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl StreamingGenerator for GnpUndirected {
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl StreamingGenerator for BarabasiAlbert {
-    /// Range fill: the hashed resolve-base seed is derived once per
-    /// batch instead of once per edge.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        fill_range_batched(self.pe_slot_range(pe), buf, emit, |r, out| {
-            self.fill_edges(r, out)
-        });
-    }
-}
-
-impl StreamingGenerator for Rmat {
-    /// Range fill: one hashed seed per edge block and one kernel
-    /// dispatch per batch (see [`Rmat::fill_edges`]) — the §8.6.1 variate
-    /// cost drops from hash+descent to `mix2`+descent per edge.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        fill_range_batched(self.pe_edge_range(pe), buf, emit, |r, out| {
-            self.fill_edges(r, out)
-        });
-    }
-}
-
-impl StreamingGenerator for StochasticBlockModel {
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl<const D: usize> StreamingGenerator for Rgg<D> {
-    /// Cell-cursor streaming (§5): Morton walk with an evicting frontier
-    /// of recomputable cells — memory is the active 3^d neighborhood,
-    /// the stream is edge-for-edge `generate_pe`'s.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_cells(pe, &mut |u, v| b.push(u, v));
-        });
-    }
-}
-
-impl<const D: usize> StreamingGenerator for Rdg<D> {
-    /// Per-cell-group triangulation (§6): each local cell is
-    /// triangulated with its certified halo rings and emits only the
-    /// edges it owns — memory is one cell group plus the distance-1
-    /// halo frontier. The stream is ordered cell-by-cell (sorted within
-    /// a cell); as a set it equals `generate_pe`'s sorted list.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_cells(pe, &mut |u, v| b.push(u, v));
-        });
-    }
-}
-
-impl StreamingGenerator for Rhg {
-    /// Streaming Δθ queries (§7.1) over the evicting frontier cache —
-    /// memory is the active query window, the stream is edge-for-edge
-    /// `generate_pe`'s sorted list.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_query(pe, &mut |u, v| b.push(u, v));
-        });
-    }
-}
-
-impl StreamingGenerator for Srhg {
-    /// The request-centric sweep (§7.2) with sliding request insertion —
-    /// live state is replicated globals + active-request windows. The
-    /// stream is emitted in sweep order: as a set it equals
-    /// `generate_pe`'s (sorted) list; cross-PE duplicates deduplicate on
-    /// merge as for every undirected generator.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.sweep(pe, &mut |u, v| b.push(u, v), None);
-        });
-    }
-}
-
-impl StreamingGenerator for SoftRhg {
-    /// Streaming truncated-radius queries (§9 soft model) over the
-    /// evicting frontier cache; edge-for-edge `generate_pe`'s list.
-    fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_query(pe, &mut |u, v| b.push(u, v));
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
 
-    fn assert_stream_matches<G: StreamingGenerator>(gen: &G) {
+    /// `generate_pe`'s edge list equals the stream, order included.
+    /// For ER, BA, R-MAT, SBM and RGG `generate_pe` is the provided
+    /// collect, so this proves batch-capacity independence (capacity 7
+    /// and per-edge delivery vs the default the collect uses); for RHG
+    /// and soft RHG it compares two engines.
+    fn assert_stream_matches<G: Generator>(gen: &G) {
         for pe in 0..gen.num_chunks().min(5) {
             let materialized = gen.generate_pe(pe).edges;
             let mut streamed = Vec::new();
@@ -311,8 +144,10 @@ mod tests {
     /// Like [`assert_stream_matches`], for generators whose native
     /// stream order is the generation sweep, not `generate_pe`'s sorted
     /// list: the streams must be equal as *sets* (and duplicate-free),
-    /// and the batched path must equal the per-edge stream exactly.
-    fn assert_stream_set_matches<G: StreamingGenerator>(gen: &G) {
+    /// and the batched path must equal the per-edge stream exactly. For
+    /// RDG this compares two engines (chunk box vs cell boxes), for sRHG
+    /// the sweep with itself sorted.
+    fn assert_stream_set_matches<G: Generator>(gen: &G) {
         for pe in 0..gen.num_chunks().min(5) {
             let materialized = gen.generate_pe(pe).edges;
             let mut streamed = Vec::new();
@@ -336,7 +171,7 @@ mod tests {
 
     /// The batched path must yield edge-for-edge the same stream as
     /// `generate_pe`/`stream_pe`, for every PE and any batch capacity.
-    fn assert_batched_matches<G: StreamingGenerator + ?Sized>(gen: &G) {
+    fn assert_batched_matches<G: Generator + ?Sized>(gen: &G) {
         for pe in 0..gen.num_chunks() {
             let materialized = gen.generate_pe(pe).edges;
             // Default capacity, plus a tiny odd one that forces many
@@ -494,7 +329,7 @@ mod tests {
         // paths do.
         let rhg = Rhg::new(400, 7.0, 2.7).with_seed(13).with_chunks(4);
         let srhg = Srhg::new(400, 7.0, 2.7).with_seed(13).with_chunks(4);
-        let collect = |gen: &dyn StreamingGenerator| {
+        let collect = |gen: &dyn Generator| {
             let mut edges = Vec::new();
             gen.stream_all(&mut |u, v| edges.push((u.min(v), u.max(v))));
             edges.sort_unstable();
@@ -528,7 +363,7 @@ mod tests {
         assert_eq!(gen.count_edges(), 2000);
     }
 
-    /// A generator that supplies only the required method.
+    /// A generator that supplies only the four required methods.
     struct Ramp;
 
     impl Generator for Ramp {
@@ -541,17 +376,6 @@ mod tests {
         fn directed(&self) -> bool {
             true
         }
-        fn generate_pe(&self, pe: usize) -> PeGraph {
-            let mut out = PeGraph {
-                pe,
-                ..PeGraph::default()
-            };
-            self.stream_pe(pe, &mut |u, v| out.edges.push((u, v)));
-            out
-        }
-    }
-
-    impl StreamingGenerator for Ramp {
         fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
             // PE 0 is empty; the others end on a ragged batch.
             Batcher::run(buf, emit, |b| {
@@ -565,7 +389,7 @@ mod tests {
     #[test]
     fn provided_adapters_equal_the_concatenated_batches() {
         let rmat = Rmat::new(9, 2500).with_seed(12).with_chunks(6);
-        for gen in [&Ramp as &dyn StreamingGenerator, &rmat] {
+        for gen in [&Ramp as &dyn Generator, &rmat] {
             for cap in [1usize, 7, 0] {
                 let mut buf = Vec::with_capacity(cap);
                 let mut whole = Vec::new();
@@ -579,6 +403,8 @@ mod tests {
                     gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
                     assert_eq!(streamed, batched, "PE {pe} cap {cap}");
                     assert_eq!(gen.count_pe(pe), batched.len() as u64);
+                    let part = gen.generate_pe(pe);
+                    assert_eq!((part.pe, &part.edges), (pe, &batched), "cap {cap}");
                     whole.extend(batched);
                 }
                 let mut all = Vec::new();
@@ -588,17 +414,25 @@ mod tests {
             }
         }
         assert_eq!(Ramp.count_edges(), 5 + 10 + 15);
+        // No `pe_vertices` override: the empty range, no coordinates.
+        let part = Ramp.generate_pe(3);
+        assert_eq!((part.vertex_begin, part.vertex_end), (0, 0));
+        assert!(part.coords2.is_empty() && part.coords3.is_empty());
     }
 
     #[test]
     fn trait_is_object_safe() {
-        // The CLI streams through `&dyn StreamingGenerator`.
-        let gen = Rmat::new(8, 500).with_seed(2).with_chunks(4);
-        let dyn_gen: &dyn StreamingGenerator = &gen;
+        // The CLI holds a `Box<dyn Generator>`: it streams through it
+        // and `run_materialized` calls `generate_pe` through it.
+        let dyn_gen: Box<dyn Generator> = Box::new(Rmat::new(8, 500).with_seed(2).with_chunks(4));
         assert_eq!(dyn_gen.count_edges(), 500);
         let mut count = 0u64;
         dyn_gen.stream_all(&mut |_, _| count += 1);
         assert_eq!(count, 500);
+        let parts = crate::generate_parallel(dyn_gen.as_ref(), 1);
+        assert_eq!(parts.iter().map(|p| p.edges.len()).sum::<usize>(), 500);
+        let ramp: Box<dyn Generator> = Box::new(Ramp);
+        assert_eq!(ramp.generate_pe(2).edges.len(), 10);
     }
 
     #[test]

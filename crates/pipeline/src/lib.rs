@@ -5,7 +5,7 @@
 //! use a streaming approach") turned into a production output path.
 //!
 //! The seed crates could already *generate* edges as a stream
-//! ([`StreamingGenerator::stream_pe_batched`]), but every consumer
+//! ([`Generator::stream_pe_batched`]), but every consumer
 //! materialized a full edge vector, capping instance size at RAM. This
 //! crate keeps the whole path at generator-state memory:
 //!
@@ -87,16 +87,13 @@ pub use writer::{
     shard_file_name, write_shard, write_sharded, InstanceMeta, ShardFormat, StreamConfig,
 };
 
-use kagen_core::streaming::StreamingGenerator;
+use kagen_core::Generator;
 use std::io;
 
 /// Drive every PE of `gen` sequentially into `sink` and finish it.
 /// Returns the edge count. This is the single-consumer driver; for
 /// parallel per-PE output use [`write_sharded`].
-pub fn stream_into<G: StreamingGenerator + ?Sized, S: EdgeSink>(
-    gen: &G,
-    sink: &mut S,
-) -> io::Result<u64> {
+pub fn stream_into<G: Generator + ?Sized, S: EdgeSink>(gen: &G, sink: &mut S) -> io::Result<u64> {
     gen.stream_all_batched(&mut Vec::new(), &mut |edges| sink.push_batch(edges));
     sink.finish()
 }

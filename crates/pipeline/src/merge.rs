@@ -547,7 +547,7 @@ mod tests {
     use crate::writer::{write_sharded, InstanceMeta, ShardFormat, StreamConfig};
     use kagen_core::prelude::*;
 
-    fn run_merge<G: kagen_core::streaming::StreamingGenerator>(
+    fn run_merge<G: kagen_core::Generator>(
         gen: &G,
         model: &str,
         budget: usize,

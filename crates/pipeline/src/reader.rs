@@ -310,7 +310,7 @@ mod tests {
     use super::*;
     use crate::writer::{write_sharded, InstanceMeta, StreamConfig};
     use kagen_core::prelude::*;
-    use kagen_core::streaming::StreamingGenerator;
+    use kagen_core::Generator;
 
     fn roundtrip(format: ShardFormat, tag: &str) {
         let gen = GnmDirected::new(150, 900).with_seed(11).with_chunks(3);

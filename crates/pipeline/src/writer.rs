@@ -1,4 +1,4 @@
-//! The sharded parallel writer: run every PE of a [`StreamingGenerator`]
+//! The sharded parallel writer: run every PE of a [`Generator`]
 //! on the `kagen-runtime` thread pool and stream each PE's edges straight
 //! into its own shard file — one shard per PE, a `manifest.json` tying
 //! them together, and peak memory per worker equal to the generator's
@@ -6,7 +6,7 @@
 
 use crate::manifest::{Manifest, RunHeader, ShardInfo};
 use crate::sink::{checksum_step, BinarySink, CompressedSink, EdgeSink, TextSink};
-use kagen_core::streaming::StreamingGenerator;
+use kagen_core::Generator;
 use kagen_obs::{Counter, Histogram};
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -115,11 +115,7 @@ impl InstanceMeta {
     /// The run-identity header for `gen` written as `format` shards —
     /// the fields every flavor of manifest (and the cluster ledger)
     /// agree on.
-    pub fn header<G: StreamingGenerator + ?Sized>(
-        &self,
-        gen: &G,
-        format: ShardFormat,
-    ) -> RunHeader {
+    pub fn header<G: Generator + ?Sized>(&self, gen: &G, format: ShardFormat) -> RunHeader {
         RunHeader {
             model: self.model.clone(),
             params: self.params.clone(),
@@ -147,7 +143,7 @@ fn format_sink(path: &Path, format: ShardFormat, n: u64) -> io::Result<Box<dyn E
 /// buffer ([`kagen_core::streaming::BATCH_EDGES`] edges) and the sink
 /// consumes whole slices — checksum folding and format encoding happen
 /// in tight loops, with one virtual call per batch instead of per edge.
-pub fn write_shard<G: StreamingGenerator + ?Sized>(
+pub fn write_shard<G: Generator + ?Sized>(
     gen: &G,
     pe: usize,
     dir: &Path,
@@ -189,7 +185,7 @@ pub fn write_shard<G: StreamingGenerator + ?Sized>(
 ///
 /// Shard bytes are a pure function of `(generator, pe, format)` — the
 /// thread count changes neither content nor file boundaries.
-pub fn write_sharded<G: StreamingGenerator + ?Sized>(
+pub fn write_sharded<G: Generator + ?Sized>(
     gen: &G,
     meta: &InstanceMeta,
     cfg: &StreamConfig,

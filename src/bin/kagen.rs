@@ -10,7 +10,7 @@ use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::core::prelude::*;
 use kagen_repro::graph::io::{write_binary, write_compressed, write_edge_list, write_metis};
 use kagen_repro::graph::stats::DegreeStats;
-use kagen_repro::graph::{merge_pe_edges, EdgeList};
+use kagen_repro::graph::EdgeList;
 use kagen_repro::pipeline::{
     BinarySink, CompressedSink, DegreeStatsSink, EdgeSink, ExternalMerge, InstanceMeta,
     PartialManifest, ShardFormat, ShardReader, StreamConfig, TeeSink, TextSink,
@@ -68,15 +68,7 @@ fn run_materialized(o: &Options) {
     let gen_span = trace::span("materialize.generate");
     let baseline = CountingAlloc::reset_peak();
     let gen = gen.as_ref();
-    let el = if gen.directed() {
-        let parts = generate_parallel(gen, o.threads);
-        let mut edges: Vec<(u64, u64)> = parts.into_iter().flat_map(|p| p.edges).collect();
-        edges.sort_unstable();
-        EdgeList::new(gen.num_vertices(), edges)
-    } else {
-        let parts = generate_parallel(gen, o.threads);
-        merge_pe_edges(gen.num_vertices(), parts.into_iter().map(|p| p.edges))
-    };
+    let el = generate_merged(gen, o.threads);
     let gen_time = std::time::Duration::from_secs_f64(gen_span.finish());
     ALLOC_PEAK_GENERATE.record_peak(CountingAlloc::peak_above(baseline));
 

@@ -230,7 +230,7 @@ impl Options {
 
     /// Build the generator. `parse` already ran [`Options::check_model`],
     /// so the constructors' own asserts hold.
-    pub fn build(&self) -> Box<dyn StreamingGenerator> {
+    pub fn build(&self) -> Box<dyn Generator> {
         (self.model.build)(self)
     }
 
@@ -745,7 +745,7 @@ pub struct Model {
     /// The params string of manifests and resume ledgers. Spellings are
     /// frozen: `--resume` compares them byte for byte.
     pub params: fn(&Options) -> String,
-    pub build: fn(&Options) -> Box<dyn StreamingGenerator>,
+    pub build: fn(&Options) -> Box<dyn Generator>,
 }
 
 /// `Err("{flag} must be {range}, got {x}")` unless `ok`.

@@ -618,6 +618,12 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 9 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 9 edges in <t>s",
     ])),
+    ("rdg2d -n 12 -s 2", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 59 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 59 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 17 edges in <t>s",
+    ])),
     ("rdg3d -n 4", All("2 - {mode}: rdg3d: -n must be >= 5, got 4")),
     ("rdg3d -n 5", Each([
         "0 -",
@@ -630,6 +636,12 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: wrote 1 shards, 15 edges, format compressed -> <tmp>/shards in <t>s",
         "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 15 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 15 edges in <t>s",
+    ])),
+    ("rdg3d -n 32", Each([
+        "0 -",
+        "0 D {mode}: wrote 1 shards, 238 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..1 -> 1 shards, 238 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 238 edges in <t>s",
     ])),
     ("rhg -n 1 -d 0.5 -g 3", All("2 - {mode}: rhg: -n must be >= 2, got 1")),
     ("rhg -n 2 -d 0.5 -g 3", Each([

@@ -42,7 +42,7 @@ fn shard_bytes(n: u64, edges: &[(u64, u64)]) -> Vec<u8> {
     bytes
 }
 
-fn generated(gen: &dyn StreamingGenerator) -> Vec<(u64, u64)> {
+fn generated(gen: &dyn Generator) -> Vec<(u64, u64)> {
     let mut edges = Vec::new();
     gen.stream_all(&mut |u, v| edges.push((u, v)));
     edges

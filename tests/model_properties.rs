@@ -2,6 +2,7 @@
 //! published properties (degree laws, edge-count expectations, structure).
 
 use kagen_repro::core::prelude::*;
+use kagen_repro::core::rdg::Rdg;
 use kagen_repro::graph::stats::{global_clustering, DegreeStats};
 use kagen_repro::stats::{chi_square, chi_square_critical_001, power_law_alpha};
 
@@ -91,6 +92,101 @@ fn rdg_2d_torus_is_exactly_triangulated() {
     let stats = DegreeStats::undirected(&el);
     assert!(stats.min >= 3);
     assert!((stats.mean - 6.0).abs() < 1e-9, "mean degree exactly 6");
+}
+
+/// The periodic Delaunay graph of `points` (index = vertex id) by brute
+/// force: tile the unit cube (2k+1)^d times, k = 3, triangulate
+/// everything at once, keep the edges incident to the central copy and
+/// map every endpoint back to its id.
+fn tiled_delaunay_reference<const D: usize>(points: &[[f64; D]]) -> Vec<(u64, u64)> {
+    const K: i64 = 3;
+    let n = points.len();
+    // Central copy first, so "index < n" means "in the central copy".
+    let mut shifts = vec![[0i64; D]];
+    let mut shift = [-K; D];
+    'tiles: loop {
+        if shift != [0; D] {
+            shifts.push(shift);
+        }
+        for s in shift.iter_mut() {
+            *s += 1;
+            if *s <= K {
+                continue 'tiles;
+            }
+            *s = -K;
+        }
+        break;
+    }
+    assert_eq!(shifts.len(), (2 * K as usize + 1).pow(D as u32));
+    let tiled = shifts.iter().flat_map(|shift| {
+        points
+            .iter()
+            .map(move |p| std::array::from_fn::<f64, D, _>(|i| p[i] + shift[i] as f64))
+    });
+    let edges = match D {
+        2 => {
+            let pts: Vec<[f64; 2]> = tiled.map(|p| [p[0], p[1]]).collect();
+            kagen_repro::delaunay::Delaunay2::new(&pts).edges()
+        }
+        3 => {
+            let pts: Vec<[f64; 3]> = tiled.map(|p| [p[0], p[1], p[2]]).collect();
+            kagen_repro::delaunay::Delaunay3::new(&pts).edges()
+        }
+        _ => unreachable!(),
+    };
+    let mut reference: Vec<(u64, u64)> = edges
+        .into_iter()
+        .filter(|&(a, _)| (a as usize) < n) // a < b
+        .map(|(a, b)| ((a as usize % n) as u64, (b as usize % n) as u64))
+        .filter(|(x, y)| x != y)
+        .map(|(x, y)| (x.min(y), x.max(y)))
+        .collect();
+    reference.sort_unstable();
+    reference.dedup();
+    reference
+}
+
+/// Small RDG instances — down to the CLI minimum, where the halo has to
+/// wrap the torus several times — against the brute-force reference, on
+/// one chunk and on as many as the grid allows.
+fn rdg_corners_match_reference<const D: usize>(sizes: &[u64]) {
+    for &n in sizes {
+        for seed in 1..=5 {
+            let mut reference = None;
+            for chunks in [1usize, 1 << 12] {
+                let gen = Rdg::<D>::new(n).with_seed(seed).with_chunks(chunks);
+                let parts = generate_parallel(&gen, 1);
+                let mut points = vec![[f64::NAN; D]; n as usize];
+                for part in &parts {
+                    for &(id, c) in &part.coords2 {
+                        points[id as usize] = std::array::from_fn(|i| c[i]);
+                    }
+                    for &(id, c) in &part.coords3 {
+                        points[id as usize] = std::array::from_fn(|i| c[i]);
+                    }
+                }
+                let reference = reference.get_or_insert_with(|| tiled_delaunay_reference(&points));
+                let label = format!("rdg{D}d n={n} seed={seed} chunks={}", gen.num_chunks());
+                assert_eq!(&generate_undirected(&gen).edges, reference, "{label}");
+                // The streamed instance is the same one.
+                let mut streamed = Vec::new();
+                gen.stream_all(&mut |u, v| streamed.push((u.min(v), u.max(v))));
+                streamed.sort_unstable();
+                streamed.dedup();
+                assert_eq!(&streamed, reference, "{label} (streamed)");
+            }
+        }
+    }
+}
+
+#[test]
+fn rdg_2d_corners_match_tiled_delaunay() {
+    rdg_corners_match_reference::<2>(&[4, 5, 8, 12, 16, 24]);
+}
+
+#[test]
+fn rdg_3d_corners_match_tiled_delaunay() {
+    rdg_corners_match_reference::<3>(&[5, 8, 32, 64]);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! `generate_directed` / `generate_undirected` defines.
 
 use kagen_repro::core::prelude::*;
-use kagen_repro::core::streaming::StreamingGenerator;
+use kagen_repro::core::Generator;
 use kagen_repro::pipeline::{
     external_merge_to_vec, stream_into, write_sharded, CountingSink, DegreeStatsSink, InstanceMeta,
     Manifest, ShardFormat, ShardReader, StreamConfig, TeeSink,
@@ -166,7 +166,7 @@ fn external_merge_equals_generate_directed() {
 #[test]
 fn shards_byte_identical_across_thread_counts() {
     // Determinism under threading, across formats and models.
-    let models: Vec<(&str, Box<dyn StreamingGenerator>)> = vec![
+    let models: Vec<(&str, Box<dyn Generator>)> = vec![
         (
             "ba",
             Box::new(BarabasiAlbert::new(600, 3).with_seed(6).with_chunks(12)),

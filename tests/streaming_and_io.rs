@@ -3,7 +3,7 @@
 //! plus CLI-level format round trips.
 
 use kagen_repro::core::prelude::*;
-use kagen_repro::core::streaming::StreamingGenerator;
+use kagen_repro::core::Generator;
 use kagen_repro::graph::io::{read_binary, read_edge_list, write_edge_list};
 use kagen_repro::graph::EdgeList;
 use std::io::Write;

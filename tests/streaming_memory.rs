@@ -6,7 +6,7 @@
 //! * a counting global allocator (every byte allocated during a
 //!   `stream_pe` pass, high-water above the pre-pass baseline), and
 //! * the frontier cache's own `peak_points` accounting
-//!   (`stream_pe_instrumented`).
+//!   (returned by `Rgg::stream_cells` / `Rhg::stream_query`).
 //!
 //! Everything runs inside a single `#[test]` so no sibling test's
 //! allocations pollute the high-water mark.
@@ -61,7 +61,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     let frontier_rgg = |n: u64| -> (u64, u64) {
         let gen = Rgg2d::new(n, 0.05).with_seed(3).with_chunks(4);
         let mut edges = 0u64;
-        let stats = gen.stream_pe_instrumented(0, &mut |_, _| edges += 1);
+        let stats = gen.stream_cells(0, &mut |_, _| edges += 1);
         (edges, stats.peak_points)
     };
     let (e1, p1) = frontier_rgg(2_000);
@@ -79,7 +79,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     let frontier_rhg = |n: u64| -> (u64, u64) {
         let gen = Rhg::new(n, 8.0, 2.8).with_seed(3).with_chunks(8);
         let mut edges = 0u64;
-        let stats = gen.stream_pe_instrumented(0, &mut |_, _| edges += 1);
+        let stats = gen.stream_query(0, &mut |_, _| edges += 1);
         (edges, stats.peak_points)
     };
     let (h1, q1) = frontier_rhg(4_000);
