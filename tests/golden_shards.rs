@@ -1,18 +1,24 @@
-//! Golden shard bytes: the `KGSHRD02` bytes `CompressedSink` writes for
-//! a fixed set of streams, pinned as `(length, FNV-1a 64 digest)`
-//! literals. The codec's on-disk format is pinned here directly, so a
-//! rebuilt encoder needs no second encoder to compare against.
+//! Golden output bytes: what `CompressedSink` (`KGSHRD02`), `TextSink`
+//! and `BinarySink` write for a fixed set of streams, and what the
+//! `kagen` binary writes to stdout and to `merged.*`, pinned as
+//! `(length, FNV-1a 64 digest)` literals. Every on-disk format is pinned
+//! here directly, so a rebuilt encoder needs no second encoder to
+//! compare against.
 //!
 //! Every stream is fed in ragged batches (sizes cycle through
 //! [`BATCHES`], which includes empty and block-straddling slices): how a
-//! stream is cut must never show in the bytes.
+//! stream is cut must never show in the bytes. The whole-list writers
+//! (`write_edge_list`, `write_binary`, `write_compressed`) must produce
+//! their sink's bytes.
 //!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
 use kagen_repro::core::prelude::*;
-use kagen_repro::graph::io::read_compressed;
-use kagen_repro::pipeline::{CompressedSink, EdgeSink};
+use kagen_repro::graph::io::{read_compressed, write_binary, write_compressed, write_edge_list};
+use kagen_repro::graph::EdgeList;
+use kagen_repro::pipeline::{BinarySink, CompressedSink, EdgeSink, TextSink};
+use std::process::Command;
 
 /// Batch sizes the streams are cut into, cycled until the stream ends.
 const BATCHES: &[usize] = &[1, 0, 7, 4096, 33, 5000, 2, 4095, 8193, 64];
@@ -23,11 +29,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The shard bytes of `edges` over `n` vertices, written through
-/// `CompressedSink` in ragged batches.
-fn shard_bytes(n: u64, edges: &[(u64, u64)]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    let mut sink = CompressedSink::new(&mut bytes, n).unwrap();
+/// Push `edges` into `sink` in ragged batches and close it.
+fn feed(sink: &mut dyn EdgeSink, edges: &[(u64, u64)]) {
     let mut rest = edges;
     for &size in BATCHES.iter().cycle() {
         if rest.is_empty() {
@@ -38,7 +41,27 @@ fn shard_bytes(n: u64, edges: &[(u64, u64)]) -> Vec<u8> {
         rest = tail;
     }
     assert_eq!(sink.finish().unwrap(), edges.len() as u64);
-    drop(sink);
+}
+
+/// The shard bytes of `edges` over `n` vertices, written through
+/// `CompressedSink` in ragged batches.
+fn shard_bytes(n: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    feed(&mut CompressedSink::new(&mut bytes, n).unwrap(), edges);
+    bytes
+}
+
+/// The same through `TextSink`.
+fn text_bytes(edges: &[(u64, u64)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    feed(&mut TextSink::new(&mut bytes), edges);
+    bytes
+}
+
+/// The same through `BinarySink`.
+fn binary_bytes(edges: &[(u64, u64)]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    feed(&mut BinarySink::new(&mut bytes), edges);
     bytes
 }
 
@@ -130,4 +153,225 @@ fn streams_cover_what_their_names_say() {
             _ => {}
         }
     }
+}
+
+/// Hold the bytes `produce` yields per stream against a golden table of
+/// `(name, length, digest)` rows; on a mismatch the table as found comes
+/// back in source form.
+fn moved_rows(golden: &[(&str, usize, u64)], produce: impl Fn(&Stream) -> Vec<u8>) -> String {
+    let mut found = String::new();
+    let mut moved = false;
+    for (i, stream) in streams().iter().enumerate() {
+        let bytes = produce(stream);
+        let row = (stream.0, bytes.len(), fnv1a(&bytes));
+        found.push_str(&format!("    ({:?}, {}, {}),\n", row.0, row.1, row.2));
+        moved |= golden.get(i) != Some(&row);
+    }
+    if moved {
+        found
+    } else {
+        String::new()
+    }
+}
+
+#[rustfmt::skip]
+const TEXT_GOLDEN: &[(&str, usize, u64)] = &[
+    ("rmat_unsorted", 561823, 4053334411900743830),
+    ("gnm_sorted", 346689, 17446932748703243171),
+    ("edges_4096", 41268, 4330542821808397941),
+    ("edges_4097", 41279, 17442204464960001265),
+    ("edges_8192", 85873, 10473585815210286246),
+    ("single_edge", 4, 15577443145084039621),
+    ("empty", 0, 14695981039346656037),
+    ("u64_extremes", 121945, 4062948975470486677),
+];
+
+#[rustfmt::skip]
+const BINARY_GOLDEN: &[(&str, usize, u64)] = &[
+    ("rmat_unsorted", 640000, 11159922467359396497),
+    ("gnm_sorted", 480000, 10913037378052322777),
+    ("edges_4096", 65536, 5984336220889306204),
+    ("edges_4097", 65552, 15617694990731879249),
+    ("edges_8192", 131072, 17094042009724552823),
+    ("single_edge", 16, 17144980386569131983),
+    ("empty", 0, 14695981039346656037),
+    ("u64_extremes", 80000, 12255906778321021061),
+];
+
+#[test]
+fn text_and_binary_sink_bytes_match_golden() {
+    let text = moved_rows(TEXT_GOLDEN, |(_, _, edges)| text_bytes(edges));
+    assert!(text.is_empty(), "TextSink bytes moved:\n{text}");
+    let binary = moved_rows(BINARY_GOLDEN, |(_, _, edges)| binary_bytes(edges));
+    assert!(binary.is_empty(), "BinarySink bytes moved:\n{binary}");
+    // What the bytes are, stated once: a line per edge, 16 bytes per edge.
+    assert_eq!(
+        text_bytes(&[(3, 9), (u64::MAX, 0)]),
+        b"3 9\n18446744073709551615 0\n"
+    );
+    let mut record = 3u64.to_le_bytes().to_vec();
+    record.extend_from_slice(&9u64.to_le_bytes());
+    assert_eq!(binary_bytes(&[(3, 9)]), record);
+}
+
+#[test]
+fn whole_list_writers_produce_their_sinks_bytes() {
+    for (name, n, edges) in streams() {
+        let el = EdgeList::new(n, edges);
+        let mut text = Vec::new();
+        write_edge_list(&mut text, &el).unwrap();
+        assert!(text == text_bytes(&el.edges), "{name}: write_edge_list");
+        let mut binary = Vec::new();
+        write_binary(&mut binary, &el).unwrap();
+        assert!(binary == binary_bytes(&el.edges), "{name}: write_binary");
+        let mut compressed = Vec::new();
+        write_compressed(&mut compressed, &el).unwrap();
+        assert!(
+            compressed == shard_bytes(n, &el.edges),
+            "{name}: write_compressed"
+        );
+    }
+}
+
+const KAGEN: &str = env!("CARGO_BIN_EXE_kagen");
+
+/// Run the binary (`{dir}` = a fresh scratch directory) and hand back
+/// its stdout and the scratch directory.
+fn kagen(tag: &str, argv: &str) -> (Vec<u8>, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("kagen_golden_cli_{tag}"));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let args: Vec<String> = argv
+        .split_whitespace()
+        .map(|a| a.replace("{dir}", dir.to_str().unwrap()))
+        .collect();
+    let out = Command::new(KAGEN)
+        .args(&args)
+        .env_remove("KAGEN_LOG")
+        .output()
+        .expect("cannot spawn kagen");
+    assert!(
+        out.status.success(),
+        "kagen {argv}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (out.stdout, dir)
+}
+
+/// `(argv, length, digest)` of what `kagen <model>` prints to stdout.
+#[rustfmt::skip]
+const STDOUT_GOLDEN: &[(&str, usize, u64)] = &[
+    ("gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f edge-list", 14475, 11076644396988639121),
+    ("gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f metis", 14508, 6843079015031989027),
+    ("gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f binary", 32000, 12358274296402922961),
+    ("gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f compressed", 4267, 6304041679203840380),
+    ("gnm_directed -n 300 -m 2000 -s 7 -c 4 -f edge-list", 14489, 5895063307713877490),
+    ("gnm_directed -n 300 -m 2000 -s 7 -c 4 -f binary", 32000, 9775753591261264366),
+    ("gnm_directed -n 300 -m 2000 -s 7 -c 4 -f compressed", 4619, 308565907327326405),
+    ("gnm_directed -n 300 -m 2000 -s 7 -c 4", 14489, 5895063307713877490),
+];
+
+const STDOUT_ARGVS: &[&str] = &[
+    "gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f edge-list",
+    "gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f metis",
+    "gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f binary",
+    "gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f compressed",
+    "gnm_directed -n 300 -m 2000 -s 7 -c 4 -f edge-list",
+    "gnm_directed -n 300 -m 2000 -s 7 -c 4 -f binary",
+    "gnm_directed -n 300 -m 2000 -s 7 -c 4 -f compressed",
+    // No -f: the default format.
+    "gnm_directed -n 300 -m 2000 -s 7 -c 4",
+];
+
+#[test]
+fn kagen_model_stdout_matches_golden() {
+    let mut found = String::new();
+    let mut moved = false;
+    for (i, argv) in STDOUT_ARGVS.iter().enumerate() {
+        let (stdout, dir) = kagen(&format!("stdout_{i}"), argv);
+        std::fs::remove_dir_all(&dir).ok();
+        let row = (*argv, stdout.len(), fnv1a(&stdout));
+        found.push_str(&format!("    ({:?}, {}, {}),\n", row.0, row.1, row.2));
+        moved |= STDOUT_GOLDEN.get(i) != Some(&row);
+        // `-o` and stdout are one writer.
+        let (_, dir) = kagen(&format!("file_{i}"), &format!("{argv} -o {{dir}}/out"));
+        assert!(
+            std::fs::read(dir.join("out")).unwrap() == stdout,
+            "{argv}: -o differs from stdout"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    assert!(
+        !moved && STDOUT_GOLDEN.len() == STDOUT_ARGVS.len(),
+        "kagen <model> stdout moved; the table as found:\n{found}"
+    );
+}
+
+/// `(format, merged file, its length and digest, digest of the whole
+/// shard directory)` of `kagen stream … --merge external`.
+#[rustfmt::skip]
+const MERGED_GOLDEN: &[(&str, &str, usize, u64, u64)] = &[
+    ("edge-list", "merged.txt", 14475, 11076644396988639121, 8672265443592805612),
+    ("binary", "merged.bin", 32000, 12358274296402922961, 13034527439592220906),
+    ("compressed", "merged.kgc", 4267, 6304041679203840380, 11001588430470773085),
+];
+
+/// One digest over every file of `dir` (names and bytes, sorted by
+/// name; the merge's emptied `runs/` directory is skipped).
+fn dir_digest(dir: &std::path::Path) -> u64 {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_type().unwrap().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    let mut all = Vec::new();
+    for name in files {
+        all.extend_from_slice(name.as_bytes());
+        all.extend_from_slice(&std::fs::read(dir.join(&name)).unwrap());
+    }
+    fnv1a(&all)
+}
+
+#[test]
+fn kagen_stream_merged_output_matches_golden() {
+    let mut found = String::new();
+    let mut moved = false;
+    let formats = [
+        ("edge-list", "merged.txt"),
+        ("binary", "merged.bin"),
+        ("compressed", "merged.kgc"),
+    ];
+    for (i, (format, merged)) in formats.into_iter().enumerate() {
+        let (_, dir) = kagen(
+            &format!("merged_{format}"),
+            &format!(
+                "stream gnm_undirected -n 300 -m 2000 -s 7 -c 4 -t 1 \
+                 --shard-dir {{dir}} -f {format} --merge external"
+            ),
+        );
+        let bytes = std::fs::read(dir.join(merged)).unwrap();
+        let row = (format, merged, bytes.len(), fnv1a(&bytes), dir_digest(&dir));
+        found.push_str(&format!(
+            "    ({:?}, {:?}, {}, {}, {}),\n",
+            row.0, row.1, row.2, row.3, row.4
+        ));
+        moved |= MERGED_GOLDEN.get(i) != Some(&row);
+        // The merged file is the materializing front-end's output.
+        let (stdout, ref_dir) = kagen(
+            &format!("merged_ref_{format}"),
+            &format!("gnm_undirected -n 300 -m 2000 -s 7 -c 4 -f {format}"),
+        );
+        assert!(
+            stdout == bytes,
+            "{format}: merged differs from kagen <model>"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&ref_dir).ok();
+    }
+    assert!(
+        !moved && MERGED_GOLDEN.len() == formats.len(),
+        "kagen stream --merge external output moved; the table as found:\n{found}"
+    );
 }
