@@ -317,6 +317,7 @@ fn validate_shards_parallel(
                 .collect();
             handles
                 .into_iter()
+                // kagen-lint: allow(r1) -- join fails only when the thread panicked: that bug is re-raised here, not lost
                 .flat_map(|h| h.join().unwrap())
                 .collect()
         })
@@ -470,7 +471,8 @@ pub fn launch(
 ) -> io::Result<LaunchReport> {
     let format = ShardFormat::parse(&header.format)
         .ok_or_else(|| invalid(format!("unknown shard format '{}'", header.format)))?;
-    std::fs::create_dir_all(dir)?;
+    std::fs::create_dir_all(dir)
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot create {}: {e}", dir.display())))?;
     let prepare_span = trace::span("launch.prepare");
     let (mut ledger, tasks, invalidated_pes) = prepare(dir, header, opts, format)?;
     let _ = prepare_span.finish();
@@ -558,6 +560,7 @@ pub fn launch(
             let (sup, wake) = (&sup, &wake);
             scope.spawn(move || loop {
                 let popped = {
+                    // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
                     let mut guard = sup.lock().unwrap();
                     loop {
                         if let Some(entry) = guard.queue.pop_front() {
@@ -566,6 +569,7 @@ pub fn launch(
                         if guard.outstanding == 0 {
                             break None;
                         }
+                        // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
                         guard = wake.wait(guard).unwrap();
                     }
                     // The guard drops here: `runner.run` must never hold
@@ -667,6 +671,7 @@ pub fn launch(
                 }
             }
             {
+                // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
                 let mut guard = sup.lock().unwrap();
                 if finished {
                     guard.outstanding -= 1;

@@ -59,9 +59,9 @@ pub use launch::{
     WorkerRunner, SAMPLED_BLOCKS,
 };
 pub use ledger::{Ledger, RankRecord, RankStatus, ShardState, LEDGER_FILE};
-pub use metrics::{RankMetrics, RunMetrics, SidecarTelemetry, METRICS_SCHEMA};
+pub use metrics::{RankMetrics, RunMetrics, METRICS_SCHEMA};
 pub use plan::{plan_ranks, plan_repairs, RankTask};
-pub use trace::{RankTrace, WorkerTrace, TRACE_SIDECAR_SCHEMA};
+pub use trace::RankTrace;
 pub use worker::{run_worker, FailureInjection};
 
 #[cfg(test)]

@@ -31,11 +31,6 @@ use kagen_pipeline::Manifest;
 use std::io;
 use std::path::Path;
 
-/// What a rank report's `metrics` member carries: the worker process's
-/// [`kagen_obs::Telemetry`] document, under the name the launcher has
-/// always used for it.
-pub use kagen_obs::Telemetry as SidecarTelemetry;
-
 /// Schema tag of the federated metrics document.
 pub const METRICS_SCHEMA: &str = "kagen-metrics/v2";
 
@@ -211,6 +206,7 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kagen_obs::Telemetry;
 
     fn rank(rank: u64, pe_begin: u64, pe_end: u64, edges: u64) -> RankMetrics {
         // One histogram with 2 observations per rank; the matching
@@ -344,7 +340,7 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrip() {
-        let side = SidecarTelemetry::from_json(
+        let side = Telemetry::from_json(
             "{\"counters\":{\"gen.edges\":12,\"rng.words\":256},\"histograms\":\
              {\"sink.shard_wall_us\":{\"count\":2,\"sum\":300,\
              \"buckets\":[{\"bucket\":8,\"count\":2}]}}}",
@@ -357,7 +353,7 @@ mod tests {
         assert_eq!(side.histograms.len(), 1);
         assert_eq!(side.histograms[0].1.count, 2);
         assert_eq!(side.histograms[0].1.buckets, vec![(8, 2)]);
-        let err = SidecarTelemetry::from_json("{\"counters\":7,\"histograms\":{}}").unwrap_err();
+        let err = Telemetry::from_json("{\"counters\":7,\"histograms\":{}}").unwrap_err();
         assert!(err.contains("counters is not an object"), "{err}");
     }
 
@@ -366,7 +362,7 @@ mod tests {
         static H: kagen_obs::Histogram = kagen_obs::Histogram::new("test.cluster.sidecar_hist");
         kagen_obs::metrics::set_enabled(true);
         H.record(100);
-        let side = SidecarTelemetry::from_json(&SidecarTelemetry::capture().to_json()).unwrap();
+        let side = Telemetry::from_json(&Telemetry::capture().to_json()).unwrap();
         let (_, h) = side
             .histograms
             .iter()

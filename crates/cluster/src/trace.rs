@@ -26,15 +26,9 @@
 
 use kagen_obs::json::{self, Layout, Value};
 use kagen_obs::trace::chrome_trace_value;
-use kagen_obs::TraceEvent;
+use kagen_obs::{ProcessTrace, TraceEvent};
 use std::io;
 use std::path::Path;
-
-/// One worker process's span buffer plus the header fields federation
-/// needs (its OS pid and the wall-clock anchor of its trace epoch):
-/// the [`kagen_obs::ProcessTrace`] document, under the names the
-/// launcher has always used for it.
-pub use kagen_obs::trace::{ProcessTrace as WorkerTrace, TRACE_SCHEMA as TRACE_SIDECAR_SCHEMA};
 
 /// One rank's collected worker trace, tagged with its plan position.
 #[derive(Clone, Debug)]
@@ -46,7 +40,7 @@ pub struct RankTrace {
     /// One past the rank's last PE.
     pub pe_end: u64,
     /// The `trace` member of the rank's report.
-    pub trace: WorkerTrace,
+    pub trace: ProcessTrace,
 }
 
 /// The two metadata rows naming a process and ordering it in the UI.
@@ -101,13 +95,13 @@ fn worker_anchor(events: &[TraceEvent]) -> Option<&TraceEvent> {
 /// for the shape). Timestamps are realigned onto the coordinator's
 /// clock via the workers' wall anchors.
 pub fn federate_chrome_trace(ranks: &[RankTrace]) -> String {
-    federate_with(&WorkerTrace::capture(), ranks)
+    federate_with(&ProcessTrace::capture(), ranks)
 }
 
 /// [`federate_chrome_trace`] against an explicit coordinator view
 /// instead of this process's live trace buffer (deterministic tests,
 /// offline re-federation of saved traces).
-pub fn federate_with(coord: &WorkerTrace, ranks: &[RankTrace]) -> String {
+pub fn federate_with(coord: &ProcessTrace, ranks: &[RankTrace]) -> String {
     let shift = |rt: &RankTrace| rt.trace.epoch_unix_us as i64 - coord.epoch_unix_us as i64;
 
     let mut rows = Vec::new();
@@ -175,7 +169,7 @@ mod tests {
     #[test]
     fn sidecar_roundtrip_preserves_events_and_anchor() {
         // Hand-written document with a known anchor.
-        let wt = WorkerTrace::from_json(
+        let wt = ProcessTrace::from_json(
             "{\"schema\":\"kagen-trace-sidecar/v1\",\"pid\":4242,\
              \"epoch_unix_us\":1000000,\"traceEvents\":[{\"name\":\"worker.generate\",\
              \"cat\":\"kagen\",\"ph\":\"X\",\"ts\":5,\"dur\":90,\"pid\":4242,\"tid\":1}],\
@@ -186,7 +180,7 @@ mod tests {
         assert_eq!(wt.epoch_unix_us, 1_000_000);
         assert_eq!(wt.events, vec![ev("worker.generate", 5, 90, 1)]);
         // Unknown schema is rejected, not silently misread.
-        assert!(WorkerTrace::from_json(
+        assert!(ProcessTrace::from_json(
             "{\"schema\":\"kagen-trace-sidecar/v9\",\"pid\":1,\"epoch_unix_us\":1,\
              \"traceEvents\":[]}"
         )
@@ -198,7 +192,7 @@ mod tests {
         kagen_obs::trace::set_enabled(true);
         let s = kagen_obs::trace::span("test.trace.live");
         let _ = s.finish();
-        let wt = WorkerTrace::from_json(&WorkerTrace::capture().to_json()).unwrap();
+        let wt = ProcessTrace::from_json(&ProcessTrace::capture().to_json()).unwrap();
         assert_eq!(wt.pid, std::process::id() as u64);
         assert_eq!(wt.epoch_unix_us, kagen_obs::trace::epoch_unix_us());
         assert!(wt.events.iter().any(|e| e.name == "test.trace.live"));
@@ -210,7 +204,7 @@ mod tests {
         // Worker epochs 100us and 250us after the coordinator's: their
         // events must shift forward by exactly that delta.
         let coord_anchor = 5_000_000u64;
-        let coord = WorkerTrace {
+        let coord = ProcessTrace {
             pid: 8000,
             epoch_unix_us: coord_anchor,
             events: vec![ev("launch.supervise", 0, 900, 1)],
@@ -220,7 +214,7 @@ mod tests {
                 rank: 0,
                 pe_begin: 0,
                 pe_end: 4,
-                trace: WorkerTrace {
+                trace: ProcessTrace {
                     pid: 9001,
                     epoch_unix_us: coord_anchor + 100,
                     events: vec![
@@ -233,7 +227,7 @@ mod tests {
                 rank: 1,
                 pe_begin: 4,
                 pe_end: 8,
-                trace: WorkerTrace {
+                trace: ProcessTrace {
                     pid: 9002,
                     epoch_unix_us: coord_anchor + 250,
                     events: vec![ev("worker.generate", 40, 300, 1)],
@@ -293,7 +287,7 @@ mod tests {
         // The coordinator saw two rank-0 spans (a failed and a
         // successful attempt); the flow must start from the later one,
         // because only the successful attempt wrote a report.
-        let coord = WorkerTrace {
+        let coord = ProcessTrace {
             pid: 8000,
             epoch_unix_us: 5_000_000,
             events: vec![ev("rank-0", 10, 40, 2), ev("rank-0", 600, 80, 3)],
@@ -302,7 +296,7 @@ mod tests {
             rank: 0,
             pe_begin: 0,
             pe_end: 2,
-            trace: WorkerTrace {
+            trace: ProcessTrace {
                 pid: 7001,
                 epoch_unix_us: 5_000_000 + 620,
                 events: vec![ev("worker.generate", 3, 50, 1)],
@@ -325,7 +319,7 @@ mod tests {
             rank: 1,
             pe_begin: 2,
             pe_end: 4,
-            trace: WorkerTrace::default(),
+            trace: ProcessTrace::default(),
         }];
         let json_text = federate_with(&coord, &bare);
         assert!(json_text.contains("rank 1 worker"));

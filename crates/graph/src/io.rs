@@ -145,6 +145,7 @@ fn put_varint(buf: &mut [u8], pos: usize, z: u64) -> usize {
 fn put_varint_wide(buf: &mut [u8], pos: usize, z: u128) -> usize {
     let end = buf.len();
     let mut rest = &mut buf[pos..];
+    // kagen-lint: allow(r1) -- the scratch is sized for a block of worst-case (19-byte) varints plus slack, so the slice never runs out
     write_varint(&mut rest, z).expect("the scratch holds a worst-case block");
     end - rest.len()
 }
@@ -287,13 +288,12 @@ impl<W: Write> CompressedEdgeWriter<W> {
     /// Flush (including the final ragged block) and return the
     /// underlying writer and the edge count.
     pub fn finish(mut self) -> io::Result<(W, u64)> {
-        self.flush_block()?;
-        self.w.flush()?;
+        self.close()?;
         Ok((self.w, self.count))
     }
 }
 
-fn invalid_data(msg: &'static str) -> io::Error {
+fn invalid_data(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -317,6 +317,7 @@ fn next_id(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
         *pos = at + 1;
         byte as u64
     } else if let Some(word) = payload.get(at..at + 8) {
+        // kagen-lint: allow(r1) -- `get(at..at + 8)` yields exactly 8 bytes or `None`
         let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
         // The lowest byte without a continuation bit ends the varint.
         let stops = !w & CONT_BITS;
@@ -520,32 +521,193 @@ impl<R: BufRead + Seek> CompressedEdgeReader<R> {
     }
 }
 
+/// A streaming encoder of one on-disk edge format — the one place that
+/// format's bytes are produced. How a stream is cut into slices never
+/// shows in the bytes.
+pub trait EdgeEncoder {
+    /// Append a slice of edges.
+    fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()>;
+
+    /// End the stream: write out what is pending and flush the
+    /// underlying writer.
+    fn close(&mut self) -> io::Result<()>;
+}
+
+/// What a decoder hands verified blocks of edges to.
+type Emit<'a> = dyn FnMut(&[(u64, u64)]) + 'a;
+
+/// Encode `el` with a fresh encoder.
+fn write_all_edges<E: EdgeEncoder>(mut enc: E, el: &EdgeList) -> io::Result<()> {
+    enc.push_slice(&el.edges)?;
+    enc.close()
+}
+
+impl<W: Write> EdgeEncoder for CompressedEdgeWriter<W> {
+    fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
+        CompressedEdgeWriter::push_slice(self, edges)
+    }
+
+    fn close(&mut self) -> io::Result<()> {
+        self.flush_block()?;
+        self.w.flush()
+    }
+}
+
+/// Decode a compressed edge stream block by block: `emit` sees a block
+/// only after its length and checksum have been verified. Returns the
+/// vertex count of the header.
+pub fn decode_compressed<R: BufRead>(r: R, emit: &mut Emit) -> io::Result<u64> {
+    let mut dec = CompressedEdgeReader::new(r)?;
+    while let Some(block) = dec.next_block()? {
+        emit(block);
+    }
+    Ok(dec.n())
+}
+
 /// Write a whole edge list in the compressed varint+delta format.
 pub fn write_compressed<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    let mut enc = CompressedEdgeWriter::new(BufWriter::new(w), el.n)?;
-    enc.push_slice(&el.edges)?;
-    enc.finish()?;
-    Ok(())
+    write_all_edges(CompressedEdgeWriter::new(BufWriter::new(w), el.n)?, el)
 }
 
 /// Read a whole compressed edge stream back (inverse of
 /// [`write_compressed`]).
 pub fn read_compressed<R: BufRead>(r: R) -> io::Result<EdgeList> {
-    let mut dec = CompressedEdgeReader::new(r)?;
     let mut edges = Vec::new();
-    while let Some(block) = dec.next_block()? {
-        edges.extend_from_slice(block);
+    let n = decode_compressed(r, &mut |block| edges.extend_from_slice(block))?;
+    Ok(EdgeList::new(n, edges))
+}
+
+/// Encoder of the text format: one `u v` line per edge (the format the
+/// KaGen tool emits). Lines are formatted into a scratch of at most one
+/// block of edges and leave in one `write_all` per block.
+#[derive(Debug)]
+pub struct TextEncoder<W: Write> {
+    w: W,
+    scratch: String,
+}
+
+impl<W: Write> TextEncoder<W> {
+    /// Encoder writing to `w`.
+    pub fn new(w: W) -> Self {
+        TextEncoder {
+            w,
+            scratch: String::new(),
+        }
     }
-    Ok(EdgeList::new(dec.n(), edges))
+}
+
+impl<W: Write> EdgeEncoder for TextEncoder<W> {
+    fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
+        use std::fmt::Write as _;
+        // Chunked so one huge slice cannot balloon the scratch buffer.
+        for chunk in edges.chunks(BLOCK_EDGES) {
+            self.scratch.clear();
+            for &(u, v) in chunk {
+                // Formatting integers into a `String` cannot fail.
+                let _ = writeln!(self.scratch, "{u} {v}");
+            }
+            self.w.write_all(self.scratch.as_bytes())?;
+        }
+        Ok(())
+    }
+
+    fn close(&mut self) -> io::Result<()> {
+        self.w.flush()
+    }
+}
+
+/// Longest line the text decoder buffers; a longer one is an error, so
+/// a file without newlines cannot size an allocation.
+const MAX_LINE_BYTES: usize = 1 << 16;
+
+/// One field of a text line: the canonical decimal form of a `u64`.
+fn parse_field(field: &[u8]) -> Option<u64> {
+    if field.is_empty() || (field[0] == b'0' && field.len() > 1) {
+        return None;
+    }
+    field.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.checked_sub(b'0').filter(|&d| d <= 9)?;
+        acc.checked_mul(10)?.checked_add(digit as u64)
+    })
+}
+
+/// One line of the text format (without its `\n`): `None` for a blank
+/// or comment line, the edge otherwise.
+fn parse_line(line: &[u8]) -> Result<Option<(u64, u64)>, &'static str> {
+    if line.len() > MAX_LINE_BYTES {
+        return Err("longer than 65536 bytes");
+    }
+    let blank = |b: &u8| *b == b' ' || *b == b'\t';
+    let mut fields = line.split(blank).filter(|f| !f.is_empty());
+    let Some(first) = fields.next() else {
+        return Ok(None);
+    };
+    if first[0] == b'#' || first[0] == b'%' {
+        return Ok(None);
+    }
+    let second = fields.next().ok_or("missing field")?;
+    if fields.next().is_some() {
+        return Err("more than two fields");
+    }
+    match (parse_field(first), parse_field(second)) {
+        (Some(u), Some(v)) => Ok(Some((u, v))),
+        _ => Err("a field is not a canonical decimal u64"),
+    }
+}
+
+/// Decode the text format, handing `emit` blocks of at most
+/// [`COMPRESSED_BLOCK_EDGES`] edges whose lines all parsed. The
+/// grammar, stated here once: a line (ended by `\n` or the end of
+/// input) is blank (spaces and tabs only), a comment (first non-blank
+/// byte `#` or `%`), or exactly two fields separated by spaces or tabs,
+/// each the canonical decimal form of a `u64` — digits only, no sign,
+/// no leading zero. Everything else — a third token, `+5`, a lone
+/// field, a number above `u64::MAX`, a NUL, a carriage return — is
+/// `InvalidData` naming the line.
+pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<()> {
+    let mut edges = Vec::with_capacity(BLOCK_EDGES);
+    let mut line = Vec::new();
+    let mut lineno = 0u64;
+    loop {
+        line.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut r).take(limit).read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        lineno += 1;
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        let parsed = parse_line(&line);
+        if let Some(edge) = parsed.map_err(|what| invalid_data(format!("line {lineno}: {what}")))? {
+            edges.push(edge);
+        }
+        if edges.len() == BLOCK_EDGES {
+            emit(&edges);
+            edges.clear();
+        }
+    }
+    if !edges.is_empty() {
+        emit(&edges);
+    }
+    Ok(())
 }
 
 /// Write one `u v` pair per line (the format the KaGen tool emits).
 pub fn write_edge_list<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    for &(u, v) in &el.edges {
-        writeln!(w, "{u} {v}")?;
-    }
-    w.flush()
+    write_all_edges(TextEncoder::new(w), el)
+}
+
+/// Parse a text edge list (the grammar of [`decode_text`]). `n` is
+/// inferred as max id + 1 unless given.
+pub fn read_edge_list(text: &str, n: Option<u64>) -> io::Result<EdgeList> {
+    let mut edges = Vec::new();
+    decode_text(text.as_bytes(), &mut |block| edges.extend_from_slice(block))?;
+    let n = n.unwrap_or_else(|| {
+        let max_id = edges.iter().map(|&(u, v)| u.max(v)).max();
+        max_id.map_or(0, |id| id.saturating_add(1))
+    });
+    Ok(EdgeList::new(n, edges))
 }
 
 /// Write METIS format: header `n m`, then one line of 1-based neighbors per
@@ -570,50 +732,86 @@ pub fn write_metis<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
     w.flush()
 }
 
+/// Encoder of the binary format: raw little-endian `u64` pairs, 16
+/// bytes per edge, one `write_all` per block of edges.
+#[derive(Debug)]
+pub struct BinaryEncoder<W: Write> {
+    w: W,
+    scratch: Vec<u8>,
+}
+
+impl<W: Write> BinaryEncoder<W> {
+    /// Encoder writing to `w`.
+    pub fn new(w: W) -> Self {
+        BinaryEncoder {
+            w,
+            scratch: Vec::with_capacity(BLOCK_EDGES * 16),
+        }
+    }
+}
+
+impl<W: Write> EdgeEncoder for BinaryEncoder<W> {
+    fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
+        // Chunked so one huge slice cannot balloon the scratch buffer.
+        for chunk in edges.chunks(BLOCK_EDGES) {
+            self.scratch.clear();
+            for &(u, v) in chunk {
+                self.scratch.extend_from_slice(&u.to_le_bytes());
+                self.scratch.extend_from_slice(&v.to_le_bytes());
+            }
+            self.w.write_all(&self.scratch)?;
+        }
+        Ok(())
+    }
+
+    fn close(&mut self) -> io::Result<()> {
+        self.w.flush()
+    }
+}
+
+/// Decode the binary format, handing `emit` blocks of at most
+/// [`COMPRESSED_BLOCK_EDGES`] records (64 KiB). Input that ends inside
+/// a 16-byte record is `UnexpectedEof`.
+pub fn decode_binary<R: Read>(mut r: R, emit: &mut Emit) -> io::Result<()> {
+    let mut bytes = vec![0u8; BLOCK_EDGES * 16];
+    let mut edges = Vec::with_capacity(BLOCK_EDGES);
+    loop {
+        // Fill the buffer; only the end of input leaves it short.
+        let mut filled = 0;
+        while filled < bytes.len() {
+            match r.read(&mut bytes[filled..]) {
+                Ok(0) => break,
+                Ok(k) => filled += k,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let (words, rest) = bytes[..filled].as_chunks::<8>();
+        if !rest.is_empty() || words.len() % 2 != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "binary edge list ends inside a 16-byte record",
+            ));
+        }
+        if words.is_empty() {
+            return Ok(());
+        }
+        edges.clear();
+        let pairs = words.chunks_exact(2);
+        edges.extend(pairs.map(|uv| (u64::from_le_bytes(uv[0]), u64::from_le_bytes(uv[1]))));
+        emit(&edges);
+    }
+}
+
 /// Write raw little-endian `u64` pairs (binary edge list).
 pub fn write_binary<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    for &(u, v) in &el.edges {
-        w.write_all(&u.to_le_bytes())?;
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()
+    write_all_edges(BinaryEncoder::new(w), el)
 }
 
 /// Read raw little-endian `u64` pairs back (inverse of [`write_binary`]).
-pub fn read_binary(bytes: &[u8], n: u64) -> EdgeList {
-    assert_eq!(bytes.len() % 16, 0, "truncated binary edge list");
-    let mut edges = Vec::with_capacity(bytes.len() / 16);
-    for chunk in bytes.chunks_exact(16) {
-        let u = u64::from_le_bytes(chunk[0..8].try_into().unwrap());
-        let v = u64::from_le_bytes(chunk[8..16].try_into().unwrap());
-        edges.push((u, v));
-    }
-    EdgeList::new(n, edges)
-}
-
-/// Parse a text edge list (`u v` per line; `#`/`%` comment lines skipped).
-/// `n` is inferred as max id + 1 unless given.
-pub fn read_edge_list(text: &str, n: Option<u64>) -> Result<EdgeList, String> {
+pub fn read_binary(bytes: &[u8], n: u64) -> io::Result<EdgeList> {
     let mut edges = Vec::new();
-    let mut max_id = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        let parse = |tok: Option<&str>| -> Result<u64, String> {
-            tok.ok_or_else(|| format!("line {}: missing field", lineno + 1))?
-                .parse::<u64>()
-                .map_err(|e| format!("line {}: {e}", lineno + 1))
-        };
-        let u = parse(it.next())?;
-        let v = parse(it.next())?;
-        max_id = max_id.max(u).max(v);
-        edges.push((u, v));
-    }
-    let n = n.unwrap_or(if edges.is_empty() { 0 } else { max_id + 1 });
+    decode_binary(bytes, &mut |block| edges.extend_from_slice(block))?;
     Ok(EdgeList::new(n, edges))
 }
 
@@ -662,8 +860,17 @@ mod tests {
         let mut buf = Vec::new();
         write_binary(&mut buf, &el).unwrap();
         assert_eq!(buf.len(), 3 * 16);
-        let back = read_binary(&buf, 4);
+        let back = read_binary(&buf, 4).unwrap();
         assert_eq!(back, el);
+        // Every cut inside a record is an error, never a panic.
+        for cut in 0..buf.len() {
+            let res = read_binary(&buf[..cut], 4);
+            if cut % 16 == 0 {
+                assert_eq!(res.unwrap().edges, el.edges[..cut / 16]);
+            } else {
+                assert_eq!(res.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+            }
+        }
     }
 
     #[test]
@@ -688,6 +895,77 @@ mod tests {
         assert!(read_edge_list("0\n", None).is_err());
         assert!(read_edge_list("a b\n", None).is_err());
         assert_eq!(read_edge_list("", None).unwrap().n, 0);
+    }
+
+    #[test]
+    fn text_grammar_is_exactly_two_canonical_fields() {
+        let max = u64::MAX;
+        for (text, edges) in [
+            ("5 7", vec![(5, 7)]),
+            ("5 7\n\n \t\n0 0\n", vec![(5, 7), (0, 0)]),
+            (" 5\t 7 \n", vec![(5, 7)]),
+            ("  # 1 2 3\n%x\n", vec![]),
+            ("18446744073709551615 0\n", vec![(max, 0)]),
+        ] {
+            assert_eq!(
+                read_edge_list(text, Some(0)).unwrap().edges,
+                edges,
+                "{text:?}"
+            );
+        }
+        // n inferred from the largest id does not overflow.
+        assert_eq!(
+            read_edge_list("18446744073709551615 0", None).unwrap().n,
+            max
+        );
+        for (text, line) in [
+            ("1 2\n65 57 999 junk\n", 2),
+            ("+66 41\n", 1),
+            ("66 -41\n", 1),
+            ("1 2\n\n3\n", 3),
+            ("18446744073709551616 0\n", 1),
+            ("1 99999999999999999999999\n", 1),
+            ("01 2\n", 1),
+            ("1 00\n", 1),
+            ("1 2\r\n", 1),
+            ("# c\n1\x002\n", 2),
+            ("1 2\x00\n", 1),
+            ("1 2\x0b3 4\n", 1),
+            ("1 2 # trailing comment\n", 1),
+            ("1 \u{663}\n", 1),
+            ("0x10 2\n", 1),
+            ("1e3 2\n", 1),
+        ] {
+            let err = read_edge_list(text, None).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            assert!(
+                err.to_string().starts_with(&format!("line {line}: ")),
+                "{text:?}: {err}"
+            );
+        }
+        // A line the decoder will not buffer, with and without an end.
+        let long = "#".repeat(MAX_LINE_BYTES + 1);
+        assert!(read_edge_list(&long, None).is_err());
+        assert!(read_edge_list(&format!("{long}\n1 2\n"), None).is_err());
+        let longest = format!("{}\n1 2\n", "#".repeat(MAX_LINE_BYTES));
+        assert_eq!(read_edge_list(&longest, None).unwrap().edges, [(1, 2)]);
+    }
+
+    #[test]
+    fn text_decoder_cuts_blocks_without_changing_the_stream() {
+        let m = 2 * BLOCK_EDGES as u64 + 5;
+        let el = EdgeList::new(m, (0..m).map(|i| (i, m - 1 - i)).collect());
+        let mut text = Vec::new();
+        write_edge_list(&mut text, &el).unwrap();
+        let mut sizes = Vec::new();
+        let mut edges = Vec::new();
+        decode_text(&text[..], &mut |block| {
+            sizes.push(block.len());
+            edges.extend_from_slice(block);
+        })
+        .unwrap();
+        assert_eq!(sizes, [BLOCK_EDGES, BLOCK_EDGES, 5]);
+        assert_eq!(edges, el.edges);
     }
 
     #[test]

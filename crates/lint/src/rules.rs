@@ -18,6 +18,12 @@
 //! * **F1** — floating-point accumulation (`+=`, `sum`, `fold`,
 //!   `reduce`) inside a `par_*` statement: float addition is not
 //!   associative, so a parallel reduction order leak changes bytes.
+//! * **R1** — `.unwrap()`, `.expect(…)`, `panic!`, `unreachable!` and
+//!   the `assert*!` family in the code that reads files, argv and child
+//!   processes (the front-end, `pipeline`, `cluster`, `graph::io`): a
+//!   failure there is an `Err` and an exit code, so every site that
+//!   stays carries a pragma stating the invariant that makes it
+//!   unreachable.
 //!
 //! Suppression is only possible in-source, one site at a time:
 //!
@@ -38,6 +44,7 @@ pub enum Rule {
     D3,
     S1,
     F1,
+    R1,
     /// Meta-rule: a malformed or unused `kagen-lint:` pragma.
     P0,
 }
@@ -50,6 +57,7 @@ impl Rule {
             Rule::D3 => "d3",
             Rule::S1 => "s1",
             Rule::F1 => "f1",
+            Rule::R1 => "r1",
             Rule::P0 => "p0",
         }
     }
@@ -61,6 +69,7 @@ impl Rule {
             "d3" => Some(Rule::D3),
             "s1" => Some(Rule::S1),
             "f1" => Some(Rule::F1),
+            "r1" => Some(Rule::R1),
             _ => None,
         }
     }
@@ -79,11 +88,22 @@ impl Rule {
             Rule::F1 => {
                 "floating-point accumulation inside a par_* statement (order-dependent reduction)"
             }
+            Rule::R1 => {
+                "unwrap/expect/panic!/unreachable!/assert*! on an I/O path without its invariant stated"
+            }
             Rule::P0 => "malformed or unused kagen-lint pragma",
         }
     }
 
-    pub const ALL: [Rule; 6] = [Rule::D1, Rule::D2, Rule::D3, Rule::S1, Rule::F1, Rule::P0];
+    pub const ALL: [Rule; 7] = [
+        Rule::D1,
+        Rule::D2,
+        Rule::D3,
+        Rule::S1,
+        Rule::F1,
+        Rule::R1,
+        Rule::P0,
+    ];
 }
 
 /// One finding.
@@ -106,6 +126,8 @@ pub struct RuleSet {
     pub generator: bool,
     /// F1: the crate runs parallel numeric work feeding output.
     pub parallel_numeric: bool,
+    /// R1: the file handles data from files, argv or child processes.
+    pub io_path: bool,
 }
 
 /// Lint one file's source. `rules` selects the applicable rule sets;
@@ -136,6 +158,9 @@ pub fn lint_source(src: &str, rules: RuleSet) -> Vec<Violation> {
     rule_s1(src, &tokens, &in_test, &mut out);
     if rules.parallel_numeric {
         rule_f1(&code, &mut out);
+    }
+    if rules.io_path {
+        rule_r1(&code, &mut out);
     }
 
     // Apply pragmas: a violation on a pragma's covered line (or its own
@@ -568,6 +593,43 @@ fn rule_f1(code: &[(usize, &Token)], out: &mut Vec<Violation>) {
     }
 }
 
+const PANICKING_MACROS: [&str; 8] = [
+    "panic",
+    "unreachable",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "debug_assert",
+    "debug_assert_eq",
+    "debug_assert_ne",
+];
+
+fn rule_r1(code: &[(usize, &Token)], out: &mut Vec<Violation>) {
+    for i in 0..code.len() {
+        let Tok::Ident(name) = &code[i].1.kind else {
+            continue;
+        };
+        let next = |k: usize, c: char| i + k < code.len() && punct_is(code, i + k, c);
+        let method = i > 0 && punct_is(code, i - 1, '.') && next(1, '(');
+        let what = if method && name == "unwrap" && next(2, ')') {
+            ".unwrap()".to_string()
+        } else if method && name == "expect" {
+            ".expect(…)".to_string()
+        } else if PANICKING_MACROS.contains(&name.as_str()) && next(1, '!') {
+            format!("{name}!")
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            rule: Rule::R1,
+            line: code[i].1.line,
+            message: format!(
+                "{what} on an I/O path — return the error (`?`), or pragma with the invariant that makes this site unreachable"
+            ),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,6 +640,7 @@ mod tests {
             clock_allowlisted: false,
             generator: true,
             parallel_numeric: true,
+            io_path: true,
         }
     }
 

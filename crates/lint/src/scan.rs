@@ -46,6 +46,13 @@ const PARALLEL_NUMERIC: [&str; 9] = [
     "baselines",
 ];
 
+/// Crates that read files, argv and child processes (rule R1), whole.
+const IO_PATH: [&str; 2] = ["pipeline", "cluster"];
+
+/// File- and directory-level R1 additions: the front-end and the edge
+/// codecs.
+const IO_PATH_FILES: [&str; 3] = ["src/bin/", "src/cli.rs", "crates/graph/src/io.rs"];
+
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 7] = [
     "target", "vendor", "tests", "benches", "examples", "fixtures", ".git",
@@ -74,6 +81,7 @@ pub fn classify(rel_path: &str) -> RuleSet {
         clock_allowlisted: CLOCK_ALLOWLISTED.contains(&krate),
         generator: GENERATOR.contains(&krate),
         parallel_numeric: PARALLEL_NUMERIC.contains(&krate),
+        io_path: IO_PATH.contains(&krate) || IO_PATH_FILES.iter().any(|f| rel.starts_with(f)),
     }
 }
 
@@ -168,5 +176,22 @@ mod tests {
 
         let runtime = classify("crates/runtime/src/pe.rs");
         assert!(runtime.parallel_numeric && !runtime.deterministic_output);
+
+        for io_path in [
+            "src/bin/kagen.rs",
+            "src/cli.rs",
+            "crates/pipeline/src/reader.rs",
+            "crates/cluster/src/launch.rs",
+            "crates/graph/src/io.rs",
+        ] {
+            assert!(classify(io_path).io_path, "{io_path}");
+        }
+        for other in [
+            "src/lib.rs",
+            "crates/graph/src/csr.rs",
+            "crates/core/src/rmat.rs",
+        ] {
+            assert!(!classify(other).io_path, "{other}");
+        }
     }
 }

@@ -13,6 +13,7 @@ fn full() -> RuleSet {
         clock_allowlisted: false,
         generator: true,
         parallel_numeric: true,
+        io_path: true,
     }
 }
 
@@ -70,6 +71,23 @@ fn s1_safety_comments() {
 fn f1_parallel_float_reduction() {
     assert_fires(include_str!("fixtures/f1_pos.rs"), Rule::F1, 1);
     assert_silent(include_str!("fixtures/f1_neg.rs"));
+}
+
+#[test]
+fn r1_panics_on_io_paths() {
+    let src = include_str!("fixtures/r1_pos.rs");
+    let v = lint_source(src, full());
+    // unwrap, assert!, assert_eq!, debug_assert_ne!, expect,
+    // unreachable!, panic! — one finding each.
+    assert_eq!(v.iter().filter(|x| x.rule == Rule::R1).count(), 7, "{v:#?}");
+    assert!(v.iter().all(|x| x.rule == Rule::R1), "{v:#?}");
+    // The same file is clean where no outside data arrives.
+    let elsewhere = RuleSet {
+        io_path: false,
+        ..full()
+    };
+    assert!(lint_source(src, elsewhere).is_empty());
+    assert_silent(include_str!("fixtures/r1_neg.rs"));
 }
 
 #[test]

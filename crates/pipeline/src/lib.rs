@@ -10,9 +10,14 @@
 //! crate keeps the whole path at generator-state memory:
 //!
 //! * [`sink`] — the [`EdgeSink`] trait plus composable sinks: counting,
-//!   checksumming, degree statistics, text / binary / compressed writers,
-//!   tees and closure adapters.
-//! * [`writer`] — the sharded parallel writer: one shard file per PE,
+//!   checksumming, degree statistics, tees and closure adapters, and the
+//!   one file sink ([`FileSink`]): an error-latching adapter over the
+//!   text / binary / compressed encoders of `kagen_graph::io`, where
+//!   each on-disk format is encoded and decoded in one place.
+//! * [`writer`] — [`ShardFormat`], the one table from a format name to
+//!   its file extension, its sink ([`ShardFormat::sink`]) and its
+//!   verified block reader ([`ShardFormat::stream_file`]); and the
+//!   sharded parallel writer: one shard file per PE,
 //!   written concurrently on the `kagen-runtime` pool, plus a
 //!   `manifest.json` recording model, params, seed, per-shard edge counts
 //!   and checksums. Shard bytes are independent of the thread count.
@@ -81,7 +86,7 @@ pub use merge::{ExternalMerge, MergeStats, DEFAULT_FAN_IN};
 pub use reader::{stream_shard_file, validate_shard, validate_shard_sampled, ShardReader};
 pub use sink::{
     checksum_step, BinarySink, ChecksumSink, CompressedSink, CountingSink, DegreeStatsSink,
-    EdgeSink, FnSink, TeeSink, TextSink,
+    EdgeSink, FileSink, FnSink, TeeSink, TextSink,
 };
 pub use writer::{
     shard_file_name, write_shard, write_sharded, InstanceMeta, ShardFormat, StreamConfig,

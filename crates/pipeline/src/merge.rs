@@ -295,6 +295,7 @@ impl ExternalMerge {
                         scope.spawn(move || Self::encode_piece(path, piece, undirected))
                     })
                     .collect();
+                // kagen-lint: allow(r1) -- join fails only when the thread panicked: that bug is re-raised here, not lost
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             })
         };
@@ -477,6 +478,7 @@ impl ExternalMerge {
                         })
                     })
                     .collect();
+                // kagen-lint: allow(r1) -- join fails only when the thread panicked: that bug is re-raised here, not lost
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
             for r in reports {

@@ -5,23 +5,21 @@
 //! [`stream_shard_file`] is the read-side batch primitive, the mirror of
 //! [`crate::EdgeSink::push_batch`]: every format delivers
 //! `&[(u64, u64)]` slices of at most one restart block's worth of edges
-//! ([`COMPRESSED_BLOCK_EDGES`]), and a compressed block is delivered
-//! only after its length and checksum have been verified.
+//! (`COMPRESSED_BLOCK_EDGES`) from its decoder in `kagen_graph::io`,
+//! and a block is delivered only after everything its format can check
+//! has been verified (a compressed block's length and checksum, a text
+//! block's grammar, a binary block's record size).
 
 use crate::manifest::{Manifest, ShardInfo};
 use crate::sink::checksum_step;
 use crate::writer::ShardFormat;
 use kagen_core::streaming::BatchEmit;
-use kagen_graph::io::{CompressedEdgeReader, COMPRESSED_BLOCK_EDGES};
+use kagen_graph::io::CompressedEdgeReader;
 use kagen_graph::EdgeList;
 use kagen_obs::json::invalid;
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufReader};
 use std::path::{Path, PathBuf};
-
-/// Largest slice a shard reader delivers: one compressed restart block,
-/// 64 KiB of binary records.
-const READ_BATCH_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
 
 /// A shard directory opened for reading.
 #[derive(Debug)]
@@ -86,13 +84,10 @@ impl ShardReader {
     }
 }
 
-/// Stream one shard *file* (no manifest required) through `emit`.
+/// Stream one shard *file* (no manifest required) through `emit`:
+/// [`ShardFormat::stream_file`] under the name readers use.
 pub fn stream_shard_file(path: &Path, format: ShardFormat, emit: &mut BatchEmit) -> io::Result<()> {
-    match format {
-        ShardFormat::EdgeList => stream_text(path, emit),
-        ShardFormat::Binary => stream_binary(path, emit),
-        ShardFormat::Compressed => stream_compressed(path, emit),
-    }
+    format.stream_file(path, emit)
 }
 
 /// Stream the shard described by `info` through `emit`, then verify its
@@ -223,84 +218,6 @@ fn validate_compressed_sampled(path: &Path, edges: u64, sample_blocks: usize) ->
         } else {
             dec.skip_block()?;
         }
-    }
-    Ok(())
-}
-
-fn stream_text(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut batch = Vec::with_capacity(READ_BATCH_EDGES);
-    let mut line = String::new();
-    let mut lineno = 0usize;
-    loop {
-        line.clear();
-        if r.read_line(&mut line)? == 0 {
-            break;
-        }
-        lineno += 1;
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') || text.starts_with('%') {
-            continue;
-        }
-        let mut it = text.split_whitespace();
-        let mut field = || -> io::Result<u64> {
-            it.next()
-                .ok_or_else(|| invalid(format!("line {lineno}: missing field")))?
-                .parse::<u64>()
-                .map_err(|e| invalid(format!("line {lineno}: {e}")))
-        };
-        batch.push((field()?, field()?));
-        if batch.len() == READ_BATCH_EDGES {
-            emit(&batch);
-            batch.clear();
-        }
-    }
-    if !batch.is_empty() {
-        emit(&batch);
-    }
-    Ok(())
-}
-
-fn stream_binary(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
-    let mut file = File::open(path)?;
-    let mut bytes = vec![0u8; READ_BATCH_EDGES * 16];
-    let mut batch = Vec::with_capacity(READ_BATCH_EDGES);
-    loop {
-        // Fill the buffer; only end of file leaves it short.
-        let mut filled = 0;
-        while filled < bytes.len() {
-            match file.read(&mut bytes[filled..]) {
-                Ok(0) => break,
-                Ok(k) => filled += k,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if filled % 16 != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "binary shard ends inside a 16-byte record",
-            ));
-        }
-        if filled == 0 {
-            return Ok(());
-        }
-        batch.clear();
-        batch.extend(bytes[..filled].chunks_exact(16).map(|rec| {
-            let (u, v) = rec.split_at(8);
-            (
-                u64::from_le_bytes(u.try_into().expect("8 bytes")),
-                u64::from_le_bytes(v.try_into().expect("8 bytes")),
-            )
-        }));
-        emit(&batch);
-    }
-}
-
-fn stream_compressed(path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
-    let mut dec = CompressedEdgeReader::new(BufReader::new(File::open(path)?))?;
-    while let Some(block) = dec.next_block()? {
-        emit(block);
     }
     Ok(())
 }

@@ -4,13 +4,18 @@
 //! A sink receives edges a slice at a time via [`EdgeSink::push_batch`]
 //! — the one delivery primitive, matching the generators'
 //! `stream_pe_batched` — and is closed with [`EdgeSink::finish`];
-//! [`EdgeSink::accept`] is the provided one-edge adapter over it. IO
-//! sinks buffer writes internally and defer errors: `push_batch` stays
-//! infallible (it sits on the hot path), the first IO error is latched
-//! and surfaced by `finish`. Every sink counts the edges it accepts;
-//! `finish` returns that count.
+//! [`EdgeSink::accept`] is the provided one-edge adapter over it.
+//! Every sink counts the edges it accepts; `finish` returns that count.
+//!
+//! There is one file sink, [`FileSink`]: an adapter from `push_batch`
+//! to an `EdgeEncoder` of `kagen_graph::io`, where each format's bytes
+//! are defined. `push_batch` stays infallible (it sits on the hot
+//! path): the adapter latches the first IO error and `finish` surfaces
+//! it. [`TextSink`], [`BinarySink`] and [`CompressedSink`] are that
+//! adapter over the three encoders; `ShardFormat::sink` picks one by
+//! format.
 
-use kagen_graph::io::CompressedEdgeWriter;
+use kagen_graph::io::{BinaryEncoder, CompressedEdgeWriter, EdgeEncoder, TextEncoder};
 use kagen_graph::stats::DegreeStats;
 use std::io::{self, Write};
 
@@ -146,6 +151,9 @@ pub struct DegreeStatsSink {
     out_deg: Vec<u64>,
     in_deg: Vec<u64>,
     count: u64,
+    /// The first edge with an endpoint outside `0..n` (edges may come
+    /// from a file); `finish` reports it.
+    out_of_range: Option<(u64, u64)>,
 }
 
 impl DegreeStatsSink {
@@ -161,6 +169,7 @@ impl DegreeStatsSink {
                 Vec::new()
             },
             count: 0,
+            out_of_range: None,
         }
     }
 
@@ -177,170 +186,101 @@ impl DegreeStatsSink {
 
 impl EdgeSink for DegreeStatsSink {
     fn push_batch(&mut self, edges: &[(u64, u64)]) {
-        // Directedness is per-sink, not per-edge: branch once per batch.
         self.count += edges.len() as u64;
-        if self.directed {
-            for &(u, v) in edges {
-                self.out_deg[u as usize] += 1;
-                self.in_deg[v as usize] += 1;
+        let n = self.out_deg.len() as u64;
+        for &(u, v) in edges {
+            if u >= n || v >= n {
+                self.out_of_range.get_or_insert((u, v));
+                continue;
             }
-        } else {
-            for &(u, v) in edges {
-                self.out_deg[u as usize] += 1;
+            self.out_deg[u as usize] += 1;
+            if self.directed {
+                self.in_deg[v as usize] += 1;
+            } else {
                 self.out_deg[v as usize] += 1;
             }
         }
     }
 
     fn finish(&mut self) -> io::Result<u64> {
+        if let Some((u, v)) = self.out_of_range {
+            let n = self.out_deg.len();
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("edge ({u}, {v}) has an endpoint outside the {n} vertices"),
+            ));
+        }
+        Ok(self.count)
+    }
+}
+
+/// The one file sink: every on-disk format is this adapter over the
+/// format's encoder in `kagen_graph::io`. It counts the edges, pushes
+/// each batch into the encoder a slice at a time, latches the first IO
+/// error (later batches are counted and dropped) and surfaces it from
+/// `finish`, which otherwise ends the stream and flushes the writer.
+#[derive(Debug)]
+pub struct FileSink<E: EdgeEncoder> {
+    enc: E,
+    count: u64,
+    err: Option<io::Error>,
+}
+
+impl<E: EdgeEncoder> FileSink<E> {
+    fn over(enc: E) -> Self {
+        FileSink {
+            enc,
+            count: 0,
+            err: None,
+        }
+    }
+}
+
+impl<E: EdgeEncoder> EdgeSink for FileSink<E> {
+    fn push_batch(&mut self, edges: &[(u64, u64)]) {
+        self.count += edges.len() as u64;
+        if self.err.is_none() {
+            self.err = self.enc.push_slice(edges).err();
+        }
+    }
+
+    fn finish(&mut self) -> io::Result<u64> {
+        if let Some(e) = self.err.take() {
+            return Err(e);
+        }
+        self.enc.close()?;
         Ok(self.count)
     }
 }
 
 /// Writes `u v` text lines (the KaGen tool's output format).
-#[derive(Debug)]
-pub struct TextSink<W: Write> {
-    w: W,
-    count: u64,
-    err: Option<io::Error>,
-    /// Reusable format buffer for batched writes.
-    scratch: String,
-}
+pub type TextSink<W> = FileSink<TextEncoder<W>>;
 
 impl<W: Write> TextSink<W> {
     /// Sink writing to `w` (wrap files in a `BufWriter`).
     pub fn new(w: W) -> Self {
-        TextSink {
-            w,
-            count: 0,
-            err: None,
-            scratch: String::new(),
-        }
-    }
-}
-
-impl<W: Write> EdgeSink for TextSink<W> {
-    fn push_batch(&mut self, edges: &[(u64, u64)]) {
-        use std::fmt::Write as _;
-        self.count += edges.len() as u64;
-        if self.err.is_some() {
-            return;
-        }
-        // Chunked so one huge slice cannot balloon the scratch buffer.
-        for chunk in edges.chunks(4096) {
-            self.scratch.clear();
-            for &(u, v) in chunk {
-                let _ = writeln!(self.scratch, "{u} {v}");
-            }
-            if let Err(e) = self.w.write_all(self.scratch.as_bytes()) {
-                self.err = Some(e);
-                return;
-            }
-        }
-    }
-
-    fn finish(&mut self) -> io::Result<u64> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.w.flush()?;
-        Ok(self.count)
+        FileSink::over(TextEncoder::new(w))
     }
 }
 
 /// Writes raw little-endian `u64` pairs (16 bytes per edge).
-#[derive(Debug)]
-pub struct BinarySink<W: Write> {
-    w: W,
-    count: u64,
-    err: Option<io::Error>,
-    /// Reusable encode buffer for batched writes.
-    scratch: Vec<u8>,
-}
+pub type BinarySink<W> = FileSink<BinaryEncoder<W>>;
 
 impl<W: Write> BinarySink<W> {
     /// Sink writing to `w` (wrap files in a `BufWriter`).
     pub fn new(w: W) -> Self {
-        BinarySink {
-            w,
-            count: 0,
-            err: None,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<W: Write> EdgeSink for BinarySink<W> {
-    fn push_batch(&mut self, edges: &[(u64, u64)]) {
-        self.count += edges.len() as u64;
-        if self.err.is_some() {
-            return;
-        }
-        // Chunked so one huge slice cannot balloon the scratch buffer.
-        for chunk in edges.chunks(4096) {
-            self.scratch.clear();
-            for &(u, v) in chunk {
-                self.scratch.extend_from_slice(&u.to_le_bytes());
-                self.scratch.extend_from_slice(&v.to_le_bytes());
-            }
-            if let Err(e) = self.w.write_all(&self.scratch) {
-                self.err = Some(e);
-                return;
-            }
-        }
-    }
-
-    fn finish(&mut self) -> io::Result<u64> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.w.flush()?;
-        Ok(self.count)
+        FileSink::over(BinaryEncoder::new(w))
     }
 }
 
 /// Writes the compressed varint+delta shard format
 /// (`kagen_graph::io::CompressedEdgeWriter`).
-#[derive(Debug)]
-pub struct CompressedSink<W: Write> {
-    enc: Option<CompressedEdgeWriter<W>>,
-    count: u64,
-    err: Option<io::Error>,
-}
+pub type CompressedSink<W> = FileSink<CompressedEdgeWriter<W>>;
 
 impl<W: Write> CompressedSink<W> {
     /// Sink writing a compressed stream over `n` vertices to `w`.
     pub fn new(w: W, n: u64) -> io::Result<Self> {
-        Ok(CompressedSink {
-            enc: Some(CompressedEdgeWriter::new(w, n)?),
-            count: 0,
-            err: None,
-        })
-    }
-}
-
-impl<W: Write> EdgeSink for CompressedSink<W> {
-    fn push_batch(&mut self, edges: &[(u64, u64)]) {
-        // Whole-slice varint encode into the encoder's reusable scratch
-        // buffer; one buffered write per batch.
-        self.count += edges.len() as u64;
-        if self.err.is_none() {
-            if let Some(enc) = self.enc.as_mut() {
-                if let Err(e) = enc.push_slice(edges) {
-                    self.err = Some(e);
-                }
-            }
-        }
-    }
-
-    fn finish(&mut self) -> io::Result<u64> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        if let Some(enc) = self.enc.take() {
-            enc.finish()?;
-        }
-        Ok(self.count)
+        Ok(FileSink::over(CompressedEdgeWriter::new(w, n)?))
     }
 }
 
@@ -459,9 +399,10 @@ mod tests {
     #[test]
     fn text_binary_compressed_agree() {
         let edges = [(5u64, 7u64), (5, 8), (6, 0)];
-        let mut text = TextSink::new(Vec::new());
-        let mut bin = BinarySink::new(Vec::new());
-        let mut comp = CompressedSink::new(Vec::new(), 10).unwrap();
+        let (mut text_bytes, mut bin_bytes, mut comp_bytes) = (Vec::new(), Vec::new(), Vec::new());
+        let mut text = TextSink::new(&mut text_bytes);
+        let mut bin = BinarySink::new(&mut bin_bytes);
+        let mut comp = CompressedSink::new(&mut comp_bytes, 10).unwrap();
         for &(u, v) in &edges {
             text.accept(u, v);
             bin.accept(u, v);
@@ -470,8 +411,69 @@ mod tests {
         assert_eq!(text.finish().unwrap(), 3);
         assert_eq!(bin.finish().unwrap(), 3);
         assert_eq!(comp.finish().unwrap(), 3);
-        assert_eq!(String::from_utf8(text.w).unwrap(), "5 7\n5 8\n6 0\n");
-        assert_eq!(bin.w.len(), 3 * 16);
+        drop((text, bin, comp));
+        assert_eq!(String::from_utf8(text_bytes).unwrap(), "5 7\n5 8\n6 0\n");
+        assert_eq!(bin_bytes.len(), 3 * 16);
+        let back = kagen_graph::io::read_compressed(&comp_bytes[..]).unwrap();
+        assert_eq!((back.n, &back.edges[..]), (10, &edges[..]));
+    }
+
+    #[test]
+    fn degree_stats_reports_an_id_outside_the_vertex_range() {
+        for directed in [true, false] {
+            let mut d = DegreeStatsSink::new(3, directed);
+            d.push_batch(&[(0, 1), (0, 3), (7, 7), (2, 2)]);
+            let err = d.finish().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("(0, 3)"), "{err}");
+        }
+        assert!(DegreeStatsSink::new(0, true).finish().is_ok());
+    }
+
+    /// A writer that fails once `budget` bytes have been written.
+    struct FailingWriter {
+        budget: usize,
+        flushed: bool,
+    }
+
+    impl Write for FailingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.budget {
+                return Err(io::Error::other("disk full"));
+            }
+            self.budget -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushed = true;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn file_sink_latches_the_first_error_and_keeps_counting() {
+        let edges: Vec<(u64, u64)> = (0..100).map(|i| (i, i + 1)).collect();
+        let mut w = FailingWriter {
+            budget: 64,
+            flushed: false,
+        };
+        let mut sink = BinarySink::new(&mut w);
+        sink.push_batch(&edges[..4]); // 64 bytes: fits
+        sink.push_batch(&edges[4..8]); // fails
+        sink.push_batch(&edges[8..]); // dropped, not retried
+        assert_eq!(sink.finish().unwrap_err().to_string(), "disk full");
+        drop(sink);
+        assert!(!w.flushed && w.budget == 0);
+        // The same adapter for every format.
+        let mut w = FailingWriter {
+            budget: 0,
+            flushed: false,
+        };
+        let mut sink = TextSink::new(&mut w);
+        sink.push_batch(&edges);
+        assert!(sink.finish().is_err());
+        assert!(CompressedSink::new(&mut w, 10).is_err());
     }
 
     #[test]
@@ -505,18 +507,30 @@ mod tests {
 
         both!(CountingSink::new(), |s: &mut CountingSink| s.count());
         both!(ChecksumSink::new(), |s: &mut ChecksumSink| s.checksum());
-        both!(TextSink::new(Vec::new()), |s: &mut TextSink<Vec<u8>>| s
-            .w
-            .clone());
-        both!(BinarySink::new(Vec::new()), |s: &mut BinarySink<
-            Vec<u8>,
-        >| s.w.clone());
-        // Take the encoder out to reach the encoded bytes; `finish`
-        // then only reports the count.
-        both!(
-            CompressedSink::new(Vec::new(), m).unwrap(),
-            |s: &mut CompressedSink<Vec<u8>>| s.enc.take().unwrap().finish().unwrap().0
-        );
+        // File sinks: what matters is the bytes behind them once closed.
+        macro_rules! both_files {
+            ($w:ident => $mk:expr) => {{
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                let $w = &mut a;
+                let mut per_edge = $mk;
+                for &(u, v) in &edges {
+                    per_edge.accept(u, v);
+                }
+                let $w = &mut b;
+                let mut batched = $mk;
+                batched.push_batch(&edges[..33]);
+                batched.push_batch(&[]);
+                batched.push_batch(&edges[33..34]);
+                batched.push_batch(&edges[34..]);
+                assert_eq!(per_edge.finish().unwrap(), m);
+                assert_eq!(batched.finish().unwrap(), m);
+                drop((per_edge, batched));
+                assert!(!a.is_empty() && a == b, "{} differs", stringify!($mk));
+            }};
+        }
+        both_files!(w => TextSink::new(w));
+        both_files!(w => BinarySink::new(w));
+        both_files!(w => CompressedSink::new(w, m).unwrap());
         both!(
             DegreeStatsSink::new(m, true),
             |s: &mut DegreeStatsSink| format!("{:?}", s.stats())

@@ -6,10 +6,12 @@
 
 use crate::manifest::{Manifest, RunHeader, ShardInfo};
 use crate::sink::{checksum_step, BinarySink, CompressedSink, EdgeSink, TextSink};
+use kagen_core::streaming::BatchEmit;
 use kagen_core::Generator;
+use kagen_graph::io::{decode_binary, decode_compressed, decode_text};
 use kagen_obs::{Counter, Histogram};
 use std::fs::File;
-use std::io::{self, BufWriter};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Batches pushed into shard sinks (one per emitted slice).
@@ -26,7 +28,10 @@ static SINK_SHARDS: Counter = Counter::new("sink.shards");
 /// bucket-wise (`kagen-metrics/v2`).
 static SINK_SHARD_WALL_US: Histogram = Histogram::new("sink.shard_wall_us");
 
-/// On-disk shard encoding.
+/// On-disk shard encoding, and the one table of what each encoding is:
+/// its names, and which codec of `kagen_graph::io` writes and reads it.
+/// A new shard format is a variant here, a row in each `match` below,
+/// and its encoder/decoder pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardFormat {
     /// `u v` text lines.
@@ -63,6 +68,28 @@ impl ShardFormat {
             ShardFormat::EdgeList => "txt",
             ShardFormat::Binary => "bin",
             ShardFormat::Compressed => "kgc",
+        }
+    }
+
+    /// Open a sink writing this format over `n` vertices to `w` (wrap
+    /// files in a `BufWriter`).
+    pub fn sink<'w, W: Write + 'w>(self, w: W, n: u64) -> io::Result<Box<dyn EdgeSink + 'w>> {
+        Ok(match self {
+            ShardFormat::EdgeList => Box::new(TextSink::new(w)),
+            ShardFormat::Binary => Box::new(BinarySink::new(w)),
+            ShardFormat::Compressed => Box::new(CompressedSink::new(w, n)?),
+        })
+    }
+
+    /// Stream the file at `path` through `emit` as verified slices of
+    /// at most one restart block's worth of edges
+    /// ([`kagen_graph::io::COMPRESSED_BLOCK_EDGES`]).
+    pub fn stream_file(self, path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
+        let file = File::open(path)?;
+        match self {
+            ShardFormat::EdgeList => decode_text(BufReader::new(file), emit),
+            ShardFormat::Binary => decode_binary(file, emit),
+            ShardFormat::Compressed => decode_compressed(BufReader::new(file), emit).map(drop),
         }
     }
 }
@@ -128,15 +155,6 @@ impl InstanceMeta {
     }
 }
 
-fn format_sink(path: &Path, format: ShardFormat, n: u64) -> io::Result<Box<dyn EdgeSink>> {
-    let file = BufWriter::new(File::create(path)?);
-    Ok(match format {
-        ShardFormat::EdgeList => Box::new(TextSink::new(file)),
-        ShardFormat::Binary => Box::new(BinarySink::new(file)),
-        ShardFormat::Compressed => Box::new(CompressedSink::new(file, n)?),
-    })
-}
-
 /// Stream one PE into a shard file; returns its manifest entry.
 ///
 /// Runs on the batched path: the generator fills a worker-local batch
@@ -152,7 +170,7 @@ pub fn write_shard<G: Generator + ?Sized>(
     let shard_span = kagen_obs::span("pipeline.write_shard");
     let file = shard_file_name(pe, format);
     let path = dir.join(&file);
-    let mut sink = format_sink(&path, format, gen.num_vertices())?;
+    let mut sink = format.sink(BufWriter::new(File::create(&path)?), gen.num_vertices())?;
     let mut checksum = 0u64;
     let mut buf = Vec::with_capacity(kagen_core::streaming::BATCH_EDGES);
     gen.stream_pe_batched(pe, &mut buf, &mut |edges| {

@@ -8,15 +8,17 @@ use kagen_obs::{info, trace, Gauge};
 use kagen_repro::cli::{self, Format, Merge, Mode, Options};
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::core::prelude::*;
-use kagen_repro::graph::io::{write_binary, write_compressed, write_edge_list, write_metis};
+use kagen_repro::graph::io::write_metis;
 use kagen_repro::graph::stats::DegreeStats;
 use kagen_repro::graph::EdgeList;
 use kagen_repro::pipeline::{
-    BinarySink, CompressedSink, DegreeStatsSink, EdgeSink, ExternalMerge, InstanceMeta,
-    PartialManifest, ShardFormat, ShardReader, StreamConfig, TeeSink, TextSink,
+    DegreeStatsSink, EdgeSink, ExternalMerge, InstanceMeta, PartialManifest, ShardFormat,
+    ShardReader, StreamConfig, TeeSink,
 };
 use kagen_repro::util::alloc::CountingAlloc;
-use std::io::Write;
+use std::fmt::Display;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Count allocations binary-wide so `--metrics-out` can report a peak
@@ -62,8 +64,19 @@ fn print_stats(el: &EdgeList, directed: bool, gen_time: std::time::Duration) {
     }
 }
 
+/// `<what>: <the error>`, keeping the error's kind: how every I/O
+/// failure of the front-end names the path it failed on.
+fn context(what: impl Display) -> impl FnOnce(io::Error) -> io::Error {
+    move |e| io::Error::new(e.kind(), format!("{what}: {e}"))
+}
+
+/// Create the file an output goes to.
+fn create(path: &str) -> io::Result<File> {
+    File::create(path).map_err(context(format_args!("cannot create {path}")))
+}
+
 /// Materializing mode: generate, merge in RAM, write one file.
-fn run_materialized(o: &Options) {
+fn run_materialized(o: &Options) -> io::Result<()> {
     let gen = o.build();
     let gen_span = trace::span("materialize.generate");
     let baseline = CountingAlloc::reset_peak();
@@ -76,26 +89,26 @@ fn run_materialized(o: &Options) {
         print_stats(&el, gen.directed(), gen_time);
     }
 
-    let format = o.format.unwrap_or(Format::Shard(ShardFormat::EdgeList));
-    let write = |w: &mut dyn Write, el: &EdgeList| match format {
-        Format::Shard(ShardFormat::EdgeList) => write_edge_list(w, el),
-        Format::Metis => write_metis(w, el),
-        Format::Shard(ShardFormat::Binary) => write_binary(w, el),
-        Format::Shard(ShardFormat::Compressed) => write_compressed(w, el),
-    };
     let write_span = trace::span("materialize.write");
-    match &o.output {
-        Some(path) => {
-            let mut f = std::fs::File::create(path).expect("cannot create output file");
-            write(&mut f, &el).expect("write failed");
-        }
-        None => {
-            let stdout = std::io::stdout();
-            let mut lock = stdout.lock();
-            write(&mut lock, &el).expect("write failed");
-        }
-    }
+    let (out, name): (Box<dyn Write>, &str) = match &o.output {
+        Some(path) => (Box::new(create(path)?), path),
+        None => (Box::new(io::stdout().lock()), "stdout"),
+    };
+    // A shard format leaves through the sink `kagen stream` writes
+    // shards with; METIS is a whole-graph layout of its own.
+    let written = match o.format.unwrap_or(Format::Shard(ShardFormat::EdgeList)) {
+        Format::Metis => write_metis(out, &el),
+        Format::Shard(format) => format.sink(BufWriter::new(out), el.n).and_then(|mut sink| {
+            sink.push_batch(&el.edges);
+            sink.finish().map(drop)
+        }),
+    };
     drop(write_span);
+    match written {
+        // The reader of a pipe may stop early (`| head`): not a failure.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe && o.output.is_none() => Ok(()),
+        result => result.map_err(context(format_args!("cannot write {name}"))),
+    }
 }
 
 /// The run identity manifests and ledgers record.
@@ -109,7 +122,7 @@ fn instance_meta(o: &Options) -> InstanceMeta {
 
 /// Streaming mode: shard files + manifest; optional external merge.
 /// No full edge vector exists at any point.
-fn run_stream(o: &Options) {
+fn run_stream(o: &Options) -> io::Result<()> {
     let (shard_dir, format) = (o.shard_dir(), o.shard_format());
     let gen = o.build();
     let meta = instance_meta(o);
@@ -120,8 +133,9 @@ fn run_stream(o: &Options) {
     let run_started = std::time::Instant::now();
     let baseline = CountingAlloc::reset_peak();
     let write_span = trace::span("stream.write_shards");
+    let in_dir = |what: &str| context(format!("{what} {}", shard_dir.display()));
     let manifest = kagen_repro::pipeline::write_sharded(gen.as_ref(), &meta, &cfg)
-        .expect("shard write failed");
+        .map_err(in_dir("cannot write shards to"))?;
     let write_secs = write_span.finish();
     ALLOC_PEAK_GENERATE.record_peak(CountingAlloc::peak_above(baseline));
     info!(
@@ -137,23 +151,17 @@ fn run_stream(o: &Options) {
         // Merge; with --stats, tee a degree accumulator off the merge
         // output so the shards are read only once and the reported
         // degrees are the canonical instance's.
-        let reader = ShardReader::open(shard_dir).expect("cannot open shard dir");
+        let reader = ShardReader::open(shard_dir).map_err(in_dir("cannot open shard dir"))?;
         let out_path = o.output.clone().unwrap_or_else(|| {
             shard_dir
                 .join(format!("merged.{}", format.extension()))
                 .to_string_lossy()
                 .into_owned()
         });
-        let file = std::io::BufWriter::new(
-            std::fs::File::create(&out_path).expect("cannot create merged output"),
-        );
-        let out_sink: Box<dyn EdgeSink> = match format {
-            ShardFormat::EdgeList => Box::new(TextSink::new(file)),
-            ShardFormat::Binary => Box::new(BinarySink::new(file)),
-            ShardFormat::Compressed => {
-                Box::new(CompressedSink::new(file, manifest.n).expect("merged header write failed"))
-            }
-        };
+        let to_out = || context(format!("cannot write {out_path}"));
+        let out_sink = format
+            .sink(BufWriter::new(create(&out_path)?), manifest.n)
+            .map_err(to_out())?;
         let baseline = CountingAlloc::reset_peak();
         let merge_span = trace::span("stream.merge");
         let mut merger =
@@ -169,8 +177,8 @@ fn run_stream(o: &Options) {
         );
         let stats = merger
             .merge(&reader, &mut sink)
-            .expect("external merge failed");
-        sink.finish().expect("merged output flush failed");
+            .map_err(in_dir("external merge failed in"))?;
+        sink.finish().map_err(to_out())?;
         let merge_secs = merge_span.finish();
         ALLOC_PEAK_MERGE.record_peak(CountingAlloc::peak_above(baseline));
         info!(
@@ -189,11 +197,12 @@ fn run_stream(o: &Options) {
         // No merge requested: stream the shards back through a degree
         // accumulator — O(n) counters, still no edge vector (and a
         // checksum validation pass for free).
-        let reader = ShardReader::open(shard_dir).expect("cannot open shard dir");
+        let reader = ShardReader::open(shard_dir).map_err(in_dir("cannot open shard dir"))?;
         let mut deg = DegreeStatsSink::new(manifest.n, manifest.directed);
         reader
             .stream(&mut |batch| deg.push_batch(batch))
-            .expect("shard read-back failed");
+            .and_then(|_| deg.finish())
+            .map_err(in_dir("cannot read back shards of"))?;
         let label = if manifest.directed {
             "per-PE streams"
         } else {
@@ -222,9 +231,10 @@ fn run_stream(o: &Options) {
         };
         RunMetrics::federate(&manifest, vec![rank], wall_us)
             .save(Path::new(path))
-            .expect("cannot write metrics file");
+            .map_err(context(format_args!("cannot write metrics file {path}")))?;
         kagen_obs::debug!("metrics -> {path}");
     }
+    Ok(())
 }
 
 /// Print a `--stats` line for a streamed degree accumulator.
@@ -245,7 +255,7 @@ fn print_degree_summary(n: u64, m: u64, deg: &DegreeStatsSink, label: &str) {
 /// Coordinator mode: plan ranks, spawn `kagen worker` children, keep the
 /// ledger, federate the manifest. See `kagen_cluster` for the library
 /// behind this.
-fn run_launch(o: &Options) {
+fn run_launch(o: &Options) -> io::Result<()> {
     let (shard_dir, format) = (o.shard_dir(), o.shard_format());
     let workers = o.workers.unwrap_or_else(|| {
         // kagen-lint: allow(d2) -- default worker count partitions PEs across
@@ -256,7 +266,7 @@ fn run_launch(o: &Options) {
     });
     let meta = instance_meta(o);
     let header = meta.header(o.build().as_ref(), format);
-    let exe = std::env::current_exe().expect("cannot locate own binary for re-exec");
+    let exe = std::env::current_exe().map_err(context("cannot locate own binary for re-exec"))?;
     let runner = kagen_repro::cluster::ProcessRunner {
         exe,
         worker_args: cli::worker_args(o),
@@ -272,58 +282,53 @@ fn run_launch(o: &Options) {
         ..Default::default()
     };
     let launch_span = trace::span("launch.total");
-    match kagen_repro::cluster::launch(shard_dir, &header, &opts, &runner) {
-        Ok(report) => {
-            let wall = launch_span.finish();
-            // Keep this line machine-parseable: the integration tests
-            // and CI assert on `regenerated=[..] reused=N` (the logger
-            // supplies the `kagen launch: ` prefix).
-            info!(
-                "{} ranks spawned, regenerated={:?} reused={} -> {} edges, \
-                 federated manifest in {wall:.3}s",
-                report.spawned.len(),
-                report.regenerated_pes,
-                report.reused_shards,
-                report.manifest.edges,
-            );
-            if let Some(path) = &o.metrics_out {
-                ALLOC_LIVE_END.set(CountingAlloc::live());
-                let wall_us = (wall * 1e6) as u64;
-                RunMetrics::federate(&report.manifest, report.rank_metrics, wall_us)
-                    .save(Path::new(path))
-                    .expect("cannot write metrics file");
-                kagen_obs::debug!("metrics -> {path}");
-            }
-            // The launch trace is the federated cross-rank timeline —
-            // coordinator spans plus every worker's spans realigned onto
-            // this process's clock (`main` skips its generic trace write
-            // for launch mode).
-            if let Some(path) = &o.trace_out {
-                kagen_repro::cluster::trace::write_federated_chrome_trace(
-                    Path::new(path),
-                    &report.rank_traces,
-                )
-                .expect("cannot write trace file");
-                kagen_obs::debug!(
-                    "federated trace -> {path} ({} rank traces)",
-                    report.rank_traces.len()
-                );
-            }
-        }
-        Err(e) => {
-            kagen_obs::error!("{e}");
-            std::process::exit(1);
-        }
+    let report = kagen_repro::cluster::launch(shard_dir, &header, &opts, &runner)?;
+    let wall = launch_span.finish();
+    // Keep this line machine-parseable: the integration tests
+    // and CI assert on `regenerated=[..] reused=N` (the logger
+    // supplies the `kagen launch: ` prefix).
+    info!(
+        "{} ranks spawned, regenerated={:?} reused={} -> {} edges, \
+         federated manifest in {wall:.3}s",
+        report.spawned.len(),
+        report.regenerated_pes,
+        report.reused_shards,
+        report.manifest.edges,
+    );
+    if let Some(path) = &o.metrics_out {
+        ALLOC_LIVE_END.set(CountingAlloc::live());
+        let wall_us = (wall * 1e6) as u64;
+        RunMetrics::federate(&report.manifest, report.rank_metrics, wall_us)
+            .save(Path::new(path))
+            .map_err(context(format_args!("cannot write metrics file {path}")))?;
+        kagen_obs::debug!("metrics -> {path}");
     }
+    // The launch trace is the federated cross-rank timeline —
+    // coordinator spans plus every worker's spans realigned onto
+    // this process's clock (`main` skips its generic trace write
+    // for launch mode).
+    if let Some(path) = &o.trace_out {
+        kagen_repro::cluster::trace::write_federated_chrome_trace(
+            Path::new(path),
+            &report.rank_traces,
+        )
+        .map_err(context(format_args!("cannot write trace file {path}")))?;
+        kagen_obs::debug!(
+            "federated trace -> {path} ({} rank traces)",
+            report.rank_traces.len()
+        );
+    }
+    Ok(())
 }
 
 /// Worker mode: generate one contiguous PE range into shard files, then
 /// write the rank report. Spawned by `kagen launch`; usable by hand for
 /// running ranks on separate machines over a shared filesystem.
-fn run_worker(o: &Options) {
+fn run_worker(o: &Options) -> io::Result<()> {
     let (shard_dir, (a, b)) = (o.shard_dir(), o.pe_range());
     let gen = o.build();
     let inject = kagen_repro::cluster::FailureInjection::from_env();
+    let in_dir = |what: &str| context(format!("{what} {}", shard_dir.display()));
     // Liveness: a background thread samples the obs counters and
     // publishes part-<a>-<b>.heartbeat.json on every advance. Dropping
     // the publisher (after generation) flushes one final beat.
@@ -338,7 +343,7 @@ fn run_worker(o: &Options) {
             )
         })
         .transpose()
-        .expect("cannot start heartbeat publisher");
+        .map_err(in_dir("cannot start heartbeat publisher in"))?;
     // The span federation anchors this rank's row on; it must be closed
     // before the trace is captured.
     let work_span = trace::span("worker.generate");
@@ -350,10 +355,7 @@ fn run_worker(o: &Options) {
         o.threads.max(1),
         inject,
     )
-    .unwrap_or_else(|e| {
-        kagen_obs::error!("{e}");
-        std::process::exit(1);
-    });
+    .map_err(in_dir("cannot write shards to"))?;
     let secs = work_span.finish();
     drop(publisher);
     let edges: u64 = shards.iter().map(|s| s.edges).sum();
@@ -368,19 +370,28 @@ fn run_worker(o: &Options) {
     // same two documents, at paths of the operator's choosing.
     if let Some(path) = &o.metrics_out {
         std::fs::write(path, kagen_obs::Telemetry::capture().to_json())
-            .expect("cannot write metrics file");
+            .map_err(context(format_args!("cannot write metrics file {path}")))?;
         kagen_obs::debug!("metrics -> {path}");
     }
     if let Some(path) = &o.trace_out {
-        trace::write_chrome_trace(Path::new(path)).expect("cannot write trace file");
+        write_trace(path)?;
         kagen_obs::debug!("trace -> {path}");
     }
     // Last: the report's existence is this rank's completion record.
-    report.save(shard_dir).expect("cannot write rank report");
+    report
+        .save(shard_dir)
+        .map_err(in_dir("cannot write rank report to"))?;
     info!(
         "PEs {a}..{b} -> {} shards, {edges} edges in {secs:.3}s",
         report.shards.len(),
     );
+    Ok(())
+}
+
+/// Write this process's span dump to `path`.
+fn write_trace(path: &str) -> io::Result<()> {
+    trace::write_chrome_trace(Path::new(path))
+        .map_err(context(format_args!("cannot write trace file {path}")))
 }
 
 fn main() {
@@ -427,22 +438,30 @@ fn main() {
     if o.trace_out.is_some() || o.trace_sidecar {
         kagen_obs::trace::set_enabled(true);
     }
-    match o.mode {
+    let run = match o.mode {
         Mode::Materialize => run_materialized(&o),
         Mode::Stream => run_stream(&o),
         Mode::Launch => run_launch(&o),
         Mode::Worker => run_worker(&o),
-    }
+    };
     // Launch writes the federated timeline and a worker its own
     // document inside their run functions; only the single-process
     // modes use the generic span dump.
-    if let Some(path) = &o.trace_out {
-        if matches!(o.mode, Mode::Materialize | Mode::Stream) {
-            trace::write_chrome_trace(Path::new(path)).expect("cannot write trace file");
+    let run = run.and_then(|()| match &o.trace_out {
+        Some(path) if matches!(o.mode, Mode::Materialize | Mode::Stream) => {
+            write_trace(path)?;
             kagen_obs::debug!(
                 "trace -> {path} ({} events)",
                 kagen_obs::trace::event_count()
             );
+            Ok(())
         }
+        _ => Ok(()),
+    });
+    // Every failure past argument parsing is one line and exit 1
+    // (usage errors exit 2 above).
+    if let Err(e) = run {
+        kagen_obs::error!("{e}");
+        std::process::exit(1);
     }
 }

@@ -193,12 +193,14 @@ impl Options {
     /// The shard directory; `parse` requires one outside materialize mode.
     pub fn shard_dir(&self) -> &Path {
         let dir = self.shard_dir.as_deref();
+        // kagen-lint: allow(r1) -- `validate` refuses stream/launch/worker argv without --shard-dir, and only those modes ask
         Path::new(dir.expect("parse requires a shard directory in this mode"))
     }
 
     /// The PE range of this rank; `parse` requires one in worker mode.
     pub fn pe_range(&self) -> (usize, usize) {
         self.pe_range
+            // kagen-lint: allow(r1) -- `validate` refuses worker argv without --pe-range, and only worker mode asks
             .expect("parse requires a PE range in worker mode")
     }
 

@@ -137,6 +137,11 @@ fn scrub(stderr: &str, root: &Path) -> String {
 /// Run `argv` (whitespace-separated, `{root}` = a fresh scratch
 /// directory holding `precreated` files) and describe what happened.
 fn run_cell(tag: &str, argv: &str, precreated: &[(&str, &str)]) -> String {
+    run_cell_stderr(tag, argv, precreated).0
+}
+
+/// [`run_cell`], and the whole of stderr (scratch path scrubbed).
+fn run_cell_stderr(tag: &str, argv: &str, precreated: &[(&str, &str)]) -> (String, String) {
     let root = std::env::temp_dir().join(format!("kagen_cli_contract_{tag}"));
     std::fs::remove_dir_all(&root).ok();
     std::fs::create_dir_all(&root).unwrap();
@@ -158,9 +163,11 @@ fn run_cell(tag: &str, argv: &str, precreated: &[(&str, &str)]) -> String {
         None => "signal".to_string(),
     };
     let disk = if snapshot(&root) == before { '-' } else { 'D' };
-    let line = scrub(&String::from_utf8_lossy(&out.stderr), &root);
+    let stderr = String::from_utf8_lossy(&out.stderr).replace(root.to_str().unwrap(), "<tmp>");
+    let line = scrub(&stderr, &root);
     std::fs::remove_dir_all(&root).ok();
-    format!("{code} {disk} {line}").trim_end().to_string()
+    let cell = format!("{code} {disk} {line}").trim_end().to_string();
+    (cell, stderr)
 }
 
 /// Run a `(row label, argv per mode)` table and compare it against the
@@ -912,6 +919,81 @@ fn special_cases() {
         mismatches.len(),
         mismatches.join("\n")
     );
+}
+
+/// I/O failures past argument parsing: exit 1 and one line naming the
+/// path, in every mode — never a panic (exit 101) with a backtrace.
+/// (`-q` keeps the progress line of the stage that did succeed out.)
+#[rustfmt::skip] // one row per line, so a flipped row is a one-row diff
+const IO_FAILURES: &[(&str, Files, &str, &str)] = &[
+    ("gnm_directed -n 64 -m 128 -o /nonexistent/x.txt", &[], "/nonexistent/x.txt", "1 - kagen: cannot create /nonexistent/x.txt: No such file or directory (os error 2)"),
+    ("gnm_directed -n 64 -m 128 -f metis -o {root}/f/x.txt", &[("f", "")], "<tmp>/f/x.txt", "1 - kagen: cannot create <tmp>/f/x.txt: Not a directory (os error 20)"),
+    ("stream gnm_directed -n 64 -m 128 -c 4 --shard-dir /proc/x", &[], "/proc/x", "1 - kagen stream: cannot write shards to /proc/x: No such file or directory (os error 2)"),
+    ("stream gnm_directed -n 64 -m 128 -c 4 --shard-dir {root}/f/s", &[("f", "")], "<tmp>/f/s", "1 - kagen stream: cannot write shards to <tmp>/f/s: Not a directory (os error 20)"),
+    ("stream gnm_directed -n 64 -m 128 -c 4 -q --shard-dir {root}/s --merge external -o /nonexistent/m.txt", &[], "/nonexistent/m.txt", "1 D kagen stream: cannot create /nonexistent/m.txt: No such file or directory (os error 2)"),
+    ("stream gnm_directed -n 64 -m 128 -c 4 -q --shard-dir {root}/s --metrics-out {root}/f/m.json", &[("f", "")], "<tmp>/f/m.json", "1 D kagen stream: cannot write metrics file <tmp>/f/m.json: Not a directory (os error 20)"),
+    ("worker gnm_directed -n 64 -m 128 -c 4 --shard-dir {root}/f --pe-range 0..1", &[("f", "")], "<tmp>/f", "1 - kagen worker: cannot write shards to <tmp>/f: File exists (os error 17)"),
+    ("worker gnm_directed -n 64 -m 128 -c 4 -q --shard-dir {root}/s --pe-range 0..1 --trace-out {root}/f/t.json", &[("f", "")], "<tmp>/f/t.json", "1 D kagen worker: cannot write trace file <tmp>/f/t.json: Not a directory (os error 20)"),
+    ("launch gnm_directed -n 64 -m 128 -c 4 --workers 1 --shard-dir {root}/f", &[("f", "")], "<tmp>/f", "1 - kagen launch: cannot create <tmp>/f: File exists (os error 17)"),
+];
+
+#[test]
+fn io_failures_are_exit_codes_not_panics() {
+    let mut found = String::new();
+    let mut mismatches = Vec::new();
+    for (i, (argv, precreated, path, want)) in IO_FAILURES.iter().enumerate() {
+        let (got, stderr) = run_cell_stderr(&format!("io_{i}"), argv, precreated);
+        found.push_str(&format!(
+            "    ({argv:?}, &{precreated:?}, {path:?}, {got:?}),\n"
+        ));
+        if got != *want {
+            mismatches.push(format!("{argv}\n  want: {want}\n  got:  {got}"));
+        }
+        let lines: Vec<&str> = stderr.lines().collect();
+        assert!(
+            lines.len() == 1 && lines[0].starts_with("kagen") && lines[0].contains(path),
+            "{argv}: want one `kagen …` line naming {path}, got:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("stack backtrace"),
+            "{argv}:\n{stderr}"
+        );
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} I/O failure rows differ:\n{}\n\nthe table as found:\n{found}",
+        mismatches.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// `kagen <model> | head -1`: the reader going away is not an error.
+#[test]
+fn closed_stdout_ends_kagen_model_silently() {
+    use std::io::{BufRead, BufReader};
+    for format in ["edge-list", "metis", "binary", "compressed"] {
+        // Far more output than a pipe buffers.
+        let mut child = Command::new(KAGEN)
+            .args("gnm_undirected -n 20000 -m 200000 -c 4 -f".split_whitespace())
+            .arg(format)
+            .env_remove("KAGEN_LOG")
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("cannot spawn kagen");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut first = Vec::new();
+        stdout.read_until(b'\n', &mut first).unwrap();
+        assert!(!first.is_empty(), "{format}: no output");
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{format}");
+        assert!(
+            out.stderr.is_empty(),
+            "{format}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]

@@ -246,6 +246,69 @@ fn resume_regenerates_exactly_corrupted_and_deleted_shards() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A text shard edited so that the old two-fields-and-ignore-the-rest
+/// parser still read the generated stream out of it (a third token, a
+/// sign) is no longer the generated bytes: `--resume` under the default
+/// full validation must regenerate it, and restore it byte for byte.
+#[test]
+fn resume_regenerates_a_text_shard_with_trailing_tokens_or_signs() {
+    let dir = tmp("tampered_text");
+    let dir_arg = dir.to_str().unwrap();
+    let argv = [
+        "launch",
+        "gnm_undirected",
+        "-n",
+        "256",
+        "-m",
+        "1024",
+        "-c",
+        "4",
+        "-s",
+        "3",
+        "--workers",
+        "2",
+        "-f",
+        "edge-list",
+        "--shard-dir",
+        dir_arg,
+    ];
+    let (ok, stderr) = kagen(&argv, &[]);
+    assert!(ok, "launch failed:\n{stderr}");
+    let shard = dir.join("shard-00001.txt");
+    let pristine = std::fs::read_to_string(&shard).unwrap();
+    let lines: Vec<&str> = pristine.lines().collect();
+    assert!(lines.len() > 2, "shard 1 is too small to tamper with");
+
+    let mut resume = argv.to_vec();
+    resume.push("--resume");
+    for (what, tampered) in [
+        (
+            "a third token",
+            vec![format!("{} 999 junk", lines[0]), lines[1].to_string()],
+        ),
+        (
+            "a sign",
+            vec![lines[0].to_string(), format!("+{}", lines[1])],
+        ),
+    ] {
+        let mut text = tampered.join("\n");
+        text.push('\n');
+        for line in &lines[2..] {
+            text.push_str(line);
+            text.push('\n');
+        }
+        std::fs::write(&shard, text).unwrap();
+        let (ok, stderr) = kagen(&resume, &[]);
+        assert!(ok, "resume failed:\n{stderr}");
+        assert!(
+            launch_summary(&stderr).contains("regenerated=[1] reused=3"),
+            "{what}: {stderr}"
+        );
+        assert_eq!(std::fs::read_to_string(&shard).unwrap(), pristine, "{what}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The acceptance criterion verbatim: for EVERY model, a multi-process
 /// launch federates a manifest with per-shard checksums identical to a
 /// single-process `kagen stream` run of the same `(seed, params)`.

@@ -1,16 +1,18 @@
-//! Hostile shards, one table: for a two-block compressed shard and a
-//! binary shard, every proper prefix and every single-byte substitution
-//! goes through every reader — `stream_shard_file`, `validate_shard`,
-//! `validate_shard_sampled` (all blocks), `ShardReader::read_all` and
-//! `ExternalMerge::merge` — and each answers `Err` or the exact original
-//! stream: never a panic, never a different stream. And because blocks
-//! are verified before they are exposed, the batch callback never sees
-//! an edge of a block whose checksum or length check fails.
+//! Hostile shards, one table: for a two-block compressed shard, a
+//! binary shard and a text shard, every proper prefix and every
+//! single-byte substitution goes through every reader —
+//! `stream_shard_file`, `validate_shard`, `validate_shard_sampled` (all
+//! blocks), `ShardReader::read_all` and `ExternalMerge::merge` — and
+//! each answers `Err` or the exact original stream: never a panic, never
+//! a different stream. And because blocks are verified before they are
+//! exposed, the batch callback never sees an edge of a compressed block
+//! whose checksum or length check fails, and a text file is accepted
+//! only if it is what the encoder writes for the edges read from it.
 
 use kagen_repro::pipeline::{
     checksum_step, external_merge_to_vec, stream_shard_file, validate_shard,
-    validate_shard_sampled, BinarySink, CompressedSink, EdgeSink, RunHeader, ShardFormat,
-    ShardInfo, ShardReader,
+    validate_shard_sampled, CompressedSink, EdgeSink, RunHeader, ShardFormat, ShardInfo,
+    ShardReader,
 };
 use std::path::PathBuf;
 
@@ -69,6 +71,16 @@ fn binary_edges() -> Vec<(u64, u64)> {
     (0..40u64).map(|i| (i * i, u64::MAX - i)).collect()
 }
 
+/// Ids of every decimal width from one digit to twenty, zeros on both
+/// sides, and both ends of the id range.
+fn text_edges() -> Vec<(u64, u64)> {
+    let mut edges: Vec<(u64, u64)> = (0..20u32)
+        .map(|w| (10u64.pow(w) - w as u64 % 2, 10u64.pow(19 - w)))
+        .collect();
+    edges.extend([(0, 0), (u64::MAX, 0), (0, u64::MAX), (10, 100), (9, 99)]);
+    edges
+}
+
 /// `test` keeps the concurrently running tests' directories apart.
 fn fixture(format: ShardFormat, blocks: &[Vec<(u64, u64)>], test: &str) -> Fixture {
     let tag = format.extension();
@@ -78,15 +90,14 @@ fn fixture(format: ShardFormat, blocks: &[Vec<(u64, u64)>], test: &str) -> Fixtu
     let edges = blocks.concat();
     let bytes = match format {
         ShardFormat::Compressed => compressed_bytes(blocks),
-        ShardFormat::Binary => {
+        ShardFormat::Binary | ShardFormat::EdgeList => {
             let mut bytes = Vec::new();
-            let mut sink = BinarySink::new(&mut bytes);
+            let mut sink = format.sink(&mut bytes, u64::MAX).unwrap();
             sink.push_batch(&edges);
             sink.finish().unwrap();
             drop(sink);
             bytes
         }
-        ShardFormat::EdgeList => unreachable!("text shards are not in the table"),
     };
     let info = ShardInfo {
         pe: 0,
@@ -161,6 +172,20 @@ impl Fixture {
                 seen.len()
             );
         }
+        // Text has no checksum of its own, but (without blank lines and
+        // comments, which no substitution here creates) the grammar
+        // accepts exactly what the encoder writes, final newline aside.
+        if self.format == ShardFormat::EdgeList && streamed.is_ok() {
+            let mut rewritten = Vec::new();
+            let mut sink = self.format.sink(&mut rewritten, u64::MAX).unwrap();
+            sink.push_batch(&seen);
+            sink.finish().unwrap();
+            drop(sink);
+            assert!(
+                rewritten == mutant || rewritten == [mutant, b"\n"].concat(),
+                "{what}: text accepted that is not the canonical form of its edges"
+            );
+        }
         let stream_intact = streamed.is_ok() && seen == self.edges;
 
         // Validators accept only what streams back intact. (Sampled
@@ -201,6 +226,7 @@ fn table(test: &str) -> Vec<Fixture> {
     vec![
         fixture(ShardFormat::Compressed, &compressed_blocks(), test),
         fixture(ShardFormat::Binary, &[binary_edges()], test),
+        fixture(ShardFormat::EdgeList, &[text_edges()], test),
     ]
 }
 
@@ -224,9 +250,13 @@ fn every_proper_prefix_is_an_error() {
                 &format!("prefix of {cut} bytes"),
                 &mut tally,
             );
+            // The one prefix that cuts no record: a text shard without
+            // its final newline is the same stream to every reader.
+            let whole = fx.format == ShardFormat::EdgeList && cut == fx.bytes.len() - 1;
             assert_eq!(
-                tally.exact, 0,
-                "{:?}: prefix of {cut} bytes accepted",
+                tally.exact,
+                if whole { 4 } else { 0 },
+                "{:?}: prefix of {cut} bytes",
                 fx.format
             );
         }
@@ -255,10 +285,11 @@ fn single_byte_substitutions_never_panic_or_change_the_stream() {
         // The vertex-count field of a compressed shard (8 bytes no
         // checksum covers) can change without changing the stream, and
         // a binary shard's sampled validation is its length; everything
-        // else must be refused.
+        // else — every substitution in a text shard — must be refused.
         let benign = match fx.format {
             ShardFormat::Compressed => 8 * 4 * 4,
-            _ => fx.bytes.len() * 4,
+            ShardFormat::Binary => fx.bytes.len() * 4,
+            ShardFormat::EdgeList => 0,
         };
         assert!(
             tally.exact <= benign,

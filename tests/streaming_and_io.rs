@@ -39,7 +39,7 @@ fn stream_to_binary_roundtrip() {
             bytes.extend_from_slice(&v.to_le_bytes());
         });
     }
-    let mut parsed = read_binary(&bytes, 300);
+    let mut parsed = read_binary(&bytes, 300).unwrap();
     parsed.canonicalize();
     let direct = generate_undirected(&gen);
     assert_eq!(parsed, direct);

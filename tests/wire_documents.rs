@@ -8,9 +8,9 @@
 //! so the escaper is pinned with them.
 
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
-use kagen_repro::cluster::trace::{federate_with, RankTrace, WorkerTrace};
+use kagen_repro::cluster::trace::{federate_with, RankTrace};
 use kagen_repro::cluster::{plan_ranks, Heartbeat, Ledger};
-use kagen_repro::obs::{HistogramSnapshot, Telemetry, TraceEvent};
+use kagen_repro::obs::{HistogramSnapshot, ProcessTrace, Telemetry, TraceEvent};
 use kagen_repro::pipeline::{Manifest, PartialManifest, RunHeader, ShardInfo};
 
 fn shard(pe: u64) -> ShardInfo {
@@ -86,7 +86,7 @@ fn partial_manifest_bytes() {
         counters: vec![("gen.edges".into(), 2003)],
         histograms: vec![("sink.shard_wall_us".into(), hist)],
     });
-    part.trace = Some(WorkerTrace {
+    part.trace = Some(ProcessTrace {
         pid: 9001,
         epoch_unix_us: 5_000_100,
         events: vec![ev("worker.generate \"q\"", 10, 500, 1)],
@@ -205,7 +205,7 @@ fn federated_trace_bytes() {
     // later one) and its worker clock started 100 us after the
     // coordinator's; rank 1's started 50 us *before*, so its first
     // event clamps at 0; rank 2 traced nothing.
-    let coord = WorkerTrace {
+    let coord = ProcessTrace {
         pid: 8000,
         epoch_unix_us: 5_000_000,
         events: vec![
@@ -220,7 +220,7 @@ fn federated_trace_bytes() {
             rank: 0,
             pe_begin: 0,
             pe_end: 4,
-            trace: WorkerTrace {
+            trace: ProcessTrace {
                 pid: 9001,
                 epoch_unix_us: 5_000_100,
                 events: vec![
@@ -233,7 +233,7 @@ fn federated_trace_bytes() {
             rank: 1,
             pe_begin: 4,
             pe_end: 8,
-            trace: WorkerTrace {
+            trace: ProcessTrace {
                 pid: 9002,
                 epoch_unix_us: 4_999_950,
                 events: vec![
@@ -246,7 +246,7 @@ fn federated_trace_bytes() {
             rank: 2,
             pe_begin: 8,
             pe_end: 9,
-            trace: WorkerTrace::default(),
+            trace: ProcessTrace::default(),
         },
     ];
     assert_eq!(

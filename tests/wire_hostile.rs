@@ -3,10 +3,9 @@
 //! every single-byte substitution with a value or an `Err` — never a
 //! panic, never an allocation sized by a number read from the file.
 
-use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics, SidecarTelemetry};
-use kagen_repro::cluster::trace::WorkerTrace;
+use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::cluster::{plan_ranks, Heartbeat, Ledger};
-use kagen_repro::obs::{HistogramSnapshot, TraceEvent};
+use kagen_repro::obs::{HistogramSnapshot, ProcessTrace, Telemetry, TraceEvent};
 use kagen_repro::pipeline::{Manifest, PartialManifest, RunHeader, ShardInfo};
 
 fn shard(pe: u64) -> ShardInfo {
@@ -30,13 +29,13 @@ fn header() -> RunHeader {
     }
 }
 
-fn telemetry() -> SidecarTelemetry {
+fn telemetry() -> Telemetry {
     let hist = HistogramSnapshot {
         count: 2,
         sum: 300,
         buckets: vec![(3, 1), (8, 1)],
     };
-    SidecarTelemetry {
+    Telemetry {
         counters: vec![
             ("gen.edges".into(), 12),
             ("sink.wall_us.count".into(), 2),
@@ -104,7 +103,7 @@ fn documents() -> Vec<Doc> {
         histograms: t.histograms.clone(),
     };
     let run = RunMetrics::federate(&manifest, vec![rank], 5000);
-    let trace = WorkerTrace {
+    let trace = ProcessTrace {
         pid: 4242,
         epoch_unix_us: 1_000_000,
         events: vec![TraceEvent {
@@ -148,8 +147,8 @@ fn documents() -> Vec<Doc> {
         doc(
             "metrics sidecar",
             &t,
-            SidecarTelemetry::to_json,
-            SidecarTelemetry::from_json,
+            Telemetry::to_json,
+            Telemetry::from_json,
         ),
         doc(
             "run metrics",
@@ -160,8 +159,8 @@ fn documents() -> Vec<Doc> {
         doc(
             "trace sidecar",
             &trace,
-            WorkerTrace::to_json,
-            WorkerTrace::from_json,
+            ProcessTrace::to_json,
+            ProcessTrace::from_json,
         ),
     ]
 }
