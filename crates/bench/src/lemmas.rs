@@ -143,7 +143,7 @@ pub fn memory_footprint(fast: bool) -> String {
         // RHG must *hold* every point it generates (locals + every cell a
         // query reaches) for the duration of its queries.
         let rhg_max = (0..p)
-            .map(|pe| rhg.generate_pe_stats(pe).1)
+            .map(|pe| rhg.stream_query(pe, &mut |_, _| {}).points_held)
             .max()
             .unwrap_or(0);
         // sRHG generates a similar number of points but only *holds* the

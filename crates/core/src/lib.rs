@@ -17,15 +17,16 @@
 //! delivery, counting, the whole-instance drivers, and
 //! [`generate_pe`](Generator::generate_pe), which collects the PE's
 //! batches into a [`PeGraph`] and takes the vertex range and coordinates
-//! from [`pe_vertices`](Generator::pe_vertices). Three models override
+//! from [`pe_vertices`](Generator::pe_vertices). RDG overrides
 //! `generate_pe` with an in-memory engine, because holding the PE's
 //! whole neighbourhood at once is measurably faster than the streaming
-//! frontier's recomputation (`kagen <model>` vs `kagen stream` at `-c 16
-//! -t 1`; README "Memory model" has the table): RDG 3.4–5.9× (one
-//! triangulation per chunk instead of one per cell), RHG 3.2–3.8× and
-//! soft RHG 1.33× (every queried cell generated once instead of once
-//! per sweep window). [`Srhg`] overrides it to return its sweep sorted.
-//! For every other model `generate_pe` *is* the stream, collected.
+//! frontier's recomputation (`kagen rdg2d` vs `kagen stream rdg2d` at
+//! `-c 16 -t 1`; README "Memory model" has the table): 3.4–5.9×, one
+//! triangulation per chunk instead of one per cell. [`Rhg`] and
+//! [`SoftRhg`] override it to run their one query pass with a hook that
+//! records the coordinates (the provided collect would generate the
+//! sector twice), and [`Srhg`] to return its sweep sorted. For every
+//! other model `generate_pe` *is* the stream, collected.
 //!
 //! | Model | Type | Paper section |
 //! |-------|------|---------------|
@@ -33,7 +34,7 @@
 //! | [`GnpDirected`], [`GnpUndirected`] | Gilbert G(n,p) | §4.3 |
 //! | [`Rgg2d`], [`Rgg3d`] | random geometric | §5 |
 //! | [`Rdg2d`], [`Rdg3d`] | random Delaunay (torus) | §6 |
-//! | [`Rhg`] | random hyperbolic, in-memory | §7.1 |
+//! | [`Rhg`] | random hyperbolic, query-centric | §7.1 |
 //! | [`Srhg`] | random hyperbolic, streaming | §7.2 |
 //! | [`SoftRhg`] | binomial/probabilistic hyperbolic | §9 (future work) |
 //! | [`BarabasiAlbert`] | preferential attachment | §3.5.1 |
@@ -104,9 +105,9 @@ pub trait Generator: Sync {
     }
 
     /// PE `pe`'s part of the instance, materialized: its vertices plus
-    /// its stream collected in order. RDG, RHG and soft RHG override
-    /// this with an in-memory engine that returns the same edge set
-    /// sorted (for the two RHG models that *is* the stream's order), and
+    /// its stream collected in order. RDG overrides this with an
+    /// in-memory engine that returns the same edge set sorted, RHG and
+    /// soft RHG with their stream's pass plus a coordinate hook, and
     /// sRHG sorts its sweep — see the crate docs for why those stay.
     fn generate_pe(&self, pe: usize) -> PeGraph {
         let mut out = self.pe_vertices(pe);

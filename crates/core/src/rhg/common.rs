@@ -1,4 +1,5 @@
-//! Shared RHG instance structure (annuli → cells → points).
+//! Shared RHG instance structure (annuli → cells → points) and the one
+//! query engine over it.
 //!
 //! * Vertex counts per annulus: a multinomial over the annulus masses,
 //!   drawn from a globally seeded PRNG — identical on every PE (§7.1).
@@ -13,14 +14,22 @@
 //!
 //! The instance is a pure function of `(n, d̄, γ, seed)`; the number of PEs
 //! does not enter (DESIGN.md: instance-vs-P decoupling).
+//!
+//! [`RhgInstance`] itself is stateless: [`RhgInstance::cell_points`]
+//! redraws a cell's whole root-to-leaf path on every call and is the
+//! reference the baselines and brute-force tests use. A PE goes through a
+//! [`CellSource`], which returns the same bits drawing each tree node
+//! once (sRHG) and, for `Queries` — the one engine of `Rhg` and
+//! `SoftRhg` — generating each cell once.
 
 use crate::PeGraph;
 use kagen_dist::{binomial, multinomial};
+use kagen_geometry::cell_stream::{record_held, WrappedRun};
 use kagen_geometry::hyperbolic::{PrePoint, RhgSpace};
-use kagen_geometry::{FrontierCache, FrontierStats};
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64, Rng64};
-use std::collections::{BTreeMap, BTreeSet};
+use std::f64::consts::{PI, TAU};
+use std::iter::repeat_with;
 
 /// Target expected points per angular cell (the paper's tuning parameter c,
 /// "typically 8", §7.2.1).
@@ -77,19 +86,25 @@ impl RhgInstance {
     /// Angular width of a cell in annulus `i`.
     #[inline]
     pub fn cell_width(&self, i: usize) -> f64 {
-        std::f64::consts::TAU / self.ann_cells[i] as f64
+        TAU / self.ann_cells[i] as f64
     }
 
-    /// Cell index containing angle `theta` in annulus `i`.
-    #[inline]
-    pub fn cell_of(&self, i: usize, theta: f64) -> u64 {
-        let c = (theta / self.cell_width(i)) as u64;
-        c.min(self.ann_cells[i] - 1)
+    /// Draw the left-child count of annulus `i`'s splitting-tree node
+    /// `(level, rank)`, which holds `count` points.
+    fn draw_left(&self, i: usize, level: u64, rank: u64, count: u64) -> u64 {
+        let node_seed = derive_seed(self.seed, &[stream::HYP, 1 + i as u64, level, rank]);
+        binomial(&mut Mt64::new(node_seed), count as u128, 0.5)
     }
 
-    /// (count, id-prefix) of cell `c` in annulus `i`, via the binary
-    /// splitting tree. O(log cells) binomials.
-    pub fn cell_count_prefix(&self, i: usize, c: u64) -> (u64, u64) {
+    /// Walk the binary splitting tree of annulus `i` down to cell `c`,
+    /// asking `left_of(level, rank, count)` for each node's left-child
+    /// count; returns the cell's (count, id-prefix).
+    fn descend(
+        &self,
+        i: usize,
+        c: u64,
+        mut left_of: impl FnMut(u64, u64, u64) -> u64,
+    ) -> (u64, u64) {
         let cells = self.ann_cells[i];
         debug_assert!(c < cells);
         let mut count = self.ann_counts[i];
@@ -99,9 +114,7 @@ impl RhgInstance {
         let mut level = 0u64;
         let mut rank = 0u64;
         while width > 1 {
-            let node_seed = derive_seed(self.seed, &[stream::HYP, 1 + i as u64, level, rank]);
-            let mut rng = Mt64::new(node_seed);
-            let left = binomial(&mut rng, count as u128, 0.5);
+            let left = left_of(level, rank, count);
             width /= 2;
             level += 1;
             if index < width {
@@ -117,10 +130,17 @@ impl RhgInstance {
         (count, prefix)
     }
 
-    /// Generate the points of cell `(i, c)` with precomputed adjacency
-    /// terms and global ids. Deterministic; any PE can recompute any cell.
-    pub fn cell_points(&self, i: usize, c: u64) -> Vec<PrePoint> {
-        let (count, prefix) = self.cell_count_prefix(i, c);
+    /// (count, id-prefix) of cell `c` in annulus `i`, via the binary
+    /// splitting tree. O(log cells) binomials, all redrawn per call.
+    pub fn cell_count_prefix(&self, i: usize, c: u64) -> (u64, u64) {
+        self.descend(i, c, |level, rank, count| {
+            self.draw_left(i, level, rank, count)
+        })
+    }
+
+    /// The points of cell `(i, c)`, whose tree leaf is `(count, prefix)`,
+    /// with precomputed adjacency terms and global ids.
+    fn leaf_points(&self, i: usize, c: u64, (count, prefix): (u64, u64)) -> Vec<PrePoint> {
         let width = self.cell_width(i);
         let theta_lo = c as f64 * width;
         let (r_lo, r_hi) = (self.space.bounds[i], self.space.bounds[i + 1]);
@@ -138,6 +158,12 @@ impl RhgInstance {
             .collect()
     }
 
+    /// Generate the points of cell `(i, c)`. Deterministic and stateless;
+    /// any PE can recompute any cell.
+    pub fn cell_points(&self, i: usize, c: u64) -> Vec<PrePoint> {
+        self.leaf_points(i, c, self.cell_count_prefix(i, c))
+    }
+
     /// The cells of annulus `i` overlapping the angular interval
     /// `[lo, hi]`, as `(first, count)` of the wrapped sequence
     /// `first, first+1, …` (mod `ann_cells[i]`). Each cell appears at
@@ -145,10 +171,10 @@ impl RhgInstance {
     pub fn overlap_range(&self, i: usize, lo: f64, hi: f64) -> (u64, u64) {
         let cells = self.ann_cells[i];
         let width = self.cell_width(i);
-        if hi - lo >= std::f64::consts::TAU - 1e-12 {
+        if hi - lo >= TAU - 1e-12 {
             return (0, cells);
         }
-        let lo_wrapped = lo.rem_euclid(std::f64::consts::TAU);
+        let lo_wrapped = lo.rem_euclid(TAU);
         let first = (lo_wrapped / width) as u64 % cells;
         let span = hi - lo;
         let count = ((span / width) as u64 + 2).min(cells);
@@ -166,200 +192,315 @@ impl RhgInstance {
     }
 }
 
-/// Rank span of one local annulus in the query-stream sweep: local
-/// sweep position `(annulus i, sector cell k)` maps to the monotone rank
-/// `i · RANK_SPAN + k`, so retire ranks order totally across annuli.
-/// Lookahead windows never exceed one full annulus of cells, which stays
-/// far below the span.
-const RANK_SPAN: u64 = 1 << 40;
+/// What one PE's [`CellSource`] did: the §7.1 cost (cells and tree nodes,
+/// each at most once) and footprint (every point of a held cell stays,
+/// with its precomputed Eq. 9 terms, until the PE is done).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RhgPeStats {
+    /// Distinct cells generated and held.
+    pub cells_generated: u64,
+    /// Distinct count-tree nodes drawn.
+    pub nodes_drawn: u64,
+    /// Points held — the sector plus the query halo.
+    pub points_held: u64,
+}
 
-/// The streaming, query-centric neighborhood pass shared by the
-/// threshold ([`crate::rhg::Rhg`]) and binomial
-/// ([`crate::rhg::SoftRhg`]) generators: iterate the PE's local vertices
-/// in global-id order (annulus-major, cell-major — exactly how ids are
-/// assigned), run each vertex's Δθ-bounded query through a
-/// [`FrontierCache`] of recomputable cells, and emit `(v, u)` pairs with
-/// `u` ascending per vertex. The concatenation is *identical* — order
-/// included — to the sorted edge list the in-memory generators build,
-/// while memory stays bounded by the active query window: a cached cell
-/// retires as soon as the sweep has moved one lookahead window past it,
-/// and is transparently recomputed if a later annulus queries it again.
-///
-/// Parameters: `dt(v, j)` is the angular query half-width of vertex `v`
-/// into annulus `j` (Eq. 8 for the threshold model, the enlarged-radius
-/// variant for the soft model); `dt_max(i, j)` an upper bound of `dt`
-/// over all `v` in annulus `i` (for retire lookaheads — a wrong bound
-/// costs recomputation, never correctness); `adjacent(u, v)` the exact
-/// pair rule.
-pub(crate) fn stream_pe_queries(
-    inst: &RhgInstance,
-    chunks: usize,
-    pe: usize,
-    dt_max: &impl Fn(usize, usize) -> f64,
-    dt: &impl Fn(&PrePoint, usize) -> f64,
-    adjacent: &impl Fn(&PrePoint, &PrePoint) -> bool,
-    emit: &mut impl FnMut(u64, u64),
-) -> FrontierStats {
-    let tau = std::f64::consts::TAU;
-    let (lo, hi) = (
-        tau * pe as f64 / chunks as f64,
-        tau * (pe as f64 + 1.0) / chunks as f64,
-    );
-    let annuli = inst.num_annuli();
-    let mut cache: FrontierCache<(usize, u64), Vec<PrePoint>> = FrontierCache::new();
-    let mut locals: Vec<PrePoint> = Vec::new();
-    let mut nbrs: Vec<u64> = Vec::new();
+/// One PE's view of the instance's cells, bit for bit
+/// [`RhgInstance::cell_points`]: every splitting-tree node is drawn once,
+/// lazily (≈ 2 draws per cell over a run of cells, against log₂(cells)
+/// per call), and a cell asked for through [`CellSource::cell`] is
+/// generated once and held to the end of the PE — the §7.1 engine's
+/// state, O(sector + query halo). What a PE touches of an annulus, or of
+/// one level of its tree, is a wrapped contiguous run around its sector,
+/// hence the [`WrappedRun`]s.
+#[derive(Debug)]
+pub struct CellSource<'a> {
+    inst: &'a RhgInstance,
+    /// `nodes[i][l]`: the drawn left-child counts of annulus `i`'s tree
+    /// nodes at depth `l`, by rank.
+    nodes: Vec<Vec<WrappedRun<u64>>>,
+    /// Per annulus, the held cells.
+    cells: Vec<WrappedRun<Box<[PrePoint]>>>,
+    stats: RhgPeStats,
+}
 
-    for i in 0..annuli {
-        if inst.ann_counts[i] == 0 {
-            continue;
+impl<'a> CellSource<'a> {
+    /// A source over `inst` that has drawn and holds nothing yet.
+    pub fn new(inst: &'a RhgInstance) -> Self {
+        fn runs<T>(n: usize) -> Vec<WrappedRun<T>> {
+            repeat_with(WrappedRun::default).take(n).collect()
         }
-        let w_i = inst.cell_width(i);
-        // Lookahead (in local-cell ranks) after which a fetched cell of
-        // annulus `j` can no longer be touched by this annulus' sweep:
-        // the touching vertices span at most one target cell plus two
-        // query half-widths.
-        let lookahead = |j: usize| -> u64 {
-            let span = inst.cell_width(j) + 2.0 * dt_max(i, j);
-            (span / w_i).ceil() as u64 + 2
-        };
-        let (first, count) = inst.overlap_range(i, lo, hi);
-        for k in 0..count {
-            let now = i as u64 * RANK_SPAN + k;
-            cache.advance(now);
-            let c = (first + k) % inst.ann_cells[i];
-            // The local cell is also a query target of nearby vertices
-            // (its own annulus and others), so it lives in the cache
-            // like any other cell; copy the points out to iterate while
-            // the cache serves the queries.
-            locals.clear();
-            locals.extend_from_slice(
-                cache.get((i, c), now + lookahead(i), || inst.cell_points(i, c)),
-            );
-            cache.note_external(locals.len() as u64);
-            for v in locals.iter().filter(|p| p.theta >= lo && p.theta < hi) {
-                nbrs.clear();
-                for j in 0..annuli {
-                    if inst.ann_counts[j] == 0 {
-                        continue;
-                    }
-                    let d = dt(v, j);
-                    let (jfirst, jcount) = inst.overlap_range(j, v.theta - d, v.theta + d);
-                    let retire = now + lookahead(j);
-                    for kk in 0..jcount {
-                        let cc = (jfirst + kk) % inst.ann_cells[j];
-                        for u in cache.get((j, cc), retire, || inst.cell_points(j, cc)) {
-                            if u.id != v.id && adjacent(u, v) {
-                                // Local–local pairs once (id order); the
-                                // other endpoint's PE emits cross pairs
-                                // from its side, dedup happens on merge.
-                                let u_local = u.theta >= lo && u.theta < hi;
-                                if !u_local || u.id > v.id {
-                                    nbrs.push(u.id);
+        let levels = |cells: &u64| runs(cells.trailing_zeros() as usize);
+        CellSource {
+            inst,
+            nodes: inst.ann_cells.iter().map(levels).collect(),
+            cells: runs(inst.num_annuli()),
+            stats: RhgPeStats::default(),
+        }
+    }
+
+    /// [`RhgInstance::cell_points`], drawing only the tree nodes not in
+    /// `nodes` (annulus `i`'s levels) yet.
+    fn generate(
+        inst: &RhgInstance,
+        nodes: &mut [WrappedRun<u64>],
+        stats: &mut RhgPeStats,
+        i: usize,
+        c: u64,
+    ) -> Vec<PrePoint> {
+        let leaf = inst.descend(i, c, |level, rank, count| {
+            *nodes[level as usize]
+                .slot(rank, 1 << level)
+                .get_or_insert_with(|| {
+                    stats.nodes_drawn += 1;
+                    inst.draw_left(i, level, rank, count)
+                })
+        });
+        inst.leaf_points(i, c, leaf)
+    }
+
+    /// The points of cell `(i, c)`, generated and not held — for a sweep
+    /// that bounds its own memory (sRHG).
+    pub fn cell_points(&mut self, i: usize, c: u64) -> Vec<PrePoint> {
+        Self::generate(self.inst, &mut self.nodes[i], &mut self.stats, i, c)
+    }
+
+    /// The points of cell `(i, c)`, generated on first use and held.
+    pub fn cell(&mut self, i: usize, c: u64) -> &[PrePoint] {
+        let (inst, nodes, stats) = (self.inst, &mut self.nodes[i], &mut self.stats);
+        self.cells[i]
+            .slot(c, inst.ann_cells[i])
+            .get_or_insert_with(|| {
+                let points = Self::generate(inst, nodes, stats, i, c);
+                stats.cells_generated += 1;
+                stats.points_held += points.len() as u64;
+                points.into_boxed_slice()
+            })
+    }
+
+    /// The accounting so far.
+    pub fn stats(&self) -> RhgPeStats {
+        self.stats
+    }
+}
+
+/// The query-centric neighbourhood pass (§7.1) shared by the threshold
+/// ([`crate::rhg::Rhg`]) and binomial ([`crate::rhg::SoftRhg`])
+/// generators — their stream and their `generate_pe` alike. `dist` is the
+/// distance beyond which no pair is enumerated (R for the threshold
+/// model, the enlarged R_eff for the soft one) and `adjacent(u, v)` the
+/// exact pair rule.
+pub(crate) struct Queries<'a, A> {
+    inst: &'a RhgInstance,
+    chunks: usize,
+    dist: f64,
+    cosh_dist: f64,
+    /// Per annulus `j`: `(b, (cosh b, sinh b))` of its lower bound `b`,
+    /// the vertex-independent operands of Δθ(r, b) (Eq. 8).
+    bounds: Vec<(f64, (f64, f64))>,
+    adjacent: A,
+}
+
+impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
+    pub(crate) fn new(inst: &'a RhgInstance, chunks: usize, dist: f64, adjacent: A) -> Self {
+        let bounds = inst.space.bounds.iter().map(|b| b.max(1e-12));
+        Queries {
+            inst,
+            chunks,
+            dist,
+            cosh_dist: dist.cosh(),
+            bounds: bounds.map(|b| (b, (b.cosh(), b.sinh()))).collect(),
+            adjacent,
+        }
+    }
+
+    /// Iterate PE `pe`'s local vertices in global-id order (annulus-major,
+    /// cell-major — exactly how ids are assigned), call `on_local(v)`, run
+    /// `v`'s Δθ-bounded query through every annulus against a
+    /// [`CellSource`], and emit `(v, u)` pairs with `u` ascending per
+    /// vertex — the PE's sorted edge list. Δθ is
+    /// [`RhgSpace::delta_theta_at`] with its per-annulus and per-vertex
+    /// terms computed once: the same libm calls on the same operands.
+    pub(crate) fn stream(
+        &self,
+        pe: usize,
+        on_local: &mut impl FnMut(&PrePoint),
+        emit: &mut impl FnMut(u64, u64),
+    ) -> RhgPeStats {
+        let inst = self.inst;
+        let (lo, hi) = (
+            TAU * pe as f64 / self.chunks as f64,
+            TAU * (pe as f64 + 1.0) / self.chunks as f64,
+        );
+        let annuli = || (0..inst.num_annuli()).filter(|&i| inst.ann_counts[i] > 0);
+        let mut source = CellSource::new(inst);
+        let mut locals: Vec<PrePoint> = Vec::new();
+        let mut nbrs: Vec<u64> = Vec::new();
+
+        for i in annuli() {
+            let (first, count) = inst.overlap_range(i, lo, hi);
+            for k in 0..count {
+                // Copy the local cell out: the source serves (and grows
+                // under) the queries of its vertices.
+                locals.clear();
+                locals.extend_from_slice(source.cell(i, (first + k) % inst.ann_cells[i]));
+                for v in locals.iter().filter(|p| p.theta >= lo && p.theta < hi) {
+                    on_local(v);
+                    let hyp_r = (v.r.cosh(), v.r.sinh());
+                    nbrs.clear();
+                    for j in annuli() {
+                        let (b, hyp_b) = self.bounds[j];
+                        let d = if v.r + b < self.dist {
+                            PI
+                        } else {
+                            RhgSpace::delta_theta_beyond(hyp_r, hyp_b, self.cosh_dist)
+                        };
+                        let (jfirst, jcount) = inst.overlap_range(j, v.theta - d, v.theta + d);
+                        for kk in 0..jcount {
+                            for u in source.cell(j, (jfirst + kk) % inst.ann_cells[j]) {
+                                if u.id != v.id && (self.adjacent)(u, v) {
+                                    // Local–local pairs once (id order); the
+                                    // other endpoint's PE emits cross pairs
+                                    // from its side, dedup happens on merge.
+                                    let u_local = u.theta >= lo && u.theta < hi;
+                                    if !u_local || u.id > v.id {
+                                        nbrs.push(u.id);
+                                    }
                                 }
                             }
                         }
                     }
-                }
-                nbrs.sort_unstable();
-                nbrs.dedup();
-                for &u in &nbrs {
-                    emit(v.id, u);
+                    nbrs.sort_unstable();
+                    nbrs.dedup();
+                    for &u in &nbrs {
+                        emit(v.id, u);
+                    }
                 }
             }
         }
+        let stats = source.stats();
+        record_held(stats.cells_generated, stats.points_held);
+        stats
     }
-    cache.stats()
+
+    /// [`Queries::stream`] collected: the PE's vertices with `[r, θ]`
+    /// coordinates and its edge list, from the one pass.
+    pub(crate) fn materialize(&self, pe: usize) -> PeGraph {
+        let mut out = PeGraph {
+            pe,
+            ..PeGraph::default()
+        };
+        let (coords, edges) = (&mut out.coords2, &mut out.edges);
+        self.stream(
+            pe,
+            &mut |v| coords.push((v.id, [v.r, v.theta])),
+            &mut |v, u| edges.push((v, u)),
+        );
+        out.vertex_begin = out.coords2.first().map_or(0, |c| c.0);
+        out.vertex_end = out.coords2.last().map_or(0, |c| c.0 + 1);
+        out
+    }
 }
 
-/// The in-memory form of [`stream_pe_queries`], shared by the same two
-/// generators as their [`crate::Generator::generate_pe`]: the same
-/// sector, Δθ-bounded queries and pair rule (`dt` and `adjacent` as
-/// there), but every cell a query touches is generated once and *held*
-/// in a [`CellCache`] instead of retiring behind the sweep — which is
-/// why it outruns the streaming pass (RHG 3.2–3.8×, soft RHG 1.33× at
-/// `-c 16`) and why its footprint is every recomputed cell, the §7.2
-/// motivation for sRHG. Returns the PE's vertices (with `[r, θ]`
-/// coordinates) and sorted edge list — edge-for-edge the stream — plus
-/// the number of points held (the `abl-mem` footprint proxy).
-pub(crate) fn generate_pe_queries(
-    inst: &RhgInstance,
-    chunks: usize,
-    pe: usize,
-    dt: &impl Fn(&PrePoint, usize) -> f64,
-    adjacent: &impl Fn(&PrePoint, &PrePoint) -> bool,
-) -> (PeGraph, u64) {
-    let tau = std::f64::consts::TAU;
-    let (lo, hi) = (
-        tau * pe as f64 / chunks as f64,
-        tau * (pe as f64 + 1.0) / chunks as f64,
-    );
-    let annuli = (0..inst.num_annuli()).filter(|&i| inst.ann_counts[i] > 0);
-    let mut cache = CellCache::default();
+/// What every RHG-family generator is checked against: the all-pairs
+/// edge list over the stateless [`RhgInstance::cell_points`], and the
+/// per-PE contract between a model's stream and its `generate_pe`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::Generator;
 
-    // Local vertices: cells overlapping the sector, filtered by angular
-    // ownership.
-    let mut locals: Vec<PrePoint> = Vec::new();
-    for i in annuli.clone() {
-        inst.cells_overlapping(i, lo, hi, &mut |c| {
-            let owned = cache
-                .get(inst, i, c)
-                .iter()
-                .filter(|p| p.theta >= lo && p.theta < hi);
-            locals.extend(owned);
-        });
+    /// Every point of the instance, annulus-major, cell-major.
+    pub(crate) fn all_points(inst: &RhgInstance) -> Vec<PrePoint> {
+        (0..inst.num_annuli())
+            .flat_map(|a| (0..inst.ann_cells[a]).map(move |c| (a, c)))
+            .flat_map(|(a, c)| inst.cell_points(a, c))
+            .collect()
     }
-    locals.sort_by_key(|p| p.id);
-    let local_ids: BTreeSet<u64> = locals.iter().map(|p| p.id).collect();
 
-    // Neighborhood queries: all incident edges of local vertices,
-    // oriented local-first; local–local pairs once (id order).
-    let mut edges = Vec::new();
-    for v in &locals {
-        for j in annuli.clone() {
-            let d = dt(v, j);
-            inst.cells_overlapping(j, v.theta - d, v.theta + d, &mut |c| {
-                for u in cache.get(inst, j, c) {
-                    if u.id != v.id && adjacent(u, v) && (!local_ids.contains(&u.id) || u.id > v.id)
-                    {
-                        edges.push((v.id, u.id));
-                    }
+    /// The sorted `(min, max)` edge list of all pairs `connected` accepts.
+    pub(crate) fn all_pairs(
+        inst: &RhgInstance,
+        connected: impl Fn(&PrePoint, &PrePoint) -> bool,
+    ) -> Vec<(u64, u64)> {
+        let pts = all_points(inst);
+        let mut edges = Vec::new();
+        for (i, p) in pts.iter().enumerate() {
+            for q in &pts[i + 1..] {
+                if connected(p, q) {
+                    edges.push((p.id.min(q.id), p.id.max(q.id)));
                 }
-            });
+            }
         }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    let out = PeGraph {
-        pe,
-        vertex_begin: locals.first().map_or(0, |p| p.id),
-        vertex_end: locals.last().map_or(0, |p| p.id + 1),
-        edges,
-        coords2: locals.iter().map(|v| (v.id, [v.r, v.theta])).collect(),
-        coords3: Vec::new(),
-    };
-    (out, cache.generated_points())
-}
-
-/// A per-PE cache of generated cells (local and recomputed remote ones).
-#[derive(Default, Debug)]
-pub struct CellCache {
-    cells: BTreeMap<(usize, u64), Vec<PrePoint>>,
-}
-
-impl CellCache {
-    /// Get (possibly generating) the points of cell `(i, c)`.
-    pub fn get<'a>(&'a mut self, inst: &RhgInstance, i: usize, c: u64) -> &'a [PrePoint] {
-        self.cells
-            .entry((i, c))
-            .or_insert_with(|| inst.cell_points(i, c))
+        edges.sort_unstable();
+        edges.dedup();
+        edges
     }
 
-    /// Number of points held across all generated cells — the in-memory
-    /// footprint proxy used by the `abl-mem` experiment (every cached
-    /// point stores its precomputed Eq. 9 terms).
-    pub fn generated_points(&self) -> u64 {
-        self.cells.values().map(|v| v.len() as u64).sum()
+    /// Over chunks ∈ {1, 2, 7, 64, 300} × γ ∈ {2.1, 2.8, 3.5} at n ≤ 600:
+    /// the deduplicated union of all PE streams is the all-pairs list,
+    /// every `generate_pe(pe).edges` is the PE's collected stream (sorted
+    /// first if `sorted`), and its vertex range and `coords2` are the
+    /// points the sector owns. `make(n, γ, chunks)` builds the generator
+    /// and its instance; `connected` is the model's pair rule.
+    pub(crate) fn check_corner_matrix<G: Generator>(
+        make: impl Fn(u64, f64, usize) -> (G, RhgInstance),
+        connected: impl Fn(&G, &RhgInstance, &PrePoint, &PrePoint) -> bool,
+        sorted: bool,
+    ) {
+        for (n, gamma) in [(600, 2.1), (450, 2.8), (300, 3.5)] {
+            for chunks in [1usize, 2, 7, 64, 300] {
+                let (gen, inst) = make(n, gamma, chunks);
+                let what = format!("n={n} γ={gamma} chunks={chunks}");
+                let points = all_points(&inst);
+                let mut union = Vec::new();
+                for pe in 0..chunks {
+                    let mut stream = Vec::new();
+                    gen.stream_pe(pe, &mut |u, v| stream.push((u, v)));
+                    union.extend(stream.iter().map(|&(u, v)| (u.min(v), u.max(v))));
+                    if sorted {
+                        stream.sort_unstable();
+                        stream.dedup();
+                    }
+                    let part = gen.generate_pe(pe);
+                    assert_eq!(part.edges, stream, "{what} PE {pe}: generate_pe vs stream");
+
+                    let (lo, hi) = (
+                        TAU * pe as f64 / chunks as f64,
+                        TAU * (pe as f64 + 1.0) / chunks as f64,
+                    );
+                    let mut owned: Vec<&PrePoint> = points
+                        .iter()
+                        .filter(|p| p.theta >= lo && p.theta < hi)
+                        .collect();
+                    owned.sort_by_key(|p| p.id);
+                    let bits = |id: u64, r: f64, theta: f64| (id, r.to_bits(), theta.to_bits());
+                    assert_eq!(
+                        part.coords2
+                            .iter()
+                            .map(|&(id, [r, theta])| bits(id, r, theta))
+                            .collect::<Vec<_>>(),
+                        owned
+                            .iter()
+                            .map(|p| bits(p.id, p.r, p.theta))
+                            .collect::<Vec<_>>(),
+                        "{what} PE {pe}: coords2 vs owned points"
+                    );
+                    assert_eq!(
+                        (part.vertex_begin, part.vertex_end),
+                        (
+                            owned.first().map_or(0, |p| p.id),
+                            owned.last().map_or(0, |p| p.id + 1)
+                        ),
+                        "{what} PE {pe}: vertex range"
+                    );
+                }
+                union.sort_unstable();
+                union.dedup();
+                let reference = all_pairs(&inst, |p, q| connected(&gen, &inst, p, q));
+                assert_eq!(union, reference, "{what}: union of streams vs all pairs");
+            }
+        }
     }
 }
 
@@ -487,5 +628,98 @@ mod tests {
         let frac = outer as f64 / 20_000.0;
         let expect = 1.0 - i.space.radial_cdf(half);
         assert!((frac - expect).abs() < 0.02, "outer {frac} vs {expect}");
+    }
+
+    /// Every (annulus, cell) of the instance in a scrambled order.
+    fn scrambled_cells(i: &RhgInstance) -> Vec<(usize, u64)> {
+        let mut keys: Vec<(usize, u64)> = (0..i.num_annuli())
+            .flat_map(|a| (0..i.ann_cells[a]).map(move |c| (a, c)))
+            .collect();
+        keys.sort_by_key(|&(a, c)| kagen_util::splitmix::mix64((a as u64) << 40 | c));
+        keys
+    }
+
+    fn assert_same_points(got: &[PrePoint], want: &[PrePoint], what: &str) {
+        let bits = |p: &PrePoint| (p.id, p.r.to_bits(), p.theta.to_bits());
+        assert_eq!(
+            got.iter().map(bits).collect::<Vec<_>>(),
+            want.iter().map(bits).collect::<Vec<_>>(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn source_equals_stateless_reference_in_any_order() {
+        let i = inst();
+        let keys = scrambled_cells(&i);
+        let (mut held, mut passing) = (CellSource::new(&i), CellSource::new(&i));
+        for &(a, c) in &keys {
+            let want = i.cell_points(a, c);
+            assert_same_points(held.cell(a, c), &want, "held");
+            assert_same_points(&passing.cell_points(a, c), &want, "not held");
+        }
+        // A second visit is served from the store: nothing is drawn again.
+        for &(a, c) in keys.iter().rev() {
+            assert_same_points(held.cell(a, c), &i.cell_points(a, c), "revisit");
+        }
+        let nodes: u64 = i.ann_cells.iter().map(|cells| cells - 1).sum();
+        let want = RhgPeStats {
+            cells_generated: keys.len() as u64,
+            nodes_drawn: nodes,
+            points_held: 4000,
+        };
+        assert_eq!(held.stats(), want);
+        assert_eq!(passing.stats().nodes_drawn, nodes);
+        assert_eq!(passing.stats().points_held, 0);
+    }
+
+    #[test]
+    fn a_pe_generates_each_touched_cell_and_tree_node_exactly_once() {
+        use std::collections::BTreeSet;
+        for (gamma, chunks) in [(2.8, 8usize), (2.2, 3), (2.8, 64)] {
+            let gen = crate::rhg::Rhg::new(5000, 8.0, gamma)
+                .with_seed(11)
+                .with_chunks(chunks);
+            let i = gen.instance();
+            let annuli = || (0..i.num_annuli()).filter(|&a| i.ann_counts[a] > 0);
+            for pe in 0..chunks {
+                // The cells the PE must touch, from the reference formulas:
+                // its sector's, and every local vertex's Δθ window (Eq. 8)
+                // in every annulus.
+                let (lo, hi) = (
+                    TAU * pe as f64 / chunks as f64,
+                    TAU * (pe as f64 + 1.0) / chunks as f64,
+                );
+                let mut cells = BTreeSet::new();
+                for a in annuli() {
+                    i.cells_overlapping(a, lo, hi, &mut |c| {
+                        cells.insert((a, c));
+                    });
+                }
+                for &(_, [r, theta]) in &crate::Generator::generate_pe(&gen, pe).coords2 {
+                    for a in annuli() {
+                        let d = i.space.delta_theta(r, i.space.bounds[a].max(1e-12));
+                        i.cells_overlapping(a, theta - d, theta + d, &mut |c| {
+                            cells.insert((a, c));
+                        });
+                    }
+                }
+                let mut nodes = BTreeSet::new();
+                for &(a, c) in &cells {
+                    let depth = i.ann_cells[a].trailing_zeros();
+                    nodes.extend((0..depth).map(|level| (a, level, c >> (depth - level))));
+                }
+                let want = RhgPeStats {
+                    cells_generated: cells.len() as u64,
+                    nodes_drawn: nodes.len() as u64,
+                    points_held: cells
+                        .iter()
+                        .map(|&(a, c)| i.cell_count_prefix(a, c).0)
+                        .sum(),
+                };
+                let got = gen.stream_query(pe, &mut |_, _| {});
+                assert_eq!(got, want, "γ={gamma} chunks={chunks} PE {pe}");
+            }
+        }
     }
 }

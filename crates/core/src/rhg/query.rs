@@ -1,19 +1,22 @@
-//! The in-memory, query-centric RHG generator (§7.1).
+//! The query-centric RHG generator (§7.1).
 //!
 //! Each PE owns the angular sector `[2πp/P, 2π(p+1)/P)`. For every local
 //! vertex it runs a neighborhood query through all annuli: the angular
 //! deviation bound Δθ(r_v, ℓ_j) (Eq. 8) selects candidate cells, whose
 //! points are tested with the trig-free Eq. 9. Cells of non-local chunks
-//! encountered during the search are *recomputed* into a per-PE cache —
-//! the paper's inward/outward search recomputation, realized through the
-//! deterministic cell scheme of [`super::common`].
+//! encountered during the search are *recomputed* once and held for the
+//! rest of the PE's queries — the paper's inward/outward search
+//! recomputation, realized through the deterministic cell scheme and the
+//! one engine of [`super::common`]. Per-PE state is therefore the sector
+//! plus its query halo; [`crate::srhg::Srhg`] generates the same graph in
+//! bounded memory.
 
-use super::common::{generate_pe_queries, stream_pe_queries, RhgInstance};
+use super::common::{Queries, RhgInstance, RhgPeStats};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_geometry::FrontierStats;
+use kagen_geometry::hyperbolic::PrePoint;
 
-/// Random hyperbolic graph (threshold model), in-memory generator.
+/// Random hyperbolic graph (threshold model), query-centric generator.
 #[derive(Clone, Debug)]
 pub struct Rhg {
     n: u64,
@@ -54,48 +57,24 @@ impl Rhg {
         RhgInstance::new(self.n, self.avg_deg, self.gamma, self.seed)
     }
 
-    /// Angular query half-width (Eq. 8) of a vertex at radius `r` into
-    /// annulus `j`.
-    fn dt(inst: &RhgInstance, r: f64, j: usize) -> f64 {
-        inst.space.delta_theta(r, inst.space.bounds[j].max(1e-12))
+    /// The engine over `inst`: queries out to distance R, pairs decided
+    /// by Eq. 9.
+    fn queries<'a>(
+        &self,
+        inst: &'a RhgInstance,
+    ) -> Queries<'a, impl Fn(&PrePoint, &PrePoint) -> bool> {
+        let cosh_r = inst.space.cosh_r;
+        Queries::new(inst, self.chunks, inst.space.r_max, move |u, v| {
+            v.is_adjacent(u, cosh_r)
+        })
     }
 
-    /// The native streaming pass: the same Δθ-bounded queries as
-    /// [`Generator::generate_pe`], but through the evicting frontier
-    /// cache of [`stream_pe_queries`] — the emitted stream equals the
-    /// in-memory generator's sorted edge list edge-for-edge, with memory
-    /// bounded by the active query window instead of every recomputed
-    /// cell. Returns the frontier accounting the memory-regression tests
-    /// read.
-    pub fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
-        let inst = self.instance();
-        let cosh_r = inst.space.cosh_r;
-        stream_pe_queries(
-            &inst,
-            self.chunks,
-            pe,
-            &|i, j| Self::dt(&inst, inst.space.bounds[i].max(1e-12), j),
-            &|v, j| Self::dt(&inst, v.r, j),
-            &|u, v| v.is_adjacent(u, cosh_r),
-            emit,
-        )
-    }
-
-    /// Like [`Generator::generate_pe`], additionally returning the number
-    /// of points this PE had to generate (local + recomputed) — the
-    /// memory-footprint proxy of the `abl-mem` experiment. The in-memory
-    /// generator must *hold* all of them for its queries, which is the
-    /// §7.2 motivation for sRHG.
-    pub fn generate_pe_stats(&self, pe: usize) -> (PeGraph, u64) {
-        let inst = self.instance();
-        let cosh_r = inst.space.cosh_r;
-        generate_pe_queries(
-            &inst,
-            self.chunks,
-            pe,
-            &|v, j| Self::dt(&inst, v.r, j),
-            &|u, v| v.is_adjacent(u, cosh_r),
-        )
+    /// PE `pe`'s stream, one edge per `emit` call, returning the engine's
+    /// accounting: the cells it generated and the points it *holds* for
+    /// its queries — the memory contract the tests and the `abl-mem`
+    /// experiment read, and the §7.2 motivation for sRHG.
+    pub fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RhgPeStats {
+        self.queries(&self.instance()).stream(pe, &mut |_| {}, emit)
     }
 }
 
@@ -112,18 +91,17 @@ impl Generator for Rhg {
         false
     }
 
-    /// Streaming Δθ queries (§7.1) over the evicting frontier cache —
-    /// memory is the active query window.
+    /// Δθ queries (§7.1), every touched cell generated once and held.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         Batcher::run(buf, emit, |b| {
             self.stream_query(pe, &mut |u, v| b.push(u, v));
         });
     }
 
-    /// The in-memory engine (`common::generate_pe_queries`): same edge list as
-    /// the stream, 3.2–3.8× faster for holding every queried cell.
+    /// The same pass as the stream, also recording the local vertices'
+    /// `[r, θ]` (the provided collect would generate the sector twice).
     fn generate_pe(&self, pe: usize) -> PeGraph {
-        self.generate_pe_stats(pe).0
+        self.queries(&self.instance()).materialize(pe)
     }
 }
 
@@ -131,35 +109,28 @@ impl Generator for Rhg {
 mod tests {
     use super::*;
     use crate::generate_undirected;
-
-    /// Brute-force reference over the full instance point set.
-    fn brute_force(inst: &RhgInstance) -> Vec<(u64, u64)> {
-        let mut pts = Vec::new();
-        for a in 0..inst.num_annuli() {
-            for c in 0..inst.ann_cells[a] {
-                pts.extend(inst.cell_points(a, c));
-            }
-        }
-        let mut edges = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].is_adjacent(&pts[j], inst.space.cosh_r) {
-                    let (a, b) = (pts[i].id.min(pts[j].id), pts[i].id.max(pts[j].id));
-                    edges.push((a, b));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        edges
-    }
+    use crate::rhg::common::reference::{all_pairs, check_corner_matrix};
 
     #[test]
     fn matches_brute_force() {
         let gen = Rhg::new(600, 8.0, 2.8).with_seed(5).with_chunks(4);
         let el = generate_undirected(&gen);
-        let reference = brute_force(&gen.instance());
+        let inst = gen.instance();
+        let reference = all_pairs(&inst, |p, q| p.is_adjacent(q, inst.space.cosh_r));
         assert_eq!(el.edges, reference);
+    }
+
+    #[test]
+    fn corner_matrix_matches_all_pairs_and_generate_pe_is_the_stream() {
+        check_corner_matrix(
+            |n, gamma, chunks| {
+                let gen = Rhg::new(n, 8.0, gamma).with_seed(5).with_chunks(chunks);
+                let inst = gen.instance();
+                (gen, inst)
+            },
+            |_, inst, p, q| p.is_adjacent(q, inst.space.cosh_r),
+            false,
+        );
     }
 
     #[test]

@@ -27,11 +27,10 @@
 //! a documented approximation of the ideal model; its error bound is
 //! checked statistically in the tests.
 
-use super::common::{generate_pe_queries, stream_pe_queries, RhgInstance};
+use super::common::{Queries, RhgInstance};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::hyperbolic::PrePoint;
-use kagen_geometry::FrontierStats;
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, splitmix::mix64};
 
@@ -131,33 +130,16 @@ impl SoftRhg {
         self.pair_coin(u.id, v.id) < self.connection_prob(inst, d)
     }
 
-    /// The truncated query: `R_eff` and the angular half-width (Eq. 8 at
-    /// `R_eff`) of a vertex at radius `r` into annulus `j`.
-    fn dt<'a>(&self, inst: &'a RhgInstance) -> impl Fn(f64, usize) -> f64 + 'a {
+    /// The engine over `inst`: queries truncated at `R_eff` (Eq. 8 at
+    /// `R_eff`), pairs decided by their coin.
+    fn queries<'a>(
+        &'a self,
+        inst: &'a RhgInstance,
+    ) -> Queries<'a, impl Fn(&PrePoint, &PrePoint) -> bool + 'a> {
         let r_eff = self.effective_radius(inst);
-        let cosh_r_eff = r_eff.cosh();
-        move |r, j| {
-            inst.space
-                .delta_theta_at(r, inst.space.bounds[j].max(1e-12), r_eff, cosh_r_eff)
-        }
-    }
-
-    /// The native streaming pass: the truncated-radius queries of
-    /// [`Generator::generate_pe`] through the evicting frontier cache of
-    /// [`stream_pe_queries`] — identical output (order included), memory
-    /// bounded by the active query window.
-    pub(crate) fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
-        let inst = self.instance();
-        let dt = self.dt(&inst);
-        stream_pe_queries(
-            &inst,
-            self.chunks,
-            pe,
-            &|i, j| dt(inst.space.bounds[i].max(1e-12), j),
-            &|v, j| dt(v.r, j),
-            &|u, v| self.pair_connected(&inst, u, v),
-            emit,
-        )
+        Queries::new(inst, self.chunks, r_eff, move |u, v| {
+            self.pair_connected(inst, u, v)
+        })
     }
 }
 
@@ -174,23 +156,20 @@ impl Generator for SoftRhg {
         false
     }
 
-    /// Streaming truncated-radius queries (§9 soft model) over the
-    /// evicting frontier cache.
+    /// Truncated-radius queries (§9 soft model) through the §7.1 engine
+    /// of `Queries`: every touched cell generated once and held.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
+        let inst = self.instance();
         Batcher::run(buf, emit, |b| {
-            self.stream_query(pe, &mut |u, v| b.push(u, v));
+            self.queries(&inst)
+                .stream(pe, &mut |_| {}, &mut |u, v| b.push(u, v));
         });
     }
 
-    /// The in-memory engine (`common::generate_pe_queries`): same edge list as
-    /// the stream, 1.33× faster for holding every queried cell.
+    /// The same pass as the stream, also recording the local vertices'
+    /// `[r, θ]`.
     fn generate_pe(&self, pe: usize) -> PeGraph {
-        let inst = self.instance();
-        let dt = self.dt(&inst);
-        generate_pe_queries(&inst, self.chunks, pe, &|v, j| dt(v.r, j), &|u, v| {
-            self.pair_connected(&inst, u, v)
-        })
-        .0
+        self.queries(&self.instance()).materialize(pe)
     }
 }
 
@@ -198,30 +177,14 @@ impl Generator for SoftRhg {
 mod tests {
     use super::*;
     use crate::generate_undirected;
+    use crate::rhg::common::reference::{all_pairs, all_points, check_corner_matrix};
     use crate::rhg::Rhg;
 
     /// Brute-force reference: full point set, exact pair rule (no
     /// truncation at all).
     fn brute_force(gen: &SoftRhg) -> Vec<(u64, u64)> {
         let inst = gen.instance();
-        let mut pts = Vec::new();
-        for a in 0..inst.num_annuli() {
-            for c in 0..inst.ann_cells[a] {
-                pts.extend(inst.cell_points(a, c));
-            }
-        }
-        let mut edges = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if gen.pair_connected(&inst, &pts[i], &pts[j]) {
-                    let (a, b) = (pts[i].id.min(pts[j].id), pts[i].id.max(pts[j].id));
-                    edges.push((a, b));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        edges
+        all_pairs(&inst, |p, q| gen.pair_connected(&inst, p, q))
     }
 
     #[test]
@@ -231,6 +194,21 @@ mod tests {
         let gen = SoftRhg::new(500, 8.0, 2.8, 0.3).with_seed(5).with_chunks(4);
         let el = generate_undirected(&gen);
         assert_eq!(el.edges, brute_force(&gen));
+    }
+
+    #[test]
+    fn corner_matrix_matches_all_pairs_and_generate_pe_is_the_stream() {
+        check_corner_matrix(
+            |n, gamma, chunks| {
+                let gen = SoftRhg::new(n, 8.0, gamma, 0.5)
+                    .with_seed(5)
+                    .with_chunks(chunks);
+                let inst = gen.instance();
+                (gen, inst)
+            },
+            |gen, inst, p, q| gen.pair_connected(inst, p, q),
+            false,
+        );
     }
 
     #[test]
@@ -305,12 +283,7 @@ mod tests {
             .with_seed(11)
             .with_chunks(1);
         let inst = gen.instance();
-        let mut pts = Vec::new();
-        for a in 0..inst.num_annuli() {
-            for c in 0..inst.ann_cells[a] {
-                pts.extend(inst.cell_points(a, c));
-            }
-        }
+        let pts = all_points(&inst);
         let r = inst.space.r_max;
         // Buckets around R where the sigmoid varies meaningfully.
         let mut hits = [0u64; 4];

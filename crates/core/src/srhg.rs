@@ -23,7 +23,7 @@
 //! through [`crate::rhg::common::RhgInstance`], so for equal seeds the two
 //! generators emit the *identical* graph — asserted in tests.
 
-use crate::rhg::common::RhgInstance;
+use crate::rhg::common::{CellSource, RhgInstance};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::hyperbolic::PrePoint;
@@ -210,6 +210,11 @@ impl Srhg {
         mut on_local: Option<&mut dyn FnMut(&PrePoint)>,
     ) -> SrhgPeStats {
         let inst = self.instance();
+        // Cells are regenerated per swept annulus, never held; only the
+        // count-tree nodes on their paths are drawn once and kept (two
+        // words per node, about two nodes per extended-sector cell of
+        // ~8 points — not part of `peak_state`, which counts points).
+        let mut cells = CellSource::new(&inst);
         let tau = std::f64::consts::TAU;
         let width = tau / self.chunks as f64;
         let (lo, hi) = (width * pe as f64, width * (pe as f64 + 1.0));
@@ -223,7 +228,7 @@ impl Srhg {
         let mut globals: Vec<(usize, PrePoint)> = Vec::new();
         for i in 0..first_stream {
             for c in 0..inst.ann_cells[i] {
-                for p in inst.cell_points(i, c) {
+                for p in cells.cell_points(i, c) {
                     globals.push((i, p));
                 }
             }
@@ -320,7 +325,7 @@ impl Srhg {
                     {
                         let cc = (cb.first + cb.next) % cb.cells;
                         cb.next += 1;
-                        let pts = inst.cell_points(cb.i, cc);
+                        let pts = cells.cell_points(cb.i, cc);
                         if cb.i == j {
                             generated_points += pts.len() as u64;
                         }
@@ -341,7 +346,7 @@ impl Srhg {
                 }
                 // Nodes: owned sector only (boundary cells also hold the
                 // neighbor sector's points).
-                for v in inst
+                for v in cells
                     .cell_points(j, cn)
                     .iter()
                     .filter(|p| p.theta >= lo && p.theta < hi)
@@ -394,8 +399,8 @@ impl Srhg {
     /// [`SrhgPeStats`] — the sweep's materialized form: collect the
     /// streamed edges, sort, dedup. `peak_state` reports what the
     /// streaming run holds, which is what the `abl-mem` experiment
-    /// compares against the query-centric
-    /// [`crate::rhg::Rhg::generate_pe_stats`] footprint.
+    /// compares against the query-centric [`crate::rhg::Rhg`]'s held
+    /// points.
     pub fn generate_pe_stats(&self, pe: usize) -> (PeGraph, SrhgPeStats) {
         let mut out = PeGraph {
             pe,
@@ -445,6 +450,19 @@ mod tests {
                 "sRHG vs RHG mismatch at n={n}, γ={gamma}"
             );
         }
+    }
+
+    #[test]
+    fn corner_matrix_matches_all_pairs_and_generate_pe_is_the_sorted_stream() {
+        crate::rhg::common::reference::check_corner_matrix(
+            |n, gamma, chunks| {
+                let gen = Srhg::new(n, 8.0, gamma).with_seed(5).with_chunks(chunks);
+                let inst = gen.instance();
+                (gen, inst)
+            },
+            |_, inst, p, q| p.is_adjacent(q, inst.space.cosh_r),
+            true,
+        );
     }
 
     #[test]

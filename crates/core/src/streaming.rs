@@ -12,17 +12,17 @@
 //! and the materialized [`Generator::generate_pe`] are provided adapters
 //! over that one method. For the index-based generators (ER, BA, R-MAT,
 //! SBM) the state is O(log)-sized; for the spatial/hyperbolic family it
-//! is the active cell neighborhood of the cell-cursor core
-//! (`kagen_geometry::cell_stream`): the current cell group plus an
-//! evicting frontier of recomputable cells (RGG/RDG), the active query
-//! window (RHG/soft RHG), or replicated globals plus the active-request
-//! windows (sRHG).
+//! is what the cell structures of `kagen_geometry::cell_stream` hold:
+//! the current cell group plus an evicting frontier of recomputable
+//! cells (RGG/RDG), the sector plus its query halo, every touched cell
+//! generated once and held (RHG/soft RHG, §7.1), or replicated globals
+//! plus the active-request windows (sRHG).
 //!
 //! `generate_pe` returns exactly the stream's edge *set* for every
 //! model, and for all but RDG and sRHG its *order* too (asserted in the
 //! tests below and pinned by `tests/golden_streams.rs`): ER, BA, R-MAT,
-//! SBM and RGG collect the stream, RHG and soft RHG run an in-memory
-//! engine whose sorted list is the order the streaming queries emit.
+//! SBM and RGG collect the stream, RHG and soft RHG run the stream's
+//! own pass with a hook that records the coordinates.
 //! RDG and sRHG stream in generation-sweep order (per cell group / per
 //! sweep annulus) and materialize sorted, because streaming the globally
 //! sorted order would require buffering the very output the streaming

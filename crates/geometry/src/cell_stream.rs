@@ -1,11 +1,11 @@
-//! The cell-cursor streaming core shared by the spatial and hyperbolic
-//! generators.
+//! The cell-cursor streaming core of the spatial generators, and the
+//! cell store of the hyperbolic ones.
 //!
 //! The paper generates geometric graphs cell by cell over a
 //! pseudorandomized grid: any PE can *recompute* any cell's points from
 //! `(seed, cell)`, so the working set of a streaming pass never needs to
 //! exceed the neighborhood of the cell currently being processed. This
-//! module provides the two pieces every such pass shares:
+//! module provides the two pieces every such evicting pass shares:
 //!
 //! * [`FrontierCache`] — a regenerate-on-miss cell cache with
 //!   retire-rank eviction. Callers tag each cached cell with the last
@@ -18,14 +18,19 @@
 //!   carries the running global-id prefix, so vertex ids fall out of the
 //!   traversal without a second count-tree query per cell.
 //!
-//! Together they replace the per-PE materialization the RGG/RDG/RHG
-//! family used before: memory becomes O(active cell neighborhood), not
+//! Together they replace the per-PE materialization the RGG/RDG family
+//! used before: memory becomes O(active cell neighborhood), not
 //! O(per-PE edges).
+//!
+//! The hyperbolic query generators (§7.1) evict nothing — a PE holds
+//! every cell it touches, O(sector + query halo) — and keep them in the
+//! third piece, [`WrappedRun`]: slots for the contiguous run of an
+//! annulus' cells around the PE's sector.
 
 use crate::counts::CountTree;
 use crate::grid::CellGrid;
 use kagen_obs::{Counter, Gauge};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Cells generated (including regenerations after eviction) across all
 /// frontier caches — the paper's recomputation cost, run-wide.
@@ -35,6 +40,14 @@ static GEO_CELLS_GENERATED: Counter = Counter::new("geo.cells_generated");
 static GEO_FRONTIER_POINTS: Gauge = Gauge::new("geo.frontier_points");
 /// Cells visited by cell-range cursors (counted once per sweep).
 static GEO_CURSOR_CELLS: Counter = Counter::new("geo.cursor_cells");
+
+/// Account a pass that holds every cell it generates (the RHG query
+/// engine, which has no frontier to evict) under the same `geo.*` names:
+/// `cells` generated, `points` held at its end.
+pub fn record_held(cells: u64, points: u64) {
+    GEO_CELLS_GENERATED.add(cells);
+    GEO_FRONTIER_POINTS.set(points);
+}
 
 /// Memory accounting of a [`FrontierCache`] (the `abl-mem`-style
 /// footprint proxy: every held point carries its precomputed terms).
@@ -55,12 +68,6 @@ pub struct FrontierStats {
 pub trait Weighted {
     /// Number of points (or equivalent units) this value holds.
     fn weight(&self) -> u64;
-}
-
-impl<T> Weighted for Vec<T> {
-    fn weight(&self) -> u64 {
-        self.len() as u64
-    }
 }
 
 impl<T> Weighted for (u64, Vec<T>) {
@@ -173,13 +180,6 @@ impl<K: Ord + Copy, V: Weighted> FrontierCache<K, V> {
         GEO_FRONTIER_POINTS.set(self.stats.live_points + self.external);
     }
 
-    /// Drop everything (e.g. at an annulus boundary of a hyperbolic
-    /// sweep).
-    pub fn clear(&mut self) {
-        self.stats.live_points = 0;
-        self.map.clear();
-    }
-
     /// Current accounting. `live_points` excludes values handed out via
     /// [`FrontierCache::take`].
     pub fn stats(&self) -> FrontierStats {
@@ -199,6 +199,50 @@ impl<K: Ord + Copy, V: Weighted> FrontierCache<K, V> {
 impl<K: Ord + Copy, V: Weighted> Default for FrontierCache<K, V> {
     fn default() -> Self {
         FrontierCache::new()
+    }
+}
+
+/// Slots for a wrapped contiguous run of the indices `0..size` of a
+/// circle (`size` a power of two, passed per call): what a PE of a
+/// hyperbolic generator touches of one annulus' cells is such a run
+/// around its sector. Memory is the run's length, not `size`; an index
+/// outside the run extends it on the nearer side, and slots never asked
+/// for in between stay `None`.
+#[derive(Debug)]
+pub struct WrappedRun<T> {
+    first: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> WrappedRun<T> {
+    /// The slot of index `x < size`, extending the run to it if needed.
+    pub fn slot(&mut self, x: u64, size: u64) -> &mut Option<T> {
+        debug_assert!(size.is_power_of_two() && x < size);
+        let len = self.slots.len() as u64;
+        if len == 0 {
+            self.first = x;
+        }
+        let mut offset = x.wrapping_sub(self.first) & (size - 1);
+        if offset >= len {
+            let (right, left) = (offset + 1 - len, size - offset);
+            if right <= left {
+                self.slots.extend((0..right).map(|_| None));
+            } else {
+                (0..left).for_each(|_| self.slots.push_front(None));
+                (self.first, offset) = (x, 0);
+            }
+        }
+        &mut self.slots[offset as usize]
+    }
+}
+
+impl<T> Default for WrappedRun<T> {
+    /// An empty run.
+    fn default() -> Self {
+        WrappedRun {
+            first: 0,
+            slots: VecDeque::new(),
+        }
     }
 }
 
@@ -276,6 +320,12 @@ impl<'a, const D: usize> CellRangeCursor<'a, D> {
 mod tests {
     use super::*;
 
+    impl<T> Weighted for Vec<T> {
+        fn weight(&self) -> u64 {
+            self.len() as u64
+        }
+    }
+
     #[test]
     fn cache_regenerates_after_eviction() {
         let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
@@ -336,6 +386,43 @@ mod tests {
             vec![1, 2]
         });
         assert!(regenerated, "take must remove the entry");
+    }
+
+    #[test]
+    fn wrapped_run_grows_on_the_nearer_side_and_spans_only_what_it_touched() {
+        let mut run: WrappedRun<u64> = WrappedRun::default();
+        let size = 64;
+        // Around the seam of the circle: 62, 63, 1 (skipping 0), then 60
+        // on the left.
+        for x in [62, 63, 1, 60] {
+            assert_eq!(*run.slot(x, size), None, "index {x} is new");
+            *run.slot(x, size) = Some(x);
+        }
+        assert_eq!((run.first, run.slots.len()), (60, 6), "60..=1 wrapped");
+        for x in [60, 62, 63, 1] {
+            assert_eq!(*run.slot(x, size), Some(x));
+        }
+        for x in [61, 0] {
+            assert_eq!(*run.slot(x, size), None, "untouched slot inside the run");
+        }
+        assert_eq!(run.slots.len(), 6, "lookups inside the run do not grow it");
+        // The far side of the circle is reached by the shorter way round,
+        // and the run never exceeds the circle.
+        *run.slot(30, size) = Some(30);
+        assert_eq!((run.first, run.slots.len()), (60, 35));
+        *run.slot(31, size) = Some(31);
+        *run.slot(59, size) = Some(59);
+        assert_eq!((run.first, run.slots.len()), (59, 37));
+        for x in 0..size {
+            run.slot(x, size);
+        }
+        assert_eq!(run.slots.len(), 64);
+        assert_eq!(*run.slot(30, size), Some(30));
+        assert_eq!(*run.slot(59, size), Some(59));
+        // A one-slot circle (an annulus with a single cell).
+        let mut one: WrappedRun<u8> = WrappedRun::default();
+        *one.slot(0, 1) = Some(7);
+        assert_eq!((*one.slot(0, 1), one.slots.len()), (Some(7), 1));
     }
 
     #[test]

@@ -119,7 +119,19 @@ impl RhgSpace {
         if r + b < dist {
             return std::f64::consts::PI;
         }
-        let arg = (r.cosh() * b.cosh() - cosh_dist) / (r.sinh() * b.sinh());
+        Self::delta_theta_beyond((r.cosh(), r.sinh()), (b.cosh(), b.sinh()), cosh_dist)
+    }
+
+    /// The `r + b ≥ dist` branch of [`RhgSpace::delta_theta_at`], from the
+    /// `(cosh, sinh)` of the two radii — for a caller that computes them
+    /// once per point and per annulus instead of once per pair.
+    #[inline]
+    pub fn delta_theta_beyond(
+        (cosh_r, sinh_r): (f64, f64),
+        (cosh_b, sinh_b): (f64, f64),
+        cosh_dist: f64,
+    ) -> f64 {
+        let arg = (cosh_r * cosh_b - cosh_dist) / (sinh_r * sinh_b);
         arg.clamp(-1.0, 1.0).acos()
     }
 

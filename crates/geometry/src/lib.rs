@@ -14,7 +14,8 @@
 //! * [`cell_stream`] — the cell-cursor streaming core: a
 //!   regenerate-on-miss frontier cache with retire-rank eviction plus a
 //!   Morton cell-range cursor, so spatial generators stream edges with
-//!   memory bounded by the active cell neighborhood;
+//!   memory bounded by the active cell neighborhood, and the wrapped-run
+//!   slot store the hyperbolic generators keep their cells in;
 //! * [`hyperbolic`] — the hyperbolic plane toolbox of §7 (radial sampling,
 //!   distance, Δθ bounds, trig-free adjacency via precomputation, annuli).
 

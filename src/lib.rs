@@ -8,7 +8,7 @@
 //! (Funke et al., IPDPS 2018 / arXiv:1710.07565): scalable generators for
 //! Erdős–Rényi graphs (G(n,m), G(n,p), directed and undirected), random
 //! geometric graphs (2D/3D), random Delaunay graphs (2D/3D), random
-//! hyperbolic graphs (in-memory and streaming), Barabási–Albert graphs and
+//! hyperbolic graphs (query-centric and streaming), Barabási–Albert graphs and
 //! R-MAT graphs — all *communication-free*: each processing element derives
 //! its share of one well-defined random instance purely from the seed.
 //!

@@ -203,6 +203,59 @@ fn launch_metrics_reconcile_with_manifest() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// The RHG query engine has no evicting frontier, but reports under the
+/// same `geo.*` names: cells generated (each touched cell once per PE)
+/// and, as the `geo.frontier_points` peak, the most points one PE held.
+#[test]
+fn rhg_stream_metrics_count_cells_generated_and_points_held() {
+    use kagen_repro::core::prelude::*;
+    let dir = tmp("rhg_geo");
+    let metrics = dir.with_extension("metrics.json");
+    let (ok, stderr) = kagen(&[
+        "stream",
+        "rhg",
+        "-n",
+        "4000",
+        "-d",
+        "8",
+        "-g",
+        "2.8",
+        "-c",
+        "16",
+        "-s",
+        "5",
+        "-t",
+        "2",
+        "--shard-dir",
+        dir.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "stream failed:\n{stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let counter = |name: &str| {
+        let found = rm.ranks[0].counters.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1
+    };
+
+    let gen = Rhg::new(4000, 8.0, 2.8).with_seed(5).with_chunks(16);
+    let per_pe: Vec<_> = (0..16)
+        .map(|pe| gen.stream_query(pe, &mut |_, _| {}))
+        .collect();
+    assert_eq!(
+        counter("geo.cells_generated"),
+        per_pe.iter().map(|s| s.cells_generated).sum::<u64>()
+    );
+    assert_eq!(
+        counter("geo.frontier_points.peak"),
+        per_pe.iter().map(|s| s.points_held).max().unwrap()
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&metrics).ok();
+}
+
 /// Launch shard output is byte-identical with and without telemetry —
 /// the multi-process twin of the stream-mode matrix (workers enable
 /// metrics when handed `--metrics-sidecar`, and must still write the

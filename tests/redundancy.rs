@@ -4,7 +4,7 @@
 //! replaces communication.
 
 use kagen_repro::core::prelude::*;
-use kagen_repro::core::rhg::common::{CellCache, RhgInstance};
+use kagen_repro::core::rhg::common::{CellSource, RhgInstance};
 use std::collections::HashSet;
 
 #[test]
@@ -77,12 +77,12 @@ fn rgg_halo_points_bit_identical() {
 fn rhg_recomputed_cells_match_owners() {
     // A cell generated lazily by a *querying* PE must equal the owner's.
     let inst = RhgInstance::new(2000, 8.0, 2.8, 9);
-    let mut cache_a = CellCache::default();
-    let mut cache_b = CellCache::default();
+    let mut source_a = CellSource::new(&inst);
+    let mut source_b = CellSource::new(&inst);
     for i in 0..inst.num_annuli() {
         for c in 0..inst.ann_cells[i].min(4) {
-            let a = cache_a.get(&inst, i, c).to_vec();
-            let b = cache_b.get(&inst, i, c).to_vec();
+            let a = source_a.cell(i, c).to_vec();
+            let b = source_b.cell(i, c).to_vec();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.id, y.id);

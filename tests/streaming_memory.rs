@@ -1,12 +1,14 @@
 //! Peak-allocation regression tests for the cell-cursor streaming core:
 //! the per-PE working set of the spatial/hyperbolic generators must stay
 //! **sublinear in the per-PE edge count** — the whole point of replacing
-//! the materializing fallback. Two instruments:
+//! the materializing fallback — and for RHG, whose §7.1 engine holds what
+//! it touches, within a small multiple of n/P points. Two instruments:
 //!
 //! * a counting global allocator (every byte allocated during a
 //!   `stream_pe` pass, high-water above the pre-pass baseline), and
-//! * the frontier cache's own `peak_points` accounting
-//!   (returned by `Rgg::stream_cells` / `Rhg::stream_query`).
+//! * the generators' own accounting in points: the frontier cache's
+//!   `peak_points` (`Rgg::stream_cells`) and the RHG query engine's
+//!   `points_held` (`Rhg::stream_query`).
 //!
 //! Everything runs inside a single `#[test]` so no sibling test's
 //! allocations pollute the high-water mark.
@@ -73,26 +75,31 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
          while edges went {e1} -> {e2}"
     );
 
-    // ---- RHG, frontier accounting -----------------------------------
-    // Growing n grows the per-PE edge count linearly; the query-window
-    // frontier grows distinctly slower (the Δθ windows shrink with R).
-    let frontier_rhg = |n: u64| -> (u64, u64) {
-        let gen = Rhg::new(n, 8.0, 2.8).with_seed(3).with_chunks(8);
+    // ---- RHG, held-state accounting -----------------------------------
+    // The query engine is the paper's §7.1: it generates every cell its
+    // queries touch once and holds it to the end of the PE, so its state
+    // is the sector plus the query halo — a small multiple of n/P points,
+    // whatever the degree and however many edges the PE emits (sRHG is
+    // the bounded-memory generator of the same graph).
+    let held_rhg = |gen: &Rhg, pe: usize| -> (u64, u64) {
         let mut edges = 0u64;
-        let stats = gen.stream_query(0, &mut |_, _| edges += 1);
-        (edges, stats.peak_points)
+        let stats = gen.stream_query(pe, &mut |_, _| edges += 1);
+        (edges, stats.points_held)
     };
-    let (h1, q1) = frontier_rhg(4_000);
-    let (h2, q2) = frontier_rhg(64_000);
+    let grown = |n: u64| Rhg::new(n, 8.0, 2.8).with_seed(3).with_chunks(8);
+    let (h1, q1) = held_rhg(&grown(4_000), 0);
+    let (h2, q2) = held_rhg(&grown(64_000), 0);
     let edge_ratio = h2 as f64 / h1 as f64;
-    let peak_ratio = q2 as f64 / q1.max(1) as f64;
     assert!(edge_ratio > 8.0, "edge growth too small: {edge_ratio}");
-    assert!(
-        peak_ratio * 2.0 < edge_ratio,
-        "RHG streaming frontier must grow much slower than edges: \
-         peak {q1} -> {q2} points (x{peak_ratio:.1}), \
-         edges {h1} -> {h2} (x{edge_ratio:.1})"
-    );
+    let bench = Rhg::new(81_920, 16.0, 2.8).with_seed(7).with_chunks(64);
+    let q3 = (0..64).map(|pe| held_rhg(&bench, pe).1).max().unwrap();
+    for (held, n, chunks) in [(q1, 4_000u64, 8u64), (q2, 64_000, 8), (q3, 81_920, 64)] {
+        assert!(
+            held <= 3 * n.div_ceil(chunks),
+            "RHG holds {held} points on a PE of n = {n} at {chunks} chunks: \
+             more than 3 x n/P"
+        );
+    }
 
     // ---- RHG, counting allocator: flat against degree growth --------
     // Same n, heavier instance (per-PE edges grow with the average
