@@ -19,6 +19,13 @@
 //! form both. It was recorded on the tree that still had two RHG engines,
 //! so the one engine is judged by constants, not against itself.
 //!
+//! A fourth table does the same for RDG at the corners that decide how
+//! its boxes and halos are cut — one chunk, one level of chunks, 64
+//! chunks; ≈ 3 and ≈ 10 points per cell; instances so small that the
+//! halo wraps the torus more than once. It was recorded on the tree
+//! whose stream triangulated one cell at a time and whose `generate_pe`
+//! was a second, chunk-at-a-time engine.
+//!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
@@ -581,4 +588,69 @@ fn rhg_family_corners_keep_their_golden_digests() {
     }
     assert!(moved.is_empty(), "RHG corner digests moved:\n{moved}");
     assert_eq!(rows.len(), GOLDEN_RHG_CORNERS.len(), "stale golden rows");
+}
+
+/// RDG where its boxes and halos are cut differently: `chunks` 1, one
+/// level of chunks (4 in 2-D, 8 in 3-D) and 64; n = 12 500 (≈ 3 points
+/// per cell in 2-D) and 2 500 (≈ 10); and n = 5, 24 / 32, where the
+/// grid is one or a few cells and the halo wraps the torus more than
+/// once. Every row digests all of its PEs.
+fn rdg_corners() -> Vec<(String, Box<dyn Generator>)> {
+    let mut rows: Vec<(String, Box<dyn Generator>)> = Vec::new();
+    for chunks in [1, 4, 64] {
+        for n in [12_500, 2_500, 5, 24] {
+            let gen = Rdg2d::new(n).with_seed(SEED).with_chunks(chunks);
+            rows.push((format!("rdg2d_n{n}_c{chunks}"), Box::new(gen)));
+        }
+    }
+    for chunks in [1, 8, 64] {
+        for n in [12_500, 2_500, 5, 32] {
+            let gen = Rdg3d::new(n).with_seed(SEED).with_chunks(chunks);
+            rows.push((format!("rdg3d_n{n}_c{chunks}"), Box::new(gen)));
+        }
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN_RDG_CORNERS: &[(&str, CornerDigest)] = &[
+    ("rdg2d_n12500_c1", (37500, 7546443810070745154, 15780985138323320279)),
+    ("rdg2d_n2500_c1", (7500, 4593980620498762974, 4567809524384448220)),
+    ("rdg2d_n5_c1", (10, 4485622016613787056, 15496409910418171695)),
+    ("rdg2d_n24_c1", (72, 3969892474439669626, 10546853427512075348)),
+    ("rdg2d_n12500_c4", (38470, 12436268884198547558, 5279558055248410880)),
+    ("rdg2d_n2500_c4", (7914, 17305671036138491471, 17050275527498918069)),
+    ("rdg2d_n5_c4", (10, 4485622016613787056, 15496409910418171695)),
+    ("rdg2d_n24_c4", (106, 9743923422892419122, 8621847181353719487)),
+    ("rdg2d_n12500_c64", (41307, 15832893766123092613, 14182269052557600841)),
+    ("rdg2d_n2500_c64", (9134, 7278463927447465539, 15980056996905383147)),
+    ("rdg2d_n5_c64", (10, 4485622016613787056, 15496409910418171695)),
+    ("rdg2d_n24_c64", (106, 9743923422892419122, 8621847181353719487)),
+    ("rdg3d_n12500_c1", (97134, 8105511068214300051, 17014793723287177674)),
+    ("rdg3d_n2500_c1", (19493, 12299867745068225606, 2272648191676170920)),
+    ("rdg3d_n5_c1", (10, 4485622016613787056, 7846029190057197079)),
+    ("rdg3d_n32_c1", (243, 14403555620862977455, 9238537326781814054)),
+    ("rdg3d_n12500_c8", (112528, 9715596740407357922, 11833820397719718017)),
+    ("rdg3d_n2500_c8", (24555, 10029149192372276754, 9528734991205944060)),
+    ("rdg3d_n5_c8", (10, 4485622016613787056, 7846029190057197079)),
+    ("rdg3d_n32_c8", (437, 7194918884628352878, 10158481448533715308)),
+    ("rdg3d_n12500_c64", (126379, 7999401187315269884, 11499130560497679150)),
+    ("rdg3d_n2500_c64", (28698, 8231795130767960173, 16238701314298957118)),
+    ("rdg3d_n5_c64", (10, 4485622016613787056, 7846029190057197079)),
+    ("rdg3d_n32_c64", (437, 7194918884628352878, 10158481448533715308)),
+];
+
+#[test]
+fn rdg_corners_keep_their_golden_digests() {
+    let rows = rdg_corners();
+    let mut moved = String::new();
+    for (name, gen) in rows.iter() {
+        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
+        let want = GOLDEN_RDG_CORNERS.iter().find(|(n, _)| n == name);
+        if want.map(|(_, d)| *d) != Some(got) {
+            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
+        }
+    }
+    assert!(moved.is_empty(), "RDG corner digests moved:\n{moved}");
+    assert_eq!(rows.len(), GOLDEN_RDG_CORNERS.len(), "stale golden rows");
 }
