@@ -18,7 +18,7 @@
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_delaunay::{circumcircle2, circumsphere3, Delaunay2, Delaunay3};
+use kagen_delaunay::{Delaunay2, Delaunay3, Mesh};
 use kagen_geometry::cell_points::cell_points;
 use kagen_geometry::grid::levels_for_min_side;
 use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierCache, FrontierStats, Point};
@@ -310,13 +310,11 @@ fn certified_box<const D: usize>(
         let edges = match D {
             2 => {
                 let coords: Vec<[f64; 2]> = pts.iter().map(|p| [p.0[0], p.0[1]]).collect();
-                let dt = Delaunay2::new(&coords);
-                check2(&dt, n_box, &region_lo, &region_hi).then(|| extract_edges2(&dt, n_box))
+                certified_edges(&Delaunay2::new(&coords), n_box, &region_lo, &region_hi)
             }
             3 => {
                 let coords: Vec<[f64; 3]> = pts.iter().map(|p| [p.0[0], p.0[1], p.0[2]]).collect();
-                let dt = Delaunay3::new(&coords);
-                check3(&dt, n_box, &region_lo, &region_hi).then(|| extract_edges3(&dt, n_box))
+                certified_edges(&Delaunay3::new(&coords), n_box, &region_lo, &region_hi)
             }
             _ => unreachable!(),
         };
@@ -365,86 +363,38 @@ fn enumerate_ring<const D: usize>(lo: &[i64], hi: &[i64], f: &mut impl FnMut([i6
     rec::<D>(lo, hi, 0, &mut cur, false, f);
 }
 
-fn check2(dt: &Delaunay2, n_local: usize, lo: &[f64], hi: &[f64]) -> bool {
-    for t in dt.all_triangles() {
-        let has_local = t.iter().any(|&v| (v as usize) < n_local);
-        if !has_local {
-            continue;
-        }
-        if t.iter().any(|&v| dt.is_super(v)) {
-            return false; // a local point still touches the hull
-        }
-        let (c, r2) = circumcircle2(
-            dt.point(t[0] as usize),
-            dt.point(t[1] as usize),
-            dt.point(t[2] as usize),
-        );
-        let r = r2.sqrt();
-        for i in 0..2 {
-            if c[i] - r < lo[i] || c[i] + r > hi[i] {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn check3(dt: &Delaunay3, n_local: usize, lo: &[f64], hi: &[f64]) -> bool {
-    for t in dt.all_tetrahedra() {
-        let has_local = t.iter().any(|&v| (v as usize) < n_local);
-        if !has_local {
-            continue;
-        }
-        if t.iter().any(|&v| dt.is_super(v)) {
-            return false;
-        }
-        let (c, r2) = circumsphere3(
-            dt.point(t[0] as usize),
-            dt.point(t[1] as usize),
-            dt.point(t[2] as usize),
-            dt.point(t[3] as usize),
-        );
-        let r = r2.sqrt();
-        for i in 0..3 {
-            if c[i] - r < lo[i] || c[i] + r > hi[i] {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-fn extract_edges2(dt: &Delaunay2, n_local: usize) -> Vec<(u32, u32)> {
+/// The box's edges (vertex pairs with an endpoint below `n_box`, sorted
+/// and deduplicated) if the triangulation certifies them: no simplex
+/// with a box vertex touches a super-vertex or has a circumsphere
+/// reaching outside `[lo, hi]`.
+fn certified_edges<const D: usize, const K: usize>(
+    dt: &Mesh<D, K>,
+    n_box: usize,
+    lo: &[f64],
+    hi: &[f64],
+) -> Option<Vec<(u32, u32)>> {
+    let in_box = |v: u32| (v as usize) < n_box;
     let mut edges = Vec::new();
-    for t in dt.triangles() {
-        for k in 0..3 {
-            let a = t[k];
-            let b = t[(k + 1) % 3];
-            if (a as usize) < n_local || (b as usize) < n_local {
-                edges.push((a.min(b), a.max(b)));
-            }
+    for s in dt.simplices().filter(|s| s.iter().any(|&v| in_box(v))) {
+        if s.iter().any(|&v| dt.is_super(v)) {
+            return None; // a box point still touches the hull
         }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    edges
-}
-
-fn extract_edges3(dt: &Delaunay3, n_local: usize) -> Vec<(u32, u32)> {
-    let mut edges = Vec::new();
-    for t in dt.tetrahedra() {
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                let (a, b) = (t[i].min(t[j]), t[i].max(t[j]));
-                if (a as usize) < n_local || (b as usize) < n_local {
-                    edges.push((a, b));
+        let (c, r2) = dt.circumsphere(s);
+        let r = r2.sqrt();
+        if (0..D).any(|i| c[i] - r < lo[i] || c[i] + r > hi[i]) {
+            return None;
+        }
+        for i in 0..K {
+            for j in (i + 1)..K {
+                if in_box(s[i]) || in_box(s[j]) {
+                    edges.push((s[i].min(s[j]), s[i].max(s[j])));
                 }
             }
         }
     }
     edges.sort_unstable();
     edges.dedup();
-    edges
+    Some(edges)
 }
 
 #[cfg(test)]

@@ -1,25 +1,30 @@
 //! # kagen-delaunay
 //!
 //! Delaunay triangulation substrate for the RDG generator (§6) — the CGAL
-//! replacement (see DESIGN.md substitutions).
+//! replacement.
 //!
 //! * [`dd`] — error-free transformations and double-double ("compensated")
 //!   arithmetic (~106-bit mantissa);
 //! * [`predicates`] — orientation / in-circle / in-sphere tests with a
 //!   fast floating-point filter and a double-double exact-enough fallback,
 //!   with deterministic tie handling;
-//! * [`tri2`] — incremental Bowyer–Watson triangulation in 2D;
-//! * [`tet3`] — incremental Bowyer–Watson tetrahedralization in 3D.
+//! * [`mesh`] — the incremental Bowyer–Watson mesh, written once for both
+//!   dimensions: neighbour arrays, epoch-stamped cavities, Z-order
+//!   insertion;
+//! * [`tri2`], [`tet3`] — its 2D and 3D instances, [`Delaunay2`] and
+//!   [`Delaunay3`].
 //!
 //! The triangulations are plain Euclidean; the RDG generator implements the
 //! paper's periodic boundary conditions by inserting ±1-offset replica
 //! points (halos), exactly as described in §2.1.4.
 
 pub mod dd;
+pub mod mesh;
 pub mod predicates;
 pub mod tet3;
 pub mod tri2;
 
+pub use mesh::Mesh;
 pub use predicates::{incircle2, insphere3, orient2, orient3, Sign};
 pub use tet3::Delaunay3;
 pub use tri2::Delaunay2;

@@ -1,334 +1,56 @@
-//! Incremental Bowyer–Watson Delaunay tetrahedralization in 3D.
-//!
-//! Same scheme as [`crate::tri2`] one dimension up: super-tetrahedron,
-//! visibility walk over facets, in-sphere cavity flood, boundary-facet fan.
+//! Delaunay tetrahedralization in 3D: [`Mesh`] with four vertices per
+//! simplex.
 
-use crate::predicates::{insphere3, orient3, Sign};
-use std::collections::BTreeMap;
+use crate::mesh::Mesh;
 
-#[derive(Clone, Copy, Debug)]
-struct Tet {
-    v: [u32; 4], // positively oriented: orient3(v0,v1,v2,v3) == Positive
-}
-
-/// Faces of a positively oriented tet, each oriented so the omitted vertex
-/// lies on the positive side (the tet interior side).
-#[inline]
-fn faces(v: [u32; 4]) -> [([u32; 3], u32); 4] {
-    [
-        ([v[0], v[1], v[2]], v[3]),
-        ([v[0], v[3], v[1]], v[2]),
-        ([v[0], v[2], v[3]], v[1]),
-        ([v[1], v[3], v[2]], v[0]),
-    ]
-}
-
-#[inline]
-fn face_key(f: [u32; 3]) -> [u32; 3] {
-    let mut k = f;
-    k.sort_unstable();
-    k
-}
-
-const INVALID: u32 = u32::MAX;
-
-/// A 3D Delaunay tetrahedralization.
-#[derive(Debug)]
-pub struct Delaunay3 {
-    pts: Vec<[f64; 3]>,
-    n_input: usize,
-    tets: Vec<Tet>,
-    alive: Vec<bool>,
-    /// Sorted face triple → the (up to two) incident tets.
-    face_tets: BTreeMap<[u32; 3], [u32; 2]>,
-    last: u32,
-}
+/// A 3D Delaunay tetrahedralization (positively oriented tetrahedra:
+/// `orient3(v0, v1, v2, v3)` is positive).
+pub type Delaunay3 = Mesh<3, 4>;
 
 impl Delaunay3 {
-    /// Tetrahedralize `points`. Duplicate points must not be present.
-    pub fn new(points: &[[f64; 3]]) -> Self {
-        let n = points.len();
-        let mut pts = points.to_vec();
-        let (mut lo, mut hi) = ([f64::MAX; 3], [f64::MIN; 3]);
-        for p in points {
-            for i in 0..3 {
-                lo[i] = lo[i].min(p[i]);
-                hi[i] = hi[i].max(p[i]);
-            }
-        }
-        if n == 0 {
-            lo = [0.0; 3];
-            hi = [1.0; 3];
-        }
-        let c = [
-            (lo[0] + hi[0]) / 2.0,
-            (lo[1] + hi[1]) / 2.0,
-            (lo[2] + hi[2]) / 2.0,
-        ];
-        let span = (hi[0] - lo[0])
-            .max(hi[1] - lo[1])
-            .max(hi[2] - lo[2])
-            .max(1.0);
-        let s = 64.0 * span;
-        pts.push([c[0] - s, c[1] - s, c[2] - s]);
-        pts.push([c[0] + 3.0 * s, c[1] - s, c[2] - s]);
-        pts.push([c[0] - s, c[1] + 3.0 * s, c[2] - s]);
-        pts.push([c[0] - s, c[1] - s, c[2] + 3.0 * s]);
-        let (s0, s1, s2, s3) = (n as u32, n as u32 + 1, n as u32 + 2, n as u32 + 3);
-
-        let mut dt = Delaunay3 {
-            pts,
-            n_input: n,
-            tets: Vec::with_capacity(8 * n + 8),
-            alive: Vec::with_capacity(8 * n + 8),
-            face_tets: BTreeMap::new(),
-            last: 0,
-        };
-        // Orient the super-tet positively.
-        let mut sv = [s0, s1, s2, s3];
-        if orient3(
-            dt.pts[sv[0] as usize],
-            dt.pts[sv[1] as usize],
-            dt.pts[sv[2] as usize],
-            dt.pts[sv[3] as usize],
-        ) == Sign::Negative
-        {
-            sv.swap(0, 1);
-        }
-        dt.push_tet(sv);
-        for i in 0..n as u32 {
-            dt.insert(i);
-        }
-        dt
-    }
-
-    fn push_tet(&mut self, v: [u32; 4]) -> u32 {
-        debug_assert_ne!(
-            orient3(
-                self.pts[v[0] as usize],
-                self.pts[v[1] as usize],
-                self.pts[v[2] as usize],
-                self.pts[v[3] as usize],
-            ),
-            Sign::Negative,
-            "inverted tetrahedron"
-        );
-        let id = self.tets.len() as u32;
-        self.tets.push(Tet { v });
-        self.alive.push(true);
-        for (f, _) in faces(v) {
-            let slot = self
-                .face_tets
-                .entry(face_key(f))
-                .or_insert([INVALID, INVALID]);
-            if slot[0] == INVALID {
-                slot[0] = id;
-            } else {
-                debug_assert_eq!(slot[1], INVALID, "face shared by 3 tets");
-                slot[1] = id;
-            }
-        }
-        id
-    }
-
-    fn kill_tet(&mut self, t: u32) {
-        self.alive[t as usize] = false;
-        let v = self.tets[t as usize].v;
-        for (f, _) in faces(v) {
-            let key = face_key(f);
-            if let Some(slot) = self.face_tets.get_mut(&key) {
-                if slot[0] == t {
-                    slot[0] = slot[1];
-                    slot[1] = INVALID;
-                } else if slot[1] == t {
-                    slot[1] = INVALID;
-                }
-                if slot[0] == INVALID {
-                    self.face_tets.remove(&key);
-                }
-            }
-        }
-    }
-
-    fn neighbor(&self, t: u32, f: [u32; 3]) -> Option<u32> {
-        let slot = self.face_tets.get(&face_key(f))?;
-        if slot[0] == t {
-            (slot[1] != INVALID).then_some(slot[1])
-        } else if slot[1] == t {
-            (slot[0] != INVALID).then_some(slot[0])
-        } else {
-            None
-        }
-    }
-
-    fn locate(&self, p: [f64; 3]) -> u32 {
-        let mut t = self.last;
-        if !self.alive[t as usize] {
-            t = self.alive.iter().position(|&a| a).expect("empty mesh") as u32;
-        }
-        let max_steps = 4 * self.tets.len() + 64;
-        let mut steps = 0;
-        'walk: loop {
-            steps += 1;
-            if steps > max_steps {
-                break;
-            }
-            let v = self.tets[t as usize].v;
-            for (f, _) in faces(v) {
-                if orient3(
-                    self.pts[f[0] as usize],
-                    self.pts[f[1] as usize],
-                    self.pts[f[2] as usize],
-                    p,
-                ) == Sign::Negative
-                {
-                    match self.neighbor(t, f) {
-                        Some(next) => {
-                            t = next;
-                            continue 'walk;
-                        }
-                        None => break 'walk,
-                    }
-                }
-            }
-            return t;
-        }
-        // Fallback: exhaustive scan.
-        for (i, tet) in self.tets.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            let inside = faces(tet.v).iter().all(|(f, _)| {
-                orient3(
-                    self.pts[f[0] as usize],
-                    self.pts[f[1] as usize],
-                    self.pts[f[2] as usize],
-                    p,
-                ) != Sign::Negative
-            });
-            if inside {
-                return i as u32;
-            }
-        }
-        panic!("point {p:?} not inside the super-tetrahedron");
-    }
-
-    fn in_sphere(&self, t: u32, p: [f64; 3]) -> Sign {
-        let v = self.tets[t as usize].v;
-        insphere3(
-            self.pts[v[0] as usize],
-            self.pts[v[1] as usize],
-            self.pts[v[2] as usize],
-            self.pts[v[3] as usize],
-            p,
-        )
-    }
-
-    fn insert(&mut self, pi: u32) {
-        let p = self.pts[pi as usize];
-        let start = self.locate(p);
-
-        let mut cavity = vec![start];
-        let mut in_cavity = std::collections::BTreeSet::from([start]);
-        let mut stack = vec![start];
-        while let Some(t) = stack.pop() {
-            let v = self.tets[t as usize].v;
-            for (f, _) in faces(v) {
-                if let Some(nb) = self.neighbor(t, f) {
-                    if !in_cavity.contains(&nb) && self.in_sphere(nb, p) == Sign::Positive {
-                        in_cavity.insert(nb);
-                        cavity.push(nb);
-                        stack.push(nb);
-                    }
-                }
-            }
-        }
-
-        let mut boundary: Vec<[u32; 3]> = Vec::with_capacity(2 * cavity.len() + 4);
-        for &t in &cavity {
-            let v = self.tets[t as usize].v;
-            for (f, _) in faces(v) {
-                match self.neighbor(t, f) {
-                    Some(nb) if in_cavity.contains(&nb) => {}
-                    _ => boundary.push(f),
-                }
-            }
-        }
-
-        for &t in &cavity {
-            self.kill_tet(t);
-        }
-        let mut last = 0;
-        for f in boundary {
-            last = self.push_tet([f[0], f[1], f[2], pi]);
-        }
-        self.last = last;
-    }
-
-    /// Number of input points.
-    pub fn num_points(&self) -> usize {
-        self.n_input
-    }
-
-    /// Coordinates of an input point.
-    pub fn point(&self, i: usize) -> [f64; 3] {
-        self.pts[i]
-    }
-
-    /// Is `i` a synthetic super-tetrahedron vertex?
-    #[inline]
-    pub fn is_super(&self, i: u32) -> bool {
-        i as usize >= self.n_input
-    }
-
     /// Finite tetrahedra (no super vertices).
     pub fn tetrahedra(&self) -> Vec<[u32; 4]> {
-        self.tets
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.v)
-            .filter(|v| v.iter().all(|&i| !self.is_super(i)))
-            .collect()
+        self.finite().collect()
     }
 
-    /// All alive tetrahedra including super-vertex ones.
-    pub fn all_tetrahedra(&self) -> Vec<[u32; 4]> {
-        self.tets
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.v)
-            .collect()
-    }
-
-    /// Undirected finite edges, deduplicated and sorted.
-    pub fn edges(&self) -> Vec<(u32, u32)> {
-        let mut edges = Vec::new();
-        for t in self.tetrahedra() {
-            for i in 0..4 {
-                for j in (i + 1)..4 {
-                    let (a, b) = (t[i].min(t[j]), t[i].max(t[j]));
-                    edges.push((a, b));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        edges
+    /// All tetrahedra including super-vertex ones.
+    pub fn all_tetrahedra(&self) -> impl Iterator<Item = [u32; 4]> + '_ {
+        self.simplices()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kagen_util::{Mt64, Rng64};
+    use crate::mesh::invariants::{self, random_points};
+    use crate::predicates::{insphere3, Sign};
 
-    fn random_points(n: usize, seed: u64) -> Vec<[f64; 3]> {
-        let mut rng = Mt64::new(seed);
-        (0..n)
-            .map(|_| [rng.next_f64(), rng.next_f64(), rng.next_f64()])
-            .collect()
+    #[test]
+    fn links_symmetric_and_tetrahedra_positive_after_each_insert() {
+        invariants::consistent_after_each_insert::<3, 4>();
+    }
+
+    #[test]
+    fn edges_ignore_input_order() {
+        invariants::edges_ignore_input_order::<3, 4>(120);
+    }
+
+    #[test]
+    fn fan_smaller_than_its_cavity_frees_slots() {
+        // Points along two skew lines: every pair of neighbours on one
+        // line spans a tetrahedron with every pair on the other, ~n²/4
+        // of them on n vertices, so a point dropped between the lines
+        // empties more slots than its fan refills.
+        let jitter = random_points::<3>(81, 23);
+        let at = |i: usize, p: [f64; 3]| [0, 1, 2].map(|k| p[k] + 1e-4 * jitter[i][k]);
+        let mut pts: Vec<[f64; 3]> = (0..40)
+            .map(|i| at(i, [i as f64 / 39.0, 0.5, 0.0]))
+            .collect();
+        pts.extend((0..40).map(|i| at(40 + i, [0.5, i as f64 / 39.0, 1.0])));
+        pts.push(at(80, [0.5, 0.5, 0.5]));
+        let freed = invariants::consistent_after_each_insert_of::<3, 4>(&pts);
+        assert!(freed > 0, "no insert left a slot free");
+        assert_delaunay(&pts, &Delaunay3::new(&pts).tetrahedra());
     }
 
     fn assert_delaunay(pts: &[[f64; 3]], tets: &[[u32; 4]]) {

@@ -1,273 +1,37 @@
-//! Incremental Bowyer–Watson Delaunay triangulation in 2D.
-//!
-//! Standard scheme: a super-triangle encloses all input points; points are
-//! inserted one by one by (1) locating the containing triangle with a
-//! visibility walk, (2) flooding the *cavity* of triangles whose
-//! circumcircle contains the point, (3) retriangulating the cavity
-//! boundary as a fan around the new point. Triangles touching the
-//! super-vertices are excluded from the output.
+//! Delaunay triangulation in 2D: [`Mesh`] with three vertices per simplex.
 
-use crate::predicates::{incircle2, orient2, Sign};
-use std::collections::BTreeMap;
+use crate::mesh::Mesh;
 
-#[derive(Clone, Copy, Debug)]
-struct Tri {
-    v: [u32; 3], // counter-clockwise
-}
-
-/// A 2D Delaunay triangulation.
-#[derive(Debug)]
-pub struct Delaunay2 {
-    pts: Vec<[f64; 2]>,
-    n_input: usize,
-    tris: Vec<Tri>,
-    alive: Vec<bool>,
-    /// Directed edge (a,b) → triangle that has it in CCW order.
-    edge_tri: BTreeMap<(u32, u32), u32>,
-    last: u32,
-}
+/// A 2D Delaunay triangulation (counter-clockwise triangles).
+pub type Delaunay2 = Mesh<2, 3>;
 
 impl Delaunay2 {
-    /// Triangulate `points` (at least 1 point). Duplicate points must not
-    /// be present.
-    pub fn new(points: &[[f64; 2]]) -> Self {
-        let n = points.len();
-        let mut pts = points.to_vec();
-        // Super-triangle comfortably containing the bounding box.
-        let (mut lo, mut hi) = ([f64::MAX; 2], [f64::MIN; 2]);
-        for p in points {
-            for i in 0..2 {
-                lo[i] = lo[i].min(p[i]);
-                hi[i] = hi[i].max(p[i]);
-            }
-        }
-        if n == 0 {
-            lo = [0.0; 2];
-            hi = [1.0; 2];
-        }
-        let cx = (lo[0] + hi[0]) / 2.0;
-        let cy = (lo[1] + hi[1]) / 2.0;
-        let span = (hi[0] - lo[0]).max(hi[1] - lo[1]).max(1.0);
-        let s = 64.0 * span;
-        let s0 = n as u32;
-        let s1 = n as u32 + 1;
-        let s2 = n as u32 + 2;
-        pts.push([cx - 2.0 * s, cy - s]);
-        pts.push([cx + 2.0 * s, cy - s]);
-        pts.push([cx, cy + 2.0 * s]);
-
-        let mut dt = Delaunay2 {
-            pts,
-            n_input: n,
-            tris: Vec::with_capacity(4 * n + 8),
-            alive: Vec::with_capacity(4 * n + 8),
-            edge_tri: BTreeMap::new(),
-            last: 0,
-        };
-        dt.push_tri([s0, s1, s2]);
-        for i in 0..n as u32 {
-            dt.insert(i);
-        }
-        dt
-    }
-
-    fn push_tri(&mut self, v: [u32; 3]) -> u32 {
-        let id = self.tris.len() as u32;
-        self.tris.push(Tri { v });
-        self.alive.push(true);
-        for k in 0..3 {
-            let a = v[k];
-            let b = v[(k + 1) % 3];
-            self.edge_tri.insert((a, b), id);
-        }
-        id
-    }
-
-    fn kill_tri(&mut self, t: u32) {
-        self.alive[t as usize] = false;
-        let v = self.tris[t as usize].v;
-        for k in 0..3 {
-            let key = (v[k], v[(k + 1) % 3]);
-            if self.edge_tri.get(&key) == Some(&t) {
-                self.edge_tri.remove(&key);
-            }
-        }
-    }
-
-    /// Visibility walk from the last inserted triangle; falls back to a
-    /// linear scan if the walk stalls (degenerate configurations).
-    fn locate(&self, p: [f64; 2]) -> u32 {
-        let mut t = self.last;
-        if !self.alive[t as usize] {
-            t = self
-                .alive
-                .iter()
-                .position(|&a| a)
-                .expect("no alive triangles") as u32;
-        }
-        let max_steps = 4 * self.tris.len() + 64;
-        let mut steps = 0usize;
-        'walk: loop {
-            steps += 1;
-            if steps > max_steps {
-                break;
-            }
-            let v = self.tris[t as usize].v;
-            for k in 0..3 {
-                let a = v[k];
-                let b = v[(k + 1) % 3];
-                if orient2(self.pts[a as usize], self.pts[b as usize], p) == Sign::Negative {
-                    match self.edge_tri.get(&(b, a)) {
-                        Some(&next) => {
-                            t = next;
-                            continue 'walk;
-                        }
-                        None => break 'walk, // outside hull: fall back
-                    }
-                }
-            }
-            return t;
-        }
-        // Fallback: exhaustive containment scan.
-        for (i, tri) in self.tris.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            let [a, b, c] = tri.v;
-            let (pa, pb, pc) = (
-                self.pts[a as usize],
-                self.pts[b as usize],
-                self.pts[c as usize],
-            );
-            if orient2(pa, pb, p) != Sign::Negative
-                && orient2(pb, pc, p) != Sign::Negative
-                && orient2(pc, pa, p) != Sign::Negative
-            {
-                return i as u32;
-            }
-        }
-        panic!("point {p:?} not inside the super-triangle");
-    }
-
-    fn insert(&mut self, pi: u32) {
-        let p = self.pts[pi as usize];
-        let start = self.locate(p);
-
-        // Cavity flood fill over circumcircle-violating triangles.
-        let mut cavity = vec![start];
-        let mut in_cavity = std::collections::BTreeSet::from([start]);
-        let mut stack = vec![start];
-        while let Some(t) = stack.pop() {
-            let v = self.tris[t as usize].v;
-            for k in 0..3 {
-                let a = v[k];
-                let b = v[(k + 1) % 3];
-                if let Some(&nb) = self.edge_tri.get(&(b, a)) {
-                    if in_cavity.contains(&nb) {
-                        continue;
-                    }
-                    let nv = self.tris[nb as usize].v;
-                    if incircle2(
-                        self.pts[nv[0] as usize],
-                        self.pts[nv[1] as usize],
-                        self.pts[nv[2] as usize],
-                        p,
-                    ) == Sign::Positive
-                    {
-                        in_cavity.insert(nb);
-                        cavity.push(nb);
-                        stack.push(nb);
-                    }
-                }
-            }
-        }
-
-        // Boundary edges: cavity edges whose mirror is not in the cavity.
-        let mut boundary: Vec<(u32, u32)> = Vec::with_capacity(cavity.len() + 2);
-        for &t in &cavity {
-            let v = self.tris[t as usize].v;
-            for k in 0..3 {
-                let a = v[k];
-                let b = v[(k + 1) % 3];
-                match self.edge_tri.get(&(b, a)) {
-                    Some(&nb) if in_cavity.contains(&nb) => {}
-                    _ => boundary.push((a, b)),
-                }
-            }
-        }
-
-        for &t in &cavity {
-            self.kill_tri(t);
-        }
-        let mut last = 0;
-        for (a, b) in boundary {
-            last = self.push_tri([a, b, pi]);
-        }
-        self.last = last;
-    }
-
-    /// Number of input points.
-    pub fn num_points(&self) -> usize {
-        self.n_input
-    }
-
-    /// Coordinates of an input point.
-    pub fn point(&self, i: usize) -> [f64; 2] {
-        self.pts[i]
-    }
-
-    /// Is `i` one of the three synthetic super-triangle vertices?
-    #[inline]
-    pub fn is_super(&self, i: u32) -> bool {
-        i as usize >= self.n_input
-    }
-
     /// All finite triangles (no super vertices), as input-point indices.
     pub fn triangles(&self) -> Vec<[u32; 3]> {
-        self.tris
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.v)
-            .filter(|v| v.iter().all(|&i| !self.is_super(i)))
-            .collect()
+        self.finite().collect()
     }
 
     /// Like [`Self::triangles`] but including super-vertex triangles
     /// (needed for the RDG halo-convergence checks).
-    pub fn all_triangles(&self) -> Vec<[u32; 3]> {
-        self.tris
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(t, _)| t.v)
-            .collect()
-    }
-
-    /// Undirected finite edges, deduplicated and sorted.
-    pub fn edges(&self) -> Vec<(u32, u32)> {
-        let mut edges = Vec::new();
-        for t in self.triangles() {
-            for k in 0..3 {
-                let a = t[k];
-                let b = t[(k + 1) % 3];
-                edges.push((a.min(b), a.max(b)));
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        edges
+    pub fn all_triangles(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
+        self.simplices()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kagen_util::{Mt64, Rng64};
+    use crate::mesh::invariants::{self, random_points};
+    use crate::predicates::{incircle2, Sign};
 
-    fn random_points(n: usize, seed: u64) -> Vec<[f64; 2]> {
-        let mut rng = Mt64::new(seed);
-        (0..n).map(|_| [rng.next_f64(), rng.next_f64()]).collect()
+    #[test]
+    fn links_symmetric_and_triangles_positive_after_each_insert() {
+        invariants::consistent_after_each_insert::<2, 3>();
+    }
+
+    #[test]
+    fn edges_ignore_input_order() {
+        invariants::edges_ignore_input_order::<2, 3>(300);
     }
 
     /// Empty-circumcircle check against all points (O(T·n), test only).

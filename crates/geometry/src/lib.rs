@@ -4,7 +4,7 @@
 //!
 //! * [`point`] — fixed-dimension points in the unit cube / torus;
 //! * [`morton`] — Z-order (Morton) curves for locality-aware chunk
-//!   assignment (§5.1 / \[35\]);
+//!   assignment (§5.1 / \[35\]), re-exported from `kagen_util`;
 //! * [`grid`] — power-of-two cell grids over `[0,1)^d` with neighbor
 //!   iteration (periodic or clamped);
 //! * [`counts`] — the 2^d-ary *count-splitting tree*: recursive binomial
@@ -24,10 +24,10 @@ pub mod cell_stream;
 pub mod counts;
 pub mod grid;
 pub mod hyperbolic;
-pub mod morton;
 pub mod point;
 
 pub use cell_stream::{CellRangeCursor, FrontierCache, FrontierStats};
 pub use counts::CountTree;
 pub use grid::CellGrid;
+pub use kagen_util::morton;
 pub use point::Point;

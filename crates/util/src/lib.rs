@@ -14,6 +14,9 @@
 //!
 //! * [`hash`] — SpookyHash V2 (the hash function used by the reference
 //!   KaGen implementation),
+//! * [`morton`] — Z-order (Morton) bit interleaving in 2 and 3
+//!   dimensions: the cell order of the spatial grids and the insertion
+//!   order of the Delaunay triangulator,
 //! * [`mt`] — the MT19937-64 Mersenne Twister (the reference PRNG),
 //! * [`splitmix`] — SplitMix64, a cheap statistically-strong mixer used for
 //!   per-position randomness (e.g. the Barabási–Albert edge chains),
@@ -24,6 +27,7 @@
 pub mod alloc;
 pub mod cache;
 pub mod hash;
+pub mod morton;
 pub mod mt;
 pub mod rng;
 pub mod seed;

@@ -4,7 +4,9 @@
 //! the PEs in a locality-aware way by using a Z-order curve" (§5.1). The
 //! same encoding orders cells within chunks so that a chunk is exactly a
 //! contiguous Morton range — which is what lets the count-splitting tree
-//! address chunks as aligned subtrees.
+//! address chunks as aligned subtrees. The Delaunay triangulator inserts
+//! its points along the same curve, which is why the interleave lives in
+//! this crate: both `kagen_geometry` and `kagen_delaunay` reach it here.
 
 /// Interleave the low 32 bits of `x` with zeros (2D helper).
 #[inline]

@@ -253,22 +253,35 @@ proptest! {
     }
 
     #[test]
-    fn delaunay_empty_circle_property(seed in any::<u64>()) {
+    fn delaunay_empty_circle_property(seed in any::<u64>(), spread in 1u32..12) {
         use kagen_repro::delaunay::{incircle2, Delaunay2, Sign};
         let mut rng = Mt64::new(seed);
-        let pts: Vec<[f64; 2]> = (0..60).map(|_| [rng.next_f64(), rng.next_f64()]).collect();
-        let dt = Delaunay2::new(&pts);
-        for t in dt.triangles() {
-            for (i, p) in pts.iter().enumerate() {
-                if t.contains(&(i as u32)) {
-                    continue;
+        let uniform: Vec<[f64; 2]> = (0..60).map(|_| [rng.next_f64(), rng.next_f64()]).collect();
+        // The same sample with half of it squeezed into a cluster
+        // 10^-spread wide, and squeezed towards the line y = x / 3 (where
+        // circumcircles outgrow the super-triangle and finite triangles
+        // get few; the ones that remain must still be empty).
+        let eps = 10f64.powi(-(spread as i32));
+        let mut clustered = uniform.clone();
+        for p in clustered.iter_mut().take(30) {
+            *p = [0.5 + p[0] * eps, 0.5 + p[1] * eps];
+        }
+        let near_collinear = uniform.iter().map(|p| [p[0], p[0] / 3.0 + p[1] * eps]).collect();
+        for (shape, pts) in [uniform, clustered, near_collinear].into_iter().enumerate() {
+            let dt = Delaunay2::new(&pts);
+            prop_assert!(shape == 2 || dt.triangles().len() > 60);
+            for t in dt.triangles() {
+                for (i, p) in pts.iter().enumerate() {
+                    if t.contains(&(i as u32)) {
+                        continue;
+                    }
+                    prop_assert!(incircle2(
+                        pts[t[0] as usize],
+                        pts[t[1] as usize],
+                        pts[t[2] as usize],
+                        *p
+                    ) != Sign::Positive);
                 }
-                prop_assert!(incircle2(
-                    pts[t[0] as usize],
-                    pts[t[1] as usize],
-                    pts[t[2] as usize],
-                    *p
-                ) != Sign::Positive);
             }
         }
     }
