@@ -8,20 +8,49 @@
 //! integer-offset replicas of wrapped halo cells.
 //!
 //! Each PE triangulates a box of cells — its whole chunk when
-//! materializing, one cell at a time when streaming — plus a halo of
-//! surrounding cell rings; the halo grows until (a) no box point lies in
-//! a simplex touching the artificial super-vertices and (b) every simplex
-//! containing a box point has its circumsphere strictly inside box+halo
+//! materializing, an aligned block of at most `BLOCK` cells per side at a
+//! time when streaming — plus a halo of surrounding cell rings; the halo
+//! grows until (a) no box point lies in a simplex touching the
+//! artificial super-vertices and (b) every simplex containing a box
+//! point has its circumsphere strictly inside box+halo
 //! (`certified_box`). Both conditions certify the box's simplices
 //! against the full periodic point set, so the union over PEs is exactly
-//! the global periodic Delaunay graph.
+//! the global periodic Delaunay graph. Halo cells are recomputed from
+//! `(seed, cell)` for every box that needs them — the paper's trade —
+//! and nothing outlives its box.
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_delaunay::{Delaunay2, Delaunay3, Mesh};
+use kagen_delaunay::Mesh;
 use kagen_geometry::cell_points::cell_points;
+use kagen_geometry::cell_stream::record_held;
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierCache, FrontierStats, Point};
+use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierStats, Point};
+use kagen_obs::Counter;
+
+/// Points handed to a triangulation, summed over certification attempts —
+/// against the edges emitted, the work a box's halo and its retries add.
+static GEO_DELAUNAY_INSERTS: Counter = Counter::new("geo.delaunay_inserts");
+/// Triangulations built (one per certification attempt).
+static GEO_DELAUNAY_ATTEMPTS: Counter = Counter::new("geo.delaunay_attempts");
+
+/// Cells per side (as a power of two) of the blocks [`Rdg::stream_cells`]
+/// triangulates.
+const BLOCK_BITS: u32 = 4;
+
+/// What one PE's [`Rdg::stream_cells`] pass generated and held.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RdgPeStats {
+    /// Cells generated (box and halo) and the most points one box held
+    /// with its halo — nothing is held between boxes.
+    pub frontier: FrontierStats,
+    /// Boxes certified.
+    pub boxes: u64,
+    /// Triangulations built: one per box plus one per halo ring added.
+    pub attempts: u64,
+    /// Points inserted over all of them.
+    pub inserts: u64,
+}
 
 /// Shared implementation for both dimensions.
 #[derive(Clone, Debug)]
@@ -121,69 +150,157 @@ impl<const D: usize> Rdg<D> {
         )
     }
 
-    /// Per-cell-group streaming (§6 over the cell cursor): every
-    /// non-empty local cell goes through `certified_box` as a box of
-    /// one cell, then emits only the edges it *owns*: the normalized
-    /// edge `(x, y)` belongs to the cell holding `x` if `x` is PE-local,
-    /// else to the cell holding `y`. Ownership is a pure function of the
-    /// ids, so each edge with a local endpoint is emitted exactly once
-    /// per PE without any cross-cell dedup state; memory is one cell
-    /// group, never the per-PE edge count. Halo cell points are served
-    /// by a frontier cache (distance-1 cells are retained across
-    /// adjacent groups, anything farther is recomputed — the paper's
-    /// recomputation trade), whose accounting is returned for the memory
-    /// tests.
-    pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
+    /// Block-by-block streaming (§6 over the cell cursor): the PE's
+    /// Morton range is cut into aligned cubes of at most `2^BLOCK_BITS`
+    /// cells per side, each goes through `certified_box`, and of a
+    /// block's edges the stream keeps those it *owns*: the normalized
+    /// edge `(x, y)` belongs to `x` if `x` is PE-local, else to `y`.
+    /// Ownership is a pure function of the ids, so each edge with a
+    /// local endpoint is emitted exactly once per PE without any
+    /// cross-block dedup state. A block's edges leave ordered by
+    /// (owner's cell, x, y) — cell by cell in Morton order, sorted within
+    /// a cell, whatever the block size. Memory is one block with its
+    /// halo, never the chunk.
+    pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RdgPeStats {
         let inst = self.instance();
         let grid = &inst.grid;
         let (lo, hi) = Self::cell_range(&inst, pe);
         let cursor = CellRangeCursor::new(grid, &inst.tree, lo, hi);
         let pe_ids = cursor.first_id()..cursor.end_id();
-        // Cached halo cells, keyed by (wrapped cell, replica offset);
-        // values are translated points with their global ids.
-        type HaloCache<const D: usize> = FrontierCache<(u64, [i64; D]), (Vec<Point<D>>, Vec<u64>)>;
-        let mut cache: HaloCache<D> = FrontierCache::new();
+        let block_bits = (grid.levels() - inst.chunk_bits).min(BLOCK_BITS);
+        let block_cells = 1u64 << (D as u32 * block_bits);
+        let mut stats = RdgPeStats::default();
+        // The block's points, their ids and their cells; then its halo's.
+        let (mut pts, mut ids, mut cells) = (Vec::new(), Vec::new(), Vec::new());
+        let mut owned = Vec::new();
 
         cursor.for_cells(&mut |cell, count, first| {
-            cache.advance(cell);
-            if count == 0 {
+            if count > 0 {
+                cell_points(grid, self.seed, cell, count, &mut pts);
+                ids.extend(first..first + count);
+                cells.resize(pts.len(), cell);
+            }
+            if (cell + 1) % block_cells != 0 {
                 return;
             }
-            let cell_ids = first..first + count;
-            let mut pts: Vec<Point<D>> = Vec::new();
-            let mut ids: Vec<u64> = cell_ids.clone().collect();
-            cell_points(grid, self.seed, cell, count, &mut pts);
-            cache.note_external(count);
-            let mut halo = |h: i64, wrapped, offset, pts: &mut Vec<_>, ids: &mut Vec<_>| {
-                let m = grid.morton_of(wrapped);
-                // Direct neighbors are re-requested by adjacent center
-                // cells; anything farther retires at once (recomputed
-                // on the rare deep-halo group).
-                let retire = if offset == [0i64; D] && h == 1 {
-                    cursor.last_referencing_center(m)
-                } else {
-                    cell
-                };
-                let (hpts, hids) = cache.get((m, offset), retire, || {
-                    let mut cached = (Vec::new(), Vec::new());
-                    self.cell_with_offset(&inst, wrapped, offset, &mut cached.0, &mut cached.1);
-                    cached
-                });
-                pts.extend_from_slice(hpts);
-                ids.extend_from_slice(hids);
+            stats.frontier.generated_cells += block_cells;
+            let Some(&block_first) = ids.first() else {
+                return;
             };
-            let mut owned =
-                certified_box(grid, grid.coords_of(cell), 1, &mut pts, &mut ids, &mut halo);
-            owned.retain(|&(x, y)| {
-                cell_ids.contains(&x) || (!pe_ids.contains(&x) && cell_ids.contains(&y))
-            });
+            let block_ids = block_first..block_first + ids.len() as u64;
+            let origin = grid.coords_of(cell + 1 - block_cells);
+            let edges = self.certified_box(
+                &inst,
+                origin,
+                1 << block_bits,
+                &mut pts,
+                &mut ids,
+                &mut stats,
+            );
+            owned.extend(edges.into_iter().filter_map(|(x, y)| {
+                let owner = if pe_ids.contains(&x) { x } else { y };
+                let at = block_ids.contains(&owner).then(|| owner - block_first)?;
+                Some((cells[at as usize], x, y))
+            }));
             owned.sort_unstable();
             owned.dedup();
-            for (x, y) in owned {
+            for (_, x, y) in owned.drain(..) {
                 emit(x, y);
             }
+            pts.clear();
+            ids.clear();
+            cells.clear();
         });
-        cache.stats()
+        record_held(stats.frontier.generated_cells, stats.frontier.peak_points);
+        stats
+    }
+
+    /// The one triangulate-and-certify routine (§6) behind both
+    /// [`Rdg::stream_cells`] (box = a block of cells) and `generate_pe`
+    /// (box = the chunk). The box is the cube of `width` cells per
+    /// dimension at cell coordinate `origin`; its points and their global
+    /// ids arrive in `pts`/`ids`. Ring `h` = 1, 2, … of surrounding cells
+    /// — wrapped on the torus, and translated by the integer replica
+    /// offset the wrap crossed, so rings may grow past one torus period —
+    /// is appended, and inserted into the one triangulation, until box +
+    /// halo certifies the box's simplices against the full periodic point
+    /// set (`certified_edges`).
+    ///
+    /// Returns every Delaunay edge with an endpoint in the box as a
+    /// normalized global-id pair (a point meeting its own replica is
+    /// dropped), unsorted and possibly repeated through replicas.
+    fn certified_box(
+        &self,
+        inst: &Instance<D>,
+        origin: [u64; D],
+        width: i64,
+        pts: &mut Vec<Point<D>>,
+        ids: &mut Vec<u64>,
+        stats: &mut RdgPeStats,
+    ) -> Vec<(u64, u64)> {
+        match D {
+            2 => self.certified_box_of::<3>(inst, origin, width, pts, ids, stats),
+            _ => self.certified_box_of::<4>(inst, origin, width, pts, ids, stats),
+        }
+    }
+
+    /// [`Self::certified_box`] with `K = D + 1` vertices per simplex.
+    fn certified_box_of<const K: usize>(
+        &self,
+        inst: &Instance<D>,
+        origin: [u64; D],
+        width: i64,
+        pts: &mut Vec<Point<D>>,
+        ids: &mut Vec<u64>,
+        stats: &mut RdgPeStats,
+    ) -> Vec<(u64, u64)> {
+        let g = inst.grid.cells_per_dim() as i64;
+        let side = inst.grid.cell_side();
+        let n_box = pts.len();
+        // Box + `h` rings, in cells and in coordinates.
+        let cells = |h: i64| {
+            let lo = origin.map(|x| x as i64 - h);
+            (lo, origin.map(|x| x as i64 + width - 1 + h))
+        };
+        let region = |h: i64| {
+            let (lo, hi) = cells(h);
+            (
+                lo.map(|x| x as f64 * side),
+                hi.map(|x| (x + 1) as f64 * side),
+            )
+        };
+        let (lo, hi) = region(MAX_HALO);
+        let mut dt = Mesh::<D, K>::with_bounds(lo, hi);
+        let mut ring: Vec<[f64; D]> = Vec::new();
+        stats.boxes += 1;
+        for h in 1..=MAX_HALO {
+            // Ring h: cells at Chebyshev distance exactly h around the box.
+            let (lo, hi) = cells(h);
+            enumerate_ring::<D>(&lo, &hi, &mut |raw| {
+                let wrapped = raw.map(|x| x.rem_euclid(g) as u64);
+                let offset = raw.map(|x| x.div_euclid(g));
+                self.cell_with_offset(inst, wrapped, offset, pts, ids);
+                stats.frontier.generated_cells += 1;
+            });
+            ring.clear();
+            ring.extend(pts[dt.num_points()..].iter().map(|p| p.0));
+            dt.extend(&ring);
+            stats.attempts += 1;
+            stats.inserts += ring.len() as u64;
+            GEO_DELAUNAY_ATTEMPTS.incr();
+            GEO_DELAUNAY_INSERTS.add(ring.len() as u64);
+            let (lo, hi) = region(h);
+            if let Some(edges) = certified_edges(&dt, n_box, &lo, &hi) {
+                stats.frontier.peak_points = stats.frontier.peak_points.max(pts.len() as u64);
+                return edges
+                    .into_iter()
+                    .map(|(a, b)| (ids[a as usize], ids[b as usize]))
+                    .filter(|(x, y)| x != y)
+                    .map(|(x, y)| (x.min(y), x.max(y)))
+                    .collect();
+            }
+        }
+        panic!("RDG halo exceeded {MAX_HALO} rings — degenerate point set");
     }
 }
 
@@ -201,9 +318,9 @@ impl<const D: usize> Generator for Rdg<D> {
         false
     }
 
-    /// Per-cell-group triangulation ([`Rdg::stream_cells`]): memory is
-    /// one cell group plus the distance-1 halo frontier. The stream is
-    /// ordered cell-by-cell (sorted within a cell); as a set it equals
+    /// Block-by-block triangulation ([`Rdg::stream_cells`]): memory is
+    /// one block of cells plus its certified halo. The stream is ordered
+    /// cell-by-cell (sorted within a cell); as a set it equals
     /// `generate_pe`'s sorted list.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         Batcher::run(buf, emit, |b| {
@@ -242,16 +359,14 @@ impl<const D: usize> Generator for Rdg<D> {
         // The chunk is a Morton-aligned cube of cells; all edges
         // incident to its vertices, deduplicated.
         let width = 1i64 << (grid.levels() - inst.chunk_bits);
-        let mut halo = |_, wrapped, offset, pts: &mut Vec<_>, ids: &mut Vec<_>| {
-            self.cell_with_offset(&inst, wrapped, offset, pts, ids)
-        };
-        out.edges = certified_box(
-            grid,
+        let mut stats = RdgPeStats::default();
+        out.edges = self.certified_box(
+            &inst,
             grid.coords_of(lo),
             width,
             &mut pts,
             &mut ids,
-            &mut halo,
+            &mut stats,
         );
         out.edges.sort_unstable();
         out.edges.dedup();
@@ -268,67 +383,6 @@ impl<const D: usize> Generator for Rdg<D> {
 /// points each. Running out therefore means a degenerate (e.g.
 /// collinear) point set, not a small instance.
 const MAX_HALO: i64 = 16;
-
-/// The one triangulate-and-certify routine (§6) behind both
-/// [`Rdg::stream_cells`] (box = one cell) and `generate_pe` (box = the
-/// chunk). The box is the cube of `width` cells per dimension at cell
-/// coordinate `origin`; its points and their global ids arrive in
-/// `pts`/`ids`. Ring `h` = 1, 2, … of surrounding cells — wrapped on the
-/// torus, and translated by the integer replica offset the wrap crossed,
-/// so rings may grow past one torus period — is appended through
-/// `halo(h, wrapped, offset, pts, ids)` until the triangulation of
-/// box + halo certifies the box's simplices against the full periodic
-/// point set: no box point lies in a simplex touching the artificial
-/// super-vertices, and every simplex containing a box point has its
-/// circumsphere strictly inside box + halo.
-///
-/// Returns every Delaunay edge with an endpoint in the box as a
-/// normalized global-id pair (a point meeting its own replica is
-/// dropped), unsorted and possibly repeated through replicas.
-fn certified_box<const D: usize>(
-    grid: &CellGrid<D>,
-    origin: [u64; D],
-    width: i64,
-    pts: &mut Vec<Point<D>>,
-    ids: &mut Vec<u64>,
-    halo: &mut impl FnMut(i64, [u64; D], [i64; D], &mut Vec<Point<D>>, &mut Vec<u64>),
-) -> Vec<(u64, u64)> {
-    let g = grid.cells_per_dim() as i64;
-    let side = grid.cell_side();
-    let n_box = pts.len();
-    for h in 1..=MAX_HALO {
-        // Ring h: cells at Chebyshev distance exactly h around the box.
-        let lo = origin.map(|x| x as i64 - h);
-        let hi = origin.map(|x| x as i64 + width - 1 + h);
-        enumerate_ring::<D>(&lo, &hi, &mut |raw| {
-            let wrapped = raw.map(|x| x.rem_euclid(g) as u64);
-            let offset = raw.map(|x| x.div_euclid(g));
-            halo(h, wrapped, offset, pts, ids);
-        });
-        let region_lo = lo.map(|x| x as f64 * side);
-        let region_hi = hi.map(|x| (x + 1) as f64 * side);
-        let edges = match D {
-            2 => {
-                let coords: Vec<[f64; 2]> = pts.iter().map(|p| [p.0[0], p.0[1]]).collect();
-                certified_edges(&Delaunay2::new(&coords), n_box, &region_lo, &region_hi)
-            }
-            3 => {
-                let coords: Vec<[f64; 3]> = pts.iter().map(|p| [p.0[0], p.0[1], p.0[2]]).collect();
-                certified_edges(&Delaunay3::new(&coords), n_box, &region_lo, &region_hi)
-            }
-            _ => unreachable!(),
-        };
-        if let Some(edges) = edges {
-            return edges
-                .into_iter()
-                .map(|(a, b)| (ids[a as usize], ids[b as usize]))
-                .filter(|(x, y)| x != y)
-                .map(|(x, y)| (x.min(y), x.max(y)))
-                .collect();
-        }
-    }
-    panic!("RDG halo exceeded {MAX_HALO} rings — degenerate point set");
-}
 
 /// Call `f` for every integer coordinate on the surface of the box
 /// `[lo, hi]` (inclusive) — the next halo ring.

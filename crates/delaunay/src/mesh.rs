@@ -74,6 +74,8 @@ pub struct Mesh<const D: usize, const K: usize> {
     /// Input points, then the `K` super-vertices.
     pts: Vec<[f64; D]>,
     n_input: usize,
+    /// The box the super-simplex was built around.
+    bounds: ([f64; D], [f64; D]),
     /// Positively oriented simplices; free slots carry the stamp `NONE`.
     simplices: Vec<[u32; K]>,
     /// `nbr[s][k]`: the simplex across facet `k` of `s`, `NONE` on the hull.
@@ -95,18 +97,6 @@ pub struct Mesh<const D: usize, const K: usize> {
 impl<const D: usize, const K: usize> Mesh<D, K> {
     /// Triangulate `points`. Duplicate points must not be present.
     pub fn new(points: &[[f64; D]]) -> Self {
-        let (mut dt, order) = Self::start(points);
-        for v in order {
-            dt.insert(v);
-        }
-        dt
-    }
-
-    /// The super-simplex alone, and the order the points go in.
-    pub(crate) fn start(points: &[[f64; D]]) -> (Self, Vec<u32>) {
-        assert!((D == 2 || D == 3) && K == D + 1);
-        let n = points.len();
-        assert!(n < (NONE as usize) - K, "vertex ids are u32");
         let (mut lo, mut hi) = ([f64::MAX; D], [f64::MIN; D]);
         for p in points {
             for i in 0..D {
@@ -114,62 +104,92 @@ impl<const D: usize, const K: usize> Mesh<D, K> {
                 hi[i] = hi[i].max(p[i]);
             }
         }
-        if n == 0 {
+        if points.is_empty() {
             (lo, hi) = ([0.0; D], [1.0; D]);
         }
-        // Super-simplex comfortably containing the bounding box.
+        let mut dt = Self::with_bounds(lo, hi);
+        dt.extend(points);
+        dt
+    }
+
+    /// The empty mesh of the box `[lo, hi]`: a super-simplex comfortably
+    /// containing it, ready for [`Self::extend`] with points inside it.
+    pub fn with_bounds(lo: [f64; D], hi: [f64; D]) -> Self {
+        assert!((D == 2 || D == 3) && K == D + 1);
         let span = (0..D).map(|i| hi[i] - lo[i]).fold(1.0, f64::max);
         let s = 64.0 * span;
-        let mut pts = Vec::with_capacity(n + K);
-        pts.extend_from_slice(points);
-        for j in 0..K {
-            pts.push(std::array::from_fn(|i| {
+        let pts = (0..K).map(|j| {
+            std::array::from_fn(|i| {
                 let unit = if D == 2 { SUPER2[j][i] } else { SUPER3[j][i] };
                 (lo[i] + hi[i]) / 2.0 + unit * s
-            }));
-        }
-
-        // Expected simplices per point of a uniform sample: 2 triangles,
-        // ≈ 6.8 tetrahedra.
-        let cap = if D == 2 { 2 * n + 2 } else { 7 * n + 8 };
+            })
+        });
         let mut dt = Mesh {
-            pts,
-            n_input: n,
-            simplices: Vec::with_capacity(cap),
-            nbr: Vec::with_capacity(cap),
-            stamp: Vec::with_capacity(cap),
+            pts: pts.collect(),
+            n_input: 0,
+            bounds: (lo, hi),
+            simplices: Vec::new(),
+            nbr: Vec::new(),
+            stamp: Vec::new(),
             epoch: 0,
             last: 0,
             cavity: Vec::new(),
             stack: Vec::new(),
             boundary: Vec::new(),
             free: Vec::new(),
-            link: vec![NONE; n + K],
+            link: Vec::new(),
             ridges: Vec::new(),
         };
-        let mut first: [u32; K] = std::array::from_fn(|j| (n + j) as u32);
-        if dt.orient(first, 0, dt.pts[first[K - 1] as usize]) == Sign::Negative {
+        let mut first: [u32; K] = std::array::from_fn(|j| j as u32);
+        if dt.orient(first, 0, dt.pts[K - 1]) == Sign::Negative {
             first.swap(0, 1);
         }
         dt.simplices.push(first);
         dt.nbr.push([NONE; K]);
         dt.stamp.push(0);
+        dt
+    }
 
-        // Z-order curve over the points quantised on their bounding box,
-        // ties by index (a zero-width axis quantises to one cell).
+    /// Insert `points` (inside the mesh's bounds, distinct from each
+    /// other and from the points already in) as vertices
+    /// `num_points()..`, along the Z-order curve of their positions
+    /// quantised on the bounds — ties by index; a zero-width axis
+    /// quantises to one cell.
+    pub fn extend(&mut self, points: &[[f64; D]]) {
+        let (old, n) = (self.n_input, self.n_input + points.len());
+        assert!(n < (NONE as usize) - K, "vertex ids are u32");
+        // The super-vertices stay behind the input points.
+        self.pts.splice(old..old, points.iter().copied());
+        for v in self.simplices.iter_mut().flatten() {
+            if *v as usize >= old {
+                *v += points.len() as u32;
+            }
+        }
+        self.n_input = n;
+        self.link.resize(n + K, NONE);
+        // Expected simplices per point of a uniform sample: 2 triangles,
+        // ≈ 6.8 tetrahedra.
+        let more = points.len() * if D == 2 { 2 } else { 7 };
+        self.simplices.reserve(more);
+        self.nbr.reserve(more);
+        self.stamp.reserve(more);
+
+        let (lo, hi) = self.bounds;
         let bits = if D == 2 { 32 } else { 21 };
         let cells = (1u64 << bits) as f64;
-        let mut order: Vec<(u64, u32)> = (0..n)
+        let mut order: Vec<(u64, u32)> = (old..n)
             .map(|v| {
                 let q = std::array::from_fn(|i| {
-                    let x = (points[v][i] - lo[i]) / (hi[i] - lo[i]) * cells;
+                    let x = (self.pts[v][i] - lo[i]) / (hi[i] - lo[i]) * cells;
                     (x as u64).min((1 << bits) - 1)
                 });
                 (morton::encode::<D>(q), v as u32)
             })
             .collect();
         order.sort_unstable();
-        (dt, order.into_iter().map(|(_, v)| v).collect())
+        for (_, v) in order {
+            self.insert(v);
+        }
     }
 
     /// Vertices of facet `k` of the simplex `s`.
@@ -225,7 +245,7 @@ impl<const D: usize, const K: usize> Mesh<D, K> {
             .unwrap_or_else(|| panic!("point {p:?} not inside the super-simplex"))
     }
 
-    pub(crate) fn insert(&mut self, pi: u32) {
+    fn insert(&mut self, pi: u32) {
         let p = self.pts[pi as usize];
         let start = self.locate(p);
 
@@ -436,18 +456,19 @@ pub(crate) mod invariants {
         }
     }
 
-    /// The mesh is consistent after every insert; returns the most
-    /// slots that were free at once.
+    /// The mesh is consistent after every insert (the points extend it
+    /// one at a time); returns the most slots that were free at once.
     pub(crate) fn consistent_after_each_insert_of<const D: usize, const K: usize>(
         points: &[[f64; D]],
     ) -> usize {
-        let (mut dt, order) = Mesh::<D, K>::start(points);
+        let mut dt = Mesh::<D, K>::with_bounds([0.0; D], [1.0; D]);
         let mut freed = 0;
-        for v in order {
-            dt.insert(v);
+        for p in points {
+            dt.extend(&[*p]);
             dt.assert_consistent();
             freed = freed.max(dt.free.len());
         }
+        assert_eq!(dt.edges(), Mesh::<D, K>::new(points).edges());
         freed
     }
 
