@@ -17,16 +17,14 @@
 //! delivery, counting, the whole-instance drivers, and
 //! [`generate_pe`](Generator::generate_pe), which collects the PE's
 //! batches into a [`PeGraph`] and takes the vertex range and coordinates
-//! from [`pe_vertices`](Generator::pe_vertices). RDG overrides
-//! `generate_pe` with an in-memory engine, because holding the PE's
-//! whole neighbourhood at once is measurably faster than the streaming
-//! frontier's recomputation (`kagen rdg2d` vs `kagen stream rdg2d` at
-//! `-c 16 -t 1`; README "Memory model" has the table): 3.4–5.9×, one
-//! triangulation per chunk instead of one per cell. [`Rhg`] and
-//! [`SoftRhg`] override it to run their one query pass with a hook that
+//! from [`pe_vertices`](Generator::pe_vertices). [`Rhg`], [`SoftRhg`]
+//! and RDG override it to run their one engine's pass with a hook that
 //! records the coordinates (the provided collect would generate the
-//! sector twice), and [`Srhg`] to return its sweep sorted. For every
-//! other model `generate_pe` *is* the stream, collected.
+//! PE's points twice) — RDG with the chunk as its one block, because a
+//! block pays for its halo and `generate_pe` holds the chunk anyway
+//! (README "Memory model" has the table), and sorted — and [`Srhg`] to
+//! return its sweep sorted. For every other model `generate_pe` *is*
+//! the stream, collected.
 //!
 //! | Model | Type | Paper section |
 //! |-------|------|---------------|
@@ -105,10 +103,10 @@ pub trait Generator: Sync {
     }
 
     /// PE `pe`'s part of the instance, materialized: its vertices plus
-    /// its stream collected in order. RDG overrides this with an
-    /// in-memory engine that returns the same edge set sorted, RHG and
-    /// soft RHG with their stream's pass plus a coordinate hook, and
-    /// sRHG sorts its sweep — see the crate docs for why those stay.
+    /// its stream collected in order. RHG, soft RHG and RDG override
+    /// this with their stream's pass plus a coordinate hook (RDG's over
+    /// the whole chunk as one block, sorted), and sRHG sorts its sweep
+    /// — see the crate docs for why those stay.
     fn generate_pe(&self, pe: usize) -> PeGraph {
         let mut out = self.pe_vertices(pe);
         self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {

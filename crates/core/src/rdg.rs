@@ -34,9 +34,26 @@ static GEO_DELAUNAY_INSERTS: Counter = Counter::new("geo.delaunay_inserts");
 /// Triangulations built (one per certification attempt).
 static GEO_DELAUNAY_ATTEMPTS: Counter = Counter::new("geo.delaunay_attempts");
 
-/// Cells per side (as a power of two) of the blocks [`Rdg::stream_cells`]
-/// triangulates.
-const BLOCK_BITS: u32 = 4;
+/// Cells, as a power of two, of the blocks [`Rdg::stream_cells`]
+/// triangulates: `BLOCK_BITS / D` bits per side, i.e. 16 × 16 cells in
+/// 2-D and 8 × 8 × 8 in 3-D. A block of side B pays for a halo of
+/// (B + 2h)^D − B^D cells, each recomputed from the count tree, so CPU
+/// time falls with B while the working set grows with B^D. Measured on
+/// one core, `kagen stream -c 1`, CPU seconds / most points held:
+///
+/// | side | rdg2d n = 200 000, 3 per cell | rdg2d n = 40 000, 10 | rdg3d n = 64 000, 16 |
+/// |-----:|------------------------------:|---------------------:|---------------------:|
+/// |    4 |                  4.03 /   338 |        0.150 /   638 |       1.85 /   8 191 |
+/// |    8 |                  1.96 /   619 |        0.096 / 1 437 |       1.40 /  27 301 |
+/// |   16 |                  1.09 / 1 519 |        0.069 / 3 930 |       1.05 / 124 881 |
+/// |   32 |                  0.65 / 4 426 |        0.061 / 12 594 |         (whole grid) |
+/// |   64 |                  0.49 / 14 945 |        (whole grid) |                      |
+///
+/// Each doubling buys less than the one before and costs 3–4× the
+/// points (in 3-D, 77 MB of process at 16 against 20 at 8): these sides
+/// keep a block with its halo at a few thousand points in 2-D and a few
+/// ten thousand in 3-D, whatever n/P is.
+const BLOCK_BITS: u32 = 9;
 
 /// What one PE's [`Rdg::stream_cells`] pass generated and held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -152,22 +169,34 @@ impl<const D: usize> Rdg<D> {
 
     /// Block-by-block streaming (§6 over the cell cursor): the PE's
     /// Morton range is cut into aligned cubes of at most `2^BLOCK_BITS`
-    /// cells per side, each goes through `certified_box`, and of a
-    /// block's edges the stream keeps those it *owns*: the normalized
-    /// edge `(x, y)` belongs to `x` if `x` is PE-local, else to `y`.
-    /// Ownership is a pure function of the ids, so each edge with a
-    /// local endpoint is emitted exactly once per PE without any
-    /// cross-block dedup state. A block's edges leave ordered by
-    /// (owner's cell, x, y) — cell by cell in Morton order, sorted within
-    /// a cell, whatever the block size. Memory is one block with its
-    /// halo, never the chunk.
+    /// cells, each goes through `certified_box`, and of a block's edges
+    /// the stream keeps those it *owns*: the normalized edge `(x, y)`
+    /// belongs to `x` if `x` is PE-local, else to `y`. Ownership is a pure
+    /// function of the ids, so each edge with a local endpoint is emitted
+    /// exactly once per PE without any cross-block dedup state. A block's
+    /// edges leave ordered by (owner's cell, x, y) — cell by cell in
+    /// Morton order, sorted within a cell, whatever the block size.
+    /// Memory is one block with its halo, never the chunk.
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RdgPeStats {
+        self.blocks(pe, BLOCK_BITS / D as u32, &mut |_, _| {}, emit)
+    }
+
+    /// The one engine: [`Self::stream_cells`] with blocks of at most
+    /// `2^max_side_bits` cells per side, handing every non-empty cell's
+    /// first id and points to `on_cell` as it is generated.
+    fn blocks(
+        &self,
+        pe: usize,
+        max_side_bits: u32,
+        on_cell: &mut impl FnMut(u64, &[Point<D>]),
+        emit: &mut impl FnMut(u64, u64),
+    ) -> RdgPeStats {
         let inst = self.instance();
         let grid = &inst.grid;
         let (lo, hi) = Self::cell_range(&inst, pe);
         let cursor = CellRangeCursor::new(grid, &inst.tree, lo, hi);
         let pe_ids = cursor.first_id()..cursor.end_id();
-        let block_bits = (grid.levels() - inst.chunk_bits).min(BLOCK_BITS);
+        let block_bits = (grid.levels() - inst.chunk_bits).min(max_side_bits);
         let block_cells = 1u64 << (D as u32 * block_bits);
         let mut stats = RdgPeStats::default();
         // The block's points, their ids and their cells; then its halo's.
@@ -179,6 +208,7 @@ impl<const D: usize> Rdg<D> {
                 cell_points(grid, self.seed, cell, count, &mut pts);
                 ids.extend(first..first + count);
                 cells.resize(pts.len(), cell);
+                on_cell(first, &pts[pts.len() - count as usize..]);
             }
             if (cell + 1) % block_cells != 0 {
                 return;
@@ -189,14 +219,11 @@ impl<const D: usize> Rdg<D> {
             };
             let block_ids = block_first..block_first + ids.len() as u64;
             let origin = grid.coords_of(cell + 1 - block_cells);
-            let edges = self.certified_box(
-                &inst,
-                origin,
-                1 << block_bits,
-                &mut pts,
-                &mut ids,
-                &mut stats,
-            );
+            let (width, pts, ids, stats) = (1 << block_bits, &mut pts, &mut ids, &mut stats);
+            let edges = match D {
+                2 => self.certified_box::<3>(&inst, origin, width, pts, ids, stats),
+                _ => self.certified_box::<4>(&inst, origin, width, pts, ids, stats),
+            };
             owned.extend(edges.into_iter().filter_map(|(x, y)| {
                 let owner = if pe_ids.contains(&x) { x } else { y };
                 let at = block_ids.contains(&owner).then(|| owner - block_first)?;
@@ -228,24 +255,9 @@ impl<const D: usize> Rdg<D> {
     ///
     /// Returns every Delaunay edge with an endpoint in the box as a
     /// normalized global-id pair (a point meeting its own replica is
-    /// dropped), unsorted and possibly repeated through replicas.
-    fn certified_box(
-        &self,
-        inst: &Instance<D>,
-        origin: [u64; D],
-        width: i64,
-        pts: &mut Vec<Point<D>>,
-        ids: &mut Vec<u64>,
-        stats: &mut RdgPeStats,
-    ) -> Vec<(u64, u64)> {
-        match D {
-            2 => self.certified_box_of::<3>(inst, origin, width, pts, ids, stats),
-            _ => self.certified_box_of::<4>(inst, origin, width, pts, ids, stats),
-        }
-    }
-
-    /// [`Self::certified_box`] with `K = D + 1` vertices per simplex.
-    fn certified_box_of<const K: usize>(
+    /// dropped), unsorted and possibly repeated through replicas. `K` is
+    /// `D + 1`, the vertices of a simplex.
+    fn certified_box<const K: usize>(
         &self,
         inst: &Instance<D>,
         origin: [u64; D],
@@ -328,48 +340,33 @@ impl<const D: usize> Generator for Rdg<D> {
         });
     }
 
-    /// The in-memory engine: `certified_box` once over the whole chunk
-    /// instead of once per cell — the same edge set as the stream,
-    /// sorted, 3.4–5.9× faster because the halo is triangulated once.
+    /// The same engine with the chunk as its one block — `generate_pe`
+    /// holds the chunk's edges anyway, and a block pays for its halo —
+    /// collected and sorted: every edge incident to the chunk's vertices,
+    /// once. Ids are global Morton prefix sums.
     fn generate_pe(&self, pe: usize) -> PeGraph {
-        let inst = self.instance();
-        let grid = &inst.grid;
-        let (lo, hi) = Self::cell_range(&inst, pe);
         let mut out = PeGraph {
             pe,
             ..PeGraph::default()
         };
-
-        // Local points (ids are global Morton prefix sums).
-        let mut pts: Vec<Point<D>> = Vec::new();
-        inst.tree.for_leaf_counts(lo, hi, &mut |cell, count| {
-            cell_points(grid, self.seed, cell, count, &mut pts)
-        });
-        out.vertex_begin = inst.tree.prefix_before(lo);
-        out.vertex_end = out.vertex_begin + pts.len() as u64;
-        let mut ids: Vec<u64> = (out.vertex_begin..out.vertex_end).collect();
-        for (p, &id) in pts.iter().zip(&ids) {
-            match D {
-                2 => out.coords2.push((id, [p.0[0], p.0[1]])),
-                3 => out.coords3.push((id, [p.0[0], p.0[1], p.0[2]])),
-                _ => unreachable!(),
+        let (mut coords2, mut coords3) = (Vec::new(), Vec::new());
+        let mut on_cell = |first: u64, pts: &[Point<D>]| {
+            for (id, p) in (first..).zip(pts) {
+                match D {
+                    2 => coords2.push((id, [p.0[0], p.0[1]])),
+                    3 => coords3.push((id, [p.0[0], p.0[1], p.0[2]])),
+                    _ => unreachable!(),
+                }
             }
-        }
-
-        // The chunk is a Morton-aligned cube of cells; all edges
-        // incident to its vertices, deduplicated.
-        let width = 1i64 << (grid.levels() - inst.chunk_bits);
-        let mut stats = RdgPeStats::default();
-        out.edges = self.certified_box(
-            &inst,
-            grid.coords_of(lo),
-            width,
-            &mut pts,
-            &mut ids,
-            &mut stats,
-        );
+        };
+        self.blocks(pe, u32::MAX, &mut on_cell, &mut |u, v| {
+            out.edges.push((u, v))
+        });
         out.edges.sort_unstable();
-        out.edges.dedup();
+        let inst = self.instance();
+        out.vertex_begin = inst.tree.prefix_before(Self::cell_range(&inst, pe).0);
+        out.vertex_end = out.vertex_begin + (coords2.len() + coords3.len()) as u64;
+        (out.coords2, out.coords3) = (coords2, coords3);
         out
     }
 }

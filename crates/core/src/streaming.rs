@@ -14,16 +14,18 @@
 //! SBM) the state is O(log)-sized; for the spatial/hyperbolic family it
 //! is what the cell structures of `kagen_geometry::cell_stream` hold:
 //! the current cell group plus an evicting frontier of recomputable
-//! cells (RGG/RDG), the sector plus its query halo, every touched cell
-//! generated once and held (RHG/soft RHG, §7.1), or replicated globals
-//! plus the active-request windows (sRHG).
+//! cells (RGG), one block of cells with its certified halo (RDG), the
+//! sector plus its query halo, every touched cell generated once and
+//! held (RHG/soft RHG, §7.1), or replicated globals plus the
+//! active-request windows (sRHG).
 //!
 //! `generate_pe` returns exactly the stream's edge *set* for every
 //! model, and for all but RDG and sRHG its *order* too (asserted in the
 //! tests below and pinned by `tests/golden_streams.rs`): ER, BA, R-MAT,
 //! SBM and RGG collect the stream, RHG and soft RHG run the stream's
-//! own pass with a hook that records the coordinates.
-//! RDG and sRHG stream in generation-sweep order (per cell group / per
+//! own pass with a hook that records the coordinates (as RDG does, over
+//! the chunk as one block).
+//! RDG and sRHG stream in generation-sweep order (per cell / per
 //! sweep annulus) and materialize sorted, because streaming the globally
 //! sorted order would require buffering the very output the streaming
 //! path exists to avoid.
@@ -145,8 +147,8 @@ mod tests {
     /// stream order is the generation sweep, not `generate_pe`'s sorted
     /// list: the streams must be equal as *sets* (and duplicate-free),
     /// and the batched path must equal the per-edge stream exactly. For
-    /// RDG this compares two engines (chunk box vs cell boxes), for sRHG
-    /// the sweep with itself sorted.
+    /// RDG this compares one engine at two box sizes (the chunk vs blocks
+    /// of cells), for sRHG the sweep with itself sorted.
     fn assert_stream_set_matches<G: Generator>(gen: &G) {
         for pe in 0..gen.num_chunks().min(5) {
             let materialized = gen.generate_pe(pe).edges;

@@ -273,15 +273,18 @@ impl<const D: usize, const K: usize> Mesh<D, K> {
         self.boundary.clear();
         for &s in &self.cavity {
             for (k, nb) in self.nbr[s as usize].into_iter().enumerate() {
-                if nb == NONE {
-                    self.boundary
-                        .push((Self::facet(self.simplices[s as usize], k), NONE, 0));
-                } else if self.stamp[nb as usize] != epoch {
-                    let back = self.nbr[nb as usize].iter().position(|&x| x == s);
-                    let back = back.expect("neighbour links are symmetric");
-                    self.boundary
-                        .push((Self::facet(self.simplices[s as usize], k), nb, back));
+                if nb != NONE && self.stamp[nb as usize] == epoch {
+                    continue;
                 }
+                let back = match nb {
+                    NONE => 0,
+                    _ => {
+                        let back = self.nbr[nb as usize].iter().position(|&x| x == s);
+                        back.expect("neighbour links are symmetric")
+                    }
+                };
+                let facet = Self::facet(self.simplices[s as usize], k);
+                self.boundary.push((facet, nb, back));
             }
         }
 
@@ -470,11 +473,6 @@ pub(crate) mod invariants {
         }
         assert_eq!(dt.edges(), Mesh::<D, K>::new(points).edges());
         freed
-    }
-
-    /// … after every one of 500 inserts of a uniform sample.
-    pub(crate) fn consistent_after_each_insert<const D: usize, const K: usize>() {
-        consistent_after_each_insert_of::<D, K>(&random_points(500, 17));
     }
 
     /// `edges()` of a point set is `edges()` of the same set shuffled:

@@ -27,7 +27,7 @@ mod tests {
 
     #[test]
     fn links_symmetric_and_tetrahedra_positive_after_each_insert() {
-        invariants::consistent_after_each_insert::<3, 4>();
+        invariants::consistent_after_each_insert_of::<3, 4>(&random_points(500, 17));
     }
 
     #[test]

@@ -26,7 +26,7 @@ mod tests {
 
     #[test]
     fn links_symmetric_and_triangles_positive_after_each_insert() {
-        invariants::consistent_after_each_insert::<2, 3>();
+        invariants::consistent_after_each_insert_of::<2, 3>(&random_points(500, 17));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! pseudorandomized grid: any PE can *recompute* any cell's points from
 //! `(seed, cell)`, so the working set of a streaming pass never needs to
 //! exceed the neighborhood of the cell currently being processed. This
-//! module provides the two pieces every such evicting pass shares:
+//! module provides the two pieces of such an evicting pass (RGG is the
+//! cache's only caller; RDG walks the cursor and keeps nothing between
+//! its blocks):
 //!
 //! * [`FrontierCache`] — a regenerate-on-miss cell cache with
 //!   retire-rank eviction. Callers tag each cached cell with the last
@@ -18,9 +20,8 @@
 //!   carries the running global-id prefix, so vertex ids fall out of the
 //!   traversal without a second count-tree query per cell.
 //!
-//! Together they replace the per-PE materialization the RGG/RDG family
-//! used before: memory becomes O(active cell neighborhood), not
-//! O(per-PE edges).
+//! Together they replace the per-PE materialization RGG used before:
+//! memory becomes O(active cell neighborhood), not O(per-PE edges).
 //!
 //! The hyperbolic query generators (§7.1) evict nothing — a PE holds
 //! every cell it touches, O(sector + query halo) — and keep them in the
@@ -41,9 +42,10 @@ static GEO_FRONTIER_POINTS: Gauge = Gauge::new("geo.frontier_points");
 /// Cells visited by cell-range cursors (counted once per sweep).
 static GEO_CURSOR_CELLS: Counter = Counter::new("geo.cursor_cells");
 
-/// Account a pass that holds every cell it generates (the RHG query
-/// engine, which has no frontier to evict) under the same `geo.*` names:
-/// `cells` generated, `points` held at its end.
+/// Account a pass without an evicting frontier under the same `geo.*`
+/// names: `cells` generated and the most `points` held at once — by the
+/// RHG query engine, which holds every cell it generates, at its end; by
+/// RDG, which holds nothing between blocks, in its largest block.
 pub fn record_held(cells: u64, points: u64) {
     GEO_CELLS_GENERATED.add(cells);
     GEO_FRONTIER_POINTS.set(points);

@@ -11,11 +11,11 @@
 //!   partitioning of `n` points over the grid with subtree-seeded PRNGs, so
 //!   any PE can derive the content of any cell without communication;
 //! * [`cell_points`] — deterministic per-cell point generation;
-//! * [`cell_stream`] — the cell-cursor streaming core: a
-//!   regenerate-on-miss frontier cache with retire-rank eviction plus a
-//!   Morton cell-range cursor, so spatial generators stream edges with
-//!   memory bounded by the active cell neighborhood, and the wrapped-run
-//!   slot store the hyperbolic generators keep their cells in;
+//! * [`cell_stream`] — the cell-cursor streaming core: a Morton
+//!   cell-range cursor (RGG, RDG) plus RGG's regenerate-on-miss frontier
+//!   cache with retire-rank eviction, so spatial generators stream edges
+//!   with memory bounded by the active cell neighborhood, and the
+//!   wrapped-run slot store the hyperbolic generators keep their cells in;
 //! * [`hyperbolic`] — the hyperbolic plane toolbox of §7 (radial sampling,
 //!   distance, Δθ bounds, trig-free adjacency via precomputation, annuli).
 

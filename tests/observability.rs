@@ -256,6 +256,65 @@ fn rhg_stream_metrics_count_cells_generated_and_points_held() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// RDG counts the triangulation work behind its stream: points inserted
+/// (`geo.delaunay_inserts`, every halo ring a box needed included) and
+/// certification attempts. One box per block keeps the benchmark's
+/// `rdg2d_stream` instance below one insert per emitted edge — ⅓ is the
+/// planar ideal, the rest is halo; a box per cell paid 2.9.
+#[test]
+fn rdg_stream_metrics_count_inserts() {
+    use kagen_repro::core::prelude::*;
+    use kagen_repro::core::rdg::RdgPeStats;
+    let dir = tmp("rdg_geo");
+    let metrics = dir.with_extension("metrics.json");
+    let (ok, stderr) = kagen(&[
+        "stream",
+        "rdg2d",
+        "-n",
+        "40000",
+        "-c",
+        "64",
+        "-s",
+        "5",
+        "-t",
+        "2",
+        "--shard-dir",
+        dir.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(ok, "stream failed:\n{stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let counter = |name: &str| {
+        let found = rm.ranks[0].counters.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1
+    };
+
+    let gen = Rdg2d::new(40_000).with_seed(5).with_chunks(64);
+    let mut edges = 0u64;
+    let per_pe: Vec<_> = (0..64)
+        .map(|pe| gen.stream_cells(pe, &mut |_, _| edges += 1))
+        .collect();
+    let sum = |f: fn(&RdgPeStats) -> u64| per_pe.iter().map(f).sum::<u64>();
+    assert_eq!(counter("gen.edges"), edges);
+    assert_eq!(counter("geo.delaunay_inserts"), sum(|s| s.inserts));
+    assert_eq!(counter("geo.delaunay_attempts"), sum(|s| s.attempts));
+    assert_eq!(
+        counter("geo.cells_generated"),
+        sum(|s| s.frontier.generated_cells)
+    );
+    assert!(sum(|s| s.attempts) >= sum(|s| s.boxes));
+    assert!(
+        sum(|s| s.inserts) <= edges,
+        "{} inserts for {edges} edges",
+        sum(|s| s.inserts)
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&metrics).ok();
+}
+
 /// Launch shard output is byte-identical with and without telemetry —
 /// the multi-process twin of the stream-mode matrix (workers enable
 /// metrics when handed `--metrics-sidecar`, and must still write the

@@ -7,11 +7,12 @@
 //! * a counting global allocator (every byte allocated during a
 //!   `stream_pe` pass, high-water above the pre-pass baseline), and
 //! * the generators' own accounting in points: the frontier cache's
-//!   `peak_points` (`Rgg::stream_cells`) and the RHG query engine's
-//!   `points_held` (`Rhg::stream_query`).
+//!   `peak_points` (`Rgg::stream_cells`), the RHG query engine's
+//!   `points_held` (`Rhg::stream_query`) and the most points one RDG
+//!   block held with its halo (`Rdg::stream_cells`).
 //!
-//! Everything runs inside a single `#[test]` so no sibling test's
-//! allocations pollute the high-water mark.
+//! The tests take turns (`SERIAL`) so no sibling's allocations pollute
+//! the high-water mark.
 
 use kagen_repro::core::prelude::*;
 use kagen_util::alloc::CountingAlloc;
@@ -24,8 +25,44 @@ fn alloc_peak_during(f: impl FnOnce()) -> u64 {
     CountingAlloc::peak_during(f)
 }
 
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// RDG's working set is one block of cells with its certified halo, not
+/// the chunk: at the same points per cell, 16× the points per PE leave
+/// the most points a PE ever holds where it was, under a small multiple
+/// of what a block's own cells expect to hold.
+#[test]
+fn rdg_working_set_is_a_block_not_a_chunk() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fn peak<const D: usize>(gen: kagen_repro::core::rdg::Rdg<D>) -> u64 {
+        gen.stream_cells(0, &mut |_, _| {}).frontier.peak_points
+    }
+    // 2-D, one level of chunks: 16 × 16 and 64 × 64 cells per chunk at
+    // 9.8 points per cell, blocks of 16 × 16 in both. Two halo rings
+    // make a block (16 + 4)² / 16² = 1.56 of its own points.
+    let small = peak(Rdg2d::new(10_000).with_seed(3).with_chunks(4));
+    let large = peak(Rdg2d::new(160_000).with_seed(3).with_chunks(4));
+    assert!(4 * large <= 5 * small, "2-D peak grew {small} -> {large}");
+    let block = 256.0 * 160_000.0 / 16_384.0;
+    assert!(
+        (large as f64) < 2.0 * block,
+        "2-D block holds {large} points, its own cells expect {block}"
+    );
+    // 3-D, where 4 chunks round down to one: 8³ cells (19.5 points per
+    // cell) against 32³ (4.9), blocks of 8³ in both. (8 + 4)³ / 8³ = 3.4.
+    let small = peak(Rdg3d::new(10_000).with_seed(3).with_chunks(4));
+    let large = peak(Rdg3d::new(160_000).with_seed(3).with_chunks(4));
+    assert!(4 * large <= 5 * small, "3-D peak grew {small} -> {large}");
+    let block = 512.0 * 160_000.0 / 32_768.0;
+    assert!(
+        (large as f64) < 4.0 * block,
+        "3-D block holds {large} points, its own cells expect {block}"
+    );
+}
+
 #[test]
 fn streaming_working_set_is_sublinear_in_per_pe_edges() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // ---- RGG, counting allocator ------------------------------------
     // Fixed radius ⇒ fixed grid; growing n grows the per-PE edge count
     // ~quadratically (denser cells) while the frontier holds only the
