@@ -654,3 +654,76 @@ fn rdg_corners_keep_their_golden_digests() {
     assert!(moved.is_empty(), "RDG corner digests moved:\n{moved}");
     assert_eq!(rows.len(), GOLDEN_RDG_CORNERS.len(), "stale golden rows");
 }
+
+/// RGG where its grid and chunks are cut differently: `chunks` 1, one
+/// level of chunks (4 in 2-D, 8 in 3-D) and 64; the threshold radius at
+/// n = 12 500; r = 0.3 (two cells per side, so `effective_chunk_levels`
+/// clamps 64 chunks to 4 / 8); r = 0.9 (one cell, one chunk); and n = 5
+/// at r = 0.001 (a 2 × 2 grid in 2-D, one cell in 3-D: more chunks
+/// asked for than cells, most cells empty). Every row digests all of its
+/// PEs.
+fn rgg_corners() -> Vec<(String, Box<dyn Generator>)> {
+    fn rows<const D: usize>(level: usize, out: &mut Vec<(String, Box<dyn Generator>)>) {
+        let threshold = kagen_repro::core::rgg::Rgg::<D>::threshold_radius(12_500, 1);
+        for chunks in [1, level, 64] {
+            for (tag, n, r) in [
+                ("n12500_threshold", 12_500, threshold),
+                ("n600_r0.3", 600, 0.3),
+                ("n60_r0.9", 60, 0.9),
+                ("n5_r0.001", 5, 0.001),
+            ] {
+                let gen = kagen_repro::core::rgg::Rgg::<D>::new(n, r)
+                    .with_seed(SEED)
+                    .with_chunks(chunks);
+                out.push((format!("rgg{D}d_{tag}_c{chunks}"), Box::new(gen)));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    rows::<2>(4, &mut out);
+    rows::<3>(8, &mut out);
+    out
+}
+
+#[rustfmt::skip]
+const GOLDEN_RGG_CORNERS: &[(&str, CornerDigest)] = &[
+    ("rgg2d_n12500_threshold_c1", (55090, 4655064259975429788, 4947240375966901217)),
+    ("rgg2d_n600_r0.3_c1", (39315, 12404758960596767904, 12308879559803714342)),
+    ("rgg2d_n60_r0.9_c1", (1641, 11430492257015951085, 13416718075629390383)),
+    ("rgg2d_n5_r0.001_c1", (0, 0, 10817577951084050940)),
+    ("rgg2d_n12500_threshold_c4", (55808, 14337994752237881243, 3700603816220877606)),
+    ("rgg2d_n600_r0.3_c4", (50610, 17316968988148744007, 8710989058022005905)),
+    ("rgg2d_n60_r0.9_c4", (1641, 11430492257015951085, 13416718075629390383)),
+    ("rgg2d_n5_r0.001_c4", (0, 0, 13119122538175607771)),
+    ("rgg2d_n12500_threshold_c64", (60090, 8494629329963243978, 17366598344803054118)),
+    ("rgg2d_n600_r0.3_c64", (50610, 17316968988148744007, 8710989058022005905)),
+    ("rgg2d_n60_r0.9_c64", (1641, 11430492257015951085, 13416718075629390383)),
+    ("rgg2d_n5_r0.001_c64", (0, 0, 13119122538175607771)),
+    ("rgg3d_n12500_threshold_c1", (38899, 6793344521422275882, 18429550567571419581)),
+    ("rgg3d_n600_r0.3_c1", (14171, 12341986439106526610, 9055096475838052490)),
+    ("rgg3d_n60_r0.9_c1", (1447, 9583587373156452793, 4122503307831979083)),
+    ("rgg3d_n5_r0.001_c1", (0, 0, 3956792100282784313)),
+    ("rgg3d_n12500_threshold_c8", (41086, 13953269812430170166, 13242809722260299407)),
+    ("rgg3d_n600_r0.3_c8", (18963, 15085410112174860740, 9356970367422381261)),
+    ("rgg3d_n60_r0.9_c8", (1447, 9583587373156452793, 4122503307831979083)),
+    ("rgg3d_n5_r0.001_c8", (0, 0, 3956792100282784313)),
+    ("rgg3d_n12500_threshold_c64", (45122, 6659742394685683512, 7850217450270361572)),
+    ("rgg3d_n600_r0.3_c64", (18963, 15085410112174860740, 9356970367422381261)),
+    ("rgg3d_n60_r0.9_c64", (1447, 9583587373156452793, 4122503307831979083)),
+    ("rgg3d_n5_r0.001_c64", (0, 0, 3956792100282784313)),
+];
+
+#[test]
+fn rgg_corners_keep_their_golden_digests() {
+    let rows = rgg_corners();
+    let mut moved = String::new();
+    for (name, gen) in rows.iter() {
+        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
+        let want = GOLDEN_RGG_CORNERS.iter().find(|(n, _)| n == name);
+        if want.map(|(_, d)| *d) != Some(got) {
+            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
+        }
+    }
+    assert!(moved.is_empty(), "RGG corner digests moved:\n{moved}");
+    assert_eq!(rows.len(), GOLDEN_RGG_CORNERS.len(), "stale golden rows");
+}
