@@ -1,8 +1,7 @@
 //! # kagen-baselines
 //!
 //! Rust reimplementations of the competitors the paper evaluates against.
-//! Each preserves the *algorithmic shape* that drives its cost profile
-//! (see DESIGN.md, substitutions):
+//! Each preserves the *algorithmic shape* that drives its cost profile:
 //!
 //! * [`boost_er`] — Boost-style sequential Erdős–Rényi generator: skip
 //!   sampling that *builds an adjacency-list graph structure*, hence the

@@ -1,4 +1,5 @@
-//! Ablations for the design choices DESIGN.md calls out.
+//! Ablations of the design choices: precomputed trigonometry, cell
+//! sizes, chunk counts.
 
 use crate::support::*;
 use kagen_core::rhg::common::RhgInstance;

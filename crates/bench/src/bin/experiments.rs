@@ -5,10 +5,10 @@
 //! ```
 //!
 //! * `<id>` — one of fig6..fig18, headline, abl-trig, abl-cells,
-//!   abl-chunks (see DESIGN.md §5 for the index), or `all`;
+//!   abl-chunks (`ALL_EXPERIMENTS` is the index), or `all`;
 //! * `--fast` — shrunken workloads (smoke-test mode);
 //! * `--write <path>` — additionally append the results to a markdown
-//!   file (used to produce EXPERIMENTS.md).
+//!   file.
 
 use kagen_bench::{run_experiment, ALL_EXPERIMENTS};
 use kagen_obs::{error, info, trace};

@@ -1,9 +1,9 @@
 //! # kagen-bench
 //!
 //! The experiment harness: one module per figure of the paper's
-//! evaluation (§8), plus the ablations called out in DESIGN.md. The
+//! evaluation (§8), plus ablations of the design choices. The
 //! `experiments` binary dispatches on experiment ids and emits
-//! EXPERIMENTS.md-ready markdown. Absolute numbers are machine-local; the
+//! markdown. Absolute numbers are machine-local; the
 //! reproduction target is the *shape* of each figure (who wins, scaling
 //! slopes, crossovers).
 

@@ -10,8 +10,8 @@ use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64};
 
 /// Pick the leaf-block count for an edge universe: a granularity derived
-/// from the instance parameters alone (never from the PE count, see
-/// DESIGN.md), coarse enough that per-block PRNG setup amortizes
+/// from the instance parameters alone (never from the PE count),
+/// coarse enough that per-block PRNG setup amortizes
 /// (≥ ~256 expected samples per block — fine enough that up to ~2^10 PEs
 /// stay load-balanced on small instances) and fine enough that leaves
 /// stay in the f64-exact sampling regime.

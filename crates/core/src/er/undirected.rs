@@ -245,7 +245,7 @@ impl GnmUndirected {
     }
 
     /// Set the number of logical PEs (also the chunk-matrix dimension Q;
-    /// part of the instance definition, see DESIGN.md).
+    /// part of the instance definition).
     pub fn with_chunks(mut self, chunks: usize) -> Self {
         assert!(chunks >= 1);
         self.chunks = chunks;

@@ -15,17 +15,17 @@
 //! point has its circumsphere strictly inside box+halo
 //! (`certified_box`). Both conditions certify the box's simplices
 //! against the full periodic point set, so the union over PEs is exactly
-//! the global periodic Delaunay graph. Halo cells are recomputed from
-//! `(seed, cell)` for every box that needs them — the paper's trade —
-//! and nothing outlives its box.
+//! the global periodic Delaunay graph. A halo cell's points are
+//! recomputed from `(seed, cell)` for every box that needs them — the
+//! paper's trade — and no point outlives its box; where a cell's ids
+//! start is the PE's [`GridCells`]' business (held for its own cells,
+//! one count-tree descent for a cell of another PE).
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_delaunay::Mesh;
-use kagen_geometry::cell_points::cell_points;
-use kagen_geometry::cell_stream::record_held;
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierStats, Point};
+use kagen_geometry::{FrontierStats, GridCells, Point};
 use kagen_obs::Counter;
 
 /// Points handed to a triangulation, summed over certification attempts —
@@ -37,9 +37,11 @@ static GEO_DELAUNAY_ATTEMPTS: Counter = Counter::new("geo.delaunay_attempts");
 /// Cells, as a power of two, of the blocks [`Rdg::stream_cells`]
 /// triangulates: `BLOCK_BITS / D` bits per side, i.e. 16 × 16 cells in
 /// 2-D and 8 × 8 × 8 in 3-D. A block of side B pays for a halo of
-/// (B + 2h)^D − B^D cells, each recomputed from the count tree, so CPU
-/// time falls with B while the working set grows with B^D. Measured on
-/// one core, `kagen stream -c 1`, CPU seconds / most points held:
+/// (B + 2h)^D − B^D cells, each recomputed, so CPU time falls with B
+/// while the working set grows with B^D. Measured on one core before the
+/// count-tree prefixes of a PE's own cells were held (a halo cell then
+/// cost two tree descents besides its points), `kagen stream -c 1`, CPU
+/// seconds / most points held:
 ///
 /// | side | rdg2d n = 200 000, 3 per cell | rdg2d n = 40 000, 10 | rdg3d n = 64 000, 16 |
 /// |-----:|------------------------------:|---------------------:|---------------------:|
@@ -58,8 +60,9 @@ const BLOCK_BITS: u32 = 9;
 /// What one PE's [`Rdg::stream_cells`] pass generated and held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RdgPeStats {
-    /// Cells generated (box and halo) and the most points one box held
-    /// with its halo — nothing is held between boxes.
+    /// Cells generated (box and halo), count-tree nodes drawn and the
+    /// most points one box held with its halo — no point is held between
+    /// boxes.
     pub frontier: FrontierStats,
     /// Boxes certified.
     pub boxes: u64,
@@ -82,12 +85,6 @@ pub type Rdg2d = Rdg<2>;
 /// 3D random Delaunay graph (tetrahedral mesh on the torus).
 pub type Rdg3d = Rdg<3>;
 
-struct Instance<const D: usize> {
-    grid: CellGrid<D>,
-    tree: CountTree<D>,
-    chunk_bits: u32,
-}
-
 impl<const D: usize> Rdg<D> {
     /// `n` points uniform on the unit d-torus.
     pub fn new(n: u64) -> Self {
@@ -109,62 +106,39 @@ impl<const D: usize> Rdg<D> {
     /// Request ~`chunks` logical PEs (rounded down to a power of 2^d,
     /// capped by the grid refinement).
     pub fn with_chunks(mut self, chunks: usize) -> Self {
-        assert!(chunks >= 1);
-        let mut b = 0u32;
-        while (1usize << (D as u32 * (b + 1))) <= chunks {
-            b += 1;
-        }
-        self.chunk_levels = b;
+        self.chunk_levels = GridCells::<D>::chunk_levels(chunks);
         self
     }
 
-    fn instance(&self) -> Instance<D> {
-        // Cell side ≈ ((d+1)/n)^{1/d} (§6), snapped to powers of two.
+    /// Refinement of the cell grid: side ≈ ((d+1)/n)^{1/d} (§6), snapped
+    /// to powers of two.
+    fn grid_levels(&self) -> u32 {
         let c = ((D as f64 + 1.0) / self.n as f64).powf(1.0 / D as f64);
-        let max_levels: u32 = if D == 2 { 24 } else { 16 };
-        let levels = levels_for_min_side(c, max_levels);
-        let grid = CellGrid::new(levels);
-        let b = self.chunk_levels.min(levels);
-        Instance {
-            grid,
-            tree: CountTree::<D>::new(self.seed, self.n, levels),
-            chunk_bits: b,
-        }
+        levels_for_min_side(c, if D == 2 { 24 } else { 16 })
+    }
+
+    /// PE `pe`'s cell source.
+    fn cells(&self, pe: usize) -> GridCells<D> {
+        GridCells::new(self.seed, self.n, self.grid_levels(), self.chunk_levels, pe)
     }
 
     /// Append the points (translated by an integer replica offset) and
     /// global ids of one wrapped cell.
     fn cell_with_offset(
-        &self,
-        inst: &Instance<D>,
+        source: &mut GridCells<D>,
         wrapped: [u64; D],
         offset: [i64; D],
         out_pts: &mut Vec<Point<D>>,
         out_ids: &mut Vec<u64>,
     ) {
-        let morton = inst.grid.morton_of(wrapped);
-        let count = inst.tree.leaf_count(morton);
-        if count == 0 {
-            return;
-        }
-        let first = inst.tree.prefix_before(morton);
         let start = out_pts.len();
-        cell_points(&inst.grid, self.seed, morton, count, out_pts);
+        let (first, count) = source.points(source.grid().morton_of(wrapped), out_pts);
         for p in &mut out_pts[start..] {
             for (x, o) in p.0.iter_mut().zip(offset) {
                 *x += o as f64;
             }
         }
         out_ids.extend(first..first + count);
-    }
-
-    /// The PE's aligned Morton cell range `[lo, hi)`.
-    fn cell_range(inst: &Instance<D>, pe: usize) -> (u64, u64) {
-        let cells_per_chunk_bits = D as u32 * (inst.grid.levels() - inst.chunk_bits);
-        (
-            (pe as u64) << cells_per_chunk_bits,
-            (pe as u64 + 1) << cells_per_chunk_bits,
-        )
     }
 
     /// Block-by-block streaming (§6 over the cell cursor): the PE's
@@ -178,51 +152,48 @@ impl<const D: usize> Rdg<D> {
     /// Morton order, sorted within a cell, whatever the block size.
     /// Memory is one block with its halo, never the chunk.
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RdgPeStats {
-        self.blocks(pe, BLOCK_BITS / D as u32, &mut |_, _| {}, emit)
+        let max_side_bits = BLOCK_BITS / D as u32;
+        Self::blocks(&mut self.cells(pe), max_side_bits, &mut |_, _| {}, emit)
     }
 
     /// The one engine: [`Self::stream_cells`] with blocks of at most
     /// `2^max_side_bits` cells per side, handing every non-empty cell's
     /// first id and points to `on_cell` as it is generated.
     fn blocks(
-        &self,
-        pe: usize,
+        source: &mut GridCells<D>,
         max_side_bits: u32,
         on_cell: &mut impl FnMut(u64, &[Point<D>]),
         emit: &mut impl FnMut(u64, u64),
     ) -> RdgPeStats {
-        let inst = self.instance();
-        let grid = &inst.grid;
-        let (lo, hi) = Self::cell_range(&inst, pe);
-        let cursor = CellRangeCursor::new(grid, &inst.tree, lo, hi);
-        let pe_ids = cursor.first_id()..cursor.end_id();
-        let block_bits = (grid.levels() - inst.chunk_bits).min(max_side_bits);
+        let pe_ids = source.first_id()..source.end_id();
+        // The range is a cube of cells; a block is one of at most the cap.
+        let range_bits = (source.range().end - source.range().start).ilog2();
+        let block_bits = (range_bits / D as u32).min(max_side_bits);
         let block_cells = 1u64 << (D as u32 * block_bits);
         let mut stats = RdgPeStats::default();
         // The block's points, their ids and their cells; then its halo's.
         let (mut pts, mut ids, mut cells) = (Vec::new(), Vec::new(), Vec::new());
         let mut owned = Vec::new();
 
-        cursor.for_cells(&mut |cell, count, first| {
+        for cell in source.range() {
+            let (first, count) = source.points(cell, &mut pts);
             if count > 0 {
-                cell_points(grid, self.seed, cell, count, &mut pts);
                 ids.extend(first..first + count);
                 cells.resize(pts.len(), cell);
                 on_cell(first, &pts[pts.len() - count as usize..]);
             }
             if (cell + 1) % block_cells != 0 {
-                return;
+                continue;
             }
-            stats.frontier.generated_cells += block_cells;
             let Some(&block_first) = ids.first() else {
-                return;
+                continue;
             };
             let block_ids = block_first..block_first + ids.len() as u64;
-            let origin = grid.coords_of(cell + 1 - block_cells);
+            let origin = source.grid().coords_of(cell + 1 - block_cells);
             let (width, pts, ids, stats) = (1 << block_bits, &mut pts, &mut ids, &mut stats);
             let edges = match D {
-                2 => self.certified_box::<3>(&inst, origin, width, pts, ids, stats),
-                _ => self.certified_box::<4>(&inst, origin, width, pts, ids, stats),
+                2 => Self::certified_box::<3>(source, origin, width, pts, ids, stats),
+                _ => Self::certified_box::<4>(source, origin, width, pts, ids, stats),
             };
             owned.extend(edges.into_iter().filter_map(|(x, y)| {
                 let owner = if pe_ids.contains(&x) { x } else { y };
@@ -237,8 +208,8 @@ impl<const D: usize> Rdg<D> {
             pts.clear();
             ids.clear();
             cells.clear();
-        });
-        record_held(stats.frontier.generated_cells, stats.frontier.peak_points);
+        }
+        stats.frontier = source.stats();
         stats
     }
 
@@ -258,16 +229,15 @@ impl<const D: usize> Rdg<D> {
     /// dropped), unsorted and possibly repeated through replicas. `K` is
     /// `D + 1`, the vertices of a simplex.
     fn certified_box<const K: usize>(
-        &self,
-        inst: &Instance<D>,
+        source: &mut GridCells<D>,
         origin: [u64; D],
         width: i64,
         pts: &mut Vec<Point<D>>,
         ids: &mut Vec<u64>,
         stats: &mut RdgPeStats,
     ) -> Vec<(u64, u64)> {
-        let g = inst.grid.cells_per_dim() as i64;
-        let side = inst.grid.cell_side();
+        let g = source.grid().cells_per_dim() as i64;
+        let side = source.grid().cell_side();
         let n_box = pts.len();
         // Box + `h` rings, in cells and in coordinates.
         let cells = |h: i64| {
@@ -291,8 +261,7 @@ impl<const D: usize> Rdg<D> {
             enumerate_ring::<D>(&lo, &hi, &mut |raw| {
                 let wrapped = raw.map(|x| x.rem_euclid(g) as u64);
                 let offset = raw.map(|x| x.div_euclid(g));
-                self.cell_with_offset(inst, wrapped, offset, pts, ids);
-                stats.frontier.generated_cells += 1;
+                Self::cell_with_offset(source, wrapped, offset, pts, ids);
             });
             ring.clear();
             ring.extend(pts[dt.num_points()..].iter().map(|p| p.0));
@@ -303,7 +272,7 @@ impl<const D: usize> Rdg<D> {
             GEO_DELAUNAY_INSERTS.add(ring.len() as u64);
             let (lo, hi) = region(h);
             if let Some(edges) = certified_edges(&dt, n_box, &lo, &hi) {
-                stats.frontier.peak_points = stats.frontier.peak_points.max(pts.len() as u64);
+                source.note_held(pts.len() as u64);
                 return edges
                     .into_iter()
                     .map(|(a, b)| (ids[a as usize], ids[b as usize]))
@@ -322,8 +291,7 @@ impl<const D: usize> Generator for Rdg<D> {
     }
 
     fn num_chunks(&self) -> usize {
-        let inst = self.instance();
-        1usize << (D as u32 * inst.chunk_bits)
+        GridCells::<D>::num_chunks(self.grid_levels(), self.chunk_levels)
     }
 
     fn directed(&self) -> bool {
@@ -359,13 +327,12 @@ impl<const D: usize> Generator for Rdg<D> {
                 }
             }
         };
-        self.blocks(pe, u32::MAX, &mut on_cell, &mut |u, v| {
+        let mut source = self.cells(pe);
+        (out.vertex_begin, out.vertex_end) = (source.first_id(), source.end_id());
+        Self::blocks(&mut source, u32::MAX, &mut on_cell, &mut |u, v| {
             out.edges.push((u, v))
         });
         out.edges.sort_unstable();
-        let inst = self.instance();
-        out.vertex_begin = inst.tree.prefix_before(Self::cell_range(&inst, pe).0);
-        out.vertex_end = out.vertex_begin + (coords2.len() + coords3.len()) as u64;
         (out.coords2, out.coords3) = (coords2, coords3);
         out
     }

@@ -11,14 +11,16 @@
 //! communication, and the recomputed points are bit-identical to their
 //! owners' copies because the per-cell PRNG is seeded by the cell id.
 //!
-//! Vertex ids are global Morton-prefix sums over cell counts, derivable by
-//! any PE in O(levels) per cell via the count tree.
+//! Vertex ids are global Morton-prefix sums over cell counts. A PE's
+//! [`GridCells`] holds them for its own cells and derives a halo cell's
+//! with one count-tree descent; every cell a PE touches is generated
+//! once.
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_geometry::cell_points::cell_points;
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellGrid, CellRangeCursor, CountTree, FrontierCache, FrontierStats, Point};
+use kagen_geometry::{CellGrid, CountTree, FrontierStats, GridCells, Point};
+use std::collections::BTreeMap;
 
 /// Shared implementation for both dimensions.
 #[derive(Clone, Debug)]
@@ -61,39 +63,20 @@ impl<const D: usize> Rgg<D> {
         self
     }
 
-    /// Request ~`chunks` logical PEs; rounded to the next power of `2^d`
+    /// Request ~`chunks` logical PEs; rounded down to a power of `2^d`
     /// and capped so every chunk contains at least one cell.
     pub fn with_chunks(mut self, chunks: usize) -> Self {
-        assert!(chunks >= 1);
-        let mut b = 0u32;
-        while (1usize << (D as u32 * (b + 1))) <= chunks {
-            b += 1;
-        }
-        self.chunk_levels = b;
+        self.chunk_levels = GridCells::<D>::chunk_levels(chunks);
         self
     }
 
-    /// The cell grid: side `max(r, n^{-1/d})`, snapped to powers of two,
-    /// at least as deep as the chunk refinement.
-    fn grid(&self) -> CellGrid<D> {
+    /// Refinement of the cell grid: side `max(r, n^{-1/d})`, snapped to
+    /// powers of two.
+    fn grid_levels(&self) -> u32 {
         let natural = (self.n as f64).powf(-1.0 / D as f64);
         let min_side = self.radius.max(natural);
         let max_levels: u32 = if D == 2 { 24 } else { 16 };
-        let levels = levels_for_min_side(min_side, max_levels);
-        CellGrid::new(levels.max(self.effective_chunk_levels(levels)))
-    }
-
-    /// Chunk refinement cannot exceed grid refinement (a chunk must be a
-    /// whole number of cells).
-    fn effective_chunk_levels(&self, grid_levels: u32) -> u32 {
-        self.chunk_levels.min(grid_levels)
-    }
-
-    fn count_tree(&self) -> (CellGrid<D>, CountTree<D>, u32) {
-        let grid = self.grid();
-        let tree = CountTree::<D>::new(self.seed, self.n, grid.levels());
-        let b = self.effective_chunk_levels(grid.levels());
-        (grid, tree, b)
+        levels_for_min_side(min_side, max_levels)
     }
 
     /// The instance's cell grid and per-cell count tree. Exposed so
@@ -102,8 +85,11 @@ impl<const D: usize> Rgg<D> {
     /// vertex numbers for the cells [...] on the CPU" and must agree with
     /// the CPU generator bit-for-bit.
     pub fn instance_grid(&self) -> (CellGrid<D>, CountTree<D>) {
-        let (grid, tree, _) = self.count_tree();
-        (grid, tree)
+        let levels = self.grid_levels();
+        (
+            CellGrid::new(levels),
+            CountTree::new(self.seed, self.n, levels),
+        )
     }
 
     /// The instance seed (for per-cell point regeneration).
@@ -111,55 +97,44 @@ impl<const D: usize> Rgg<D> {
         self.seed
     }
 
-    /// The PE's aligned Morton cell range `[lo, hi)`.
-    fn cell_range(&self, grid: &CellGrid<D>, b: u32, pe: usize) -> (u64, u64) {
-        let cells_per_chunk_bits = D as u32 * (grid.levels() - b);
-        let lo = (pe as u64) << cells_per_chunk_bits;
-        let hi = (pe as u64 + 1) << cells_per_chunk_bits;
-        (lo, hi)
+    /// PE `pe`'s cell source.
+    fn cells(&self, pe: usize) -> GridCells<D> {
+        GridCells::new(self.seed, self.n, self.grid_levels(), self.chunk_levels, pe)
     }
 
-    /// The cell-cursor streaming core: walk the PE's cells in Morton
-    /// order, regenerate each cell's points on demand from
-    /// `(seed, cell)`, and enumerate candidate pairs over the 3^d
-    /// neighborhood. The frontier cache retains a neighbor cell only
-    /// until the last center cell that can reference it has passed, so
-    /// memory is bounded by the active cell neighborhood — never by the
-    /// PE's edge count.
+    /// The streaming core: sweep the PE's cells in Morton order and
+    /// enumerate candidate pairs over each centre cell's 3^d
+    /// neighborhood. A neighbor's points are generated the first time a
+    /// centre asks for them and held — a cell of the PE's range until it
+    /// has been the centre (no later centre references it: its pairs
+    /// with larger Morton neighbors are processed there and then), a
+    /// halo cell to the end of the PE. What is held is the sweep's
+    /// frontier plus the halo ring, O(chunk perimeter) cells — never the
+    /// chunk, never the PE's edges.
     ///
     /// Stream order: within-cell pairs first, then the 3^d neighbors in
     /// enumeration order; local–local cell pairs are processed once (at
     /// the smaller Morton rank), local–halo pairs always (the neighbor
-    /// PE emits its own copy; merge deduplicates). The returned frontier
-    /// accounting is what the memory-regression tests read to prove the
-    /// working set stays bounded by the cell neighborhood.
+    /// PE emits its own copy; merge deduplicates). The returned
+    /// accounting is what the memory-regression tests read.
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
-        let (grid, tree, b) = self.count_tree();
-        let (lo, hi) = self.cell_range(&grid, b, pe);
-        let cursor = CellRangeCursor::new(&grid, &tree, lo, hi);
+        let mut source = self.cells(pe);
+        let grid = *source.grid();
         let r2 = self.radius * self.radius;
-        let mut cache: FrontierCache<u64, (u64, Vec<Point<D>>)> = FrontierCache::new();
-        let gen_cell = |cell: u64| {
-            let count = tree.leaf_count(cell);
-            let first = tree.prefix_before(cell);
-            let mut pts = Vec::new();
-            cell_points(&grid, self.seed, cell, count, &mut pts);
-            (first, pts)
-        };
-        cursor.for_cells(&mut |cell, count, first| {
-            cache.advance(cell);
+        // Generated cells a later centre references: first id and points.
+        let mut held: BTreeMap<u64, (u64, Vec<Point<D>>)> = BTreeMap::new();
+        let mut held_points = 0u64;
+        for cell in source.range() {
+            let mut pts = held.remove(&cell).map_or(Vec::new(), |(_, pts)| pts);
+            let (first, count) = source.cell(cell);
             if count == 0 {
-                return;
+                continue;
             }
-            // The center's points leave the cache: once a cell has been
-            // the center, no later center references it (pairs with
-            // larger Morton neighbors were processed here and now).
-            let (_, pts) = cache.take(cell, || {
-                let mut pts = Vec::new();
-                cell_points(&grid, self.seed, cell, count, &mut pts);
-                (first, pts)
-            });
-            cache.note_external(pts.len() as u64);
+            if pts.is_empty() {
+                source.points(cell, &mut pts);
+            } else {
+                held_points -= count;
+            }
             // Within-cell pairs.
             for i in 0..pts.len() {
                 for j in (i + 1)..pts.len() {
@@ -170,11 +145,15 @@ impl<const D: usize> Rgg<D> {
             }
             grid.for_neighbors(grid.coords_of(cell), false, &mut |ncoords, _| {
                 let ncell = grid.morton_of(ncoords);
-                if ncell == cell || (cursor.contains(ncell) && ncell < cell) {
+                if ncell == cell || (source.contains(ncell) && ncell < cell) {
                     return;
                 }
-                let retire = cursor.last_referencing_center(ncell);
-                let (nfirst, npts) = cache.get(ncell, retire, || gen_cell(ncell));
+                let (nfirst, npts) = held.entry(ncell).or_insert_with(|| {
+                    let mut npts = Vec::new();
+                    let (nfirst, count) = source.points(ncell, &mut npts);
+                    held_points += count;
+                    (nfirst, npts)
+                });
                 for (i, p) in pts.iter().enumerate() {
                     for (j, q) in npts.iter().enumerate() {
                         if p.dist2(q) <= r2 {
@@ -183,8 +162,9 @@ impl<const D: usize> Rgg<D> {
                     }
                 }
             });
-        });
-        cache.stats()
+            source.note_held(held_points + pts.len() as u64);
+        }
+        source.stats()
     }
 }
 
@@ -194,16 +174,15 @@ impl<const D: usize> Generator for Rgg<D> {
     }
 
     fn num_chunks(&self) -> usize {
-        let grid = self.grid();
-        1usize << (D as u32 * self.effective_chunk_levels(grid.levels()))
+        GridCells::<D>::num_chunks(self.grid_levels(), self.chunk_levels)
     }
 
     fn directed(&self) -> bool {
         false
     }
 
-    /// Cell-cursor streaming (§5): Morton walk with an evicting frontier
-    /// of recomputable cells — memory is the active 3^d neighborhood.
+    /// The Morton sweep of [`Rgg::stream_cells`]: memory is the sweep
+    /// frontier and the halo ring.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         Batcher::run(buf, emit, |b| {
             self.stream_cells(pe, &mut |u, v| b.push(u, v));
@@ -211,31 +190,26 @@ impl<const D: usize> Generator for Rgg<D> {
     }
 
     fn pe_vertices(&self, pe: usize) -> PeGraph {
-        let (grid, tree, b) = self.count_tree();
-        let (lo, hi) = self.cell_range(&grid, b, pe);
-        let cursor = CellRangeCursor::new(&grid, &tree, lo, hi);
-
+        let mut source = self.cells(pe);
         let mut out = PeGraph {
             pe,
+            vertex_begin: source.first_id(),
+            vertex_end: source.end_id(),
             ..PeGraph::default()
         };
-        out.vertex_begin = cursor.first_id();
-        out.vertex_end = cursor.end_id();
-
-        // Coordinates of local vertices (ids from the running Morton
-        // prefix the cursor carries).
-        cursor.for_cells(&mut |cell, count, first| {
-            let mut pts = Vec::new();
-            cell_points(&grid, self.seed, cell, count, &mut pts);
-            for (k, p) in pts.iter().enumerate() {
-                let id = first + k as u64;
+        // Coordinates of local vertices, ids from the source's prefixes.
+        let mut pts = Vec::new();
+        for cell in source.range() {
+            pts.clear();
+            let (first, _) = source.points(cell, &mut pts);
+            for (id, p) in (first..).zip(&pts) {
                 match D {
                     2 => out.coords2.push((id, [p.0[0], p.0[1]])),
                     3 => out.coords3.push((id, [p.0[0], p.0[1], p.0[2]])),
                     _ => unreachable!(),
                 }
             }
-        });
+        }
         out
     }
 }

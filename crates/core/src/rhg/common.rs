@@ -13,7 +13,7 @@
 //!   tree + index in cell — all derivable by any PE without communication.
 //!
 //! The instance is a pure function of `(n, d̄, γ, seed)`; the number of PEs
-//! does not enter (DESIGN.md: instance-vs-P decoupling).
+//! does not enter.
 //!
 //! [`RhgInstance`] itself is stateless: [`RhgInstance::cell_points`]
 //! redraws a cell's whole root-to-leaf path on every call and is the

@@ -13,8 +13,8 @@
 //! over that one method. For the index-based generators (ER, BA, R-MAT,
 //! SBM) the state is O(log)-sized; for the spatial/hyperbolic family it
 //! is what the cell structures of `kagen_geometry::cell_stream` hold:
-//! the current cell group plus an evicting frontier of recomputable
-//! cells (RGG), one block of cells with its certified halo (RDG), the
+//! the id prefixes of the PE's cells plus the sweep's frontier and the
+//! halo ring (RGG) or one block of cells with its certified halo (RDG), the
 //! sector plus its query halo, every touched cell generated once and
 //! held (RHG/soft RHG, §7.1), or replicated globals plus the
 //! active-request windows (sRHG).

@@ -1,206 +1,203 @@
-//! The cell-cursor streaming core of the spatial generators, and the
-//! cell store of the hyperbolic ones.
+//! What one PE holds of the cells of a spatial generator.
 //!
 //! The paper generates geometric graphs cell by cell over a
-//! pseudorandomized grid: any PE can *recompute* any cell's points from
-//! `(seed, cell)`, so the working set of a streaming pass never needs to
-//! exceed the neighborhood of the cell currently being processed. This
-//! module provides the two pieces of such an evicting pass (RGG is the
-//! cache's only caller; RDG walks the cursor and keeps nothing between
-//! its blocks):
+//! pseudorandomized grid: a cell's point count comes from the
+//! count-splitting tree, its points from `(seed, cell)`, so a PE derives
+//! its own chunk *and* the halo around it without communication (§5.1,
+//! §6) — and, having derived a thing once, keeps it:
 //!
-//! * [`FrontierCache`] — a regenerate-on-miss cell cache with
-//!   retire-rank eviction. Callers tag each cached cell with the last
-//!   sweep position that can still reference it; [`FrontierCache::advance`]
-//!   evicts everything behind the sweep. Eviction is *purely* a memory
-//!   policy: a cell fetched after its eviction is transparently
-//!   regenerated (the paper's recomputation trick), so any retire
-//!   estimate — even a wrong one — yields the identical edge stream.
-//! * [`CellRangeCursor`] — a walk over a PE's Morton cell range that
-//!   carries the running global-id prefix, so vertex ids fall out of the
-//!   traversal without a second count-tree query per cell.
+//! * [`GridCells`] — the one cell source of the Euclidean grid
+//!   generators (RGG, RDG). Its constructor walks the count tree over the
+//!   PE's aligned Morton range once and keeps every range cell's
+//!   global-id prefix (one `u64` per cell), so a range cell never costs a
+//!   tree descent; a cell outside the range — the halo — costs one
+//!   descent that yields count and prefix together, through a memo of the
+//!   node splits already drawn, so a PE draws each tree node at most once.
+//!   What to do with a cell's points is the generator's business: RGG
+//!   keeps the sweep frontier and the halo ring, RDG one block at a time.
+//! * [`WrappedRun`] — the cell store of the hyperbolic query generators
+//!   (§7.1), which hold every cell they touch, O(sector + query halo):
+//!   slots for the contiguous run of an annulus' cells around the PE's
+//!   sector.
 //!
-//! Together they replace the per-PE materialization RGG used before:
-//! memory becomes O(active cell neighborhood), not O(per-PE edges).
-//!
-//! The hyperbolic query generators (§7.1) evict nothing — a PE holds
-//! every cell it touches, O(sector + query halo) — and keep them in the
-//! third piece, [`WrappedRun`]: slots for the contiguous run of an
-//! annulus' cells around the PE's sector.
+//! [`CountTree::leaf_count`] and [`CountTree::prefix_before`] stay as the
+//! stateless reference the source is tested against.
 
+use crate::cell_points::cell_points;
 use crate::counts::CountTree;
 use crate::grid::CellGrid;
+use crate::point::Point;
 use kagen_obs::{Counter, Gauge};
+use kagen_util::seed::SeedTree;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
-/// Cells generated (including regenerations after eviction) across all
-/// frontier caches — the paper's recomputation cost, run-wide.
+/// Cells whose points a PE asked for, run-wide: against
+/// `geo.cursor_cells`, the paper's recomputation cost.
 static GEO_CELLS_GENERATED: Counter = Counter::new("geo.cells_generated");
-/// Live/peak points held by frontier caches (value tracks the cache
-/// that updated last; the peak is the run-wide high-water mark).
+/// Points a PE holds (value tracks the PE that updated last; the peak is
+/// the run-wide high-water mark).
 static GEO_FRONTIER_POINTS: Gauge = Gauge::new("geo.frontier_points");
-/// Cells visited by cell-range cursors (counted once per sweep).
+/// Cells of the PEs' own Morton ranges (counted once per pass).
 static GEO_CURSOR_CELLS: Counter = Counter::new("geo.cursor_cells");
 
-/// Account a pass without an evicting frontier under the same `geo.*`
-/// names: `cells` generated and the most `points` held at once — by the
-/// RHG query engine, which holds every cell it generates, at its end; by
-/// RDG, which holds nothing between blocks, in its largest block.
+/// Account a pass that is not over a [`GridCells`] under the same
+/// `geo.*` names: `cells` generated and the most `points` held at once —
+/// the RHG query engine, which holds every cell it generates, at its end.
 pub fn record_held(cells: u64, points: u64) {
     GEO_CELLS_GENERATED.add(cells);
     GEO_FRONTIER_POINTS.set(points);
 }
 
-/// Memory accounting of a [`FrontierCache`] (the `abl-mem`-style
-/// footprint proxy: every held point carries its precomputed terms).
+/// What one PE's pass over a [`GridCells`] cost and held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontierStats {
-    /// Cells generated over the whole pass, counting regenerations — the
-    /// paper's recomputation cost.
+    /// Cells whose points were asked for ([`GridCells::points`] calls,
+    /// empty cells included) — range cells once each, the rest is halo.
     pub generated_cells: u64,
-    /// Points currently held.
-    pub live_points: u64,
-    /// High-water mark of held points — the quantity that must stay
-    /// bounded by the cell neighborhood for the streaming claim to hold.
+    /// Count-tree nodes split: each node on the way to a cell asked for,
+    /// once.
+    pub nodes_drawn: u64,
+    /// High-water mark of the points the generator reported holding
+    /// ([`GridCells::note_held`]) — the quantity the streaming-memory
+    /// tests bound.
     pub peak_points: u64,
 }
 
-/// Cache values report how many points they hold so the cache can keep
-/// its high-water accounting without knowing the value type.
-pub trait Weighted {
-    /// Number of points (or equivalent units) this value holds.
-    fn weight(&self) -> u64;
-}
-
-impl<T> Weighted for (u64, Vec<T>) {
-    fn weight(&self) -> u64 {
-        self.1.len() as u64
-    }
-}
-
-impl<A, B> Weighted for (Vec<A>, Vec<B>) {
-    fn weight(&self) -> u64 {
-        self.0.len() as u64
-    }
-}
-
-/// A regenerate-on-miss cell cache with retire-rank eviction.
-///
-/// Each entry carries a `retire` rank: the last sweep position (caller
-/// defined, monotone over the pass) that may still reference it.
-/// [`FrontierCache::advance`] drops every entry whose rank has passed. A
-/// later fetch of an evicted key simply regenerates it — correctness
-/// never depends on the retire estimate, only the memory/recompute trade
-/// does.
-pub struct FrontierCache<K, V> {
-    map: BTreeMap<K, (u64, V)>,
+/// One PE's view of the cells of a `2^levels`-per-side grid whose Morton
+/// order is cut into `2^(D·chunk_levels)` aligned chunks: `(first global
+/// id, count)` and points of any cell, bit for bit
+/// `(`[`CountTree::prefix_before`]`, `[`CountTree::leaf_count`]`)` and
+/// [`cell_points`].
+#[derive(Debug)]
+pub struct GridCells<const D: usize> {
+    grid: CellGrid<D>,
+    tree: CountTree<D>,
+    seed: u64,
+    /// First cell of the PE's range.
+    lo: u64,
+    /// `first[i]` is the global id of the first vertex of range cell
+    /// `lo + i`; one more entry closes the last cell.
+    first: Vec<u64>,
+    /// The drawn splits, by `(depth, rank)`, of the nodes above the
+    /// range's subtree and on the way to every halo cell asked for.
+    memo: BTreeMap<(u64, u64), [u64; 8]>,
     stats: FrontierStats,
-    /// Points the caller currently holds outside the cache (the taken
-    /// center cell); included in every peak update so the reported
-    /// high-water covers the full working set, not just cached cells.
-    external: u64,
 }
 
-// Manual impl: prints occupancy and stats without requiring
-// `K: Debug` / `V: Debug`.
-impl<K, V> std::fmt::Debug for FrontierCache<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FrontierCache")
-            .field("len", &self.map.len())
-            .field("stats", &self.stats)
-            .field("external", &self.external)
-            .finish()
+impl<const D: usize> GridCells<D> {
+    /// The chunk refinement `with_chunks(chunks)` asks for: the largest
+    /// `b` with `2^(D·b) ≤ chunks`.
+    pub fn chunk_levels(chunks: usize) -> u32 {
+        chunks.ilog2() / D as u32
     }
-}
 
-impl<K: Ord + Copy, V: Weighted> FrontierCache<K, V> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        FrontierCache {
-            map: BTreeMap::new(),
+    /// Chunks of a grid of `grid_levels`: a chunk is a whole number of
+    /// cells, so the refinement asked for is capped by the grid's.
+    pub fn num_chunks(grid_levels: u32, chunk_levels: u32) -> usize {
+        1 << (D as u32 * chunk_levels.min(grid_levels))
+    }
+
+    /// Chunk `pe`'s source: walks the count tree of `n` points over the
+    /// chunk's cells, once.
+    pub fn new(seed: u64, n: u64, grid_levels: u32, chunk_levels: u32, pe: usize) -> Self {
+        assert!(pe < Self::num_chunks(grid_levels, chunk_levels));
+        let chunk_levels = chunk_levels.min(grid_levels);
+        let cells = 1u64 << (D as u32 * (grid_levels - chunk_levels));
+        let mut source = GridCells {
+            grid: CellGrid::new(grid_levels),
+            tree: CountTree::new(seed, n, grid_levels),
+            seed,
+            lo: pe as u64 * cells,
+            first: Vec::with_capacity(cells as usize + 1),
+            memo: BTreeMap::new(),
             stats: FrontierStats::default(),
-            external: 0,
-        }
-    }
-
-    fn bump_peak(&mut self) {
-        self.stats.peak_points = self
-            .stats
-            .peak_points
-            .max(self.stats.live_points + self.external);
-        GEO_FRONTIER_POINTS.record_peak(self.stats.peak_points);
-    }
-
-    /// Fetch `key`, generating it with `gen` on a miss. `retire` extends
-    /// the entry's lifetime (ranks only ever grow — a re-fetch from a
-    /// later sweep position keeps the cell alive longer).
-    pub fn get(&mut self, key: K, retire: u64, gen: impl FnOnce() -> V) -> &V {
-        let stats = &mut self.stats;
-        let external = self.external;
-        let entry = self.map.entry(key).or_insert_with(|| {
-            let v = gen();
-            stats.generated_cells += 1;
-            stats.live_points += v.weight();
-            // The peak can only move on an insertion; count the
-            // caller's externally held points too.
-            stats.peak_points = stats.peak_points.max(stats.live_points + external);
-            GEO_CELLS_GENERATED.incr();
-            GEO_FRONTIER_POINTS.set(stats.live_points + external);
-            (0, v)
+        };
+        let (mut next, count, node) = source.descend(pe as u64, chunk_levels);
+        let (tree, lo, first) = (source.tree, source.lo, &mut source.first);
+        let drawn = &mut source.stats.nodes_drawn;
+        let mut split = |node: &_, count| {
+            *drawn += 1;
+            tree.split(node, count)
+        };
+        let range = (lo, lo + cells);
+        tree.walk(&node, range, count, range, &mut split, &mut |_, count| {
+            first.push(next);
+            next += count;
         });
-        entry.0 = entry.0.max(retire);
-        &entry.1
+        first.push(next);
+        GEO_CURSOR_CELLS.add(cells);
+        source
     }
 
-    /// Remove and return `key` (generating it if absent) — for the
-    /// center cell of a pass, whose points the caller iterates while
-    /// fetching neighbors from the cache.
-    pub fn take(&mut self, key: K, gen: impl FnOnce() -> V) -> V {
-        match self.map.remove(&key) {
-            Some((_, v)) => {
-                self.stats.live_points -= v.weight();
-                v
-            }
-            None => {
-                self.stats.generated_cells += 1;
-                GEO_CELLS_GENERATED.incr();
-                gen()
-            }
+    /// [`CountTree::descend`] through the memo.
+    fn descend(&mut self, rank: u64, depth: u32) -> (u64, u64, SeedTree) {
+        let (tree, memo, drawn) = (self.tree, &mut self.memo, &mut self.stats.nodes_drawn);
+        tree.descend(rank, depth, &mut |node, count| {
+            *memo.entry((node.level(), node.rank())).or_insert_with(|| {
+                *drawn += 1;
+                tree.split(node, count)
+            })
+        })
+    }
+
+    /// The grid the cells are of.
+    pub fn grid(&self) -> &CellGrid<D> {
+        &self.grid
+    }
+
+    /// The PE's cells, an aligned Morton range.
+    pub fn range(&self) -> Range<u64> {
+        self.lo..self.lo + self.first.len() as u64 - 1
+    }
+
+    /// Whether `cell` lies inside the PE's range.
+    pub fn contains(&self, cell: u64) -> bool {
+        self.range().contains(&cell)
+    }
+
+    /// The range's first global vertex id.
+    pub fn first_id(&self) -> u64 {
+        self.first[0]
+    }
+
+    /// One past the range's last global vertex id.
+    pub fn end_id(&self) -> u64 {
+        self.first[self.first.len() - 1]
+    }
+
+    /// `(first global id, count)` of any cell of the grid: a lookup inside
+    /// the range, one memoised descent outside it.
+    pub fn cell(&mut self, morton: u64) -> (u64, u64) {
+        if self.contains(morton) {
+            let at = (morton - self.lo) as usize;
+            return (self.first[at], self.first[at + 1] - self.first[at]);
         }
+        let (first, count, _) = self.descend(morton, self.tree.levels());
+        (first, count)
     }
 
-    /// Evict every entry whose retire rank is behind `now`.
-    pub fn advance(&mut self, now: u64) {
-        let stats = &mut self.stats;
-        self.map.retain(|_, (retire, v)| {
-            let keep = *retire >= now;
-            if !keep {
-                stats.live_points -= v.weight();
-            }
-            keep
-        });
-        GEO_FRONTIER_POINTS.set(self.stats.live_points + self.external);
+    /// Append the points of cell `morton` to `out` and return
+    /// [`Self::cell`] of it.
+    pub fn points(&mut self, morton: u64, out: &mut Vec<Point<D>>) -> (u64, u64) {
+        let (first, count) = self.cell(morton);
+        self.stats.generated_cells += 1;
+        GEO_CELLS_GENERATED.incr();
+        if count > 0 {
+            cell_points(&self.grid, self.seed, morton, count, out);
+        }
+        (first, count)
     }
 
-    /// Current accounting. `live_points` excludes values handed out via
-    /// [`FrontierCache::take`].
+    /// The generator holds `points` points now.
+    pub fn note_held(&mut self, points: u64) {
+        self.stats.peak_points = self.stats.peak_points.max(points);
+        GEO_FRONTIER_POINTS.set(points);
+    }
+
+    /// The accounting so far.
     pub fn stats(&self) -> FrontierStats {
         self.stats
-    }
-
-    /// Record the points the caller holds outside the cache (the taken
-    /// center cell) — included in every peak update until the next call
-    /// replaces it, so the reported high-water covers the full working
-    /// set while neighbor fetches grow the frontier.
-    pub fn note_external(&mut self, points: u64) {
-        self.external = points;
-        self.bump_peak();
-    }
-}
-
-impl<K: Ord + Copy, V: Weighted> Default for FrontierCache<K, V> {
-    fn default() -> Self {
-        FrontierCache::new()
     }
 }
 
@@ -248,147 +245,9 @@ impl<T> Default for WrappedRun<T> {
     }
 }
 
-/// A walk over one PE's aligned Morton cell range carrying the running
-/// global-id prefix: the communication-free vertex ids of §5.1 fall out
-/// of the traversal (one `prefix_before` for the range start, then a
-/// running sum), instead of one O(levels·2^d) tree query per cell.
-#[derive(Debug)]
-pub struct CellRangeCursor<'a, const D: usize> {
-    grid: &'a CellGrid<D>,
-    tree: &'a CountTree<D>,
-    lo: u64,
-    hi: u64,
-}
-
-impl<'a, const D: usize> CellRangeCursor<'a, D> {
-    /// Cursor over the Morton cell range `[lo, hi)`.
-    pub fn new(grid: &'a CellGrid<D>, tree: &'a CountTree<D>, lo: u64, hi: u64) -> Self {
-        CellRangeCursor { grid, tree, lo, hi }
-    }
-
-    /// The range's first global vertex id.
-    pub fn first_id(&self) -> u64 {
-        self.tree.prefix_before(self.lo)
-    }
-
-    /// One past the range's last global vertex id.
-    pub fn end_id(&self) -> u64 {
-        if self.hi == self.tree.num_leaves() {
-            self.tree.total()
-        } else {
-            self.tree.prefix_before(self.hi)
-        }
-    }
-
-    /// Visit every cell of the range in Morton order as
-    /// `f(cell, count, first_id)`, where `first_id` is the global id of
-    /// the cell's first vertex.
-    pub fn for_cells(&self, f: &mut impl FnMut(u64, u64, u64)) {
-        let mut next_id = self.first_id();
-        let mut visited = 0u64;
-        self.tree
-            .for_leaf_counts(self.lo, self.hi, &mut |cell, count| {
-                visited += 1;
-                f(cell, count, next_id);
-                next_id += count;
-            });
-        GEO_CURSOR_CELLS.add(visited);
-    }
-
-    /// Whether `cell` lies inside the range.
-    pub fn contains(&self, cell: u64) -> bool {
-        (self.lo..self.hi).contains(&cell)
-    }
-
-    /// The retire rank of `cell` for a center-cell sweep over this
-    /// range: the largest in-range Morton rank among `cell` and its 3^d
-    /// neighborhood — the last center cell whose pair enumeration can
-    /// reference it. Cells outside every in-range neighborhood retire
-    /// immediately (rank 0).
-    pub fn last_referencing_center(&self, cell: u64) -> u64 {
-        let mut last = if self.contains(cell) { cell } else { 0 };
-        self.grid
-            .for_neighbors(self.grid.coords_of(cell), false, &mut |ncoords, _| {
-                let ncell = self.grid.morton_of(ncoords);
-                if self.contains(ncell) {
-                    last = last.max(ncell);
-                }
-            });
-        last
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl<T> Weighted for Vec<T> {
-        fn weight(&self) -> u64 {
-            self.len() as u64
-        }
-    }
-
-    #[test]
-    fn cache_regenerates_after_eviction() {
-        let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
-        let mut gens = 0;
-        let fetch = |cache: &mut FrontierCache<u64, Vec<u32>>, k: u64, retire: u64| {
-            let mut local = 0;
-            let v = cache
-                .get(k, retire, || {
-                    local += 1;
-                    vec![k as u32; 3]
-                })
-                .clone();
-            (v, local)
-        };
-        let (v1, g1) = fetch(&mut cache, 7, 2);
-        gens += g1;
-        let (v2, g2) = fetch(&mut cache, 7, 1);
-        gens += g2;
-        assert_eq!(v1, v2);
-        assert_eq!(gens, 1, "second fetch must hit");
-        // The retire rank was extended to 2 by the first fetch; rank 2
-        // keeps it, rank 3 evicts it.
-        cache.advance(2);
-        let (_, g3) = fetch(&mut cache, 7, 5);
-        assert_eq!(g3, 0, "rank 2 entry must survive advance(2)");
-        cache.advance(6);
-        let (v4, g4) = fetch(&mut cache, 7, 9);
-        assert_eq!(g4, 1, "evicted entry must regenerate");
-        assert_eq!(v4, v1, "regeneration must be deterministic");
-    }
-
-    #[test]
-    fn cache_accounts_points() {
-        let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
-        cache.get(1, 10, || vec![0; 5]);
-        cache.get(2, 10, || vec![0; 7]);
-        assert_eq!(cache.stats().live_points, 12);
-        assert_eq!(cache.stats().peak_points, 12);
-        assert_eq!(cache.stats().generated_cells, 2);
-        cache.advance(11);
-        assert_eq!(cache.stats().live_points, 0);
-        assert_eq!(cache.stats().peak_points, 12, "peak is a high-water mark");
-        let taken = cache.take(3, || vec![0; 2]);
-        assert_eq!(taken.len(), 2);
-        assert_eq!(cache.stats().generated_cells, 3);
-    }
-
-    #[test]
-    fn take_removes_cached_entry() {
-        let mut cache: FrontierCache<u64, Vec<u32>> = FrontierCache::new();
-        cache.get(4, 9, || vec![1, 2]);
-        let v = cache.take(4, || unreachable!("must come from the cache"));
-        assert_eq!(v, vec![1, 2]);
-        assert_eq!(cache.stats().live_points, 0);
-        let mut regenerated = false;
-        cache.get(4, 9, || {
-            regenerated = true;
-            vec![1, 2]
-        });
-        assert!(regenerated, "take must remove the entry");
-    }
 
     #[test]
     fn wrapped_run_grows_on_the_nearer_side_and_spans_only_what_it_touched() {
@@ -429,40 +288,80 @@ mod tests {
 
     #[test]
     fn cursor_ids_match_tree_prefixes() {
-        let grid: CellGrid<2> = CellGrid::new(3);
         let tree: CountTree<2> = CountTree::new(11, 500, 3);
-        let cursor = CellRangeCursor::new(&grid, &tree, 16, 48);
-        assert_eq!(cursor.first_id(), tree.prefix_before(16));
-        assert_eq!(cursor.end_id(), tree.prefix_before(48));
-        let mut seen = Vec::new();
-        cursor.for_cells(&mut |cell, count, first| seen.push((cell, count, first)));
-        assert_eq!(seen.len(), 32);
-        for &(cell, count, first) in &seen {
+        // The second of two chunks of a 3-level grid at one chunk level…
+        let mut source: GridCells<2> = GridCells::new(11, 500, 3, 1, 1);
+        assert_eq!(source.range(), 16..32);
+        assert_eq!(source.first_id(), tree.prefix_before(16));
+        assert_eq!(source.end_id(), tree.prefix_before(32));
+        for cell in 0..64 {
+            assert_eq!(source.contains(cell), (16..32).contains(&cell));
+            let (first, count) = source.cell(cell);
             assert_eq!(first, tree.prefix_before(cell), "cell {cell}");
             assert_eq!(count, tree.leaf_count(cell), "cell {cell}");
         }
-        // Full range: end_id is the total.
-        let full = CellRangeCursor::new(&grid, &tree, 0, tree.num_leaves());
-        assert_eq!(full.end_id(), 500);
+        // … and the full range, where end_id is the total.
+        let full: GridCells<2> = GridCells::new(11, 500, 3, 0, 0);
+        assert_eq!((full.first_id(), full.end_id()), (0, 500));
+        assert_eq!(full.range(), 0..64);
     }
 
+    /// Every node on the root-to-cell paths of the cells asked for — the
+    /// range's and a few outside it — is drawn once, nodes without
+    /// points never, and asking again draws nothing.
     #[test]
-    fn last_referencing_center_is_max_in_range_neighbor() {
-        let grid: CellGrid<2> = CellGrid::new(3);
-        let tree: CountTree<2> = CountTree::new(1, 100, 3);
-        let cursor = CellRangeCursor::new(&grid, &tree, 0, 64);
-        for cell in 0..64u64 {
-            let mut expect = cell;
-            grid.for_neighbors(grid.coords_of(cell), false, &mut |nc, _| {
-                expect = expect.max(grid.morton_of(nc));
-            });
-            assert_eq!(cursor.last_referencing_center(cell), expect, "cell {cell}");
+    fn nodes_drawn_is_the_distinct_nodes_on_the_paths_asked_for() {
+        use std::collections::BTreeSet;
+        fn check<const D: usize>(n: u64, levels: u32, chunk_levels: u32, pe: usize, halo: &[u64]) {
+            let tree: CountTree<D> = CountTree::new(5, n, levels);
+            let mut source: GridCells<D> = GridCells::new(5, n, levels, chunk_levels, pe);
+            let mut nodes = BTreeSet::new();
+            let path = |nodes: &mut BTreeSet<(u32, u64)>, cell: u64| {
+                for depth in 0..levels {
+                    let shift = D as u32 * (levels - depth);
+                    let (a, b) = (cell >> shift << shift, ((cell >> shift) + 1) << shift);
+                    let end = if b == tree.num_leaves() {
+                        n
+                    } else {
+                        tree.prefix_before(b)
+                    };
+                    if end > tree.prefix_before(a) {
+                        nodes.insert((depth, cell >> shift));
+                    }
+                }
+            };
+            source.range().for_each(|cell| path(&mut nodes, cell));
+            assert_eq!(source.stats().nodes_drawn, nodes.len() as u64, "range");
+            for (asked, &cell) in halo.iter().enumerate() {
+                path(&mut nodes, cell);
+                let mut pts = Vec::new();
+                let (first, count) = source.points(cell, &mut pts);
+                assert_eq!(
+                    (first, count),
+                    (tree.prefix_before(cell), tree.leaf_count(cell))
+                );
+                assert_eq!(pts.len() as u64, count);
+                assert_eq!(
+                    source.stats().nodes_drawn,
+                    nodes.len() as u64,
+                    "cell {cell}"
+                );
+                assert_eq!(source.stats().generated_cells, asked as u64 + 1);
+            }
+            let drawn = source.stats().nodes_drawn;
+            for cell in source.range().chain(halo.iter().copied()) {
+                source.cell(cell);
+            }
+            assert_eq!(
+                source.stats().nodes_drawn,
+                drawn,
+                "asking again draws nothing"
+            );
         }
-        // A restricted range clamps to in-range neighbors only.
-        let half = CellRangeCursor::new(&grid, &tree, 0, 32);
-        for cell in 0..64u64 {
-            let got = half.last_referencing_center(cell);
-            assert!(got < 32 || (cell < 32 && got == cell) || got == 0);
-        }
+        check::<2>(3_000, 4, 1, 2, &[127, 0, 192, 255, 37, 37, 126]);
+        check::<2>(40, 4, 2, 5, &[79, 96, 255, 0]); // most subtrees empty
+        check::<3>(2_000, 3, 1, 7, &[0, 447, 100, 63]);
+        check::<3>(2_000, 2, 5, 9, &[8, 63]); // chunk levels capped by the grid's
+        check::<2>(0, 3, 1, 0, &[20, 63]); // no points: nothing to split
     }
 }

@@ -46,63 +46,65 @@ impl<const D: usize> CountTree<D> {
         self.levels
     }
 
-    /// Split a node's count over its 2^D children (deterministic per node).
-    fn split(&self, node: &SeedTree, count: u64) -> Vec<u64> {
+    /// Split a node's count over its 2^D children (deterministic per
+    /// node): the first `2^D` entries, the rest stay zero.
+    pub(crate) fn split(&self, node: &SeedTree, count: u64) -> [u64; 8] {
         let k = 1usize << D;
         let mut rng = node.rng();
         // Sequential conditional binomials over equally likely children.
-        let mut counts = Vec::with_capacity(k);
+        let mut counts = [0u64; 8];
         let mut remaining = count;
-        for i in 0..k {
-            if i + 1 == k {
-                counts.push(remaining);
-            } else {
-                let c = binomial(&mut rng, remaining as u128, 1.0 / (k - i) as f64);
-                counts.push(c);
-                remaining -= c;
-            }
+        for (i, c) in counts[..k - 1].iter_mut().enumerate() {
+            *c = binomial(&mut rng, remaining as u128, 1.0 / (k - i) as f64);
+            remaining -= *c;
         }
+        counts[k - 1] = remaining;
         counts
     }
 
-    /// Point count of the single leaf cell with Morton rank `leaf`.
-    /// O(levels) binomial draws.
-    pub fn leaf_count(&self, leaf: u64) -> u64 {
-        debug_assert!(leaf < self.num_leaves());
+    /// The one root-to-node descent: `(points before, count, node)` of
+    /// the subtree at `depth` whose leaves share the Morton prefix `rank`.
+    /// Every node on the way that still holds points is split through
+    /// `split` ([`Self::split`], or a memo in front of it).
+    pub(crate) fn descend(
+        &self,
+        rank: u64,
+        depth: u32,
+        split: &mut impl FnMut(&SeedTree, u64) -> [u64; 8],
+    ) -> (u64, u64, SeedTree) {
+        debug_assert!(depth <= self.levels && rank >> (depth * D as u32) == 0);
         let mut node = SeedTree::root(self.seed, stream::COUNT, 1 << D);
-        let mut count = self.total;
-        for level in (0..self.levels).rev() {
-            let child = (leaf >> (level * D as u32)) & ((1 << D) - 1);
-            count = self.split(&node, count)[child as usize];
-            node = node.child(child);
-            if count == 0 {
-                break;
+        let (mut prefix, mut count) = (0u64, self.total);
+        for level in (0..depth).rev() {
+            let child = ((rank >> (level * D as u32)) & ((1 << D) - 1)) as usize;
+            if count > 0 {
+                let counts = split(&node, count);
+                prefix += counts[..child].iter().sum::<u64>();
+                count = counts[child];
             }
+            node = node.child(child as u64);
         }
-        count
+        (prefix, count, node)
+    }
+
+    /// The stateless reference: `(points before, count)` of leaf `leaf`.
+    fn locate(&self, leaf: u64) -> (u64, u64) {
+        let mut split = |node: &SeedTree, count| self.split(node, count);
+        let (prefix, count, _) = self.descend(leaf, self.levels, &mut split);
+        (prefix, count)
+    }
+
+    /// Point count of the single leaf cell with Morton rank `leaf`.
+    /// O(levels · 2^D) binomial draws.
+    pub fn leaf_count(&self, leaf: u64) -> u64 {
+        self.locate(leaf).1
     }
 
     /// Number of points in all leaves strictly before `leaf` (Morton
     /// order): the communication-free global vertex-id offset of a cell.
     /// O(levels · 2^D) binomial draws.
     pub fn prefix_before(&self, leaf: u64) -> u64 {
-        debug_assert!(leaf < self.num_leaves());
-        let mut node = SeedTree::root(self.seed, stream::COUNT, 1 << D);
-        let mut count = self.total;
-        let mut prefix = 0u64;
-        for level in (0..self.levels).rev() {
-            let child = ((leaf >> (level * D as u32)) & ((1 << D) - 1)) as usize;
-            let counts = self.split(&node, count);
-            for &c in &counts[..child] {
-                prefix += c;
-            }
-            count = counts[child];
-            node = node.child(child as u64);
-            if count == 0 {
-                break;
-            }
-        }
-        prefix
+        self.locate(leaf).0
     }
 
     /// Visit every leaf in the Morton range `[lo, hi)` with its count.
@@ -113,18 +115,26 @@ impl<const D: usize> CountTree<D> {
             return;
         }
         let root = SeedTree::root(self.seed, stream::COUNT, 1 << D);
-        self.descend(&root, 0, self.num_leaves(), self.total, lo, hi, f);
+        let mut split = |node: &SeedTree, count| self.split(node, count);
+        self.walk(
+            &root,
+            (0, self.num_leaves()),
+            self.total,
+            (lo, hi),
+            &mut split,
+            f,
+        );
     }
 
-    #[allow(clippy::too_many_arguments)] // recursion state, not an API
-    fn descend(
+    /// Visit the leaves of `[lo, hi)` below `node`, whose leaves are
+    /// `[a, b)` and hold `count` points, splitting through `split`.
+    pub(crate) fn walk(
         &self,
         node: &SeedTree,
-        a: u64,
-        b: u64,
+        (a, b): (u64, u64),
         count: u64,
-        lo: u64,
-        hi: u64,
+        (lo, hi): (u64, u64),
+        split: &mut impl FnMut(&SeedTree, u64) -> [u64; 8],
         f: &mut impl FnMut(u64, u64),
     ) {
         if hi <= a || b <= lo {
@@ -141,11 +151,18 @@ impl<const D: usize> CountTree<D> {
             }
             return;
         }
-        let counts = self.split(node, count);
+        let counts = split(node, count);
         let width = (b - a) >> D;
-        for (i, &c) in counts.iter().enumerate() {
+        for (i, &c) in counts[..1 << D].iter().enumerate() {
             let ca = a + i as u64 * width;
-            self.descend(&node.child(i as u64), ca, ca + width, c, lo, hi, f);
+            self.walk(
+                &node.child(i as u64),
+                (ca, ca + width),
+                c,
+                (lo, hi),
+                split,
+                f,
+            );
         }
     }
 }

@@ -11,11 +11,12 @@
 //!   partitioning of `n` points over the grid with subtree-seeded PRNGs, so
 //!   any PE can derive the content of any cell without communication;
 //! * [`cell_points`] — deterministic per-cell point generation;
-//! * [`cell_stream`] — the cell-cursor streaming core: a Morton
-//!   cell-range cursor (RGG, RDG) plus RGG's regenerate-on-miss frontier
-//!   cache with retire-rank eviction, so spatial generators stream edges
-//!   with memory bounded by the active cell neighborhood, and the
-//!   wrapped-run slot store the hyperbolic generators keep their cells in;
+//! * [`cell_stream`] — what a PE holds of the cells: [`GridCells`], the
+//!   one per-PE cell source of RGG and RDG (the id prefix of every cell
+//!   of the PE's Morton range from one walk of the count tree, a halo
+//!   cell by one memoised descent, each tree node drawn at most once),
+//!   and the wrapped-run slot store the hyperbolic generators keep their
+//!   cells in;
 //! * [`hyperbolic`] — the hyperbolic plane toolbox of §7 (radial sampling,
 //!   distance, Δθ bounds, trig-free adjacency via precomputation, annuli).
 
@@ -26,7 +27,7 @@ pub mod grid;
 pub mod hyperbolic;
 pub mod point;
 
-pub use cell_stream::{CellRangeCursor, FrontierCache, FrontierStats};
+pub use cell_stream::{FrontierStats, GridCells};
 pub use counts::CountTree;
 pub use grid::CellGrid;
 pub use kagen_util::morton;

@@ -9,8 +9,7 @@
 //! independent from each other and have no means of synchronization or
 //! communication. The threads of a block are processed in a SIMD-style
 //! manner" (§2.3). No GPU is available in this reproduction environment, so
-//! this crate implements that *execution model* as a simulation (see
-//! DESIGN.md, substitutions):
+//! this crate implements that *execution model* as a simulation:
 //!
 //! * [`device`] — a [`device::Device`] executes kernels as a grid
 //!   of independent blocks on the rayon pool (blocks never communicate,

@@ -6,7 +6,8 @@
 //! generators are *communication-free*, a PE's output is a pure function of
 //! `(seed, params, pe id)` — so logical PEs can be executed as tasks on a
 //! shared-memory thread pool and the code path is identical to what MPI
-//! ranks would run (see DESIGN.md, substitutions).
+//! ranks would run (`kagen launch` runs it as processes: README,
+//! "Distributed runs").
 //!
 //! * [`pe`] — run `k` logical PEs on `t` threads, optionally timing each;
 //!   [`split_ranges`] is the rank plan shared with the multi-process

@@ -75,8 +75,8 @@ impl ScalingPoint {
     }
 }
 
-/// Render scaling points as an aligned text table (used by the experiment
-/// harness to produce EXPERIMENTS.md content).
+/// Render scaling points as an aligned text table (what the experiment
+/// harness prints and `--write`s).
 pub fn format_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -14,7 +14,7 @@
 //! * the union over disjoint block ranges of one instance is exactly the
 //!   instance — independent of which PE computes what;
 //! * the instance depends only on `(universe, samples, blocks, seed)` —
-//!   *not* on the number of PEs (see DESIGN.md: instance-vs-P decoupling).
+//!   *not* on the number of PEs.
 
 use kagen_dist::hypergeometric;
 use kagen_util::seed::{stream, SeedTree};

@@ -6,7 +6,7 @@
 //!    changes any PE's output.
 //! 3. **Chunk invariance** — the merged instance depends only on
 //!    (params, seed), not on the number of PEs (our strengthening of the
-//!    paper's reproducibility; DESIGN.md).
+//!    paper's reproducibility).
 //! 4. **Seed sensitivity** — different seeds give different instances.
 
 use kagen_repro::core::prelude::*;

@@ -7,13 +7,71 @@ use kagen_repro::core::er::{
     directed_edge_to_index, directed_index_to_edge, triangle_index_to_pair,
 };
 use kagen_repro::core::prelude::*;
-use kagen_repro::geometry::{morton, CellGrid, CountTree};
+use kagen_repro::geometry::{morton, CellGrid, CountTree, GridCells};
 use kagen_repro::gpgpu::{exclusive_scan, Device, GpuGnmDirected, GpuRgg2d};
 use kagen_repro::graph::components::connected_components;
 use kagen_repro::graph::{bfs_distances, merge_pe_edges, Csr, EdgeList};
 use kagen_repro::util::seed::{stream, SeedTree};
 use kagen_repro::util::{derive_seed, Mt64, Rng64};
 use proptest::prelude::*;
+
+/// A PE's [`GridCells`] against the stateless reference: for one aligned
+/// Morton range of a `levels`-deep grid, `cell(m)` is `(prefix_before(m),
+/// leaf_count(m))` for every cell of the range and of the two rings of
+/// cells around it, wrapped on the torus — whether the cells are asked
+/// for ring by ring, in Morton order or shuffled (the memo makes the
+/// answer independent of what was asked before).
+fn grid_cells_agree<const D: usize>(seed: u64, n: u64, levels: u32, chunk_levels: u32, pick: u64) {
+    let tree = CountTree::<D>::new(seed, n, levels);
+    let chunks = GridCells::<D>::num_chunks(levels, chunk_levels);
+    let pe = (pick % chunks as u64) as usize;
+    let range = GridCells::<D>::new(seed, n, levels, chunk_levels, pe).range();
+    let grid = CellGrid::<D>::new(levels);
+    let g = grid.cells_per_dim() as i64;
+    let side = g / (1 << chunk_levels.min(levels));
+    let origin = grid.coords_of(range.start).map(|x| x as i64);
+    // Range first, then ring 1, then ring 2.
+    let mut asked: Vec<u64> = range.clone().collect();
+    for h in 1..=2i64 {
+        let width = side + 2 * h;
+        for at in 0..width.pow(D as u32) {
+            let offset: [i64; D] = std::array::from_fn(|i| at / width.pow(i as u32) % width);
+            if offset.iter().any(|&o| o == 0 || o == width - 1) {
+                let raw: [i64; D] = std::array::from_fn(|i| origin[i] - h + offset[i]);
+                asked.push(grid.morton_of(raw.map(|x| x.rem_euclid(g) as u64)));
+            }
+        }
+    }
+    let mut sorted = asked.clone();
+    sorted.sort_unstable();
+    let mut shuffled = asked.clone();
+    let mut rng = Mt64::new(pick);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+    }
+    for (order, cells) in [("ring", asked), ("morton", sorted), ("shuffled", shuffled)] {
+        let mut source = GridCells::<D>::new(seed, n, levels, chunk_levels, pe);
+        prop_assert_eq!(source.first_id(), tree.prefix_before(range.start));
+        prop_assert_eq!(source.end_id() - source.first_id(), {
+            let mut sum = 0;
+            tree.for_leaf_counts(range.start, range.end, &mut |_, c| sum += c);
+            sum
+        });
+        for cell in cells {
+            prop_assert_eq!(
+                source.cell(cell),
+                (tree.prefix_before(cell), tree.leaf_count(cell)),
+                "{}-D, {} levels, PE {} of {}, {} order, cell {}",
+                D,
+                levels,
+                pe,
+                chunks,
+                order,
+                cell
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -125,6 +183,18 @@ proptest! {
         let mut via_range = 0u64;
         tree.for_leaf_counts(0, leaves, &mut |_, c| via_range += c);
         prop_assert_eq!(via_range, total);
+    }
+
+    #[test]
+    fn grid_cells_answer_as_the_stateless_count_tree(
+        levels in 0u32..5,
+        chunk_levels in 0u32..4,
+        total in 0u64..3000,
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+    ) {
+        grid_cells_agree::<2>(seed, total, levels, chunk_levels, pick);
+        grid_cells_agree::<3>(seed, total, levels.min(3), chunk_levels, pick);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * a counting global allocator (every byte allocated during a
 //!   `stream_pe` pass, high-water above the pre-pass baseline), and
-//! * the generators' own accounting in points: the frontier cache's
-//!   `peak_points` (`Rgg::stream_cells`), the RHG query engine's
-//!   `points_held` (`Rhg::stream_query`) and the most points one RDG
-//!   block held with its halo (`Rdg::stream_cells`).
+//! * the generators' own accounting in points: the sweep frontier and
+//!   halo ring RGG holds (`Rgg::stream_cells`' `peak_points`), the RHG
+//!   query engine's `points_held` (`Rhg::stream_query`) and the most
+//!   points one RDG block held with its halo (`Rdg::stream_cells`).
 //!
 //! The tests take turns (`SERIAL`) so no sibling's allocations pollute
 //! the high-water mark.
@@ -60,15 +60,55 @@ fn rdg_working_set_is_a_block_not_a_chunk() {
     );
 }
 
+/// RGG's working set is one `u64` per cell of the PE's range (the id
+/// prefixes its `GridCells` keeps) plus the points of the sweep frontier
+/// and the halo ring — the chunk's perimeter, not its area.
+#[test]
+fn rgg_working_set_is_the_chunk_perimeter_not_its_area() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let peak = |n: u64, r: f64, chunks: usize| -> u64 {
+        let gen = Rgg2d::new(n, r).with_seed(3).with_chunks(chunks);
+        assert_eq!(gen.num_chunks(), chunks);
+        let pes = 0..chunks;
+        pes.map(|pe| gen.stream_cells(pe, &mut |_, _| {}).peak_points)
+            .max()
+            .unwrap()
+    };
+    // r = 0.01 makes a 64 × 64 grid whatever n is. A chunk of s × s cells
+    // has a halo ring of 4s + 4 cells (2s + 1 at a corner of the unit
+    // square); with the sweep's frontier inside the chunk a PE holds 0.85
+    // of that ring's expected points at 4 chunks and 1.1–1.2 at 64.
+    for n in [20_000u64, 320_000] {
+        let mean = n as f64 / 4096.0;
+        for (chunks, side) in [(4, 32.0), (64, 8.0)] {
+            let held = peak(n, 0.01, chunks);
+            let perimeter = (4.0 * side + 4.0) * mean;
+            assert!(
+                (held as f64) < 2.0 * perimeter,
+                "n = {n}, {chunks} chunks: {held} points held, \
+                 the halo ring expects {perimeter}"
+            );
+        }
+    }
+    // Eight points per cell at 4 chunks: 16× the points per PE are 16×
+    // the cells of a chunk and 4× its perimeter (measured: 4.06×).
+    let small = peak(1 << 17, 1.0 / 128.0, 4);
+    let large = peak(1 << 21, 1.0 / 512.0, 4);
+    assert!(
+        large < 6 * small,
+        "16x the chunk area took the peak {small} -> {large}"
+    );
+}
+
 #[test]
 fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // ---- RGG, counting allocator ------------------------------------
     // Fixed radius ⇒ fixed grid; growing n grows the per-PE edge count
-    // ~quadratically (denser cells) while the frontier holds only the
-    // active cell neighborhood (~linear in n). The allocator sees
-    // everything: frontier cache, per-cell vectors, count-tree
-    // transients.
+    // ~quadratically (denser cells) while the sweep holds only its
+    // frontier and the halo ring (~linear in n). The allocator sees
+    // everything: the held cells' vectors, the map they sit in, and the
+    // source's 8 B per range cell and memoised tree nodes.
     let run_rgg = |n: u64| -> (u64, u64) {
         let gen = Rgg2d::new(n, 0.05).with_seed(3).with_chunks(4);
         let mut edges = 0u64;
@@ -96,7 +136,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     );
 
     // ---- RGG, frontier accounting -----------------------------------
-    // The cache's own high-water mark tells the same story in points.
+    // The generator's own high-water mark tells the same story in points.
     let frontier_rgg = |n: u64| -> (u64, u64) {
         let gen = Rgg2d::new(n, 0.05).with_seed(3).with_chunks(4);
         let mut edges = 0u64;
