@@ -375,3 +375,67 @@ fn kagen_stream_merged_output_matches_golden() {
         "kagen stream --merge external output moved; the table as found:\n{found}"
     );
 }
+
+/// `(model argv, format, length and digest of merged.*)` of `kagen
+/// stream … --merge external`. A binary row holds at every `--merge-budget`
+/// of [`MERGE_BUDGETS`] and every `-t` of 1, 2, 4 (the merged file is the
+/// sorted edge (multi)set: no budget, thread count or tie-break can show
+/// in it); the text and compressed rows run at one combination.
+#[rustfmt::skip]
+const GOLDEN_MERGED: &[(&str, &str, usize, u64)] = &[
+    ("gnp_undirected -n 3000 -p 0.002 -s 3 -c 16", "binary", 146880, 5480271719102261867),
+    ("gnm_directed -n 2000 -m 12000 -s 3 -c 16", "binary", 192000, 7150711867164262285),
+    // Multi-edges are kept: 12000 edges in, 12000 out.
+    ("rmat -n 1024 -m 12000 -s 3 -c 16", "binary", 192000, 7317404787042555822),
+    // Hub skew: the low ids take most of the edges.
+    ("rhg -n 4000 -d 8 -g 2.4 -s 3 -c 16", "binary", 232816, 16958533502513050620),
+    ("ba -n 3000 -d 4 -s 3 -c 16", "binary", 192000, 5642701739184469350),
+    ("gnp_undirected -n 3000 -p 0.002 -s 3 -c 16", "edge-list", 85094, 2851106999204037742),
+    ("rmat -n 1024 -m 12000 -s 3 -c 16", "compressed", 26212, 1844308087560362027),
+];
+
+/// `--merge-budget` of the binary [`GOLDEN_MERGED`] rows: a budget far
+/// below a shard, one below the instance, and the default.
+const MERGE_BUDGETS: &[&str] = &["--merge-budget 16", "--merge-budget 1000", ""];
+
+#[test]
+fn kagen_stream_merged_output_is_budget_and_thread_invariant() {
+    let mut found = String::new();
+    let mut moved = false;
+    for (i, &(model, format, len, digest)) in GOLDEN_MERGED.iter().enumerate() {
+        let combos: Vec<(&str, usize)> = if format == "binary" {
+            MERGE_BUDGETS
+                .iter()
+                .flat_map(|&b| [1, 2, 4].map(|t| (b, t)))
+                .collect()
+        } else {
+            vec![(MERGE_BUDGETS[1], 2)]
+        };
+        let mut rows = std::collections::BTreeSet::new();
+        for (budget, threads) in combos {
+            let (_, dir) = kagen(
+                &format!("golden_merged_{i}"),
+                &format!(
+                    "stream {model} -t {threads} --shard-dir {{dir}} -f {format} \
+                     --merge external {budget} -o {{dir}}/merged"
+                ),
+            );
+            let bytes = std::fs::read(dir.join("merged")).unwrap();
+            rows.insert((bytes.len(), fnv1a(&bytes)));
+            assert!(
+                !dir.join("runs").exists(),
+                "{model} {budget} -t {threads}: the merge left its scratch directory behind"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        moved |= rows != std::collections::BTreeSet::from([(len, digest)]);
+        for (len, digest) in rows {
+            found.push_str(&format!("    ({model:?}, {format:?}, {len}, {digest}),\n"));
+        }
+    }
+    assert!(
+        !moved,
+        "merged output moved, or differs between budgets / thread counts (a row per \
+         distinct output); the table as found:\n{found}"
+    );
+}
