@@ -33,9 +33,10 @@
 //!   [`RunHeader::federate`] (parts → final manifest, identical to the
 //!   single-process constructor).
 //! * [`merge`] — bounded-memory external merge: shard-level parallel
-//!   reading forms sorted runs, a k-way merge reproduces
-//!   `generate_undirected` / `generate_directed` exactly, with peak
-//!   memory set by an explicit edge budget instead of the instance size.
+//!   reading scatters packed edge keys into buckets, a sort per bucket
+//!   reproduces `generate_undirected` / `generate_directed` exactly,
+//!   with peak memory set by an explicit edge budget instead of the
+//!   instance size.
 //!
 //! ## Quickstart
 //!
@@ -74,6 +75,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+mod keys;
 pub mod manifest;
 pub mod merge;
 pub mod reader;
@@ -82,7 +84,7 @@ pub mod writer;
 
 pub use kagen_graph::io::COMPRESSED_BLOCK_EDGES;
 pub use manifest::{Manifest, PartialManifest, RunHeader, ShardInfo, MANIFEST_FILE};
-pub use merge::{ExternalMerge, MergeStats, DEFAULT_FAN_IN};
+pub use merge::{ExternalMerge, MergeStats};
 pub use reader::{stream_shard_file, validate_shard, validate_shard_sampled, ShardReader};
 pub use sink::{
     checksum_step, BinarySink, ChecksumSink, CompressedSink, CountingSink, DegreeStatsSink,

@@ -164,12 +164,8 @@ fn run_stream(o: &Options) -> io::Result<()> {
             .map_err(to_out())?;
         let baseline = CountingAlloc::reset_peak();
         let merge_span = trace::span("stream.merge");
-        let mut merger =
-            ExternalMerge::new(shard_dir.join("runs"), o.merge_budget.unwrap_or(1 << 22))
-                .with_threads(o.threads);
-        if let Some(fan_in) = o.merge_fan_in {
-            merger = merger.with_fan_in(fan_in);
-        }
+        let merger = ExternalMerge::new(shard_dir.join("runs"), o.merge_budget.unwrap_or(1 << 22))
+            .with_threads(o.threads);
         let mut sink = TeeSink::new(
             out_sink,
             o.stats
@@ -182,8 +178,15 @@ fn run_stream(o: &Options) -> io::Result<()> {
         let merge_secs = merge_span.finish();
         ALLOC_PEAK_MERGE.record_peak(CountingAlloc::peak_above(baseline));
         info!(
-            "external merge: {} edges in, {} out, {} runs, peak buffer {} edges, {:.3}s -> {}",
-            stats.edges_in, stats.edges_out, stats.runs, stats.max_buffered, merge_secs, out_path
+            "external merge: {} edges in, {} out, {} buckets spilled ({} bytes), \
+             peak buffer {} edges, {:.3}s -> {}",
+            stats.edges_in,
+            stats.edges_out,
+            stats.runs,
+            stats.spill_bytes,
+            stats.max_buffered,
+            merge_secs,
+            out_path
         );
         if let Some(deg) = &sink.b {
             print_degree_summary(

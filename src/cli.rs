@@ -85,7 +85,7 @@ pub enum Format {
 pub enum Merge {
     /// Leave the shards as they are.
     None,
-    /// Sorted runs + k-way merge into one canonical file.
+    /// Partition to key buckets + a sort per bucket, into one canonical file.
     External,
 }
 
@@ -118,7 +118,6 @@ pub struct Options {
     pub shard_dir: Option<String>,
     pub merge: Merge,
     pub merge_budget: Option<usize>,
-    pub merge_fan_in: Option<usize>,
     pub workers: Option<usize>,
     pub resume: bool,
     pub validate: ValidateMode,
@@ -163,7 +162,6 @@ impl Options {
             shard_dir: None,
             merge: Merge::None,
             merge_budget: None,
-            merge_fan_in: None,
             workers: None,
             resume: false,
             validate: ValidateMode::Full,
@@ -534,7 +532,7 @@ static MERGE: Flag = Flag {
     metavar: Some("mode"),
     rejects: STREAM_ONLY,
     help: "none | external (default none): external also writes the canonical\n\
-           merged edge list via sorted runs + k-way merge, within the budget",
+           merged edge list (partition to key buckets, sort each), within the budget",
     set: |o, _, v| match v {
         "none" => put(&mut o.merge, Merge::None),
         "external" => put(&mut o.merge, Merge::External),
@@ -548,15 +546,6 @@ static BUDGET: Flag = Flag {
     rejects: STREAM_ONLY,
     help: "external-merge RAM budget in edges, >= 1 (default 1<<22)",
     set: |o, f, v| num(f, v).map(|x| o.merge_budget = Some(x)),
-    ..Flag::BASE
-};
-static FAN_IN: Flag = Flag {
-    names: &["--merge-fan-in"],
-    metavar: Some("k"),
-    rejects: STREAM_ONLY,
-    help: "max runs (files) merged at once, >= 2 (default 64); more runs\n\
-           merge in intermediate passes",
-    set: |o, f, v| num(f, v).map(|x| o.merge_fan_in = Some(x)),
     ..Flag::BASE
 };
 static WORKERS: Flag = Flag {
@@ -728,9 +717,9 @@ static TRACE_OUT: Flag = Flag {
 /// Every option, in help order.
 pub static FLAGS: &[&Flag] = &[
     &N, &M, &P, &R, &D, &GAMMA, &TEMP, &BLOCKS, &P_IN, &P_OUT, &KERNEL, &LEVELS, &LEAVES, &SEED,
-    &CHUNKS, &THREADS, &FORMAT, &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &FAN_IN, &WORKERS,
-    &RESUME, &VALIDATE, &RETRIES, &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR,
-    &HEARTBEAT, &VERBOSE, &QUIET, &M_OUT, &TRACE_OUT,
+    &CHUNKS, &THREADS, &FORMAT, &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &WORKERS, &RESUME,
+    &VALIDATE, &RETRIES, &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR, &HEARTBEAT,
+    &VERBOSE, &QUIET, &M_OUT, &TRACE_OUT,
 ];
 
 /// Spellings that used to be options, and what to type instead.
@@ -1045,18 +1034,13 @@ fn validate(o: &Options) -> Result<(), String> {
             return Err(format!("{out} requires {external} (shards go to {dir})"));
         }
         // Accepted and ignored would be worse than refused.
-        for (flag, given) in [(&BUDGET, o.merge_budget), (&FAN_IN, o.merge_fan_in)] {
-            if given.is_some() {
-                return Err(format!("{} requires {external}", flag.name()));
-            }
+        if o.merge_budget.is_some() {
+            return Err(format!("{} requires {external}", BUDGET.name()));
         }
     }
-    // `ExternalMerge` clamps these silently (budget 0: a run file per edge).
+    // `ExternalMerge` clamps this silently.
     if o.merge_budget == Some(0) {
         return Err(format!("{} must be >= 1", BUDGET.name()));
-    }
-    if o.merge_fan_in.is_some_and(|k| k < 2) {
-        return Err(format!("{} must be >= 2", FAN_IN.name()));
     }
     if o.mode == Mode::Worker {
         let range = PE_RANGE.name();

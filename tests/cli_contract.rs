@@ -356,12 +356,6 @@ const FLAG_MATRIX: &[(&str, Want)] = &[
         "2 - {mode}: --merge-budget requires `kagen stream`",
         "2 - {mode}: --merge-budget requires `kagen stream`",
     ])),
-    ("--merge-fan-in 8", Each([
-        "2 - {mode}: --merge-fan-in requires `kagen stream`",
-        "2 - {mode}: --merge-fan-in requires --merge external",
-        "2 - {mode}: --merge-fan-in requires `kagen stream`",
-        "2 - {mode}: --merge-fan-in requires `kagen stream`",
-    ])),
     ("--workers 1", Each([
         "2 - {mode}: --workers requires `kagen launch`",
         "2 - {mode}: --workers requires `kagen launch`",
@@ -872,12 +866,10 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen launch: unknown shard format 'bogus'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge sideways", &[], "2 - kagen stream: unknown merge mode 'sideways'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -o {root}/merged", &[], "2 - kagen stream: -o requires --merge external (shards go to --shard-dir)"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge-budget 10 --merge-fan-in 0", &[], "2 - kagen stream: --merge-budget requires --merge external"),
+    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge-budget 10", &[], "2 - kagen stream: --merge-budget requires --merge external"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge none --merge-budget 10", &[], "2 - kagen stream: --merge-budget requires --merge external"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 0", &[], "2 - kagen stream: --merge-budget must be >= 1"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-budget 1", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 1", &[], "2 - kagen stream: --merge-fan-in must be >= 2"),
-    ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --merge external --merge-fan-in 2", &[], "0 D kagen stream: wrote 4 shards, 228 edges, format compressed -> <tmp>/s in <t>s"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate none", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --no-validate --validate full", &[], "2 - kagen launch: --no-validate is retired; spell it `--validate none`"),

@@ -435,6 +435,118 @@ fn trace_file_is_wellformed_chrome_json() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// The external merge's telemetry surface: the `merge.*` scalars of
+/// `--metrics-out` — `merge.runs` counts spill files, `merge.passes` the
+/// re-partition depth — and the three phase spans inside `stream.merge`,
+/// one `sort` span per sorter thread.
+#[test]
+fn merge_metrics_and_spans_are_the_documented_set() {
+    let dir = tmp("merge_surface");
+    let metrics = dir.with_extension("metrics.json");
+    let trace = dir.with_extension("trace.json");
+    // 4096 edges of budget are two threads' worth and under a third of the keys.
+    let (ok, stderr) = kagen(&[
+        "stream",
+        "gnm_undirected",
+        "-n",
+        "2000",
+        "-m",
+        "8000",
+        "-c",
+        "4",
+        "-t",
+        "2",
+        "--merge",
+        "external",
+        "--merge-budget",
+        "4096",
+        "--shard-dir",
+        dir.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "stream failed:\n{stderr}");
+    assert!(
+        stderr.contains("buckets spilled (") && stderr.contains(" bytes), peak buffer "),
+        "the merge line reports buckets and spill bytes:\n{stderr}"
+    );
+
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let merge: Vec<(&str, u64)> = rm.ranks[0]
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("merge."))
+        .map(|(n, v)| (n.as_str(), *v))
+        .collect();
+    let names: Vec<&str> = merge.iter().map(|(n, _)| *n).collect();
+    assert_eq!(
+        names,
+        [
+            "merge.edges_in",
+            "merge.edges_out",
+            "merge.max_buffered.peak",
+            "merge.passes",
+            "merge.runs",
+            "merge.spill_bytes"
+        ]
+    );
+    let value = |name: &str| merge.iter().find(|(n, _)| *n == name).unwrap().1;
+    assert_eq!(value("merge.edges_in"), rm.edges);
+    assert_eq!(value("merge.edges_out"), 8000);
+    assert!(value("merge.max_buffered.peak") <= 4096);
+    assert_eq!(value("merge.passes"), 0);
+    assert!((1..=128).contains(&value("merge.runs")));
+    // Half the byte budget keeps 4096 eight-byte keys in memory.
+    assert_eq!(value("merge.spill_bytes"), 8 * (rm.edges - 4096));
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let doc = json::parse(&text).unwrap();
+    let events = doc.as_obj("trace").unwrap().get("traceEvents").unwrap();
+    let json::Value::Arr(events) = events else {
+        panic!("traceEvents is not an array");
+    };
+    // (name, start, end) of the merge's spans.
+    let mut spans = Vec::new();
+    for ev in events {
+        let obj = ev.as_obj("event").unwrap();
+        let json::Value::Str(name) = obj.get("name").unwrap() else {
+            panic!("non-string event name");
+        };
+        if name.starts_with("stream.merge") {
+            let num = |key: &str| obj.get(key).unwrap().as_u64(key).unwrap();
+            spans.push((name.clone(), num("ts"), num("ts") + num("dur")));
+        }
+    }
+    spans.sort();
+    let names: Vec<&str> = spans.iter().map(|(n, _, _)| n.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "stream.merge",
+            "stream.merge.emit",
+            "stream.merge.partition",
+            "stream.merge.sort",
+            "stream.merge.sort"
+        ]
+    );
+    let (_, begin, end) = spans[0];
+    let partition_end = spans[2].2;
+    for (name, from, to) in &spans[1..] {
+        assert!(begin <= *from && *to <= end, "{name} outside stream.merge");
+        assert!(
+            name == "stream.merge.partition" || partition_end <= *from + 1,
+            "{name} began before the partition ended"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&metrics).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
 /// Flag plumbing: telemetry flags are rejected exactly where they make
 /// no sense, before anything is generated or spawned.
 #[test]

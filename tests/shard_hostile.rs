@@ -9,12 +9,17 @@
 //! whose checksum or length check fails, and a text file is accepted
 //! only if it is what the encoder writes for the edges read from it.
 
+use kagen_repro::core::prelude::*;
 use kagen_repro::pipeline::{
     checksum_step, external_merge_to_vec, stream_shard_file, validate_shard,
-    validate_shard_sampled, CompressedSink, EdgeSink, RunHeader, ShardFormat, ShardInfo,
-    ShardReader,
+    validate_shard_sampled, write_sharded, CompressedSink, CountingSink, EdgeSink, ExternalMerge,
+    InstanceMeta, RunHeader, ShardFormat, ShardInfo, ShardReader, StreamConfig,
 };
 use std::path::PathBuf;
+
+/// The largest vertex id a manifest can admit (`n = u64::MAX`): the
+/// merge refuses an endpoint that is not below `n`.
+const TOP: u64 = u64::MAX - 1;
 
 /// A one-shard directory with its manifest, and what the shard means.
 struct Fixture {
@@ -42,8 +47,8 @@ fn compressed_blocks() -> [Vec<(u64, u64)>; 2] {
         (300, 2),
         (70_000, 1 << 40),
         (1 << 62, 7),
-        (u64::MAX, 0),
-        (0, u64::MAX),
+        (TOP, 0),
+        (0, TOP),
         (3, 3),
         (3, 4),
     ];
@@ -68,7 +73,7 @@ fn compressed_bytes(blocks: &[Vec<(u64, u64)>]) -> Vec<u8> {
 }
 
 fn binary_edges() -> Vec<(u64, u64)> {
-    (0..40u64).map(|i| (i * i, u64::MAX - i)).collect()
+    (0..40u64).map(|i| (i * i, TOP - i)).collect()
 }
 
 /// Ids of every decimal width from one digit to twenty, zeros on both
@@ -77,7 +82,7 @@ fn text_edges() -> Vec<(u64, u64)> {
     let mut edges: Vec<(u64, u64)> = (0..20u32)
         .map(|w| (10u64.pow(w) - w as u64 % 2, 10u64.pow(19 - w)))
         .collect();
-    edges.extend([(0, 0), (u64::MAX, 0), (0, u64::MAX), (10, 100), (9, 99)]);
+    edges.extend([(0, 0), (TOP, 0), (0, TOP), (10, 100), (9, 99)]);
     edges
 }
 
@@ -299,4 +304,50 @@ fn single_byte_substitutions_never_panic_or_change_the_stream() {
         );
         std::fs::remove_dir_all(&fx.dir).ok();
     }
+}
+
+/// One flipped byte in shard 40 of 64: the merge fails with one line
+/// naming the shard, nothing has reached the sink, and the spill files
+/// both workers had written by then are gone with their directory.
+#[test]
+fn failed_merge_leaves_no_spill_files() {
+    let dir = std::env::temp_dir().join("kagen_shard_hostile_spill");
+    std::fs::remove_dir_all(&dir).ok();
+    let gen = GnmUndirected::new(5000, 40_000)
+        .with_seed(3)
+        .with_chunks(64);
+    let meta = InstanceMeta {
+        model: "gnm_undirected".into(),
+        params: String::new(),
+        seed: 3,
+    };
+    let manifest =
+        write_sharded(&gen, &meta, &StreamConfig::new(&dir, ShardFormat::Binary)).unwrap();
+    // A budget of two shards or so: shards 32..40 overflow the second
+    // worker's share before it meets the bad one.
+    assert!(manifest.shards.iter().all(|s| s.edges > 600));
+    let path = dir.join(&manifest.shards[40].file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8] ^= 0x01;
+    std::fs::write(&path, bytes).unwrap();
+
+    let reader = ShardReader::open(&dir).unwrap();
+    let mut sink = CountingSink::new();
+    let err = ExternalMerge::new(dir.join("runs"), 4096)
+        .with_threads(2)
+        .merge(&reader, &mut sink)
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let line = err.to_string();
+    assert!(
+        line.contains("shard-00040.bin") && !line.contains('\n'),
+        "{line}"
+    );
+    assert_eq!(
+        sink.finish().unwrap(),
+        0,
+        "edges emitted before the shards were verified"
+    );
+    assert!(!dir.join("runs").exists(), "spill files leaked");
+    std::fs::remove_dir_all(&dir).ok();
 }

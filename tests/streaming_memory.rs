@@ -200,3 +200,71 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
         d2_edges * 16
     );
 }
+
+/// The external merge holds `budget × 16 B` of keys plus, per running
+/// thread, one reader block and its I/O buffers — [`MERGE_FIXED_BYTES`]
+/// bounds those — however skewed the instance: RHG hubs and R-MAT
+/// multi-edges put far more than a budget into one bucket, which is
+/// partitioned again rather than loaded. (What `kagen stream` reports as
+/// `alloc.peak_bytes.merge`, less its output sink.) The merge's own
+/// accounting (`max_buffered`) stays within the budget at every thread
+/// count.
+#[test]
+fn external_merge_stays_within_its_budget_under_skew() {
+    use kagen_repro::pipeline::{
+        write_sharded, CountingSink, ExternalMerge, InstanceMeta, ShardFormat, ShardReader,
+        StreamConfig,
+    };
+    /// A verified 4096-edge block (64 KiB) and its encoded bytes, a
+    /// `BufReader`, the 128 bucket counters of each partition level and a
+    /// spill-file read buffer: what one thread holds besides keys.
+    const MERGE_FIXED_BYTES: u64 = 128 << 10;
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let rhg = Rhg::new(20_000, 8.0, 2.8).with_seed(3).with_chunks(16);
+    let rmat = Rmat::new(10, 50_000).with_seed(3).with_chunks(16);
+    let cases: [(&dyn Generator, &str); 2] = [(&rhg, "rhg"), (&rmat, "rmat")];
+    for (gen, model) in cases {
+        let dir = std::env::temp_dir().join(format!("kagen_merge_memory_{model}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let meta = InstanceMeta {
+            model: model.into(),
+            params: String::new(),
+            seed: 3,
+        };
+        let cfg = StreamConfig::new(&dir, ShardFormat::Compressed);
+        let manifest = write_sharded(gen, &meta, &cfg).unwrap();
+        let reader = ShardReader::open(&dir).unwrap();
+        // `running`: a budget below 1024 keys a thread runs one thread
+        // whatever `-t` is; the emitting thread comes on top.
+        for (budget, threads, running) in [
+            (64usize, 1usize, 1u64),
+            (64, 4, 1),
+            (64, 16, 1),
+            (1 << 12, 4, 4),
+        ] {
+            assert!(manifest.edges > 8 * budget as u64);
+            let mut sink = CountingSink::new();
+            let mut stats = None;
+            let peak = alloc_peak_during(|| {
+                let merge = ExternalMerge::new(dir.join("runs"), budget).with_threads(threads);
+                stats = Some(merge.merge(&reader, &mut sink).unwrap());
+            });
+            let stats = stats.unwrap();
+            let what = format!("{model}, budget {budget}, {threads} threads");
+            assert!(
+                stats.merge_passes >= 1,
+                "{what}: no bucket was partitioned again"
+            );
+            assert!(
+                stats.max_buffered <= budget,
+                "{what}: {} edges buffered",
+                stats.max_buffered
+            );
+            assert!(
+                peak <= budget as u64 * 16 + (running + 1) * MERGE_FIXED_BYTES,
+                "{what}: merge peak {peak} B"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
