@@ -10,8 +10,8 @@
 //! through an `EdgeSink` into its own compressed shard; the only
 //! per-worker memory is the generator state and a write buffer. The
 //! external merge then rebuilds the exact `generate_undirected` instance
-//! using a fixed edge budget of RAM (sorted runs + k-way merge), never
-//! the whole edge list.
+//! using a fixed edge budget of RAM (one partition pass over packed keys
+//! + a sort per bucket), never the whole edge list.
 
 use kagen_repro::core::prelude::*;
 use kagen_repro::pipeline::{
