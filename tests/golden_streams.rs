@@ -26,6 +26,10 @@
 //! whose stream triangulated one cell at a time and whose `generate_pe`
 //! was a second, chunk-at-a-time engine.
 //!
+//! A fifth table (after the RGG corners, which follow RDG's pattern)
+//! pins BA beyond the one `d = 4` row: `d` 1, 3, 5 and 8 at 1, 7 and 64
+//! chunks, recorded on the tree that resolved one slot at a time.
+//!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
@@ -726,4 +730,53 @@ fn rgg_corners_keep_their_golden_digests() {
     }
     assert!(moved.is_empty(), "RGG corner digests moved:\n{moved}");
     assert_eq!(rows.len(), GOLDEN_RGG_CORNERS.len(), "stale golden rows");
+}
+
+/// BA where its slot ranges and quotients are cut differently: `d` 1
+/// (a slot is a vertex), 3 and 5 (no power of two), 8; one PE, 7 (PE
+/// boundaries at no round slot number) and 64 (every PE shorter than a
+/// resolver block). Every row digests all of its PEs. Recorded on the
+/// tree that resolved one slot's hash chain at a time.
+fn ba_corners() -> Vec<(String, Box<dyn Generator>)> {
+    let mut rows: Vec<(String, Box<dyn Generator>)> = Vec::new();
+    for d in [1, 3, 5, 8] {
+        for chunks in [1, 7, 64] {
+            let gen = BarabasiAlbert::new(2000, d)
+                .with_seed(SEED)
+                .with_chunks(chunks);
+            rows.push((format!("ba_d{d}_c{chunks}"), Box::new(gen)));
+        }
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN_BA_CORNERS: &[(&str, CornerDigest)] = &[
+    ("ba_d1_c1", (2000, 17814933496002437805, 13931637969101286192)),
+    ("ba_d1_c7", (2000, 15678940680655153555, 15036749693123144749)),
+    ("ba_d1_c64", (2000, 960035524140781984, 10071672075827987503)),
+    ("ba_d3_c1", (6000, 6923613739240020184, 17864107600376644602)),
+    ("ba_d3_c7", (6000, 10081623971385114908, 15202191893308800610)),
+    ("ba_d3_c64", (6000, 14078050587524290007, 7322626898070983563)),
+    ("ba_d5_c1", (10000, 6672907137698705530, 15082847663106486553)),
+    ("ba_d5_c7", (10000, 4654246280116016322, 17386046483711579130)),
+    ("ba_d5_c64", (10000, 14608948355838815063, 5924008778724511565)),
+    ("ba_d8_c1", (16000, 12220897302002209521, 5239678125976258291)),
+    ("ba_d8_c7", (16000, 14856707505543917947, 17387935123432128739)),
+    ("ba_d8_c64", (16000, 8591479489230461712, 13288190110429162905)),
+];
+
+#[test]
+fn ba_corners_keep_their_golden_digests() {
+    let rows = ba_corners();
+    let mut moved = String::new();
+    for (name, gen) in rows.iter() {
+        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
+        let want = GOLDEN_BA_CORNERS.iter().find(|(n, _)| n == name);
+        if want.map(|(_, d)| *d) != Some(got) {
+            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
+        }
+    }
+    assert!(moved.is_empty(), "BA corner digests moved:\n{moved}");
+    assert_eq!(rows.len(), GOLDEN_BA_CORNERS.len(), "stale golden rows");
 }
