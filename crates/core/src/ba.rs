@@ -6,18 +6,83 @@
 //! `M[2i+1] = M[r]` for `r` uniform in `[0, 2i+1)`. Reading `M[r]` is what
 //! makes it look inherently sequential — Sanders & Schulz observe that the
 //! value of any odd position can be *recomputed* by replaying its random
-//! choice, which is fixed by a per-position hash. Each edge then becomes an
-//! independent function of the seed: PE `p` simply evaluates the slots of
-//! its vertex range.
+//! choice, which is fixed by a per-position hash ([`draw`]). Each edge then
+//! becomes an independent function of the seed: PE `p` simply evaluates the
+//! slots of its vertex range.
 //!
-//! The chain `r → r' → …` halves at least the index each step in
-//! expectation; its length is O(1) expected and O(log) w.h.p.
+//! The chain `r → r' → …` ends at the first even position, and a drawn
+//! position is even every other time: 2.000 draws per edge measured
+//! (`gen.ba.draws / gen.edges`), O(log) w.h.p. One chain is one serial
+//! dependency of ≈ 6 multiplies per draw with a coin-flip branch at its
+//! end, so resolving slot after slot costs latency, not work. The slots
+//! are independent, which the paper uses across PEs and
+//! [`BarabasiAlbert::fill_edges`] uses inside one core: it resolves a
+//! block of slots in *rounds*, each round replaying one draw for every
+//! chain still open — iterations the out-of-order core overlaps — and
+//! keeping the lanes that drew an odd position for the next round without
+//! a branch. Half the lanes retire per round, so a block of `B` slots takes
+//! ≈ log2 `B` rounds and the same draws in total.
+//! [`BarabasiAlbert::edge`] is the one-slot reference the block path is
+//! tested against.
 
 use crate::streaming::{fill_range_batched, BatchEmit};
-use crate::{Generator, PeGraph};
+use crate::{even_split, Generator, PeGraph};
+use kagen_obs::Counter;
 use kagen_util::seed::stream;
-use kagen_util::splitmix::mix2;
 use kagen_util::{derive_seed, Rng64, SplitMix64};
+
+/// Draws replayed by the block resolver (counted once per round);
+/// `gen.ba.draws / gen.edges` is the attachment-chain length per edge.
+static BA_DRAWS: Counter = Counter::new("gen.ba.draws");
+
+/// Slots resolved together by [`BarabasiAlbert::fill_edges`]: 8 KiB of
+/// positions plus 2 KiB of lane numbers on the stack. Swept 64 … 4096
+/// (CHANGES.md, PR 24; ns/edge on one core): 11.0 at 64, 9.0 at 256,
+/// 8.4–8.5 at 512 and 1024, 7.8 at 4096 — and that last 0.7 ns does
+/// not show in `kagen stream ba` wall time (0.448 s against 0.445 s,
+/// 3 of 6 pairs each), so the block stays at a quarter of the stack.
+const BLOCK: usize = 1024;
+// Lane numbers are `u16`.
+const _: () = assert!(BLOCK <= 1 << 16);
+
+/// Replay the random choice made for odd position `pos` of the virtual
+/// array: the position `r ~ U[0, pos)` it copies. `base` is the
+/// instance's [`BarabasiAlbert::resolve_base`]; `mix2` gives every
+/// position its own one-shot stream for the bounded draw.
+#[inline]
+pub fn draw(base: u64, pos: u64) -> u64 {
+    SplitMix64::at(base, pos).next_below(pos)
+}
+
+/// `x / d` for `x < 2^63` and a divisor fixed at construction, without
+/// the divide instruction (Granlund & Montgomery's round-up reciprocal).
+/// With `2^(l−1) < d ≤ 2^l` and `m = ⌈2^(63+l) / d⌉` — which fits a
+/// `u64` — `m·d = 2^(63+l) + e` for some `e < d ≤ 2^l`, so
+/// `x·m / 2^(63+l)` exceeds `x / d` by `x·e / (d·2^(63+l)) < 1/d`: too
+/// little to reach the next integer, and the floor is the quotient
+/// exactly. A power of two gives `m = 2^63`, i.e. the plain shift.
+#[derive(Clone, Copy, Debug)]
+pub struct Reciprocal {
+    m: u64,
+    l: u32,
+}
+
+impl Reciprocal {
+    /// The reciprocal of `d` in `1..=2^63`.
+    pub fn new(d: u64) -> Self {
+        assert!((1..=1 << 63).contains(&d));
+        let l = u64::BITS - (d - 1).leading_zeros();
+        let m = (1u128 << (63 + l)).div_ceil(d as u128);
+        Reciprocal { m: m as u64, l }
+    }
+
+    /// `x / d`; `x < 2^63`.
+    #[inline]
+    pub fn quotient(self, x: u64) -> u64 {
+        debug_assert!(x < 1 << 63);
+        (((2 * x) as u128 * self.m as u128) >> 64) as u64 >> self.l
+    }
+}
 
 /// Preferential attachment: each new vertex attaches `d` edges to earlier
 /// vertices with probability proportional to their current degree.
@@ -32,9 +97,14 @@ pub struct BarabasiAlbert {
 }
 
 impl BarabasiAlbert {
-    /// `n` vertices each attaching `d` edges.
+    /// `n` vertices each attaching `d` edges; `n·d ≤ 2^63`, so that the
+    /// last slot's position `2·slot + 1` fits a `u64`.
     pub fn new(n: u64, d: u64) -> Self {
         assert!(d >= 1);
+        assert!(
+            n.checked_mul(d).is_some_and(|slots| slots <= 1 << 63),
+            "n*d = {n}*{d} exceeds 2^63"
+        );
         BarabasiAlbert {
             n,
             d,
@@ -56,55 +126,79 @@ impl BarabasiAlbert {
         self
     }
 
-    /// The instance's base seed for slot resolution — hashed once, shared
-    /// by every slot (the batched fill hoists this out of the edge loop).
+    /// The instance's base seed for [`draw`] — hashed once, shared by
+    /// every position.
     #[inline]
-    fn resolve_base(&self) -> u64 {
+    pub fn resolve_base(&self) -> u64 {
         derive_seed(self.seed, &[stream::BA])
     }
 
-    /// Resolve virtual array position `pos` under a precomputed base seed.
-    #[inline]
-    fn resolve_with_base(&self, base: u64, mut pos: u64) -> u64 {
-        loop {
-            if pos & 1 == 0 {
-                // Even positions hold the slot's source vertex directly.
-                return (pos / 2) / self.d;
-            }
-            // Replay the random draw made for this odd position:
-            // r ~ U[0, pos). (mix2 gives an independent uniform per
-            // position; a bounded draw via a one-shot stream.)
-            let mut rng = SplitMix64::new(mix2(base, pos));
-            pos = rng.next_below(pos);
-        }
-    }
-
-    /// Edge of slot `i` (pure function): `(⌊i/d⌋, M[2i+1])`.
+    /// Edge of slot `i` (pure function): `(⌊i/d⌋, M[2i+1])`, the chain
+    /// followed one draw at a time.
     #[inline]
     pub fn edge(&self, slot: u64) -> (u64, u64) {
-        (
-            slot / self.d,
-            self.resolve_with_base(self.resolve_base(), 2 * slot + 1),
-        )
+        let base = self.resolve_base();
+        let mut pos = 2 * slot + 1;
+        // Even positions hold a slot's source vertex directly.
+        while pos & 1 == 1 {
+            pos = draw(base, pos);
+        }
+        (slot / self.d, (pos / 2) / self.d)
     }
 
     /// Append the edges of slot range `slots` to `out` — identical to
-    /// calling [`BarabasiAlbert::edge`] per slot, with the hashed base
-    /// seed derived once for the whole range.
+    /// calling [`BarabasiAlbert::edge`] per slot, resolved a block of
+    /// slots at a time in rounds (see the module doc).
     pub fn fill_edges(&self, slots: std::ops::Range<u64>, out: &mut Vec<(u64, u64)>) {
         out.reserve((slots.end - slots.start) as usize);
         let base = self.resolve_base();
-        for slot in slots {
-            out.push((slot / self.d, self.resolve_with_base(base, 2 * slot + 1)));
+        let by_d = Reciprocal::new(self.d);
+        // The source column is a running (vertex, slot within it) counter.
+        let (mut vertex, mut within) = (slots.start / self.d, slots.start % self.d);
+        let mut pos = [0u64; BLOCK];
+        let mut lanes = [0u16; BLOCK];
+        let mut lo = slots.start;
+        while lo < slots.end {
+            let len = (slots.end - lo).min(BLOCK as u64) as usize;
+            // First round: every slot draws from its own odd position.
+            // `lanes[..open]` lists the chains that drew an odd one again.
+            BA_DRAWS.add(len as u64);
+            let mut open = 0;
+            for (j, p) in pos[..len].iter_mut().enumerate() {
+                *p = draw(base, 2 * (lo + j as u64) + 1);
+                lanes[open] = j as u16;
+                open += (*p & 1) as usize;
+            }
+            while open > 0 {
+                BA_DRAWS.add(open as u64);
+                // The list is compacted in place: entry `i` is read
+                // before entry `still <= i` is written.
+                let mut still = 0;
+                for i in 0..open {
+                    let j = lanes[i] as usize;
+                    pos[j] = draw(base, pos[j]);
+                    lanes[still] = j as u16;
+                    still += (pos[j] & 1) as usize;
+                }
+                open = still;
+            }
+            out.extend(pos[..len].iter().map(|&p| {
+                let edge = (vertex, by_d.quotient(p / 2));
+                within += 1;
+                if within == self.d {
+                    (vertex, within) = (vertex + 1, 0);
+                }
+                edge
+            }));
+            lo += len as u64;
         }
     }
 
     /// Slot range owned by PE `pe` (its vertex range × `d`).
     #[inline]
     pub fn pe_slot_range(&self, pe: usize) -> std::ops::Range<u64> {
-        let begin = self.n * pe as u64 / self.chunks as u64;
-        let end = self.n * (pe as u64 + 1) / self.chunks as u64;
-        begin * self.d..end * self.d
+        let vertices = even_split(self.n, self.chunks, pe);
+        vertices.start * self.d..vertices.end * self.d
     }
 
     /// Edges attached per vertex (the model's `d`).
@@ -126,8 +220,8 @@ impl Generator for BarabasiAlbert {
         true
     }
 
-    /// Range fill: the hashed resolve-base seed is derived once per
-    /// batch instead of once per edge.
+    /// Range fill: [`BarabasiAlbert::fill_edges`] over the PE's slots, a
+    /// batch at a time.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
         fill_range_batched(self.pe_slot_range(pe), buf, emit, |r, out| {
             self.fill_edges(r, out)
@@ -137,12 +231,11 @@ impl Generator for BarabasiAlbert {
     fn pe_vertices(&self, pe: usize) -> PeGraph {
         // PE p owns a contiguous vertex range and therefore the slot range
         // [begin*d, end*d).
-        let begin = self.n * pe as u64 / self.chunks as u64;
-        let end = self.n * (pe as u64 + 1) / self.chunks as u64;
+        let vertices = even_split(self.n, self.chunks, pe);
         PeGraph {
             pe,
-            vertex_begin: begin,
-            vertex_end: end,
+            vertex_begin: vertices.start,
+            vertex_end: vertices.end,
             ..PeGraph::default()
         }
     }
@@ -203,6 +296,104 @@ mod tests {
             max > 100,
             "hub degree {max} too small for preferential attachment"
         );
+    }
+
+    #[test]
+    fn fill_edges_matches_edge_across_block_boundaries() {
+        // Ranges that start and end inside a block, span several, are
+        // empty; divisors with and without a power of two, `d = 1`, and
+        // one larger than a block. The sources cross vertex boundaries
+        // mid-block wherever `d` does not divide the block length.
+        const B: u64 = BLOCK as u64;
+        for d in [1, 2, 3, 5, 7, 8, 1000, (1 << 20) + 1] {
+            let gen = BarabasiAlbert::new(1 << 22, d).with_seed(5);
+            for range in [
+                0..0,
+                B..B,
+                0..1,
+                B - 50..B + 50,
+                B / 2..B / 2 + 7,
+                3..3 * B + 11,
+                0..2 * B,
+                (1 << 21) + 1..(1 << 21) + B + 2,
+            ] {
+                let mut filled = Vec::new();
+                gen.fill_edges(range.clone(), &mut filled);
+                let expect: Vec<_> = range.clone().map(|slot| gen.edge(slot)).collect();
+                assert_eq!(filled, expect, "d = {d}, slots {range:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn reciprocal_is_exact_around_powers_of_two() {
+        // `d = 2^k + 1` is where `m` comes closest to 2^64, `d = 2^k`
+        // where it is the plain shift; `tests/proptest_substrates.rs`
+        // draws the divisors in between.
+        const TOP: u64 = (1 << 63) - 1;
+        for k in 0..=63 {
+            for d in [(1u64 << k) - 1, 1 << k, (1 << k) + 1] {
+                if !(1..=1 << 63).contains(&d) {
+                    continue;
+                }
+                let by_d = Reciprocal::new(d);
+                let last = TOP / d * d;
+                for x in [0, d - 1, d, last.saturating_sub(1), last, TOP - 1, TOP] {
+                    let x = x.min(TOP);
+                    assert_eq!(by_d.quotient(x), x / d, "{x} / {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rejected_draws_inside_a_block_redraw_as_the_serial_chain_does() {
+        // Above 2^63 a position `p` rejects a word with probability
+        // (2^64 mod p) / 2^64 — just under a half at the slots used here
+        // — so every block below has lanes in Lemire's redraw loop.
+        let gen = BarabasiAlbert::new(1 << 61, 4).with_seed(3);
+        let base = gen.resolve_base();
+        let first = (1 << 62) + 7;
+        let range = first..first + 2 * BLOCK as u64 + 9;
+        let rejected = range
+            .clone()
+            .filter(|slot| {
+                let p = 2 * slot + 1;
+                let low = SplitMix64::at(base, p).next_u64().wrapping_mul(p);
+                low < p.wrapping_neg() % p
+            })
+            .count();
+        assert!(rejected > BLOCK / 2, "{rejected} first words rejected");
+        let mut filled = Vec::new();
+        gen.fill_edges(range.clone(), &mut filled);
+        let expect: Vec<_> = range.map(|slot| gen.edge(slot)).collect();
+        assert_eq!(filled, expect);
+    }
+
+    #[test]
+    fn pe_ranges_do_not_wrap_at_scale() {
+        // n · pe passes 2^64 from PE 11 on; the wrapped product gave PE 12
+        // the vertices from 2 097 152 on.
+        let (n, d) = (3u64 << 59, 4);
+        let gen = BarabasiAlbert::new(n, d).with_chunks(1 << 40);
+        let vertices = 36 << 19..(39 << 19);
+        assert_eq!(vertices.start, 18_874_368);
+        let part = gen.pe_vertices(12);
+        assert_eq!(part.vertex_begin..part.vertex_end, vertices);
+        let slots = gen.pe_slot_range(12);
+        assert_eq!(slots, vertices.start * d..vertices.end * d);
+        let mut ends = Vec::new();
+        gen.fill_edges(slots.start..slots.start + 1, &mut ends);
+        gen.fill_edges(slots.end - 1..slots.end, &mut ends);
+        assert_eq!((ends[0].0, ends[1].0), (vertices.start, vertices.end - 1));
+        assert_eq!(gen.pe_slot_range((1 << 40) - 1).end, n * d);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 2^63")]
+    fn positions_must_fit_a_word() {
+        // 2·slot + 1 wraps from slot 2^63 on.
+        BarabasiAlbert::new(3 << 60, 4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use super::{GnpLeaves, MonotoneEdgeDecoder};
 use crate::streaming::{BatchEmit, Batcher};
-use crate::{Generator, PeGraph};
+use crate::{even_split, Generator, PeGraph};
 use kagen_dist::binomial;
 use kagen_sampling::vitter::sample_sorted_batched;
 use kagen_sampling::{bernoulli_sample_batched, DistributedSampler};
@@ -31,9 +31,8 @@ pub(crate) fn er_blocks(universe: u128, expected_samples: u64) -> u64 {
 
 /// Assign PE `pe` of `chunks` its contiguous block range.
 pub(crate) fn pe_block_range(blocks: u64, chunks: usize, pe: usize) -> (u64, u64) {
-    let chunks = chunks as u64;
-    let pe = pe as u64;
-    (blocks * pe / chunks, blocks * (pe + 1) / chunks)
+    let range = even_split(blocks, chunks, pe);
+    (range.start, range.end)
 }
 
 /// Directed Erdős–Rényi G(n,m): a uniform graph with exactly `m` distinct

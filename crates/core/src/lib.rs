@@ -161,6 +161,18 @@ pub trait Generator: Sync {
     }
 }
 
+/// Part `i` of `total` items split into `parts` contiguous, balanced
+/// parts: `⌊total · i / parts⌋ .. ⌊total · (i + 1) / parts⌋`. The
+/// products are taken in `u128`: `total · i` passes 2^64 from
+/// `total · parts ≥ 2^64` on (n = 2^61 at 2^40 PEs), and a release build
+/// would wrap it silently.
+#[inline]
+pub(crate) fn even_split(total: u64, parts: usize, i: usize) -> std::ops::Range<u64> {
+    debug_assert!(i < parts);
+    let begin = |i: usize| (total as u128 * i as u128 / parts as u128) as u64;
+    begin(i)..begin(i + 1)
+}
+
 /// Run all PEs of a generator on `threads` worker threads.
 pub fn generate_parallel<G: Generator + ?Sized>(gen: &G, threads: usize) -> Vec<PeGraph> {
     kagen_runtime::run_chunks(gen.num_chunks(), threads, |pe| gen.generate_pe(pe))

@@ -37,7 +37,7 @@
 //! boundaries.
 
 use crate::streaming::{fill_range_batched, BatchEmit};
-use crate::{Generator, PeGraph};
+use crate::{even_split, Generator, PeGraph};
 use kagen_dist::AliasTable;
 use kagen_obs::{Counter, Histogram};
 use kagen_util::seed::stream;
@@ -382,9 +382,7 @@ impl Rmat {
     /// Edge-index range `[lo, hi)` owned by PE `pe`.
     #[inline]
     pub fn pe_edge_range(&self, pe: usize) -> Range<u64> {
-        let lo = self.m * pe as u64 / self.chunks as u64;
-        let hi = self.m * (pe as u64 + 1) / self.chunks as u64;
-        lo..hi
+        even_split(self.m, self.chunks, pe)
     }
 }
 
@@ -487,6 +485,15 @@ mod tests {
             let expect: Vec<_> = range.clone().map(|e| gen.edge(e)).collect();
             assert_eq!(filled, expect);
         }
+    }
+
+    #[test]
+    fn pe_edge_ranges_do_not_wrap_at_scale() {
+        // m · pe passes 2^64 from PE 16 on (the paper's 2^15 PEs).
+        let m = 1u64 << 60;
+        let gen = Rmat::new(40, m).with_chunks(1 << 15);
+        assert_eq!(gen.pe_edge_range(16), 16 << 45..17 << 45);
+        assert_eq!(gen.pe_edge_range((1 << 15) - 1), m - (1 << 45)..m);
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! SIMD device, visible in [`crate::device::DeviceStats`].
 
 use crate::device::Device;
+use kagen_core::ba::draw;
 use kagen_core::BarabasiAlbert;
-use kagen_util::seed::stream;
-use kagen_util::splitmix::mix2;
-use kagen_util::{derive_seed, Rng64, SplitMix64};
 
 /// Slots per device block: matches the R-MAT seed-block granularity so
 /// grid sizes stay comparable across generators.
@@ -57,9 +55,8 @@ impl GpuBarabasiAlbert {
             .collect();
         let inner = BarabasiAlbert::new(self.n, self.d).with_seed(self.seed);
         let inner = &inner;
-        // The slot-resolution base seed, replayed below for divergence
-        // accounting (same derivation as the CPU resolver).
-        let base = derive_seed(self.seed, &[stream::BA]);
+        // The CPU resolver's base seed, for replaying draws below.
+        let base = inner.resolve_base();
         let per_block: Vec<Vec<(u64, u64)>> = dev.launch(jobs, move |ctx, (lo, hi)| {
             let mut out = Vec::with_capacity((hi - lo) as usize);
             inner.fill_edges(lo..hi, &mut out);
@@ -67,11 +64,7 @@ impl GpuBarabasiAlbert {
             // first replay (the drawn position is even) retires early;
             // longer chains keep their warp stepping. Replay each slot's
             // first draw to classify the lanes.
-            ctx.simd_for(out.len(), |i| {
-                let pos = 2 * (lo + i as u64) + 1;
-                let mut rng = SplitMix64::new(mix2(base, pos));
-                rng.next_below(pos) & 1 == 0
-            });
+            ctx.simd_for(out.len(), |i| draw(base, 2 * (lo + i as u64) + 1) & 1 == 0);
             ctx.gmem_write(out.len() * 16);
             out
         });

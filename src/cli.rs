@@ -921,11 +921,13 @@ pub static MODELS: &[Model] = &[
     Model {
         name: "ba",
         flags: &[&N, &D],
-        // `-d 2.7` used to run as d = 2; n·d edges must fit a u64.
+        // `-d 2.7` used to run as d = 2; the last slot's position
+        // 2·(n·d − 1) + 1 must fit a u64.
         check: |o| {
             let d = o.d as u64;
-            let ok = d >= 1 && d as f64 == o.d && o.n.checked_mul(d).is_some();
-            in_range(ok, &D, "a positive integer (with n*d < 2^64)", o.d)
+            let fits = o.n.checked_mul(d).is_some_and(|slots| slots <= 1 << 63);
+            let ok = d >= 1 && d as f64 == o.d && fits;
+            in_range(ok, &D, "a positive integer (with n*d <= 2^63)", o.d)
         },
         params: |o| format!("n={} d={}", o.n, o.d as u64),
         build: |o| seeded!(o, BarabasiAlbert::new(o.n, o.d as u64)),

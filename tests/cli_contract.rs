@@ -743,8 +743,8 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 107 edges in <t>s",
     ])),
     ("soft-rhg -n 64 -d 4 -g 3 -T 1", All("2 - {mode}: soft-rhg: -T must be in (0, 1), got 1")),
-    ("ba -n 64 -d 0", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 0")),
-    ("ba -n 64 -d 0.5", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 0.5")),
+    ("ba -n 64 -d 0", All("2 - {mode}: ba: -d must be a positive integer (with n*d <= 2^63), got 0")),
+    ("ba -n 64 -d 0.5", All("2 - {mode}: ba: -d must be a positive integer (with n*d <= 2^63), got 0.5")),
     ("ba -n 64 -d 1", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 64 edges, format compressed -> <tmp>/shards in <t>s",
@@ -757,8 +757,9 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
     ])),
-    ("ba -n 64 -d 2.7", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got 2.7")),
-    ("ba -n 64 -d -1", All("2 - {mode}: ba: -d must be a positive integer (with n*d < 2^64), got -1")),
+    ("ba -n 64 -d 2.7", All("2 - {mode}: ba: -d must be a positive integer (with n*d <= 2^63), got 2.7")),
+    ("ba -n 64 -d -1", All("2 - {mode}: ba: -d must be a positive integer (with n*d <= 2^63), got -1")),
+    ("ba -n 3458764513820540928 -d 4", All("2 - {mode}: ba: -d must be a positive integer (with n*d <= 2^63), got 4")),
     ("rmat -n 9223372036854775808 -m 16", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 16 edges, format compressed -> <tmp>/shards in <t>s",
@@ -884,6 +885,8 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel table is retired (slower than linear wherever it ran, capped at scale < 32); use --rmat-kernel linear, which defines a different instance per seed"),
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: unknown --rmat-kernel 'liner' (want linear | plain)"),
+    ("worker ba -n 2305843009213693952 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "0 D kagen worker: PEs 1125899906842623..1125899906842624 -> 1 shards, 8192 edges in <t>s"),
+    ("worker ba -n 2305843009213693953 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "2 - kagen worker: ba: -d must be a positive integer (with n*d <= 2^63), got 4"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "0 D kagen stream: wrote 4 shards, 6 edges, format compressed -> <tmp>/s in <t>s"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: unknown --gnp-leaves 'vitter' (want skip | algo-d)"),
     ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "2 - kagen launch: rhg: -g must be > 2, got 1.5"),

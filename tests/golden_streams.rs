@@ -26,9 +26,9 @@
 //! whose stream triangulated one cell at a time and whose `generate_pe`
 //! was a second, chunk-at-a-time engine.
 //!
-//! A fifth table (after the RGG corners, which follow RDG's pattern)
-//! pins BA beyond the one `d = 4` row: `d` 1, 3, 5 and 8 at 1, 7 and 64
-//! chunks, recorded on the tree that resolved one slot at a time.
+//! The last table pins BA beyond the one `d = 4` row: `d` 1, 3, 5 and 8
+//! at 1, 7 and 64 chunks, recorded on the tree that resolved one slot's
+//! hash chain at a time.
 //!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
@@ -522,6 +522,26 @@ fn corner_digest(gen: &dyn Generator, pes: std::ops::Range<usize>) -> CornerDige
     (edges, stream.checksum(), materialized.checksum())
 }
 
+/// Every row of a corner table, digested over all of its PEs, against
+/// its golden constant; the failure message prints the differing rows in
+/// source form.
+fn assert_corners(
+    what: &str,
+    rows: &[(String, Box<dyn Generator>)],
+    golden: &[(&str, CornerDigest)],
+) {
+    let mut moved = String::new();
+    for (name, gen) in rows {
+        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
+        let want = golden.iter().find(|(n, _)| n == name);
+        if want.map(|(_, d)| *d) != Some(got) {
+            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
+        }
+    }
+    assert!(moved.is_empty(), "{what} corner digests moved:\n{moved}");
+    assert_eq!(rows.len(), golden.len(), "stale golden rows");
+}
+
 /// The RHG family at the corners the `(SEED, CHUNKS)` rows miss: a
 /// single PE (every query wraps the whole circle), more PEs than the
 /// inner annuli have cells (`chunks = 300`), γ = 2.2 (Δθ = π windows
@@ -646,17 +666,7 @@ const GOLDEN_RDG_CORNERS: &[(&str, CornerDigest)] = &[
 
 #[test]
 fn rdg_corners_keep_their_golden_digests() {
-    let rows = rdg_corners();
-    let mut moved = String::new();
-    for (name, gen) in rows.iter() {
-        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
-        let want = GOLDEN_RDG_CORNERS.iter().find(|(n, _)| n == name);
-        if want.map(|(_, d)| *d) != Some(got) {
-            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
-        }
-    }
-    assert!(moved.is_empty(), "RDG corner digests moved:\n{moved}");
-    assert_eq!(rows.len(), GOLDEN_RDG_CORNERS.len(), "stale golden rows");
+    assert_corners("RDG", &rdg_corners(), GOLDEN_RDG_CORNERS);
 }
 
 /// RGG where its grid and chunks are cut differently: `chunks` 1, one
@@ -719,17 +729,7 @@ const GOLDEN_RGG_CORNERS: &[(&str, CornerDigest)] = &[
 
 #[test]
 fn rgg_corners_keep_their_golden_digests() {
-    let rows = rgg_corners();
-    let mut moved = String::new();
-    for (name, gen) in rows.iter() {
-        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
-        let want = GOLDEN_RGG_CORNERS.iter().find(|(n, _)| n == name);
-        if want.map(|(_, d)| *d) != Some(got) {
-            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
-        }
-    }
-    assert!(moved.is_empty(), "RGG corner digests moved:\n{moved}");
-    assert_eq!(rows.len(), GOLDEN_RGG_CORNERS.len(), "stale golden rows");
+    assert_corners("RGG", &rgg_corners(), GOLDEN_RGG_CORNERS);
 }
 
 /// BA where its slot ranges and quotients are cut differently: `d` 1
@@ -768,15 +768,5 @@ const GOLDEN_BA_CORNERS: &[(&str, CornerDigest)] = &[
 
 #[test]
 fn ba_corners_keep_their_golden_digests() {
-    let rows = ba_corners();
-    let mut moved = String::new();
-    for (name, gen) in rows.iter() {
-        let got = corner_digest(gen.as_ref(), 0..gen.num_chunks());
-        let want = GOLDEN_BA_CORNERS.iter().find(|(n, _)| n == name);
-        if want.map(|(_, d)| *d) != Some(got) {
-            moved.push_str(&format!("    ({name:?}, {got:?}),\n"));
-        }
-    }
-    assert!(moved.is_empty(), "BA corner digests moved:\n{moved}");
-    assert_eq!(rows.len(), GOLDEN_BA_CORNERS.len(), "stale golden rows");
+    assert_corners("BA", &ba_corners(), GOLDEN_BA_CORNERS);
 }

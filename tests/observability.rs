@@ -315,6 +315,44 @@ fn rdg_stream_metrics_count_inserts() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// `gen.ba.draws / gen.edges` is BA's attachment-chain length per edge:
+/// a drawn position is even every other time, so two draws on average
+/// — and counting them leaves the shard bytes alone.
+#[test]
+fn ba_stream_metrics_count_draws_per_edge() {
+    let dir = tmp("ba_draws");
+    let plain = tmp("ba_draws_plain");
+    let metrics = dir.with_extension("metrics.json");
+    let model = ["stream", "ba", "-n", "100000", "-d", "8", "-t", "2"];
+    let run = |extra: &[&str]| {
+        let (ok, stderr) = kagen(&[&model[..], extra].concat());
+        assert!(ok, "stream failed:\n{stderr}");
+    };
+    run(&[
+        "--shard-dir",
+        dir.to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    run(&["--shard-dir", plain.to_str().unwrap()]);
+    assert_eq!(dir_contents(&dir), dir_contents(&plain));
+
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let counter = |name: &str| {
+        let found = rm.ranks[0].counters.iter().find(|(n, _)| n == name);
+        found.unwrap_or_else(|| panic!("no counter {name}")).1
+    };
+    assert_eq!(counter("gen.edges"), 800_000);
+    let chain = counter("gen.ba.draws") as f64 / 800_000.0;
+    assert!((1.98..=2.02).contains(&chain), "{chain} draws per edge");
+
+    for path in [&dir, &plain] {
+        std::fs::remove_dir_all(path).ok();
+    }
+    std::fs::remove_file(&metrics).ok();
+}
+
 /// Launch shard output is byte-identical with and without telemetry —
 /// the multi-process twin of the stream-mode matrix (workers enable
 /// metrics when handed `--metrics-sidecar`, and must still write the

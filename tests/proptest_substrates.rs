@@ -3,6 +3,7 @@
 //! complement `proptest_invariants.rs` (which targets the samplers and
 //! generators) by pinning the invariants every generator builds on.
 
+use kagen_repro::core::ba::Reciprocal;
 use kagen_repro::core::er::{
     directed_edge_to_index, directed_index_to_edge, triangle_index_to_pair,
 };
@@ -111,6 +112,24 @@ proptest! {
         let (u, v) = directed_index_to_edge(n, idx);
         prop_assert!(u < n && v < n && u != v);
         prop_assert_eq!(directed_edge_to_index(n, u, v), idx);
+    }
+
+    #[test]
+    fn ba_reciprocal_quotient_is_exact(
+        wide in 1u64..=(1 << 63),
+        bits in 0u32..64,
+        multiple in any::<u64>(),
+        nudge in 0u64..5,
+    ) {
+        // Divisors of every magnitude; dividends at 0, either side of a
+        // multiple of `d`, and at the top of the domain `x < 2^63`.
+        const TOP: u64 = (1 << 63) - 1;
+        let d = (wide >> bits).max(1);
+        let by_d = Reciprocal::new(d);
+        let near = (multiple % (TOP / d + 1) * d).saturating_add(nudge).min(TOP);
+        for x in [0, near.saturating_sub(2), near, TOP - nudge, multiple >> 1] {
+            prop_assert_eq!(by_d.quotient(x), x / d, "{} / {}", x, d);
+        }
     }
 
     #[test]
