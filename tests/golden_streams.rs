@@ -26,9 +26,16 @@
 //! whose stream triangulated one cell at a time and whose `generate_pe`
 //! was a second, chunk-at-a-time engine.
 //!
-//! The last table pins BA beyond the one `d = 4` row: `d` 1, 3, 5 and 8
+//! A fifth table pins BA beyond the one `d = 4` row: `d` 1, 3, 5 and 8
 //! at 1, 7 and 64 chunks, recorded on the tree that resolved one slot's
 //! hash chain at a time.
+//!
+//! The last table pins the Erdős–Rényi family (both G(n,m), G(n,p) on
+//! both leaf samplers, SBM) at 1, 7 and 64 chunks and at the corners
+//! that reach every arm of a leaf — Method A, m = universe, p = 1, most
+//! leaves empty, fewer vertices than chunks — recorded on the tree whose
+//! ER sites each drew and decoded their own leaves; beside it, the
+//! device port must reproduce its CPU rows.
 //!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
@@ -769,4 +776,239 @@ const GOLDEN_BA_CORNERS: &[(&str, CornerDigest)] = &[
 #[test]
 fn ba_corners_keep_their_golden_digests() {
     assert_corners("BA", &ba_corners(), GOLDEN_BA_CORNERS);
+}
+
+/// The ER family where its leaves take different arms: `dense` (m or
+/// p above 1/13 of a leaf: Method A), `full` (m = universe, p = 1: full
+/// enumeration), `sparse` (most leaves empty — for directed models
+/// leaves of 2^44 pairs, for undirected ones most of the chunk matrix),
+/// `tiny` (fewer vertices than chunks). SBM adds `pieces` (block pairs
+/// cut into 16 pieces) and `unequal` (explicit sizes with a size-1
+/// block, a zero and a one in the matrix). Every row digests all of its
+/// PEs at 1, 7 and 64 chunks.
+fn er_corners() -> Vec<(String, Box<dyn Generator>)> {
+    type Build = Box<dyn Fn(usize) -> Box<dyn Generator>>;
+    macro_rules! row {
+        ($name:expr, $e:expr) => {
+            (
+                $name.to_string(),
+                Box::new(move |chunks| {
+                    Box::new($e.with_seed(SEED).with_chunks(chunks)) as Box<dyn Generator>
+                }) as Build,
+            )
+        };
+    }
+    let sparse_directed = 1u64 << 25;
+    let mut models: Vec<(String, Build)> = vec![
+        row!("gnm_directed_dense", GnmDirected::new(200, 8000)),
+        row!("gnm_directed_full", GnmDirected::new(40, 40 * 39)),
+        row!("gnm_directed_sparse", GnmDirected::new(sparse_directed, 3)),
+        row!("gnm_directed_tiny", GnmDirected::new(5, 7)),
+        row!("gnm_undirected_dense", GnmUndirected::new(200, 8000)),
+        row!("gnm_undirected_full", GnmUndirected::new(40, 40 * 39 / 2)),
+        row!("gnm_undirected_sparse", GnmUndirected::new(3000, 3)),
+        row!("gnm_undirected_tiny", GnmUndirected::new(5, 6)),
+    ];
+    for (tag, leaves) in [("skip", GnpLeaves::Skip), ("algo_d", GnpLeaves::AlgoD)] {
+        let (directed, undirected) = (GnpDirected::new, GnpUndirected::new);
+        models.extend([
+            row!(
+                format!("gnp_directed_{tag}_dense"),
+                directed(200, 0.3).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_directed_{tag}_full"),
+                directed(40, 1.0).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_directed_{tag}_sparse"),
+                directed(sparse_directed, 5e-15).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_directed_{tag}_tiny"),
+                directed(5, 0.5).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_undirected_{tag}_dense"),
+                undirected(200, 0.3).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_undirected_{tag}_full"),
+                undirected(40, 1.0).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_undirected_{tag}_sparse"),
+                undirected(3000, 1e-6).with_leaves(leaves)
+            ),
+            row!(
+                format!("gnp_undirected_{tag}_tiny"),
+                undirected(5, 0.5).with_leaves(leaves)
+            ),
+        ]);
+    }
+    models.extend([
+        row!("sbm_dense", StochasticBlockModel::planted(200, 2, 0.5, 0.2)),
+        row!(
+            "sbm_pieces",
+            StochasticBlockModel::planted(6000, 2, 0.02, 0.001)
+        ),
+        row!("sbm_full", StochasticBlockModel::planted(60, 3, 1.0, 1.0)),
+        row!(
+            "sbm_sparse",
+            StochasticBlockModel::planted(3000, 5, 1e-6, 1e-7)
+        ),
+        row!("sbm_tiny", StochasticBlockModel::planted(5, 2, 0.5, 0.5)),
+        row!(
+            "sbm_unequal",
+            StochasticBlockModel::new(
+                vec![1, 7, 300, 40, 2],
+                vec![
+                    vec![0.5, 1.0, 0.1, 0.0, 0.3],
+                    vec![1.0, 0.4, 0.05, 0.2, 0.0],
+                    vec![0.1, 0.05, 0.03, 0.01, 1.0],
+                    vec![0.0, 0.2, 0.01, 0.9, 0.5],
+                    vec![0.3, 0.0, 1.0, 0.5, 1.0],
+                ],
+            )
+        ),
+    ]);
+    let mut rows = Vec::new();
+    for (name, build) in &models {
+        for chunks in [1, 7, 64] {
+            rows.push((format!("{name}_c{chunks}"), build(chunks)));
+        }
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN_ER_CORNERS: &[(&str, CornerDigest)] = &[
+    ("gnm_directed_dense_c1", (8000, 4007843183891624415, 14357075579927819525)),
+    ("gnm_directed_dense_c7", (8000, 13920403676407512882, 7725909381989188957)),
+    ("gnm_directed_dense_c64", (8000, 10330330683242255737, 1256796187420702073)),
+    ("gnm_directed_full_c1", (1560, 12709156420847637369, 14885050239451064836)),
+    ("gnm_directed_full_c7", (1560, 3273315518909913729, 12904238376040439280)),
+    ("gnm_directed_full_c64", (1560, 8055417763551786197, 16179304826895650083)),
+    ("gnm_directed_sparse_c1", (3, 1227972191936743296, 3559130412370344087)),
+    ("gnm_directed_sparse_c7", (3, 7931481800186516441, 3468922622530167845)),
+    ("gnm_directed_sparse_c64", (3, 12689065228847550356, 7410513230591632011)),
+    ("gnm_directed_tiny_c1", (7, 10579942370971480872, 757148890508558232)),
+    ("gnm_directed_tiny_c7", (7, 10579942370971480872, 757148890508558232)),
+    ("gnm_directed_tiny_c64", (7, 10579942370971480872, 757148890508558232)),
+    ("gnm_undirected_dense_c1", (8000, 10381504410245717296, 7452267429871244878)),
+    ("gnm_undirected_dense_c7", (14908, 18188947330219708943, 1786587514948555452)),
+    ("gnm_undirected_dense_c64", (15920, 13317755750474755024, 17260918812515773668)),
+    ("gnm_undirected_full_c1", (780, 12460056214033076005, 302280642876601942)),
+    ("gnm_undirected_full_c7", (1465, 9897196191799347302, 18121622289766461140)),
+    ("gnm_undirected_full_c64", (1560, 13601612639528275488, 13477356370082517685)),
+    ("gnm_undirected_sparse_c1", (3, 15883578459073497345, 948468504163844022)),
+    ("gnm_undirected_sparse_c7", (6, 9656837729381521095, 4885344885110021002)),
+    ("gnm_undirected_sparse_c64", (6, 3509008804605620893, 1031021652810210525)),
+    ("gnm_undirected_tiny_c1", (6, 2708149957744349598, 16370214676578036125)),
+    ("gnm_undirected_tiny_c7", (12, 2022052067663062946, 16364662103137798604)),
+    ("gnm_undirected_tiny_c64", (12, 2022052067663062946, 16364662103137798604)),
+    ("gnp_directed_skip_dense_c1", (12011, 12820175244560259409, 9702720735013228524)),
+    ("gnp_directed_skip_dense_c7", (12011, 3318644803683410923, 11107080640055672411)),
+    ("gnp_directed_skip_dense_c64", (12011, 1870879208163937377, 2322435965116369216)),
+    ("gnp_directed_skip_full_c1", (1560, 12709156420847637369, 7234952529491074318)),
+    ("gnp_directed_skip_full_c7", (1560, 3273315518909913729, 16468136713898125879)),
+    ("gnp_directed_skip_full_c64", (1560, 8055417763551786197, 6659452864824747417)),
+    ("gnp_directed_skip_sparse_c1", (7, 16004788826610448145, 16329833981525003251)),
+    ("gnp_directed_skip_sparse_c7", (7, 15299463811084529559, 17147765655029050038)),
+    ("gnp_directed_skip_sparse_c64", (7, 4848619148392592855, 7982554455858909591)),
+    ("gnp_directed_skip_tiny_c1", (8, 2143198924552905464, 18282675660618461718)),
+    ("gnp_directed_skip_tiny_c7", (8, 2143198924552905464, 18282675660618461718)),
+    ("gnp_directed_skip_tiny_c64", (8, 2143198924552905464, 18282675660618461718)),
+    ("gnp_undirected_skip_dense_c1", (6059, 1229258466898589395, 10351291754023853768)),
+    ("gnp_undirected_skip_dense_c7", (11258, 14145897008615957936, 17073165670474770395)),
+    ("gnp_undirected_skip_dense_c64", (11755, 12063433976830056291, 15741725904674912120)),
+    ("gnp_undirected_skip_full_c1", (780, 12460056214033076005, 302280642876601942)),
+    ("gnp_undirected_skip_full_c7", (1465, 9897196191799347302, 18121622289766461140)),
+    ("gnp_undirected_skip_full_c64", (1560, 13601612639528275488, 13477356370082517685)),
+    ("gnp_undirected_skip_sparse_c1", (10, 5449691077515533154, 14923458328029432838)),
+    ("gnp_undirected_skip_sparse_c7", (12, 3143699293244323891, 11387468965345909055)),
+    ("gnp_undirected_skip_sparse_c64", (16, 17263001088830738880, 8905790150235890447)),
+    ("gnp_undirected_skip_tiny_c1", (8, 2026575020534862369, 1315825463643170093)),
+    ("gnp_undirected_skip_tiny_c7", (10, 5620367513414409940, 3122787795243488543)),
+    ("gnp_undirected_skip_tiny_c64", (10, 5620367513414409940, 3122787795243488543)),
+    ("gnp_directed_algo_d_dense_c1", (11986, 8215378835883248071, 9592037695971691465)),
+    ("gnp_directed_algo_d_dense_c7", (11986, 1850585620953626595, 9203139244010838816)),
+    ("gnp_directed_algo_d_dense_c64", (11986, 75532675789516703, 2421391533871196696)),
+    ("gnp_directed_algo_d_full_c1", (1560, 12709156420847637369, 7234952529491074318)),
+    ("gnp_directed_algo_d_full_c7", (1560, 3273315518909913729, 16468136713898125879)),
+    ("gnp_directed_algo_d_full_c64", (1560, 8055417763551786197, 6659452864824747417)),
+    ("gnp_directed_algo_d_sparse_c1", (9, 1725411450601989076, 8834885524003011294)),
+    ("gnp_directed_algo_d_sparse_c7", (9, 17764615051886560599, 2448390017903906873)),
+    ("gnp_directed_algo_d_sparse_c64", (9, 2123723033578617594, 17859773066971742335)),
+    ("gnp_directed_algo_d_tiny_c1", (12, 11787231812947049315, 2556976497444754614)),
+    ("gnp_directed_algo_d_tiny_c7", (12, 11787231812947049315, 2556976497444754614)),
+    ("gnp_directed_algo_d_tiny_c64", (12, 11787231812947049315, 2556976497444754614)),
+    ("gnp_undirected_algo_d_dense_c1", (5901, 4553252990043325417, 16472048647285813261)),
+    ("gnp_undirected_algo_d_dense_c7", (11010, 3594702631861603842, 11971827066611664328)),
+    ("gnp_undirected_algo_d_dense_c64", (11718, 7269081864139844453, 13577793287413618744)),
+    ("gnp_undirected_algo_d_full_c1", (780, 12460056214033076005, 302280642876601942)),
+    ("gnp_undirected_algo_d_full_c7", (1465, 9897196191799347302, 18121622289766461140)),
+    ("gnp_undirected_algo_d_full_c64", (1560, 13601612639528275488, 13477356370082517685)),
+    ("gnp_undirected_algo_d_sparse_c1", (2, 4653555012418326954, 4964834485779261299)),
+    ("gnp_undirected_algo_d_sparse_c7", (10, 9240001499828205980, 3685966693196500029)),
+    ("gnp_undirected_algo_d_sparse_c64", (2, 5527265945234530216, 5937728464062228437)),
+    ("gnp_undirected_algo_d_tiny_c1", (4, 9876217806175444457, 12721348178306235291)),
+    ("gnp_undirected_algo_d_tiny_c7", (8, 16160211426062667620, 14602683199686668829)),
+    ("gnp_undirected_algo_d_tiny_c64", (8, 16160211426062667620, 14602683199686668829)),
+    ("sbm_dense_c1", (6948, 4208090548023307992, 11405887409700744192)),
+    ("sbm_dense_c7", (6948, 10051508591040715297, 7468608630755633102)),
+    ("sbm_dense_c64", (6948, 14730444998116811334, 5786780559515028155)),
+    ("sbm_pieces_c1", (189467, 18207886910254356166, 3782443414436320700)),
+    ("sbm_pieces_c7", (189467, 6104627512667417158, 4859893629832825890)),
+    ("sbm_pieces_c64", (189467, 11643965959205451265, 2077987849714460254)),
+    ("sbm_full_c1", (1770, 3372858804847721454, 6505665159479839872)),
+    ("sbm_full_c7", (1770, 16128898572914571366, 997128586111704719)),
+    ("sbm_full_c64", (1770, 15132558087193928510, 7770503484456599805)),
+    ("sbm_sparse_c1", (1, 13962700883363319804, 1443007129010255679)),
+    ("sbm_sparse_c7", (1, 3017157758369935049, 18047174580436426241)),
+    ("sbm_sparse_c64", (1, 7407808452736391442, 10735842478845702940)),
+    ("sbm_tiny_c1", (5, 14740941003437612077, 7273890229173793684)),
+    ("sbm_tiny_c7", (5, 17795550374064772512, 375363606287595940)),
+    ("sbm_tiny_c64", (5, 15738040115620567664, 9223607088433134603)),
+    ("sbm_unequal_c1", (3006, 2018766557884048694, 10964598896410340104)),
+    ("sbm_unequal_c7", (3006, 1954577802229545112, 17680206255836293746)),
+    ("sbm_unequal_c64", (3006, 5095518908267810468, 5510319683069482638)),
+];
+
+#[test]
+fn er_corners_keep_their_golden_digests() {
+    assert_corners("ER", &er_corners(), GOLDEN_ER_CORNERS);
+}
+
+/// The device port draws the directed ER instances leaf by leaf, one
+/// device block per leaf, in global index order — the CPU stream of all
+/// PEs concatenated.
+#[test]
+fn device_port_reproduces_the_cpu_rows() {
+    use kagen_repro::gpgpu::{Device, GpuGnmDirected, GpuGnpDirected};
+    fn cpu(gen: &dyn Generator) -> Vec<(u64, u64)> {
+        let mut all = Vec::new();
+        for pe in 0..gen.num_chunks() {
+            gen.stream_pe_batched(pe, &mut Vec::new(), &mut |e| all.extend_from_slice(e));
+        }
+        all
+    }
+    for (n, m) in [(200, 8000), (40, 40 * 39), (1 << 25, 3), (5, 7)] {
+        let gpu = GpuGnmDirected::new(n, m).with_seed(SEED);
+        let want = cpu(&GnmDirected::new(n, m).with_seed(SEED).with_chunks(7));
+        assert_eq!(
+            gpu.generate(&Device::default()),
+            want,
+            "gnm_directed n={n} m={m}"
+        );
+    }
+    for (n, p) in [(200, 0.3), (40, 1.0), (1 << 25, 5e-15), (5, 0.5)] {
+        let gpu = GpuGnpDirected::new(n, p).with_seed(SEED);
+        let want = cpu(&GnpDirected::new(n, p).with_seed(SEED).with_chunks(7));
+        assert_eq!(
+            gpu.generate(&Device::default()),
+            want,
+            "gnp_directed n={n} p={p}"
+        );
+    }
 }
