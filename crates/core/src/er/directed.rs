@@ -1,21 +1,25 @@
 //! Directed G(n,m) and G(n,p) (§4.1, §4.3).
 
-use super::{GnpLeaves, MonotoneEdgeDecoder};
+use super::{leaf_edges, GnpLeaves, Piece};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{even_split, Generator, PeGraph};
-use kagen_dist::binomial;
-use kagen_sampling::vitter::sample_sorted_batched;
-use kagen_sampling::{bernoulli_sample_batched, DistributedSampler};
+use kagen_sampling::distributed::block_start;
+use kagen_sampling::{DistributedSampler, Take};
+use kagen_util::derive_seed;
 use kagen_util::seed::stream;
-use kagen_util::{derive_seed, Mt64};
 
 /// Pick the leaf-block count for an edge universe: a granularity derived
 /// from the instance parameters alone (never from the PE count),
 /// coarse enough that per-block PRNG setup amortizes
 /// (≥ ~256 expected samples per block — fine enough that up to ~2^10 PEs
 /// stay load-balanced on small instances) and fine enough that leaves
-/// stay in the f64-exact sampling regime.
-pub(crate) fn er_blocks(universe: u128, expected_samples: u64) -> u64 {
+/// stay in the f64-exact sampling regime (≤ 2^44 pairs). The latter
+/// needs `universe ≤ 2^107`: 2^63 blocks is the most a `u64` doubles to.
+fn er_blocks(universe: u128, expected_samples: u64) -> u64 {
+    assert!(
+        universe <= 1 << 107,
+        "directed universe n(n-1) = {universe} above 2^107: leaves of 2^44 pairs need more than 2^63 blocks"
+    );
     let mut blocks: u64 = 1;
     while (blocks as u128) * 2 <= universe
         && blocks < (1 << 20)
@@ -29,10 +33,9 @@ pub(crate) fn er_blocks(universe: u128, expected_samples: u64) -> u64 {
     blocks
 }
 
-/// Assign PE `pe` of `chunks` its contiguous block range.
-pub(crate) fn pe_block_range(blocks: u64, chunks: usize, pe: usize) -> (u64, u64) {
-    let range = even_split(blocks, chunks, pe);
-    (range.start, range.end)
+/// Vertex pairs `n(n−1)` of the directed universe.
+fn ordered_pairs(n: u64) -> u128 {
+    (n as u128) * (n as u128).saturating_sub(1)
 }
 
 /// Directed Erdős–Rényi G(n,m): a uniform graph with exactly `m` distinct
@@ -50,7 +53,7 @@ impl GnmDirected {
     ///
     /// Panics if `m` exceeds the universe `n(n−1)`.
     pub fn new(n: u64, m: u64) -> Self {
-        let universe = (n as u128) * (n as u128).saturating_sub(1);
+        let universe = ordered_pairs(n);
         assert!(
             (m as u128) <= universe,
             "m={m} exceeds the directed universe n(n-1)={universe}"
@@ -76,12 +79,13 @@ impl GnmDirected {
         self
     }
 
-    /// The instance's divide-and-conquer sampler (`None` when the edge
-    /// universe is empty). Exposed so accelerator backends can run the
-    /// §4.3.1 split: count recursion on the host, leaf sampling on the
-    /// device, against the *same* decomposition.
+    /// The instance's leaf plan: the divide-and-conquer sampler over the
+    /// blocked edge universe (`None` when it is empty). Exposed so
+    /// accelerator backends can run the §4.3.1 split — count recursion
+    /// on the host, [`Self::leaf`] on the device — against the *same*
+    /// decomposition.
     pub fn sampler(&self) -> Option<DistributedSampler> {
-        let universe = (self.n as u128) * (self.n as u128).saturating_sub(1);
+        let universe = ordered_pairs(self.n);
         if universe == 0 {
             return None;
         }
@@ -91,6 +95,21 @@ impl GnmDirected {
             er_blocks(universe, self.m),
             derive_seed(self.seed, &[stream::MISC, 0x6d64]), // "md" = gnm directed
         ))
+    }
+
+    /// Emit the `count` edges of leaf block `b` of [`Self::sampler`]'s
+    /// plan, in index order.
+    pub fn leaf<F: FnMut(u64, u64)>(
+        &self,
+        sampler: &DistributedSampler,
+        b: u64,
+        count: u64,
+        emit: &mut F,
+    ) {
+        let (start, end) = sampler.block_range(b);
+        let piece = Piece::Directed { n: self.n, start };
+        let len = (end - start) as u64;
+        leaf_edges(sampler.leaf_seed(b), len, Take::Exact(count), piece, emit);
     }
 }
 
@@ -119,11 +138,11 @@ impl Generator for GnmDirected {
             ..PeGraph::default()
         };
         if let Some(sampler) = self.sampler() {
-            let (lo, hi) = pe_block_range(sampler.blocks(), self.chunks, pe);
-            let n = self.n;
-            if lo < hi {
-                out.vertex_begin = (sampler.block_range(lo).0 / (n as u128 - 1)) as u64;
-                out.vertex_end = ((sampler.block_range(hi - 1).1 - 1) / (n as u128 - 1) + 1) as u64;
+            let blocks = even_split(sampler.blocks(), self.chunks, pe);
+            let row = self.n as u128 - 1;
+            if !blocks.is_empty() {
+                out.vertex_begin = (sampler.block_range(blocks.start).0 / row) as u64;
+                out.vertex_end = ((sampler.block_range(blocks.end - 1).1 - 1) / row + 1) as u64;
             }
         }
         out
@@ -132,28 +151,22 @@ impl Generator for GnmDirected {
 
 impl GnmDirected {
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `stream_pe_batched`.
-    /// Every leaf runs the block-treated Method D
-    /// (`sample_sorted_batched`: uniforms served from a block-buffered
-    /// PRNG); `emit` is monomorphic, so the decode-and-push loop inlines
-    /// into the caller.
+    /// the one edge-producing function behind `stream_pe_batched`: the
+    /// count recursion over the PE's blocks, then [`Self::leaf`] for
+    /// every block with a nonzero count.
     pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
         let Some(sampler) = self.sampler() else {
             return;
         };
-        let (lo, hi) = pe_block_range(sampler.blocks(), self.chunks, pe);
-        // Sample indices arrive sorted across the PE's blocks: decode
-        // rows incrementally instead of a u128 division per edge.
-        let mut dec = MonotoneEdgeDecoder::new(self.n);
-        sampler.sample_range_batched(lo, hi, &mut |idx: u128| {
-            let (u, v) = dec.decode(idx);
-            emit(u, v);
+        let blocks = even_split(sampler.blocks(), self.chunks, pe);
+        sampler.for_block_counts(blocks.start, blocks.end, &mut |b, count| {
+            self.leaf(&sampler, b, count, emit)
         });
     }
 }
 
 /// Directed Gilbert G(n,p): every ordered pair sampled independently with
-/// probability `p` (§4.3 — per-chunk binomial counts, then leaf sampling).
+/// probability `p` (§4.3 — the same leaf blocks, each drawn alone).
 #[derive(Clone, Debug)]
 pub struct GnpDirected {
     n: u64,
@@ -195,6 +208,32 @@ impl GnpDirected {
         self.leaves = leaves;
         self
     }
+
+    /// The instance's leaf plan: the number of leaf blocks of its edge
+    /// universe (0 when the instance is empty) — the same for both leaf
+    /// samplers, so `AlgoD` keeps reproducing pre-swap instances. Exposed
+    /// so accelerator backends draw [`Self::leaf`] once per device block.
+    pub fn blocks(&self) -> u64 {
+        let universe = ordered_pairs(self.n);
+        let expected = ((universe as f64) * self.p) as u64;
+        // Asked even when p = 0: `er_blocks` refuses universes above 2^107.
+        let blocks = er_blocks(universe, expected.max(1));
+        if universe == 0 || self.p == 0.0 {
+            return 0;
+        }
+        blocks
+    }
+
+    /// Emit the edges of leaf block `b` of `blocks`, in index order.
+    pub fn leaf<F: FnMut(u64, u64)>(&self, blocks: u64, b: u64, emit: &mut F) {
+        let universe = ordered_pairs(self.n);
+        let start = block_start(universe, blocks, b);
+        let len = (block_start(universe, blocks, b + 1) - start) as u64; // ≤ 2^44 (er_blocks)
+        let seed = |tag| derive_seed(self.seed, &[tag, b]);
+        let take = self.leaves.take(seed(stream::COUNT), len, self.p);
+        let piece = Piece::Directed { n: self.n, start };
+        leaf_edges(seed(stream::SAMPLE), len, take, piece, emit);
+    }
 }
 
 impl Generator for GnpDirected {
@@ -218,62 +257,13 @@ impl Generator for GnpDirected {
 }
 
 impl GnpDirected {
-    /// The leaf decomposition shared by every G(n,p) path (and by the
-    /// GPGPU backend): `(universe, blocks)`, or `None` when the instance
-    /// is empty. Identical for both leaf samplers, so `AlgoD` keeps
-    /// reproducing pre-swap instances.
-    fn leaf_plan(&self) -> Option<(u128, u64)> {
-        let universe = (self.n as u128) * (self.n as u128).saturating_sub(1);
-        if universe == 0 || self.p == 0.0 {
-            return None;
-        }
-        let expected = ((universe as f64) * self.p) as u64;
-        Some((universe, er_blocks(universe, expected.max(1))))
-    }
-
     /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `stream_pe_batched`.
-    /// Leaves run the block kernels: skips drawn
-    /// and converted in blocks (`bernoulli_sample_batched`, off the
-    /// per-edge `ln` bound) or the block-treated Method D; `emit` is
-    /// monomorphic, so the decode-and-push loop inlines into the caller.
+    /// the one edge-producing function behind `stream_pe_batched`:
+    /// [`Self::leaf`] for each of the PE's blocks, in order.
     pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        let Some((universe, blocks)) = self.leaf_plan() else {
-            return;
-        };
-        let (lo, hi) = pe_block_range(blocks, self.chunks, pe);
-        // Blocks are visited in order and samples are sorted within each,
-        // so the whole PE's index stream is sorted: one incremental
-        // decoder replaces the per-edge u128 division.
-        let mut dec = MonotoneEdgeDecoder::new(self.n);
-        for b in lo..hi {
-            let start = universe * b as u128 / blocks as u128;
-            let end = universe * (b + 1) as u128 / blocks as u128;
-            let len = (end - start) as u64; // leaves are <= 2^44 (er_blocks)
-            let mut on_idx = |i: u64| {
-                let (u, v) = dec.decode(start + i as u128);
-                emit(u, v);
-            };
-            match self.leaves {
-                GnpLeaves::Skip => {
-                    // Geometric skip sampling: one uniform per edge from
-                    // the leaf-seeded PRNG, no count draw needed.
-                    let mut rng = Mt64::new(derive_seed(self.seed, &[stream::SAMPLE, b]));
-                    bernoulli_sample_batched(&mut rng, len, self.p, &mut |idxs| {
-                        for &i in idxs {
-                            on_idx(i);
-                        }
-                    });
-                }
-                GnpLeaves::AlgoD => {
-                    // The historical path: a "predetermined" binomial
-                    // count over the chunk universe (§4.3), then Vitter D.
-                    let mut count_rng = Mt64::new(derive_seed(self.seed, &[stream::COUNT, b]));
-                    let count = binomial(&mut count_rng, len as u128, self.p);
-                    let mut sample_rng = Mt64::new(derive_seed(self.seed, &[stream::SAMPLE, b]));
-                    sample_sorted_batched(&mut sample_rng, len, count, &mut on_idx);
-                }
-            }
+        let blocks = self.blocks();
+        for b in even_split(blocks, self.chunks, pe) {
+            self.leaf(blocks, b, emit);
         }
     }
 }
@@ -434,6 +424,14 @@ mod tests {
         assert_eq!(el.edges.len(), 0);
         let el = generate_directed(&GnmDirected::new(5, 0).with_seed(1));
         assert_eq!(el.edges.len(), 0);
+    }
+
+    #[test]
+    fn leaf_blocks_stop_at_2_to_the_63() {
+        // 2^107 pairs fill 2^63 leaves of 2^44; one more pair used to
+        // double the block count past u64 (to 0 in a release build).
+        assert_eq!(er_blocks(1 << 107, 10), 1 << 63);
+        assert!(std::panic::catch_unwind(|| er_blocks((1 << 107) + 1, 10)).is_err());
     }
 
     #[test]

@@ -1,16 +1,24 @@
 //! Erdős–Rényi generators (§4): G(n,m) and G(n,p), directed and undirected.
 //!
 //! The directed generators sample edge *indices* from the universe
-//! `[0, n(n−1))` (all ordered pairs without self-loops) with the
-//! distributed divide-and-conquer sampler; the undirected generators use
-//! the triangular chunk-matrix scheme of §4.2 so that the two PEs adjacent
-//! to a chunk regenerate identical edges.
+//! `[0, n(n−1))` (all ordered pairs without self-loops) cut into leaf
+//! blocks — split by the distributed divide-and-conquer sampler for
+//! G(n,m); the undirected generators use the triangular chunk-matrix
+//! scheme of §4.2 so that the two PEs adjacent to a chunk regenerate
+//! identical edges. Every leaf of the family — a block, a chunk, an SBM
+//! piece, a device block — is drawn and decoded by one function,
+//! `leaf_edges`: the shared leaf sampler
+//! ([`kagen_sampling::sample_leaf`]) over one of three decoders.
 
 mod directed;
 mod undirected;
 
 pub use directed::{GnmDirected, GnpDirected};
 pub use undirected::{GnmUndirected, GnpUndirected};
+
+use kagen_dist::binomial;
+use kagen_sampling::{sample_leaf, Take};
+use kagen_util::Mt64;
 
 /// Leaf-sampling algorithm of the G(n,p) generators.
 ///
@@ -32,20 +40,90 @@ pub enum GnpLeaves {
     AlgoD,
 }
 
-/// Leaf-block granularity of the directed ER universe decomposition.
-///
-/// Public so accelerator backends (see `kagen-gpgpu`) replicate the exact
-/// instance decomposition: the paper's GPU adaptation computes "the correct
-/// sample size and seeds for the pseudorandom generator on the CPU"
-/// (§4.3.1) — which requires agreeing with the CPU generators on block
-/// granularity.
-pub fn er_leaf_blocks(universe: u128, expected_samples: u64) -> u64 {
-    directed::er_blocks(universe, expected_samples)
+impl GnpLeaves {
+    /// What a G(n,p) leaf of `len` pairs takes: each pair with
+    /// probability `p`, or a "predetermined" binomial count (§4.3) drawn
+    /// from the PRNG seeded `count_seed`.
+    fn take(self, count_seed: u64, len: u64, p: f64) -> Take {
+        match self {
+            GnpLeaves::Skip => Take::Bernoulli(p),
+            GnpLeaves::AlgoD => Take::Exact(binomial(&mut Mt64::new(count_seed), len as u128, p)),
+        }
+    }
 }
 
-/// Contiguous leaf-block range `[lo, hi)` owned by PE `pe` of `chunks`.
-pub fn er_pe_block_range(blocks: u64, chunks: usize, pe: usize) -> (u64, u64) {
-    directed::pe_block_range(blocks, chunks, pe)
+/// Where a leaf's offsets land: the decoder, the vertices it is placed
+/// at and the offset of the leaf's first index in the decoder's
+/// universe.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Piece {
+    /// A block of the directed universe `[0, n(n−1))` from index `start`.
+    Directed { n: u64, start: u128 },
+    /// The lower triangle over the vertices from `at` (pairs `(u, v)`,
+    /// `v < u`), from index `start`.
+    Triangle { at: u64, start: u64 },
+    /// Rows of `cols` pairs, the first from vertex `at.0` to vertices
+    /// `at.1..at.1 + cols`, from index `start`.
+    Rect {
+        at: (u64, u64),
+        cols: u64,
+        start: u64,
+    },
+}
+
+/// The one ER leaf: the offsets `take` draws from `[0, len)` (the shared
+/// leaf sampler, PRNG seeded `seed`) decoded as edges of `piece`.
+/// Offsets arrive sorted, so the directed and triangle decoders advance
+/// incrementally. The decoder is chosen once per leaf, so each arm's
+/// per-offset loop is monomorphic.
+#[inline]
+pub(crate) fn leaf_edges<F: FnMut(u64, u64)>(
+    seed: u64,
+    len: u64,
+    take: Take,
+    piece: Piece,
+    emit: &mut F,
+) {
+    match piece {
+        Piece::Directed { n, start } => {
+            let mut dec = MonotoneEdgeDecoder::new(n);
+            sample_leaf(seed, len, take, &mut |i| {
+                let (u, v) = dec.decode(start + i as u128);
+                emit(u, v);
+            });
+        }
+        Piece::Triangle { at, start } => {
+            let mut dec = MonotoneTriangleDecoder::new();
+            sample_leaf(seed, len, take, &mut |i| {
+                let (u, v) = dec.decode((start + i) as u128);
+                emit(at + u, at + v);
+            });
+        }
+        Piece::Rect { at, cols, start } => {
+            // Reciprocal row split: sampled gaps hop many rows at once,
+            // so the O(1) estimate beats a monotone advance.
+            let rows = RowSplitter64::new(cols);
+            sample_leaf(seed, len, take, &mut |i| {
+                let (row, off) = rows.split(start + i);
+                emit(at.0 + row, at.1 + off);
+            });
+        }
+    }
+}
+
+/// The most vertex pairs one piece holds when `n` vertices are cut into
+/// `parts` contiguous parts of ⌊n/parts⌋ or ⌈n/parts⌉ vertices (n mod
+/// parts of the latter) — a chunk of the undirected generators' chunk
+/// matrix, a block pair of [`crate::sbm::StochasticBlockModel::planted`]:
+/// one triangle when there is one part, else the rectangle across the
+/// two largest parts. A leaf's universe must fit a `u64`.
+pub fn largest_piece(n: u64, parts: u64) -> u128 {
+    let n = n as u128;
+    if parts <= 1 {
+        return n * n.saturating_sub(1) / 2;
+    }
+    let (q, r) = (n / parts as u128, n % parts as u128);
+    (q + (r > 0) as u128) * (q + (r > 1) as u128)
 }
 
 /// Map a directed edge index in `[0, n(n−1))` to the ordered pair `(u, v)`

@@ -13,14 +13,13 @@
 //! All variates are drawn from recursion-node-seeded PRNGs, so every PE
 //! reconstructs identical counts along its paths.
 
-use super::{GnpLeaves, MonotoneTriangleDecoder, RowSplitter64};
+use super::{leaf_edges, GnpLeaves, Piece};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
-use kagen_dist::{binomial, hypergeometric};
-use kagen_sampling::bernoulli_sample_batched;
-use kagen_sampling::vitter::sample_sorted_batched;
+use kagen_dist::hypergeometric;
+use kagen_sampling::Take;
+use kagen_util::derive_seed;
 use kagen_util::seed::{stream, SeedTree};
-use kagen_util::{derive_seed, Mt64};
 
 /// Geometry of the Q×Q triangular chunk matrix over `n` vertices.
 #[derive(Clone, Copy, Debug)]
@@ -59,6 +58,29 @@ impl ChunkMatrix {
     #[inline]
     fn rect_universe(&self, ra: u64, rb: u64, ca: u64, cb: u64) -> u128 {
         self.span(ra, rb) as u128 * self.span(ca, cb) as u128
+    }
+
+    /// Chunk `(i, j)` as a leaf: its pair universe — the triangle over
+    /// span `i` when `i == j`, span `i` × span `j` otherwise — and where
+    /// its offsets land. Both owners draw it from the same chunk-id
+    /// seed. Asserted to fit a `u64`; the front-end refuses chunk counts
+    /// that leave a larger chunk ([`super::largest_piece`]).
+    fn leaf(&self, i: u64, j: u64) -> (u64, Piece) {
+        let (at, start) = (self.start(i), 0);
+        let (universe, piece) = if i == j {
+            (self.tri_universe(i, i + 1), Piece::Triangle { at, start })
+        } else {
+            let (at, cols) = ((at, self.start(j)), self.span(j, j + 1));
+            (
+                self.rect_universe(i, i + 1, j, j + 1),
+                Piece::Rect { at, cols, start },
+            )
+        };
+        assert!(
+            universe <= u64::MAX as u128,
+            "chunk too large: raise chunks"
+        );
+        (universe as u64, piece)
     }
 }
 
@@ -122,91 +144,6 @@ impl<F: FnMut(u64, u64, u64)> Recursion<'_, F> {
             self.rect(node.child(0), ra, rb, ca, mid, x);
             self.rect(node.child(1), ra, rb, mid, cb, count - x);
         }
-    }
-}
-
-/// The universe size of chunk `(i, j)` as a `u64` (asserted to fit:
-/// chunk spans are bounded by the Q×Q decomposition).
-fn chunk_universe(grid: &ChunkMatrix, i: u64, j: u64) -> u64 {
-    let universe = if i == j {
-        let s = grid.span(i, i + 1) as u128;
-        s * s.saturating_sub(1) / 2
-    } else {
-        grid.span(i, i + 1) as u128 * grid.span(j, j + 1) as u128
-    };
-    assert!(
-        universe <= u64::MAX as u128,
-        "chunk too large: raise chunks"
-    );
-    universe as u64
-}
-
-/// Sample the `count` edges of chunk `(i, j)` — identical on both owning
-/// PEs because the PRNG is seeded by the chunk id alone — with the
-/// block-treated Method D (uniforms served from a block-buffered PRNG).
-/// The index consumers are monomorphic, so the decode loops inline into
-/// the caller.
-fn sample_chunk<F: FnMut(u64, u64)>(
-    grid: &ChunkMatrix,
-    seed: u64,
-    i: u64,
-    j: u64,
-    count: u64,
-    emit: &mut F,
-) {
-    let mut rng = Mt64::new(derive_seed(seed, &[stream::SAMPLE, i, j]));
-    let universe = chunk_universe(grid, i, j);
-    let row_start = grid.start(i);
-    if i == j {
-        // Sorted samples: advance the triangle row incrementally.
-        let mut dec = MonotoneTriangleDecoder::new();
-        sample_sorted_batched(&mut rng, universe, count, &mut |t: u64| {
-            let (u, v) = dec.decode(t as u128);
-            emit(row_start + u, row_start + v);
-        });
-    } else {
-        let col_start = grid.start(j);
-        // Reciprocal row split: sampled gaps hop many rows at once, so
-        // the O(1) estimate beats a monotone advance.
-        let rows = RowSplitter64::new(grid.span(j, j + 1));
-        sample_sorted_batched(&mut rng, universe, count, &mut |t: u64| {
-            let (row, off) = rows.split(t);
-            emit(row_start + row, col_start + off);
-        });
-    }
-}
-
-/// Skip-sample chunk `(i, j)` of a G(n,p) instance: every pair kept with
-/// probability `p` via geometric skips from the chunk-seeded PRNG, drawn
-/// and converted in blocks — identical on both owning PEs.
-fn skip_chunk<F: FnMut(u64, u64)>(
-    grid: &ChunkMatrix,
-    seed: u64,
-    p: f64,
-    i: u64,
-    j: u64,
-    emit: &mut F,
-) {
-    let mut rng = Mt64::new(derive_seed(seed, &[stream::SAMPLE, i, j]));
-    let universe = chunk_universe(grid, i, j);
-    let row_start = grid.start(i);
-    if i == j {
-        let mut dec = MonotoneTriangleDecoder::new();
-        bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
-            for &t in idxs {
-                let (u, v) = dec.decode(t as u128);
-                emit(row_start + u, row_start + v);
-            }
-        });
-    } else {
-        let col_start = grid.start(j);
-        let rows = RowSplitter64::new(grid.span(j, j + 1));
-        bernoulli_sample_batched(&mut rng, universe, p, &mut |idxs| {
-            for &t in idxs {
-                let (row, off) = rows.split(t);
-                emit(row_start + row, col_start + off);
-            }
-        });
     }
 }
 
@@ -307,8 +244,10 @@ impl GnmUndirected {
             };
             rec.tri(root, 0, grid.q, self.m);
         }
-        for (i, j, c) in chunks_found {
-            sample_chunk(&grid, self.seed, i, j, c, emit);
+        for (i, j, count) in chunks_found {
+            let (len, piece) = grid.leaf(i, j);
+            let seed = derive_seed(self.seed, &[stream::SAMPLE, i, j]);
+            leaf_edges(seed, len, Take::Exact(count), piece, emit);
         }
     }
 }
@@ -408,23 +347,10 @@ impl GnpUndirected {
             return;
         }
         for (i, j) in Self::chunk_ids(&grid, pe_id) {
-            match self.leaves {
-                GnpLeaves::Skip => {
-                    // Geometric skip sampling straight off the chunk
-                    // universe: one uniform per edge, no count draw.
-                    skip_chunk(&grid, self.seed, self.p, i, j, emit);
-                }
-                GnpLeaves::AlgoD => {
-                    let universe = if i == j {
-                        grid.tri_universe(i, i + 1)
-                    } else {
-                        grid.rect_universe(i, i + 1, j, j + 1)
-                    };
-                    let mut count_rng = Mt64::new(derive_seed(self.seed, &[stream::COUNT, i, j]));
-                    let count = binomial(&mut count_rng, universe, self.p);
-                    sample_chunk(&grid, self.seed, i, j, count, emit);
-                }
-            }
+            let (len, piece) = grid.leaf(i, j);
+            let seed = |tag| derive_seed(self.seed, &[tag, i, j]);
+            let take = self.leaves.take(seed(stream::COUNT), len, self.p);
+            leaf_edges(seed(stream::SAMPLE), len, take, piece, emit);
         }
     }
 }
@@ -625,6 +551,21 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(set_i, set_j, "chunk ({i},{j}) differs between owners");
+            }
+        }
+    }
+
+    #[test]
+    fn largest_piece_is_the_largest_chunk() {
+        for n in 0..40u64 {
+            for chunks in 1..45usize {
+                let grid = ChunkMatrix::new(n, chunks);
+                let most = (0..grid.q)
+                    .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                    .map(|(i, j)| grid.leaf(i, j).0 as u128)
+                    .max();
+                let want = super::super::largest_piece(n, chunks as u64);
+                assert_eq!(most, Some(want), "n={n} chunks={chunks}");
             }
         }
     }

@@ -7,16 +7,19 @@
 //! probability `P[a][a]`, a pair across blocks `(a, b)` with `P[a][b]`.
 //! Each unordered block pair is a G(n,p)-style sampling problem over a
 //! rectangular (or triangular) universe — exactly the chunk sampling of
-//! §4: the pair's universe is split into fixed-size pieces, each piece
-//! gets a Binomial count and an Algorithm-D sample from a piece-seeded
-//! PRNG. Pieces are strided over PEs, so the instance is independent of
-//! the PE count and no communication is ever needed.
+//! §4: the pair's universe is split into pieces by its expected edge
+//! count, each piece gets a Binomial count and is one leaf of the ER
+//! family's `leaf_edges`, seeded by the piece. Pieces are strided over
+//! PEs in (pair, piece) order, enumerated as a PE walks the pairs, so the
+//! instance is independent of the PE count and no communication is ever
+//! needed. Every block pair's universe must fit a `u64`; the
+//! `blocks × blocks` probability matrix is the model's O(blocks²) state.
 
-use crate::er::triangle_index_to_pair;
+use crate::er::{leaf_edges, Piece};
 use crate::streaming::{BatchEmit, Batcher};
-use crate::{Generator, PeGraph};
+use crate::{even_split, Generator, PeGraph};
 use kagen_dist::binomial;
-use kagen_sampling::vitter::sample_sorted;
+use kagen_sampling::Take;
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64};
 
@@ -30,22 +33,33 @@ pub struct StochasticBlockModel {
     chunks: usize,
 }
 
+/// Vertex pairs of block pair `(a, b)`: the unordered pairs inside block
+/// `a` when `a == b`, else `sizes[a] · sizes[b]`.
+fn pair_universe(sizes: &[u64], a: usize, b: usize) -> u128 {
+    let (sa, sb) = (sizes[a] as u128, sizes[b] as u128);
+    if a == b {
+        sa * sa.saturating_sub(1) / 2
+    } else {
+        sa * sb
+    }
+}
+
 impl StochasticBlockModel {
     /// Planted-partition instance: `k` equal blocks over `n` vertices,
     /// within-block probability `p_in`, cross-block probability `p_out`.
     pub fn planted(n: u64, k: usize, p_in: f64, p_out: f64) -> Self {
         assert!(k >= 1 && (k as u64) <= n);
-        let sizes: Vec<u64> = (0..k as u64)
-            .map(|i| n * (i + 1) / k as u64 - n * i / k as u64)
-            .collect();
+        let sizes = (0..k).map(|i| even_split(n, k, i)).map(|r| r.end - r.start);
         let probs = (0..k)
             .map(|a| (0..k).map(|b| if a == b { p_in } else { p_out }).collect())
             .collect();
-        Self::new(sizes, probs)
+        Self::new(sizes.collect(), probs)
     }
 
     /// Fully general instance: explicit block sizes and a symmetric
-    /// probability matrix.
+    /// probability matrix. Every block pair's universe must fit a `u64`
+    /// (the front-end refuses `planted` instances that break this,
+    /// [`crate::er::largest_piece`]).
     pub fn new(sizes: Vec<u64>, probs: Vec<Vec<f64>>) -> Self {
         let k = sizes.len();
         assert!(k >= 1);
@@ -57,6 +71,11 @@ impl StochasticBlockModel {
                 assert!(
                     (p - probs[b][a]).abs() < 1e-15,
                     "probability matrix must be symmetric"
+                );
+                let pairs = pair_universe(&sizes, a, b);
+                assert!(
+                    pairs <= u64::MAX as u128,
+                    "block pair ({a}, {b}) has {pairs} vertex pairs, more than 2^64 - 1"
                 );
             }
         }
@@ -100,72 +119,36 @@ impl StochasticBlockModel {
         self.offsets.partition_point(|&o| o <= v) - 1
     }
 
-    /// Universe size of block pair (a, b), a ≤ b.
-    fn pair_universe(&self, a: usize, b: usize) -> u64 {
-        if a == b {
-            self.sizes[a] * self.sizes[a].saturating_sub(1) / 2
-        } else {
-            self.sizes[a] * self.sizes[b]
-        }
-    }
-
     /// Number of equal pieces a pair's universe is cut into — a pure
     /// function of the instance (never of the PE count).
     fn pair_pieces(&self, a: usize, b: usize) -> u64 {
-        let expected = self.pair_universe(a, b) as f64 * self.probs[a][b];
+        let expected = pair_universe(&self.sizes, a, b) as f64 * self.probs[a][b];
         ((expected / 8192.0) as u64)
             .next_power_of_two()
             .clamp(1, 4096)
     }
 
-    /// All (pair, piece) work units in deterministic order.
-    fn units(&self) -> Vec<(usize, usize, u64)> {
-        let k = self.num_blocks();
-        let mut units = Vec::new();
-        for a in 0..k {
-            for b in a..k {
-                if self.probs[a][b] > 0.0 && self.pair_universe(a, b) > 0 {
-                    for piece in 0..self.pair_pieces(a, b) {
-                        units.push((a, b, piece));
-                    }
-                }
-            }
-        }
-        units
-    }
-
-    /// Sample one work unit, emitting global edges.
-    fn sample_unit<F: FnMut(u64, u64) + ?Sized>(
-        &self,
-        a: usize,
-        b: usize,
-        piece: u64,
-        emit: &mut F,
-    ) {
-        let universe = self.pair_universe(a, b);
-        let pieces = self.pair_pieces(a, b);
-        let start = universe as u128 * piece as u128 / pieces as u128;
-        let end = universe as u128 * (piece + 1) as u128 / pieces as u128;
-        let len = (end - start) as u64;
+    /// Sample piece `piece` of block pair `(a, b)`, emitting global edges.
+    fn sample_unit<F: FnMut(u64, u64)>(&self, a: usize, b: usize, piece: u64, emit: &mut F) {
+        let universe = pair_universe(&self.sizes, a, b); // < 2^64, asserted by `new`
+        let pieces = self.pair_pieces(a, b) as u128;
+        let start = (universe * piece as u128 / pieces) as u64;
+        let len = (universe * (piece as u128 + 1) / pieces) as u64 - start;
         if len == 0 {
             return;
         }
-        let tags = [stream::MISC, 0x73626d, a as u64, b as u64, piece]; // "sbm"
-        let mut count_rng = Mt64::new(derive_seed(self.seed, &tags));
+        let tags = |tag| [tag, 0x73626d, a as u64, b as u64, piece]; // "sbm"
+        let mut count_rng = Mt64::new(derive_seed(self.seed, &tags(stream::MISC)));
         let count = binomial(&mut count_rng, len as u128, self.probs[a][b]);
-        let sample_tags = [stream::SAMPLE, 0x73626d, a as u64, b as u64, piece];
-        let mut rng = Mt64::new(derive_seed(self.seed, &sample_tags));
-        let (oa, ob) = (self.offsets[a], self.offsets[b]);
-        let sb = self.sizes[b];
-        sample_sorted(&mut rng, len, count, &mut |i| {
-            let t = start + i as u128;
-            if a == b {
-                let (u, v) = triangle_index_to_pair(t);
-                emit(oa + u, oa + v);
-            } else {
-                emit(oa + (t / sb as u128) as u64, ob + (t % sb as u128) as u64);
-            }
-        });
+        let at = (self.offsets[a], self.offsets[b]);
+        let place = if a == b {
+            Piece::Triangle { at: at.0, start }
+        } else {
+            let cols = self.sizes[b];
+            Piece::Rect { at, cols, start }
+        };
+        let seed = derive_seed(self.seed, &tags(stream::SAMPLE));
+        leaf_edges(seed, len, Take::Exact(count), place, emit);
     }
 }
 
@@ -200,13 +183,24 @@ impl Generator for StochasticBlockModel {
 
 impl StochasticBlockModel {
     /// Emit PE `pe`'s edges without materializing them (§9 streaming).
-    /// Strided unit assignment: PEs own disjoint unit sets, each edge is
-    /// emitted exactly once globally. Generic over the consumer so
-    /// concrete callers monomorphize.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64) + ?Sized>(&self, pe: usize, emit: &mut F) {
-        for (idx, (a, b, piece)) in self.units().into_iter().enumerate() {
-            if idx % self.chunks == pe {
-                self.sample_unit(a, b, piece, emit);
+    /// The (pair, piece) work units of the instance are numbered in
+    /// order and unit `i` belongs to PE `i mod chunks`: PEs own disjoint
+    /// unit sets, each edge is emitted exactly once globally. A PE walks
+    /// the pairs and counts their pieces, sampling only its own.
+    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
+        let (k, chunks) = (self.num_blocks(), self.chunks as u64);
+        let mut first = 0u64; // number of the pair's first unit
+        for a in 0..k {
+            for b in a..k {
+                if self.probs[a][b] == 0.0 || pair_universe(&self.sizes, a, b) == 0 {
+                    continue;
+                }
+                let pieces = self.pair_pieces(a, b);
+                let own = (pe as u64 + chunks - first % chunks) % chunks;
+                for piece in (own..pieces).step_by(self.chunks) {
+                    self.sample_unit(a, b, piece, emit);
+                }
+                first += pieces;
             }
         }
     }
@@ -299,6 +293,41 @@ mod tests {
             assert_eq!(gen.block_of(u), gen.block_of(v), "cross edge despite P=0");
         }
         assert!(!el.edges.is_empty());
+    }
+
+    #[test]
+    fn block_pairs_beyond_64_bits_are_refused() {
+        // 2^33 vertices in one block hold C(2^33, 2) > 2^64 pairs, in two
+        // blocks a cross pair of exactly 2^64: both used to wrap in u64
+        // (the second to 0 pairs and no edges at all); both are refused.
+        for k in [1, 2] {
+            let built =
+                std::panic::catch_unwind(|| StochasticBlockModel::planted(1 << 33, k, 0.0, 1e-16));
+            assert!(built.is_err(), "{k} blocks");
+        }
+        // Three blocks fit: 3 · (2^33 / 3)^2 · 10^-16 ≈ 2 460 edges
+        // expected (sd ≈ 50), over all 2^33 ids.
+        let gen = StochasticBlockModel::planted(1 << 33, 3, 0.0, 1e-16)
+            .with_seed(1)
+            .with_chunks(4);
+        let el = generate_undirected(&gen);
+        assert!((2200..2700).contains(&el.edges.len()), "{}", el.edges.len());
+        assert!(el.edges.iter().any(|&(_, v)| v >= 3 << 31));
+    }
+
+    #[test]
+    fn largest_piece_is_the_largest_block_pair() {
+        for n in 1..40u64 {
+            for k in 1..=n as usize {
+                let gen = StochasticBlockModel::planted(n, k, 0.5, 0.5);
+                let most = (0..k)
+                    .flat_map(|a| (a..k).map(move |b| (a, b)))
+                    .map(|(a, b)| pair_universe(&gen.sizes, a, b))
+                    .max();
+                let want = crate::er::largest_piece(n, k as u64);
+                assert_eq!(most, Some(want), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -6,28 +6,17 @@
 //! pseudorandom generator on the CPU and then invokes the GPGPU algorithm
 //! to sample the edges of the graph."
 //!
-//! The host side therefore runs the divide-and-conquer count recursion
-//! (hypergeometric splits for G(n,m)) and hands each leaf block — seed
-//! identity, universe range, and for G(n,m) its sample count — to one
-//! device block, which samples its edges independently (Method D for
-//! G(n,m), geometric skip sampling for G(n,p) since the skip-kernel
-//! swap). Because leaf sampling uses the same block-id-derived seeds as
-//! the CPU generators, the device output is **bit-identical** to
-//! [`kagen_core::GnmDirected`] / [`kagen_core::GnpDirected`] — asserted
-//! in tests.
+//! The host side therefore asks the CPU generator for its leaf plan —
+//! for G(n,m) the divide-and-conquer count recursion (hypergeometric
+//! splits), for G(n,p) just the number of leaf blocks — and hands each
+//! leaf block to one device block, which runs the CPU generator's own
+//! leaf ([`GnmDirected::leaf`], [`GnpDirected::leaf`]: Method D for
+//! G(n,m), geometric skips for G(n,p)). The device output is therefore
+//! **bit-identical** to [`GnmDirected`] / [`GnpDirected`] — asserted in
+//! tests.
 
-use crate::device::Device;
-use kagen_core::er::{directed_index_to_edge, er_leaf_blocks, er_pe_block_range};
-use kagen_core::GnmDirected;
-use kagen_sampling::bernoulli_sample_batched;
-use kagen_util::seed::stream;
-use kagen_util::{derive_seed, Mt64};
-
-/// One device block's work: sample `count` indices from the block range.
-struct LeafJob {
-    block: u64,
-    count: u64,
-}
+use crate::device::{BlockCtx, Device};
+use kagen_core::{GnmDirected, GnpDirected};
 
 /// Directed G(n,m) on the simulated device.
 #[derive(Clone, Debug)]
@@ -58,27 +47,27 @@ impl GpuGnmDirected {
         let Some(sampler) = cpu.sampler() else {
             return Vec::new();
         };
-        // Host: count recursion (cheap, O(blocks) hypergeometric draws).
-        let mut jobs: Vec<LeafJob> = Vec::new();
+        // Host: the count recursion, down to the leaves that hold edges.
+        let mut jobs: Vec<(u64, u64)> = Vec::new();
         sampler.for_block_counts(0, sampler.blocks(), &mut |block, count| {
-            jobs.push(LeafJob { block, count })
+            jobs.push((block, count))
         });
-        let n = self.n;
-        // Device: one block per leaf; PRNG seeded by the leaf id exactly as
-        // the CPU path does inside `DistributedSampler::sample_block`.
-        let per_block: Vec<Vec<(u64, u64)>> = dev.launch(jobs, move |ctx, job| {
-            let mut out = Vec::with_capacity(job.count as usize);
-            sampler.sample_block_with_count(job.block, job.count, &mut |idx| {
-                out.push(directed_index_to_edge(n, idx));
-            });
-            // Lockstep accounting: each sampled edge is one lane of work
-            // ending in a 16-byte global-memory store.
-            ctx.simd_for(out.len(), |_| true);
-            ctx.gmem_write(out.len() * 16);
-            out
+        // Device: one block per leaf.
+        let per_block = dev.launch(jobs, |ctx, (block, count)| {
+            let mut out = Vec::with_capacity(count as usize);
+            cpu.leaf(&sampler, block, count, &mut |u, v| out.push((u, v)));
+            store(ctx, out)
         });
         per_block.concat()
     }
+}
+
+/// Lockstep accounting of a device block's edges: each is one lane of
+/// work ending in a 16-byte global-memory store.
+fn store(ctx: &mut BlockCtx, out: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    ctx.simd_for(out.len(), |_| true);
+    ctx.gmem_write(out.len() * 16);
+    out
 }
 
 /// Directed G(n,p) on the simulated device.
@@ -104,60 +93,26 @@ impl GpuGnpDirected {
 
     /// Generate the whole instance on `dev` (global index order).
     pub fn generate(&self, dev: &Device) -> Vec<(u64, u64)> {
-        let universe = (self.n as u128) * (self.n as u128).saturating_sub(1);
-        if universe == 0 || self.p == 0.0 {
-            return Vec::new();
-        }
-        let expected = ((universe as f64) * self.p) as u64;
-        let blocks = er_leaf_blocks(universe, expected.max(1));
+        let cpu = GnpDirected::new(self.n, self.p).with_seed(self.seed);
         // Host: the leaf decomposition only — geometric skip sampling
         // needs no predetermined counts, each device block draws its own
         // skips from the leaf-seeded PRNG (the chunk distribution stays
         // "predetermined" in the §4.3 sense: it is a pure function of
         // the leaf id).
-        let seed = self.seed;
-        let p = self.p;
-        let jobs: Vec<(u64, u128, u128)> = (0..blocks)
-            .map(|b| {
-                let start = universe * b as u128 / blocks as u128;
-                let end = universe * (b + 1) as u128 / blocks as u128;
-                (b, start, end)
-            })
-            .collect();
-        let n = self.n;
-        let per_block: Vec<Vec<(u64, u64)>> = dev.launch(jobs, move |ctx, (b, start, end)| {
-            let mut rng = Mt64::new(derive_seed(seed, &[stream::SAMPLE, b]));
-            let mut out = Vec::with_capacity((((end - start) as f64) * p) as usize + 1);
-            // The block-batched skip kernel is the device-friendly shape:
-            // a block of uniforms, one branch-free conversion loop, a
-            // prefix sum — mirrored here against the same draw order as
-            // the CPU generator.
-            bernoulli_sample_batched(&mut rng, (end - start) as u64, p, &mut |idxs| {
-                for &i in idxs {
-                    out.push(directed_index_to_edge(n, start + i as u128));
-                }
-            });
-            ctx.simd_for(out.len(), |_| true);
-            ctx.gmem_write(out.len() * 16);
-            out
+        let blocks = cpu.blocks();
+        let per_block = dev.launch((0..blocks).collect(), |ctx, b| {
+            let mut out = Vec::new();
+            cpu.leaf(blocks, b, &mut |u, v| out.push((u, v)));
+            store(ctx, out)
         });
         per_block.concat()
     }
 }
 
-/// The block range of the directed universe PE `pe` would own — exposed so
-/// a *distributed* accelerator setup (one device per PE, §2.3 "every PE
-/// has a GPGPU available") can generate just its share.
-pub fn pe_leaf_range(n: u64, m: u64, chunks: usize, pe: usize) -> (u64, u64) {
-    let universe = (n as u128) * (n as u128).saturating_sub(1);
-    let blocks = er_leaf_blocks(universe, m.max(1));
-    er_pe_block_range(blocks, chunks, pe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kagen_core::{generate_directed, GnpDirected};
+    use kagen_core::generate_directed;
 
     #[test]
     fn gnm_bit_identical_to_cpu() {
@@ -195,27 +150,13 @@ mod tests {
     fn blocks_match_host_plan() {
         let n = 1000u64;
         let m = 100_000u64;
-        let universe = (n as u128) * (n as u128 - 1);
         let dev = Device::default();
         GpuGnmDirected::new(n, m).with_seed(1).generate(&dev);
         assert_eq!(
             dev.stats().blocks_executed,
-            er_leaf_blocks(universe, m),
+            GnmDirected::new(n, m).sampler().unwrap().blocks(),
             "one device block per leaf block"
         );
-    }
-
-    #[test]
-    fn pe_leaf_range_partitions() {
-        let (n, m, chunks) = (2000u64, 50_000u64, 16usize);
-        let mut prev_hi = 0;
-        for pe in 0..chunks {
-            let (lo, hi) = pe_leaf_range(n, m, chunks, pe);
-            assert_eq!(lo, prev_hi, "contiguous coverage");
-            prev_hi = hi;
-        }
-        let universe = (n as u128) * (n as u128 - 1);
-        assert_eq!(prev_hi, er_leaf_blocks(universe, m));
     }
 
     #[test]

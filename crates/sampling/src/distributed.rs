@@ -5,8 +5,8 @@
 //! count: at every node the count is split between the two halves with a
 //! hypergeometric variate whose PRNG is seeded by the *node id* — so every
 //! PE that walks to a node draws the identical variate (pseudorandomization,
-//! §2.2). Leaves are sampled with Vitter's Algorithm D under a block-seeded
-//! PRNG.
+//! §2.2). Each block is one leaf of [`sample_leaf`], seeded by the block
+//! id; a subtree whose count is 0 is not walked.
 //!
 //! Consequences (verified in tests):
 //! * any PE can compute any block's sample, bit-for-bit, in
@@ -17,10 +17,10 @@
 //!   *not* on the number of PEs.
 
 use kagen_dist::hypergeometric;
+use kagen_util::derive_seed;
 use kagen_util::seed::{stream, SeedTree};
-use kagen_util::{derive_seed, Mt64};
 
-use crate::vitter::{sample_sorted, sample_sorted_batched};
+use crate::{sample_leaf, Take};
 
 /// Divide-and-conquer sampler over a blocked universe.
 #[derive(Clone, Copy, Debug)]
@@ -35,7 +35,8 @@ impl DistributedSampler {
     /// Create a sampler drawing `samples` distinct indices from
     /// `[0, universe)`, organized in `blocks` leaf blocks.
     ///
-    /// `blocks` must be a power of two and `samples <= universe`.
+    /// `blocks` must be a power of two, `samples <= universe`, and a
+    /// block at most 2^64 − 1 indices long.
     pub fn new(universe: u128, samples: u64, blocks: u64, seed: u64) -> Self {
         assert!(blocks.is_power_of_two(), "blocks must be a power of two");
         assert!(
@@ -45,6 +46,10 @@ impl DistributedSampler {
         assert!(
             blocks as u128 <= universe.max(1),
             "more blocks than universe elements"
+        );
+        assert!(
+            universe.div_ceil(blocks as u128) <= u64::MAX as u128,
+            "leaf block larger than 2^64; increase the block count"
         );
         DistributedSampler {
             universe,
@@ -59,23 +64,24 @@ impl DistributedSampler {
         self.blocks
     }
 
-    /// Total number of samples in the whole universe.
-    pub fn total_samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Global index range `[start, end)` covered by block `b`.
     #[inline]
     pub fn block_range(&self, b: u64) -> (u128, u128) {
         debug_assert!(b < self.blocks);
-        let start = self.universe * b as u128 / self.blocks as u128;
-        let end = self.universe * (b + 1) as u128 / self.blocks as u128;
-        (start, end)
+        let start = |b| block_start(self.universe, self.blocks, b);
+        (start(b), start(b + 1))
     }
 
-    /// Visit every block in `[lo, hi)` with its sample count.
+    /// Seed of block `b`'s leaf PRNG.
+    #[inline]
+    pub fn leaf_seed(&self, b: u64) -> u64 {
+        derive_seed(self.seed, &[stream::SAMPLE, b])
+    }
+
+    /// Visit every block in `[lo, hi)` whose sample count is nonzero,
+    /// in order, with that count.
     ///
-    /// Runs in O((hi−lo) + log B) hypergeometric draws.
+    /// Runs in O(min(hi−lo, samples) · log B) hypergeometric draws.
     pub fn for_block_counts(&self, lo: u64, hi: u64, f: &mut impl FnMut(u64, u64)) {
         assert!(lo <= hi && hi <= self.blocks);
         if lo == hi {
@@ -96,108 +102,48 @@ impl DistributedSampler {
         hi: u64,
         f: &mut impl FnMut(u64, u64),
     ) {
-        if hi <= a || b <= lo {
-            return; // disjoint from the query range
+        if count == 0 || hi <= a || b <= lo {
+            return; // empty, or disjoint from the query range
         }
         if b - a == 1 {
             f(a, count);
             return;
         }
         let mid = a + (b - a) / 2;
-        let (a_start, _) = self.block_range(a);
-        let (mid_start, _) = self.block_range(mid);
-        let end = if b == self.blocks {
-            self.universe
-        } else {
-            self.block_range(b).0
-        };
-        let left_universe = mid_start - a_start;
-        let total = end - a_start;
+        let start = |b| block_start(self.universe, self.blocks, b);
+        let left_universe = start(mid) - start(a);
+        let total = start(b) - start(a);
         let mut rng = node.rng();
         let left_count = hypergeometric(&mut rng, total, left_universe, count);
         self.descend(node.child(0), a, mid, left_count, lo, hi, f);
         self.descend(node.child(1), mid, b, count - left_count, lo, hi, f);
     }
 
-    /// Sample count of a single block (convenience).
-    pub fn block_count(&self, b: u64) -> u64 {
-        let mut out = 0;
-        self.for_block_counts(b, b + 1, &mut |_, c| out = c);
-        out
-    }
-
-    /// Emit the sorted global sample indices of block `b`.
+    /// Emit all samples of blocks `[lo, hi)` in sorted order, each block
+    /// drawn by the one leaf sampler.
     ///
-    /// Deterministic: depends only on the sampler parameters and `b`.
-    pub fn sample_block(&self, b: u64, emit: &mut impl FnMut(u128)) {
-        let count = self.block_count(b);
-        self.sample_block_with_count(b, count, emit);
-    }
-
-    /// One body for both delivery shapes — `BATCHED` only selects the
-    /// leaf sampler, so the leaf seeding and range decode can never
-    /// drift apart between the per-draw and block-treated paths.
-    fn sample_block_impl<const BATCHED: bool>(
-        &self,
-        b: u64,
-        count: u64,
-        emit: &mut impl FnMut(u128),
-    ) {
-        let (start, end) = self.block_range(b);
-        let len = end - start;
-        assert!(
-            len <= u64::MAX as u128,
-            "leaf block larger than 2^64; increase the block count"
-        );
-        let mut rng = Mt64::new(derive_seed(self.seed, &[stream::SAMPLE, b]));
-        let mut on_i = |i: u64| emit(start + i as u128);
-        if BATCHED {
-            sample_sorted_batched(&mut rng, len as u64, count, &mut on_i);
-        } else {
-            sample_sorted(&mut rng, len as u64, count, &mut on_i);
-        }
-    }
-
-    /// Like [`Self::sample_block`] when the caller already knows the count
-    /// (e.g. from [`Self::for_block_counts`]).
-    pub fn sample_block_with_count(&self, b: u64, count: u64, emit: &mut impl FnMut(u128)) {
-        self.sample_block_impl::<false>(b, count, emit);
-    }
-
-    /// Emit all samples of blocks `[lo, hi)` in sorted order.
+    /// Deterministic: depends only on the sampler parameters.
     pub fn sample_range(&self, lo: u64, hi: u64, emit: &mut impl FnMut(u128)) {
-        let mut pending: Vec<(u64, u64)> = Vec::new();
-        self.for_block_counts(lo, hi, &mut |b, c| pending.push((b, c)));
-        for (b, c) in pending {
-            self.sample_block_impl::<false>(b, c, emit);
-        }
-    }
-
-    /// Block-treated [`Self::sample_range`]: the identical sample
-    /// stream, with every leaf's Method D uniforms served from a
-    /// block-buffered PRNG
-    /// ([`sample_sorted_batched`](crate::vitter::sample_sorted_batched)).
-    /// Safe because each leaf PRNG exists only for its leaf — the
-    /// buffer's read-ahead words are never observed by anyone else.
-    pub fn sample_range_batched(&self, lo: u64, hi: u64, emit: &mut impl FnMut(u128)) {
-        let mut pending: Vec<(u64, u64)> = Vec::new();
-        self.for_block_counts(lo, hi, &mut |b, c| pending.push((b, c)));
-        for (b, c) in pending {
-            self.sample_block_impl::<true>(b, c, emit);
-        }
+        self.for_block_counts(lo, hi, &mut |b, count| {
+            let (start, end) = self.block_range(b);
+            let len = (end - start) as u64;
+            sample_leaf(self.leaf_seed(b), len, Take::Exact(count), &mut |i| {
+                emit(start + i as u128)
+            });
+        });
     }
 }
 
-/// Recommended block count: enough blocks for `parts` owners while keeping
-/// leaves below 2^44 elements (f64-exact Algorithm D regime).
-pub fn choose_blocks(universe: u128, parts: u64) -> u64 {
-    let mut blocks = parts.next_power_of_two().max(1);
-    while (universe / blocks as u128) > (1u128 << 44) {
-        blocks = blocks
-            .checked_mul(2)
-            .expect("universe too large for block addressing");
-    }
-    blocks.min(u64::MAX / 2)
+/// First index of block `b ∈ [0, blocks]` of `[0, universe)` cut into
+/// `blocks = 2^k` equal blocks: `⌊universe · b / blocks⌋`, exact for
+/// every `u128` universe — the product is split into a shift of the
+/// universe's high part and a product of two numbers below 2^k.
+#[inline]
+pub fn block_start(universe: u128, blocks: u64, b: u64) -> u128 {
+    debug_assert!(blocks.is_power_of_two() && b <= blocks);
+    let k = blocks.trailing_zeros();
+    let low = universe & (blocks as u128 - 1);
+    (universe >> k) * b as u128 + ((low * b as u128) >> k)
 }
 
 #[cfg(test)]
@@ -225,7 +171,9 @@ mod tests {
         let mut whole = vec![0u64; 32];
         s.for_block_counts(0, 32, &mut |b, c| whole[b as usize] = c);
         for b in 0..32 {
-            assert_eq!(s.block_count(b), whole[b as usize], "block {b}");
+            let mut alone = 0;
+            s.for_block_counts(b, b + 1, &mut |_, c| alone = c);
+            assert_eq!(alone, whole[b as usize], "block {b}");
         }
         let mut partial = Vec::new();
         s.for_block_counts(5, 13, &mut |b, c| partial.push((b, c)));
@@ -236,8 +184,9 @@ mod tests {
 
     #[test]
     fn batched_range_equals_per_draw_range() {
-        // Sparse (Method D) and dense (Method A / full enumeration)
-        // leaves, whole ranges and sub-ranges.
+        // The leaf against per-draw Method D from the leaf seed: sparse
+        // (Method D) and dense (Method A / full enumeration) leaves,
+        // whole ranges and sub-ranges.
         for (universe, k, blocks) in [
             (1u128 << 20, 5000u64, 64u64),
             (4000, 3500, 8),
@@ -246,9 +195,15 @@ mod tests {
             let s = DistributedSampler::new(universe, k, blocks, 11);
             for (lo, hi) in [(0, blocks), (1, blocks - 1)] {
                 let mut per_draw = Vec::new();
-                s.sample_range(lo, hi, &mut |x| per_draw.push(x));
+                s.for_block_counts(lo, hi, &mut |b, c| {
+                    let (start, end) = s.block_range(b);
+                    let mut rng = kagen_util::Mt64::new(s.leaf_seed(b));
+                    crate::sample_sorted(&mut rng, (end - start) as u64, c, &mut |i| {
+                        per_draw.push(start + i as u128)
+                    });
+                });
                 let mut batched = Vec::new();
-                s.sample_range_batched(lo, hi, &mut |x| batched.push(x));
+                s.sample_range(lo, hi, &mut |x| batched.push(x));
                 assert_eq!(
                     per_draw, batched,
                     "universe {universe} k {k} blocks {lo}..{hi}"
@@ -273,7 +228,7 @@ mod tests {
         let s = DistributedSampler::new(10_000, 500, 8, 9);
         for b in 0..8 {
             let (lo, hi) = s.block_range(b);
-            s.sample_block(b, &mut |x| assert!(x >= lo && x < hi));
+            s.sample_range(b, b + 1, &mut |x| assert!(x >= lo && x < hi));
         }
     }
 
@@ -288,7 +243,7 @@ mod tests {
         assert_eq!(whole, split);
         let mut per_block = Vec::new();
         for b in 0..64 {
-            s.sample_block(b, &mut |x| per_block.push(x));
+            s.sample_range(b, b + 1, &mut |x| per_block.push(x));
         }
         assert_eq!(whole, per_block);
     }
@@ -348,7 +303,7 @@ mod tests {
         assert_eq!(sum, 10_000);
         // Spot-check one block.
         let mut prev: Option<u128> = None;
-        s.sample_block(12345, &mut |x| {
+        s.sample_range(12345, 12346, &mut |x| {
             if let Some(p) = prev {
                 assert!(x > p);
             }
@@ -357,11 +312,31 @@ mod tests {
     }
 
     #[test]
-    fn choose_blocks_covers_parts() {
-        assert!(choose_blocks(1 << 20, 7) >= 7);
-        assert!(choose_blocks(1 << 20, 8).is_power_of_two());
-        // Large universes get enough blocks to keep leaves small.
-        let b = choose_blocks(1 << 60, 4);
-        assert!((1u128 << 60) / b as u128 <= 1 << 44);
+    fn block_start_is_exact_where_the_product_overflows() {
+        // Below 2^128 products it is the plain formula ...
+        for (universe, blocks) in [(1000u128, 8u64), (u64::MAX as u128, 1 << 20)] {
+            for b in 0..=blocks.min(1 << 12) {
+                let want = universe * b as u128 / blocks as u128;
+                assert_eq!(block_start(universe, blocks, b), want);
+            }
+        }
+        // ... and at a universe of 2^107 − 3 cut into 2^63 blocks, where
+        // `universe · b` does not fit a u128, it still ends at the
+        // universe, halves it exactly, and cuts blocks of ⌊N/B⌋ or ⌈N/B⌉.
+        let (universe, blocks) = ((1u128 << 107) - 3, 1u64 << 63);
+        assert_eq!(block_start(universe, blocks, blocks), universe);
+        assert_eq!(block_start(universe, blocks, blocks / 2), universe / 2);
+        for b in [0, 1, 12345, blocks / 3, blocks - 1] {
+            let len = block_start(universe, blocks, b + 1) - block_start(universe, blocks, b);
+            assert!(len == 1 << 44 || len == (1 << 44) - 1, "block {b}: {len}");
+        }
+        // Counts conserve there too, and only nonzero blocks are visited.
+        let s = DistributedSampler::new(universe, 10, blocks, 3);
+        let mut sum = 0;
+        s.for_block_counts(0, blocks, &mut |_, c| {
+            assert!(c > 0);
+            sum += c;
+        });
+        assert_eq!(sum, 10);
     }
 }

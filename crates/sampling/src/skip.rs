@@ -1,8 +1,9 @@
 //! Bernoulli sampling with geometric skips (Batagelj & Brandes).
 //!
 //! Walks a universe selecting each element independently with probability
-//! `p`, but in O(selected) time by jumping over the gaps. Used by the
-//! G(n,p) leaves and by the Boost-style baseline.
+//! `p`, but in O(selected) time by jumping over the gaps: the
+//! `Bernoulli` arm of the one leaf sampler ([`crate::sample_leaf`]), and
+//! (per draw) the Boost-style baseline.
 //!
 //! Two delivery shapes, one index stream:
 //!
@@ -18,11 +19,7 @@
 //!   PRNG in this workspace).
 
 use kagen_dist::geometric::SkipSampler;
-use kagen_obs::Counter;
 use kagen_util::Rng64;
-
-/// Geometric skip blocks drawn by the batched Bernoulli sampler.
-static ER_SKIP_BLOCKS: Counter = Counter::new("gen.er.skip_blocks");
 
 /// Skips converted per block by the batched path: large enough that the
 /// block fill and the `ln` conversion loop amortize their setup, small
@@ -109,7 +106,6 @@ pub fn bernoulli_sample_batched<R: Rng64>(
         } else {
             want as usize
         };
-        ER_SKIP_BLOCKS.incr();
         sampler.skip_block(rng, &mut skips[..block]);
         let mut len = 0usize;
         for &s in skips[..block].iter() {

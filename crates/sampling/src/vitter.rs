@@ -4,7 +4,9 @@
 //! them in increasing order. Algorithm A scans with O(universe) work;
 //! Algorithm D generates skip distances by acceptance–rejection with
 //! expected O(k) work, which is what the paper's chunk-leaf sampling uses
-//! ("a linear time sequential algorithm \[16\]", §2.2).
+//! ("a linear time sequential algorithm \[16\]", §2.2):
+//! [`sample_sorted_batched`] is the `Exact` arm of the one leaf sampler
+//! ([`crate::sample_leaf`]), [`sample_sorted`] its per-draw reference.
 
 use kagen_util::{BlockRng, Rng64};
 
@@ -171,18 +173,10 @@ pub fn sample_sorted_batched<R: Rng64>(
     emit: &mut impl FnMut(u64),
 ) {
     if k == universe {
-        // Full enumeration draws nothing; skip the buffer entirely so no
-        // words are consumed (bit-compatible with `sample_sorted`).
-        for i in 0..universe {
-            emit(i);
-        }
-        return;
-    }
-    let mut rng = BlockRng::new(rng);
-    if universe < ALPHA_INV * k {
-        vitter_a(&mut rng, universe, k, emit);
+        // Full enumeration draws nothing: no buffer, no word consumed.
+        sample_sorted(rng, universe, k, emit);
     } else {
-        vitter_d(&mut rng, universe, k, emit);
+        sample_sorted(&mut BlockRng::new(rng), universe, k, emit);
     }
 }
 

@@ -10,6 +10,7 @@
 //! one row.
 
 use kagen_cluster::ValidateMode;
+use kagen_core::er::largest_piece;
 use kagen_core::prelude::*;
 use kagen_geometry::hyperbolic::RhgSpace;
 use kagen_pipeline::ShardFormat;
@@ -773,6 +774,32 @@ fn ordered_pairs(n: u64) -> u128 {
     n as u128 * (n as u128).saturating_sub(1)
 }
 
+/// What the directed ER leaf blocks allow: at most 2^63 blocks of at
+/// most 2^44 pairs each.
+fn directed_fits(n: u64) -> Result<(), String> {
+    let range = "small enough that n(n-1) <= 2^107";
+    in_range(ordered_pairs(n) <= 1 << 107, &N, range, n)
+}
+
+/// `flag` cuts the `-n` vertices into `parts` even parts (the undirected
+/// chunk matrix, planted SBM blocks); every piece's vertex pairs must fit
+/// one 64-bit leaf. Names the smallest admissible count.
+fn pieces_fit(o: &Options, flag: &Flag, parts: u64, piece: &str) -> Result<(), String> {
+    let fits = |parts| largest_piece(o.n, parts) <= u64::MAX as u128;
+    // The largest piece shrinks as parts grow: bisect for the first fit.
+    let (mut min, mut max) = (1, o.n.max(1));
+    while min < max {
+        let mid = min + (max - min) / 2;
+        if fits(mid) {
+            max = mid;
+        } else {
+            min = mid + 1;
+        }
+    }
+    let range = format!(">= {min} for n = {} ({piece} must fit 64 bits)", o.n);
+    in_range(fits(parts), flag, &range, parts)
+}
+
 /// `-r`, or the connectivity-threshold radius of the dimension.
 fn radius(o: &Options, threshold: fn(u64, u64) -> f64) -> f64 {
     o.r.unwrap_or_else(|| threshold(o.n, 1))
@@ -844,28 +871,37 @@ pub static MODELS: &[Model] = &[
     Model {
         name: "gnm_directed",
         flags: &[&N, &M],
-        check: |o| fits(o, ordered_pairs(o.n), "n(n-1)"),
+        check: |o| {
+            directed_fits(o.n)?;
+            fits(o, ordered_pairs(o.n), "n(n-1)")
+        },
         params: |o| format!("n={} m={}", o.n, o.m),
         build: |o| seeded!(o, GnmDirected::new(o.n, o.m)),
     },
     Model {
         name: "gnm_undirected",
         flags: &[&N, &M],
-        check: |o| fits(o, ordered_pairs(o.n) / 2, "n(n-1)/2"),
+        check: |o| {
+            fits(o, ordered_pairs(o.n) / 2, "n(n-1)/2")?;
+            pieces_fit(o, &CHUNKS, o.chunks as u64, "a chunk's vertex pairs")
+        },
         params: |o| format!("n={} m={}", o.n, o.m),
         build: |o| seeded!(o, GnmUndirected::new(o.n, o.m)),
     },
     Model {
         name: "gnp_directed",
         flags: &[&N, &P, &LEAVES],
-        check: |o| probability(&P, o.p),
+        check: |o| directed_fits(o.n).and(probability(&P, o.p)),
         params: gnp_params,
         build: |o| seeded!(o, GnpDirected::new(o.n, o.p).with_leaves(o.gnp_leaves)),
     },
     Model {
         name: "gnp_undirected",
         flags: &[&N, &P, &LEAVES],
-        check: |o| probability(&P, o.p),
+        check: |o| {
+            probability(&P, o.p)?;
+            pieces_fit(o, &CHUNKS, o.chunks as u64, "a chunk's vertex pairs")
+        },
         params: gnp_params,
         build: |o| seeded!(o, GnpUndirected::new(o.n, o.p).with_leaves(o.gnp_leaves)),
     },
@@ -955,6 +991,7 @@ pub static MODELS: &[Model] = &[
         check: |o| {
             let blocks = o.blocks as u64;
             in_range((1..=o.n).contains(&blocks), &BLOCKS, "in 1..=n", blocks)?;
+            pieces_fit(o, &BLOCKS, blocks, "a block pair's vertex pairs")?;
             probability(&P_IN, o.p_in).and(probability(&P_OUT, o.p_out))
         },
         params: |o| {

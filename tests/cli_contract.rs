@@ -497,6 +497,14 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
     ("gnm_directed -n 0 -m 1", All("2 - {mode}: gnm_directed: -m must be <= n(n-1) = 0, got 1")),
+    ("gnm_directed -n 12738103345051545 -m 10", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 10 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 10 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnm_directed -n 12738103345051546 -m 10", All("2 - {mode}: gnm_directed: -n must be small enough that n(n-1) <= 2^107, got 12738103345051546")),
+    ("gnm_directed -n 1152921504606846976 -m 10 -c 1", All("2 - {mode}: gnm_directed: -n must be small enough that n(n-1) <= 2^107, got 1152921504606846976")),
     ("gnm_undirected -n 10 -m 44", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 80 edges, format compressed -> <tmp>/shards in <t>s",
@@ -522,6 +530,14 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "2 - {mode}: gnm_undirected: -c must be >= 1, got 0",
         "2 - {mode}: --pe-range 0..1 is not a non-empty sub-range of 0..0 (-c)",
     ])),
+    ("gnm_undirected -n 8589934592 -m 3000 -c 1", All("2 - {mode}: gnm_undirected: -c must be >= 3 for n = 8589934592 (a chunk's vertex pairs must fit 64 bits), got 1")),
+    ("gnm_undirected -n 8589934592 -m 3000 -c 2", All("2 - {mode}: gnm_undirected: -c must be >= 3 for n = 8589934592 (a chunk's vertex pairs must fit 64 bits), got 2")),
+    ("gnm_undirected -n 8589934592 -m 3000 -c 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 3 shards, 5042 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..3 -> 3 shards, 5042 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 1652 edges in <t>s",
+    ])),
     ("gnp_directed -n 64 -p 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
@@ -543,6 +559,14 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
     ("gnp_directed -n 64 -p 1.01", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got 1.01")),
     ("gnp_directed -n 64 -p -0.01", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got -0.01")),
     ("gnp_directed -n 64 -p nan", All("2 - {mode}: gnp_directed: -p must be in [0, 1], got NaN")),
+    ("gnp_directed -n 12738103345051545 -p 0", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 0 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
+    ])),
+    ("gnp_directed -n 12738103345051546 -p 0", All("2 - {mode}: gnp_directed: -n must be small enough that n(n-1) <= 2^107, got 12738103345051546")),
+    ("gnp_directed -n 1152921504606846976 -p 1e-35 -c 1", All("2 - {mode}: gnp_directed: -n must be small enough that n(n-1) <= 2^107, got 1152921504606846976")),
     ("gnp_undirected -n 64 -p 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
@@ -563,6 +587,13 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
     ])),
     ("gnp_undirected -n 64 -p 2", All("2 - {mode}: gnp_undirected: -p must be in [0, 1], got 2")),
     ("gnp_undirected -n 64 -p -0.01", All("2 - {mode}: gnp_undirected: -p must be in [0, 1], got -0.01")),
+    ("gnp_undirected -n 8589934592 -p 1e-16 -c 1", All("2 - {mode}: gnp_undirected: -c must be >= 3 for n = 8589934592 (a chunk's vertex pairs must fit 64 bits), got 1")),
+    ("gnp_undirected -n 8589934592 -p 1e-16 -c 3", Each([
+        "0 -",
+        "0 D {mode}: wrote 3 shards, 6266 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..3 -> 3 shards, 6266 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 2073 edges in <t>s",
+    ])),
     ("rgg2d -n 0", All("2 - {mode}: rgg2d: -n must be >= 1, got 0")),
     ("rgg2d -n 1", Each([
         "0 -",
@@ -794,6 +825,14 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 0 edges in <t>s",
     ])),
     ("sbm -n 64 -b 65", All("2 - {mode}: sbm: -b must be in 1..=n, got 65")),
+    ("sbm -n 8589934592 -b 1 --p-in 1e-16 --p-out 0", All("2 - {mode}: sbm: -b must be >= 3 for n = 8589934592 (a block pair's vertex pairs must fit 64 bits), got 1")),
+    ("sbm -n 8589934592 -b 2 --p-in 0 --p-out 1e-16", All("2 - {mode}: sbm: -b must be >= 3 for n = 8589934592 (a block pair's vertex pairs must fit 64 bits), got 2")),
+    ("sbm -n 8589934592 -b 3 --p-in 0 --p-out 1e-16", Each([
+        "0 -",
+        "0 D {mode}: wrote 4 shards, 2416 edges, format compressed -> <tmp>/shards in <t>s",
+        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 2416 edges in <t>s",
+        "0 D {mode}: PEs 0..1 -> 1 shards, 745 edges in <t>s",
+    ])),
     ("sbm -n 64 -b 2 --p-in 0", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 0 edges, format compressed -> <tmp>/shards in <t>s",
