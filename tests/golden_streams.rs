@@ -37,6 +37,11 @@
 //! ER sites each drew and decoded their own leaves; beside it, the
 //! device port must reproduce its CPU rows.
 //!
+//! Beside the RGG corner table, a kernel table pins RGG where its pair
+//! loop is cut differently — r equal to the cell side, r well below it,
+//! the `rgg3d` probe's instance — recorded on the tree whose pair loop
+//! tested every candidate of the 3^d neighbourhood.
+//!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
@@ -737,6 +742,62 @@ const GOLDEN_RGG_CORNERS: &[(&str, CornerDigest)] = &[
 #[test]
 fn rgg_corners_keep_their_golden_digests() {
     assert_corners("RGG", &rgg_corners(), GOLDEN_RGG_CORNERS);
+}
+
+/// RGG where its pair kernel is cut differently: r equal to the cell
+/// side (2-D r = 0.125, 3-D r = 0.25 at n = 4096, ≈ 64 points per cell:
+/// the box bound at its tightest, rows across a 64-candidate word); a
+/// sparse r well below the side (n = 20 000, r = 0.01); and the `rgg3d`
+/// kernel probe's instance (2^15 points at the threshold radius).
+/// `chunks` 1, 16 in 2-D / 8 in 3-D, and 64. Every row digests all of
+/// its PEs. Recorded on the tree whose pair loop tested every candidate.
+fn rgg_kernel_rows() -> Vec<(String, Box<dyn Generator>)> {
+    fn rows<const D: usize>(level: usize, side: f64, out: &mut Vec<(String, Box<dyn Generator>)>) {
+        let threshold = kagen_repro::core::rgg::Rgg::<D>::threshold_radius(1 << 15, 1);
+        for chunks in [1, level, 64] {
+            for (tag, n, r) in [
+                ("n4096_side", 4096, side),
+                ("n20000_r0.01", 20_000, 0.01),
+                ("n32768_threshold", 1 << 15, threshold),
+            ] {
+                let gen = kagen_repro::core::rgg::Rgg::<D>::new(n, r)
+                    .with_seed(SEED)
+                    .with_chunks(chunks);
+                out.push((format!("rgg{D}d_{tag}_c{chunks}"), Box::new(gen)));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    rows::<2>(16, 0.125, &mut out);
+    rows::<3>(8, 0.25, &mut out);
+    out
+}
+
+#[rustfmt::skip]
+const GOLDEN_RGG_KERNEL: &[(&str, CornerDigest)] = &[
+    ("rgg2d_n4096_side_c1", (372857, 2605104185712758628, 2714128757796934348)),
+    ("rgg2d_n20000_r0.01_c1", (62252, 6296365618756809987, 9907924277781518142)),
+    ("rgg2d_n32768_threshold_c1", (160521, 3687535995003486535, 982626630643347252)),
+    ("rgg2d_n4096_side_c16", (490134, 4453624155954058238, 6806651539043795790)),
+    ("rgg2d_n20000_r0.01_c16", (63953, 6604925786880220973, 18413567999094707753)),
+    ("rgg2d_n32768_threshold_c16", (164605, 15185384312843879646, 349669806608067316)),
+    ("rgg2d_n4096_side_c64", (617600, 14132398884808685344, 11566053097946387750)),
+    ("rgg2d_n20000_r0.01_c64", (66155, 2762678673795605439, 4583653940740584585)),
+    ("rgg2d_n32768_threshold_c64", (169833, 4939053672439618034, 8462203690116699800)),
+    ("rgg3d_n4096_side_c1", (402997, 3172860774105555724, 5866546845536327769)),
+    ("rgg3d_n20000_r0.01_c1", (837, 11015506347760149319, 15675662509704914859)),
+    ("rgg3d_n32768_threshold_c1", (113857, 9027851459268981527, 17125207660799548450)),
+    ("rgg3d_n4096_side_c8", (520959, 12722887494031104392, 2882242087682841699)),
+    ("rgg3d_n20000_r0.01_c8", (842, 8438637363211247170, 10514914970727133029)),
+    ("rgg3d_n32768_threshold_c8", (118684, 16819760509613897425, 7205175090484649090)),
+    ("rgg3d_n4096_side_c64", (686493, 4785112750904799072, 15864142673952455650)),
+    ("rgg3d_n20000_r0.01_c64", (858, 4806066835459595165, 16162681290582133764)),
+    ("rgg3d_n32768_threshold_c64", (128082, 18313360359796365048, 10813369909163836636)),
+];
+
+#[test]
+fn rgg_kernel_rows_keep_their_golden_digests() {
+    assert_corners("RGG kernel", &rgg_kernel_rows(), GOLDEN_RGG_KERNEL);
 }
 
 /// BA where its slot ranges and quotients are cut differently: `d` 1
