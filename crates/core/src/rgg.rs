@@ -15,11 +15,15 @@
 //! [`GridCells`] holds them for its own cells and derives a halo cell's
 //! with one count-tree descent; every cell a PE touches is generated
 //! once.
+//!
+//! Pairs: a centre cell meets itself and each neighbour through one
+//! branch-free kernel, [`cell_pairs`], which the device port
+//! (`kagen-gpgpu`) calls too, so the pair test is written once.
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellGrid, CountTree, FrontierStats, GridCells, Point};
+use kagen_geometry::{CellBox, CellGrid, CountTree, FrontierStats, GridCells, Point};
 use std::collections::BTreeMap;
 
 /// Shared implementation for both dimensions.
@@ -115,7 +119,9 @@ impl<const D: usize> Rgg<D> {
     /// Stream order: within-cell pairs first, then the 3^d neighbors in
     /// enumeration order; local–local cell pairs are processed once (at
     /// the smaller Morton rank), local–halo pairs always (the neighbor
-    /// PE emits its own copy; merge deduplicates). The returned
+    /// PE emits its own copy; merge deduplicates). Each cell pair is
+    /// one [`cell_pairs`] call, which reports rows in ascending centre
+    /// index and hits in ascending candidate index. The returned
     /// accounting is what the memory-regression tests read.
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let mut source = self.cells(pe);
@@ -135,14 +141,11 @@ impl<const D: usize> Rgg<D> {
             } else {
                 held_points -= count;
             }
-            // Within-cell pairs.
-            for i in 0..pts.len() {
-                for j in (i + 1)..pts.len() {
-                    if pts[i].dist2(&pts[j]) <= r2 {
-                        emit(first + i as u64, first + j as u64);
-                    }
+            cell_pairs(&pts, None, r2, |w| {
+                for j in w.hits() {
+                    emit(first + w.row as u64, first + j as u64);
                 }
-            }
+            });
             grid.for_neighbors(grid.coords_of(cell), false, &mut |ncoords, _| {
                 let ncell = grid.morton_of(ncoords);
                 if ncell == cell || (source.contains(ncell) && ncell < cell) {
@@ -154,17 +157,125 @@ impl<const D: usize> Rgg<D> {
                     held_points += count;
                     (nfirst, npts)
                 });
-                for (i, p) in pts.iter().enumerate() {
-                    for (j, q) in npts.iter().enumerate() {
-                        if p.dist2(q) <= r2 {
-                            emit(first + i as u64, *nfirst + j as u64);
-                        }
+                let bounds = grid.cell_bounds(ncoords);
+                cell_pairs(&pts, Some((npts, &bounds)), r2, |w| {
+                    for j in w.hits() {
+                        emit(first + w.row as u64, *nfirst + j as u64);
                     }
-                }
+                });
             });
             source.note_held(held_points + pts.len() as u64);
         }
         source.stats()
+    }
+}
+
+/// Candidates per hit mask: the bits of one `u64`.
+const WORD: usize = 64;
+
+/// One row of the pair kernel over up to 64 consecutive candidates:
+/// bit `b` of `mask` is set iff candidate `first + b` lies within `r`
+/// of centre point `row`.
+#[derive(Clone, Copy, Debug)]
+pub struct HitWord {
+    /// Index of the centre point.
+    pub row: usize,
+    /// Index of the word's first candidate.
+    pub first: usize,
+    /// Candidates the word covers, at most 64.
+    pub lanes: usize,
+    /// One hit bit per lane.
+    pub mask: u64,
+}
+
+impl HitWord {
+    /// The candidates hit, in ascending order.
+    #[inline]
+    pub fn hits(self) -> impl Iterator<Item = usize> {
+        set_bits(self.mask, self.first)
+    }
+}
+
+/// The indices of the set bits of `mask`, ascending, offset by `first`.
+#[inline]
+fn set_bits(mut mask: u64, first: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let lane = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(first + lane)
+    })
+}
+
+/// Bit `b` of the result is `test(&items[b])`, for up to [`WORD`]
+/// items; no branch depends on a test.
+#[inline]
+fn lane_mask<T>(items: &[T], test: impl Fn(&T) -> bool) -> u64 {
+    let mut mask = 0;
+    for (lane, x) in items.iter().enumerate() {
+        mask |= u64::from(test(x)) << lane;
+    }
+    mask
+}
+
+/// The RGG pair kernel, shared by [`Rgg::stream_cells`] and the device
+/// port: every pair of a centre cell's points with a candidate cell's
+/// points, reported to `f` as [`HitWord`]s — rows in ascending centre
+/// index, words in ascending candidate index. With `other = None` the
+/// candidates of row `i` are the centre's own points `j > i`; with
+/// `Some((points, bounds))` they are `points`, the cell whose closed box
+/// is `bounds`.
+///
+/// Two things keep mispredicted branches out of it, and neither moves a
+/// pair or its order:
+///
+/// * **Hit masks.** A row tests up to 64 candidates into a `u64`
+///   (one `dist2 <= r2` per lane, no branch on the outcome) and its
+///   hits are walked as set bits in ascending j.
+/// * **Exact row bound.** Against another cell, centre point `p` is a
+///   row only if [`Point::box_dist2`] from `p` to the cell's box is at
+///   most `r2`. Those rows are themselves a bit mask, one box test per
+///   centre point, walked in ascending i: a row that is skipped costs no
+///   branch. The bound is exact, not a heuristic: `box_dist2(p, C) <=
+///   p.dist2(q)` bit for bit for every `q` the box holds (the proof is
+///   at [`Point::box_dist2`]), and every point of a cell lies in its
+///   closed box, so every skipped row holds only pairs that
+///   `dist2 <= r2` rejects.
+///
+/// Within a cell the box distance is 0 and every row is tested.
+pub fn cell_pairs<const D: usize>(
+    centre: &[Point<D>],
+    other: Option<(&[Point<D>], &CellBox<D>)>,
+    r2: f64,
+    mut f: impl FnMut(HitWord),
+) {
+    let mut row = |i: usize, candidates: &[Point<D>], first: usize| {
+        let p = &centre[i];
+        for (w, word) in candidates.chunks(WORD).enumerate() {
+            f(HitWord {
+                row: i,
+                first: first + w * WORD,
+                lanes: word.len(),
+                mask: lane_mask(word, |q| p.dist2(q) <= r2),
+            });
+        }
+    };
+    match other {
+        None => {
+            for i in 0..centre.len() {
+                row(i, &centre[i + 1..], i + 1);
+            }
+        }
+        Some((points, bounds)) => {
+            for (w, word) in centre.chunks(WORD).enumerate() {
+                let rows = lane_mask(word, |p| p.box_dist2(bounds) <= r2);
+                for i in set_bits(rows, w * WORD) {
+                    row(i, points, 0);
+                }
+            }
+        }
     }
 }
 
@@ -259,6 +370,13 @@ mod tests {
         let merged = generate_undirected(&gen);
         let reference = brute_force(&parts, 400, 0.08);
         assert_eq!(merged.edges, reference);
+        // Side 0.125: r/side 0.5, 0.99 and 1.0 (the box bound at its
+        // tightest).
+        box_bound_rows::<2>(&[
+            (100, 0.0625, 0.5),
+            (400, 0.99 / 8.0, 0.99),
+            (400, 0.125, 1.0),
+        ]);
     }
 
     #[test]
@@ -268,6 +386,26 @@ mod tests {
         let merged = generate_undirected(&gen);
         let reference = brute_force(&parts, 300, 0.15);
         assert_eq!(merged.edges, reference);
+        // Side 0.25.
+        box_bound_rows::<3>(&[(300, 0.125, 0.5), (300, 0.99 / 4.0, 0.99), (300, 0.25, 1.0)]);
+    }
+
+    /// `(n, r, r / cell side)` rows against the brute force at chunks 1
+    /// and 16; the ratio is asserted so a row keeps testing what it
+    /// names.
+    fn box_bound_rows<const D: usize>(rows: &[(u64, f64, f64)]) {
+        for &(n, r, ratio) in rows {
+            for chunks in [1, 16] {
+                let gen = Rgg::<D>::new(n, r).with_seed(9).with_chunks(chunks);
+                assert_eq!(r / gen.instance_grid().0.cell_side(), ratio);
+                let reference = brute_force(&generate_parallel(&gen, 0), n, r);
+                assert_eq!(
+                    generate_undirected(&gen).edges,
+                    reference,
+                    "n={n} r={r} c={chunks}"
+                );
+            }
+        }
     }
 
     #[test]

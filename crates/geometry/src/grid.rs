@@ -2,6 +2,9 @@
 
 use crate::morton;
 
+/// An axis-aligned box `(lo, hi)`.
+pub type CellBox<const D: usize> = ([f64; D], [f64; D]);
+
 /// A uniform grid with `2^levels` cells per dimension over `[0,1)^d`.
 ///
 /// Cells are addressed either by integer coordinates or by Morton code
@@ -70,7 +73,7 @@ impl<const D: usize> CellGrid<D> {
 
     /// Axis-aligned bounds `[lo, hi)` of a cell.
     #[inline]
-    pub fn cell_bounds(&self, coords: [u64; D]) -> ([f64; D], [f64; D]) {
+    pub fn cell_bounds(&self, coords: [u64; D]) -> CellBox<D> {
         let side = self.cell_side();
         let mut lo = [0.0; D];
         let mut hi = [0.0; D];

@@ -29,6 +29,6 @@ pub mod point;
 
 pub use cell_stream::{FrontierStats, GridCells};
 pub use counts::CountTree;
-pub use grid::CellGrid;
+pub use grid::{CellBox, CellGrid};
 pub use kagen_util::morton;
 pub use point::Point;

@@ -1,5 +1,7 @@
 //! Fixed-dimension points in the unit cube `[0,1)^d`.
 
+use crate::grid::CellBox;
+
 /// A point in `d`-dimensional space.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Point<const D: usize>(pub [f64; D]);
@@ -18,6 +20,38 @@ impl<const D: usize> Point<D> {
         for i in 0..D {
             let d = self.0[i] - other.0[i];
             acc += d * d;
+        }
+        acc
+    }
+
+    /// Squared distance to the closed box `[lo, hi]`: per axis the gap
+    /// `max(lo − x, x − hi, 0)`, squared and summed in [`Self::dist2`]'s
+    /// axis order. No branch depends on the coordinates.
+    ///
+    /// **Lower bound, bit for bit.** For every `q` with `lo ≤ q ≤ hi`
+    /// componentwise, `self.box_dist2(&(lo, hi)) <= self.dist2(&q)` holds
+    /// in floating point, not only in the reals. Per axis with `x < lo ≤
+    /// q` (the case `x > hi` is its mirror): `q − x ≥ lo − x > 0` in the
+    /// reals, and rounding to nearest is monotone, so `fl(lo − x) ≤
+    /// fl(q − x)`; the other two candidates of the `max` are ≤ 0, so the
+    /// gap is `fl(lo − x)`. `dist2` forms `fl(x − q)`, and rounding is
+    /// symmetric, `fl(x − q) = −fl(q − x)`, so its square is `fl(fl(q −
+    /// x)²)`. With `lo ≤ x ≤ hi` the gap is 0. Squaring a non-negative
+    /// number and adding non-negative numbers are monotone under rounding
+    /// too, and both sums start at 0.0 and add the axes in the same
+    /// order with separate multiplies and adds (no `mul_add` on one side
+    /// only), so the bound survives every step. A grid cell's box has
+    /// exact edges `k · 2^−L`, and every point generated in it lies in the
+    /// closed box (`lo + side · u` with `0 ≤ u < 1` rounds into `[lo,
+    /// hi]`), so `box_dist2 > r²` proves that no point of the cell is
+    /// within `r`.
+    #[inline]
+    pub fn box_dist2(&self, (lo, hi): &CellBox<D>) -> f64 {
+        let mut acc = 0.0;
+        for i in 0..D {
+            let x = self.0[i];
+            let gap = (lo[i] - x).max(x - hi[i]).max(0.0);
+            acc += gap * gap;
         }
         acc
     }

@@ -23,7 +23,7 @@
 
 use crate::device::{BlockCtx, Device};
 use crate::scan::exclusive_scan;
-use kagen_core::rgg::Rgg;
+use kagen_core::rgg::{cell_pairs, HitWord, Rgg};
 use kagen_geometry::cell_points::cell_points;
 use kagen_geometry::{CellGrid, Point};
 
@@ -137,7 +137,10 @@ impl<const D: usize> GpuRgg<D> {
     /// Visit every candidate pair of cell `cell` in deterministic order:
     /// within-cell pairs `(i < j)`, then cross pairs against each 3^d
     /// neighbor with a higher Morton rank (each unordered pair visited
-    /// exactly once device-wide).
+    /// exactly once device-wide). The pairs are the CPU kernel's
+    /// ([`cell_pairs`]): each row word it reports runs as one `simd_for`
+    /// over its lanes, which branch on their hit bit; rows the box bound
+    /// rules out are never launched.
     fn for_cell_pairs(
         ctx: &mut BlockCtx,
         grid: &CellGrid<D>,
@@ -152,43 +155,28 @@ impl<const D: usize> GpuRgg<D> {
             return;
         }
         let first = firsts[cell as usize];
-        // Within-cell pairs.
-        for i in 0..pts.len() {
-            let (a, b) = pts.split_at(i + 1);
-            let p = &a[i];
+        let mut row = |ctx: &mut BlockCtx, nfirst: u64, w: HitWord| {
             // One coordinate fetch for the pivot, one per candidate lane.
-            ctx.gmem_read(8 * D * (1 + b.len()));
-            ctx.simd_for(b.len(), |j| {
-                let hit = p.dist2(&b[j]) <= r2;
-                if hit {
-                    sink(first + i as u64, first + (i + 1 + j) as u64);
-                }
-                hit
-            });
-        }
+            ctx.gmem_read(8 * D * (1 + w.lanes));
+            ctx.simd_for(w.lanes, |lane| w.mask >> lane & 1 != 0);
+            for j in w.hits() {
+                sink(first + w.row as u64, nfirst + j as u64);
+            }
+        };
+        cell_pairs(pts, None, r2, |w| row(ctx, first, w));
         // Cross pairs against higher-ranked neighbor cells.
-        let coords = grid.coords_of(cell);
-        let mut neighbors: Vec<u64> = Vec::new();
-        grid.for_neighbors(coords, false, &mut |ncoords, _| {
+        let mut neighbors: Vec<(u64, [u64; D])> = Vec::new();
+        grid.for_neighbors(grid.coords_of(cell), false, &mut |ncoords, _| {
             let ncell = grid.morton_of(ncoords);
             if ncell > cell && !points[ncell as usize].is_empty() {
-                neighbors.push(ncell);
+                neighbors.push((ncell, ncoords));
             }
         });
         neighbors.sort_unstable();
-        for ncell in neighbors {
-            let npts = &points[ncell as usize];
-            let nfirst = firsts[ncell as usize];
-            for (i, p) in pts.iter().enumerate() {
-                ctx.gmem_read(8 * D * (1 + npts.len()));
-                ctx.simd_for(npts.len(), |j| {
-                    let hit = p.dist2(&npts[j]) <= r2;
-                    if hit {
-                        sink(first + i as u64, nfirst + j as u64);
-                    }
-                    hit
-                });
-            }
+        for (ncell, ncoords) in neighbors {
+            let bounds = grid.cell_bounds(ncoords);
+            let other = Some((&points[ncell as usize][..], &bounds));
+            cell_pairs(pts, other, r2, |w| row(ctx, firsts[ncell as usize], w));
         }
     }
 
