@@ -50,7 +50,7 @@ const _: () = assert!(BLOCK <= 1 << 16);
 /// instance's [`BarabasiAlbert::resolve_base`]; `mix2` gives every
 /// position its own one-shot stream for the bounded draw.
 #[inline]
-pub fn draw(base: u64, pos: u64) -> u64 {
+fn draw(base: u64, pos: u64) -> u64 {
     SplitMix64::at(base, pos).next_below(pos)
 }
 
@@ -129,7 +129,7 @@ impl BarabasiAlbert {
     /// The instance's base seed for [`draw`] — hashed once, shared by
     /// every position.
     #[inline]
-    pub fn resolve_base(&self) -> u64 {
+    fn resolve_base(&self) -> u64 {
         derive_seed(self.seed, &[stream::BA])
     }
 

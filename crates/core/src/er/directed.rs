@@ -80,11 +80,8 @@ impl GnmDirected {
     }
 
     /// The instance's leaf plan: the divide-and-conquer sampler over the
-    /// blocked edge universe (`None` when it is empty). Exposed so
-    /// accelerator backends can run the §4.3.1 split — count recursion
-    /// on the host, [`Self::leaf`] on the device — against the *same*
-    /// decomposition.
-    pub fn sampler(&self) -> Option<DistributedSampler> {
+    /// blocked edge universe (`None` when it is empty).
+    fn sampler(&self) -> Option<DistributedSampler> {
         let universe = ordered_pairs(self.n);
         if universe == 0 {
             return None;
@@ -99,7 +96,7 @@ impl GnmDirected {
 
     /// Emit the `count` edges of leaf block `b` of [`Self::sampler`]'s
     /// plan, in index order.
-    pub fn leaf<F: FnMut(u64, u64)>(
+    fn leaf<F: FnMut(u64, u64)>(
         &self,
         sampler: &DistributedSampler,
         b: u64,
@@ -211,9 +208,8 @@ impl GnpDirected {
 
     /// The instance's leaf plan: the number of leaf blocks of its edge
     /// universe (0 when the instance is empty) — the same for both leaf
-    /// samplers, so `AlgoD` keeps reproducing pre-swap instances. Exposed
-    /// so accelerator backends draw [`Self::leaf`] once per device block.
-    pub fn blocks(&self) -> u64 {
+    /// samplers, so `AlgoD` keeps reproducing pre-swap instances.
+    fn blocks(&self) -> u64 {
         let universe = ordered_pairs(self.n);
         let expected = ((universe as f64) * self.p) as u64;
         // Asked even when p = 0: `er_blocks` refuses universes above 2^107.
@@ -225,7 +221,7 @@ impl GnpDirected {
     }
 
     /// Emit the edges of leaf block `b` of `blocks`, in index order.
-    pub fn leaf<F: FnMut(u64, u64)>(&self, blocks: u64, b: u64, emit: &mut F) {
+    fn leaf<F: FnMut(u64, u64)>(&self, blocks: u64, b: u64, emit: &mut F) {
         let universe = ordered_pairs(self.n);
         let start = block_start(universe, blocks, b);
         let len = (block_start(universe, blocks, b + 1) - start) as u64; // ≤ 2^44 (er_blocks)

@@ -6,7 +6,7 @@
 //! G(n,m); the undirected generators use the triangular chunk-matrix
 //! scheme of §4.2 so that the two PEs adjacent to a chunk regenerate
 //! identical edges. Every leaf of the family — a block, a chunk, an SBM
-//! piece, a device block — is drawn and decoded by one function,
+//! piece — is drawn and decoded by one function,
 //! `leaf_edges`: the shared leaf sampler
 //! ([`kagen_sampling::sample_leaf`]) over one of three decoders.
 

@@ -17,13 +17,12 @@
 //! once.
 //!
 //! Pairs: a centre cell meets itself and each neighbour through one
-//! branch-free kernel, [`cell_pairs`], which the device port
-//! (`kagen-gpgpu`) calls too, so the pair test is written once.
+//! branch-free kernel, [`cell_pairs`], so the pair test is written once.
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::grid::levels_for_min_side;
-use kagen_geometry::{CellBox, CellGrid, CountTree, FrontierStats, GridCells, Point};
+use kagen_geometry::{CellBox, FrontierStats, GridCells, Point};
 use std::collections::BTreeMap;
 
 /// Shared implementation for both dimensions.
@@ -81,24 +80,6 @@ impl<const D: usize> Rgg<D> {
         let min_side = self.radius.max(natural);
         let max_levels: u32 = if D == 2 { 24 } else { 16 };
         levels_for_min_side(min_side, max_levels)
-    }
-
-    /// The instance's cell grid and per-cell count tree. Exposed so
-    /// accelerator backends (see `kagen-gpgpu`) generate against the exact
-    /// same decomposition — the §5.3 GPU pipeline computes "seeds and
-    /// vertex numbers for the cells [...] on the CPU" and must agree with
-    /// the CPU generator bit-for-bit.
-    pub fn instance_grid(&self) -> (CellGrid<D>, CountTree<D>) {
-        let levels = self.grid_levels();
-        (
-            CellGrid::new(levels),
-            CountTree::new(self.seed, self.n, levels),
-        )
-    }
-
-    /// The instance seed (for per-cell point regeneration).
-    pub fn instance_seed(&self) -> u64 {
-        self.seed
     }
 
     /// PE `pe`'s cell source.
@@ -177,21 +158,19 @@ const WORD: usize = 64;
 /// bit `b` of `mask` is set iff candidate `first + b` lies within `r`
 /// of centre point `row`.
 #[derive(Clone, Copy, Debug)]
-pub struct HitWord {
+struct HitWord {
     /// Index of the centre point.
-    pub row: usize,
+    row: usize,
     /// Index of the word's first candidate.
-    pub first: usize,
-    /// Candidates the word covers, at most 64.
-    pub lanes: usize,
-    /// One hit bit per lane.
-    pub mask: u64,
+    first: usize,
+    /// One hit bit per candidate.
+    mask: u64,
 }
 
 impl HitWord {
     /// The candidates hit, in ascending order.
     #[inline]
-    pub fn hits(self) -> impl Iterator<Item = usize> {
+    fn hits(self) -> impl Iterator<Item = usize> {
         set_bits(self.mask, self.first)
     }
 }
@@ -220,9 +199,9 @@ fn lane_mask<T>(items: &[T], test: impl Fn(&T) -> bool) -> u64 {
     mask
 }
 
-/// The RGG pair kernel, shared by [`Rgg::stream_cells`] and the device
-/// port: every pair of a centre cell's points with a candidate cell's
-/// points, reported to `f` as [`HitWord`]s — rows in ascending centre
+/// The RGG pair kernel of [`Rgg::stream_cells`]: every pair of a centre
+/// cell's points with a candidate cell's points, reported to `f` as
+/// [`HitWord`]s — rows in ascending centre
 /// index, words in ascending candidate index. With `other = None` the
 /// candidates of row `i` are the centre's own points `j > i`; with
 /// `Some((points, bounds))` they are `points`, the cell whose closed box
@@ -245,7 +224,7 @@ fn lane_mask<T>(items: &[T], test: impl Fn(&T) -> bool) -> u64 {
 ///   `dist2 <= r2` rejects.
 ///
 /// Within a cell the box distance is 0 and every row is tested.
-pub fn cell_pairs<const D: usize>(
+fn cell_pairs<const D: usize>(
     centre: &[Point<D>],
     other: Option<(&[Point<D>], &CellBox<D>)>,
     r2: f64,
@@ -257,7 +236,6 @@ pub fn cell_pairs<const D: usize>(
             f(HitWord {
                 row: i,
                 first: first + w * WORD,
-                lanes: word.len(),
                 mask: lane_mask(word, |q| p.dist2(q) <= r2),
             });
         }
@@ -329,6 +307,7 @@ impl<const D: usize> Generator for Rgg<D> {
 mod tests {
     use super::*;
     use crate::{generate_parallel, generate_undirected};
+    use kagen_geometry::CellGrid;
 
     /// Brute-force reference: all-pairs distance check over the actual
     /// point set (reconstructed from the generator's own coordinates).
@@ -397,7 +376,7 @@ mod tests {
         for &(n, r, ratio) in rows {
             for chunks in [1, 16] {
                 let gen = Rgg::<D>::new(n, r).with_seed(9).with_chunks(chunks);
-                assert_eq!(r / gen.instance_grid().0.cell_side(), ratio);
+                assert_eq!(r / CellGrid::<D>::new(gen.grid_levels()).cell_side(), ratio);
                 let reference = brute_force(&generate_parallel(&gen, 0), n, r);
                 assert_eq!(
                     generate_undirected(&gen).edges,

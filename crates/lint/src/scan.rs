@@ -23,25 +23,23 @@ const CLOCK_ALLOWLISTED: [&str; 3] = ["obs", "cluster", "bench"];
 const CLOCK_ALLOWLISTED_FILES: [&str; 1] = ["crates/util/src/cache.rs"];
 
 /// Crates that construct generator RNG streams (rule D3).
-const GENERATOR: [&str; 7] = [
+const GENERATOR: [&str; 6] = [
     "core",
     "sampling",
     "dist",
     "geometry",
     "delaunay",
-    "gpgpu",
     "baselines",
 ];
 
 /// Crates running parallel numeric work that feeds output (rule F1).
-const PARALLEL_NUMERIC: [&str; 9] = [
+const PARALLEL_NUMERIC: [&str; 8] = [
     "core",
     "pipeline",
     "geometry",
     "dist",
     "sampling",
     "delaunay",
-    "gpgpu",
     "runtime",
     "baselines",
 ];

@@ -9,21 +9,16 @@
 //! ranks would run (`kagen launch` runs it as processes: README,
 //! "Distributed runs").
 //!
-//! * [`pe`] — run `k` logical PEs on `t` threads, optionally timing each;
-//!   [`split_ranges`] is the rank plan shared with the multi-process
-//!   `kagen_cluster` launcher, and [`run_rank_ranges`] executes it
-//!   in-process (one task per rank range instead of per PE).
-//! * [`scaling`] — weak/strong scaling harness: the *emulated parallel
-//!   time* of a P-PE run is `max_i t_i`, which equals the wall time on a
-//!   machine with ≥ P cores (plus startup) for communication-free programs.
+//! * [`pe`] — run `k` logical PEs on `t` threads; [`split_ranges`] is the
+//!   rank plan shared with the multi-process `kagen_cluster` launcher,
+//!   and [`run_rank_ranges`] executes it in-process (one task per rank
+//!   range instead of per PE).
 //! * [`comm`] — a channel-based all-to-all communicator with volume
 //!   accounting, used **only** by the communicating Holtgrewe baseline
 //!   (the point of the paper is to not need this).
 
 pub mod comm;
 pub mod pe;
-pub mod scaling;
 
 pub use comm::Communicator;
-pub use pe::{run_chunks, run_chunks_timed, run_rank_ranges, split_ranges, thread_pool};
-pub use scaling::{PeTiming, ScalingPoint};
+pub use pe::{run_chunks, run_rank_ranges, split_ranges, thread_pool};

@@ -1,7 +1,6 @@
 //! Running logical PEs on a thread pool.
 
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 /// Build a rayon pool with a fixed thread count (0 = rayon default).
 pub fn thread_pool(threads: usize) -> rayon::ThreadPool {
@@ -74,28 +73,6 @@ pub fn run_rank_ranges<T: Send>(
     })
 }
 
-/// Like [`run_chunks`] but also measures each PE's busy time.
-pub fn run_chunks_timed<T: Send>(
-    num_pes: usize,
-    threads: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<(T, Duration)> {
-    let pool = thread_pool(threads);
-    pool.install(|| {
-        use rayon::prelude::*;
-        (0..num_pes)
-            .into_par_iter()
-            .map(|pe| {
-                // kagen-lint: allow(d2) -- per-PE busy-time measurement, returned beside
-                // the payload for telemetry; callers never mix it into generated bytes
-                let start = Instant::now();
-                let out = f(pe);
-                (out, start.elapsed())
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,22 +89,6 @@ mod tests {
         let a = run_chunks(32, 1, f);
         let b = run_chunks(32, 8, f);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn timing_is_recorded() {
-        let out = run_chunks_timed(4, 2, |pe| {
-            // Busy-wait a tiny deterministic amount.
-            let mut acc = pe as u64;
-            for i in 0..50_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        });
-        assert_eq!(out.len(), 4);
-        for (_, d) in &out {
-            assert!(*d > Duration::ZERO);
-        }
     }
 
     #[test]

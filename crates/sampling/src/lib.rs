@@ -3,7 +3,7 @@
 //! Sampling algorithms underlying all KaGen generators.
 //!
 //! Every Erdős–Rényi-family leaf — a G(n,m) block, a G(n,p) block or
-//! chunk, an SBM piece, a device block — is drawn by **one leaf
+//! chunk, an SBM piece — is drawn by **one leaf
 //! sampler**, [`sample_leaf`], with two arms: exactly `k` offsets
 //! ([`sample_sorted_batched`]: Vitter's Method A or D) or each offset
 //! with probability `p` ([`bernoulli_sample_batched`]: geometric skips).

@@ -1,8 +1,7 @@
 //! # kagen-stats
 //!
-//! Statistical validation toolkit used by the test suite and the
-//! experiment harness: goodness-of-fit tests for checking that generated
-//! graphs match their models, a power-law exponent estimator for the RHG
+//! Statistical validation toolkit used by the test suite: goodness-of-fit
+//! tests for checking that generated graphs match their models, a power-law exponent estimator for the RHG
 //! degree distributions, and tiny descriptive-statistics helpers.
 
 /// Mean and (population) variance of a sample.

@@ -32,7 +32,6 @@ pub use kagen_core as core;
 pub use kagen_delaunay as delaunay;
 pub use kagen_dist as dist;
 pub use kagen_geometry as geometry;
-pub use kagen_gpgpu as gpgpu;
 pub use kagen_graph as graph;
 pub use kagen_obs as obs;
 pub use kagen_pipeline as pipeline;

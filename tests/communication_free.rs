@@ -211,35 +211,3 @@ fn rhg_and_srhg_sample_the_same_instance() {
         assert_eq!(a.edges, b.edges, "seed {seed}");
     }
 }
-
-#[test]
-fn gpu_backends_sample_the_cpu_instance() {
-    // The §4.3.1/§5.3 device pipelines must produce the CPU instance
-    // bit-for-bit — the communication-free guarantee extends across
-    // heterogeneous backends.
-    use kagen_repro::gpgpu::{Device, GpuGnmDirected, GpuGnpDirected, GpuRgg2d, GpuRgg3d};
-    let dev = Device::default();
-    for seed in [1u64, 9] {
-        let mut gpu = GpuGnmDirected::new(300, 5000)
-            .with_seed(seed)
-            .generate(&dev);
-        gpu.sort_unstable();
-        let cpu = generate_directed(&GnmDirected::new(300, 5000).with_seed(seed));
-        assert_eq!(gpu, cpu.edges, "GnM seed {seed}");
-
-        let mut gpu = GpuGnpDirected::new(300, 0.02)
-            .with_seed(seed)
-            .generate(&dev);
-        gpu.sort_unstable();
-        let cpu = generate_directed(&GnpDirected::new(300, 0.02).with_seed(seed));
-        assert_eq!(gpu, cpu.edges, "GnP seed {seed}");
-
-        let gpu = GpuRgg2d::new(400, 0.07).with_seed(seed).generate(&dev);
-        let cpu = generate_undirected(&Rgg2d::new(400, 0.07).with_seed(seed));
-        assert_eq!(gpu, cpu.edges, "RGG2D seed {seed}");
-
-        let gpu = GpuRgg3d::new(200, 0.15).with_seed(seed).generate(&dev);
-        let cpu = generate_undirected(&Rgg3d::new(200, 0.15).with_seed(seed));
-        assert_eq!(gpu, cpu.edges, "RGG3D seed {seed}");
-    }
-}

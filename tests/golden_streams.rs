@@ -34,8 +34,7 @@
 //! both leaf samplers, SBM) at 1, 7 and 64 chunks and at the corners
 //! that reach every arm of a leaf — Method A, m = universe, p = 1, most
 //! leaves empty, fewer vertices than chunks — recorded on the tree whose
-//! ER sites each drew and decoded their own leaves; beside it, the
-//! device port must reproduce its CPU rows.
+//! ER sites each drew and decoded their own leaves.
 //!
 //! Beside the RGG corner table, a kernel table pins RGG where its pair
 //! loop is cut differently — r equal to the cell side, r well below it,
@@ -1039,37 +1038,4 @@ const GOLDEN_ER_CORNERS: &[(&str, CornerDigest)] = &[
 #[test]
 fn er_corners_keep_their_golden_digests() {
     assert_corners("ER", &er_corners(), GOLDEN_ER_CORNERS);
-}
-
-/// The device port draws the directed ER instances leaf by leaf, one
-/// device block per leaf, in global index order — the CPU stream of all
-/// PEs concatenated.
-#[test]
-fn device_port_reproduces_the_cpu_rows() {
-    use kagen_repro::gpgpu::{Device, GpuGnmDirected, GpuGnpDirected};
-    fn cpu(gen: &dyn Generator) -> Vec<(u64, u64)> {
-        let mut all = Vec::new();
-        for pe in 0..gen.num_chunks() {
-            gen.stream_pe_batched(pe, &mut Vec::new(), &mut |e| all.extend_from_slice(e));
-        }
-        all
-    }
-    for (n, m) in [(200, 8000), (40, 40 * 39), (1 << 25, 3), (5, 7)] {
-        let gpu = GpuGnmDirected::new(n, m).with_seed(SEED);
-        let want = cpu(&GnmDirected::new(n, m).with_seed(SEED).with_chunks(7));
-        assert_eq!(
-            gpu.generate(&Device::default()),
-            want,
-            "gnm_directed n={n} m={m}"
-        );
-    }
-    for (n, p) in [(200, 0.3), (40, 1.0), (1 << 25, 5e-15), (5, 0.5)] {
-        let gpu = GpuGnpDirected::new(n, p).with_seed(SEED);
-        let want = cpu(&GnpDirected::new(n, p).with_seed(SEED).with_chunks(7));
-        assert_eq!(
-            gpu.generate(&Device::default()),
-            want,
-            "gnp_directed n={n} p={p}"
-        );
-    }
 }

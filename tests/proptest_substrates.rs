@@ -1,5 +1,5 @@
 //! Property-based tests for the substrate crates: geometry, graph data
-//! structures, seed derivation and the simulated GPGPU backends. These
+//! structures and seed derivation. These
 //! complement `proptest_invariants.rs` (which targets the samplers and
 //! generators) by pinning the invariants every generator builds on.
 
@@ -9,7 +9,6 @@ use kagen_repro::core::er::{
 };
 use kagen_repro::core::prelude::*;
 use kagen_repro::geometry::{morton, CellGrid, CountTree, GridCells};
-use kagen_repro::gpgpu::{exclusive_scan, Device, GpuGnmDirected, GpuRgg2d};
 use kagen_repro::graph::components::connected_components;
 use kagen_repro::graph::{bfs_distances, merge_pe_edges, Csr, EdgeList};
 use kagen_repro::util::seed::{stream, SeedTree};
@@ -318,51 +317,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn gpu_scan_matches_reference(
-        xs in proptest::collection::vec(0u64..10_000, 0..500),
-        tpb in 1usize..64,
-    ) {
-        let dev = Device::new(kagen_repro::gpgpu::DeviceConfig {
-            threads_per_block: tpb,
-            warp_size: 8,
-        });
-        let (offs, total) = exclusive_scan(&dev, &xs);
-        let mut acc = 0u64;
-        for (i, &x) in xs.iter().enumerate() {
-            prop_assert_eq!(offs[i], acc);
-            acc += x;
-        }
-        prop_assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn gpu_er_equals_cpu_er(
-        n in 2u64..150,
-        m_frac in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let universe = n * (n - 1);
-        let m = ((universe as f64) * m_frac) as u64;
-        let dev = Device::default();
-        let mut gpu = GpuGnmDirected::new(n, m).with_seed(seed).generate(&dev);
-        gpu.sort_unstable();
-        let cpu = generate_directed(&GnmDirected::new(n, m).with_seed(seed));
-        prop_assert_eq!(gpu, cpu.edges);
-    }
-
-    #[test]
-    fn gpu_rgg_equals_cpu_rgg(
-        n in 2u64..200,
-        r in 0.02f64..0.4,
-        seed in any::<u64>(),
-    ) {
-        let dev = Device::default();
-        let gpu = GpuRgg2d::new(n, r).with_seed(seed).generate(&dev);
-        let cpu = generate_undirected(&Rgg2d::new(n, r).with_seed(seed));
-        prop_assert_eq!(gpu, cpu.edges);
-    }
 
     #[test]
     fn soft_rhg_chunk_invariance(
