@@ -17,7 +17,7 @@
 use kagen_repro::core::prelude::*;
 use kagen_repro::graph::io::{read_compressed, write_binary, write_compressed, write_edge_list};
 use kagen_repro::graph::EdgeList;
-use kagen_repro::pipeline::{BinarySink, CompressedSink, EdgeSink, TextSink};
+use kagen_repro::pipeline::{BinarySink, CompressedSink, EdgeSink, Manifest, TextSink};
 use std::process::Command;
 
 /// Batch sizes the streams are cut into, cycled until the stream ends.
@@ -77,6 +77,39 @@ fn ramp(m: u64) -> Vec<(u64, u64)> {
     (0..m).map(|i| (i / 3, (i * 7919) % 100_003)).collect()
 }
 
+/// Ids alternating between 0 and each of `xs`: a step 0 → x is the
+/// delta +x (zigzag 2x), the step back −x (zigzag 2x − 1).
+fn seesaw(xs: &[u64], len: usize) -> impl Iterator<Item = u64> + '_ {
+    (0..len).map(|i| {
+        if i % 2 == 0 {
+            0
+        } else {
+            xs[(i / 2) % xs.len()]
+        }
+    })
+}
+
+/// Deltas of every varint length from 1 to 10 bytes on both endpoints.
+/// x = 2^(7k − 1) puts the zigzags 2^(7k) − 1 and 2^(7k) — the longest
+/// k-byte and the shortest (k + 1)-byte varint — next to each other;
+/// k = 8 is z = 2^56 − 1 and 2^56, where the 8-byte word path hands
+/// over to the bytewise one. Mid-length values and the 65-bit deltas
+/// of the id range's ends fill in; `v` walks the list in reverse, so an
+/// edge pairs lengths that differ.
+fn varint_lengths() -> Vec<(u64, u64)> {
+    let mut xs = vec![1, 2, 3, 0x7f, (1 << 62) + 12345, 1 << 63, u64::MAX];
+    for k in 1..=9 {
+        xs.push(1 << (7 * k - 1));
+        xs.push((1 << (7 * k - 1)) - 1);
+        xs.push(0x5a5a_5a5a_5a5a_5a5a >> (64 - 7 * k));
+    }
+    let rev: Vec<u64> = xs.iter().rev().copied().collect();
+    let len = 4 * xs.len() + 4100;
+    seesaw(&xs, len)
+        .zip(seesaw(&rev, len + 1).skip(1))
+        .collect()
+}
+
 /// `(name, n, edges)` of a pinned stream.
 type Stream = (&'static str, u64, Vec<(u64, u64)>);
 
@@ -106,6 +139,7 @@ fn streams() -> Vec<Stream> {
         ("single_edge", 10, vec![(3, 9)]),
         ("empty", 10, Vec::new()),
         ("u64_extremes", u64::MAX, extremes),
+        ("varint_lengths", u64::MAX, varint_lengths()),
     ]
 }
 
@@ -119,6 +153,7 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("single_edge", 28, 5875590315231281517),
     ("empty", 16, 5652242737273412398),
     ("u64_extremes", 100024, 10119355037296152521),
+    ("varint_lengths", 43553, 7841064123947545956),
 ];
 
 #[test]
@@ -143,6 +178,13 @@ fn compressed_shard_bytes_match_golden() {
     assert!(wrong.is_empty(), "shard bytes moved:\n{wrong}");
 }
 
+/// Byte length of the zigzag varint of the delta `to − from`.
+fn delta_varint_len(from: u64, to: u64) -> u32 {
+    let d = to as i128 - from as i128;
+    let z = ((d << 1) ^ (d >> 127)) as u128;
+    (128 - z.leading_zeros()).div_ceil(7).max(1)
+}
+
 #[test]
 fn streams_cover_what_their_names_say() {
     for (name, _, edges) in streams() {
@@ -150,6 +192,27 @@ fn streams_cover_what_their_names_say() {
         match name {
             "rmat_unsorted" => assert!(!sorted && edges.len() == 40_000),
             "gnm_sorted" => assert!(sorted && edges.len() == 30_000),
+            "varint_lengths" => {
+                // Within the first restart block (deltas restart at
+                // (0, 0) every 4096 edges): every length on both
+                // endpoints, and the 8-byte/9-byte hand-over exactly.
+                let block = &edges[..4096];
+                let mut lens = [std::collections::BTreeSet::new(), Default::default()];
+                let mut zs = std::collections::BTreeSet::new();
+                for w in block.windows(2) {
+                    lens[0].insert(delta_varint_len(w[0].0, w[1].0));
+                    lens[1].insert(delta_varint_len(w[0].1, w[1].1));
+                    for (a, b) in [(w[0].0, w[1].0), (w[0].1, w[1].1)] {
+                        let d = b as i128 - a as i128;
+                        zs.insert(((d << 1) ^ (d >> 127)) as u128);
+                    }
+                }
+                for endpoint in &lens {
+                    assert!(endpoint.iter().copied().eq(1..=10), "{endpoint:?}");
+                }
+                assert!(zs.contains(&((1 << 56) - 1)) && zs.contains(&(1 << 56)));
+                assert!(edges.len() > 4096);
+            }
             _ => {}
         }
     }
@@ -184,6 +247,7 @@ const TEXT_GOLDEN: &[(&str, usize, u64)] = &[
     ("single_edge", 4, 15577443145084039621),
     ("empty", 0, 14695981039346656037),
     ("u64_extremes", 121945, 4062948975470486677),
+    ("varint_lengths", 56716, 2390375156565579465),
 ];
 
 #[rustfmt::skip]
@@ -196,6 +260,7 @@ const BINARY_GOLDEN: &[(&str, usize, u64)] = &[
     ("single_edge", 16, 17144980386569131983),
     ("empty", 0, 14695981039346656037),
     ("u64_extremes", 80000, 12255906778321021061),
+    ("varint_lengths", 67776, 2655997361574126703),
 ];
 
 #[test]
@@ -437,5 +502,70 @@ fn kagen_stream_merged_output_is_budget_and_thread_invariant() {
         !moved,
         "merged output moved, or differs between budgets / thread counts (a row per \
          distinct output); the table as found:\n{found}"
+    );
+}
+
+/// `(model argv, -c, format, the manifest checksum of every shard)` of
+/// `kagen stream`: the fold of each PE's edge stream the manifest
+/// records, pinned per format because each format's write path
+/// computes it.
+#[rustfmt::skip]
+const GOLDEN_SHARD_CHECKSUMS: &[(&str, u64, &str, &[u64])] = &[
+    ("rmat -n 4096 -m 30000 -s 5", 1, "edge-list", &[10532212436546467604]),
+    ("rmat -n 4096 -m 30000 -s 5", 1, "binary", &[10532212436546467604]),
+    ("rmat -n 4096 -m 30000 -s 5", 1, "compressed", &[10532212436546467604]),
+    ("rmat -n 4096 -m 30000 -s 5", 7, "edge-list", &[3852380415789699810, 8452805476460919528, 11293885080746242876, 6924098669313479200, 10906739660419475636, 16813765830012840640, 7912853537362911543]),
+    ("rmat -n 4096 -m 30000 -s 5", 7, "binary", &[3852380415789699810, 8452805476460919528, 11293885080746242876, 6924098669313479200, 10906739660419475636, 16813765830012840640, 7912853537362911543]),
+    ("rmat -n 4096 -m 30000 -s 5", 7, "compressed", &[3852380415789699810, 8452805476460919528, 11293885080746242876, 6924098669313479200, 10906739660419475636, 16813765830012840640, 7912853537362911543]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 1, "edge-list", &[16945248689204493877]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 1, "binary", &[16945248689204493877]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 1, "compressed", &[16945248689204493877]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 7, "edge-list", &[2395400772408127680, 16008278515781136286, 6602185998449461845, 13108866159146417220, 9514683183176473752, 16944580585848191664, 1776620548197452111]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 7, "binary", &[2395400772408127680, 16008278515781136286, 6602185998449461845, 13108866159146417220, 9514683183176473752, 16944580585848191664, 1776620548197452111]),
+    ("gnm_directed -n 3000 -m 20000 -s 5", 7, "compressed", &[2395400772408127680, 16008278515781136286, 6602185998449461845, 13108866159146417220, 9514683183176473752, 16944580585848191664, 1776620548197452111]),
+    ("rgg2d -n 6000 -s 5", 1, "edge-list", &[12640410235796329474]),
+    ("rgg2d -n 6000 -s 5", 1, "binary", &[12640410235796329474]),
+    ("rgg2d -n 6000 -s 5", 1, "compressed", &[12640410235796329474]),
+    ("rgg2d -n 6000 -s 5", 7, "edge-list", &[6160588341845295575, 12706340483874592174, 5148440525987248004, 17522063875603976383]),
+    ("rgg2d -n 6000 -s 5", 7, "binary", &[6160588341845295575, 12706340483874592174, 5148440525987248004, 17522063875603976383]),
+    ("rgg2d -n 6000 -s 5", 7, "compressed", &[6160588341845295575, 12706340483874592174, 5148440525987248004, 17522063875603976383]),
+];
+
+#[test]
+fn kagen_stream_manifest_checksums_match_golden() {
+    let models = [
+        "rmat -n 4096 -m 30000 -s 5",
+        "gnm_directed -n 3000 -m 20000 -s 5",
+        "rgg2d -n 6000 -s 5",
+    ];
+    let mut found = String::new();
+    let mut rows = Vec::new();
+    for model in models {
+        for chunks in [1u64, 7] {
+            for format in ["edge-list", "binary", "compressed"] {
+                let (_, dir) = kagen(
+                    &format!("checksums_{chunks}_{format}"),
+                    &format!("stream {model} -c {chunks} -t 2 -f {format} --shard-dir {{dir}}"),
+                );
+                let manifest = Manifest::load(&dir).unwrap();
+                let sums: Vec<u64> = manifest.shards.iter().map(|s| s.checksum).collect();
+                found.push_str(&format!(
+                    "    ({model:?}, {chunks}, {format:?}, &{sums:?}),\n"
+                ));
+                rows.push((model, chunks, format, sums));
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+    let same = rows.len() == GOLDEN_SHARD_CHECKSUMS.len()
+        && rows
+            .iter()
+            .zip(GOLDEN_SHARD_CHECKSUMS)
+            .all(|(row, golden)| {
+                (row.0, row.1, row.2, &row.3[..]) == (golden.0, golden.1, golden.2, golden.3)
+            });
+    assert!(
+        same,
+        "manifest checksums moved; the table as found:\n{found}"
     );
 }
