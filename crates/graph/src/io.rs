@@ -1,5 +1,25 @@
 //! Writers and readers for the on-disk graph formats, including the
 //! compressed varint+delta shard codec used by `kagen-pipeline`.
+//!
+//! **One pass per edge.** Every encoder ([`EdgeEncoder`]) and decoder
+//! folds the stream checksum the shard manifests record
+//! ([`edge_checksum_step`] from 0 over every edge) in the same loop that
+//! writes or parses the edge: `kagen_pipeline` neither writes nor reads
+//! a shard's edges a second time to checksum them. The compressed codec
+//! folds its per-block checksum in that loop too; both folds share the
+//! endpoints' half of the mix.
+//!
+//! **Varints of 2 to 8 bytes** (zigzagged deltas below 2^56) are stored
+//! and loaded as one 8-byte word. The 7-bit groups are spread into the
+//! bytes by one `pdep`, and gathered back by one `pext`, when the build
+//! targets BMI2 (`cfg(target_feature = "bmi2")`, which the workspace's
+//! `target-cpu=native` turns on where the host has it); otherwise by
+//! three shift/mask steps. Both give the same bytes. AMD Zen 1 and Zen 2
+//! run `pdep`/`pext` in microcode (tens of cycles, data-dependent), so
+//! on those hosts build with BMI2 off (e.g.
+//! `RUSTFLAGS="-C target-cpu=native -C target-feature=-bmi2"`). One-byte
+//! varints, the common case of sorted and spatial streams, keep a branch
+//! of their own; longer ones take the bytewise path.
 
 use crate::EdgeList;
 use std::io::{self, BufRead, BufWriter, Read, Seek, Write};
@@ -17,10 +37,12 @@ pub const COMPRESSED_BLOCK_EDGES: u64 = 4096;
 /// Step function of the order-dependent edge checksum used both for the
 /// per-block checksums of the compressed format and (via
 /// `kagen_pipeline::checksum_step`) for the manifest's shard checksums:
-/// an FNV-style mix of the running value with both endpoints.
+/// an FNV-style mix of the running value with both endpoints. The
+/// endpoints' half is grouped on its own, so two folds over one edge
+/// compute it once.
 #[inline]
 pub fn edge_checksum_step(acc: u64, u: u64, v: u64) -> u64 {
-    let mut h = acc ^ u.rotate_left(17) ^ v.wrapping_mul(0x9E3779B97F4A7C15);
+    let mut h = acc ^ (u.rotate_left(17) ^ v.wrapping_mul(0x9E3779B97F4A7C15));
     h = h.wrapping_mul(0x100000001b3);
     h ^ (h >> 29)
 }
@@ -114,6 +136,60 @@ const BLOCK_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
 /// Bit 7 of every byte of a word: the varint continuation bits.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
 
+/// Bits 0–6 of every byte of a word: the varint payload bits.
+const GROUP_BITS: u64 = !CONT_BITS;
+
+/// The 7-bit groups of `z < 2^56`, one per byte from the low end: the
+/// payload bits of `z`'s varint, continuation bits clear.
+#[cfg(all(target_arch = "x86_64", target_feature = "bmi2"))]
+#[inline(always)]
+fn spread7(z: u64) -> u64 {
+    // SAFETY: `pdep` is a BMI2 instruction, and this function is only
+    // compiled for targets with BMI2 (the `cfg` above).
+    unsafe { std::arch::x86_64::_pdep_u64(z, GROUP_BITS) }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "bmi2")))]
+use portable::spread7;
+
+/// The 7-bit groups of the low `len` bytes of `w` (`1 ≤ len ≤ 8`),
+/// closed up: the value of the varint that fills those bytes.
+#[cfg(all(target_arch = "x86_64", target_feature = "bmi2"))]
+#[inline(always)]
+fn gather7(w: u64, len: usize) -> u64 {
+    // SAFETY: `pext` is a BMI2 instruction, and this function is only
+    // compiled for targets with BMI2 (the `cfg` above).
+    unsafe { std::arch::x86_64::_pext_u64(w, GROUP_BITS >> (64 - 8 * len)) }
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_feature = "bmi2")))]
+use portable::gather7;
+
+/// [`spread7`] and [`gather7`] without BMI2: three shift/mask steps each.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "bmi2"))))]
+mod portable {
+    use super::GROUP_BITS;
+
+    /// Spread the 7-bit groups one per byte: 28|28, then 14|14 in each
+    /// half, then 7|7 in each quarter.
+    #[inline(always)]
+    pub(super) fn spread7(z: u64) -> u64 {
+        let mut x = ((z & 0x00ff_ffff_f000_0000) << 4) | (z & 0x0000_0000_0fff_ffff);
+        x = ((x & 0x0fff_c000_0fff_c000) << 2) | (x & 0x0000_3fff_0000_3fff);
+        ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f)
+    }
+
+    /// Drop the bytes past `len` and the continuation bits, then close
+    /// up the 7-bit groups: [`spread7`] in reverse.
+    #[inline(always)]
+    pub(super) fn gather7(w: u64, len: usize) -> u64 {
+        let mut x = w & (GROUP_BITS >> (64 - 8 * len));
+        x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
+        x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
+        ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
+    }
+}
+
 /// Store the varint of `z` at `buf[pos..]` and return the position
 /// after it. Writes up to 8 bytes past `pos` for values below 2^56
 /// (callers keep that slack), exactly the varint's bytes above.
@@ -123,17 +199,19 @@ fn put_varint(buf: &mut [u8], pos: usize, z: u64) -> usize {
         buf[pos] = z as u8;
         return pos + 1;
     }
+    put_varint_multi(buf, pos, z)
+}
+
+/// [`put_varint`] of `z ≥ 0x80`. Below 2^56 (2..=8 bytes, no loop):
+/// the groups spread one per byte, the continuation bit set on every
+/// byte but the last, 8 bytes stored.
+#[inline]
+fn put_varint_multi(buf: &mut [u8], pos: usize, z: u64) -> usize {
     if z >> 56 != 0 {
         return put_varint_wide(buf, pos, z as u128);
     }
-    // 2..=8 bytes, no loop: spread the 7-bit groups one per byte
-    // (28|28, then 14|14 in each half, then 7|7 in each quarter), set
-    // the continuation bit of every byte but the last, store 8 bytes.
     let len = (70 - z.leading_zeros() as usize) / 7;
-    let mut x = ((z & 0x00ff_ffff_f000_0000) << 4) | (z & 0x0000_0000_0fff_ffff);
-    x = ((x & 0x0fff_c000_0fff_c000) << 2) | (x & 0x0000_3fff_0000_3fff);
-    x = ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f);
-    x |= CONT_BITS >> (72 - 8 * len);
+    let x = spread7(z) | CONT_BITS >> (72 - 8 * len);
     buf[pos..pos + 8].copy_from_slice(&x.to_le_bytes());
     pos + len
 }
@@ -179,6 +257,8 @@ pub struct CompressedEdgeWriter<W: Write> {
     prev_u: u64,
     prev_v: u64,
     count: u64,
+    /// The stream checksum ([`EdgeEncoder::checksum`]).
+    checksum: u64,
     block_count: usize,
     block_checksum: u64,
     /// The pending block: [`HEADER_RESERVE`] bytes the header is
@@ -210,6 +290,7 @@ impl<W: Write> CompressedEdgeWriter<W> {
             prev_u: 0,
             prev_v: 0,
             count: 0,
+            checksum: 0,
             block_count: 0,
             block_checksum: 0,
             scratch: vec![0; HEADER_RESERVE + BLOCK_EDGES * MAX_EDGE_BYTES + 8],
@@ -217,20 +298,22 @@ impl<W: Write> CompressedEdgeWriter<W> {
         })
     }
 
-    /// Encode `edges` (which fit the pending block) into the scratch.
+    /// Encode `edges` (which fit the pending block) into the scratch,
+    /// folding the block and the stream checksum as it goes.
     fn encode(&mut self, edges: &[(u64, u64)]) {
         let buf = &mut self.scratch[..];
         let (mut prev_u, mut prev_v) = (self.prev_u, self.prev_v);
-        let mut checksum = self.block_checksum;
+        let (mut block, mut stream) = (self.block_checksum, self.checksum);
         let mut pos = self.pos;
         for &(u, v) in edges {
             pos = put_delta(buf, pos, prev_u, u);
             pos = put_delta(buf, pos, prev_v, v);
-            checksum = edge_checksum_step(checksum, u, v);
+            block = edge_checksum_step(block, u, v);
+            stream = edge_checksum_step(stream, u, v);
             (prev_u, prev_v) = (u, v);
         }
         (self.prev_u, self.prev_v) = (prev_u, prev_v);
-        self.block_checksum = checksum;
+        (self.block_checksum, self.checksum) = (block, stream);
         self.pos = pos;
         self.block_count += edges.len();
         self.count += edges.len() as u64;
@@ -326,13 +409,7 @@ fn next_id(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
         }
         let len = (stops.trailing_zeros() as usize >> 3) + 1;
         *pos = at + len;
-        // Drop the bytes behind the varint and the continuation bits,
-        // then close up the 7-bit groups: the encoder's spread in
-        // reverse.
-        let mut x = w & (u64::MAX >> (64 - 8 * len)) & !CONT_BITS;
-        x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
-        x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
-        ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
+        gather7(w, len)
     } else {
         return next_id_wide(payload, pos, prev);
     };
@@ -356,15 +433,19 @@ fn next_id_wide(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
 
 /// Decode one standalone restart-block payload (`count` edges, deltas
 /// starting from `(0, 0)`) into `out`, replacing its contents, and
-/// return the folded [`edge_checksum_step`] checksum. Errors on
-/// truncation, trailing bytes, varint overflow and deltas outside the
-/// `u64` id range. The one decoder of the format: every reader fetches
-/// blocks through [`CompressedEdgeReader::next_block`], which runs it.
+/// return `(block, stream)`: the block's own [`edge_checksum_step`]
+/// checksum (folded from 0) and the running stream checksum `stream`
+/// folded on over the block's edges — both in the decode loop. Errors
+/// on truncation, trailing bytes, varint overflow and deltas outside
+/// the `u64` id range. The one decoder of the format: every reader
+/// fetches blocks through [`CompressedEdgeReader::next_block`], which
+/// runs it.
 pub fn decode_block_into(
     payload: &[u8],
     count: usize,
     out: &mut Vec<(u64, u64)>,
-) -> io::Result<u64> {
+    stream: u64,
+) -> io::Result<(u64, u64)> {
     out.clear();
     // An edge takes at least two bytes, so this also keeps `count` —
     // a number from a file — from sizing `out` beyond the payload.
@@ -373,18 +454,19 @@ pub fn decode_block_into(
     }
     out.reserve(count);
     let (mut prev_u, mut prev_v) = (0u64, 0u64);
-    let mut checksum = 0u64;
+    let (mut block, mut stream) = (0u64, stream);
     let mut pos = 0usize;
     for _ in 0..count {
         prev_u = next_id(payload, &mut pos, prev_u)?;
         prev_v = next_id(payload, &mut pos, prev_v)?;
-        checksum = edge_checksum_step(checksum, prev_u, prev_v);
+        block = edge_checksum_step(block, prev_u, prev_v);
+        stream = edge_checksum_step(stream, prev_u, prev_v);
         out.push((prev_u, prev_v));
     }
     if pos != payload.len() {
         return Err(invalid_data("block has trailing bytes"));
     }
-    Ok(checksum)
+    Ok((block, stream))
 }
 
 /// Block-at-a-time decoder of the compressed edge format. A block is
@@ -395,6 +477,8 @@ pub fn decode_block_into(
 pub struct CompressedEdgeReader<R: BufRead> {
     r: R,
     n: u64,
+    /// [`Self::checksum`].
+    checksum: u64,
     payload: Vec<u8>,
     /// The current block's edges (empty before the first block and
     /// after the last).
@@ -430,6 +514,7 @@ impl<R: BufRead> CompressedEdgeReader<R> {
         Ok(CompressedEdgeReader {
             r,
             n: u64::from_le_bytes(n_bytes),
+            checksum: 0,
             payload: Vec::new(),
             edges: Vec::new(),
         })
@@ -438,6 +523,12 @@ impl<R: BufRead> CompressedEdgeReader<R> {
     /// Vertex count recorded in the header.
     pub fn n(&self) -> u64 {
         self.n
+    }
+
+    /// The stream checksum ([`edge_checksum_step`] from 0) of every edge
+    /// [`Self::next_block`] has returned, folded as the blocks decoded.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
     }
 
     /// Read the next block header; `Ok(None)` on clean EOF before its
@@ -479,17 +570,18 @@ impl<R: BufRead> CompressedEdgeReader<R> {
         };
         self.payload.resize(header.len, 0);
         self.r.read_exact(&mut self.payload)?;
-        let verified =
-            decode_block_into(&self.payload, header.count, &mut self.edges).and_then(|checksum| {
-                if checksum == header.checksum {
-                    Ok(())
-                } else {
-                    Err(invalid_data("block checksum mismatch (corrupt block)"))
-                }
-            });
-        if let Err(e) = verified {
-            self.edges.clear();
-            return Err(e);
+        let decoded =
+            decode_block_into(&self.payload, header.count, &mut self.edges, self.checksum);
+        match decoded {
+            Ok((block, stream)) if block == header.checksum => self.checksum = stream,
+            Ok(_) => {
+                self.edges.clear();
+                return Err(invalid_data("block checksum mismatch (corrupt block)"));
+            }
+            Err(e) => {
+                self.edges.clear();
+                return Err(e);
+            }
         }
         Ok(Some(&self.edges))
     }
@@ -531,6 +623,25 @@ pub trait EdgeEncoder {
     /// End the stream: write out what is pending and flush the
     /// underlying writer.
     fn close(&mut self) -> io::Result<()>;
+
+    /// The stream checksum of every edge pushed so far
+    /// ([`edge_checksum_step`] folded from 0), folded in the loop that
+    /// encodes the edges.
+    fn checksum(&self) -> u64;
+}
+
+impl<E: EdgeEncoder + ?Sized> EdgeEncoder for Box<E> {
+    fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
+        (**self).push_slice(edges)
+    }
+
+    fn close(&mut self) -> io::Result<()> {
+        (**self).close()
+    }
+
+    fn checksum(&self) -> u64 {
+        (**self).checksum()
+    }
 }
 
 /// What a decoder hands verified blocks of edges to.
@@ -551,17 +662,21 @@ impl<W: Write> EdgeEncoder for CompressedEdgeWriter<W> {
         self.flush_block()?;
         self.w.flush()
     }
+
+    fn checksum(&self) -> u64 {
+        self.checksum
+    }
 }
 
 /// Decode a compressed edge stream block by block: `emit` sees a block
 /// only after its length and checksum have been verified. Returns the
-/// vertex count of the header.
+/// stream checksum ([`CompressedEdgeReader::checksum`]).
 pub fn decode_compressed<R: BufRead>(r: R, emit: &mut Emit) -> io::Result<u64> {
     let mut dec = CompressedEdgeReader::new(r)?;
     while let Some(block) = dec.next_block()? {
         emit(block);
     }
-    Ok(dec.n())
+    Ok(dec.checksum())
 }
 
 /// Write a whole edge list in the compressed varint+delta format.
@@ -572,9 +687,12 @@ pub fn write_compressed<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
 /// Read a whole compressed edge stream back (inverse of
 /// [`write_compressed`]).
 pub fn read_compressed<R: BufRead>(r: R) -> io::Result<EdgeList> {
+    let mut dec = CompressedEdgeReader::new(r)?;
     let mut edges = Vec::new();
-    let n = decode_compressed(r, &mut |block| edges.extend_from_slice(block))?;
-    Ok(EdgeList::new(n, edges))
+    while let Some(block) = dec.next_block()? {
+        edges.extend_from_slice(block);
+    }
+    Ok(EdgeList::new(dec.n(), edges))
 }
 
 /// Encoder of the text format: one `u v` line per edge (the format the
@@ -584,6 +702,7 @@ pub fn read_compressed<R: BufRead>(r: R) -> io::Result<EdgeList> {
 pub struct TextEncoder<W: Write> {
     w: W,
     scratch: String,
+    checksum: u64,
 }
 
 impl<W: Write> TextEncoder<W> {
@@ -592,6 +711,7 @@ impl<W: Write> TextEncoder<W> {
         TextEncoder {
             w,
             scratch: String::new(),
+            checksum: 0,
         }
     }
 }
@@ -605,6 +725,7 @@ impl<W: Write> EdgeEncoder for TextEncoder<W> {
             for &(u, v) in chunk {
                 // Formatting integers into a `String` cannot fail.
                 let _ = writeln!(self.scratch, "{u} {v}");
+                self.checksum = edge_checksum_step(self.checksum, u, v);
             }
             self.w.write_all(self.scratch.as_bytes())?;
         }
@@ -613,6 +734,10 @@ impl<W: Write> EdgeEncoder for TextEncoder<W> {
 
     fn close(&mut self) -> io::Result<()> {
         self.w.flush()
+    }
+
+    fn checksum(&self) -> u64 {
+        self.checksum
     }
 }
 
@@ -656,7 +781,9 @@ fn parse_line(line: &[u8]) -> Result<Option<(u64, u64)>, &'static str> {
 }
 
 /// Decode the text format, handing `emit` blocks of at most
-/// [`COMPRESSED_BLOCK_EDGES`] edges whose lines all parsed. The
+/// [`COMPRESSED_BLOCK_EDGES`] edges whose lines all parsed, and return
+/// the stream checksum ([`edge_checksum_step`] from 0), folded as the
+/// lines parse. The
 /// grammar, stated here once: a line (ended by `\n` or the end of
 /// input) is blank (spaces and tabs only), a comment (first non-blank
 /// byte `#` or `%`), or exactly two fields separated by spaces or tabs,
@@ -664,10 +791,11 @@ fn parse_line(line: &[u8]) -> Result<Option<(u64, u64)>, &'static str> {
 /// no leading zero. Everything else — a third token, `+5`, a lone
 /// field, a number above `u64::MAX`, a NUL, a carriage return — is
 /// `InvalidData` naming the line.
-pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<()> {
+pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<u64> {
     let mut edges = Vec::with_capacity(BLOCK_EDGES);
     let mut line = Vec::new();
     let mut lineno = 0u64;
+    let mut checksum = 0u64;
     loop {
         line.clear();
         let limit = MAX_LINE_BYTES as u64 + 1;
@@ -679,8 +807,11 @@ pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<()> {
             line.pop();
         }
         let parsed = parse_line(&line);
-        if let Some(edge) = parsed.map_err(|what| invalid_data(format!("line {lineno}: {what}")))? {
-            edges.push(edge);
+        if let Some((u, v)) =
+            parsed.map_err(|what| invalid_data(format!("line {lineno}: {what}")))?
+        {
+            checksum = edge_checksum_step(checksum, u, v);
+            edges.push((u, v));
         }
         if edges.len() == BLOCK_EDGES {
             emit(&edges);
@@ -690,7 +821,7 @@ pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<()> {
     if !edges.is_empty() {
         emit(&edges);
     }
-    Ok(())
+    Ok(checksum)
 }
 
 /// Write one `u v` pair per line (the format the KaGen tool emits).
@@ -738,6 +869,7 @@ pub fn write_metis<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
 pub struct BinaryEncoder<W: Write> {
     w: W,
     scratch: Vec<u8>,
+    checksum: u64,
 }
 
 impl<W: Write> BinaryEncoder<W> {
@@ -746,6 +878,7 @@ impl<W: Write> BinaryEncoder<W> {
         BinaryEncoder {
             w,
             scratch: Vec::with_capacity(BLOCK_EDGES * 16),
+            checksum: 0,
         }
     }
 }
@@ -758,6 +891,7 @@ impl<W: Write> EdgeEncoder for BinaryEncoder<W> {
             for &(u, v) in chunk {
                 self.scratch.extend_from_slice(&u.to_le_bytes());
                 self.scratch.extend_from_slice(&v.to_le_bytes());
+                self.checksum = edge_checksum_step(self.checksum, u, v);
             }
             self.w.write_all(&self.scratch)?;
         }
@@ -767,14 +901,20 @@ impl<W: Write> EdgeEncoder for BinaryEncoder<W> {
     fn close(&mut self) -> io::Result<()> {
         self.w.flush()
     }
+
+    fn checksum(&self) -> u64 {
+        self.checksum
+    }
 }
 
 /// Decode the binary format, handing `emit` blocks of at most
-/// [`COMPRESSED_BLOCK_EDGES`] records (64 KiB). Input that ends inside
-/// a 16-byte record is `UnexpectedEof`.
-pub fn decode_binary<R: Read>(mut r: R, emit: &mut Emit) -> io::Result<()> {
+/// [`COMPRESSED_BLOCK_EDGES`] records (64 KiB), and return the stream
+/// checksum ([`edge_checksum_step`] from 0), folded as the records
+/// decode. Input that ends inside a 16-byte record is `UnexpectedEof`.
+pub fn decode_binary<R: Read>(mut r: R, emit: &mut Emit) -> io::Result<u64> {
     let mut bytes = vec![0u8; BLOCK_EDGES * 16];
     let mut edges = Vec::with_capacity(BLOCK_EDGES);
+    let mut checksum = 0u64;
     loop {
         // Fill the buffer; only the end of input leaves it short.
         let mut filled = 0;
@@ -794,11 +934,14 @@ pub fn decode_binary<R: Read>(mut r: R, emit: &mut Emit) -> io::Result<()> {
             ));
         }
         if words.is_empty() {
-            return Ok(());
+            return Ok(checksum);
         }
         edges.clear();
-        let pairs = words.chunks_exact(2);
-        edges.extend(pairs.map(|uv| (u64::from_le_bytes(uv[0]), u64::from_le_bytes(uv[1]))));
+        for uv in words.chunks_exact(2) {
+            let (u, v) = (u64::from_le_bytes(uv[0]), u64::from_le_bytes(uv[1]));
+            checksum = edge_checksum_step(checksum, u, v);
+            edges.push((u, v));
+        }
         emit(&edges);
     }
 }
@@ -980,6 +1123,34 @@ mod tests {
             assert_eq!(read_varint(&mut r).unwrap(), Some(x));
         }
         assert_eq!(read_varint(&mut r).unwrap(), None);
+    }
+
+    #[test]
+    fn word_steps_agree_with_the_portable_steps_and_the_bytewise_codec() {
+        // Both sides of every length boundary of the word path, then a
+        // log-uniform sweep.
+        let mut zs = vec![0x80, (1 << 56) - 1];
+        for k in 2..8 {
+            zs.extend([(1u64 << (7 * k)) - 1, 1 << (7 * k)]);
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            zs.push((x >> 8) >> (x >> 58));
+        }
+        for z in zs.into_iter().filter(|z| (0x80..1 << 56).contains(z)) {
+            assert_eq!(spread7(z), portable::spread7(z), "{z:#x}");
+            let mut word = [0u8; 16];
+            let end = put_varint(&mut word, 0, z);
+            let mut bytewise = Vec::new();
+            write_varint(&mut bytewise, z as u128).unwrap();
+            assert_eq!(word[..end], bytewise[..], "{z:#x}");
+            // Bytes behind the varint do not leak into the value.
+            word[end..8].fill(0xa5);
+            let w = u64::from_le_bytes(word[..8].try_into().unwrap());
+            assert_eq!(gather7(w, end), z, "{z:#x}");
+            assert_eq!(portable::gather7(w, end), z, "{z:#x}");
+        }
     }
 
     #[test]
@@ -1270,7 +1441,7 @@ mod tests {
                     let mut payload = payload.clone();
                     payload.resize(payload.len() + 2 * tail, 0);
                     let want = reference(&payload, 1 + tail);
-                    let got = decode_block_into(&payload, 1 + tail, &mut out);
+                    let got = decode_block_into(&payload, 1 + tail, &mut out, 0);
                     match want {
                         Ok(edges) => {
                             got.unwrap();
@@ -1283,7 +1454,7 @@ mod tests {
         }
         // A count the payload cannot hold is refused before `out` grows.
         let mut out = Vec::new();
-        assert!(decode_block_into(&[0, 0], usize::MAX, &mut out).is_err());
+        assert!(decode_block_into(&[0, 0], usize::MAX, &mut out, 0).is_err());
         assert_eq!(out.capacity(), 0);
     }
 

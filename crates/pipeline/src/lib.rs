@@ -91,7 +91,7 @@ pub use sink::{
     EdgeSink, FileSink, FnSink, TeeSink, TextSink,
 };
 pub use writer::{
-    shard_file_name, write_shard, write_sharded, InstanceMeta, ShardFormat, StreamConfig,
+    shard_file_name, write_shard, write_sharded, InstanceMeta, ShardFormat, ShardSink, StreamConfig,
 };
 
 use kagen_core::Generator;

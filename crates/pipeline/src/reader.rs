@@ -11,7 +11,6 @@
 //! block's grammar, a binary block's record size).
 
 use crate::manifest::{Manifest, ShardInfo};
-use crate::sink::checksum_step;
 use crate::writer::ShardFormat;
 use kagen_core::streaming::BatchEmit;
 use kagen_graph::io::CompressedEdgeReader;
@@ -84,14 +83,19 @@ impl ShardReader {
     }
 }
 
-/// Stream one shard *file* (no manifest required) through `emit`:
-/// [`ShardFormat::stream_file`] under the name readers use.
-pub fn stream_shard_file(path: &Path, format: ShardFormat, emit: &mut BatchEmit) -> io::Result<()> {
+/// Stream one shard *file* (no manifest required) through `emit` and
+/// return its checksum: [`ShardFormat::stream_file`] under the name
+/// readers use.
+pub fn stream_shard_file(
+    path: &Path,
+    format: ShardFormat,
+    emit: &mut BatchEmit,
+) -> io::Result<u64> {
     format.stream_file(path, emit)
 }
 
 /// Stream the shard described by `info` through `emit`, then verify its
-/// edge count and checksum against `info`.
+/// edge count and checksum (the decoder's fold) against `info`.
 fn stream_verified(
     dir: &Path,
     format: ShardFormat,
@@ -99,12 +103,8 @@ fn stream_verified(
     emit: &mut BatchEmit,
 ) -> io::Result<()> {
     let mut count = 0u64;
-    let mut checksum = 0u64;
-    stream_shard_file(&dir.join(&info.file), format, &mut |batch| {
+    let checksum = stream_shard_file(&dir.join(&info.file), format, &mut |batch| {
         count += batch.len() as u64;
-        checksum = batch
-            .iter()
-            .fold(checksum, |acc, &(u, v)| checksum_step(acc, u, v));
         emit(batch);
     })?;
     if count != info.edges {

@@ -13,7 +13,8 @@
 //! path): the adapter latches the first IO error and `finish` surfaces
 //! it. [`TextSink`], [`BinarySink`] and [`CompressedSink`] are that
 //! adapter over the three encoders; `ShardFormat::sink` picks one by
-//! format.
+//! format. The encoder folds the manifest checksum as it encodes
+//! ([`FileSink::checksum`]), so a shard's edges are walked once.
 
 use kagen_graph::io::{BinaryEncoder, CompressedEdgeWriter, EdgeEncoder, TextEncoder};
 use kagen_graph::stats::DegreeStats;
@@ -227,12 +228,20 @@ pub struct FileSink<E: EdgeEncoder> {
 }
 
 impl<E: EdgeEncoder> FileSink<E> {
-    fn over(enc: E) -> Self {
+    pub(crate) fn over(enc: E) -> Self {
         FileSink {
             enc,
             count: 0,
             err: None,
         }
+    }
+
+    /// The manifest checksum ([`checksum_step`] from 0) of the edges
+    /// accepted so far, folded by the encoder in its encode loop. After
+    /// an IO error it covers what reached the encoder, and `finish`
+    /// reports the error.
+    pub fn checksum(&self) -> u64 {
+        self.enc.checksum()
     }
 }
 

@@ -5,10 +5,13 @@
 //! state (no edge vector exists anywhere on this path).
 
 use crate::manifest::{Manifest, RunHeader, ShardInfo};
-use crate::sink::{checksum_step, BinarySink, CompressedSink, EdgeSink, TextSink};
+use crate::sink::{EdgeSink, FileSink};
 use kagen_core::streaming::BatchEmit;
 use kagen_core::Generator;
-use kagen_graph::io::{decode_binary, decode_compressed, decode_text};
+use kagen_graph::io::{
+    decode_binary, decode_compressed, decode_text, BinaryEncoder, CompressedEdgeWriter,
+    EdgeEncoder, TextEncoder,
+};
 use kagen_obs::{Counter, Histogram};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -73,26 +76,33 @@ impl ShardFormat {
 
     /// Open a sink writing this format over `n` vertices to `w` (wrap
     /// files in a `BufWriter`).
-    pub fn sink<'w, W: Write + 'w>(self, w: W, n: u64) -> io::Result<Box<dyn EdgeSink + 'w>> {
-        Ok(match self {
-            ShardFormat::EdgeList => Box::new(TextSink::new(w)),
-            ShardFormat::Binary => Box::new(BinarySink::new(w)),
-            ShardFormat::Compressed => Box::new(CompressedSink::new(w, n)?),
-        })
+    pub fn sink<'w, W: Write + 'w>(self, w: W, n: u64) -> io::Result<ShardSink<'w>> {
+        let enc: Box<dyn EdgeEncoder + 'w> = match self {
+            ShardFormat::EdgeList => Box::new(TextEncoder::new(w)),
+            ShardFormat::Binary => Box::new(BinaryEncoder::new(w)),
+            ShardFormat::Compressed => Box::new(CompressedEdgeWriter::new(w, n)?),
+        };
+        Ok(FileSink::over(enc))
     }
 
     /// Stream the file at `path` through `emit` as verified slices of
     /// at most one restart block's worth of edges
-    /// ([`kagen_graph::io::COMPRESSED_BLOCK_EDGES`]).
-    pub fn stream_file(self, path: &Path, emit: &mut BatchEmit) -> io::Result<()> {
+    /// ([`kagen_graph::io::COMPRESSED_BLOCK_EDGES`]), and return the
+    /// stream's checksum ([`crate::checksum_step`] from 0), folded by
+    /// the decoder as it decodes.
+    pub fn stream_file(self, path: &Path, emit: &mut BatchEmit) -> io::Result<u64> {
         let file = File::open(path)?;
         match self {
             ShardFormat::EdgeList => decode_text(BufReader::new(file), emit),
             ShardFormat::Binary => decode_binary(file, emit),
-            ShardFormat::Compressed => decode_compressed(BufReader::new(file), emit).map(drop),
+            ShardFormat::Compressed => decode_compressed(BufReader::new(file), emit),
         }
     }
 }
+
+/// The sink [`ShardFormat::sink`] opens: the file sink over whichever
+/// format's encoder.
+pub type ShardSink<'w> = FileSink<Box<dyn EdgeEncoder + 'w>>;
 
 /// File name of PE `pe`'s shard.
 pub fn shard_file_name(pe: usize, format: ShardFormat) -> String {
@@ -159,8 +169,9 @@ impl InstanceMeta {
 ///
 /// Runs on the batched path: the generator fills a worker-local batch
 /// buffer ([`kagen_core::streaming::BATCH_EDGES`] edges) and the sink
-/// consumes whole slices — checksum folding and format encoding happen
-/// in tight loops, with one virtual call per batch instead of per edge.
+/// consumes whole slices, one virtual call per batch. The encoder folds
+/// the manifest checksum in its encode loop, so each edge is walked
+/// once.
 pub fn write_shard<G: Generator + ?Sized>(
     gen: &G,
     pe: usize,
@@ -171,17 +182,14 @@ pub fn write_shard<G: Generator + ?Sized>(
     let file = shard_file_name(pe, format);
     let path = dir.join(&file);
     let mut sink = format.sink(BufWriter::new(File::create(&path)?), gen.num_vertices())?;
-    let mut checksum = 0u64;
     let mut buf = Vec::with_capacity(kagen_core::streaming::BATCH_EDGES);
     gen.stream_pe_batched(pe, &mut buf, &mut |edges| {
         SINK_BATCHES.incr();
         SINK_EDGES.add(edges.len() as u64);
-        for &(u, v) in edges {
-            checksum = checksum_step(checksum, u, v);
-        }
         sink.push_batch(edges);
     });
     let edges = sink.finish()?;
+    let checksum = sink.checksum();
     SINK_SHARDS.incr();
     SINK_SHARD_WALL_US.record((shard_span.finish() * 1e6) as u64);
     if kagen_obs::metrics::enabled() {

@@ -9,11 +9,11 @@
 //! [`worker_args`] are loops over the two tables; a new flag or model is
 //! one row.
 
-use kagen_cluster::ValidateMode;
+use kagen_cluster::{ShardState, ValidateMode};
 use kagen_core::er::largest_piece;
 use kagen_core::prelude::*;
 use kagen_geometry::hyperbolic::RhgSpace;
-use kagen_pipeline::ShardFormat;
+use kagen_pipeline::{ShardFormat, ShardInfo};
 use std::fmt::Write;
 use std::path::Path;
 
@@ -239,7 +239,8 @@ impl Options {
     /// building the generator or streaming from it would panic.
     pub fn check_model(&self) -> Result<(), String> {
         at_least(&CHUNKS, self.chunks as u64, 1)?;
-        (self.model.check)(self)
+        (self.model.check)(self)?;
+        plan_fits(self)
     }
 }
 
@@ -798,6 +799,30 @@ fn pieces_fit(o: &Options, flag: &Flag, parts: u64, piece: &str) -> Result<(), S
     }
     let range = format!(">= {min} for n = {} ({piece} must fit 64 bits)", o.n);
     in_range(fits(parts), flag, &range, parts)
+}
+
+/// The largest chunk count whose per-chunk plan can be allocated. A
+/// run holds one shard record per planned chunk (`io::Result<ShardInfo>`
+/// while the PEs run, a `ShardState` in the launch ledger), and no
+/// allocation may exceed `isize::MAX` bytes.
+fn max_chunks() -> u64 {
+    let record = size_of::<std::io::Result<ShardInfo>>().max(size_of::<ShardState>());
+    (isize::MAX as usize / record) as u64
+}
+
+/// `-c` names a plan [`max_chunks`] admits. Models that clamp the chunk
+/// count (the grid levels of RGG/RDG, undirected ER's chunk matrix)
+/// plan fewer chunks than asked; only a count beyond the ceiling builds
+/// the generator to ask it.
+fn plan_fits(o: &Options) -> Result<(), String> {
+    let max = max_chunks();
+    let planned = if o.chunks as u64 <= max {
+        o.chunks as u64
+    } else {
+        o.build().num_chunks() as u64
+    };
+    let range = format!("<= {max} (one shard record per chunk must fit one allocation)");
+    in_range(planned <= max, &CHUNKS, &range, o.chunks)
 }
 
 /// `-r`, or the connectivity-threshold radius of the dimension.

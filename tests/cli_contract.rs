@@ -926,6 +926,10 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: unknown --rmat-kernel 'liner' (want linear | plain)"),
     ("worker ba -n 2305843009213693952 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "0 D kagen worker: PEs 1125899906842623..1125899906842624 -> 1 shards, 8192 edges in <t>s"),
     ("worker ba -n 2305843009213693953 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "2 - kagen worker: ba: -d must be a positive integer (with n*d <= 2^63), got 4"),
+    ("stream rhg -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rhg: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
+    ("stream gnm_directed -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: gnm_directed: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
+    ("stream ba -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: ba: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
+    ("stream rmat -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rmat: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "0 D kagen stream: wrote 4 shards, 6 edges, format compressed -> <tmp>/s in <t>s"),
     ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: unknown --gnp-leaves 'vitter' (want skip | algo-d)"),
     ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "2 - kagen launch: rhg: -g must be > 2, got 1.5"),

@@ -1,5 +1,5 @@
 //! Property-based tests for the substrate crates: geometry, graph data
-//! structures and seed derivation. These
+//! structures, the shard codec and seed derivation. These
 //! complement `proptest_invariants.rs` (which targets the samplers and
 //! generators) by pinning the invariants every generator builds on.
 
@@ -10,7 +10,12 @@ use kagen_repro::core::er::{
 use kagen_repro::core::prelude::*;
 use kagen_repro::geometry::{morton, CellGrid, CountTree, GridCells};
 use kagen_repro::graph::components::connected_components;
+use kagen_repro::graph::io::{
+    edge_checksum_step, read_compressed, read_varint, write_compressed, write_varint,
+    COMPRESSED_MAGIC,
+};
 use kagen_repro::graph::{bfs_distances, merge_pe_edges, Csr, EdgeList};
+use kagen_repro::pipeline::{stream_shard_file, ChecksumSink, EdgeSink, ShardFormat};
 use kagen_repro::util::seed::{stream, SeedTree};
 use kagen_repro::util::{derive_seed, Mt64, Rng64};
 use proptest::prelude::*;
@@ -73,8 +78,89 @@ fn grid_cells_agree<const D: usize>(seed: u64, n: u64, levels: u32, chunk_levels
     }
 }
 
+/// The compressed codec stores a varint of 2..=8 bytes as one word (a
+/// `pdep` spread with BMI2, shift/mask steps without) and loads it as
+/// one word (`pext` / shift/mask). Both must agree with the bytewise
+/// `write_varint` / `read_varint` for the zigzag `z` of every delta: an
+/// edge whose u-delta is `z` encodes to exactly the bytewise bytes, and
+/// those bytes decode back, with the word of the varint followed by
+/// unrelated bytes or ending the payload.
+fn word_varint_matches_bytewise(z: u64) {
+    // From the middle of the id range every 64-bit zigzag is a delta
+    // to another id: z even steps up z / 2, z odd steps down (z + 1) / 2.
+    let a = 1u64 << 63;
+    let b = if z.is_multiple_of(2) {
+        a + z / 2
+    } else {
+        a - (z / 2 + 1)
+    };
+    let zigzag = |d: i128| ((d << 1) ^ (d >> 127)) as u128;
+    for tail in [0u64, 3, 1 << 40] {
+        let edges = vec![(a, 0), (b, 0), (b, tail)];
+        let mut payload = Vec::new();
+        let (mut pu, mut pv, mut checksum) = (0u64, 0u64, 0u64);
+        for &(u, v) in &edges {
+            write_varint(&mut payload, zigzag(u as i128 - pu as i128)).unwrap();
+            write_varint(&mut payload, zigzag(v as i128 - pv as i128)).unwrap();
+            (pu, pv) = (u, v);
+            checksum = edge_checksum_step(checksum, u, v);
+        }
+        let mut want = COMPRESSED_MAGIC.to_vec();
+        want.extend_from_slice(&u64::MAX.to_le_bytes());
+        write_varint(&mut want, edges.len() as u128).unwrap();
+        write_varint(&mut want, payload.len() as u128).unwrap();
+        want.extend_from_slice(&checksum.to_le_bytes());
+        want.extend_from_slice(&payload);
+        let mut got = Vec::new();
+        write_compressed(&mut got, &EdgeList::new(u64::MAX, edges.clone())).unwrap();
+        prop_assert!(got == want, "z = {z:#x}, tail {tail}: encoded bytes differ");
+        prop_assert_eq!(
+            read_compressed(&want[..]).unwrap().edges,
+            edges,
+            "z = {:#x}",
+            z
+        );
+    }
+    let mut bytes = Vec::new();
+    write_varint(&mut bytes, z as u128).unwrap();
+    prop_assert_eq!(read_varint(&mut &bytes[..]).unwrap(), Some(z as u128));
+}
+
+#[test]
+fn word_varints_match_bytewise_at_every_length_boundary() {
+    let mut zs = vec![0, 1, u64::MAX - 1, u64::MAX];
+    for k in 1..=9 {
+        let b = 1u64 << (7 * k);
+        zs.extend([b - 2, b - 1, b, b + 1]);
+    }
+    for z in zs {
+        word_varint_matches_bytewise(z);
+    }
+}
+
+/// Push `edges` into `sink` in batches of the sizes `cuts` cycles
+/// through (zeros included), then close it.
+fn feed_in_cuts(sink: &mut dyn EdgeSink, edges: &[(u64, u64)], cuts: &[usize]) {
+    let mut rest = edges;
+    for &size in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at(size.min(rest.len()));
+        sink.push_batch(head);
+        rest = tail;
+    }
+    sink.finish().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn word_varints_match_bytewise(x in any::<u64>(), shift in 0u32..64) {
+        // Log-uniform: every varint length is as likely as the next.
+        word_varint_matches_bytewise(x >> shift);
+    }
 
     #[test]
     fn morton2_roundtrip(x in 0u64..(1 << 24), y in 0u64..(1 << 24)) {
@@ -332,5 +418,43 @@ proptest! {
         let a = mk(1);
         prop_assert_eq!(&a, &mk(5));
         prop_assert_eq!(&a, &mk(16));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fused_checksums_equal_a_checksum_sink_fold(
+        seed in any::<u64>(),
+        m in 0usize..9000,
+        cuts in proptest::collection::vec(0usize..5000, 1..6),
+    ) {
+        // Small, large and wrapping deltas mixed, across restart blocks.
+        let mut rng = Mt64::new(seed);
+        let edges: Vec<(u64, u64)> = (0..m as u64)
+            .map(|i| {
+                let w = rng.next_u64();
+                (i / 3 + (w & 7), w >> (w % 64))
+            })
+            .collect();
+        let mut reference = ChecksumSink::new();
+        feed_in_cuts(&mut reference, &edges, &cuts);
+        let dir = std::env::temp_dir().join("kagen_proptest_fused_checksum");
+        std::fs::create_dir_all(&dir).unwrap();
+        for format in [ShardFormat::EdgeList, ShardFormat::Binary, ShardFormat::Compressed] {
+            let mut bytes = Vec::new();
+            let mut sink = format.sink(&mut bytes, u64::MAX).unwrap();
+            feed_in_cuts(&mut sink, &edges, &cuts);
+            prop_assert_eq!(sink.checksum(), reference.checksum(), "{:?} encoder", format);
+            drop(sink);
+            let path = dir.join(format!("shard.{}", format.extension()));
+            std::fs::write(&path, &bytes).unwrap();
+            let mut count = 0;
+            let decoded = stream_shard_file(&path, format, &mut |batch| count += batch.len());
+            prop_assert_eq!(decoded.unwrap(), reference.checksum(), "{:?} decoder", format);
+            prop_assert_eq!(count, m);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -351,3 +351,38 @@ fn failed_merge_leaves_no_spill_files() {
     assert!(!dir.join("runs").exists(), "spill files leaked");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// An 8-byte varint — the longest the decoder loads as one word — whose
+/// last byte gains a continuation bit: the varint now runs past the
+/// 8-byte window, onto the bytewise path, and every reader refuses the
+/// shard with the error that path gives.
+#[test]
+fn continuation_bit_on_the_last_byte_of_the_word_window_is_rejected() {
+    // u = 2^54: the first delta's zigzag is 2^55, an 8-byte varint
+    // opening the payload; then deltas of every width after it.
+    let block: Vec<(u64, u64)> = vec![(1 << 54, 5), (1 << 54, 1 << 54), (3, 2), (TOP, 0), (9, 9)];
+    let fx = fixture(ShardFormat::Compressed, &[block], "window");
+    // File header (16 bytes), varint(count = 5), varint(len < 128),
+    // the block checksum (8 bytes): the payload starts at byte 26.
+    let last = 26 + 7;
+    assert_eq!(fx.bytes[26..last], [0x80; 7]);
+    assert_eq!(fx.bytes[last], 0x40);
+    let mut mutant = fx.bytes.clone();
+    mutant[last] |= 0x80;
+
+    let mut tally = Tally::default();
+    fx.check(&mutant, "continuation bit on byte 8", &mut tally);
+    assert_eq!((tally.exact, tally.rejected), (0, 4));
+    let path = fx.dir.join(&fx.info.file);
+    let mut seen = 0;
+    let err = stream_shard_file(&path, fx.format, &mut |batch| seen += batch.len()).unwrap_err();
+    assert_eq!(seen, 0, "a block that failed reached the callback");
+    // The varint swallows the next one's byte, every later varint
+    // lands in the wrong field, and a v-delta then steps below id 0.
+    let refusal = "edge delta decodes outside the u64 vertex-id range";
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(err.to_string(), refusal);
+    let err = validate_shard(&fx.dir, fx.format, &fx.info).unwrap_err();
+    assert_eq!(err.to_string(), refusal);
+    std::fs::remove_dir_all(&fx.dir).ok();
+}
