@@ -22,7 +22,7 @@
 //! of their own; longer ones take the bytewise path.
 
 use crate::EdgeList;
-use std::io::{self, BufRead, BufWriter, Read, Seek, Write};
+use std::io::{self, BufRead, BufWriter, IoSlice, Read, Seek, Write};
 
 /// Magic prefix of the compressed edge-stream format (version 2:
 /// restart blocks with per-block checksums — random access and sampled
@@ -132,6 +132,11 @@ const MAX_EDGE_BYTES: usize = 2 * MAX_VARINT_BYTES;
 const HEADER_RESERVE: usize = 16;
 
 const BLOCK_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
+
+/// Finished blocks wait in the encoder's scratch until they add up to
+/// this many bytes, then leave in one vectored write: file systems take
+/// a few large writes faster than many block-sized ones.
+const WRITE_BYTES: usize = 128 << 10;
 
 /// Bit 7 of every byte of a word: the varint continuation bits.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
@@ -261,12 +266,15 @@ pub struct CompressedEdgeWriter<W: Write> {
     checksum: u64,
     block_count: usize,
     block_checksum: u64,
-    /// The pending block: [`HEADER_RESERVE`] bytes the header is
-    /// right-aligned into at flush time, then the payload (`pos` is its
-    /// end), so a block leaves in one write. Sized once for the worst
-    /// case (~152 KiB; pages a stream never fills stay untouched).
+    /// Finished blocks (`finished`, in stream order), then the pending
+    /// one from `block_at`: [`HEADER_RESERVE`] bytes its header is
+    /// right-aligned into when it is finished, then the payload (`pos`
+    /// is its end). Sized once for [`WRITE_BYTES`] plus a worst-case
+    /// block (~280 KiB; pages a stream never fills stay untouched).
     scratch: Vec<u8>,
+    block_at: usize,
     pos: usize,
+    finished: Vec<std::ops::Range<usize>>,
 }
 
 // Manual impl: `W` need not be `Debug`, and the scratch buffer is
@@ -293,8 +301,10 @@ impl<W: Write> CompressedEdgeWriter<W> {
             checksum: 0,
             block_count: 0,
             block_checksum: 0,
-            scratch: vec![0; HEADER_RESERVE + BLOCK_EDGES * MAX_EDGE_BYTES + 8],
+            scratch: vec![0; WRITE_BYTES + HEADER_RESERVE + BLOCK_EDGES * MAX_EDGE_BYTES + 8],
+            block_at: 0,
             pos: HEADER_RESERVE,
+            finished: Vec::new(),
         })
     }
 
@@ -319,25 +329,55 @@ impl<W: Write> CompressedEdgeWriter<W> {
         self.count += edges.len() as u64;
     }
 
-    fn flush_block(&mut self) -> io::Result<()> {
+    /// Finish the pending block: its header goes right-aligned against
+    /// the payload, and the next block starts behind it. Finished
+    /// blocks are written out once they reach [`WRITE_BYTES`].
+    fn finish_block(&mut self) -> io::Result<()> {
         if self.block_count == 0 {
             return Ok(());
         }
+        let payload_at = self.block_at + HEADER_RESERVE;
         let mut header = [0u8; HEADER_RESERVE];
         let mut rest = &mut header[..];
         write_varint(&mut rest, self.block_count as u128)?;
-        write_varint(&mut rest, (self.pos - HEADER_RESERVE) as u128)?;
+        write_varint(&mut rest, (self.pos - payload_at) as u128)?;
         rest.write_all(&self.block_checksum.to_le_bytes())?;
         let header_len = HEADER_RESERVE - rest.len();
-        // Right-align the header against the payload: one write.
-        let start = HEADER_RESERVE - header_len;
-        self.scratch[start..HEADER_RESERVE].copy_from_slice(&header[..header_len]);
-        self.w.write_all(&self.scratch[start..self.pos])?;
-        self.pos = HEADER_RESERVE;
+        let start = payload_at - header_len;
+        self.scratch[start..payload_at].copy_from_slice(&header[..header_len]);
+        self.finished.push(start..self.pos);
+        self.block_at = self.pos;
+        self.pos = self.block_at + HEADER_RESERVE;
         self.block_count = 0;
         self.block_checksum = 0;
         self.prev_u = 0;
         self.prev_v = 0;
+        if self.block_at >= WRITE_BYTES {
+            self.write_finished()?;
+        }
+        Ok(())
+    }
+
+    /// Hand the finished blocks to the writer in one vectored write (or
+    /// as many as it takes) and start the scratch over.
+    fn write_finished(&mut self) -> io::Result<()> {
+        let mut slices: Vec<IoSlice> = self
+            .finished
+            .iter()
+            .map(|block| IoSlice::new(&self.scratch[block.clone()]))
+            .collect();
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match self.w.write_vectored(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(written) => IoSlice::advance_slices(&mut rest, written),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.finished.clear();
+        self.block_at = 0;
+        self.pos = HEADER_RESERVE;
         Ok(())
     }
 
@@ -356,7 +396,7 @@ impl<W: Write> CompressedEdgeWriter<W> {
             let (head, tail) = edges.split_at(room.min(edges.len()));
             self.encode(head);
             if self.block_count == BLOCK_EDGES {
-                self.flush_block()?;
+                self.finish_block()?;
             }
             edges = tail;
         }
@@ -659,7 +699,8 @@ impl<W: Write> EdgeEncoder for CompressedEdgeWriter<W> {
     }
 
     fn close(&mut self) -> io::Result<()> {
-        self.flush_block()?;
+        self.finish_block()?;
+        self.write_finished()?;
         self.w.flush()
     }
 
