@@ -124,8 +124,12 @@ const MAX_VARINT_BYTES: usize = 19;
 
 /// Upper bound on a block's payload length per edge: two varints of
 /// [`MAX_VARINT_BYTES`]. Readers reject a block header claiming more
-/// before they allocate for it; the writer's scratch is sized by it.
+/// before they allocate for it.
 const MAX_EDGE_BYTES: usize = 2 * MAX_VARINT_BYTES;
+
+/// The most the encoder writes for one edge: two zigzagged deltas of
+/// 65 bits, 10 bytes each. Its scratch is sized by it.
+const MAX_WRITTEN_EDGE_BYTES: usize = 20;
 
 /// Longest block header: `varint(count ≤ 4096)` (2 bytes),
 /// `varint(len ≤ 4096 · 38)` (3 bytes), 8 checksum bytes — rounded up.
@@ -136,7 +140,7 @@ const BLOCK_EDGES: usize = COMPRESSED_BLOCK_EDGES as usize;
 /// Finished blocks wait in the encoder's scratch until they add up to
 /// this many bytes, then leave in one vectored write: file systems take
 /// a few large writes faster than many block-sized ones.
-const WRITE_BYTES: usize = 128 << 10;
+const WRITE_BYTES: usize = 64 << 10;
 
 /// Bit 7 of every byte of a word: the varint continuation bits.
 const CONT_BITS: u64 = 0x8080_8080_8080_8080;
@@ -228,7 +232,7 @@ fn put_varint_multi(buf: &mut [u8], pos: usize, z: u64) -> usize {
 fn put_varint_wide(buf: &mut [u8], pos: usize, z: u128) -> usize {
     let end = buf.len();
     let mut rest = &mut buf[pos..];
-    // kagen-lint: allow(r1) -- the scratch is sized for a block of worst-case (19-byte) varints plus slack, so the slice never runs out
+    // kagen-lint: allow(r1) -- the scratch is sized for a block of worst-case (10-byte) varints plus slack, so the slice never runs out
     write_varint(&mut rest, z).expect("the scratch holds a worst-case block");
     end - rest.len()
 }
@@ -270,7 +274,7 @@ pub struct CompressedEdgeWriter<W: Write> {
     /// one from `block_at`: [`HEADER_RESERVE`] bytes its header is
     /// right-aligned into when it is finished, then the payload (`pos`
     /// is its end). Sized once for [`WRITE_BYTES`] plus a worst-case
-    /// block (~280 KiB; pages a stream never fills stay untouched).
+    /// block (144 KiB; pages a stream never fills stay untouched).
     scratch: Vec<u8>,
     block_at: usize,
     pos: usize,
@@ -301,7 +305,7 @@ impl<W: Write> CompressedEdgeWriter<W> {
             checksum: 0,
             block_count: 0,
             block_checksum: 0,
-            scratch: vec![0; WRITE_BYTES + HEADER_RESERVE + BLOCK_EDGES * MAX_EDGE_BYTES + 8],
+            scratch: vec![0; WRITE_BYTES + HEADER_RESERVE + BLOCK_EDGES * MAX_WRITTEN_EDGE_BYTES + 8],
             block_at: 0,
             pos: HEADER_RESERVE,
             finished: Vec::new(),
