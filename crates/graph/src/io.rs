@@ -19,7 +19,9 @@
 //! on those hosts build with BMI2 off (e.g.
 //! `RUSTFLAGS="-C target-cpu=native -C target-feature=-bmi2"`). One-byte
 //! varints, the common case of sorted and spatial streams, keep a branch
-//! of their own; longer ones take the bytewise path.
+//! of their own; longer ones take the bytewise path. The decoder takes
+//! both varints of an edge from one load when they fit in it, so where
+//! the next edge starts is known one load per edge, not one per varint.
 
 use crate::EdgeList;
 use std::io::{self, BufRead, BufWriter, IoSlice, Read, Seek, Write};
@@ -161,14 +163,15 @@ fn spread7(z: u64) -> u64 {
 #[cfg(not(all(target_arch = "x86_64", target_feature = "bmi2")))]
 use portable::spread7;
 
-/// The 7-bit groups of the low `len` bytes of `w` (`1 ≤ len ≤ 8`),
-/// closed up: the value of the varint that fills those bytes.
+/// The 7-bit groups of the low bytes of `w` that `bytes` covers (every
+/// bit of the low 1 to 8 bytes), closed up: the value of the varint
+/// that fills those bytes.
 #[cfg(all(target_arch = "x86_64", target_feature = "bmi2"))]
 #[inline(always)]
-fn gather7(w: u64, len: usize) -> u64 {
+fn gather7(w: u64, bytes: u64) -> u64 {
     // SAFETY: `pext` is a BMI2 instruction, and this function is only
     // compiled for targets with BMI2 (the `cfg` above).
-    unsafe { std::arch::x86_64::_pext_u64(w, GROUP_BITS >> (64 - 8 * len)) }
+    unsafe { std::arch::x86_64::_pext_u64(w, bytes & GROUP_BITS) }
 }
 
 #[cfg(not(all(target_arch = "x86_64", target_feature = "bmi2")))]
@@ -188,11 +191,11 @@ mod portable {
         ((x & 0x3f80_3f80_3f80_3f80) << 1) | (x & 0x007f_007f_007f_007f)
     }
 
-    /// Drop the bytes past `len` and the continuation bits, then close
-    /// up the 7-bit groups: [`spread7`] in reverse.
+    /// Drop the bytes outside `bytes` and the continuation bits, then
+    /// close up the 7-bit groups: [`spread7`] in reverse.
     #[inline(always)]
-    pub(super) fn gather7(w: u64, len: usize) -> u64 {
-        let mut x = w & (GROUP_BITS >> (64 - 8 * len));
+    pub(super) fn gather7(w: u64, bytes: u64) -> u64 {
+        let mut x = w & bytes & GROUP_BITS;
         x = ((x & 0x7f00_7f00_7f00_7f00) >> 1) | (x & 0x007f_007f_007f_007f);
         x = ((x & 0x3fff_0000_3fff_0000) >> 2) | (x & 0x0000_3fff_0000_3fff);
         ((x & 0x0fff_ffff_0000_0000) >> 4) | (x & 0x0000_0000_0fff_ffff)
@@ -219,10 +222,12 @@ fn put_varint_multi(buf: &mut [u8], pos: usize, z: u64) -> usize {
     if z >> 56 != 0 {
         return put_varint_wide(buf, pos, z as u128);
     }
-    let len = (70 - z.leading_zeros() as usize) / 7;
-    let x = spread7(z) | CONT_BITS >> (72 - 8 * len);
-    buf[pos..pos + 8].copy_from_slice(&x.to_le_bytes());
-    pos + len
+    let x = spread7(z);
+    // The top nonzero byte of `x` is the varint's last: round its
+    // leading zeros up to whole bytes.
+    let skip = (x.leading_zeros() + 7) & !7;
+    buf[pos..pos + 8].copy_from_slice(&(x | CONT_BITS >> skip).to_le_bytes());
+    pos + 9 - (skip >> 3) as usize
 }
 
 /// The bytewise encoder ([`write_varint`]) for 9- and 10-byte varints:
@@ -305,7 +310,10 @@ impl<W: Write> CompressedEdgeWriter<W> {
             checksum: 0,
             block_count: 0,
             block_checksum: 0,
-            scratch: vec![0; WRITE_BYTES + HEADER_RESERVE + BLOCK_EDGES * MAX_WRITTEN_EDGE_BYTES + 8],
+            scratch: vec![
+                0;
+                WRITE_BYTES + HEADER_RESERVE + BLOCK_EDGES * MAX_WRITTEN_EDGE_BYTES + 8
+            ],
             block_at: 0,
             pos: HEADER_RESERVE,
             finished: Vec::new(),
@@ -434,6 +442,52 @@ fn id_out_of_range() -> io::Error {
     invalid_data("edge delta decodes outside the u64 vertex-id range")
 }
 
+/// Decode the edge at `payload[*pos..]` (two zigzag-varint deltas)
+/// against `prev`, advancing `pos`. When both varints end inside one
+/// 8-byte load — two one-byte deltas, or any two that take 8 bytes
+/// together — the edge's length comes from that load alone, so the
+/// next edge's load need not wait for the first varint's end.
+#[inline(always)]
+fn next_edge(payload: &[u8], pos: &mut usize, prev: (u64, u64)) -> io::Result<(u64, u64)> {
+    let at = *pos;
+    if let Some(word) = payload.get(at..at + 8) {
+        // kagen-lint: allow(r1) -- `get(at..at + 8)` yields exactly 8 bytes or `None`
+        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+        if w & 0x8080 == 0 {
+            // Sorted and spatial streams are mostly one-byte deltas.
+            *pos = at + 2;
+            return Ok((
+                apply_delta(prev.0, w & 0x7f)?,
+                apply_delta(prev.1, w >> 8 & 0x7f)?,
+            ));
+        }
+        // The lowest byte without a continuation bit ends the u-varint,
+        // the next one the v-varint.
+        let stops = !w & CONT_BITS;
+        let second = stops & stops.wrapping_sub(1);
+        if second != 0 {
+            let split = stops.trailing_zeros() + 1;
+            let v_stops = second >> split;
+            *pos = at + ((second.trailing_zeros() as usize + 1) >> 3);
+            let zu = gather7(w, stops ^ (stops - 1));
+            let zv = gather7(w >> split, v_stops ^ (v_stops - 1));
+            return Ok((apply_delta(prev.0, zu)?, apply_delta(prev.1, zv)?));
+        }
+    }
+    Ok((
+        next_id(payload, pos, prev.0)?,
+        next_id(payload, pos, prev.1)?,
+    ))
+}
+
+/// `prev` moved by the zigzagged delta `z`, or the error for an id
+/// outside the `u64` range.
+#[inline(always)]
+fn apply_delta(prev: u64, z: u64) -> io::Result<u64> {
+    let delta = ((z >> 1) as i64) ^ -((z & 1) as i64);
+    prev.checked_add_signed(delta).ok_or_else(id_out_of_range)
+}
+
 /// Decode the zigzag-varint delta at `payload[*pos..]` and apply it to
 /// `prev`, advancing `pos`.
 #[inline(always)]
@@ -451,14 +505,12 @@ fn next_id(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
         if stops == 0 {
             return next_id_wide(payload, pos, prev);
         }
-        let len = (stops.trailing_zeros() as usize >> 3) + 1;
-        *pos = at + len;
-        gather7(w, len)
+        *pos = at + ((stops.trailing_zeros() as usize + 1) >> 3);
+        gather7(w, stops ^ (stops - 1))
     } else {
         return next_id_wide(payload, pos, prev);
     };
-    let delta = ((z >> 1) as i64) ^ -((z & 1) as i64);
-    prev.checked_add_signed(delta).ok_or_else(id_out_of_range)
+    apply_delta(prev, z)
 }
 
 /// The bytewise decoder — the rules of [`read_varint`] (any length up
@@ -501,8 +553,7 @@ pub fn decode_block_into(
     let (mut block, mut stream) = (0u64, stream);
     let mut pos = 0usize;
     for _ in 0..count {
-        prev_u = next_id(payload, &mut pos, prev_u)?;
-        prev_v = next_id(payload, &mut pos, prev_v)?;
+        (prev_u, prev_v) = next_edge(payload, &mut pos, (prev_u, prev_v))?;
         block = edge_checksum_step(block, prev_u, prev_v);
         stream = edge_checksum_step(stream, prev_u, prev_v);
         out.push((prev_u, prev_v));
@@ -1193,8 +1244,9 @@ mod tests {
             // Bytes behind the varint do not leak into the value.
             word[end..8].fill(0xa5);
             let w = u64::from_le_bytes(word[..8].try_into().unwrap());
-            assert_eq!(gather7(w, end), z, "{z:#x}");
-            assert_eq!(portable::gather7(w, end), z, "{z:#x}");
+            let bytes = u64::MAX >> (64 - 8 * end);
+            assert_eq!(gather7(w, bytes), z, "{z:#x}");
+            assert_eq!(portable::gather7(w, bytes), z, "{z:#x}");
         }
     }
 
