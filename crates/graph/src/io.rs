@@ -19,9 +19,10 @@
 //! on those hosts build with BMI2 off (e.g.
 //! `RUSTFLAGS="-C target-cpu=native -C target-feature=-bmi2"`). One-byte
 //! varints, the common case of sorted and spatial streams, keep a branch
-//! of their own; longer ones take the bytewise path. The decoder takes
-//! both varints of an edge from one load when they fit in it, so where
-//! the next edge starts is known one load per edge, not one per varint.
+//! of their own; 9- and 10-byte ones take the bytewise path. The decoder
+//! takes both varints of an edge from one load when they fit in it, so
+//! where the next edge starts is known one load per edge, not one per
+//! varint.
 
 use crate::EdgeList;
 use std::io::{self, BufRead, BufWriter, IoSlice, Read, Seek, Write};
@@ -489,28 +490,22 @@ fn apply_delta(prev: u64, z: u64) -> io::Result<u64> {
 }
 
 /// Decode the zigzag-varint delta at `payload[*pos..]` and apply it to
-/// `prev`, advancing `pos`.
+/// `prev`, advancing `pos`: [`next_edge`]'s path for one varint.
 #[inline(always)]
 fn next_id(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
     let at = *pos;
-    let z = if let Some(&byte) = payload.get(at).filter(|&&b| b < 0x80) {
-        // Sorted streams are mostly one-byte deltas.
-        *pos = at + 1;
-        byte as u64
-    } else if let Some(word) = payload.get(at..at + 8) {
-        // kagen-lint: allow(r1) -- `get(at..at + 8)` yields exactly 8 bytes or `None`
-        let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
-        // The lowest byte without a continuation bit ends the varint.
-        let stops = !w & CONT_BITS;
-        if stops == 0 {
-            return next_id_wide(payload, pos, prev);
-        }
-        *pos = at + ((stops.trailing_zeros() as usize + 1) >> 3);
-        gather7(w, stops ^ (stops - 1))
-    } else {
+    let Some(word) = payload.get(at..at + 8) else {
         return next_id_wide(payload, pos, prev);
     };
-    apply_delta(prev, z)
+    // kagen-lint: allow(r1) -- `get(at..at + 8)` yields exactly 8 bytes or `None`
+    let w = u64::from_le_bytes(word.try_into().expect("an 8-byte slice"));
+    // The lowest byte without a continuation bit ends the varint.
+    let stops = !w & CONT_BITS;
+    if stops == 0 {
+        return next_id_wide(payload, pos, prev);
+    }
+    *pos = at + ((stops.trailing_zeros() as usize + 1) >> 3);
+    apply_delta(prev, gather7(w, stops ^ (stops - 1)))
 }
 
 /// The bytewise decoder — the rules of [`read_varint`] (any length up
