@@ -372,7 +372,8 @@ impl<W: Write> CompressedEdgeWriter<W> {
     }
 
     /// Hand the finished blocks to the writer in one vectored write (or
-    /// as many as it takes) and start the scratch over.
+    /// as many as it takes) and start the scratch over — after a failed
+    /// write too, so a caller that pushes on cannot run off its end.
     fn write_finished(&mut self) -> io::Result<()> {
         let mut slices: Vec<IoSlice> = self
             .finished
@@ -380,18 +381,21 @@ impl<W: Write> CompressedEdgeWriter<W> {
             .map(|block| IoSlice::new(&self.scratch[block.clone()]))
             .collect();
         let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match self.w.write_vectored(rest) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(written) => IoSlice::advance_slices(&mut rest, written),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+        let written = loop {
+            if rest.is_empty() {
+                break Ok(());
             }
-        }
+            match self.w.write_vectored(rest) {
+                Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
         self.finished.clear();
         self.block_at = 0;
         self.pos = HEADER_RESERVE;
-        Ok(())
+        written
     }
 
     /// Append one edge: a one-element [`Self::push_slice`].
@@ -1355,6 +1359,43 @@ mod tests {
             [1, 2, 8, 9, 10].iter().all(|l| lens.contains(l)),
             "{lens:?}"
         );
+    }
+
+    #[test]
+    fn compressed_writer_survives_pushes_after_a_failed_write() {
+        /// Accepts `budget` bytes, then fails every write.
+        struct Failing(usize);
+        impl Write for Failing {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(self.0);
+                self.0 -= n;
+                if n == 0 {
+                    return Err(io::Error::other("disk full"));
+                }
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // 65-bit deltas on both endpoints: 20 bytes an edge, so the
+        // scratch fills as fast as it can.
+        let edges: Vec<(u64, u64)> = (0..20_000u64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    (u64::MAX, 0)
+                } else {
+                    (0, u64::MAX)
+                }
+            })
+            .collect();
+        let mut w = CompressedEdgeWriter::new(Failing(100_000), u64::MAX).unwrap();
+        let failed = edges
+            .chunks(1000)
+            .filter(|c| w.push_slice(c).is_err())
+            .count();
+        assert!(failed > 0);
+        assert!(w.close().is_err());
     }
 
     #[test]
