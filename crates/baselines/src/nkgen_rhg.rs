@@ -8,7 +8,7 @@
 //! series.
 
 use kagen_core::rhg::common::RhgInstance;
-use rayon::prelude::*;
+use kagen_runtime::run_chunks;
 
 /// Plain polar point (no precomputed adjacency terms — that is the point).
 #[derive(Clone, Copy)]
@@ -45,67 +45,56 @@ pub fn nkgen_edges(inst: &RhgInstance, threads: usize) -> Vec<(u64, u64)> {
         arg.max(1.0).acosh() < r_max
     };
 
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .unwrap();
-
     let all: Vec<Pt> = annuli.iter().flatten().copied().collect();
-    let edges: Vec<(u64, u64)> = pool.install(|| {
-        all.par_iter()
-            .map(|v| {
-                let mut out = Vec::new();
-                for (j, band) in annuli.iter().enumerate() {
-                    if band.is_empty() {
-                        continue;
+    let mut edges: Vec<(u64, u64)> = run_chunks(all.len(), threads.max(1), |i| {
+        let v = &all[i];
+        let mut out = Vec::new();
+        for (j, band) in annuli.iter().enumerate() {
+            if band.is_empty() {
+                continue;
+            }
+            // Live-trig angular bound (recomputed per query).
+            let b = inst.space.bounds[j].max(1e-12);
+            let dt = if v.r + b < r_max {
+                std::f64::consts::PI
+            } else {
+                ((v.r.cosh() * b.cosh() - r_max.cosh()) / (v.r.sinh() * b.sinh()))
+                    .clamp(-1.0, 1.0)
+                    .acos()
+            };
+            // Binary search the sorted band for the angular window.
+            let lo = v.theta - dt;
+            let hi = v.theta + dt;
+            let mut probe = |from: f64, to: f64| {
+                let start = band.partition_point(|p| p.theta < from);
+                for p in &band[start..] {
+                    if p.theta > to {
+                        break;
                     }
-                    // Live-trig angular bound (recomputed per query).
-                    let b = inst.space.bounds[j].max(1e-12);
-                    let dt = if v.r + b < r_max {
-                        std::f64::consts::PI
-                    } else {
-                        ((v.r.cosh() * b.cosh() - r_max.cosh()) / (v.r.sinh() * b.sinh()))
-                            .clamp(-1.0, 1.0)
-                            .acos()
-                    };
-                    // Binary search the sorted band for the angular window.
-                    let lo = v.theta - dt;
-                    let hi = v.theta + dt;
-                    let mut probe = |from: f64, to: f64| {
-                        let start = band.partition_point(|p| p.theta < from);
-                        for p in &band[start..] {
-                            if p.theta > to {
-                                break;
-                            }
-                            if p.id > v.id && adjacent(v, p) {
-                                out.push((v.id, p.id));
-                            }
-                        }
-                    };
-                    if 2.0 * dt >= tau {
-                        probe(0.0, tau);
-                    } else {
-                        if lo < 0.0 {
-                            probe(lo + tau, tau);
-                            probe(0.0, hi);
-                        } else if hi > tau {
-                            probe(lo, tau);
-                            probe(0.0, hi - tau);
-                        } else {
-                            probe(lo, hi);
-                        }
+                    if p.id > v.id && adjacent(v, p) {
+                        out.push((v.id, p.id));
                     }
                 }
-                out
-            })
-            // kagen-lint: allow(f1) -- the reduce concatenates per-vertex edge Vecs
-            // (no float arithmetic); the result is sorted + deduped before use
-            .reduce(Vec::new, |mut a, b| {
-                a.extend(b);
-                a
-            })
-    });
-    let mut edges = edges;
+            };
+            if 2.0 * dt >= tau {
+                probe(0.0, tau);
+            } else {
+                if lo < 0.0 {
+                    probe(lo + tau, tau);
+                    probe(0.0, hi);
+                } else if hi > tau {
+                    probe(lo, tau);
+                    probe(0.0, hi - tau);
+                } else {
+                    probe(lo, hi);
+                }
+            }
+        }
+        out
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     edges.sort_unstable();
     edges.dedup();
     edges

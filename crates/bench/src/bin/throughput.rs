@@ -207,13 +207,7 @@ fn time_rank_ranges<G: Generator + Sync + ?Sized>(
     workers: usize,
     reps: u32,
 ) -> (u64, f64) {
-    // Plan and pool are built once, outside the timed region — pool
-    // setup must not bias the sweep against higher worker counts. (The
-    // vendored rayon shim still spawns scoped threads per operation;
-    // with the real registry crate this hoist removes the spawns too.)
-    let plan = kagen_runtime::split_ranges(gen.num_chunks(), workers);
-    let pool = kagen_runtime::thread_pool(plan.len().max(1));
-    let run_range = |pes: std::ops::Range<usize>| {
+    let run_range = |_rank: usize, pes: std::ops::Range<usize>| {
         let mut acc = 0u64;
         let mut count = 0u64;
         let mut buf = Vec::with_capacity(BATCH_EDGES);
@@ -232,10 +226,7 @@ fn time_rank_ranges<G: Generator + Sync + ?Sized>(
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let span = trace::span(format!("scaling.{label}.w{workers}"));
-        let counts: Vec<u64> = pool.install(|| {
-            use rayon::prelude::*;
-            plan.clone().into_par_iter().map(&run_range).collect()
-        });
+        let counts = kagen_runtime::run_rank_ranges(gen.num_chunks(), workers, run_range);
         best = best.min(span.finish().max(1e-9));
         edges = counts.iter().sum();
     }

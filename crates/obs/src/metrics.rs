@@ -68,7 +68,7 @@ fn shard_index() -> usize {
 struct Shard(AtomicU64);
 
 /// A monotonically increasing sum, sharded to keep hot multi-threaded
-/// sites (one `add` per 4096-edge batch across a rayon pool) from
+/// sites (one `add` per 4096-edge batch across the PE pool) from
 /// bouncing a single cacheline.
 #[derive(Debug)]
 pub struct Counter {

@@ -10,8 +10,8 @@
 //! by round, so a fast peer entering round `k+1` cannot corrupt a slow
 //! peer still completing round `k` (the MPI tag-matching discipline).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Factory for the endpoints of a P-party communicator.
@@ -50,7 +50,7 @@ impl Communicator {
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (s, r) = unbounded();
+            let (s, r) = channel();
             senders.push(s);
             receivers.push(r);
         }

@@ -9,10 +9,12 @@
 //! ranks would run (`kagen launch` runs it as processes: README,
 //! "Distributed runs").
 //!
-//! * [`pe`] — run `k` logical PEs on `t` threads; [`split_ranges`] is the
-//!   rank plan shared with the multi-process `kagen_cluster` launcher,
-//!   and [`run_rank_ranges`] executes it in-process (one task per rank
-//!   range instead of per PE).
+//! * [`pe`] — [`run_chunks`] runs `k` logical PEs on `t` scoped threads
+//!   that take PEs off one shared cursor; it is the workspace's one PE
+//!   pool. [`split_ranges`] is the rank plan shared with the
+//!   multi-process `kagen_cluster` launcher, and [`run_rank_ranges`]
+//!   executes it in-process on the same pool (one task per rank range
+//!   instead of per PE).
 //! * [`comm`] — a channel-based all-to-all communicator with volume
 //!   accounting, used **only** by the communicating Holtgrewe baseline
 //!   (the point of the paper is to not need this).
@@ -21,4 +23,4 @@ pub mod comm;
 pub mod pe;
 
 pub use comm::Communicator;
-pub use pe::{run_chunks, run_rank_ranges, split_ranges, thread_pool};
+pub use pe::{run_chunks, run_rank_ranges, split_ranges};

@@ -1,18 +1,16 @@
-//! Running logical PEs on a thread pool.
+//! Running logical PEs on a pool of scoped threads.
 
 use std::ops::Range;
-
-/// Build a rayon pool with a fixed thread count (0 = rayon default).
-pub fn thread_pool(threads: usize) -> rayon::ThreadPool {
-    let mut builder = rayon::ThreadPoolBuilder::new();
-    if threads > 0 {
-        builder = builder.num_threads(threads);
-    }
-    builder.build().expect("failed to build thread pool")
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Execute `f(pe)` for every logical PE `0..num_pes` on `threads` worker
-/// threads and collect the results in PE order.
+/// threads (`0` = all cores) and collect the results in PE order.
+///
+/// Each worker takes the next PE off one shared cursor, so a worker that
+/// falls behind (a slower core, a preempted thread) takes fewer PEs and
+/// the wall time is the workers' mean, not the slowest one's share. One
+/// thread or one PE runs on the calling thread. A panicking PE panics
+/// out of this call with its own payload.
 ///
 /// The results are identical for every `threads` value — that is the
 /// communication-free property, and the integration tests assert it.
@@ -21,11 +19,46 @@ pub fn run_chunks<T: Send>(
     threads: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let pool = thread_pool(threads);
-    pool.install(|| {
-        use rayon::prelude::*;
-        (0..num_pes).into_par_iter().map(&f).collect()
-    })
+    let threads = match threads {
+        // kagen-lint: allow(d2) -- scheduling only: every thread count returns the same results
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
+    };
+    if threads <= 1 || num_pes <= 1 {
+        return (0..num_pes).map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let (f, cursor) = (&f, &cursor);
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(num_pes).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(num_pes))
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the cursor publishes no data (results
+                        // come back through `join`), and a fetch_add hands
+                        // each PE to one worker under any ordering.
+                        let pe = cursor.fetch_add(1, Ordering::Relaxed);
+                        if pe >= num_pes {
+                            return done;
+                        }
+                        done.push((pe, f(pe)));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => done.into_iter().for_each(|(pe, out)| slots[pe] = Some(out)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|out| out.expect("the cursor hands out every PE once"))
+        .collect()
 }
 
 /// Split `0..num_items` into at most `parts` contiguous, balanced,
@@ -63,14 +96,7 @@ pub fn run_rank_ranges<T: Send>(
     f: impl Fn(usize, Range<usize>) -> T + Sync,
 ) -> Vec<T> {
     let plan = split_ranges(num_pes, workers);
-    let pool = thread_pool(plan.len());
-    pool.install(|| {
-        use rayon::prelude::*;
-        plan.into_par_iter()
-            .enumerate()
-            .map(|(rank, range)| f(rank, range))
-            .collect()
-    })
+    run_chunks(plan.len(), plan.len(), |rank| f(rank, plan[rank].clone()))
 }
 
 #[cfg(test)]
@@ -95,6 +121,60 @@ mod tests {
     fn zero_pes() {
         let out: Vec<u32> = run_chunks(0, 2, |_| unreachable!());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn pool_bounds_threads() {
+        let caller = std::thread::current().id();
+        for t in [1, 2, 3] {
+            let ids = run_chunks(64, t, |_| std::thread::current().id());
+            let mut distinct = Vec::new();
+            for id in ids {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            assert!(distinct.len() <= t, "t={t}: {} threads", distinct.len());
+            if t == 1 {
+                assert_eq!(distinct, vec![caller]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pe 5 failed")]
+    fn a_panicking_pe_panics_out_of_run_chunks() {
+        run_chunks(16, 2, |pe| {
+            if pe == 5 {
+                panic!("pe 5 failed");
+            }
+            pe
+        });
+    }
+
+    #[test]
+    fn a_worker_held_on_one_item_does_not_hold_up_the_rest() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::time::{Duration, Instant};
+        // Item 0 waits until the other 15 are done: only a worker that
+        // takes items off the shared queue can finish them meanwhile (a
+        // split into halves would leave items 1..8 behind item 0).
+        let done = AtomicUsize::new(0);
+        let out: Vec<bool> = run_chunks(16, 2, |i| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            let start = Instant::now();
+            while done.load(Ordering::SeqCst) < 15 {
+                if start.elapsed() > Duration::from_secs(10) {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        });
+        assert_eq!(out, vec![true; 16]);
     }
 
     #[test]
