@@ -20,13 +20,13 @@ use kagen_core::Generator;
 use kagen_obs::json::invalid;
 use kagen_obs::{trace, Counter, Histogram};
 use kagen_pipeline::{validate_shard, validate_shard_sampled, Manifest, RunHeader, ShardFormat};
+use kagen_runtime::run_chunks;
 use std::collections::HashSet;
-use std::collections::VecDeque;
 use std::io;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Rank retries consumed by in-launch retry budgets.
@@ -277,11 +277,10 @@ impl ValidateMode {
     }
 }
 
-/// Validate `shards` (each against its recorded [`ShardInfo`]) in
-/// parallel — one contiguous group per worker thread, like the merge's
-/// reader workers — and return `(pe, cause)` for every failure,
-/// ascending by PE. Sampled validation is per-shard independent work
-/// (header walks + a few decoded blocks), so it parallelizes
+/// Validate `shards` (each against its recorded [`ShardInfo`]) on
+/// `workers` threads of the PE pool and return `(pe, cause)` for every
+/// failure, ascending by PE. Sampled validation is per-shard independent
+/// work (header walks + a few decoded blocks), so it parallelizes
 /// embarrassingly; the full re-read benefits identically.
 fn validate_shards_parallel(
     dir: &Path,
@@ -296,33 +295,13 @@ fn validate_shards_parallel(
             ValidateMode::Full | ValidateMode::None => validate_shard(dir, format, info),
         }
     };
-    let failures_in = |shards: &[kagen_pipeline::ShardInfo]| {
-        shards
-            .iter()
-            .filter_map(|i| check(i).err().map(|e| (i.pe as usize, e)))
-            .collect::<Vec<_>>()
-    };
-    let workers = workers.clamp(1, shards.len().max(1));
-    let mut failed: Vec<(usize, io::Error)> = if workers <= 1 {
-        failures_in(shards)
-    } else {
-        let groups = kagen_runtime::split_ranges(shards.len(), workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|range| {
-                    let shards = &shards[range];
-                    scope.spawn(move || failures_in(shards))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // kagen-lint: allow(r1) -- join fails only when the thread panicked: that bug is re-raised here, not lost
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        })
-    };
-    failed.sort_by_key(|(pe, _)| *pe);
+    // Results come back in shard order, which is PE order.
+    let failed: Vec<(usize, io::Error)> =
+        run_chunks(shards.len(), workers.max(1), |i| check(&shards[i]).err())
+            .into_iter()
+            .zip(shards)
+            .filter_map(|(cause, info)| Some((info.pe as usize, cause?)))
+            .collect();
     CLUSTER_SHARDS_VALIDATED.add((shards.len() - failed.len()) as u64);
     CLUSTER_SHARDS_INVALIDATED.add(failed.len() as u64);
     failed
@@ -341,10 +320,11 @@ pub struct LaunchOptions {
     /// Shard validation policy (resume-time reuse checks and the
     /// post-run re-read).
     pub validate: ValidateMode,
-    /// In-launch retry budget per rank: a failed rank is re-queued (with
-    /// exponential backoff) up to this many extra attempts before it
-    /// counts as failed and leaves its PEs for `--resume`. 0 (the
-    /// default) preserves the retry-on-resume-only behavior.
+    /// In-launch retry budget per rank: the slot that ran a failed rank
+    /// retries it (with exponential backoff) up to this many extra
+    /// attempts before it counts as failed and leaves its PEs for
+    /// `--resume`. 0 (the default) preserves the retry-on-resume-only
+    /// behavior.
     pub retries: u64,
     /// Base delay of the exponential retry backoff: attempt `k` (1-based
     /// among retries) sleeps `retry_backoff · 2^(k−1)` before
@@ -437,7 +417,7 @@ fn prepare(
     // `ValidateMode::Sampled` this is the resume fast path — a
     // structural walk plus sampled block checksums instead of a full
     // re-read per shard. Shards are independent, so the check runs on
-    // one thread per worker.
+    // `workers` threads of the PE pool.
     let mut invalidated = Vec::new();
     for (pe, cause) in validate_shards_parallel(
         dir,
@@ -474,42 +454,29 @@ pub fn launch(
     std::fs::create_dir_all(dir)
         .map_err(|e| io::Error::new(e.kind(), format!("cannot create {}: {e}", dir.display())))?;
     let prepare_span = trace::span("launch.prepare");
-    let (mut ledger, tasks, invalidated_pes) = prepare(dir, header, opts, format)?;
+    let (ledger, tasks, invalidated_pes) = prepare(dir, header, opts, format)?;
     let _ = prepare_span.finish();
     let reused_shards = header.chunks - ledger.missing_pes().len() as u64;
     let regenerated_pes: Vec<usize> = ledger.missing_pes();
     ledger.save(dir)?;
 
-    // Supervise: a shared queue drained by `workers` supervisor
-    // threads; the coordinator thread serializes ledger updates, saving
-    // after every rank so a killed coordinator stays resumable. A
-    // failed rank re-enters the queue up to `opts.retries` times (the
-    // supervisor that picks the retry up sleeps the exponential backoff
-    // first), so a transient fault never costs a manual `--resume`.
-    // `outstanding` counts tasks not yet finally done/failed; it — not
-    // queue emptiness — decides when supervisors may exit, because a
-    // failure being processed by the coordinator may yet respawn.
-    struct Supervision {
-        queue: VecDeque<(RankTask, u64)>,
-        outstanding: usize,
+    // Supervise: `run_chunks` hands the ranks to `supervisors` slots. A
+    // slot retries a failed rank in place, up to `opts.retries` times
+    // after the exponential backoff, before it takes its next rank, so a
+    // transient fault never costs a manual `--resume`. Every attempt is
+    // recorded under one lock and the ledger saved after it, so a killed
+    // coordinator stays resumable.
+    struct Record {
+        ledger: Ledger,
+        rank_metrics: Vec<RankMetrics>,
+        rank_traces: Vec<RankTrace>,
     }
-    let sup = Mutex::new(Supervision {
-        queue: tasks.iter().cloned().map(|t| (t, 0u64)).collect(),
-        outstanding: tasks.len(),
+    let record = Mutex::new(Record {
+        ledger,
+        rank_metrics: Vec::new(),
+        rank_traces: Vec::new(),
     });
-    let wake = Condvar::new();
-    /// What a supervisor reports per attempt: the task, its attempt
-    /// index, the attempt's wall microseconds, and the outcome.
-    struct RankOutcome {
-        task: RankTask,
-        attempt: u64,
-        wall_us: u64,
-        result: io::Result<RankReport>,
-    }
-    let (tx, rx) = mpsc::channel::<RankOutcome>();
     let supervisors = opts.workers.min(tasks.len()).max(1);
-    let mut rank_metrics: Vec<RankMetrics> = Vec::new();
-    let mut rank_traces: Vec<RankTrace> = Vec::new();
     // Progress accounting shared with the monitor thread: PEs/edges of
     // ranks this launch has *completed* (live partial progress comes
     // from the heartbeat files the monitor scans itself).
@@ -517,6 +484,90 @@ pub fn launch(
     let done_pes = AtomicU64::new(0);
     let done_edges = AtomicU64::new(0);
     let monitor_stop = AtomicBool::new(false);
+    let supervise = |task: &RankTask| {
+        let rank = task.rank;
+        for attempt in 0..=opts.retries {
+            if attempt > 0 {
+                // Exponential backoff with a hard cap: an uncapped
+                // doubling would park this slot for hours on late
+                // attempts of a persistent fault.
+                let backoff = opts
+                    .retry_backoff
+                    .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
+                    .min(MAX_RETRY_BACKOFF);
+                std::thread::sleep(backoff);
+            }
+            // A panicking runner fails its rank, the same footprint a
+            // crashed worker *process* has, instead of unwinding the
+            // whole launch.
+            let rank_span = trace::span(format!("rank-{rank}"));
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| runner.run(task)))
+                .unwrap_or_else(|panic| {
+                    let msg = panic
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| panic.downcast_ref::<&str>().copied())
+                        .unwrap_or("worker panicked");
+                    Err(io::Error::other(format!("worker panicked: {msg}")))
+                });
+            let wall_us = (rank_span.finish() * 1e6) as u64;
+            // kagen-lint: allow(r1) -- poisoned only if a slot panicked holding it; `run_chunks` re-raises that panic
+            let mut record = record.lock().unwrap();
+            let finished = match result {
+                Ok(report) => {
+                    CLUSTER_RANK_WALL_US.record(wall_us);
+                    let telemetry = report.metrics.unwrap_or_default();
+                    let edges: u64 = report.shards.iter().map(|s| s.edges).sum();
+                    done_pes.fetch_add((task.pe_end - task.pe_begin) as u64, Ordering::Relaxed);
+                    done_edges.fetch_add(edges, Ordering::Relaxed);
+                    record.rank_metrics.push(RankMetrics {
+                        rank: rank as u64,
+                        pe_begin: task.pe_begin as u64,
+                        pe_end: task.pe_end as u64,
+                        edges,
+                        wall_us,
+                        attempts: attempt + 1,
+                        counters: telemetry.counters,
+                        histograms: telemetry.histograms,
+                    });
+                    if let Some(trace) = report.trace {
+                        record.rank_traces.push(RankTrace {
+                            rank: rank as u64,
+                            pe_begin: task.pe_begin as u64,
+                            pe_end: task.pe_end as u64,
+                            trace,
+                        });
+                    }
+                    record.ledger.record_rank_done(rank, report.shards);
+                    true
+                }
+                Err(e) if attempt < opts.retries => {
+                    kagen_obs::warn!(
+                        "rank {rank} failed (attempt {} of {}), retrying: {e}",
+                        attempt + 1,
+                        opts.retries + 1
+                    );
+                    CLUSTER_RETRIES.incr();
+                    record.ledger.record_rank_retry(rank);
+                    false
+                }
+                Err(e) => {
+                    kagen_obs::warn!("rank {rank} failed: {e}");
+                    CLUSTER_RANK_FAILURES.incr();
+                    record.ledger.record_rank_failed(rank);
+                    true
+                }
+            };
+            // Persist progress immediately; a failed save is logged, not
+            // raised, so the other slots finish their ranks.
+            if let Err(e) = record.ledger.save(dir) {
+                kagen_obs::error!("ledger save failed: {e}");
+            }
+            if finished {
+                return;
+            }
+        }
+    };
     let supervise_span = trace::span("launch.supervise");
     std::thread::scope(|scope| {
         if let Some(interval) = opts.progress.filter(|_| planned_pes > 0) {
@@ -555,143 +606,16 @@ pub fn launch(
                 }
             });
         }
-        for _ in 0..supervisors {
-            let tx = tx.clone();
-            let (sup, wake) = (&sup, &wake);
-            scope.spawn(move || loop {
-                let popped = {
-                    // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
-                    let mut guard = sup.lock().unwrap();
-                    loop {
-                        if let Some(entry) = guard.queue.pop_front() {
-                            break Some(entry);
-                        }
-                        if guard.outstanding == 0 {
-                            break None;
-                        }
-                        // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
-                        guard = wake.wait(guard).unwrap();
-                    }
-                    // The guard drops here: `runner.run` must never hold
-                    // the queue lock, or every worker serializes.
-                };
-                let Some((task, attempt)) = popped else {
-                    return;
-                };
-                if attempt > 0 {
-                    // Exponential backoff with a hard cap: an uncapped
-                    // doubling would park this supervisor slot for hours
-                    // on late attempts of a persistent fault.
-                    let backoff = opts
-                        .retry_backoff
-                        .saturating_mul(1u32 << (attempt - 1).min(16) as u32)
-                        .min(MAX_RETRY_BACKOFF);
-                    std::thread::sleep(backoff);
-                }
-                // A panicking runner must not strand the run: with the
-                // outstanding-count shutdown, an unwinding supervisor
-                // would leave its task counted forever and deadlock the
-                // remaining supervisors on the condvar. Convert the
-                // panic into a rank failure — the same footprint a
-                // crashed worker *process* has.
-                let rank_span = trace::span(format!("rank-{}", task.rank));
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&task)))
-                        .unwrap_or_else(|panic| {
-                            let msg = panic
-                                .downcast_ref::<String>()
-                                .map(String::as_str)
-                                .or_else(|| panic.downcast_ref::<&str>().copied())
-                                .unwrap_or("worker panicked");
-                            Err(io::Error::other(format!("worker panicked: {msg}")))
-                        });
-                let wall_us = (rank_span.finish() * 1e6) as u64;
-                let outcome = RankOutcome {
-                    task,
-                    attempt,
-                    wall_us,
-                    result,
-                };
-                if tx.send(outcome).is_err() {
-                    return;
-                }
-            });
-        }
-        drop(tx);
-        for outcome in rx {
-            let RankOutcome {
-                task,
-                attempt,
-                wall_us,
-                result,
-            } = outcome;
-            let rank = task.rank;
-            let mut finished = true;
-            match result {
-                Ok(report) => {
-                    CLUSTER_RANK_WALL_US.record(wall_us);
-                    let telemetry = report.metrics.unwrap_or_default();
-                    let edges: u64 = report.shards.iter().map(|s| s.edges).sum();
-                    done_pes.fetch_add((task.pe_end - task.pe_begin) as u64, Ordering::Relaxed);
-                    done_edges.fetch_add(edges, Ordering::Relaxed);
-                    rank_metrics.push(RankMetrics {
-                        rank: rank as u64,
-                        pe_begin: task.pe_begin as u64,
-                        pe_end: task.pe_end as u64,
-                        edges,
-                        wall_us,
-                        attempts: attempt + 1,
-                        counters: telemetry.counters,
-                        histograms: telemetry.histograms,
-                    });
-                    if let Some(trace) = report.trace {
-                        rank_traces.push(RankTrace {
-                            rank: rank as u64,
-                            pe_begin: task.pe_begin as u64,
-                            pe_end: task.pe_end as u64,
-                            trace,
-                        });
-                    }
-                    ledger.record_rank_done(rank, report.shards);
-                }
-                Err(e) if attempt < opts.retries => {
-                    kagen_obs::warn!(
-                        "rank {rank} failed (attempt {} of {}), retrying: {e}",
-                        attempt + 1,
-                        opts.retries + 1
-                    );
-                    CLUSTER_RETRIES.incr();
-                    ledger.record_rank_retry(rank);
-                    finished = false;
-                }
-                Err(e) => {
-                    kagen_obs::warn!("rank {rank} failed: {e}");
-                    CLUSTER_RANK_FAILURES.incr();
-                    ledger.record_rank_failed(rank);
-                }
-            }
-            {
-                // kagen-lint: allow(r1) -- poisoned only if a supervisor panicked holding it; the scope re-raises that panic
-                let mut guard = sup.lock().unwrap();
-                if finished {
-                    guard.outstanding -= 1;
-                    if guard.outstanding == 0 {
-                        wake.notify_all();
-                    }
-                } else {
-                    guard.queue.push_back((task, attempt + 1));
-                    wake.notify_one();
-                }
-            }
-            // Persist progress immediately; surface IO errors after the
-            // scope (a failed save must not strand worker threads).
-            if let Err(e) = ledger.save(dir) {
-                kagen_obs::error!("ledger save failed: {e}");
-            }
-        }
+        run_chunks(tasks.len(), supervisors, |i| supervise(&tasks[i]));
         monitor_stop.store(true, Ordering::Relaxed);
     });
     let _ = supervise_span.finish();
+    // Not poisoned: a panic under the lock unwound out of the scope above.
+    let Record {
+        ledger,
+        mut rank_metrics,
+        mut rank_traces,
+    } = record.into_inner().unwrap_or_else(PoisonError::into_inner);
 
     let failed: Vec<usize> = ledger
         .ranks

@@ -297,11 +297,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Supervisors must execute tasks concurrently — regression test
-    /// for holding the queue lock across `runner.run()`, which silently
-    /// serialized every worker. Each task blocks until *both* tasks are
-    /// inside `run()`; with serialized supervisors the first task times
-    /// out and the launch fails.
+    /// Supervisor slots must execute ranks concurrently — regression
+    /// test for any lock held across `runner.run()`, which would
+    /// silently serialize every worker. Each task blocks until *both*
+    /// tasks are inside `run()`; with serialized slots the first task
+    /// times out and the launch fails.
     #[test]
     fn supervisors_run_tasks_concurrently() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -440,10 +440,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A panicking runner must fail its rank (resumably), not deadlock
-    /// the supervision — regression test for the outstanding-count
-    /// shutdown: an unwinding supervisor used to leave its task counted
-    /// forever, hanging the remaining supervisors on the condvar.
+    /// A panicking runner must fail its rank (resumably), not unwind
+    /// the supervision: the slot catches the panic and records a rank
+    /// failure, and the other slots finish their ranks.
     #[test]
     fn panicking_runner_fails_rank_instead_of_deadlocking() {
         struct Panicky<'a> {
@@ -479,6 +478,60 @@ mod tests {
         assert!(ledger.missing_pes().contains(&3));
         // Healthy ranks completed despite the sibling's panic.
         assert!(!ledger.done_shards().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The slot that ran a failed rank retries it before it takes its
+    /// next rank: with one slot, the retry of the first repair runs
+    /// before the second repair starts.
+    #[test]
+    fn a_failed_rank_is_retried_before_the_next_rank_starts() {
+        use std::sync::Mutex;
+
+        /// Fails its first `run()`, records the first PE of every call.
+        struct FailOnce<'a> {
+            inner: InProcessRunner<'a>,
+            calls: Mutex<Vec<usize>>,
+        }
+        impl WorkerRunner for FailOnce<'_> {
+            fn run(&self, task: &RankTask) -> std::io::Result<RankReport> {
+                let mut calls = self.calls.lock().unwrap();
+                calls.push(task.pe_begin);
+                if calls.len() == 1 {
+                    return Err(std::io::Error::other("transient fault"));
+                }
+                drop(calls);
+                self.inner.run(task)
+            }
+        }
+
+        let gen = test_gen();
+        let dir = tmp("retry_in_place");
+        let header = meta().header(&gen, ShardFormat::Compressed);
+        let healthy = InProcessRunner::new(&gen, &dir, ShardFormat::Compressed);
+        let opts = LaunchOptions {
+            workers: 2,
+            ..Default::default()
+        };
+        let first = launch(&dir, &header, &opts, &healthy).unwrap();
+        for pe in [0, 2, 4] {
+            std::fs::remove_file(dir.join(&first.manifest.shards[pe].file)).unwrap();
+        }
+
+        let runner = FailOnce {
+            inner: InProcessRunner::new(&gen, &dir, ShardFormat::Compressed),
+            calls: Mutex::new(Vec::new()),
+        };
+        let opts = LaunchOptions {
+            workers: 1,
+            resume: true,
+            retries: 1,
+            retry_backoff: std::time::Duration::from_millis(1),
+            ..Default::default()
+        };
+        let report = launch(&dir, &header, &opts, &runner).expect("the retry must rescue the run");
+        assert_eq!(*runner.calls.lock().unwrap(), vec![0, 0, 2, 4]);
+        assert_eq!(report.manifest, first.manifest);
         std::fs::remove_dir_all(&dir).ok();
     }
 

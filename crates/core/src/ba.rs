@@ -200,11 +200,6 @@ impl BarabasiAlbert {
         let vertices = even_split(self.n, self.chunks, pe);
         vertices.start * self.d..vertices.end * self.d
     }
-
-    /// Edges attached per vertex (the model's `d`).
-    pub fn degree_parameter(&self) -> u64 {
-        self.d
-    }
 }
 
 impl Generator for BarabasiAlbert {

@@ -26,6 +26,7 @@ use crate::PeGraph;
 use kagen_dist::{binomial, multinomial};
 use kagen_geometry::cell_stream::{record_held, WrappedRun};
 use kagen_geometry::hyperbolic::{PrePoint, RhgSpace};
+use kagen_geometry::FrontierStats;
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Mt64, Rng64};
 use std::f64::consts::{PI, TAU};
@@ -192,19 +193,6 @@ impl RhgInstance {
     }
 }
 
-/// What one PE's [`CellSource`] did: the §7.1 cost (cells and tree nodes,
-/// each at most once) and footprint (every point of a held cell stays,
-/// with its precomputed Eq. 9 terms, until the PE is done).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RhgPeStats {
-    /// Distinct cells generated and held.
-    pub cells_generated: u64,
-    /// Distinct count-tree nodes drawn.
-    pub nodes_drawn: u64,
-    /// Points held — the sector plus the query halo.
-    pub points_held: u64,
-}
-
 /// One PE's view of the instance's cells, bit for bit
 /// [`RhgInstance::cell_points`]: every splitting-tree node is drawn once,
 /// lazily (≈ 2 draws per cell over a run of cells, against log₂(cells)
@@ -221,7 +209,7 @@ pub struct CellSource<'a> {
     nodes: Vec<Vec<WrappedRun<u64>>>,
     /// Per annulus, the held cells.
     cells: Vec<WrappedRun<Box<[PrePoint]>>>,
-    stats: RhgPeStats,
+    stats: FrontierStats,
 }
 
 impl<'a> CellSource<'a> {
@@ -235,7 +223,7 @@ impl<'a> CellSource<'a> {
             inst,
             nodes: inst.ann_cells.iter().map(levels).collect(),
             cells: runs(inst.num_annuli()),
-            stats: RhgPeStats::default(),
+            stats: FrontierStats::default(),
         }
     }
 
@@ -244,7 +232,7 @@ impl<'a> CellSource<'a> {
     fn generate(
         inst: &RhgInstance,
         nodes: &mut [WrappedRun<u64>],
-        stats: &mut RhgPeStats,
+        stats: &mut FrontierStats,
         i: usize,
         c: u64,
     ) -> Vec<PrePoint> {
@@ -272,14 +260,14 @@ impl<'a> CellSource<'a> {
             .slot(c, inst.ann_cells[i])
             .get_or_insert_with(|| {
                 let points = Self::generate(inst, nodes, stats, i, c);
-                stats.cells_generated += 1;
-                stats.points_held += points.len() as u64;
+                stats.generated_cells += 1;
+                stats.peak_points += points.len() as u64;
                 points.into_boxed_slice()
             })
     }
 
     /// The accounting so far.
-    pub fn stats(&self) -> RhgPeStats {
+    pub fn stats(&self) -> FrontierStats {
         self.stats
     }
 }
@@ -326,7 +314,7 @@ impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
         pe: usize,
         on_local: &mut impl FnMut(&PrePoint),
         emit: &mut impl FnMut(u64, u64),
-    ) -> RhgPeStats {
+    ) -> FrontierStats {
         let inst = self.inst;
         let (lo, hi) = (
             TAU * pe as f64 / self.chunks as f64,
@@ -379,7 +367,7 @@ impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
             }
         }
         let stats = source.stats();
-        record_held(stats.cells_generated, stats.points_held);
+        record_held(stats);
         stats
     }
 
@@ -663,14 +651,14 @@ mod tests {
             assert_same_points(held.cell(a, c), &i.cell_points(a, c), "revisit");
         }
         let nodes: u64 = i.ann_cells.iter().map(|cells| cells - 1).sum();
-        let want = RhgPeStats {
-            cells_generated: keys.len() as u64,
+        let want = FrontierStats {
+            generated_cells: keys.len() as u64,
             nodes_drawn: nodes,
-            points_held: 4000,
+            peak_points: 4000,
         };
         assert_eq!(held.stats(), want);
         assert_eq!(passing.stats().nodes_drawn, nodes);
-        assert_eq!(passing.stats().points_held, 0);
+        assert_eq!(passing.stats().peak_points, 0);
     }
 
     #[test]
@@ -709,10 +697,10 @@ mod tests {
                     let depth = i.ann_cells[a].trailing_zeros();
                     nodes.extend((0..depth).map(|level| (a, level, c >> (depth - level))));
                 }
-                let want = RhgPeStats {
-                    cells_generated: cells.len() as u64,
+                let want = FrontierStats {
+                    generated_cells: cells.len() as u64,
                     nodes_drawn: nodes.len() as u64,
-                    points_held: cells
+                    peak_points: cells
                         .iter()
                         .map(|&(a, c)| i.cell_count_prefix(a, c).0)
                         .sum(),

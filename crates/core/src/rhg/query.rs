@@ -11,10 +11,11 @@
 //! plus its query halo; [`crate::srhg::Srhg`] generates the same graph in
 //! bounded memory.
 
-use super::common::{Queries, RhgInstance, RhgPeStats};
+use super::common::{Queries, RhgInstance};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_geometry::hyperbolic::PrePoint;
+use kagen_geometry::FrontierStats;
 
 /// Random hyperbolic graph (threshold model), query-centric generator.
 #[derive(Clone, Debug)]
@@ -73,7 +74,7 @@ impl Rhg {
     /// accounting: the cells it generated and the points it *holds* for
     /// its queries — the memory contract the tests and the `abl-mem`
     /// experiment read, and the §7.2 motivation for sRHG.
-    pub fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RhgPeStats {
+    pub fn stream_query(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         self.queries(&self.instance()).stream(pe, &mut |_| {}, emit)
     }
 }

@@ -12,11 +12,6 @@ impl Delaunay3 {
     pub fn tetrahedra(&self) -> Vec<[u32; 4]> {
         self.finite().collect()
     }
-
-    /// All tetrahedra including super-vertex ones.
-    pub fn all_tetrahedra(&self) -> impl Iterator<Item = [u32; 4]> + '_ {
-        self.simplices()
-    }
 }
 
 #[cfg(test)]

@@ -10,12 +10,6 @@ impl Delaunay2 {
     pub fn triangles(&self) -> Vec<[u32; 3]> {
         self.finite().collect()
     }
-
-    /// Like [`Self::triangles`] but including super-vertex triangles
-    /// (needed for the RDG halo-convergence checks).
-    pub fn all_triangles(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
-        self.simplices()
-    }
 }
 
 #[cfg(test)]

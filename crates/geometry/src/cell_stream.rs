@@ -42,23 +42,24 @@ static GEO_FRONTIER_POINTS: Gauge = Gauge::new("geo.frontier_points");
 static GEO_CURSOR_CELLS: Counter = Counter::new("geo.cursor_cells");
 
 /// Account a pass that is not over a [`GridCells`] under the same
-/// `geo.*` names: `cells` generated and the most `points` held at once —
-/// the RHG query engine, which holds every cell it generates, at its end.
-pub fn record_held(cells: u64, points: u64) {
-    GEO_CELLS_GENERATED.add(cells);
-    GEO_FRONTIER_POINTS.set(points);
+/// `geo.*` names: the cells it generated and the most points it held at
+/// once — the RHG query engine, which holds every cell it generates, at
+/// its end.
+pub fn record_held(stats: FrontierStats) {
+    GEO_CELLS_GENERATED.add(stats.generated_cells);
+    GEO_FRONTIER_POINTS.set(stats.peak_points);
 }
 
-/// What one PE's pass over a [`GridCells`] cost and held.
+/// What one PE's pass over its cell source cost and held.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FrontierStats {
-    /// Cells whose points were asked for ([`GridCells::points`] calls,
-    /// empty cells included) — range cells once each, the rest is halo.
+    /// Cells whose points were asked for, empty cells included, each
+    /// once ([`GridCells::points`] calls: range cells, the rest is halo).
     pub generated_cells: u64,
     /// Count-tree nodes split: each node on the way to a cell asked for,
     /// once.
     pub nodes_drawn: u64,
-    /// High-water mark of the points the generator reported holding
+    /// High-water mark of the points the generator held
     /// ([`GridCells::note_held`]) — the quantity the streaming-memory
     /// tests bound.
     pub peak_points: u64,

@@ -1053,17 +1053,6 @@ pub fn read_binary(bytes: &[u8], n: u64) -> io::Result<EdgeList> {
     Ok(EdgeList::new(n, edges))
 }
 
-/// Write Graphviz DOT (undirected), for visualizing small instances.
-pub fn write_dot<W: Write>(w: W, el: &EdgeList, name: &str) -> io::Result<()> {
-    let mut w = BufWriter::new(w);
-    writeln!(w, "graph {name} {{")?;
-    for &(u, v) in &el.edges {
-        writeln!(w, "  {u} -- {v};")?;
-    }
-    writeln!(w, "}}")?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1678,15 +1667,5 @@ mod tests {
         assert_eq!(dec.position().unwrap(), buf.len() as u64);
         assert_eq!(total, m as u64);
         assert_eq!(blocks, 2);
-    }
-
-    #[test]
-    fn dot_output() {
-        let mut buf = Vec::new();
-        write_dot(&mut buf, &sample(), "g").unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with("graph g {"));
-        assert!(text.contains("  1 -- 2;"));
-        assert!(text.trim_end().ends_with('}'));
     }
 }

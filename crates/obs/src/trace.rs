@@ -121,11 +121,6 @@ pub fn span(name: impl Into<Cow<'static, str>>) -> Span {
 }
 
 impl Span {
-    /// Seconds elapsed so far, without ending the span.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// End the span, record it into the trace buffer (when tracing is
     /// on), and return the elapsed seconds.
     pub fn finish(mut self) -> f64 {

@@ -14,7 +14,9 @@
 //!   pool. [`split_ranges`] is the rank plan shared with the
 //!   multi-process `kagen_cluster` launcher, and [`run_rank_ranges`]
 //!   executes it in-process on the same pool (one task per rank range
-//!   instead of per PE).
+//!   instead of per PE). The launcher runs on it too: its rank
+//!   supervision (one item per rank, retried in place by the slot that
+//!   ran it) and its shard validation (one item per shard).
 //! * [`comm`] — a channel-based all-to-all communicator with volume
 //!   accounting, used **only** by the communicating Holtgrewe baseline
 //!   (the point of the paper is to not need this).

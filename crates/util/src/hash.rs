@@ -1,19 +1,15 @@
 //! SpookyHash V2 (Bob Jenkins, public domain), reimplemented in Rust.
 //!
 //! The reference KaGen implementation uses SpookyHash to map recursion-tree
-//! ids to PRNG seeds. We reproduce the full algorithm: the *short* path for
-//! messages below 192 bytes (the overwhelmingly common case here — we hash
-//! tuples of a few `u64`s) and the *long* path for larger messages, so the
-//! crate is a complete, general-purpose non-cryptographic 128-bit hash.
+//! ids to PRNG seeds. Only the *short* path (messages below 192 bytes) is
+//! reproduced: seed tuples are at most 8 words, 64 bytes, so the long
+//! path for larger messages is never reached.
 //!
 //! SpookyHash was chosen by the paper for exactly the property we need:
 //! high-quality avalanche behaviour so that *adjacent* recursion-node ids
 //! yield statistically independent seeds.
 
 const SC_CONST: u64 = 0xdead_beef_dead_beef;
-const SC_NUM_VARS: usize = 12;
-const SC_BLOCK_SIZE: usize = SC_NUM_VARS * 8; // 96
-const SC_BUF_SIZE: usize = 2 * SC_BLOCK_SIZE; // 192
 
 #[inline(always)]
 fn rot64(x: u64, k: u32) -> u64 {
@@ -171,90 +167,6 @@ pub fn spooky_short128(message: &[u8], seed1: u64, seed2: u64) -> (u64, u64) {
     (a, b)
 }
 
-#[inline(always)]
-fn mix(data: &[u64; 12], s: &mut [u64; 12]) {
-    // Reference structure per lane i:
-    //   s_i += data_i; s_{i+2} ^= s_{i+10}; s_{i+11} ^= s_i;
-    //   s_i = rot(s_i, k_i); s_{i+11} += s_{i+1};
-    const ROTS: [u32; 12] = [11, 32, 43, 31, 17, 28, 39, 57, 55, 54, 22, 46];
-    for i in 0..12 {
-        s[i] = s[i].wrapping_add(data[i]);
-        s[(i + 2) % 12] ^= s[(i + 10) % 12];
-        s[(i + 11) % 12] ^= s[i];
-        s[i] = rot64(s[i], ROTS[i]);
-        s[(i + 11) % 12] = s[(i + 11) % 12].wrapping_add(s[(i + 1) % 12]);
-    }
-}
-
-#[inline(always)]
-fn end_partial(h: &mut [u64; 12]) {
-    const ROTS: [u32; 12] = [44, 15, 34, 21, 38, 33, 10, 13, 38, 53, 42, 54];
-    for (i, &rot) in ROTS.iter().enumerate() {
-        // h[(i+11)%12] += h[(i+1)%12]; h[(i+2)%12] ^= h[(i+11)%12]; h[(i+1)%12] = rot(...)
-        let j11 = (i + 11) % 12;
-        let j1 = (i + 1) % 12;
-        let j2 = (i + 2) % 12;
-        h[j11] = h[j11].wrapping_add(h[j1]);
-        h[j2] ^= h[j11];
-        h[j1] = rot64(h[j1], rot);
-    }
-}
-
-#[inline]
-fn long_end(data: &[u64; 12], h: &mut [u64; 12]) {
-    for i in 0..12 {
-        h[i] = h[i].wrapping_add(data[i]);
-    }
-    end_partial(h);
-    end_partial(h);
-    end_partial(h);
-}
-
-/// Full SpookyHash V2, 128-bit result.
-pub fn spooky_hash128(message: &[u8], seed1: u64, seed2: u64) -> (u64, u64) {
-    let length = message.len();
-    if length < SC_BUF_SIZE {
-        return spooky_short128(message, seed1, seed2);
-    }
-
-    let mut h = [0u64; 12];
-    for i in (0..12).step_by(3) {
-        h[i] = seed1;
-        h[i + 1] = seed2;
-        h[i + 2] = SC_CONST;
-    }
-
-    let mut off = 0usize;
-    let whole = length / SC_BLOCK_SIZE;
-    let mut data = [0u64; 12];
-    for _ in 0..whole {
-        for (k, d) in data.iter_mut().enumerate() {
-            *d = read_u64_padded(message, off + 8 * k);
-        }
-        mix(&data, &mut h);
-        off += SC_BLOCK_SIZE;
-    }
-
-    // Final partial block: zero-padded, length byte in the last position.
-    let remainder = length - off;
-    let mut buf = [0u8; SC_BLOCK_SIZE];
-    buf[..remainder].copy_from_slice(&message[off..]);
-    buf[SC_BLOCK_SIZE - 1] = remainder as u8;
-    for (k, d) in data.iter_mut().enumerate() {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(&buf[8 * k..8 * k + 8]);
-        *d = u64::from_le_bytes(word);
-    }
-    long_end(&data, &mut h);
-    (h[0], h[1])
-}
-
-/// 64-bit convenience wrapper (first word of the 128-bit hash).
-#[inline]
-pub fn spooky_hash64(message: &[u8], seed: u64) -> u64 {
-    spooky_hash128(message, seed, seed).0
-}
-
 /// Hash a slice of `u64` words (little-endian encoded). This is the hot
 /// seed-derivation entry point.
 #[inline]
@@ -275,8 +187,8 @@ mod tests {
     fn deterministic() {
         let m = b"communication-free graph generation";
         assert_eq!(
-            spooky_hash128(m, 1, 2),
-            spooky_hash128(m, 1, 2),
+            spooky_short128(m, 1, 2),
+            spooky_short128(m, 1, 2),
             "hash must be a pure function"
         );
     }
@@ -284,35 +196,21 @@ mod tests {
     #[test]
     fn seed_sensitivity() {
         let m = b"kagen";
-        assert_ne!(spooky_hash128(m, 1, 2), spooky_hash128(m, 1, 3));
-        assert_ne!(spooky_hash128(m, 1, 2), spooky_hash128(m, 2, 2));
+        assert_ne!(spooky_short128(m, 1, 2), spooky_short128(m, 1, 3));
+        assert_ne!(spooky_short128(m, 1, 2), spooky_short128(m, 2, 2));
     }
 
     #[test]
     fn length_sensitivity() {
         // Every prefix length must give a distinct hash (checks the tail
         // handling of the short path).
-        let m: Vec<u8> = (0..200u16).map(|x| (x % 251) as u8).collect();
+        let m: Vec<u8> = (0..191u16).map(|x| (x % 251) as u8).collect();
         let mut seen = std::collections::HashSet::new();
         for len in 0..=m.len() {
             assert!(
-                seen.insert(spooky_hash128(&m[..len], 7, 7)),
+                seen.insert(spooky_short128(&m[..len], 7, 7)),
                 "collision at prefix length {len}"
             );
-        }
-    }
-
-    #[test]
-    fn short_long_boundary() {
-        // Exercise both paths near the 192-byte switch-over.
-        for len in [190usize, 191, 192, 193, 287, 288, 289, 500] {
-            let m: Vec<u8> = (0..len).map(|x| (x * 37 % 256) as u8).collect();
-            let h = spooky_hash128(&m, 3, 4);
-            assert_eq!(h, spooky_hash128(&m, 3, 4));
-            // Flipping any single byte changes the hash.
-            let mut m2 = m.clone();
-            m2[len / 2] ^= 1;
-            assert_ne!(h, spooky_hash128(&m2, 3, 4), "len {len}");
         }
     }
 

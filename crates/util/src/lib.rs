@@ -34,7 +34,7 @@ pub mod seed;
 pub mod splitmix;
 
 pub use cache::l2_cache_bytes;
-pub use hash::{spooky_hash128, spooky_hash64, spooky_short128};
+pub use hash::spooky_short128;
 pub use mt::Mt64;
 pub use rng::{f64_open_of_word, BlockRng, Rng64};
 pub use seed::{derive_seed, rng_at, SeedTree};

@@ -245,11 +245,11 @@ fn rhg_stream_metrics_count_cells_generated_and_points_held() {
         .collect();
     assert_eq!(
         counter("geo.cells_generated"),
-        per_pe.iter().map(|s| s.cells_generated).sum::<u64>()
+        per_pe.iter().map(|s| s.generated_cells).sum::<u64>()
     );
     assert_eq!(
         counter("geo.frontier_points.peak"),
-        per_pe.iter().map(|s| s.points_held).max().unwrap()
+        per_pe.iter().map(|s| s.peak_points).max().unwrap()
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -8,7 +8,7 @@
 //!   `stream_pe` pass, high-water above the pre-pass baseline), and
 //! * the generators' own accounting in points: the sweep frontier and
 //!   halo ring RGG holds (`Rgg::stream_cells`' `peak_points`), the RHG
-//!   query engine's `points_held` (`Rhg::stream_query`) and the most
+//!   query engine's `peak_points` (`Rhg::stream_query`) and the most
 //!   points one RDG block held with its halo (`Rdg::stream_cells`).
 //!
 //! The tests take turns (`SERIAL`) so no sibling's allocations pollute
@@ -161,7 +161,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     let held_rhg = |gen: &Rhg, pe: usize| -> (u64, u64) {
         let mut edges = 0u64;
         let stats = gen.stream_query(pe, &mut |_, _| edges += 1);
-        (edges, stats.points_held)
+        (edges, stats.peak_points)
     };
     let grown = |n: u64| Rhg::new(n, 8.0, 2.8).with_seed(3).with_chunks(8);
     let (h1, q1) = held_rhg(&grown(4_000), 0);
