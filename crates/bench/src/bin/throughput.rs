@@ -679,9 +679,9 @@ fn main() {
     let _ = writeln!(json, "  \"detected_cores\": {detected_cores},");
     let _ = writeln!(json, "  \"max_workers\": {max_workers},");
     let _ = writeln!(json, "  \"degenerate_sweep\": {degenerate_sweep},");
-    // The obs scalar snapshot of the whole run — counters, gauge
-    // peaks, histogram count/sum. Empty unless --metrics, so the
-    // default timings carry zero registry overhead inside the loops.
+    // The obs scalar snapshot of the whole run — counters and gauge
+    // peaks. Empty unless --metrics, so the default timings carry zero
+    // registry overhead inside the loops.
     let _ = writeln!(json, "  \"metrics_enabled\": {metrics},");
     json.push_str("  \"metrics\": {");
     for (i, (name, v)) in kagen_obs::metrics::scalars().iter().enumerate() {

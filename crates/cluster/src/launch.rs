@@ -18,7 +18,7 @@ use crate::trace::RankTrace;
 use crate::worker::{run_worker, FailureInjection};
 use kagen_core::Generator;
 use kagen_obs::json::invalid;
-use kagen_obs::{trace, Counter, Histogram};
+use kagen_obs::trace;
 use kagen_pipeline::{validate_shard, validate_shard_sampled, Manifest, RunHeader, ShardFormat};
 use kagen_runtime::run_chunks;
 use std::collections::HashSet;
@@ -28,19 +28,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Rank retries consumed by in-launch retry budgets.
-static CLUSTER_RETRIES: Counter = Counter::new("cluster.retries");
-/// Ranks that exhausted their budget and failed.
-static CLUSTER_RANK_FAILURES: Counter = Counter::new("cluster.rank_failures");
-/// Shards that passed a validation pass (resume reuse or post-run).
-static CLUSTER_SHARDS_VALIDATED: Counter = Counter::new("cluster.shards_validated");
-/// Shards that failed validation and were queued for regeneration.
-static CLUSTER_SHARDS_INVALIDATED: Counter = Counter::new("cluster.shards_invalidated");
-/// Wall time of each rank's successful attempt, in microseconds.
-static CLUSTER_RANK_WALL_US: Histogram = Histogram::new("cluster.rank_wall_us");
-/// Workers killed because their heartbeat stopped advancing.
-static CLUSTER_STALLS: Counter = Counter::new("cluster.stalls");
 
 /// How the coordinator executes one rank task. The two implementations
 /// — a re-exec'd OS process and an in-process function call — run the
@@ -108,7 +95,6 @@ impl ProcessRunner {
             if last_advance.elapsed() >= timeout {
                 child.kill().ok();
                 child.wait().ok();
-                CLUSTER_STALLS.incr();
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!(
@@ -296,15 +282,11 @@ fn validate_shards_parallel(
         }
     };
     // Results come back in shard order, which is PE order.
-    let failed: Vec<(usize, io::Error)> =
-        run_chunks(shards.len(), workers.max(1), |i| check(&shards[i]).err())
-            .into_iter()
-            .zip(shards)
-            .filter_map(|(cause, info)| Some((info.pe as usize, cause?)))
-            .collect();
-    CLUSTER_SHARDS_VALIDATED.add((shards.len() - failed.len()) as u64);
-    CLUSTER_SHARDS_INVALIDATED.add(failed.len() as u64);
-    failed
+    run_chunks(shards.len(), workers.max(1), |i| check(&shards[i]).err())
+        .into_iter()
+        .zip(shards)
+        .filter_map(|(cause, info)| Some((info.pe as usize, cause?)))
+        .collect()
 }
 
 /// Coordinator knobs.
@@ -366,9 +348,9 @@ pub struct LaunchReport {
     /// regenerated (subset of `regenerated_pes`).
     pub invalidated_pes: Vec<usize>,
     /// Per-rank telemetry (wall time, attempts, edges, the worker's
-    /// counters and histograms) for every rank that finished, in rank
-    /// order — the input [`crate::metrics::RunMetrics::federate`] turns
-    /// into `metrics.json`.
+    /// counters) for every rank that finished, in rank order — the
+    /// input [`crate::metrics::RunMetrics::federate`] turns into
+    /// `metrics.json`.
     pub rank_metrics: Vec<RankMetrics>,
     /// Worker traces collected from ranks that traced, in rank
     /// order — the input [`crate::trace::federate_chrome_trace`] turns
@@ -515,8 +497,6 @@ pub fn launch(
             let mut record = record.lock().unwrap();
             let finished = match result {
                 Ok(report) => {
-                    CLUSTER_RANK_WALL_US.record(wall_us);
-                    let telemetry = report.metrics.unwrap_or_default();
                     let edges: u64 = report.shards.iter().map(|s| s.edges).sum();
                     done_pes.fetch_add((task.pe_end - task.pe_begin) as u64, Ordering::Relaxed);
                     done_edges.fetch_add(edges, Ordering::Relaxed);
@@ -527,8 +507,7 @@ pub fn launch(
                         edges,
                         wall_us,
                         attempts: attempt + 1,
-                        counters: telemetry.counters,
-                        histograms: telemetry.histograms,
+                        counters: report.metrics.unwrap_or_default().counters,
                     });
                     if let Some(trace) = report.trace {
                         record.rank_traces.push(RankTrace {
@@ -547,13 +526,11 @@ pub fn launch(
                         attempt + 1,
                         opts.retries + 1
                     );
-                    CLUSTER_RETRIES.incr();
                     record.ledger.record_rank_retry(rank);
                     false
                 }
                 Err(e) => {
                     kagen_obs::warn!("rank {rank} failed: {e}");
-                    CLUSTER_RANK_FAILURES.incr();
                     record.ledger.record_rank_failed(rank);
                     true
                 }

@@ -16,23 +16,17 @@
 //! the documents are structs over [`kagen_obs::json`], whose subset has
 //! no floats.
 //!
-//! Rank reports and the run-wide document carry each histogram's log2
-//! bucket vector, and the coordinator merges them bucket-wise across
-//! ranks ([`RunMetrics::merged_histograms`]) so per-stage latency
-//! distributions survive federation instead of collapsing to
-//! count/sum. Every histogram also appears in the flat counter lists
-//! as `.count`/`.sum` scalars, and the merged vectors reconcile with
-//! those totals exactly.
+//! Durations are not metrics: a rank's wall time is its `wall_us`, and
+//! per-shard and per-phase times are the spans of `--trace-out`.
 
 use kagen_obs::json::{self, Layout, Value};
-use kagen_obs::metrics::{counters_from, counters_value, histograms_from, histograms_value};
-use kagen_obs::HistogramSnapshot;
+use kagen_obs::metrics::{counters_from, counters_value};
 use kagen_pipeline::Manifest;
 use std::io;
 use std::path::Path;
 
 /// Schema tag of the federated metrics document.
-pub const METRICS_SCHEMA: &str = "kagen-metrics/v2";
+pub const METRICS_SCHEMA: &str = "kagen-metrics/v3";
 
 /// One finished rank's telemetry, as the coordinator saw it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -53,9 +47,6 @@ pub struct RankMetrics {
     /// Worker-side counter snapshot from the rank report (empty when
     /// the worker ran without telemetry or in the coordinator's process).
     pub counters: Vec<(String, u64)>,
-    /// Worker-side full histogram snapshots from the rank report (empty
-    /// under the same conditions as `counters`).
-    pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
 /// The federated, run-wide metrics document behind `--metrics-out`.
@@ -112,7 +103,6 @@ impl RunMetrics {
                 ("wall_us", r.wall_us.into()),
                 ("attempts", r.attempts.into()),
                 ("counters", counters_value(&r.counters)),
-                ("histograms", histograms_value(&r.histograms)),
             ])
         };
         json::obj([
@@ -126,7 +116,6 @@ impl RunMetrics {
             ("wall_us", self.wall_us.into()),
             ("ranks", Value::Arr(self.ranks.iter().map(rank).collect())),
             ("totals", counters_value(&self.totals())),
-            ("histograms", histograms_value(&self.merged_histograms())),
         ])
         .render(Layout::Compact)
     }
@@ -146,32 +135,13 @@ impl RunMetrics {
         totals
     }
 
-    /// Per-rank histograms merged bucket-wise by name — the run-wide
-    /// distribution view. Reconciles with the flat [`RunMetrics::totals`]
-    /// exactly: each merged histogram's `count`/`sum` equal the
-    /// `<name>.count`/`<name>.sum` scalar totals, and its bucket counts
-    /// sum to `count` (asserted in tests and CI).
-    pub fn merged_histograms(&self) -> Vec<(String, HistogramSnapshot)> {
-        let mut merged: Vec<(String, HistogramSnapshot)> = Vec::new();
-        for r in &self.ranks {
-            for (name, h) in &r.histograms {
-                match merged.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                    Ok(i) => merged[i].1.merge(h),
-                    Err(i) => merged.insert(i, (name.clone(), h.clone())),
-                }
-            }
-        }
-        merged
-    }
-
     /// Write the document to `path`.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 
-    /// Parse a document produced by [`RunMetrics::to_json`] (the
-    /// `totals` and merged `histograms` fields are recomputed from the
-    /// ranks, not read back).
+    /// Parse a document produced by [`RunMetrics::to_json`] (`totals`
+    /// is recomputed from the ranks, not read back).
     pub fn from_json(text: &str) -> Result<RunMetrics, String> {
         let doc = json::parse(text)?;
         let obj = doc.as_obj("metrics")?;
@@ -187,7 +157,6 @@ impl RunMetrics {
                 wall_us: r.u64("wall_us")?,
                 attempts: r.u64("attempts")?,
                 counters: counters_from(r.get("counters")?)?,
-                histograms: histograms_from(r.get("histograms")?)?,
             });
         }
         Ok(RunMetrics {
@@ -209,15 +178,6 @@ mod tests {
     use kagen_obs::Telemetry;
 
     fn rank(rank: u64, pe_begin: u64, pe_end: u64, edges: u64) -> RankMetrics {
-        // One histogram with 2 observations per rank; the matching
-        // `.count`/`.sum` scalars ride in `counters` exactly as
-        // `kagen_obs::metrics::scalars()` would flatten them, so the
-        // reconciliation invariant is testable end to end.
-        let hist = HistogramSnapshot {
-            count: 2,
-            sum: edges + 10,
-            buckets: vec![(3, 1), (4 + rank as usize, 1)],
-        };
         RankMetrics {
             rank,
             pe_begin,
@@ -225,13 +185,7 @@ mod tests {
             edges,
             wall_us: 1000 + rank,
             attempts: 1,
-            counters: vec![
-                ("gen.edges".into(), edges),
-                ("sink.batches".into(), 2),
-                ("sink.shard_wall_us.count".into(), hist.count),
-                ("sink.shard_wall_us.sum".into(), hist.sum),
-            ],
-            histograms: vec![("sink.shard_wall_us".into(), hist)],
+            counters: vec![("gen.batches".into(), 2), ("gen.edges".into(), edges)],
         }
     }
 
@@ -261,12 +215,7 @@ mod tests {
         let totals = rm.totals();
         assert_eq!(
             totals,
-            vec![
-                ("gen.edges".into(), 100),
-                ("sink.batches".into(), 4),
-                ("sink.shard_wall_us.count".into(), 4),
-                ("sink.shard_wall_us.sum".into(), 120),
-            ]
+            vec![("gen.batches".into(), 4), ("gen.edges".into(), 100)]
         );
     }
 
@@ -291,25 +240,6 @@ mod tests {
         let back = RunMetrics::from_json(&text).unwrap();
         assert_eq!(back, rm);
         assert_eq!(back.totals(), rm.totals());
-        assert_eq!(back.merged_histograms(), rm.merged_histograms());
-    }
-
-    #[test]
-    fn merged_histograms_reconcile_with_v1_scalar_totals() {
-        let m = manifest(4, 100);
-        let rm = RunMetrics::federate(&m, vec![rank(0, 0, 2, 40), rank(1, 2, 4, 60)], 5000);
-        let merged = rm.merged_histograms();
-        assert_eq!(merged.len(), 1);
-        let (name, h) = &merged[0];
-        assert_eq!(name, "sink.shard_wall_us");
-        // Ranks land in different top buckets (4 vs 5); bucket 3 merges.
-        assert_eq!(h.buckets, vec![(3, 2), (4, 1), (5, 1)]);
-        assert_eq!(h.bucket_total(), h.count);
-        // The vectors reconcile exactly with the scalar totals.
-        let totals = rm.totals();
-        let scalar = |k: &str| totals.iter().find(|(n, _)| n == k).unwrap().1;
-        assert_eq!(h.count, scalar("sink.shard_wall_us.count"));
-        assert_eq!(h.sum, scalar("sink.shard_wall_us.sum"));
     }
 
     #[test]
@@ -317,7 +247,7 @@ mod tests {
         let m = manifest(2, 10);
         let text = RunMetrics::federate(&m, vec![rank(0, 0, 2, 10)], 99).to_json();
         assert!(RunMetrics::from_json(&text).is_ok());
-        for tag in ["kagen-metrics/v1", "kagen-metrics/v9"] {
+        for tag in ["kagen-metrics/v1", "kagen-metrics/v2", "kagen-metrics/v9"] {
             let err = RunMetrics::from_json(&text.replace(METRICS_SCHEMA, tag)).unwrap_err();
             assert!(err.contains("unsupported schema"), "{err}");
         }
@@ -340,40 +270,27 @@ mod tests {
 
     #[test]
     fn sidecar_roundtrip() {
-        let side = Telemetry::from_json(
-            "{\"counters\":{\"gen.edges\":12,\"rng.words\":256},\"histograms\":\
-             {\"sink.shard_wall_us\":{\"count\":2,\"sum\":300,\
-             \"buckets\":[{\"bucket\":8,\"count\":2}]}}}",
-        )
-        .unwrap();
+        let side =
+            Telemetry::from_json("{\"counters\":{\"gen.edges\":12,\"rng.words\":256}}").unwrap();
         assert_eq!(
             side.counters,
             vec![("gen.edges".into(), 12), ("rng.words".into(), 256)]
         );
-        assert_eq!(side.histograms.len(), 1);
-        assert_eq!(side.histograms[0].1.count, 2);
-        assert_eq!(side.histograms[0].1.buckets, vec![(8, 2)]);
-        let err = Telemetry::from_json("{\"counters\":7,\"histograms\":{}}").unwrap_err();
+        let err = Telemetry::from_json("{\"counters\":7}").unwrap_err();
         assert!(err.contains("counters is not an object"), "{err}");
     }
 
     #[test]
-    fn live_sidecar_write_carries_histograms() {
-        static H: kagen_obs::Histogram = kagen_obs::Histogram::new("test.cluster.sidecar_hist");
+    fn live_sidecar_write_carries_counters() {
+        static C: kagen_obs::Counter = kagen_obs::Counter::new("test.cluster.sidecar_counter");
         kagen_obs::metrics::set_enabled(true);
-        H.record(100);
+        C.add(100);
         let side = Telemetry::from_json(&Telemetry::capture().to_json()).unwrap();
-        let (_, h) = side
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "test.cluster.sidecar_hist")
-            .expect("recorded histogram must appear in the document");
-        assert!(h.count >= 1);
-        assert_eq!(h.bucket_total(), h.count);
-        // The flattened scalars ride alongside.
-        assert!(side
+        let (_, v) = side
             .counters
             .iter()
-            .any(|(n, _)| n == "test.cluster.sidecar_hist.count"));
+            .find(|(n, _)| n == "test.cluster.sidecar_counter")
+            .expect("recorded counter must appear in the document");
+        assert!(*v >= 100);
     }
 }

@@ -57,21 +57,6 @@ static GEO_DELAUNAY_ATTEMPTS: Counter = Counter::new("geo.delaunay_attempts");
 /// ten thousand in 3-D, whatever n/P is.
 const BLOCK_BITS: u32 = 9;
 
-/// What one PE's [`Rdg::stream_cells`] pass generated and held.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RdgPeStats {
-    /// Cells generated (box and halo), count-tree nodes drawn and the
-    /// most points one box held with its halo — no point is held between
-    /// boxes.
-    pub frontier: FrontierStats,
-    /// Boxes certified.
-    pub boxes: u64,
-    /// Triangulations built: one per box plus one per halo ring added.
-    pub attempts: u64,
-    /// Points inserted over all of them.
-    pub inserts: u64,
-}
-
 /// Shared implementation for both dimensions.
 #[derive(Clone, Debug)]
 pub struct Rdg<const D: usize> {
@@ -150,8 +135,11 @@ impl<const D: usize> Rdg<D> {
     /// exactly once per PE without any cross-block dedup state. A block's
     /// edges leave ordered by (owner's cell, x, y) — cell by cell in
     /// Morton order, sorted within a cell, whatever the block size.
-    /// Memory is one block with its halo, never the chunk.
-    pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> RdgPeStats {
+    /// Memory is one block with its halo, never the chunk. Returns the
+    /// cells generated (block and halo), the count-tree nodes drawn and
+    /// the most points one block held with its halo; no point is held
+    /// between blocks.
+    pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let max_side_bits = BLOCK_BITS / D as u32;
         Self::blocks(&mut self.cells(pe), max_side_bits, &mut |_, _| {}, emit)
     }
@@ -164,13 +152,12 @@ impl<const D: usize> Rdg<D> {
         max_side_bits: u32,
         on_cell: &mut impl FnMut(u64, &[Point<D>]),
         emit: &mut impl FnMut(u64, u64),
-    ) -> RdgPeStats {
+    ) -> FrontierStats {
         let pe_ids = source.first_id()..source.end_id();
         // The range is a cube of cells; a block is one of at most the cap.
         let range_bits = (source.range().end - source.range().start).ilog2();
         let block_bits = (range_bits / D as u32).min(max_side_bits);
         let block_cells = 1u64 << (D as u32 * block_bits);
-        let mut stats = RdgPeStats::default();
         // The block's points, their ids and their cells; then its halo's.
         let (mut pts, mut ids, mut cells) = (Vec::new(), Vec::new(), Vec::new());
         let mut owned = Vec::new();
@@ -190,10 +177,10 @@ impl<const D: usize> Rdg<D> {
             };
             let block_ids = block_first..block_first + ids.len() as u64;
             let origin = source.grid().coords_of(cell + 1 - block_cells);
-            let (width, pts, ids, stats) = (1 << block_bits, &mut pts, &mut ids, &mut stats);
+            let (width, pts, ids) = (1 << block_bits, &mut pts, &mut ids);
             let edges = match D {
-                2 => Self::certified_box::<3>(source, origin, width, pts, ids, stats),
-                _ => Self::certified_box::<4>(source, origin, width, pts, ids, stats),
+                2 => Self::certified_box::<3>(source, origin, width, pts, ids),
+                _ => Self::certified_box::<4>(source, origin, width, pts, ids),
             };
             owned.extend(edges.into_iter().filter_map(|(x, y)| {
                 let owner = if pe_ids.contains(&x) { x } else { y };
@@ -209,8 +196,7 @@ impl<const D: usize> Rdg<D> {
             ids.clear();
             cells.clear();
         }
-        stats.frontier = source.stats();
-        stats
+        source.stats()
     }
 
     /// The one triangulate-and-certify routine (§6) behind both
@@ -234,7 +220,6 @@ impl<const D: usize> Rdg<D> {
         width: i64,
         pts: &mut Vec<Point<D>>,
         ids: &mut Vec<u64>,
-        stats: &mut RdgPeStats,
     ) -> Vec<(u64, u64)> {
         let g = source.grid().cells_per_dim() as i64;
         let side = source.grid().cell_side();
@@ -254,7 +239,6 @@ impl<const D: usize> Rdg<D> {
         let (lo, hi) = region(MAX_HALO);
         let mut dt = Mesh::<D, K>::with_bounds(lo, hi);
         let mut ring: Vec<[f64; D]> = Vec::new();
-        stats.boxes += 1;
         for h in 1..=MAX_HALO {
             // Ring h: cells at Chebyshev distance exactly h around the box.
             let (lo, hi) = cells(h);
@@ -266,8 +250,6 @@ impl<const D: usize> Rdg<D> {
             ring.clear();
             ring.extend(pts[dt.num_points()..].iter().map(|p| p.0));
             dt.extend(&ring);
-            stats.attempts += 1;
-            stats.inserts += ring.len() as u64;
             GEO_DELAUNAY_ATTEMPTS.incr();
             GEO_DELAUNAY_INSERTS.add(ring.len() as u64);
             let (lo, hi) = region(h);

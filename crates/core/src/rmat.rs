@@ -39,19 +39,10 @@
 use crate::streaming::{fill_range_batched, BatchEmit};
 use crate::{even_split, Generator, PeGraph};
 use kagen_dist::AliasTable;
-use kagen_obs::{Counter, Histogram};
 use kagen_util::seed::stream;
 use kagen_util::{derive_seed, Rng64, SplitMix64};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Edges descended with the plain per-level loop.
-static RMAT_PLAIN_EDGES: Counter = Counter::new("gen.rmat.plain_edges");
-/// Edges descended with the linear-work composed-table kernel.
-static RMAT_LINEAR_EDGES: Counter = Counter::new("gen.rmat.linear_edges");
-/// Composed-table construction wall time — shows how build cost amortizes
-/// against the per-edge savings in `--metrics-out` dumps.
-static RMAT_TABLE_BUILD_US: Histogram = Histogram::new("rmat.table_build_us");
 
 /// Edge indices per hashed seed block (the amortization granularity of
 /// [`Rmat::fill_edges`]).
@@ -202,7 +193,7 @@ impl Rmat {
                 let levels = levels.min(self.scale);
                 let span = kagen_obs::span("rmat.table_build");
                 let table = ComposedTable::new(levels, self.scale, self.a, self.b, self.c);
-                RMAT_TABLE_BUILD_US.record((span.finish() * 1e6) as u64);
+                drop(span);
                 KernelState::Linear(Arc::new(table))
             }
         };
@@ -364,16 +355,12 @@ impl Rmat {
             // per-push capacity check inside the hot loop.
             match &self.kernel {
                 KernelState::Plain => {
-                    RMAT_PLAIN_EDGES.add(hi - e);
                     out.extend(offsets.map(|off| {
                         let mut rng = SplitMix64::at(block_seed, off);
                         self.descend_plain(&mut rng)
                     }));
                 }
-                KernelState::Linear(t) => {
-                    RMAT_LINEAR_EDGES.add(hi - e);
-                    self.fill_linear(t.as_ref(), block_seed, offsets, out);
-                }
+                KernelState::Linear(t) => self.fill_linear(t.as_ref(), block_seed, offsets, out),
             }
             e = hi;
         }

@@ -35,26 +35,6 @@ pub fn bfs_summary(csr: &Csr, source: Node) -> (usize, u32) {
     (reached, max)
 }
 
-/// Pseudo-diameter via the double-sweep heuristic: BFS from `start`, then
-/// BFS again from the farthest vertex found. A lower bound on the true
-/// diameter, exact on trees; standard for mesh/network diagnostics.
-pub fn pseudo_diameter(csr: &Csr, start: Node) -> u32 {
-    let first = bfs_distances(csr, start);
-    let (far, _) = first
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d != u32::MAX)
-        .max_by_key(|(_, &d)| d)
-        .expect("nonempty graph");
-    let second = bfs_distances(csr, far as Node);
-    second
-        .iter()
-        .filter(|&&d| d != u32::MAX)
-        .max()
-        .copied()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,22 +64,5 @@ mod tests {
         let (reached, ecc) = bfs_summary(&csr, 1);
         assert_eq!(reached, 5);
         assert_eq!(ecc, 2);
-    }
-
-    #[test]
-    fn pseudo_diameter_path_exact() {
-        // A path's diameter is found by the double sweep from any start.
-        let el = EdgeList::new(6, vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let csr = Csr::undirected(&el);
-        for start in 0..6 {
-            assert_eq!(pseudo_diameter(&csr, start), 5);
-        }
-    }
-
-    #[test]
-    fn pseudo_diameter_star() {
-        let el = EdgeList::new(5, vec![(0, 1), (0, 2), (0, 3), (0, 4)]);
-        let csr = Csr::undirected(&el);
-        assert_eq!(pseudo_diameter(&csr, 0), 2);
     }
 }

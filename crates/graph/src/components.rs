@@ -3,7 +3,7 @@
 //! Used by tests and examples to validate structural properties the models
 //! predict, e.g. the RGG connectivity threshold r ≈ 0.55·sqrt(ln n / n).
 
-use crate::{EdgeList, Node};
+use crate::EdgeList;
 
 /// Disjoint-set forest over `0..n`.
 #[derive(Debug)]
@@ -54,12 +54,6 @@ impl UnionFind {
         self.components
     }
 
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
-
     /// Size of the largest set.
     pub fn largest_component(&mut self) -> usize {
         let n = self.parent.len();
@@ -87,27 +81,6 @@ pub fn is_connected(el: &EdgeList) -> bool {
     el.n <= 1 || connected_components(el).component_count() == 1
 }
 
-/// Map every vertex to a dense component label.
-pub fn component_labels(el: &EdgeList) -> Vec<u32> {
-    let mut uf = connected_components(el);
-    let n = el.n as usize;
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut out = vec![0u32; n];
-    for (v, slot) in out.iter_mut().enumerate() {
-        let r = uf.find(v);
-        if label[r] == u32::MAX {
-            label[r] = next;
-            next += 1;
-        }
-        *slot = label[r];
-    }
-    out
-}
-
-/// Re-export friendly alias used by tests.
-pub type _Node = Node;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +104,6 @@ mod tests {
         let mut uf = connected_components(&el);
         assert_eq!(uf.component_count(), 3); // {0,1} {2,3} {4}
         assert_eq!(uf.largest_component(), 2);
-        assert_eq!(uf.component_size(4), 1);
     }
 
     #[test]
@@ -141,18 +113,6 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(1, 2));
         assert_eq!(uf.component_count(), 1);
-    }
-
-    #[test]
-    fn labels_dense_and_consistent() {
-        let el = EdgeList::new(6, vec![(0, 3), (1, 4), (4, 5)]);
-        let labels = component_labels(&el);
-        assert_eq!(labels[0], labels[3]);
-        assert_eq!(labels[1], labels[4]);
-        assert_eq!(labels[4], labels[5]);
-        assert_ne!(labels[0], labels[1]);
-        assert_ne!(labels[2], labels[0]);
-        assert!(labels.iter().all(|&l| l < 3));
     }
 
     #[test]

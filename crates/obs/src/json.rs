@@ -26,7 +26,8 @@ use std::io;
 use std::path::Path;
 
 /// Deepest container nesting [`parse`] accepts. The deepest product
-/// document (a run-metrics histogram bucket) nests 7 levels.
+/// documents nest 4 levels: a run-metrics rank's `counters` (document →
+/// `ranks` → rank → `counters`) and a federated trace's metadata `args`.
 pub const MAX_DEPTH: usize = 32;
 
 /// A JSON value of the supported subset.

@@ -8,12 +8,14 @@
 //! shard the generators write is bit-identical (enforced by the
 //! determinism matrix in `tests/observability.rs`).
 //!
-//! * [`metrics`] — a registry of named [`Counter`]s (sharded atomics),
-//!   [`Gauge`]s (value + high-water mark) and [`Histogram`]s (log2
-//!   buckets). Metrics are **off by default**: a disabled update is one
-//!   relaxed load and a predictable branch, and every instrumentation
-//!   site in the workspace sits at batch/block granularity (once per
-//!   4096-edge batch, per 128-skip block, per cell) — never per edge.
+//! * [`metrics`] — a registry of named [`Counter`]s (sharded atomics)
+//!   and [`Gauge`]s (value + high-water mark); a process's snapshot is
+//!   one flat list of `(name, u64)` scalars ([`Telemetry`]), and a fact
+//!   a span already times is not recorded again as a metric. Metrics
+//!   are **off by default**: a disabled update is one relaxed load and
+//!   a predictable branch, and every instrumentation site in the
+//!   workspace sits at batch/block granularity (once per 4096-edge
+//!   batch, per 128-skip block, per cell) — never per edge.
 //! * [`trace`] — scoped span timers ([`span`]) that emit Chrome
 //!   trace-event JSON loadable in `chrome://tracing` / Perfetto
 //!   (`kagen ... --trace-out trace.json`). Spans double as the
@@ -45,5 +47,5 @@ pub mod metrics;
 pub mod trace;
 
 pub use log::Level;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Telemetry};
+pub use metrics::{Counter, Gauge, MetricValue, Telemetry};
 pub use trace::{span, ProcessTrace, Span, TraceEvent};

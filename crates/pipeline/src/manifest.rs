@@ -261,7 +261,7 @@ pub struct PartialManifest {
     pub pe_end: u64,
     /// Shard infos for exactly the PEs in `pe_begin..pe_end`, in order.
     pub shards: Vec<ShardInfo>,
-    /// The worker's counters and histograms (`--metrics-sidecar`).
+    /// The worker's counter and gauge scalars (`--metrics-sidecar`).
     pub metrics: Option<kagen_obs::Telemetry>,
     /// The worker's span buffer (`--trace-sidecar`).
     pub trace: Option<kagen_obs::ProcessTrace>,
@@ -446,7 +446,6 @@ mod tests {
         // whole report — naming the file when it is loaded from one.
         part.metrics = Some(kagen_obs::Telemetry {
             counters: vec![("gen.edges".into(), 4096)],
-            histograms: Vec::new(),
         });
         part.trace = Some(kagen_obs::ProcessTrace::default());
         let text = part.to_json();

@@ -12,24 +12,9 @@ use kagen_graph::io::{
     decode_binary, decode_compressed, decode_text, BinaryEncoder, CompressedEdgeWriter,
     EdgeEncoder, TextEncoder,
 };
-use kagen_obs::{Counter, Histogram};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-
-/// Batches pushed into shard sinks (one per emitted slice).
-static SINK_BATCHES: Counter = Counter::new("sink.batches");
-/// Edges pushed into shard sinks.
-static SINK_EDGES: Counter = Counter::new("sink.edges");
-/// Bytes of finished shard files (from file metadata after the sink
-/// closes — telemetry never touches the output stream itself).
-static SINK_BYTES: Counter = Counter::new("sink.bytes_written");
-/// Shards written to completion.
-static SINK_SHARDS: Counter = Counter::new("sink.shards");
-/// Wall time of each completed shard write, in microseconds — the
-/// per-stage latency distribution that survives cross-rank federation
-/// bucket-wise (`kagen-metrics/v2`).
-static SINK_SHARD_WALL_US: Histogram = Histogram::new("sink.shard_wall_us");
 
 /// On-disk shard encoding, and the one table of what each encoding is:
 /// its names, and which codec of `kagen_graph::io` writes and reads it.
@@ -180,23 +165,13 @@ pub fn write_shard<G: Generator + ?Sized>(
 ) -> io::Result<ShardInfo> {
     let shard_span = kagen_obs::span("pipeline.write_shard");
     let file = shard_file_name(pe, format);
-    let path = dir.join(&file);
-    let mut sink = format.sink(BufWriter::new(File::create(&path)?), gen.num_vertices())?;
+    let out = BufWriter::new(File::create(dir.join(&file))?);
+    let mut sink = format.sink(out, gen.num_vertices())?;
     let mut buf = Vec::with_capacity(kagen_core::streaming::BATCH_EDGES);
-    gen.stream_pe_batched(pe, &mut buf, &mut |edges| {
-        SINK_BATCHES.incr();
-        SINK_EDGES.add(edges.len() as u64);
-        sink.push_batch(edges);
-    });
+    gen.stream_pe_batched(pe, &mut buf, &mut |edges| sink.push_batch(edges));
     let edges = sink.finish()?;
     let checksum = sink.checksum();
-    SINK_SHARDS.incr();
-    SINK_SHARD_WALL_US.record((shard_span.finish() * 1e6) as u64);
-    if kagen_obs::metrics::enabled() {
-        if let Ok(meta) = std::fs::metadata(&path) {
-            SINK_BYTES.add(meta.len());
-        }
-    }
+    drop(shard_span);
     Ok(ShardInfo {
         pe: pe as u64,
         file,

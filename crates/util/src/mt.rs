@@ -44,45 +44,6 @@ impl Mt64 {
         Mt64 { mt, idx: NN }
     }
 
-    /// Seed with an array (reference `init_by_array64`).
-    pub fn from_key(key: &[u64]) -> Self {
-        let mut s = Self::new(19_650_218u64);
-        let mut i = 1usize;
-        let mut j = 0usize;
-        let mut k = NN.max(key.len());
-        while k > 0 {
-            s.mt[i] = (s.mt[i]
-                ^ (s.mt[i - 1] ^ (s.mt[i - 1] >> 62)).wrapping_mul(3_935_559_000_370_003_845u64))
-            .wrapping_add(key[j])
-            .wrapping_add(j as u64);
-            i += 1;
-            j += 1;
-            if i >= NN {
-                s.mt[0] = s.mt[NN - 1];
-                i = 1;
-            }
-            if j >= key.len() {
-                j = 0;
-            }
-            k -= 1;
-        }
-        k = NN - 1;
-        while k > 0 {
-            s.mt[i] = (s.mt[i]
-                ^ (s.mt[i - 1] ^ (s.mt[i - 1] >> 62)).wrapping_mul(2_862_933_555_777_941_757u64))
-            .wrapping_sub(i as u64);
-            i += 1;
-            if i >= NN {
-                s.mt[0] = s.mt[NN - 1];
-                i = 1;
-            }
-            k -= 1;
-        }
-        s.mt[0] = 1u64 << 63;
-        s.idx = NN;
-        s
-    }
-
     #[cold]
     fn refill(&mut self) {
         let mt = &mut self.mt;
@@ -121,10 +82,11 @@ mod tests {
 
     #[test]
     fn reference_vector() {
-        // First outputs of the reference mt19937-64.c with
-        // init_by_array64({0x12345, 0x23456, 0x34567, 0x45678}).
-        let mut rng = Mt64::from_key(&[0x12345, 0x23456, 0x34567, 0x45678]);
-        assert_eq!(rng.next_u64(), 7_266_447_313_870_364_031);
+        // C++11 [rand.predef]: the 10000th output of a default-seeded
+        // (init_genrand64(5489)) mt19937_64.
+        let mut rng = Mt64::new(5489);
+        let x = (0..10_000).map(|_| rng.next_u64()).last();
+        assert_eq!(x, Some(9_981_545_732_273_789_042));
     }
 
     #[test]

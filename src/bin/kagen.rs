@@ -27,8 +27,8 @@ use std::path::Path;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak heap bytes of the generate/write stage (shards or the
-/// materialized edge list), above the stage-entry baseline.
+/// Peak heap bytes of the shard-writing stage, above the stage-entry
+/// baseline.
 static ALLOC_PEAK_GENERATE: Gauge = Gauge::new("alloc.peak_bytes.generate");
 /// Peak heap bytes of the external-merge stage.
 static ALLOC_PEAK_MERGE: Gauge = Gauge::new("alloc.peak_bytes.merge");
@@ -79,11 +79,9 @@ fn create(path: &str) -> io::Result<File> {
 fn run_materialized(o: &Options) -> io::Result<()> {
     let gen = o.build();
     let gen_span = trace::span("materialize.generate");
-    let baseline = CountingAlloc::reset_peak();
     let gen = gen.as_ref();
     let el = generate_merged(gen, o.threads);
     let gen_time = std::time::Duration::from_secs_f64(gen_span.finish());
-    ALLOC_PEAK_GENERATE.record_peak(CountingAlloc::peak_above(baseline));
 
     if o.stats {
         print_stats(&el, gen.directed(), gen_time);
@@ -221,7 +219,6 @@ fn run_stream(o: &Options) -> io::Result<()> {
     if let Some(path) = &o.metrics_out {
         ALLOC_LIVE_END.set(CountingAlloc::live());
         let wall_us = (run_started.elapsed().as_secs_f64() * 1e6) as u64;
-        let telemetry = kagen_obs::Telemetry::capture();
         let rank = RankMetrics {
             rank: 0,
             pe_begin: 0,
@@ -229,8 +226,7 @@ fn run_stream(o: &Options) -> io::Result<()> {
             edges: manifest.edges,
             wall_us,
             attempts: 1,
-            counters: telemetry.counters,
-            histograms: telemetry.histograms,
+            counters: kagen_obs::metrics::scalars(),
         };
         RunMetrics::federate(&manifest, vec![rank], wall_us)
             .save(Path::new(path))
@@ -299,7 +295,6 @@ fn run_launch(o: &Options) -> io::Result<()> {
         report.manifest.edges,
     );
     if let Some(path) = &o.metrics_out {
-        ALLOC_LIVE_END.set(CountingAlloc::live());
         let wall_us = (wall * 1e6) as u64;
         RunMetrics::federate(&report.manifest, report.rank_metrics, wall_us)
             .save(Path::new(path))

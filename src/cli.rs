@@ -442,7 +442,7 @@ static LEVELS: Flag = Flag {
         )),
         // 4^levels table slots: 12 is 128 MiB.
         levels @ 1..=12 => put(&mut o.rmat_levels, Some(levels)),
-        levels => Err(format!("{f} {levels} out of range (want 0..=12)")),
+        levels => Err(format!("{f} {levels} out of range (want 1..=12)")),
     },
     ..Flag::BASE
 };
@@ -642,8 +642,8 @@ static M_SIDECAR: Flag = Flag {
         "`kagen worker` (launch --metrics-out sets it)",
     )],
     forward: Forward::Times(|o| o.metrics_out.is_some() as usize),
-    help: "include this rank's counters and histograms in its rank report\n\
-           (set by `launch --metrics-out`)",
+    help: "include this rank's counters in its rank report (set by\n\
+           `launch --metrics-out`)",
     set: |o, _, _| put(&mut o.metrics_sidecar, true),
     ..Flag::BASE
 };
@@ -696,10 +696,9 @@ static M_OUT: Flag = Flag {
     names: &["--metrics-out"],
     metavar: Some("path"),
     rejects: &[(MAT, "`kagen stream|launch|worker`")],
-    help: "write run metrics JSON (kagen-metrics/v2: per-rank counter scalars\n\
-           + histogram buckets, federated bucket-wise; per-rank edge totals\n\
-           reconcile with the manifest's edge count). A standalone worker\n\
-           writes its own counters + histograms document",
+    help: "write run metrics JSON (kagen-metrics/v3: per-rank counter scalars,\n\
+           wall time and edge totals, which reconcile with the manifest's\n\
+           edge count). A standalone worker writes its own counters document",
     set: |o, _, v| put(&mut o.metrics_out, Some(v.into())),
     ..Flag::BASE
 };

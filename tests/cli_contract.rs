@@ -810,7 +810,7 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
     ])),
-    ("rmat -n 64 -m 128 --rmat-levels 13", All("2 - {mode}: --rmat-levels 13 out of range (want 0..=12)")),
+    ("rmat -n 64 -m 128 --rmat-levels 13", All("2 - {mode}: --rmat-levels 13 out of range (want 1..=12)")),
     ("sbm -n 64 -b 0", All("2 - {mode}: sbm: -b must be in 1..=n, got 0")),
     ("sbm -n 64 -b 1", Each([
         "0 -",

@@ -672,7 +672,7 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
                 "--rmat-levels",
                 "13",
             ],
-            "out of range (want 0..=12)",
+            "out of range (want 1..=12)",
         ),
         (
             vec![

@@ -258,13 +258,13 @@ fn rhg_stream_metrics_count_cells_generated_and_points_held() {
 
 /// RDG counts the triangulation work behind its stream: points inserted
 /// (`geo.delaunay_inserts`, every halo ring a box needed included) and
-/// certification attempts. One box per block keeps the benchmark's
+/// certification attempts. Every point is inserted into its own box at
+/// least once, and one box per block keeps the benchmark's
 /// `rdg2d_stream` instance below one insert per emitted edge — ⅓ is the
 /// planar ideal, the rest is halo; a box per cell paid 2.9.
 #[test]
 fn rdg_stream_metrics_count_inserts() {
     use kagen_repro::core::prelude::*;
-    use kagen_repro::core::rdg::RdgPeStats;
     let dir = tmp("rdg_geo");
     let metrics = dir.with_extension("metrics.json");
     let (ok, stderr) = kagen(&[
@@ -293,23 +293,18 @@ fn rdg_stream_metrics_count_inserts() {
 
     let gen = Rdg2d::new(40_000).with_seed(5).with_chunks(64);
     let mut edges = 0u64;
-    let per_pe: Vec<_> = (0..64)
-        .map(|pe| gen.stream_cells(pe, &mut |_, _| edges += 1))
-        .collect();
-    let sum = |f: fn(&RdgPeStats) -> u64| per_pe.iter().map(f).sum::<u64>();
+    let generated_cells: u64 = (0..64)
+        .map(|pe| gen.stream_cells(pe, &mut |_, _| edges += 1).generated_cells)
+        .sum();
     assert_eq!(counter("gen.edges"), edges);
-    assert_eq!(counter("geo.delaunay_inserts"), sum(|s| s.inserts));
-    assert_eq!(counter("geo.delaunay_attempts"), sum(|s| s.attempts));
-    assert_eq!(
-        counter("geo.cells_generated"),
-        sum(|s| s.frontier.generated_cells)
-    );
-    assert!(sum(|s| s.attempts) >= sum(|s| s.boxes));
+    assert_eq!(counter("geo.cells_generated"), generated_cells);
+    let inserts = counter("geo.delaunay_inserts");
     assert!(
-        sum(|s| s.inserts) <= edges,
-        "{} inserts for {edges} edges",
-        sum(|s| s.inserts)
+        (40_000..=edges).contains(&inserts),
+        "{inserts} inserts for 40000 points and {edges} edges"
     );
+    let attempts = counter("geo.delaunay_attempts");
+    assert!(0 < attempts && attempts <= inserts, "{attempts} attempts");
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&metrics).ok();
@@ -870,15 +865,16 @@ fn launch_full_telemetry_still_byte_identical() {
     std::fs::remove_file(&trace).ok();
 }
 
-/// kagen-metrics/v2: the run document carries full per-rank histogram
-/// bucket vectors and a bucket-wise merged run-wide view, and the v1
-/// counter-reconciliation invariant still holds — each merged
-/// histogram's count/sum equal the `<name>.count`/`<name>.sum` scalar
-/// totals, and its bucket counts sum to `count`.
+/// kagen-metrics/v3 records each fact once. The run document has no
+/// `histograms` member: a rank's wall time is its `wall_us`, and each
+/// shard write is one `pipeline.write_shard` span of the federated
+/// trace, on the pid of the worker that wrote it. Per-rank `gen.edges`
+/// equals the rank's `edges`, and `totals` sums the ranks.
 #[test]
-fn launch_metrics_v2_histograms_reconcile_with_v1_scalars() {
-    let dir = tmp("metrics_v2");
+fn launch_metrics_v3_and_trace_record_each_shard_write_once() {
+    let dir = tmp("metrics_v3");
     let metrics = dir.with_extension("metrics.json");
+    let trace = dir.with_extension("trace.json");
     let (ok, stderr) = kagen(&[
         "launch",
         "gnm_undirected",
@@ -896,56 +892,65 @@ fn launch_metrics_v2_histograms_reconcile_with_v1_scalars() {
         dir.to_str().unwrap(),
         "--metrics-out",
         metrics.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
     ]);
     assert!(ok, "launch failed:\n{stderr}");
 
     let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
-    assert!(text.contains("\"schema\":\"kagen-metrics/v2\""), "{text}");
+    assert!(text.contains("\"schema\":\"kagen-metrics/v3\""), "{text}");
+    assert!(!text.contains("histograms"), "{text}");
     let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
-
-    // Each rank carries histogram snapshots next to its scalars; the
-    // shard-write wall histogram exists on every rank and counts that
-    // rank's shards.
+    assert_eq!(rm.ranks.len(), 3);
+    let mut want: std::collections::HashMap<String, u64> = Default::default();
     for r in &rm.ranks {
-        let (_, h) = r
-            .histograms
-            .iter()
-            .find(|(n, _)| n == "sink.shard_wall_us")
-            .unwrap_or_else(|| panic!("rank {} has no sink.shard_wall_us", r.rank));
-        assert_eq!(h.count, r.pe_end - r.pe_begin, "{r:?}");
-        assert_eq!(h.bucket_total(), h.count, "{r:?}");
+        let edges = r.counters.iter().find(|(n, _)| n == "gen.edges");
+        assert_eq!(edges.map(|(_, v)| *v), Some(r.edges), "{r:?}");
+        for (name, v) in &r.counters {
+            *want.entry(name.clone()).or_default() += v;
+        }
     }
-
-    // The run-wide merge reconciles exactly with the v1 scalar totals.
-    let totals: std::collections::HashMap<String, u64> = rm.totals().into_iter().collect();
-    let merged = rm.merged_histograms();
-    assert!(!merged.is_empty());
-    for (name, h) in &merged {
-        assert_eq!(
-            totals.get(&format!("{name}.count")),
-            Some(&h.count),
-            "{name}: merged count != scalar total"
-        );
-        assert_eq!(
-            totals.get(&format!("{name}.sum")),
-            Some(&h.sum),
-            "{name}: merged sum != scalar total"
-        );
-        assert_eq!(h.bucket_total(), h.count, "{name}: buckets don't sum");
-    }
-    let (_, shard_wall) = merged
+    let doc = json::parse(&text).unwrap();
+    let totals = doc.as_obj("metrics").unwrap().get("totals").unwrap();
+    let totals: std::collections::HashMap<String, u64> = totals
+        .as_obj("totals")
+        .unwrap()
+        .fields()
         .iter()
-        .find(|(n, _)| n == "sink.shard_wall_us")
-        .expect("merged sink.shard_wall_us missing");
-    assert_eq!(shard_wall.count, 8, "every PE's shard write is counted");
+        .map(|(n, v)| (n.clone(), v.as_u64(n).unwrap()))
+        .collect();
+    assert_eq!(totals, want);
+    assert_eq!(totals["gen.edges"], rm.edges - rm.reused_edges);
+
+    // Every PE's shard write is one span, on one of the three worker pids.
+    let text = std::fs::read_to_string(&trace).expect("missing federated trace");
+    let doc = json::parse(&text).unwrap();
+    let events = doc.as_obj("trace").unwrap().arr("traceEvents").unwrap();
+    let pid_of = |name: &str| -> Vec<u64> {
+        let named = events.iter().map(|e| e.as_obj("event").unwrap());
+        named
+            .filter(|e| e.str("name").ok() == Some(name))
+            .map(|e| e.u64("pid").unwrap())
+            .collect()
+    };
+    let worker_pids: std::collections::HashSet<u64> =
+        pid_of("worker.generate").into_iter().collect();
+    assert_eq!(worker_pids.len(), 3, "one worker.generate span per rank");
+    let writes = pid_of("pipeline.write_shard");
+    assert_eq!(writes.len(), 8, "every PE's shard write is one span");
+    assert!(
+        writes.iter().all(|pid| worker_pids.contains(pid)),
+        "{writes:?}"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&metrics).ok();
+    std::fs::remove_file(&trace).ok();
 }
 
 /// A standalone `kagen worker --pe-range a..b` (hand-run ranks over a
 /// shared filesystem) accepts `--metrics-out`/`--trace-out` directly
-/// and writes its counters + histograms document and its span document
+/// and writes its counters document and its span document
 /// to those paths, plus a heartbeat file under `--heartbeat`; its rank
 /// report carries telemetry only under the two `--*-sidecar` switches.
 #[test]
@@ -976,8 +981,8 @@ fn worker_standalone_telemetry_files() {
     ]);
     assert!(ok, "standalone worker failed:\n{stderr}");
 
-    // Metrics: the same counters + histogram-vectors payload the
-    // coordinator federates, with live values from this rank.
+    // Metrics: the same counters payload the coordinator federates,
+    // with live values from this rank.
     let m = std::fs::read_to_string(&metrics).expect("missing metrics file");
     let doc = json::parse(&m).unwrap();
     let counters = doc
@@ -996,7 +1001,7 @@ fn worker_standalone_telemetry_files() {
         3,
         "{m}"
     );
-    assert!(m.contains("sink.shard_wall_us"), "{m}");
+    assert!(!m.contains("histograms"), "{m}");
 
     // Trace: a valid Chrome document that federation could load
     // (schema + pid + wall anchor), containing the worker span.

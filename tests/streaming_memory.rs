@@ -35,7 +35,7 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 fn rdg_working_set_is_a_block_not_a_chunk() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fn peak<const D: usize>(gen: kagen_repro::core::rdg::Rdg<D>) -> u64 {
-        gen.stream_cells(0, &mut |_, _| {}).frontier.peak_points
+        gen.stream_cells(0, &mut |_, _| {}).peak_points
     }
     // 2-D, one level of chunks: 16 × 16 and 64 × 64 cells per chunk at
     // 9.8 points per cell, blocks of 16 × 16 in both. Two halo rings

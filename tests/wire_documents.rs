@@ -3,14 +3,14 @@
 //! the exact text of each one is pinned here against literal constants
 //! built from fixed inputs — a manifest, a partial manifest (the rank
 //! report, without and with telemetry), a ledger with pending and done
-//! shards, a heartbeat, a v2 run-metrics document and a federated
+//! shards, a heartbeat, a v3 run-metrics document and a federated
 //! trace. Strings carry a quote, a backslash, a tab and a control byte
 //! so the escaper is pinned with them.
 
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::cluster::trace::{federate_with, RankTrace};
 use kagen_repro::cluster::{plan_ranks, Heartbeat, Ledger};
-use kagen_repro::obs::{HistogramSnapshot, ProcessTrace, Telemetry, TraceEvent};
+use kagen_repro::obs::{ProcessTrace, Telemetry, TraceEvent};
 use kagen_repro::pipeline::{Manifest, PartialManifest, RunHeader, ShardInfo};
 
 fn shard(pe: u64) -> ShardInfo {
@@ -77,14 +77,8 @@ fn partial_manifest_bytes() {
     );
     // A worker asked for telemetry appends it; the three members above
     // keep their bytes.
-    let hist = HistogramSnapshot {
-        count: 2,
-        sum: 300,
-        buckets: vec![(3, 1), (8, 1)],
-    };
     part.metrics = Some(Telemetry {
         counters: vec![("gen.edges".into(), 2003)],
-        histograms: vec![("sink.shard_wall_us".into(), hist)],
     });
     part.trace = Some(ProcessTrace {
         pid: 9001,
@@ -96,8 +90,7 @@ fn partial_manifest_bytes() {
         "{\n  \"pe_begin\": 1,\n  \"pe_end\": 3,\n  \"shards\": [\n    \
          {\"pe\": 1, \"file\": \"shard-00001.kgc\", \"edges\": 1001, \"checksum\": 16045690981097406465},\n    \
          {\"pe\": 2, \"file\": \"shard-00002.kgc\", \"edges\": 1002, \"checksum\": 16045690981097406466}\n  \
-         ],\n  \"metrics\": {\n    \"counters\": {\"gen.edges\": 2003},\n    \
-         \"histograms\": {\"sink.shard_wall_us\": {\"count\": 2, \"sum\": 300, \"buckets\": [{\"bucket\": 3, \"count\": 1}, {\"bucket\": 8, \"count\": 1}]}}\n  \
+         ],\n  \"metrics\": {\n    \"counters\": {\"gen.edges\": 2003}\n  \
          },\n  \"trace\": {\n    \"schema\": \"kagen-trace-sidecar/v1\",\n    \"pid\": 9001,\n    \
          \"epoch_unix_us\": 5000100,\n    \
          \"traceEvents\": [{\"name\": \"worker.generate \\\"q\\\"\", \"cat\": \"kagen\", \"ph\": \"X\", \"ts\": 10, \"dur\": 500, \"pid\": 9001, \"tid\": 1}],\n    \
@@ -145,11 +138,6 @@ fn heartbeat_bytes() {
 }
 
 fn rank(rank: u64, pe_begin: u64, pe_end: u64, edges: u64) -> RankMetrics {
-    let hist = HistogramSnapshot {
-        count: 2,
-        sum: edges + 10,
-        buckets: vec![(3, 1), (4 + rank as usize, 1)],
-    };
     RankMetrics {
         rank,
         pe_begin,
@@ -158,11 +146,10 @@ fn rank(rank: u64, pe_begin: u64, pe_end: u64, edges: u64) -> RankMetrics {
         wall_us: 1000 + rank,
         attempts: 1 + rank,
         counters: vec![
+            ("gen.batches".into(), 2),
             ("gen.edges".into(), edges),
-            ("sink.shard_wall_us.count".into(), hist.count),
-            ("sink.shard_wall_us.sum".into(), hist.sum),
+            ("geo.frontier_points.peak".into(), edges + 10),
         ],
-        histograms: vec![("sink.shard_wall_us".into(), hist)],
     }
 }
 
@@ -172,21 +159,16 @@ fn run_metrics_bytes() {
     // in-process rank); PE 2 was reused from an earlier run.
     let mut bare = rank(1, 1, 2, 1001);
     bare.counters.clear();
-    bare.histograms.clear();
     let rm = RunMetrics::federate(&manifest(), vec![bare, rank(0, 0, 1, 1000)], 5000);
     assert_eq!(
         rm.to_json(),
-        "{\"schema\":\"kagen-metrics/v2\",\"model\":\"rmat\",\"seed\":42,\"chunks\":3,\"edges\":3003,\
+        "{\"schema\":\"kagen-metrics/v3\",\"model\":\"rmat\",\"seed\":42,\"chunks\":3,\"edges\":3003,\
          \"reused_shards\":1,\"reused_edges\":1002,\"wall_us\":5000,\"ranks\":[\
          {\"rank\":0,\"pe_begin\":0,\"pe_end\":1,\"edges\":1000,\"wall_us\":1000,\"attempts\":1,\
-         \"counters\":{\"gen.edges\":1000,\"sink.shard_wall_us.count\":2,\"sink.shard_wall_us.sum\":1010},\
-         \"histograms\":{\"sink.shard_wall_us\":{\"count\":2,\"sum\":1010,\"buckets\":[\
-         {\"bucket\":3,\"count\":1},{\"bucket\":4,\"count\":1}]}}},\
+         \"counters\":{\"gen.batches\":2,\"gen.edges\":1000,\"geo.frontier_points.peak\":1010}},\
          {\"rank\":1,\"pe_begin\":1,\"pe_end\":2,\"edges\":1001,\"wall_us\":1001,\"attempts\":2,\
-         \"counters\":{},\"histograms\":{}}],\
-         \"totals\":{\"gen.edges\":1000,\"sink.shard_wall_us.count\":2,\"sink.shard_wall_us.sum\":1010},\
-         \"histograms\":{\"sink.shard_wall_us\":{\"count\":2,\"sum\":1010,\"buckets\":[\
-         {\"bucket\":3,\"count\":1},{\"bucket\":4,\"count\":1}]}}}"
+         \"counters\":{}}],\
+         \"totals\":{\"gen.batches\":2,\"gen.edges\":1000,\"geo.frontier_points.peak\":1010}}"
     );
 }
 

@@ -5,7 +5,7 @@
 
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::cluster::{plan_ranks, Heartbeat, Ledger};
-use kagen_repro::obs::{HistogramSnapshot, ProcessTrace, Telemetry, TraceEvent};
+use kagen_repro::obs::{ProcessTrace, Telemetry, TraceEvent};
 use kagen_repro::pipeline::{Manifest, PartialManifest, RunHeader, ShardInfo};
 
 fn shard(pe: u64) -> ShardInfo {
@@ -30,18 +30,8 @@ fn header() -> RunHeader {
 }
 
 fn telemetry() -> Telemetry {
-    let hist = HistogramSnapshot {
-        count: 2,
-        sum: 300,
-        buckets: vec![(3, 1), (8, 1)],
-    };
     Telemetry {
-        counters: vec![
-            ("gen.edges".into(), 12),
-            ("sink.wall_us.count".into(), 2),
-            ("sink.wall_us.sum".into(), 300),
-        ],
-        histograms: vec![("sink.wall_us".into(), hist)],
+        counters: vec![("gen.edges".into(), 12), ("rng.words".into(), 256)],
     }
 }
 
@@ -100,7 +90,6 @@ fn documents() -> Vec<Doc> {
         wall_us: 900,
         attempts: 1,
         counters: t.counters.clone(),
-        histograms: t.histograms.clone(),
     };
     let run = RunMetrics::federate(&manifest, vec![rank], 5000);
     let trace = ProcessTrace {
