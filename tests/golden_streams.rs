@@ -17,7 +17,11 @@
 //! the inner annuli have cells, γ = 2.2, a PE of the benchmark's
 //! `rhg_stream` instance — into one line per row, stream and materialized
 //! form both. It was recorded on the tree that still had two RHG engines,
-//! so the one engine is judged by constants, not against itself.
+//! so the one engine is judged by constants, not against itself. Beside
+//! it, a size table pins `rhg` at n = 100 000 (d̄ = 8) and at the
+//! `rhg_stream` instance, and `soft_rhg` at d̄ = 8, over every PE at 1, 7
+//! and 64 chunks — recorded on the tree whose queries tested every point
+//! of every cell a vertex's window overlapped.
 //!
 //! A fourth table does the same for RDG at the corners that decide how
 //! its boxes and halos are cut — one chunk, one level of chunks, 64
@@ -623,6 +627,49 @@ fn rhg_family_corners_keep_their_golden_digests() {
     }
     assert!(moved.is_empty(), "RHG corner digests moved:\n{moved}");
     assert_eq!(rows.len(), GOLDEN_RHG_CORNERS.len(), "stale golden rows");
+}
+
+/// The RHG family at the sizes where its query windows decide the cost:
+/// `rhg` at n = 100 000 and d̄ = 8 (sparse: most candidates of a window
+/// are rejected), the benchmark's `rhg_stream` instance (n = 81 920,
+/// d̄ = 16) and `soft_rhg` at d̄ = 8, each at 1, 7 and 64 chunks. Every
+/// row digests all of its PEs. Recorded on the tree whose queries tested
+/// every point of every cell a vertex's window overlapped.
+fn rhg_sizes() -> Vec<(String, Box<dyn Generator>)> {
+    let mut rows: Vec<(String, Box<dyn Generator>)> = Vec::new();
+    for chunks in [1, 7, 64] {
+        let gen = Rhg::new(100_000, 8.0, 2.8)
+            .with_seed(SEED)
+            .with_chunks(chunks);
+        rows.push((format!("rhg_n100000_d8_c{chunks}"), Box::new(gen)));
+        let gen = Rhg::new(81_920, 16.0, 2.8)
+            .with_seed(SEED)
+            .with_chunks(chunks);
+        rows.push((format!("rhg_n81920_d16_c{chunks}"), Box::new(gen)));
+        let gen = SoftRhg::new(5_000, 8.0, 2.8, 0.5)
+            .with_seed(SEED)
+            .with_chunks(chunks);
+        rows.push((format!("soft_rhg_n5000_d8_c{chunks}"), Box::new(gen)));
+    }
+    rows
+}
+
+#[rustfmt::skip]
+const GOLDEN_RHG_SIZES: &[(&str, CornerDigest)] = &[
+    ("rhg_n100000_d8_c1", (389060, 12527106977908963498, 7519518855399849632)),
+    ("rhg_n81920_d16_c1", (622391, 14328144257520289981, 5062365407136859893)),
+    ("soft_rhg_n5000_d8_c1", (26900, 1436114069130552439, 2922209181928890997)),
+    ("rhg_n100000_d8_c7", (390119, 17146898140041579741, 14530844631433253737)),
+    ("rhg_n81920_d16_c7", (623802, 3329508149364525973, 4966173702597185010)),
+    ("soft_rhg_n5000_d8_c7", (28472, 17545765889064449957, 1582673254187708787)),
+    ("rhg_n100000_d8_c64", (395179, 5978979171997842776, 16286657358035285143)),
+    ("rhg_n81920_d16_c64", (638558, 995183671722508611, 188486258673127435)),
+    ("soft_rhg_n5000_d8_c64", (33028, 1587901081668836756, 3157021783065318683)),
+];
+
+#[test]
+fn rhg_family_sizes_keep_their_golden_digests() {
+    assert_corners("RHG size", &rhg_sizes(), GOLDEN_RHG_SIZES);
 }
 
 /// RDG where its boxes and halos are cut differently: `chunks` 1, one
