@@ -20,7 +20,11 @@
 //! reference the baselines and brute-force tests use. A PE goes through a
 //! [`CellSource`], which returns the same bits drawing each tree node
 //! once (sRHG) and, for `Queries` — the one engine of `Rhg` and
-//! `SoftRhg` — generating each cell once.
+//! `SoftRhg` — generating each cell once and holding it sorted by θ
+//! (§7.1), so that a query tests only the points inside its Δθ window:
+//! one bound per local cell and annulus, Eq. 8 at the cell's smallest
+//! local radius, whose window ends are binary-searched in the θ-sorted
+//! cells.
 
 use crate::PeGraph;
 use kagen_dist::{binomial, multinomial};
@@ -253,13 +257,15 @@ impl<'a> CellSource<'a> {
         Self::generate(self.inst, &mut self.nodes[i], &mut self.stats, i, c)
     }
 
-    /// The points of cell `(i, c)`, generated on first use and held.
+    /// The points of cell `(i, c)`, generated on first use and held in θ
+    /// order (ids and coordinates as [`RhgInstance::cell_points`]).
     pub fn cell(&mut self, i: usize, c: u64) -> &[PrePoint] {
         let (inst, nodes, stats) = (self.inst, &mut self.nodes[i], &mut self.stats);
         self.cells[i]
             .slot(c, inst.ann_cells[i])
             .get_or_insert_with(|| {
-                let points = Self::generate(inst, nodes, stats, i, c);
+                let mut points = Self::generate(inst, nodes, stats, i, c);
+                points.sort_unstable_by(|p, q| p.theta.total_cmp(&q.theta));
                 stats.generated_cells += 1;
                 stats.peak_points += points.len() as u64;
                 points.into_boxed_slice()
@@ -289,6 +295,15 @@ pub(crate) struct Queries<'a, A> {
     adjacent: A,
 }
 
+/// The Δθ(r, b) of one local cell and one annulus widened so that it
+/// covers every pair Eq. 9 accepts in floating point: relatively for the
+/// rounding of the `acos` argument, and absolutely because `acos` near 1
+/// resolves angles only to ≈ √(2 · 2⁻⁵²) ≈ 2·10⁻⁸, in the bound and in the
+/// pair test's cosine alike.
+fn padded(delta_theta: f64) -> f64 {
+    delta_theta * (1.0 + 1e-9) + 1e-7
+}
+
 impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
     pub(crate) fn new(inst: &'a RhgInstance, chunks: usize, dist: f64, adjacent: A) -> Self {
         let bounds = inst.space.bounds.iter().map(|b| b.max(1e-12));
@@ -302,13 +317,31 @@ impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
         }
     }
 
+    /// The angular half-width of the query of every local vertex of a
+    /// cell whose smallest radius is `r_min` (`(cosh, sinh)` in `hyp_r`)
+    /// into annulus `j`, or `None` when the query covers the whole
+    /// annulus. Δθ(r, b) decreases in r, so the cell's smallest radius
+    /// bounds every vertex of the cell.
+    fn half_width(&self, r_min: f64, hyp_r: (f64, f64), j: usize) -> Option<f64> {
+        let (b, hyp_b) = self.bounds[j];
+        if r_min + b < self.dist {
+            return None;
+        }
+        let d = padded(RhgSpace::delta_theta_beyond(hyp_r, hyp_b, self.cosh_dist));
+        (d < PI).then_some(d)
+    }
+
     /// Iterate PE `pe`'s local vertices in global-id order (annulus-major,
-    /// cell-major — exactly how ids are assigned), call `on_local(v)`, run
-    /// `v`'s Δθ-bounded query through every annulus against a
-    /// [`CellSource`], and emit `(v, u)` pairs with `u` ascending per
-    /// vertex — the PE's sorted edge list. Δθ is
-    /// [`RhgSpace::delta_theta_at`] with its per-annulus and per-vertex
-    /// terms computed once: the same libm calls on the same operands.
+    /// cell-major — exactly how ids are assigned), call `on_local(v)`, test
+    /// `v` against its Δθ-bounded query in every annulus, and emit `(v, u)`
+    /// pairs with `u` ascending per vertex — the PE's sorted edge list.
+    ///
+    /// Per local cell and annulus `j` one bound is computed, Eq. 8 at the
+    /// cell's smallest local radius. A vertex's query into `j` is the cells
+    /// its ±bound window overlaps, generated on first use; the held cells
+    /// are θ-sorted, so the window's ends are binary-searched in its first
+    /// and last cell and only the points inside it are tested, by Eq. 9
+    /// (`adjacent`).
     pub(crate) fn stream(
         &self,
         pe: usize,
@@ -320,42 +353,74 @@ impl<'a, A: Fn(&PrePoint, &PrePoint) -> bool> Queries<'a, A> {
             TAU * pe as f64 / self.chunks as f64,
             TAU * (pe as f64 + 1.0) / self.chunks as f64,
         );
-        let annuli = || (0..inst.num_annuli()).filter(|&i| inst.ann_counts[i] > 0);
+        let is_local = |p: &PrePoint| p.theta >= lo && p.theta < hi;
+        // The non-empty annuli, with their cell counts and widths.
+        let annuli: Vec<(usize, u64, f64)> = (0..inst.num_annuli())
+            .filter(|&i| inst.ann_counts[i] > 0)
+            .map(|i| (i, inst.ann_cells[i], inst.cell_width(i)))
+            .collect();
         let mut source = CellSource::new(inst);
         let mut locals: Vec<PrePoint> = Vec::new();
+        let mut widths: Vec<Option<f64>> = Vec::new();
         let mut nbrs: Vec<u64> = Vec::new();
 
-        for i in annuli() {
+        for &(i, _, _) in &annuli {
             let (first, count) = inst.overlap_range(i, lo, hi);
             for k in 0..count {
-                // Copy the local cell out: the source serves (and grows
-                // under) the queries of its vertices.
+                // Copy the local cell's vertices out in id order: the
+                // source serves (and grows under) their queries.
                 locals.clear();
-                locals.extend_from_slice(source.cell(i, (first + k) % inst.ann_cells[i]));
-                for v in locals.iter().filter(|p| p.theta >= lo && p.theta < hi) {
+                let cell = source.cell(i, (first + k) % inst.ann_cells[i]);
+                locals.extend(cell.iter().filter(|p| is_local(p)));
+                if locals.is_empty() {
+                    continue;
+                }
+                locals.sort_unstable_by_key(|p| p.id);
+                let r_min = locals.iter().map(|p| p.r).fold(f64::INFINITY, f64::min);
+                let hyp_r = (r_min.cosh(), r_min.sinh());
+                widths.clear();
+                widths.extend(
+                    annuli
+                        .iter()
+                        .map(|&(j, ..)| self.half_width(r_min, hyp_r, j)),
+                );
+                for v in &locals {
                     on_local(v);
-                    let hyp_r = (v.r.cosh(), v.r.sinh());
                     nbrs.clear();
-                    for j in annuli() {
-                        let (b, hyp_b) = self.bounds[j];
-                        let d = if v.r + b < self.dist {
-                            PI
-                        } else {
-                            RhgSpace::delta_theta_beyond(hyp_r, hyp_b, self.cosh_dist)
-                        };
-                        let (jfirst, jcount) = inst.overlap_range(j, v.theta - d, v.theta + d);
-                        for kk in 0..jcount {
-                            for u in source.cell(j, (jfirst + kk) % inst.ann_cells[j]) {
-                                if u.id != v.id && (self.adjacent)(u, v) {
-                                    // Local–local pairs once (id order); the
-                                    // other endpoint's PE emits cross pairs
-                                    // from its side, dedup happens on merge.
-                                    let u_local = u.theta >= lo && u.theta < hi;
-                                    if !u_local || u.id > v.id {
-                                        nbrs.push(u.id);
-                                    }
-                                }
+                    let mut test = |u: &PrePoint| {
+                        if u.id != v.id && (self.adjacent)(u, v) {
+                            // Local–local pairs once (id order); the other
+                            // endpoint's PE emits cross pairs from its
+                            // side, dedup happens on merge.
+                            if !is_local(u) || u.id > v.id {
+                                nbrs.push(u.id);
                             }
+                        }
+                    };
+                    for (&(j, cells, width), &d) in annuli.iter().zip(&widths) {
+                        let Some(d) = d else {
+                            (0..cells).for_each(|c| source.cell(j, c).iter().for_each(&mut test));
+                            continue;
+                        };
+                        let (from, to) = (v.theta - d, v.theta + d);
+                        let (first, last) =
+                            ((from / width).floor() as i64, (to / width).floor() as i64);
+                        for c in first..=last {
+                            // The window in the coordinates of cell c's
+                            // turn of the circle (`cells` is a power of two).
+                            let turn = TAU * (c >> cells.trailing_zeros()) as f64;
+                            let points = source.cell(j, c as u64 & (cells - 1));
+                            let begin = if c == first {
+                                points.partition_point(|p| p.theta < from - turn)
+                            } else {
+                                0
+                            };
+                            let end = if c == last {
+                                points.partition_point(|p| p.theta <= to - turn)
+                            } else {
+                                points.len()
+                            };
+                            points[begin..end.max(begin)].iter().for_each(&mut test);
                         }
                     }
                     nbrs.sort_unstable();
@@ -641,14 +706,21 @@ mod tests {
         let i = inst();
         let keys = scrambled_cells(&i);
         let (mut held, mut passing) = (CellSource::new(&i), CellSource::new(&i));
+        // The store holds a cell in θ order; the points it does not hold
+        // come in id order, as the reference draws them.
+        let by_theta = |mut points: Vec<PrePoint>| {
+            points.sort_by(|p, q| p.theta.total_cmp(&q.theta));
+            points
+        };
         for &(a, c) in &keys {
             let want = i.cell_points(a, c);
-            assert_same_points(held.cell(a, c), &want, "held");
+            assert_same_points(held.cell(a, c), &by_theta(want.clone()), "held");
             assert_same_points(&passing.cell_points(a, c), &want, "not held");
         }
         // A second visit is served from the store: nothing is drawn again.
         for &(a, c) in keys.iter().rev() {
-            assert_same_points(held.cell(a, c), &i.cell_points(a, c), "revisit");
+            let want = by_theta(i.cell_points(a, c));
+            assert_same_points(held.cell(a, c), &want, "revisit");
         }
         let nodes: u64 = i.ann_cells.iter().map(|cells| cells - 1).sum();
         let want = FrontierStats {
@@ -659,6 +731,38 @@ mod tests {
         assert_eq!(held.stats(), want);
         assert_eq!(passing.stats().nodes_drawn, nodes);
         assert_eq!(passing.stats().peak_points, 0);
+    }
+
+    /// Pair tests per emitted edge over every PE of `gen`, counted through
+    /// the pair rule the engine is given.
+    fn tests_per_edge(gen: &crate::rhg::Rhg) -> f64 {
+        let inst = gen.instance();
+        let tests = std::cell::Cell::new(0u64);
+        let cosh_r = inst.space.cosh_r;
+        let chunks = crate::Generator::num_chunks(gen);
+        let queries = Queries::new(&inst, chunks, inst.space.r_max, |u, v| {
+            tests.set(tests.get() + 1);
+            v.is_adjacent(u, cosh_r)
+        });
+        let mut edges = 0u64;
+        for pe in 0..chunks {
+            queries.stream(pe, &mut |_| {}, &mut |_, _| edges += 1);
+        }
+        tests.get() as f64 / edges as f64
+    }
+
+    #[test]
+    fn queries_test_few_pairs_per_edge() {
+        // Sparse: most of a window's candidates are rejected.
+        let sparse = crate::rhg::Rhg::new(200_000, 8.0, 2.8).with_chunks(64);
+        let ratio = tests_per_edge(&sparse);
+        assert!(ratio <= 8.0, "{ratio} pair tests per edge at d = 8");
+        // The benchmark's `rhg_stream` instance.
+        let bench = crate::rhg::Rhg::new(81_920, 16.0, 2.8)
+            .with_seed(7)
+            .with_chunks(64);
+        let ratio = tests_per_edge(&bench);
+        assert!(ratio <= 7.0, "{ratio} pair tests per edge on rhg_stream");
     }
 
     #[test]
@@ -672,8 +776,10 @@ mod tests {
             let annuli = || (0..i.num_annuli()).filter(|&a| i.ann_counts[a] > 0);
             for pe in 0..chunks {
                 // The cells the PE must touch, from the reference formulas:
-                // its sector's, and every local vertex's Δθ window (Eq. 8)
-                // in every annulus.
+                // its sector's, and in every annulus each local vertex's
+                // window, Eq. 8 at the smallest radius of its cell's local
+                // vertices, padded: the cells of `cells_overlapping` that
+                // reach into the window (or all of them for a window of π).
                 let (lo, hi) = (
                     TAU * pe as f64 / chunks as f64,
                     TAU * (pe as f64 + 1.0) / chunks as f64,
@@ -684,12 +790,34 @@ mod tests {
                         cells.insert((a, c));
                     });
                 }
-                for &(_, [r, theta]) in &crate::Generator::generate_pe(&gen, pe).coords2 {
-                    for a in annuli() {
-                        let d = i.space.delta_theta(r, i.space.bounds[a].max(1e-12));
-                        i.cells_overlapping(a, theta - d, theta + d, &mut |c| {
-                            cells.insert((a, c));
-                        });
+                for a in annuli() {
+                    for c in 0..i.ann_cells[a] {
+                        let locals: Vec<PrePoint> = i
+                            .cell_points(a, c)
+                            .into_iter()
+                            .filter(|p| p.theta >= lo && p.theta < hi)
+                            .collect();
+                        let r_min = locals.iter().map(|p| p.r).fold(f64::INFINITY, f64::min);
+                        for v in &locals {
+                            for j in annuli() {
+                                let d = padded(
+                                    i.space.delta_theta(r_min, i.space.bounds[j].max(1e-12)),
+                                );
+                                let width = i.cell_width(j);
+                                let reaches = |c: u64| {
+                                    let c_lo = c as f64 * width;
+                                    [-TAU, 0.0, TAU].iter().any(|turn| {
+                                        c_lo + turn <= v.theta + d
+                                            && c_lo + width + turn > v.theta - d
+                                    })
+                                };
+                                i.cells_overlapping(j, v.theta - d, v.theta + d, &mut |c| {
+                                    if d >= PI || reaches(c) {
+                                        cells.insert((j, c));
+                                    }
+                                });
+                            }
+                        }
                     }
                 }
                 let mut nodes = BTreeSet::new();

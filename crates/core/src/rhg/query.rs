@@ -2,14 +2,17 @@
 //!
 //! Each PE owns the angular sector `[2πp/P, 2π(p+1)/P)`. For every local
 //! vertex it runs a neighborhood query through all annuli: the angular
-//! deviation bound Δθ(r_v, ℓ_j) (Eq. 8) selects candidate cells, whose
-//! points are tested with the trig-free Eq. 9. Cells of non-local chunks
-//! encountered during the search are *recomputed* once and held for the
-//! rest of the PE's queries — the paper's inward/outward search
-//! recomputation, realized through the deterministic cell scheme and the
-//! one engine of [`super::common`]. Per-PE state is therefore the sector
-//! plus its query halo; [`crate::srhg::Srhg`] generates the same graph in
-//! bounded memory.
+//! deviation bound Δθ(r, ℓ_j) (Eq. 8), computed once per local cell at
+//! its smallest local radius r (Δθ decreases in r, so it bounds every
+//! vertex of the cell), gives each vertex a ±Δθ window; the cells it
+//! overlaps are held sorted by θ, so the window's ends are
+//! binary-searched and only the points inside it are tested with the
+//! trig-free Eq. 9. Cells of non-local chunks encountered during the
+//! search are *recomputed* once and held for the rest of the PE's queries
+//! — the paper's inward/outward search recomputation, realized through
+//! the deterministic cell scheme and the one engine of [`super::common`].
+//! Per-PE state is therefore the sector plus its query halo;
+//! [`crate::srhg::Srhg`] generates the same graph in bounded memory.
 
 use super::common::{Queries, RhgInstance};
 use crate::streaming::{BatchEmit, Batcher};
