@@ -24,7 +24,8 @@
 //! (§7.1), so that a query tests only the points inside its Δθ window:
 //! one bound per local cell and annulus, Eq. 8 at the cell's smallest
 //! local radius, whose window ends are binary-searched in the θ-sorted
-//! cells.
+//! cells. Both pair rules reject every pair beyond the query distance,
+//! so which candidates a window holds never changes an edge.
 
 use crate::PeGraph;
 use kagen_dist::{binomial, multinomial};
@@ -283,7 +284,10 @@ impl<'a> CellSource<'a> {
 /// generators — their stream and their `generate_pe` alike. `dist` is the
 /// distance beyond which no pair is enumerated (R for the threshold
 /// model, the enlarged R_eff for the soft one) and `adjacent(u, v)` the
-/// exact pair rule.
+/// exact pair rule. The rule must reject every pair at distance `dist` or
+/// more: a query's window depends on the chunking (through its cell's
+/// smallest local radius), so it may skip only pairs the rule rejects,
+/// and then it decides no edge.
 pub(crate) struct Queries<'a, A> {
     inst: &'a RhgInstance,
     chunks: usize,

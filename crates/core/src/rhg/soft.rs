@@ -18,14 +18,16 @@
 //! messages, exactly like the Sanders–Schulz recomputation trick for
 //! Barabási–Albert edges (§3.5.1) transplanted to pairwise coins.
 //!
-//! **Candidate truncation.** Pairs farther than
-//! `R_eff = R + 2T · ln(1/ε − 1)` have connection probability `< ε` and
-//! are never enumerated; the neighborhood queries simply use `R_eff` in
-//! the Δθ bound of Eq. 8. With the default `ε = 10⁻⁹`, the expected
-//! number of missed edges over *all* `Θ(n²)` pairs is below `n²ε` — for
-//! the instance sizes this library targets, ≪ 1 edge. The truncation is
-//! a documented approximation of the ideal model; its error bound is
-//! checked statistically in the tests.
+//! **Truncation.** Pairs farther than `R_eff = R + 2T · ln(1/ε − 1)`
+//! have connection probability `< ε` and never connect: the pair rule
+//! compares the distance with `R_eff` before the coin, and the
+//! neighborhood queries use `R_eff` in the Δθ bound of Eq. 8. Which
+//! candidates a query's window happens to hold beyond `R_eff` therefore
+//! decides no edge, and the edge set does not depend on the chunking. With the default
+//! `ε = 10⁻⁹`, the expected number of missed edges over *all* `Θ(n²)`
+//! pairs is below `n²ε` — for the instance sizes this library targets,
+//! ≪ 1 edge. The truncation is a documented approximation of the ideal
+//! model; its error bound is checked statistically in the tests.
 
 use super::common::{Queries, RhgInstance};
 use crate::streaming::{BatchEmit, Batcher};
@@ -113,32 +115,47 @@ impl SoftRhg {
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Hyperbolic distance between two pre-computed points (via the Eq. 9
-    /// terms, no trigonometry beyond the stored sin/cos).
+    /// cosh of the hyperbolic distance between two pre-computed points
+    /// (via the Eq. 9 terms, no trigonometry beyond the stored sin/cos);
+    /// symmetric in `u` and `v` to the bit.
     #[inline]
-    fn distance(u: &PrePoint, v: &PrePoint) -> f64 {
+    fn cosh_distance(u: &PrePoint, v: &PrePoint) -> f64 {
         let cos_dtheta = u.cos_theta * v.cos_theta + u.sin_theta * v.sin_theta;
-        let cosh_d = (u.coth_r * v.coth_r - cos_dtheta) / (u.inv_sinh_r * v.inv_sinh_r);
-        cosh_d.max(1.0).acosh()
+        (u.coth_r * v.coth_r - cos_dtheta) / (u.inv_sinh_r * v.inv_sinh_r)
     }
 
-    /// Decide the pair `(u, v)`: enumerate-time test used by both owning
-    /// PEs.
+    /// Hyperbolic distance between two pre-computed points.
+    #[cfg(test)]
+    fn distance(u: &PrePoint, v: &PrePoint) -> f64 {
+        Self::cosh_distance(u, v).max(1.0).acosh()
+    }
+
+    /// Decide the pair `(u, v)`, the test both owning PEs make: no edge at
+    /// distance `R_eff` or more (`cosh_r_eff` = cosh R_eff), the pair's
+    /// coin below it.
     #[inline]
-    fn pair_connected(&self, inst: &RhgInstance, u: &PrePoint, v: &PrePoint) -> bool {
-        let d = Self::distance(u, v);
-        self.pair_coin(u.id, v.id) < self.connection_prob(inst, d)
+    fn pair_connected(
+        &self,
+        inst: &RhgInstance,
+        cosh_r_eff: f64,
+        u: &PrePoint,
+        v: &PrePoint,
+    ) -> bool {
+        let cosh_d = Self::cosh_distance(u, v);
+        let d = cosh_d.max(1.0).acosh();
+        cosh_d < cosh_r_eff && self.pair_coin(u.id, v.id) < self.connection_prob(inst, d)
     }
 
     /// The engine over `inst`: queries truncated at `R_eff` (Eq. 8 at
-    /// `R_eff`), pairs decided by their coin.
+    /// `R_eff`), pairs decided by [`SoftRhg::pair_connected`].
     fn queries<'a>(
         &'a self,
         inst: &'a RhgInstance,
     ) -> Queries<'a, impl Fn(&PrePoint, &PrePoint) -> bool + 'a> {
         let r_eff = self.effective_radius(inst);
+        let cosh_r_eff = r_eff.cosh();
         Queries::new(inst, self.chunks, r_eff, move |u, v| {
-            self.pair_connected(inst, u, v)
+            self.pair_connected(inst, cosh_r_eff, u, v)
         })
     }
 }
@@ -184,7 +201,9 @@ mod tests {
     /// truncation at all).
     fn brute_force(gen: &SoftRhg) -> Vec<(u64, u64)> {
         let inst = gen.instance();
-        all_pairs(&inst, |p, q| gen.pair_connected(&inst, p, q))
+        all_pairs(&inst, |p, q| {
+            gen.pair_coin(p.id, q.id) < gen.connection_prob(&inst, SoftRhg::distance(p, q))
+        })
     }
 
     #[test]
@@ -206,9 +225,31 @@ mod tests {
                 let inst = gen.instance();
                 (gen, inst)
             },
-            |gen, inst, p, q| gen.pair_connected(inst, p, q),
+            |gen, inst, p, q| gen.pair_connected(inst, gen.effective_radius(inst).cosh(), p, q),
             false,
         );
+    }
+
+    #[test]
+    fn no_pair_beyond_the_truncation_connects_at_any_chunking() {
+        // At ε = 0.3 a pair just beyond R_eff still has p ≈ 0.3, so a
+        // window that held it and coined it would add an edge. The union
+        // of the streams is the truncated all-pairs list at every
+        // chunking, and that list misses edges of the untruncated rule.
+        let gen = SoftRhg::new(800, 8.0, 2.8, 0.5)
+            .with_seed(13)
+            .with_truncation(0.3);
+        let inst = gen.instance();
+        let cosh_r_eff = gen.effective_radius(&inst).cosh();
+        let truncated = all_pairs(&inst, |p, q| gen.pair_connected(&inst, cosh_r_eff, p, q));
+        assert!(
+            truncated.len() < brute_force(&gen).len(),
+            "no pair beyond R_eff"
+        );
+        for chunks in [1, 7, 64] {
+            let el = generate_undirected(&gen.clone().with_chunks(chunks));
+            assert_eq!(el.edges, truncated, "chunks={chunks}");
+        }
     }
 
     #[test]
@@ -285,6 +326,7 @@ mod tests {
         let inst = gen.instance();
         let pts = all_points(&inst);
         let r = inst.space.r_max;
+        let cosh_r_eff = gen.effective_radius(&inst).cosh();
         // Buckets around R where the sigmoid varies meaningfully.
         let mut hits = [0u64; 4];
         let mut totals = [0u64; 4];
@@ -300,7 +342,7 @@ mod tests {
                 for (k, &(lo, hi)) in buckets.iter().enumerate() {
                     if d >= lo && d < hi {
                         totals[k] += 1;
-                        hits[k] += gen.pair_connected(&inst, &pts[i], &pts[j]) as u64;
+                        hits[k] += gen.pair_connected(&inst, cosh_r_eff, &pts[i], &pts[j]) as u64;
                     }
                 }
             }

@@ -7,25 +7,26 @@
 //! the stream is a pure function of the seed.
 //!
 //! **Lazy seeding.** A generator is seeded per cell and per splitting-tree
-//! node (§2.2), and most of those streams draw a handful of words, while
+//! node (§2.2), and most of those streams draw a few dozen words, while
 //! the reference `init_genrand64` fills all 312 state words and its first
-//! refill twists all 312. [`Mt64::new`] therefore runs the seeding chain
-//! only up to word `MM + PREFIX` and twists only the first `PREFIX` words
-//! of the first block; the first draw past them finishes the chain and the
-//! block once, and every later refill is the full twist. The output is the
-//! reference's bit for bit: twisted word `i < MM` reads only the seeded
-//! words `i`, `i + 1` and `i + MM`, and the chain produces seeded words in
-//! index order, so the first `PREFIX` twisted words need nothing the
-//! prefix chain has not computed. Finishing the block later computes the
-//! remaining seeded words and then twists words `PREFIX..NN` in the
-//! reference's order from the operands the reference reads: seeded words
-//! `i` and `i + 1` are still untouched when word `i` is twisted, and word
-//! `i − MM` (for `i ≥ MM`) and word 0 (for the last) are already twisted
-//! in both orders.
+//! refill twists all 312. [`Mt64::new`] therefore only stores the seed;
+//! the first draw runs the seeding chain up to word `MM + PREFIX` and
+//! twists only the first `PREFIX` words of the first block; the first draw
+//! past them finishes the chain and the block once, and every later
+//! refill is the full twist. The output is the reference's bit for bit:
+//! twisted word `i < MM` reads only the seeded words `i`, `i + 1` and
+//! `i + MM`, and the chain produces seeded words in index order, so the
+//! first `PREFIX` twisted words need nothing the prefix chain has not
+//! computed. Finishing the block later computes the remaining seeded
+//! words and then twists words `PREFIX..NN` in the reference's order from
+//! the operands the reference reads: seeded words `i` and `i + 1` are
+//! still untouched when word `i` is twisted, and word `i − MM` (for
+//! `i ≥ MM`) and word 0 (for the last) are already twisted in both orders.
 //!
 //! Until then the `PREFIX` twisted words wait in the last `PREFIX` slots,
 //! which the prefix chain has not reached, and the cursor runs over those
-//! slots: a draw makes the same one bounds test as in the reference.
+//! slots: a draw makes the same one bounds test as in the reference, and
+//! each stage change happens in the cold refill behind it.
 
 use crate::rng::Rng64;
 use std::ops::Range;
@@ -35,18 +36,32 @@ const MM: usize = 156;
 const MATRIX_A: u64 = 0xB502_6F5A_A966_19E9;
 const UPPER_MASK: u64 = 0xFFFF_FFFF_8000_0000;
 const LOWER_MASK: u64 = 0x0000_0000_7FFF_FFFF;
-/// Words of the first block [`Mt64::new`] twists: a grid or hyperbolic
-/// cell of ≈ 8 points draws about 16.
-const PREFIX: usize = 16;
+/// Words of the first block the first draw twists. Counted per stream on
+/// the benchmark's workloads, ≥ 98 % of the per-cell streams of `rgg2d`,
+/// `rdg2d` and `rhg` draw at most 48 words (31 % of `rgg2d`'s at most
+/// 16); a longer stream does the reference's work plus one copy of the
+/// prefix.
+const PREFIX: usize = 48;
+// The twisted prefix waits in slots the prefix chain does not reach.
+const _: () = assert!(MM + PREFIX <= NN - PREFIX);
+
+/// How much of the first block exists.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// Only the seed, in `mt[0]`.
+    Seed,
+    /// The first `PREFIX` words, in `mt[NN - PREFIX..]`.
+    Prefix,
+    /// The whole block: every refill is the reference twist.
+    Full,
+}
 
 /// 64-bit Mersenne Twister state.
 #[derive(Clone)]
 pub struct Mt64 {
     mt: [u64; NN],
     idx: usize,
-    /// Whether the first block is still only its first `PREFIX` words,
-    /// held in `mt[NN - PREFIX..]`.
-    prefix_only: bool,
+    stage: Stage,
 }
 
 // Manual impl: the 312-word state array is noise; the cursor is the
@@ -90,32 +105,39 @@ fn twist(mt: &mut [u64; NN], words: Range<usize>) {
 }
 
 impl Mt64 {
-    /// Seed with a single 64-bit value (reference `init_genrand64`),
-    /// computing only what the first `PREFIX` draws read.
+    /// Seed with a single 64-bit value (reference `init_genrand64`); the
+    /// seeding chain runs on the first draw.
     pub fn new(seed: u64) -> Self {
         let mut mt = [0u64; NN];
         mt[0] = seed;
-        seed_words(&mut mt, 1..MM + PREFIX);
-        for i in 0..PREFIX {
-            mt[NN - PREFIX + i] = twisted(&mt, i);
-        }
         Mt64 {
             mt,
-            idx: NN - PREFIX,
-            prefix_only: true,
+            idx: NN,
+            stage: Stage::Seed,
         }
     }
 
     #[cold]
     fn refill(&mut self) {
-        if self.prefix_only {
-            self.mt.copy_within(NN - PREFIX.., 0);
-            seed_words(&mut self.mt, MM + PREFIX..NN);
-            twist(&mut self.mt, PREFIX..NN);
-            (self.idx, self.prefix_only) = (PREFIX, false);
-        } else {
-            twist(&mut self.mt, 0..NN);
-            self.idx = 0;
+        let mt = &mut self.mt;
+        match self.stage {
+            Stage::Seed => {
+                seed_words(mt, 1..MM + PREFIX);
+                for i in 0..PREFIX {
+                    mt[NN - PREFIX + i] = twisted(mt, i);
+                }
+                (self.idx, self.stage) = (NN - PREFIX, Stage::Prefix);
+            }
+            Stage::Prefix => {
+                mt.copy_within(NN - PREFIX.., 0);
+                seed_words(mt, MM + PREFIX..NN);
+                twist(mt, PREFIX..NN);
+                (self.idx, self.stage) = (PREFIX, Stage::Full);
+            }
+            Stage::Full => {
+                twist(mt, 0..NN);
+                self.idx = 0;
+            }
         }
     }
 }
