@@ -5,8 +5,9 @@
 //! (`kagen stream`, `launch`, `worker`) runs — once into a checksum fold
 //! and once into a boxed `BinarySink` (the shard path minus the file).
 //! The headline `*_vs_*` ratios compare kernels, both sides on that same
-//! path: linear-work R-MAT against plain descent, skip-sampled G(n,p)
-//! against the Algorithm-D leaves.
+//! path: linear-work R-MAT against Graph 500's per-level descent (the
+//! `rmat_plain*` rows, `kagen_baselines::Graph500Rmat`), skip-sampled
+//! G(n,p) against the Algorithm-D leaves.
 //!
 //! ```text
 //! throughput [--quick] [--reps N] [--out PATH] [--max-workers W]
@@ -48,6 +49,7 @@
 //! The JSON is machine-readable so future PRs have a trajectory to beat;
 //! the paper's headline metric (§8.6.1) is exactly this rate.
 
+use kagen_baselines::Graph500Rmat;
 use kagen_core::er::GnpLeaves;
 use kagen_core::prelude::*;
 use kagen_core::streaming::BATCH_EDGES;
@@ -447,11 +449,12 @@ fn main() {
     );
 
     let mut results = Vec::new();
+    // Graph 500's per-level descent, the baseline of the R-MAT ratios.
     results.push(measure(
         "rmat_plain",
         "rmat",
         format!("scale={scale} m={m} plain"),
-        &Rmat::new(scale, m).with_seed(1).with_chunks(chunks),
+        &Graph500Rmat::new(scale, m).with_seed(1).with_chunks(chunks),
         reps,
     ));
     // The linear-work composed-table kernel (the CLI default): one
@@ -476,7 +479,9 @@ fn main() {
         "rmat_plain_s32",
         "rmat",
         format!("scale={s32_scale} m={s32_m} plain"),
-        &Rmat::new(s32_scale, s32_m).with_seed(1).with_chunks(chunks),
+        &Graph500Rmat::new(s32_scale, s32_m)
+            .with_seed(1)
+            .with_chunks(chunks),
         reps,
     ));
     results.push(measure(
@@ -620,7 +625,7 @@ fn main() {
     ));
 
     // The R-MAT acceptance ratios: the linear-work composed kernel
-    // against plain descent, at scale 20 and at scale 32.
+    // against Graph 500's per-level descent, at scale 20 and at scale 32.
     let by_name = |needle: &str| results.iter().find(|r| r.name == needle).unwrap();
     let rmat_ratio = by_name("rmat_plain").batched_secs / by_name("rmat_linear").batched_secs;
     let rmat_s32_ratio =

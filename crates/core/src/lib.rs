@@ -167,7 +167,7 @@ pub trait Generator: Sync {
 /// `total · parts ≥ 2^64` on (n = 2^61 at 2^40 PEs), and a release build
 /// would wrap it silently.
 #[inline]
-pub(crate) fn even_split(total: u64, parts: usize, i: usize) -> std::ops::Range<u64> {
+pub fn even_split(total: u64, parts: usize, i: usize) -> std::ops::Range<u64> {
     debug_assert!(i < parts);
     let begin = |i: usize| (total as u128 * i as u128 / parts as u128) as u64;
     begin(i)..begin(i + 1)

@@ -47,25 +47,6 @@ struct Request {
     p: PrePoint,
 }
 
-/// Per-PE generation statistics (see [`Srhg::generate_pe_stats`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SrhgPeStats {
-    /// Distinct points generated: replicated globals plus each
-    /// activated extended-sector cell counted **once** (a cell whose
-    /// requests cannot reach any owned node — beyond the Δθ reach past
-    /// the sector — is never generated at all). Recomputations of the
-    /// same cell across later annulus sweeps are deliberately *not*
-    /// double-counted: this is the instance-level point count the
-    /// `abl-mem` table compares against the query generator's held
-    /// state; the recomputation cost shows up in wall-clock, not here.
-    pub generated_points: u64,
-    /// Peak *live* state of the sweep: replicated global points plus the
-    /// largest simultaneous active-request window summed over annuli —
-    /// the quantity that bounds sRHG's memory footprint (§7.2; Lemmas
-    /// 15/17 bound exactly these two terms).
-    pub peak_state: u64,
-}
-
 impl Srhg {
     /// `n` vertices, target average degree, power-law exponent γ > 2.
     pub fn new(n: u64, avg_deg: f64, gamma: f64) -> Self {
@@ -153,9 +134,31 @@ impl Generator for Srhg {
         });
     }
 
-    /// The sweep, sorted (and the sector's vertices with coordinates).
+    /// The sweep, sorted and deduplicated, and the sector's vertices
+    /// with their coordinates.
     fn generate_pe(&self, pe: usize) -> PeGraph {
-        self.generate_pe_stats(pe).0
+        let mut out = PeGraph {
+            pe,
+            ..PeGraph::default()
+        };
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        let mut locals: Vec<PrePoint> = Vec::new();
+        self.sweep(
+            pe,
+            &mut |u, v| edges.push((u, v)),
+            Some(&mut |p| locals.push(*p)),
+        );
+        locals.sort_by_key(|p| p.id);
+        locals.dedup_by_key(|p| p.id);
+        for v in &locals {
+            out.coords2.push((v.id, [v.r, v.theta]));
+        }
+        out.vertex_begin = locals.first().map_or(0, |p| p.id);
+        out.vertex_end = locals.last().map_or(0, |p| p.id + 1);
+        edges.sort_unstable();
+        edges.dedup();
+        out.edges = edges;
+        out
     }
 }
 
@@ -194,8 +197,8 @@ impl Srhg {
     /// before the node sweep can first need their requests, and expired
     /// requests are dropped at cell boundaries, so the live state is the
     /// replicated global annuli plus the active-request windows — the
-    /// exact two terms of [`SrhgPeStats::peak_state`] — never the PE's
-    /// full request multiset.
+    /// two terms Lemmas 15 and 17 bound — never the PE's full request
+    /// multiset.
     ///
     /// `emit` receives every edge incident to a sector-owned vertex,
     /// normalized `(min, max)`, in deterministic sweep order (globals
@@ -208,12 +211,12 @@ impl Srhg {
         pe: usize,
         emit: &mut impl FnMut(u64, u64),
         mut on_local: Option<&mut dyn FnMut(&PrePoint)>,
-    ) -> SrhgPeStats {
+    ) {
         let inst = self.instance();
         // Cells are regenerated per swept annulus, never held; only the
         // count-tree nodes on their paths are drawn once and kept (two
         // words per node, about two nodes per extended-sector cell of
-        // ~8 points — not part of `peak_state`, which counts points).
+        // ~8 points — not points of the sweep's live state).
         let mut cells = CellSource::new(&inst);
         let tau = std::f64::consts::TAU;
         let width = tau / self.chunks as f64;
@@ -233,7 +236,6 @@ impl Srhg {
                 }
             }
         }
-        let mut generated_points = globals.len() as u64;
         for (_, u) in &globals {
             if u.theta < lo || u.theta >= hi {
                 continue;
@@ -249,7 +251,6 @@ impl Srhg {
         }
 
         // ---- Sweep each streaming annulus, one at a time ------------------
-        let mut peak_active_total = 0u64;
         let mut clipped: Vec<(f64, f64)> = Vec::new();
         let mut greqs: Vec<Request> = Vec::new();
         let mut nbrs: Vec<(u64, u64)> = Vec::new();
@@ -306,7 +307,6 @@ impl Srhg {
             }
 
             let mut active: Vec<Request> = Vec::new();
-            let mut max_active_j = 0u64;
             let (n_first, n_count) = inst.overlap_range(j, lo, hi);
             let n_pos0 = lo - (lo.rem_euclid(tau) - n_first as f64 * w_j);
             for kn in 0..n_count {
@@ -326,9 +326,6 @@ impl Srhg {
                         let cc = (cb.first + cb.next) % cb.cells;
                         cb.next += 1;
                         let pts = cells.cell_points(cb.i, cc);
-                        if cb.i == j {
-                            generated_points += pts.len() as u64;
-                        }
                         for p in pts {
                             let dt = inst.space.delta_theta(p.r, b_j);
                             clipped.clear();
@@ -358,7 +355,6 @@ impl Srhg {
                         active.push(greqs[gnext]);
                         gnext += 1;
                     }
-                    max_active_j = max_active_j.max(active.len() as u64);
                     nbrs.clear();
                     for r in &active {
                         // Exact interval containment (activation may run
@@ -384,46 +380,7 @@ impl Srhg {
                     }
                 }
             }
-            // Report what an interleaved sweep would hold at once: every
-            // annulus' window (Lemma 17's bound).
-            peak_active_total += max_active_j;
         }
-
-        SrhgPeStats {
-            generated_points,
-            peak_state: globals.len() as u64 + peak_active_total,
-        }
-    }
-
-    /// Like [`Generator::generate_pe`], additionally returning
-    /// [`SrhgPeStats`] — the sweep's materialized form: collect the
-    /// streamed edges, sort, dedup. `peak_state` reports what the
-    /// streaming run holds, which is what the `abl-mem` experiment
-    /// compares against the query-centric [`crate::rhg::Rhg`]'s held
-    /// points.
-    pub fn generate_pe_stats(&self, pe: usize) -> (PeGraph, SrhgPeStats) {
-        let mut out = PeGraph {
-            pe,
-            ..PeGraph::default()
-        };
-        let mut edges: Vec<(u64, u64)> = Vec::new();
-        let mut locals: Vec<PrePoint> = Vec::new();
-        let stats = self.sweep(
-            pe,
-            &mut |u, v| edges.push((u, v)),
-            Some(&mut |p| locals.push(*p)),
-        );
-        locals.sort_by_key(|p| p.id);
-        locals.dedup_by_key(|p| p.id);
-        for v in &locals {
-            out.coords2.push((v.id, [v.r, v.theta]));
-        }
-        out.vertex_begin = locals.first().map_or(0, |p| p.id);
-        out.vertex_end = locals.last().map_or(0, |p| p.id + 1);
-        edges.sort_unstable();
-        edges.dedup();
-        out.edges = edges;
-        (out, stats)
     }
 }
 

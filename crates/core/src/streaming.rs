@@ -102,10 +102,10 @@ impl Batcher<'_, '_> {
     }
 }
 
-/// Shared driver for range-fill generators (R-MAT, BA): carve the index
-/// range into capacity-sized sub-ranges, let `fill` append each one to
-/// the buffer, emit every full buffer.
-pub(crate) fn fill_range_batched(
+/// Shared driver for range-fill generators (R-MAT, BA, and the Graph 500
+/// baseline): carve the index range into capacity-sized sub-ranges, let
+/// `fill` append each one to the buffer, emit every full buffer.
+pub fn fill_range_batched(
     range: std::ops::Range<u64>,
     buf: &mut Vec<(u64, u64)>,
     emit: &mut BatchEmit,

@@ -105,10 +105,8 @@ pub struct Options {
     pub blocks: usize,
     pub p_in: f64,
     pub p_out: f64,
-    /// As given; [`Options::rmat_kernel`] resolves the two together.
+    /// As given; [`Options::rmat_kernel`] resolves the default.
     pub rmat_levels: Option<u32>,
-    /// As given; a `Linear` here carries no level count yet.
-    pub rmat_kernel_flag: Option<RmatKernel>,
     pub gnp_leaves: GnpLeaves,
     pub seed: u64,
     pub chunks: usize,
@@ -152,7 +150,6 @@ impl Options {
             p_in: 0.01,
             p_out: 0.001,
             rmat_levels: None,
-            rmat_kernel_flag: None,
             gnp_leaves: GnpLeaves::Skip,
             seed: 1,
             chunks: 64,
@@ -208,15 +205,12 @@ impl Options {
         self.n.next_power_of_two().ilog2().max(1)
     }
 
-    /// The R-MAT kernel with its level count resolved. Default is
-    /// `linear` with the L2-cache-sized table
-    /// ([`Rmat::auto_linear_levels`]); the resolved value is pinned into
-    /// the params string and the worker command lines, so an instance
-    /// planned on this host reproduces bit-identically anywhere.
+    /// The R-MAT kernel with its level count resolved. Default is the
+    /// L2-cache-sized table ([`Rmat::auto_linear_levels`]); the resolved
+    /// value is pinned into the params string and the worker command
+    /// lines, so an instance planned on this host reproduces
+    /// bit-identically anywhere.
     pub fn rmat_kernel(&self) -> RmatKernel {
-        if self.rmat_kernel_flag == Some(RmatKernel::Plain) {
-            return RmatKernel::Plain;
-        }
         let scale = self.rmat_scale();
         let auto = || Rmat::auto_linear_levels(scale, kagen_util::l2_cache_bytes());
         RmatKernel::Linear {
@@ -402,44 +396,17 @@ static P_OUT: Flag = Flag {
     set: |o, f, v| num(f, v).map(|x| o.p_out = x),
     ..Flag::BASE
 };
-static KERNEL: Flag = Flag {
-    names: &["--rmat-kernel"],
-    metavar: Some("k"),
-    forward: Forward::Param(|o| match o.rmat_kernel() {
-        RmatKernel::Plain => Some("plain".into()),
-        RmatKernel::Linear { .. } => Some("linear".into()),
-    }),
-    help: "linear | plain (default linear: the linear-work composed path-block\n\
-           table; plain: one variate per level, the reference semantics).\n\
-           The two define different instances per seed",
-    set: |o, f, v| match v {
-        "linear" => put(
-            &mut o.rmat_kernel_flag,
-            Some(RmatKernel::Linear { levels: 0 }),
-        ),
-        "plain" => put(&mut o.rmat_kernel_flag, Some(RmatKernel::Plain)),
-        "table" => Err(format!(
-            "{f} table is retired (slower than linear wherever it ran, capped at scale < 32); \
-             use {f} linear, which defines a different instance per seed"
-        )),
-        _ => Err(format!("unknown {f} '{v}' (want linear | plain)")),
-    },
-    ..Flag::BASE
-};
 static LEVELS: Flag = Flag {
     names: &["--rmat-levels"],
     metavar: Some("k"),
-    forward: Forward::Param(|o| match o.rmat_kernel() {
-        RmatKernel::Plain => None,
-        RmatKernel::Linear { levels } => Some(levels.to_string()),
+    forward: Forward::Param(|o| {
+        let RmatKernel::Linear { levels } = o.rmat_kernel();
+        Some(levels.to_string())
     }),
-    help: "levels per composed-table draw of the linear kernel, 1..=12\n\
-           (default: sized to the L2 cache)",
+    help: "levels per draw of R-MAT's composed path-block table, 1..=12\n\
+           (default: sized to the L2 cache). Each count defines its own\n\
+           instance per seed",
     set: |o, f, v| match num(f, v)? {
-        0 => Err(format!(
-            "{f} 0 is retired; spell plain descent {} plain (same instance, same params string)",
-            KERNEL.name()
-        )),
         // 4^levels table slots: 12 is 128 MiB.
         levels @ 1..=12 => put(&mut o.rmat_levels, Some(levels)),
         levels => Err(format!("{f} {levels} out of range (want 1..=12)")),
@@ -717,14 +684,21 @@ static TRACE_OUT: Flag = Flag {
 
 /// Every option, in help order.
 pub static FLAGS: &[&Flag] = &[
-    &N, &M, &P, &R, &D, &GAMMA, &TEMP, &BLOCKS, &P_IN, &P_OUT, &KERNEL, &LEVELS, &LEAVES, &SEED,
-    &CHUNKS, &THREADS, &FORMAT, &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &WORKERS, &RESUME,
-    &VALIDATE, &RETRIES, &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR, &HEARTBEAT,
-    &VERBOSE, &QUIET, &M_OUT, &TRACE_OUT,
+    &N, &M, &P, &R, &D, &GAMMA, &TEMP, &BLOCKS, &P_IN, &P_OUT, &LEVELS, &LEAVES, &SEED, &CHUNKS,
+    &THREADS, &FORMAT, &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &WORKERS, &RESUME, &VALIDATE,
+    &RETRIES, &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR, &HEARTBEAT, &VERBOSE,
+    &QUIET, &M_OUT, &TRACE_OUT,
 ];
 
-/// Spellings that used to be options, and what to type instead.
-const RETIRED: &[(&str, &str)] = &[("--no-validate", "--validate none")];
+/// Spellings that used to be options, and what to say instead.
+const RETIRED: &[(&str, &str)] = &[
+    ("--no-validate", "spell it `--validate none`"),
+    (
+        "--rmat-kernel",
+        "R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); \
+         the per-level descent is kagen_baselines::Graph500Rmat",
+    ),
+];
 
 /// One generator model.
 #[derive(Debug)]
@@ -867,20 +841,15 @@ fn gnp_params(o: &Options) -> String {
     }
 }
 
-/// As with [`gnp_params`], the spelling without a kernel marker
-/// (`scale=.. m=.. levels=0`) stays with the plain instance, so run
-/// directories written before the linear-work kernel resume under
-/// `--rmat-kernel plain`. A ledger of the retired table kernel
-/// (`levels=N`, N > 0, no marker) matches neither spelling: `--resume`
-/// refuses it instead of mixing in shards of a different instance.
+/// The `kernel=linear` marker stays, so every run directory of the
+/// linear-work kernel resumes. A ledger without it — the retired plain
+/// descent's `levels=0` or the retired table kernel's `levels=N` — no
+/// longer matches: `--resume` refuses it instead of mixing in shards of a
+/// different instance.
 fn rmat_params(o: &Options) -> String {
+    let RmatKernel::Linear { levels } = o.rmat_kernel();
     let scale = o.rmat_scale();
-    match o.rmat_kernel() {
-        RmatKernel::Plain => format!("scale={scale} m={} levels=0", o.m),
-        RmatKernel::Linear { levels } => {
-            format!("scale={scale} m={} kernel=linear levels={levels}", o.m)
-        }
-    }
+    format!("scale={scale} m={} kernel=linear levels={levels}", o.m)
 }
 
 /// `$gen` with the instance seed and chunk count, boxed.
@@ -994,7 +963,7 @@ pub static MODELS: &[Model] = &[
     },
     Model {
         name: "rmat",
-        flags: &[&N, &M, &KERNEL, &LEVELS],
+        flags: &[&N, &M, &LEVELS],
         check: |o| {
             if o.n > 1 << 63 {
                 return Err(format!("needs n <= 2^63, got {}", o.n));
@@ -1054,7 +1023,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
     while let Some(arg) = args.next() {
         let flag = FLAGS.iter().find(|f| f.names.contains(&arg));
         let flag = flag.ok_or_else(|| match RETIRED.iter().find(|(old, _)| *old == arg) {
-            Some((_, new)) => fail(format!("{arg} is retired; spell it `{new}`")),
+            Some((_, advice)) => fail(format!("{arg} is retired; {advice}")),
             None => fail(format!("unknown option '{arg}' (see `kagen --help`)")),
         })?;
         let refused = flag
@@ -1080,13 +1049,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
 
 /// The rules that span more than one option.
 fn validate(o: &Options) -> Result<(), String> {
-    if let (Some(RmatKernel::Plain), Some(levels)) = (o.rmat_kernel_flag, o.rmat_levels) {
-        return Err(format!(
-            "{} {levels} conflicts with {} plain (only 0 allowed)",
-            LEVELS.name(),
-            KERNEL.name()
-        ));
-    }
     if o.mode != Mode::Materialize && o.shard_dir.is_none() {
         return Err(format!("{} is required", SHARD_DIR.name()));
     }

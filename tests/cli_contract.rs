@@ -290,12 +290,7 @@ const FLAG_MATRIX: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
     ])),
-    ("--rmat-kernel linear", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
-    ])),
+    ("--rmat-kernel linear", All("2 - {mode}: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat")),
     ("--gnp-leaves skip", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
@@ -916,14 +911,14 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate maybe", &[], "2 - kagen launch: unknown validate mode 'maybe'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 0", &[], "2 - kagen launch: --workers must be >= 1"),
-    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "2 - kagen <model>: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 is retired; spell plain descent --rmat-kernel plain (same instance, same params string)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-levels 4 conflicts with --rmat-kernel plain (only 0 allowed)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "0 D kagen stream: wrote 4 shards, 128 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel table is retired (slower than linear wherever it ran, capped at scale < 32); use --rmat-kernel linear, which defines a different instance per seed"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: unknown --rmat-kernel 'liner' (want linear | plain)"),
+    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "2 - kagen <model>: --rmat-levels 0 out of range (want 1..=12)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 out of range (want 1..=12)"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
     ("worker ba -n 2305843009213693952 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "0 D kagen worker: PEs 1125899906842623..1125899906842624 -> 1 shards, 8192 edges in <t>s"),
     ("worker ba -n 2305843009213693953 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "2 - kagen worker: ba: -d must be a positive integer (with n*d <= 2^63), got 4"),
     ("stream rhg -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rhg: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
@@ -1093,7 +1088,7 @@ fn table_rows_are_well_formed() {
     let in_matrix: Vec<&str> = FLAG_MATRIX
         .iter()
         .map(|(cell, _)| cell.split_whitespace().next().unwrap())
-        .filter(|name| *name != "--no-validate")
+        .filter(|name| !["--no-validate", "--rmat-kernel"].contains(name))
         .collect();
     assert_eq!(in_matrix.len(), count);
     assert!(in_matrix.iter().all(|name| spellings.contains(name)));
@@ -1160,7 +1155,6 @@ fn forwarded_argv_reparses_to_the_same_instance() {
         "ba -n 400 -d 4",
         "rmat -n 512 -m 4000",
         "rmat -n 512 -m 4000 --rmat-levels 3",
-        "rmat -n 512 -m 4000 --rmat-kernel plain",
         "sbm -n 400 -b 3 --p-in 0.02 --p-out 0.002",
     ] {
         let launch = cli::parse(&strings(&format!("launch {extra} {common}"))).unwrap();

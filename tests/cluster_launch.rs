@@ -658,34 +658,10 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
                 "rmat",
                 "--shard-dir",
                 dir_s,
-                "--rmat-kernel",
-                "liner",
-            ],
-            "unknown --rmat-kernel",
-        ),
-        (
-            vec![
-                "launch",
-                "rmat",
-                "--shard-dir",
-                dir_s,
                 "--rmat-levels",
                 "13",
             ],
             "out of range (want 1..=12)",
-        ),
-        (
-            vec![
-                "launch",
-                "rmat",
-                "--shard-dir",
-                dir_s,
-                "--rmat-kernel",
-                "plain",
-                "--rmat-levels",
-                "8",
-            ],
-            "conflicts with --rmat-kernel plain",
         ),
     ] {
         let (ok, stderr) = kagen(&args, &[]);
@@ -701,43 +677,46 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
     }
 }
 
-/// `--rmat-kernel table` is a retired spelling: every mode exits 2 with
-/// the retirement message before a worker spawns or a byte is written,
-/// at a scale the kernel used to serve (11) and one it never did (33).
+/// `--rmat-kernel` is retired with every value it took (`plain`, `linear`)
+/// and the one it retired before (`table`): every mode exits 2 with one
+/// stderr line naming the removal, before a worker spawns or a byte is
+/// written, at scale 11 and at scale 33.
 #[test]
 fn retired_rmat_table_kernel_exits_2_in_every_mode() {
     let dir = tmp("retired_table");
     let dir_s = dir.to_str().unwrap();
-    for n in ["2048", "8589934592"] {
-        for mode in [
-            vec!["stream", "rmat", "--shard-dir", dir_s],
-            vec!["launch", "rmat", "--shard-dir", dir_s],
-            vec!["worker", "rmat", "--shard-dir", dir_s, "--pe-range", "0..1"],
-            vec!["rmat"],
-        ] {
-            let mut args = mode.clone();
-            args.extend(["-n", n, "-m", "4000", "--rmat-kernel", "table"]);
-            let out = Command::new(KAGEN)
-                .args(&args)
-                .output()
-                .expect("cannot spawn kagen");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-            assert!(
-                stderr.contains("--rmat-kernel table is retired")
-                    && stderr.contains("--rmat-kernel linear")
-                    && stderr.contains("different instance per seed"),
-                "{args:?}: {stderr}"
-            );
-            assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
-            assert!(!dir.exists(), "{args:?} created the shard dir");
+    for kernel in ["plain", "linear", "table"] {
+        for n in ["2048", "8589934592"] {
+            for mode in [
+                vec!["stream", "rmat", "--shard-dir", dir_s],
+                vec!["launch", "rmat", "--shard-dir", dir_s],
+                vec!["worker", "rmat", "--shard-dir", dir_s, "--pe-range", "0..1"],
+                vec!["rmat"],
+            ] {
+                let mut args = mode.clone();
+                args.extend(["-n", n, "-m", "4000", "--rmat-kernel", kernel]);
+                let out = Command::new(KAGEN)
+                    .args(&args)
+                    .output()
+                    .expect("cannot spawn kagen");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+                assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains("--rmat-kernel is retired") && stderr.contains("Graph500Rmat"),
+                    "{args:?}: {stderr}"
+                );
+                assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
+                assert!(!dir.exists(), "{args:?} created the shard dir");
+            }
         }
     }
 }
 
-/// A run directory left behind by the retired table kernel (ledger params
-/// `scale=.. m=.. levels=8`, no kernel marker) matches no surviving
-/// spelling: `--resume` refuses it under either kernel and leaves every
+/// A run directory left behind by a retired kernel — the table kernel's
+/// ledger params `scale=.. m=.. levels=8` or the plain descent's
+/// `levels=0`, neither with the `kernel=linear` marker — matches the
+/// surviving spelling no more: `--resume` refuses it and leaves every
 /// file as it was.
 #[test]
 fn resume_refuses_a_table_era_ledger() {
@@ -757,18 +736,16 @@ fn resume_refuses_a_table_era_ledger() {
         "--shard-dir",
         dir_s,
     ];
-    let mut plain = base.to_vec();
-    plain.extend(["--rmat-kernel", "plain"]);
-    let (ok, stderr) = kagen(&plain, &[]);
+    let (ok, stderr) = kagen(&base, &[]);
     assert!(ok, "launch failed:\n{stderr}");
     let ledger_path = dir.join("ledger.json");
     let ledger = std::fs::read_to_string(&ledger_path).unwrap();
-    assert!(ledger.contains("scale=11 m=4000 levels=0"), "{ledger}");
-    std::fs::write(
-        &ledger_path,
-        ledger.replace("scale=11 m=4000 levels=0", "scale=11 m=4000 levels=8"),
-    )
-    .unwrap();
+    // The default run's params: `scale=11 m=4000 kernel=linear levels=L`,
+    // L sized to this host's L2.
+    let marker = "scale=11 m=4000 kernel=linear levels=";
+    let start = ledger.find(marker).expect("a linear-kernel ledger");
+    let len = ledger[start..].find('"').unwrap();
+    let params = &ledger[start..start + len];
 
     let snapshot = |dir: &std::path::Path| {
         let mut files: Vec<_> = std::fs::read_dir(dir)
@@ -786,15 +763,15 @@ fn resume_refuses_a_table_era_ledger() {
         files.sort();
         files
     };
-    let before = snapshot(&dir);
-    for kernel in [vec![], vec!["--rmat-kernel", "plain"]] {
+    for era in ["scale=11 m=4000 levels=8", "scale=11 m=4000 levels=0"] {
+        std::fs::write(&ledger_path, ledger.replace(params, era)).unwrap();
+        let before = snapshot(&dir);
         let mut args = base.to_vec();
-        args.extend(kernel);
         args.push("--resume");
         let (ok, stderr) = kagen(&args, &[]);
-        assert!(!ok, "{args:?} must not resume a table-era run");
+        assert!(!ok, "{args:?} must not resume a run of `{era}`");
         assert!(
-            stderr.contains("resume parameter mismatch") && stderr.contains("levels=8"),
+            stderr.contains("resume parameter mismatch") && stderr.contains(era),
             "{args:?}: {stderr}"
         );
         assert_eq!(snapshot(&dir), before, "{args:?} touched the run dir");

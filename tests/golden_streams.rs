@@ -48,6 +48,7 @@
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
+use kagen_repro::baselines::Graph500Rmat;
 use kagen_repro::core::prelude::*;
 use kagen_repro::pipeline::{ChecksumSink, EdgeSink};
 
@@ -114,8 +115,8 @@ fn rmat(scale: u32, kernel: RmatKernel) -> Box<dyn Generator> {
 
 /// The model matrix of `tests/observability.rs` (CLI defaults spelled
 /// out), both G(n,p) leaf samplers in both orientations, and the R-MAT
-/// kernel cells: plain, linear, a `levels ∤ scale` remainder cell, and a
-/// scale above 32.
+/// cells: 8 levels, a `levels ∤ scale` remainder cell, and a scale above
+/// 32.
 fn models() -> Vec<(&'static str, Box<dyn Generator>)> {
     macro_rules! gen {
         ($e:expr) => {
@@ -153,7 +154,6 @@ fn models() -> Vec<(&'static str, Box<dyn Generator>)> {
             "sbm",
             gen!(StochasticBlockModel::planted(2000, 4, 0.01, 0.001)),
         ),
-        ("rmat_plain_s20", rmat(20, RmatKernel::Plain)),
         (
             "rmat_linear8_s20",
             rmat(20, RmatKernel::Linear { levels: 8 }),
@@ -257,12 +257,6 @@ const GOLDEN: &[(&str, &[(u64, u64)])] = &[
         (1277, 5466953423841253765), (257, 12250639851388639626),
         (239, 9608242276149526939), (1261, 4005869351702360362),
     ]),
-    ("rmat_plain_s20", &[
-        (5000, 10021836682956403771), (5000, 166019729117463830),
-        (5000, 4248173829368932737), (5000, 5093407686381096473),
-        (5000, 1760140460477099012), (5000, 1011883553664268333),
-        (5000, 8161730365667686083), (5000, 818359786552385525),
-    ]),
     ("rmat_linear8_s20", &[
         (5000, 12306811426461017415), (5000, 16981821451172183382),
         (5000, 783032356070175655), (5000, 15843848118284460380),
@@ -296,6 +290,27 @@ fn every_model_streams_its_golden_digest() {
     }
     assert!(moved.is_empty(), "stream digests moved:\n{moved}");
     assert_eq!(models.len(), GOLDEN.len(), "stale golden rows");
+}
+
+/// `kagen_baselines::Graph500Rmat` at the instance of the R-MAT rows of
+/// [`GOLDEN`] (scale 20). The constant is the row `rmat_plain_s20`
+/// recorded while the per-level descent was the product's `--rmat-kernel
+/// plain`, so passing it shows the baseline draws the words the product
+/// did.
+#[rustfmt::skip]
+const GOLDEN_GRAPH500_RMAT_S20: &[(u64, u64)] = &[
+    (5000, 10021836682956403771), (5000, 166019729117463830),
+    (5000, 4248173829368932737), (5000, 5093407686381096473),
+    (5000, 1760140460477099012), (5000, 1011883553664268333),
+    (5000, 8161730365667686083), (5000, 818359786552385525),
+];
+
+#[test]
+fn graph500_rmat_streams_the_plain_kernels_golden_digest() {
+    let gen = Graph500Rmat::new(20, 40_000)
+        .with_seed(SEED)
+        .with_chunks(CHUNKS);
+    assert_eq!(digest(&gen), GOLDEN_GRAPH500_RMAT_S20);
 }
 
 /// Rows whose `generate_pe` is not the stream collected in order.
@@ -444,16 +459,6 @@ const GOLDEN_MATERIALIZED: &[(&str, &[PeDigest])] = &[
         (257, 12250639851388639626, 0, 2000, 0, 0),
         (239, 9608242276149526939, 0, 2000, 0, 0),
         (1261, 4005869351702360362, 0, 2000, 0, 0),
-    ]),
-    ("rmat_plain_s20", &[
-        (5000, 10021836682956403771, 0, 1048576, 0, 0),
-        (5000, 166019729117463830, 0, 1048576, 0, 0),
-        (5000, 4248173829368932737, 0, 1048576, 0, 0),
-        (5000, 5093407686381096473, 0, 1048576, 0, 0),
-        (5000, 1760140460477099012, 0, 1048576, 0, 0),
-        (5000, 1011883553664268333, 0, 1048576, 0, 0),
-        (5000, 8161730365667686083, 0, 1048576, 0, 0),
-        (5000, 818359786552385525, 0, 1048576, 0, 0),
     ]),
     ("rmat_linear8_s20", &[
         (5000, 12306811426461017415, 0, 1048576, 0, 0),

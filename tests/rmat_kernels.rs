@@ -1,9 +1,10 @@
-//! R-MAT kernel-matrix tests: the plain and linear-work composed-table
-//! kernels across boundary scales (31/32/33 straddle the point where u
-//! and v stop fitting one interleaved word, 63 is the vertex-id ceiling),
-//! `levels ∤ scale` remainder cells, and — via proptest — bit-identical
-//! delivery across point queries, batched streaming, and bulk fill for
-//! every `(scale, levels, kernel)` cell.
+//! R-MAT kernel-matrix tests: the linear-work composed-table kernel
+//! across boundary scales (31/32/33 straddle the point where u and v stop
+//! fitting one interleaved word, 63 is the vertex-id ceiling), `levels ∤
+//! scale` remainder cells, and — via proptest — bit-identical delivery
+//! across point queries, batched streaming, and bulk fill for every
+//! `(scale, levels)` cell. The per-level descent's twin of the proptest is
+//! in `kagen_baselines::graph500_rmat`.
 
 use kagen_repro::core::prelude::*;
 use proptest::prelude::*;
@@ -97,9 +98,9 @@ fn remainder_cells_stay_bit_stable() {
 
 #[test]
 fn linear_kernel_top_quadrant_mass_beyond_scale32() {
-    // Distribution sanity where plain descent is the only alternative:
-    // the top-level quadrant split at scale 33 must match the Graph 500
-    // (a, b, c, d) masses. 200k edges put ~9 sigma inside the 0.01 band.
+    // Distribution sanity beyond one interleaved word: the top-level
+    // quadrant split at scale 33 must match the Graph 500 (a, b, c, d)
+    // masses. 200k edges put ~9 sigma inside the 0.01 band.
     let m = 200_000u64;
     let gen = Rmat::new(33, m)
         .with_seed(9)
@@ -124,29 +125,21 @@ fn linear_kernel_top_quadrant_mass_beyond_scale32() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Every (scale, levels, kernel) cell delivers the identical edge
-    // sequence through bulk fill, point queries, and batched streaming,
-    // at any chunking — the bit-stability contract the CLI kernel flag
-    // relies on.
+    // Every (scale, levels) cell delivers the identical edge sequence
+    // through bulk fill, point queries, and batched streaming, at any
+    // chunking — the bit-stability contract `--rmat-levels` relies on.
     #[test]
     fn delivery_paths_agree_for_every_kernel_cell(
         scale in 1u32..=63,
         levels in 1u32..=12,
-        linear in any::<bool>(),
         m in 1u64..3_000,
         seed in any::<u64>(),
         chunks in 1usize..9,
     ) {
-        let levels = levels.min(scale);
-        let kernel = if linear {
-            RmatKernel::Linear { levels }
-        } else {
-            RmatKernel::Plain
-        };
         let gen = Rmat::new(scale, m)
             .with_seed(seed)
             .with_chunks(chunks)
-            .with_kernel(kernel);
+            .with_kernel(RmatKernel::Linear { levels });
         let mut fill = Vec::new();
         gen.fill_edges(0..m, &mut fill);
         prop_assert_eq!(fill.len() as u64, m);
