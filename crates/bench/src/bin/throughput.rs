@@ -7,7 +7,8 @@
 //! The headline `*_vs_*` ratios compare kernels, both sides on that same
 //! path: linear-work R-MAT against Graph 500's per-level descent (the
 //! `rmat_plain*` rows, `kagen_baselines::Graph500Rmat`), skip-sampled
-//! G(n,p) against the Algorithm-D leaves.
+//! G(n,p) against binomial counts + Method D on the same leaves (the
+//! `gnp_*_algoD` rows, `kagen_baselines::GnpAlgoD`).
 //!
 //! ```text
 //! throughput [--quick] [--reps N] [--out PATH] [--max-workers W]
@@ -49,8 +50,7 @@
 //! The JSON is machine-readable so future PRs have a trajectory to beat;
 //! the paper's headline metric (§8.6.1) is exactly this rate.
 
-use kagen_baselines::Graph500Rmat;
-use kagen_core::er::GnpLeaves;
+use kagen_baselines::{GnpAlgoD, Graph500Rmat};
 use kagen_core::prelude::*;
 use kagen_core::streaming::BATCH_EDGES;
 use kagen_obs::{error, info, trace, warn};
@@ -527,27 +527,29 @@ fn main() {
         reps,
     ));
     // The Algorithm-D G(n,p) baseline (binomial counts + Vitter Method D
-    // per leaf — the pre-skip-kernel instance, kept in-tree behind
-    // `GnpLeaves::AlgoD`): the comparison point the skip kernel is
-    // measured against.
+    // on the same leaves — the pre-skip-kernel instance,
+    // `kagen_baselines::GnpAlgoD`): the comparison point the skip kernel
+    // is measured against.
     results.push(measure(
         "gnp_directed_algoD",
         "gnp_directed",
         format!("n={n} p={p_directed:.3e} leaves=algo-d"),
-        &GnpDirected::new(n, p_directed)
-            .with_seed(1)
-            .with_chunks(chunks)
-            .with_leaves(GnpLeaves::AlgoD),
+        &GnpAlgoD::new(
+            GnpDirected::new(n, p_directed)
+                .with_seed(1)
+                .with_chunks(chunks),
+        ),
         reps,
     ));
     results.push(measure(
         "gnp_undirected_algoD",
         "gnp_undirected",
         format!("n={n} p={p_undirected:.3e} leaves=algo-d"),
-        &GnpUndirected::new(n, p_undirected)
-            .with_seed(1)
-            .with_chunks(chunks)
-            .with_leaves(GnpLeaves::AlgoD),
+        &GnpAlgoD::new(
+            GnpUndirected::new(n, p_undirected)
+                .with_seed(1)
+                .with_chunks(chunks),
+        ),
         reps,
     ));
     results.push(measure(

@@ -1,6 +1,6 @@
 //! Directed G(n,m) and G(n,p) (§4.1, §4.3).
 
-use super::{leaf_edges, GnpLeaves, Piece};
+use super::{leaf_edges, GnpLeaf, GnpLeaves, GnpPlan, Piece};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{even_split, Generator, PeGraph};
 use kagen_sampling::distributed::block_start;
@@ -170,7 +170,6 @@ pub struct GnpDirected {
     p: f64,
     seed: u64,
     chunks: usize,
-    leaves: GnpLeaves,
 }
 
 impl GnpDirected {
@@ -182,7 +181,6 @@ impl GnpDirected {
             p,
             seed: 1,
             chunks: 64,
-            leaves: GnpLeaves::default(),
         }
     }
 
@@ -199,16 +197,14 @@ impl GnpDirected {
         self
     }
 
-    /// Select the leaf-sampling algorithm (part of the instance
-    /// definition — see [`GnpLeaves`]).
-    pub fn with_leaves(mut self, leaves: GnpLeaves) -> Self {
-        self.leaves = leaves;
+    /// `self`: G(n,p) has one leaf sampler (see [`GnpLeaves`] for why
+    /// this remains).
+    pub fn with_leaves(self, _: GnpLeaves) -> Self {
         self
     }
 
-    /// The instance's leaf plan: the number of leaf blocks of its edge
-    /// universe (0 when the instance is empty) — the same for both leaf
-    /// samplers, so `AlgoD` keeps reproducing pre-swap instances.
+    /// The number of leaf blocks of the edge universe (0 when the
+    /// instance is empty).
     fn blocks(&self) -> u64 {
         let universe = ordered_pairs(self.n);
         let expected = ((universe as f64) * self.p) as u64;
@@ -220,15 +216,29 @@ impl GnpDirected {
         blocks
     }
 
-    /// Emit the edges of leaf block `b` of `blocks`, in index order.
-    fn leaf<F: FnMut(u64, u64)>(&self, blocks: u64, b: u64, emit: &mut F) {
+    /// Leaf block `b` of `blocks`.
+    fn leaf(&self, blocks: u64, b: u64) -> GnpLeaf {
         let universe = ordered_pairs(self.n);
         let start = block_start(universe, blocks, b);
-        let len = (block_start(universe, blocks, b + 1) - start) as u64; // ≤ 2^44 (er_blocks)
         let seed = |tag| derive_seed(self.seed, &[tag, b]);
-        let take = self.leaves.take(seed(stream::COUNT), len, self.p);
-        let piece = Piece::Directed { n: self.n, start };
-        leaf_edges(seed(stream::SAMPLE), len, take, piece, emit);
+        GnpLeaf {
+            len: (block_start(universe, blocks, b + 1) - start) as u64, // ≤ 2^44 (er_blocks)
+            count_seed: seed(stream::COUNT),
+            sample_seed: seed(stream::SAMPLE),
+            piece: Piece::Directed { n: self.n, start },
+        }
+    }
+}
+
+impl GnpPlan for GnpDirected {
+    fn p(&self) -> f64 {
+        self.p
+    }
+
+    /// The blocks of PE `pe`'s even share, in order.
+    fn leaves(&self, pe: usize) -> impl Iterator<Item = GnpLeaf> + '_ {
+        let blocks = self.blocks();
+        even_split(blocks, self.chunks, pe).map(move |b| self.leaf(blocks, b))
     }
 }
 
@@ -245,28 +255,16 @@ impl Generator for GnpDirected {
         true
     }
 
+    /// Each of the PE's leaves, every pair taken with probability `p`.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
-    }
-}
-
-impl GnpDirected {
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `stream_pe_batched`:
-    /// [`Self::leaf`] for each of the PE's blocks, in order.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        let blocks = self.blocks();
-        for b in even_split(blocks, self.chunks, pe) {
-            self.leaf(blocks, b, emit);
-        }
+        self.stream_leaves(pe, buf, emit, |_| Take::Bernoulli(self.p));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::er::draw_plan;
     use crate::generate_directed;
 
     #[test]
@@ -354,62 +352,22 @@ mod tests {
 
     #[test]
     fn gnp_leaf_samplers_define_distinct_instances() {
-        // Same distribution, different PRNG walk: the two leaf samplers
-        // must not silently alias each other.
-        let skip = generate_directed(&GnpDirected::new(200, 0.05).with_seed(3));
-        let algo_d = generate_directed(
-            &GnpDirected::new(200, 0.05)
-                .with_seed(3)
-                .with_leaves(GnpLeaves::AlgoD),
-        );
+        // Same leaves, different PRNG walk: the plan drawn with binomial
+        // counts and Method D must not silently alias the instance, which
+        // is the plan drawn with geometric skips.
+        let gen = GnpDirected::new(200, 0.05).with_seed(3);
+        let skip = generate_directed(&gen);
+        assert_eq!(skip, draw_plan(&gen, |_| Take::Bernoulli(0.05)));
+        let algo_d = draw_plan(&gen, |leaf| {
+            let mut rng = kagen_util::Mt64::new(leaf.count_seed);
+            Take::Exact(kagen_dist::binomial(&mut rng, leaf.len as u128, 0.05))
+        });
         assert_ne!(skip.edges, algo_d.edges);
         // Both stay simple and in range.
         for el in [&skip, &algo_d] {
             assert!(!el.has_self_loops());
             assert!(!el.has_out_of_range());
         }
-    }
-
-    #[test]
-    fn gnp_algo_d_mean_edge_count() {
-        // The back-compat sampler keeps drawing correct G(n,p).
-        let n = 300u64;
-        let p = 0.01;
-        let reps = 40;
-        let total: usize = (0..reps)
-            .map(|seed| {
-                generate_directed(
-                    &GnpDirected::new(n, p)
-                        .with_seed(seed)
-                        .with_leaves(GnpLeaves::AlgoD),
-                )
-                .edges
-                .len()
-            })
-            .sum();
-        let mean = total as f64 / reps as f64;
-        let expect = (n * (n - 1)) as f64 * p;
-        assert!(
-            (mean - expect).abs() / expect < 0.05,
-            "mean {mean} vs {expect}"
-        );
-    }
-
-    #[test]
-    fn gnp_algo_d_chunk_invariance() {
-        let a = generate_directed(
-            &GnpDirected::new(150, 0.05)
-                .with_seed(9)
-                .with_leaves(GnpLeaves::AlgoD)
-                .with_chunks(1),
-        );
-        let b = generate_directed(
-            &GnpDirected::new(150, 0.05)
-                .with_seed(9)
-                .with_leaves(GnpLeaves::AlgoD)
-                .with_chunks(13),
-        );
-        assert_eq!(a, b);
     }
 
     #[test]

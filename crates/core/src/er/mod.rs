@@ -16,39 +16,84 @@ mod undirected;
 pub use directed::{GnmDirected, GnpDirected};
 pub use undirected::{GnmUndirected, GnpUndirected};
 
-use kagen_dist::binomial;
+use crate::streaming::{BatchEmit, Batcher};
+use crate::Generator;
 use kagen_sampling::{sample_leaf, Take};
-use kagen_util::Mt64;
 
-/// Leaf-sampling algorithm of the G(n,p) generators.
-///
-/// The default is geometric skip sampling (Batagelj–Brandes): one
-/// uniform per emitted edge, converted by the block-batched kernel
-/// (`kagen_dist::geometric`). `AlgoD` reproduces the pre-skip-kernel
-/// instances (per-leaf binomial count + Vitter Method D) for anyone
-/// holding manifests generated before the kernel swap; it is also the
-/// bench harness's Algorithm-D comparison point.
-/// Both samplers draw G(n,p) exactly — every pair kept independently
-/// with probability `p` — they just walk different PRNG streams, so the
-/// two settings produce different (equally valid) fixed-seed instances.
+/// G(n,p)'s one leaf sampler, geometric skips. A one-variant enum, with
+/// `with_leaves`, only because `benchmark/src/workloads.rs` builds
+/// `with_leaves(GnpLeaves::Skip)`, as with [`crate::rmat::RmatKernel`];
+/// delete both when that package is next ported. Binomial counts and
+/// Method D on the same [`GnpPlan`] are `kagen_baselines::GnpAlgoD`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GnpLeaves {
-    /// Geometric skip sampling over each leaf block (the default).
+    /// Geometric skips over each leaf.
     #[default]
     Skip,
-    /// Binomial count + Vitter Method D per leaf (the historical path).
-    AlgoD,
 }
 
-impl GnpLeaves {
-    /// What a G(n,p) leaf of `len` pairs takes: each pair with
-    /// probability `p`, or a "predetermined" binomial count (§4.3) drawn
-    /// from the PRNG seeded `count_seed`.
-    fn take(self, count_seed: u64, len: u64, p: f64) -> Take {
-        match self {
-            GnpLeaves::Skip => Take::Bernoulli(p),
-            GnpLeaves::AlgoD => Take::Exact(binomial(&mut Mt64::new(count_seed), len as u128, p)),
-        }
+/// A G(n,p) instance as its leaf plan (§4.3): PE `pe` emits the edges of
+/// the leaves [`GnpPlan::leaves`] yields, in that order, each pair taken
+/// with probability [`GnpPlan::p`].
+pub trait GnpPlan: Generator {
+    /// The edge probability.
+    fn p(&self) -> f64;
+
+    /// PE `pe`'s leaves, in emission order (none when `p = 0`).
+    fn leaves(&self, pe: usize) -> impl Iterator<Item = GnpLeaf> + '_;
+
+    /// Stream PE `pe`'s leaves in batches, each drawn with the `Take`
+    /// that `take` picks for it (the instance: `Take::Bernoulli(p)`).
+    fn stream_leaves(
+        &self,
+        pe: usize,
+        buf: &mut Vec<(u64, u64)>,
+        emit: &mut BatchEmit,
+        take: impl Fn(&GnpLeaf) -> Take,
+    ) {
+        Batcher::run(buf, emit, |b| {
+            for leaf in self.leaves(pe) {
+                let take = take(&leaf);
+                leaf_edges(leaf.sample_seed, leaf.len, take, leaf.piece, &mut |u, v| {
+                    b.push(u, v)
+                });
+            }
+        });
+    }
+}
+
+/// One leaf of a [`GnpPlan`]: `len` vertex pairs, where they land, and
+/// the seeds of its sample stream and of its count stream, which only
+/// the Algorithm-D baseline reads.
+#[derive(Clone, Copy, Debug)]
+pub struct GnpLeaf {
+    /// Vertex pairs of the leaf.
+    pub len: u64,
+    /// Seed of the leaf's count stream (`stream::COUNT`).
+    pub count_seed: u64,
+    sample_seed: u64,
+    piece: Piece,
+}
+
+/// Every PE of `gen`'s plan streamed with the leaf sampler `take` picks,
+/// merged as [`crate::generate_merged`] merges an instance.
+#[cfg(test)]
+pub(crate) fn draw_plan<G: GnpPlan>(
+    gen: &G,
+    take: impl Fn(&GnpLeaf) -> Take + Copy,
+) -> kagen_graph::EdgeList {
+    let parts = (0..gen.num_chunks()).map(|pe| {
+        let (mut buf, mut edges) = (Vec::new(), Vec::new());
+        gen.stream_leaves(pe, &mut buf, &mut |b| edges.extend_from_slice(b), take);
+        edges
+    });
+    let n = gen.num_vertices();
+    if gen.directed() {
+        let mut edges: Vec<_> = parts.flatten().collect();
+        edges.sort_unstable();
+        kagen_graph::EdgeList::new(n, edges)
+    } else {
+        kagen_graph::merge_pe_edges(n, parts)
     }
 }
 

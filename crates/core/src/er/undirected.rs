@@ -13,7 +13,7 @@
 //! All variates are drawn from recursion-node-seeded PRNGs, so every PE
 //! reconstructs identical counts along its paths.
 
-use super::{leaf_edges, GnpLeaves, Piece};
+use super::{leaf_edges, GnpLeaf, GnpLeaves, GnpPlan, Piece};
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_dist::hypergeometric;
@@ -252,15 +252,15 @@ impl GnmUndirected {
     }
 }
 
-/// Undirected Gilbert G(n,p) (§4.3): per-chunk binomial counts, no
-/// recursion needed because chunk universes are predetermined.
+/// Undirected Gilbert G(n,p) (§4.3): every chunk of the chunk matrix is
+/// one leaf, drawn alone — no count recursion, because each chunk's pairs
+/// are taken independently.
 #[derive(Clone, Debug)]
 pub struct GnpUndirected {
     n: u64,
     p: f64,
     seed: u64,
     chunks: usize,
-    leaves: GnpLeaves,
 }
 
 impl GnpUndirected {
@@ -272,7 +272,6 @@ impl GnpUndirected {
             p,
             seed: 1,
             chunks: 64,
-            leaves: GnpLeaves::default(),
         }
     }
 
@@ -289,11 +288,37 @@ impl GnpUndirected {
         self
     }
 
-    /// Select the chunk-sampling algorithm (part of the instance
-    /// definition — see [`GnpLeaves`]).
-    pub fn with_leaves(mut self, leaves: GnpLeaves) -> Self {
-        self.leaves = leaves;
+    /// `self`: G(n,p) has one leaf sampler (see [`GnpLeaves`] for why
+    /// this remains).
+    pub fn with_leaves(self, _: GnpLeaves) -> Self {
         self
+    }
+}
+
+impl GnpPlan for GnpUndirected {
+    fn p(&self) -> f64 {
+        self.p
+    }
+
+    /// The chunks PE `pe` owns: row `pe`, then column `pe`. Both owners
+    /// of a chunk draw it from the same chunk-id seeds.
+    fn leaves(&self, pe: usize) -> impl Iterator<Item = GnpLeaf> + '_ {
+        let grid = ChunkMatrix::new(self.n, self.chunks);
+        let pe = pe as u64;
+        let empty = self.n < 2 || self.p == 0.0;
+        let (row_len, q) = if empty { (0, 0) } else { (pe + 1, grid.q) };
+        let row = (0..row_len).map(move |j| (pe, j));
+        let column = (pe + 1..q).map(move |i| (i, pe));
+        row.chain(column).map(move |(i, j)| {
+            let (len, piece) = grid.leaf(i, j);
+            let seed = |tag| derive_seed(self.seed, &[tag, i, j]);
+            GnpLeaf {
+                len,
+                count_seed: seed(stream::COUNT),
+                sample_seed: seed(stream::SAMPLE),
+                piece,
+            }
+        })
     }
 }
 
@@ -310,10 +335,9 @@ impl Generator for GnpUndirected {
         false
     }
 
+    /// Each of the PE's chunks, every pair taken with probability `p`.
     fn stream_pe_batched(&self, pe: usize, buf: &mut Vec<(u64, u64)>, emit: &mut BatchEmit) {
-        Batcher::run(buf, emit, |b| {
-            self.stream_edges(pe, &mut |u, v| b.push(u, v))
-        });
+        self.stream_leaves(pe, buf, emit, |_| Take::Bernoulli(self.p));
     }
 
     fn pe_vertices(&self, pe: usize) -> PeGraph {
@@ -328,36 +352,10 @@ impl Generator for GnpUndirected {
     }
 }
 
-impl GnpUndirected {
-    /// The chunk ids PE `pe` owns, in emission order: row `pe` then
-    /// column `pe`.
-    fn chunk_ids(grid: &ChunkMatrix, pe_id: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
-        (0..=pe_id)
-            .map(move |j| (pe_id, j))
-            .chain((pe_id + 1..grid.q).map(move |i| (i, pe_id)))
-    }
-
-    /// Emit PE `pe`'s edges without materializing them (§9 streaming) —
-    /// the one edge-producing function behind `stream_pe_batched`,
-    /// generic over the consumer so callers monomorphize.
-    pub(crate) fn stream_edges<F: FnMut(u64, u64)>(&self, pe: usize, emit: &mut F) {
-        let grid = ChunkMatrix::new(self.n, self.chunks);
-        let pe_id = pe as u64;
-        if self.n < 2 || self.p == 0.0 {
-            return;
-        }
-        for (i, j) in Self::chunk_ids(&grid, pe_id) {
-            let (len, piece) = grid.leaf(i, j);
-            let seed = |tag| derive_seed(self.seed, &[tag, i, j]);
-            let take = self.leaves.take(seed(stream::COUNT), len, self.p);
-            leaf_edges(seed(stream::SAMPLE), len, take, piece, emit);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::er::draw_plan;
     use crate::{generate_parallel, generate_undirected};
 
     #[test]
@@ -487,41 +485,18 @@ mod tests {
 
     #[test]
     fn gnp_leaf_samplers_define_distinct_instances() {
-        let skip = generate_undirected(&GnpUndirected::new(150, 0.05).with_seed(3).with_chunks(4));
-        let algo_d = generate_undirected(
-            &GnpUndirected::new(150, 0.05)
-                .with_seed(3)
-                .with_chunks(4)
-                .with_leaves(GnpLeaves::AlgoD),
-        );
+        let gen = GnpUndirected::new(150, 0.05).with_seed(3).with_chunks(4);
+        let skip = generate_undirected(&gen);
+        assert_eq!(skip, draw_plan(&gen, |_| Take::Bernoulli(0.05)));
+        let algo_d = draw_plan(&gen, |leaf| {
+            let mut rng = kagen_util::Mt64::new(leaf.count_seed);
+            Take::Exact(kagen_dist::binomial(&mut rng, leaf.len as u128, 0.05))
+        });
         assert_ne!(skip.edges, algo_d.edges);
         for el in [&skip, &algo_d] {
             assert!(!el.has_self_loops());
             assert!(!el.has_out_of_range());
         }
-    }
-
-    #[test]
-    fn gnp_algo_d_mean_and_redundancy() {
-        let n = 250u64;
-        let p = 0.02;
-        let reps = 30;
-        let mut total = 0usize;
-        for seed in 0..reps {
-            let gen = GnpUndirected::new(n, p)
-                .with_seed(seed)
-                .with_chunks(5)
-                .with_leaves(GnpLeaves::AlgoD);
-            let el = generate_undirected(&gen);
-            assert!(!el.has_self_loops());
-            total += el.edges.len();
-        }
-        let mean = total as f64 / reps as f64;
-        let expect = (n * (n - 1) / 2) as f64 * p;
-        assert!(
-            (mean - expect).abs() / expect < 0.05,
-            "mean {mean} vs {expect}"
-        );
     }
 
     #[test]

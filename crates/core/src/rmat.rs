@@ -9,8 +9,9 @@
 //!
 //! **One kernel.** The descent is the linear-work scheme of
 //! Hübschle-Schneider & Sanders ("Linear Work Generation of R-MAT Graphs"):
-//! one alias table over *path blocks* of `levels` levels, sized to the L2
-//! cache, whose entries store the u- and v-halves deinterleaved. A whole
+//! one alias table over *path blocks* of `levels` levels
+//! ([`Rmat::DEFAULT_LEVELS`] = 8, a 512 KiB table that stays L2-resident),
+//! whose entries store the u- and v-halves deinterleaved. A whole
 //! edge is the composition of ⌈scale/levels⌉ draws — the last draw
 //! truncated to the remaining levels, which is exact because the per-level
 //! quadrant choices are i.i.d. (the marginal of the first r levels of an
@@ -61,11 +62,6 @@ pub enum RmatKernel {
         levels: u32,
     },
 }
-
-/// Levels per composed draw when [`Rmat::with_kernel`] is not called: a
-/// 512 KiB table, a quarter of a 2 MiB L2 (see
-/// [`Rmat::auto_linear_levels`]).
-const DEFAULT_LEVELS: u32 = 8;
 
 /// Linear-work composed path-block table.
 ///
@@ -139,6 +135,10 @@ pub struct Rmat {
 }
 
 impl Rmat {
+    /// Levels per composed draw of `Rmat::new` and the CLI, clamped to the
+    /// scale: a 512 KiB table. A constant, so every host draws one graph.
+    pub const DEFAULT_LEVELS: u32 = 8;
+
     /// `n = 2^scale` vertices, `m` edges, Graph 500 probabilities
     /// (a, b, c, d) = (0.57, 0.19, 0.19, 0.05).
     pub fn new(scale: u32, m: u64) -> Self {
@@ -159,7 +159,7 @@ impl Rmat {
             c,
             seed: 1,
             chunks: 64,
-            levels: DEFAULT_LEVELS.min(scale),
+            levels: Self::DEFAULT_LEVELS.min(scale),
             table: Arc::default(),
         }
     }
@@ -200,10 +200,8 @@ impl Rmat {
 
     /// The composed table, built on the first call.
     fn table(&self) -> &ComposedTable {
-        self.table.get_or_init(|| {
-            let _span = kagen_obs::span("rmat.table_build");
-            ComposedTable::new(self.levels, self.scale, self.a, self.b, self.c)
-        })
+        self.table
+            .get_or_init(|| ComposedTable::new(self.levels, self.scale, self.a, self.b, self.c))
     }
 
     /// Largest level count whose composed table (8·4^levels bytes of alias
@@ -212,9 +210,9 @@ impl Rmat {
     /// L2 with the edge output buffer and the streamed seed blocks, and a
     /// table that exactly fills the cache measurably thrashes (a 2 MiB
     /// table in a 2 MiB L2 ran ~25% slower than the 512 KiB table in the
-    /// tuning sweep). Pure in its inputs: callers that auto-detect the
-    /// cache must pin the resolved value into the instance parameters so
-    /// the stream reproduces on differently-cached hosts.
+    /// tuning sweep). Its one caller is `benchmark/`'s `rmat_scale_levels`,
+    /// which agrees with [`Rmat::DEFAULT_LEVELS`] only on a 2 MiB L2;
+    /// delete it when that caller takes the constant.
     pub fn auto_linear_levels(scale: u32, l2_bytes: usize) -> u32 {
         let budget = l2_bytes / 4;
         let mut levels = 1u32;

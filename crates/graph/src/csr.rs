@@ -1,6 +1,7 @@
 //! Compressed sparse row adjacency, built from edge lists.
 
 use crate::{EdgeList, Node};
+use std::io;
 
 /// CSR adjacency structure.
 ///
@@ -17,37 +18,48 @@ pub struct Csr {
 impl Csr {
     /// Build from a directed edge list (edges kept as-is).
     pub fn directed(el: &EdgeList) -> Self {
-        Self::build(el.n, el.edges.iter().copied())
+        Self::try_build(el.n, el.edges.iter().copied()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build from a canonical undirected edge list (both orientations
     /// inserted).
     pub fn undirected(el: &EdgeList) -> Self {
-        Self::build(el.n, el.edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]))
+        Self::try_undirected(el).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn build(n: Node, edges: impl Iterator<Item = (Node, Node)> + Clone) -> Self {
-        let n = n as usize;
-        let mut counts = vec![0usize; n + 1];
+    /// [`Csr::undirected`], with an `OutOfMemory` error instead of an
+    /// abort when the offsets or targets cannot be allocated — `n + 1`
+    /// offsets come before any edge, 8 TiB at n = 2^40.
+    pub fn try_undirected(el: &EdgeList) -> io::Result<Self> {
+        Self::try_build(el.n, el.edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]))
+    }
+
+    /// Counting sort by source into one offsets array: count into
+    /// `offsets[u + 1]`, prefix-sum to the list starts, scatter with
+    /// `offsets[u]` as the cursor (it ends at the next list's start),
+    /// then shift the array back by one.
+    fn try_build(n: Node, edges: impl Iterator<Item = (Node, Node)> + Clone) -> io::Result<Self> {
+        let n = usize::try_from(n).map_err(|_| out_of_memory(n, "vertices"))?;
+        let mut offsets = zeroed(n.saturating_add(1), "offsets")?;
         for (u, _) in edges.clone() {
-            counts[u as usize + 1] += 1;
+            offsets[u as usize + 1] += 1;
         }
         for i in 0..n {
-            counts[i + 1] += counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut targets = vec![0 as Node; offsets[n]];
+        let mut targets = zeroed(offsets[n], "adjacency entries")?;
         for (u, v) in edges {
-            targets[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
+            targets[offsets[u as usize]] = v;
+            offsets[u as usize] += 1;
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         // Sort each adjacency list for deterministic iteration and binary
         // search.
         for v in 0..n {
             targets[offsets[v]..offsets[v + 1]].sort_unstable();
         }
-        Csr { offsets, targets }
+        Ok(Csr { offsets, targets })
     }
 
     /// Number of vertices.
@@ -105,6 +117,20 @@ impl Csr {
         }
         count
     }
+}
+
+/// `len` zeros, or `OutOfMemory` naming what did not fit.
+fn zeroed<T: Copy + Default>(len: usize, what: &str) -> io::Result<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| out_of_memory(len, what))?;
+    v.resize(len, T::default());
+    Ok(v)
+}
+
+fn out_of_memory(len: impl std::fmt::Display, what: &str) -> io::Error {
+    let msg = format!("cannot allocate the CSR's {len} {what}");
+    io::Error::new(io::ErrorKind::OutOfMemory, msg)
 }
 
 #[cfg(test)]

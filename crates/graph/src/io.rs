@@ -939,8 +939,8 @@ pub fn read_edge_list(text: &str, n: Option<u64>) -> io::Result<EdgeList> {
 /// Write METIS format: header `n m`, then one line of 1-based neighbors per
 /// vertex. Expects a canonical undirected edge list.
 pub fn write_metis<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
+    let csr = crate::Csr::try_undirected(el)?;
     let mut w = BufWriter::new(w);
-    let csr = crate::Csr::undirected(el);
     writeln!(w, "{} {}", el.n, el.edges.len())?;
     for v in 0..el.n {
         let neigh = csr.neighbors(v);

@@ -9,7 +9,9 @@
 //! with probability `p` ([`bernoulli_sample_batched`]: geometric skips).
 //! [`sample_sorted`] and [`bernoulli_sample`] are the per-draw references
 //! the batched arms are tested against, and what the Boost-style
-//! baseline runs.
+//! baseline runs. G(n,m) and SBM take `Exact` (so [`vitter`] stays
+//! here), G(n,p) `Bernoulli`; `kagen_baselines::GnpAlgoD` is `Exact` of a
+//! binomial count.
 //!
 //! * [`vitter`] — sequential sampling without replacement in sorted order:
 //!   Vitter's Algorithm A (linear scan) and Algorithm D (skip-based,

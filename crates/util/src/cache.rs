@@ -1,16 +1,13 @@
 //! CPU cache-size detection for cache-sized lookup tables.
 //!
-//! The linear-work R-MAT kernel sizes its composed path-block alias table
-//! to the L2 cache (Hübschle-Schneider & Sanders: the table must be hot or
-//! every draw is a memory round-trip). Detection reads Linux sysfs; on any
-//! other platform — or inside containers that mask sysfs, as CI sandboxes
-//! often do — it falls back to a deterministic 512 KiB, a conservative
-//! size for every x86-64/aarch64 part of the last decade.
-//!
-//! Determinism note: callers that *derive parameters* from the detected
-//! size (e.g. the CLI's auto table-levels) must resolve the value once and
-//! pin the result into the instance's params string, so that re-running on
-//! a host with a different cache still reproduces the original stream.
+//! Its callers are all in the benchmark package: the machine report, and
+//! the restated former host-sized R-MAT level default
+//! (`Rmat::auto_linear_levels`) its instances are checked with. The
+//! product's R-MAT levels are a constant, so no output depends on the
+//! host's cache. Detection reads Linux sysfs; on any other platform — or
+//! inside containers that mask sysfs, as CI sandboxes often do — it falls
+//! back to a deterministic 512 KiB, a conservative size for every
+//! x86-64/aarch64 part of the last decade.
 
 /// Deterministic fallback when no cache hierarchy is exposed.
 pub const L2_FALLBACK_BYTES: usize = 512 * 1024;

@@ -105,9 +105,6 @@ pub struct Options {
     pub blocks: usize,
     pub p_in: f64,
     pub p_out: f64,
-    /// As given; [`Options::rmat_kernel`] resolves the default.
-    pub rmat_levels: Option<u32>,
-    pub gnp_leaves: GnpLeaves,
     pub seed: u64,
     pub chunks: usize,
     pub threads: usize,
@@ -149,8 +146,6 @@ impl Options {
             blocks: 2,
             p_in: 0.01,
             p_out: 0.001,
-            rmat_levels: None,
-            gnp_leaves: GnpLeaves::Skip,
             seed: 1,
             chunks: 64,
             threads: 0,
@@ -205,17 +200,10 @@ impl Options {
         self.n.next_power_of_two().ilog2().max(1)
     }
 
-    /// The R-MAT kernel with its level count resolved. Default is the
-    /// L2-cache-sized table ([`Rmat::auto_linear_levels`]); the resolved
-    /// value is pinned into the params string and the worker command
-    /// lines, so an instance planned on this host reproduces
-    /// bit-identically anywhere.
-    pub fn rmat_kernel(&self) -> RmatKernel {
-        let scale = self.rmat_scale();
-        let auto = || Rmat::auto_linear_levels(scale, kagen_util::l2_cache_bytes());
-        RmatKernel::Linear {
-            levels: self.rmat_levels.unwrap_or_else(auto).min(scale),
-        }
+    /// R-MAT's levels per composed draw: the library's default, clamped
+    /// to the scale — a constant, so every host names the same graph.
+    fn rmat_levels(&self) -> u32 {
+        Rmat::DEFAULT_LEVELS.min(self.rmat_scale())
     }
 
     /// The manifest/ledger params string of this instance.
@@ -394,36 +382,6 @@ static P_OUT: Flag = Flag {
     forward: Forward::Param(|o| Some(o.p_out.to_string())),
     help: "edge probability between blocks (default 0.001)",
     set: |o, f, v| num(f, v).map(|x| o.p_out = x),
-    ..Flag::BASE
-};
-static LEVELS: Flag = Flag {
-    names: &["--rmat-levels"],
-    metavar: Some("k"),
-    forward: Forward::Param(|o| {
-        let RmatKernel::Linear { levels } = o.rmat_kernel();
-        Some(levels.to_string())
-    }),
-    help: "levels per draw of R-MAT's composed path-block table, 1..=12\n\
-           (default: sized to the L2 cache). Each count defines its own\n\
-           instance per seed",
-    set: |o, f, v| match num(f, v)? {
-        // 4^levels table slots: 12 is 128 MiB.
-        levels @ 1..=12 => put(&mut o.rmat_levels, Some(levels)),
-        levels => Err(format!("{f} {levels} out of range (want 1..=12)")),
-    },
-    ..Flag::BASE
-};
-static LEAVES: Flag = Flag {
-    names: &["--gnp-leaves"],
-    metavar: Some("sampler"),
-    forward: Forward::Param(|o| Some(gnp_leaves_name(o.gnp_leaves).into())),
-    help: "skip | algo-d: batched geometric skips (default) or the pre-swap\n\
-           binomial + Vitter D path (reproduces historical instances)",
-    set: |o, f, v| match v {
-        "skip" => put(&mut o.gnp_leaves, GnpLeaves::Skip),
-        "algo-d" => put(&mut o.gnp_leaves, GnpLeaves::AlgoD),
-        _ => Err(format!("unknown {f} '{v}' (want skip | algo-d)")),
-    },
     ..Flag::BASE
 };
 static SEED: Flag = Flag {
@@ -684,19 +642,30 @@ static TRACE_OUT: Flag = Flag {
 
 /// Every option, in help order.
 pub static FLAGS: &[&Flag] = &[
-    &N, &M, &P, &R, &D, &GAMMA, &TEMP, &BLOCKS, &P_IN, &P_OUT, &LEVELS, &LEAVES, &SEED, &CHUNKS,
-    &THREADS, &FORMAT, &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &WORKERS, &RESUME, &VALIDATE,
-    &RETRIES, &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR, &HEARTBEAT, &VERBOSE,
-    &QUIET, &M_OUT, &TRACE_OUT,
+    &N, &M, &P, &R, &D, &GAMMA, &TEMP, &BLOCKS, &P_IN, &P_OUT, &SEED, &CHUNKS, &THREADS, &FORMAT,
+    &OUTPUT, &STATS, &SHARD_DIR, &MERGE, &BUDGET, &WORKERS, &RESUME, &VALIDATE, &RETRIES,
+    &PROGRESS, &STALL, &PE_RANGE, &RANK, &M_SIDECAR, &T_SIDECAR, &HEARTBEAT, &VERBOSE, &QUIET,
+    &M_OUT, &TRACE_OUT,
 ];
 
-/// Spellings that used to be options, and what to say instead.
-const RETIRED: &[(&str, &str)] = &[
+/// Spellings that used to be options, and what to say instead: any use,
+/// with any value, is a usage error naming the removal.
+pub const RETIRED: &[(&str, &str)] = &[
     ("--no-validate", "spell it `--validate none`"),
     (
         "--rmat-kernel",
-        "R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); \
+        "R-MAT has one kernel, the linear-work table of 8 levels per draw; \
          the per-level descent is kagen_baselines::Graph500Rmat",
+    ),
+    (
+        "--rmat-levels",
+        "R-MAT draws 8 levels per table lookup (fewer below scale 8) on every host, \
+         so the same parameters name the same graph anywhere",
+    ),
+    (
+        "--gnp-leaves",
+        "G(n,p) has one leaf sampler, geometric skips; \
+         the binomial + Method D leaves are kagen_baselines::GnpAlgoD",
     ),
 ];
 
@@ -822,33 +791,22 @@ fn hyperbolic_params(o: &Options) -> String {
     format!("n={} d={} gamma={}", o.n, o.d, o.gamma)
 }
 
-fn gnp_leaves_name(leaves: GnpLeaves) -> &'static str {
-    match leaves {
-        GnpLeaves::Skip => "skip",
-        GnpLeaves::AlgoD => "algo-d",
-    }
-}
-
-/// The legacy spelling (`n=.. p=..`, no marker) stays with the *legacy*
-/// instance (`algo-d`): run directories written before the skip-kernel
-/// swap resume under `--gnp-leaves algo-d` without a header mismatch —
-/// and can never be silently "resumed" by the skip default, whose shards
-/// belong to a different instance.
+/// The `leaves=skip` marker stays, so every skip-sampled run directory
+/// resumes. A ledger without it — the binomial + Method D instance's
+/// `n=.. p=..` — no longer matches: `--resume` refuses it instead of
+/// mixing in shards of a different instance.
 fn gnp_params(o: &Options) -> String {
-    match o.gnp_leaves {
-        GnpLeaves::AlgoD => format!("n={} p={}", o.n, o.p),
-        leaves => format!("n={} p={} leaves={}", o.n, o.p, gnp_leaves_name(leaves)),
-    }
+    format!("n={} p={} leaves=skip", o.n, o.p)
 }
 
 /// The `kernel=linear` marker stays, so every run directory of the
 /// linear-work kernel resumes. A ledger without it — the retired plain
 /// descent's `levels=0` or the retired table kernel's `levels=N` — no
-/// longer matches: `--resume` refuses it instead of mixing in shards of a
+/// longer matches, nor does a linear run at a level count other than the
+/// default: `--resume` refuses it instead of mixing in shards of a
 /// different instance.
 fn rmat_params(o: &Options) -> String {
-    let RmatKernel::Linear { levels } = o.rmat_kernel();
-    let scale = o.rmat_scale();
+    let (scale, levels) = (o.rmat_scale(), o.rmat_levels());
     format!("scale={scale} m={} kernel=linear levels={levels}", o.m)
 }
 
@@ -883,20 +841,20 @@ pub static MODELS: &[Model] = &[
     },
     Model {
         name: "gnp_directed",
-        flags: &[&N, &P, &LEAVES],
+        flags: &[&N, &P],
         check: |o| directed_fits(o.n).and(probability(&P, o.p)),
         params: gnp_params,
-        build: |o| seeded!(o, GnpDirected::new(o.n, o.p).with_leaves(o.gnp_leaves)),
+        build: |o| seeded!(o, GnpDirected::new(o.n, o.p)),
     },
     Model {
         name: "gnp_undirected",
-        flags: &[&N, &P, &LEAVES],
+        flags: &[&N, &P],
         check: |o| {
             probability(&P, o.p)?;
             pieces_fit(o, &CHUNKS, o.chunks as u64, "a chunk's vertex pairs")
         },
         params: gnp_params,
-        build: |o| seeded!(o, GnpUndirected::new(o.n, o.p).with_leaves(o.gnp_leaves)),
+        build: |o| seeded!(o, GnpUndirected::new(o.n, o.p)),
     },
     Model {
         name: "rgg2d",
@@ -963,7 +921,7 @@ pub static MODELS: &[Model] = &[
     },
     Model {
         name: "rmat",
-        flags: &[&N, &M, &LEVELS],
+        flags: &[&N, &M],
         check: |o| {
             if o.n > 1 << 63 {
                 return Err(format!("needs n <= 2^63, got {}", o.n));
@@ -971,11 +929,12 @@ pub static MODELS: &[Model] = &[
             Ok(())
         },
         params: rmat_params,
+        // The table is built here, before any PE runs: built by the
+        // first worker instead, it raised `kagen stream`'s peak RSS.
         build: |o| {
-            seeded!(
-                o,
-                Rmat::new(o.rmat_scale(), o.m).with_kernel(o.rmat_kernel())
-            )
+            let levels = o.rmat_levels();
+            let rmat = Rmat::new(o.rmat_scale(), o.m).with_kernel(RmatKernel::Linear { levels });
+            seeded!(o, rmat)
         },
     },
     Model {
@@ -1083,9 +1042,9 @@ fn validate(o: &Options) -> Result<(), String> {
 
 /// The arguments that re-create this instance in a `kagen worker`
 /// process: the model, its own parameters, and every row that forwards —
-/// seed, chunks, the resolved pins (R-MAT kernel and levels, threads,
-/// format, shard directory) and the telemetry switches. The launcher
-/// appends the rank's PE range and id.
+/// seed, chunks, the resolved pins (threads, format, shard directory)
+/// and the telemetry switches. The launcher appends the rank's PE range
+/// and id.
 pub fn worker_args(o: &Options) -> Vec<String> {
     let mut args = vec![o.model.name.to_string()];
     for flag in FLAGS {

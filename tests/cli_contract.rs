@@ -284,19 +284,9 @@ const FLAG_MATRIX: &[(&str, Want)] = &[
         "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
         "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
     ])),
-    ("--rmat-levels 4", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
-    ])),
-    ("--rmat-kernel linear", All("2 - {mode}: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat")),
-    ("--gnp-leaves skip", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 228 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 63 edges in <t>s",
-    ])),
+    ("--rmat-levels 4", All("2 - {mode}: --rmat-levels is retired; R-MAT draws 8 levels per table lookup (fewer below scale 8) on every host, so the same parameters name the same graph anywhere")),
+    ("--rmat-kernel linear", All("2 - {mode}: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat")),
+    ("--gnp-leaves skip", All("2 - {mode}: --gnp-leaves is retired; G(n,p) has one leaf sampler, geometric skips; the binomial + Method D leaves are kagen_baselines::GnpAlgoD")),
     ("-s 7", Each([
         "0 -",
         "0 D {mode}: wrote 4 shards, 226 edges, format compressed -> <tmp>/shards in <t>s",
@@ -793,19 +783,6 @@ const MODEL_CORNERS: &[(&str, Want)] = &[
         "0 D {mode}: PEs 0..1 -> 1 shards, 4 edges in <t>s",
     ])),
     ("rmat -n 9223372036854775809 -m 16", All("2 - {mode}: rmat: needs n <= 2^63, got 9223372036854775809")),
-    ("rmat -n 64 -m 128 --rmat-levels 1", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
-    ])),
-    ("rmat -n 64 -m 128 --rmat-levels 12", Each([
-        "0 -",
-        "0 D {mode}: wrote 4 shards, 128 edges, format compressed -> <tmp>/shards in <t>s",
-        "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 128 edges in <t>s",
-        "0 D {mode}: PEs 0..1 -> 1 shards, 32 edges in <t>s",
-    ])),
-    ("rmat -n 64 -m 128 --rmat-levels 13", All("2 - {mode}: --rmat-levels 13 out of range (want 1..=12)")),
     ("sbm -n 64 -b 0", All("2 - {mode}: sbm: -b must be in 1..=n, got 0")),
     ("sbm -n 64 -b 1", Each([
         "0 -",
@@ -896,6 +873,7 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("gnm_directed -n 64 -m 128 -f bogus -o {root}/x.txt", &[("x.txt", "keep\n")], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
     ("gnm_directed -n 64 -m 128 -f bogus", &[], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
     ("gnm_directed -n 64 -m 128 -f metis -o {root}/x.txt", &[("x.txt", "keep\n")], "0 D"),
+    ("rmat -n 1099511627776 -m 50000 -c 4 -f metis -o {root}/x.txt", &[], "1 D kagen: cannot write <tmp>/x.txt: cannot allocate the CSR's 1099511627777 offsets"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f metis", &[], "2 - kagen stream: unknown shard format 'metis'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen stream: unknown shard format 'bogus'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen launch: unknown shard format 'bogus'"),
@@ -911,22 +889,24 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate none", &[], "0 D kagen worker rank 0: PEs 0..4 -> 4 shards, 228 edges in <t>s"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 1 --validate maybe", &[], "2 - kagen launch: unknown validate mode 'maybe'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --workers 0", &[], "2 - kagen launch: --workers must be >= 1"),
-    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "2 - kagen <model>: --rmat-levels 0 out of range (want 1..=12)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels 0 out of range (want 1..=12)"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
-    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table (--rmat-levels sets its levels); the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("rmat -n 64 -m 128 -c 4 --rmat-levels 0", &[], "2 - kagen <model>: --rmat-levels is retired; R-MAT draws 8 levels per table lookup (fewer below scale 8) on every host, so the same parameters name the same graph anywhere"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 0", &[], "2 - kagen stream: --rmat-levels is retired; R-MAT draws 8 levels per table lookup (fewer below scale 8) on every host, so the same parameters name the same graph anywhere"),
+    ("launch rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-levels 8", &[], "2 - kagen launch: --rmat-levels is retired; R-MAT draws 8 levels per table lookup (fewer below scale 8) on every host, so the same parameters name the same graph anywhere"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel linear --rmat-levels 0", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain --rmat-levels 4", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel plain", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel table", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
+    ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
     ("worker ba -n 2305843009213693952 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "0 D kagen worker: PEs 1125899906842623..1125899906842624 -> 1 shards, 8192 edges in <t>s"),
     ("worker ba -n 2305843009213693953 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "2 - kagen worker: ba: -d must be a positive integer (with n*d <= 2^63), got 4"),
     ("stream rhg -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rhg: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream gnm_directed -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: gnm_directed: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream ba -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: ba: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream rmat -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rmat: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
-    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "0 D kagen stream: wrote 4 shards, 6 edges, format compressed -> <tmp>/s in <t>s"),
-    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: unknown --gnp-leaves 'vitter' (want skip | algo-d)"),
+    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves algo-d", &[], "2 - kagen stream: --gnp-leaves is retired; G(n,p) has one leaf sampler, geometric skips; the binomial + Method D leaves are kagen_baselines::GnpAlgoD"),
+    ("stream gnp_directed -n 64 -c 4 --shard-dir {root}/s --gnp-leaves vitter", &[], "2 - kagen stream: --gnp-leaves is retired; G(n,p) has one leaf sampler, geometric skips; the binomial + Method D leaves are kagen_baselines::GnpAlgoD"),
+    ("launch gnp_undirected -n 64 -c 4 --shard-dir {root}/s --gnp-leaves", &[], "2 - kagen launch: --gnp-leaves is retired; G(n,p) has one leaf sampler, geometric skips; the binomial + Method D leaves are kagen_baselines::GnpAlgoD"),
     ("launch rhg -n 1000 -d 8 -g 1.5 -c 8 --shard-dir {root}/s --workers 2 --retries 2", &[], "2 - kagen launch: rhg: -g must be > 2, got 1.5"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --progress 0", &[], "2 - kagen launch: --progress wants a positive interval, got 0"),
     ("worker gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s --pe-range 2..2", &[], "2 - kagen worker: --pe-range 2..2 is not a non-empty sub-range of 0..4 (-c)"),
@@ -1088,7 +1068,7 @@ fn table_rows_are_well_formed() {
     let in_matrix: Vec<&str> = FLAG_MATRIX
         .iter()
         .map(|(cell, _)| cell.split_whitespace().next().unwrap())
-        .filter(|name| !["--no-validate", "--rmat-kernel"].contains(name))
+        .filter(|name| !cli::RETIRED.iter().any(|(old, _)| old == name))
         .collect();
     assert_eq!(in_matrix.len(), count);
     assert!(in_matrix.iter().all(|name| spellings.contains(name)));
@@ -1144,7 +1124,7 @@ fn forwarded_argv_reparses_to_the_same_instance() {
         "gnm_directed -n 400 -m 2000",
         "gnm_undirected -n 400 -m 2000",
         "gnp_directed -n 400 -p 0.01",
-        "gnp_undirected -n 400 -p 0.01 --gnp-leaves algo-d",
+        "gnp_undirected -n 400 -p 0.01",
         "rgg2d -n 300",
         "rgg3d -n 300 -r 0.2",
         "rdg2d -n 300",
@@ -1154,7 +1134,7 @@ fn forwarded_argv_reparses_to_the_same_instance() {
         "soft-rhg -n 300 -d 6 -g 2.9 -T 0.4",
         "ba -n 400 -d 4",
         "rmat -n 512 -m 4000",
-        "rmat -n 512 -m 4000 --rmat-levels 3",
+        "rmat -n 32 -m 4000",
         "sbm -n 400 -b 3 --p-in 0.02 --p-out 0.002",
     ] {
         let launch = cli::parse(&strings(&format!("launch {extra} {common}"))).unwrap();

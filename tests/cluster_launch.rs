@@ -661,7 +661,7 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
                 "--rmat-levels",
                 "13",
             ],
-            "out of range (want 1..=12)",
+            "--rmat-levels is retired",
         ),
     ] {
         let (ok, stderr) = kagen(&args, &[]);
@@ -677,73 +677,102 @@ fn launch_rejects_invalid_flags_before_spawning_workers() {
     }
 }
 
+/// Every use of the retired `flag` — each of `values`, after each of the
+/// model argument lists `models` — exits 2 in every mode with one stderr
+/// line containing `"{flag} is retired"` and each of `needles`, before a
+/// worker spawns or a byte is written.
+fn assert_retired(tag: &str, models: &[&[&str]], flag: &str, values: &[&str], needles: &[&str]) {
+    let dir = tmp(tag);
+    let dir_s = dir.to_str().unwrap();
+    for model in models {
+        for value in values {
+            for (word, required) in [
+                (Some("stream"), vec!["--shard-dir", dir_s]),
+                (Some("launch"), vec!["--shard-dir", dir_s]),
+                (
+                    Some("worker"),
+                    vec!["--shard-dir", dir_s, "--pe-range", "0..1"],
+                ),
+                (None, vec![]),
+            ] {
+                let mut argv: Vec<&str> = word.into_iter().collect();
+                argv.extend(model.iter().chain(&required));
+                argv.extend([flag, value]);
+                let out = Command::new(KAGEN)
+                    .args(&argv)
+                    .output()
+                    .expect("cannot spawn kagen");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+                assert_eq!(stderr.lines().count(), 1, "{argv:?}: {stderr}");
+                let retired = format!("{flag} is retired");
+                for needle in needles.iter().chain([&retired.as_str()]) {
+                    assert!(stderr.contains(needle), "{argv:?}: {stderr}");
+                }
+                assert!(out.stdout.is_empty(), "{argv:?} wrote to stdout");
+                assert!(!dir.exists(), "{argv:?} created the shard dir");
+            }
+        }
+    }
+}
+
 /// `--rmat-kernel` is retired with every value it took (`plain`, `linear`)
 /// and the one it retired before (`table`): every mode exits 2 with one
 /// stderr line naming the removal, before a worker spawns or a byte is
 /// written, at scale 11 and at scale 33.
 #[test]
 fn retired_rmat_table_kernel_exits_2_in_every_mode() {
-    let dir = tmp("retired_table");
-    let dir_s = dir.to_str().unwrap();
-    for kernel in ["plain", "linear", "table"] {
-        for n in ["2048", "8589934592"] {
-            for mode in [
-                vec!["stream", "rmat", "--shard-dir", dir_s],
-                vec!["launch", "rmat", "--shard-dir", dir_s],
-                vec!["worker", "rmat", "--shard-dir", dir_s, "--pe-range", "0..1"],
-                vec!["rmat"],
-            ] {
-                let mut args = mode.clone();
-                args.extend(["-n", n, "-m", "4000", "--rmat-kernel", kernel]);
-                let out = Command::new(KAGEN)
-                    .args(&args)
-                    .output()
-                    .expect("cannot spawn kagen");
-                let stderr = String::from_utf8_lossy(&out.stderr);
-                assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-                assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-                assert!(
-                    stderr.contains("--rmat-kernel is retired") && stderr.contains("Graph500Rmat"),
-                    "{args:?}: {stderr}"
-                );
-                assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
-                assert!(!dir.exists(), "{args:?} created the shard dir");
-            }
-        }
-    }
+    assert_retired(
+        "retired_table",
+        &[
+            &["rmat", "-n", "2048", "-m", "4000"],
+            &["rmat", "-n", "8589934592", "-m", "4000"],
+        ],
+        "--rmat-kernel",
+        &["plain", "linear", "table"],
+        &["Graph500Rmat"],
+    );
 }
 
-/// A run directory left behind by a retired kernel — the table kernel's
-/// ledger params `scale=.. m=.. levels=8` or the plain descent's
-/// `levels=0`, neither with the `kernel=linear` marker — matches the
-/// surviving spelling no more: `--resume` refuses it and leaves every
-/// file as it was.
+/// `--rmat-levels` (R-MAT's levels are a constant) and `--gnp-leaves`
+/// (G(n,p) has one leaf sampler) are retired with any value — the ones
+/// they took, one out of range, one that never parsed — in every mode.
 #[test]
-fn resume_refuses_a_table_era_ledger() {
-    let dir = tmp("table_era");
-    let dir_s = dir.to_str().unwrap();
-    let base = [
-        "launch",
-        "rmat",
-        "-n",
-        "2048",
-        "-m",
-        "4000",
-        "-c",
-        "4",
-        "--workers",
-        "2",
-        "--shard-dir",
-        dir_s,
-    ];
-    let (ok, stderr) = kagen(&base, &[]);
+fn retired_levels_and_leaves_flags_exit_2_in_every_mode() {
+    assert_retired(
+        "retired_levels",
+        &[
+            &["rmat", "-n", "2048", "-m", "4000"],
+            &["rmat", "-n", "8589934592", "-m", "4000"],
+        ],
+        "--rmat-levels",
+        &["8", "5", "0", "13"],
+        &["8 levels per table lookup"],
+    );
+    assert_retired(
+        "retired_leaves",
+        &[
+            &["gnp_directed", "-n", "2000", "-p", "0.002"],
+            &["gnp_undirected", "-n", "2000", "-p", "0.004"],
+        ],
+        "--gnp-leaves",
+        &["skip", "algo-d", "vitter"],
+        &["GnpAlgoD"],
+    );
+}
+
+/// Launch `base` (which writes `dir`), then rewrite the params string of
+/// its ledger — found by its prefix `marker` — to each of `eras`: every
+/// `--resume` must fail with `resume parameter mismatch` naming that
+/// string, and leave every file of the run dir as it was.
+fn assert_resume_refuses(dir: &std::path::Path, base: &[&str], marker: &str, eras: &[&str]) {
+    let (ok, stderr) = kagen(base, &[]);
     assert!(ok, "launch failed:\n{stderr}");
     let ledger_path = dir.join("ledger.json");
     let ledger = std::fs::read_to_string(&ledger_path).unwrap();
-    // The default run's params: `scale=11 m=4000 kernel=linear levels=L`,
-    // L sized to this host's L2.
-    let marker = "scale=11 m=4000 kernel=linear levels=";
-    let start = ledger.find(marker).expect("a linear-kernel ledger");
+    let start = ledger
+        .find(marker)
+        .expect("the params string in the ledger");
     let len = ledger[start..].find('"').unwrap();
     let params = &ledger[start..start + len];
 
@@ -763,9 +792,9 @@ fn resume_refuses_a_table_era_ledger() {
         files.sort();
         files
     };
-    for era in ["scale=11 m=4000 levels=8", "scale=11 m=4000 levels=0"] {
+    for era in eras {
         std::fs::write(&ledger_path, ledger.replace(params, era)).unwrap();
-        let before = snapshot(&dir);
+        let before = snapshot(dir);
         let mut args = base.to_vec();
         args.push("--resume");
         let (ok, stderr) = kagen(&args, &[]);
@@ -774,7 +803,72 @@ fn resume_refuses_a_table_era_ledger() {
             stderr.contains("resume parameter mismatch") && stderr.contains(era),
             "{args:?}: {stderr}"
         );
-        assert_eq!(snapshot(&dir), before, "{args:?} touched the run dir");
+        assert_eq!(snapshot(dir), before, "{args:?} touched the run dir");
     }
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A run directory left behind by a retired R-MAT instance matches the
+/// surviving spelling (`scale=.. m=.. kernel=linear levels=8`) no more:
+/// the table kernel's ledger params `scale=.. m=.. levels=8` and the
+/// plain descent's `levels=0`, neither with the `kernel=linear` marker,
+/// and a linear run at another level count (`--rmat-levels 5`).
+/// `--resume` refuses each and leaves every file as it was.
+#[test]
+fn resume_refuses_a_table_era_ledger() {
+    let dir = tmp("table_era");
+    let base = [
+        "launch",
+        "rmat",
+        "-n",
+        "2048",
+        "-m",
+        "4000",
+        "-c",
+        "4",
+        "--workers",
+        "2",
+        "--shard-dir",
+        dir.to_str().unwrap(),
+    ];
+    assert_resume_refuses(
+        &dir,
+        &base,
+        "scale=11 m=4000 kernel=linear levels=",
+        &[
+            "scale=11 m=4000 levels=8",
+            "scale=11 m=4000 levels=0",
+            "scale=11 m=4000 kernel=linear levels=5",
+        ],
+    );
+}
+
+/// A G(n,p) run directory of the binomial + Method D instance (ledger
+/// params `n=.. p=..`, no `leaves=` marker) is no longer resumed by the
+/// one leaf sampler's `n=.. p=.. leaves=skip`.
+#[test]
+fn resume_refuses_an_algo_d_era_ledger() {
+    for model in ["gnp_directed", "gnp_undirected"] {
+        let dir = tmp(&format!("algo_d_era_{model}"));
+        let base = [
+            "launch",
+            model,
+            "-n",
+            "2000",
+            "-p",
+            "0.002",
+            "-c",
+            "4",
+            "--workers",
+            "2",
+            "--shard-dir",
+            dir.to_str().unwrap(),
+        ];
+        assert_resume_refuses(
+            &dir,
+            &base,
+            "n=2000 p=0.002 leaves=skip",
+            &["n=2000 p=0.002"],
+        );
+    }
 }

@@ -34,8 +34,8 @@
 //! at 1, 7 and 64 chunks, recorded on the tree that resolved one slot's
 //! hash chain at a time.
 //!
-//! The last table pins the Erdős–Rényi family (both G(n,m), G(n,p) on
-//! both leaf samplers, SBM) at 1, 7 and 64 chunks and at the corners
+//! The last table pins the Erdős–Rényi family (both G(n,m), G(n,p) and
+//! its Algorithm-D baseline, SBM) at 1, 7 and 64 chunks and at the corners
 //! that reach every arm of a leaf — Method A, m = universe, p = 1, most
 //! leaves empty, fewer vertices than chunks — recorded on the tree whose
 //! ER sites each drew and decoded their own leaves.
@@ -48,7 +48,7 @@
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
-use kagen_repro::baselines::Graph500Rmat;
+use kagen_repro::baselines::{GnpAlgoD, Graph500Rmat};
 use kagen_repro::core::prelude::*;
 use kagen_repro::pipeline::{ChecksumSink, EdgeSink};
 
@@ -114,7 +114,9 @@ fn rmat(scale: u32, kernel: RmatKernel) -> Box<dyn Generator> {
 }
 
 /// The model matrix of `tests/observability.rs` (CLI defaults spelled
-/// out), both G(n,p) leaf samplers in both orientations, and the R-MAT
+/// out), G(n,p)'s Algorithm-D baseline (`kagen_baselines::GnpAlgoD`, the
+/// rows `gnp_*_algo_d`, recorded while it was the product's
+/// `--gnp-leaves algo-d`) in both orientations, and the R-MAT
 /// cells: 8 levels, a `levels ∤ scale` remainder cell, and a scale above
 /// 32.
 fn models() -> Vec<(&'static str, Box<dyn Generator>)> {
@@ -123,18 +125,23 @@ fn models() -> Vec<(&'static str, Box<dyn Generator>)> {
             Box::new($e.with_seed(SEED).with_chunks(CHUNKS)) as Box<dyn Generator>
         };
     }
+    macro_rules! algo_d {
+        ($e:expr) => {
+            Box::new(GnpAlgoD::new($e.with_seed(SEED).with_chunks(CHUNKS))) as Box<dyn Generator>
+        };
+    }
     vec![
         ("gnm_directed", gen!(GnmDirected::new(2000, 8000))),
         ("gnm_undirected", gen!(GnmUndirected::new(2000, 8000))),
         ("gnp_directed", gen!(GnpDirected::new(2000, 0.002))),
         (
             "gnp_directed_algo_d",
-            gen!(GnpDirected::new(2000, 0.002).with_leaves(GnpLeaves::AlgoD)),
+            algo_d!(GnpDirected::new(2000, 0.002)),
         ),
         ("gnp_undirected", gen!(GnpUndirected::new(2000, 0.004))),
         (
             "gnp_undirected_algo_d",
-            gen!(GnpUndirected::new(2000, 0.004).with_leaves(GnpLeaves::AlgoD)),
+            algo_d!(GnpUndirected::new(2000, 0.004)),
         ),
         (
             "rgg2d",
@@ -910,6 +917,22 @@ fn er_corners() -> Vec<(String, Box<dyn Generator>)> {
             )
         };
     }
+    // A G(n,p) row, or its Algorithm-D baseline on the same leaves.
+    macro_rules! gnp {
+        ($name:expr, $e:expr, $algo_d:expr) => {
+            (
+                $name,
+                Box::new(move |chunks| {
+                    let gnp = $e.with_seed(SEED).with_chunks(chunks);
+                    if $algo_d {
+                        Box::new(GnpAlgoD::new(gnp)) as Box<dyn Generator>
+                    } else {
+                        Box::new(gnp)
+                    }
+                }) as Build,
+            )
+        };
+    }
     let sparse_directed = 1u64 << 25;
     let mut models: Vec<(String, Build)> = vec![
         row!("gnm_directed_dense", GnmDirected::new(200, 8000)),
@@ -921,40 +944,44 @@ fn er_corners() -> Vec<(String, Box<dyn Generator>)> {
         row!("gnm_undirected_sparse", GnmUndirected::new(3000, 3)),
         row!("gnm_undirected_tiny", GnmUndirected::new(5, 6)),
     ];
-    for (tag, leaves) in [("skip", GnpLeaves::Skip), ("algo_d", GnpLeaves::AlgoD)] {
+    for (tag, algo_d) in [("skip", false), ("algo_d", true)] {
         let (directed, undirected) = (GnpDirected::new, GnpUndirected::new);
         models.extend([
-            row!(
+            gnp!(
                 format!("gnp_directed_{tag}_dense"),
-                directed(200, 0.3).with_leaves(leaves)
+                directed(200, 0.3),
+                algo_d
             ),
-            row!(
+            gnp!(
                 format!("gnp_directed_{tag}_full"),
-                directed(40, 1.0).with_leaves(leaves)
+                directed(40, 1.0),
+                algo_d
             ),
-            row!(
+            gnp!(
                 format!("gnp_directed_{tag}_sparse"),
-                directed(sparse_directed, 5e-15).with_leaves(leaves)
+                directed(sparse_directed, 5e-15),
+                algo_d
             ),
-            row!(
-                format!("gnp_directed_{tag}_tiny"),
-                directed(5, 0.5).with_leaves(leaves)
-            ),
-            row!(
+            gnp!(format!("gnp_directed_{tag}_tiny"), directed(5, 0.5), algo_d),
+            gnp!(
                 format!("gnp_undirected_{tag}_dense"),
-                undirected(200, 0.3).with_leaves(leaves)
+                undirected(200, 0.3),
+                algo_d
             ),
-            row!(
+            gnp!(
                 format!("gnp_undirected_{tag}_full"),
-                undirected(40, 1.0).with_leaves(leaves)
+                undirected(40, 1.0),
+                algo_d
             ),
-            row!(
+            gnp!(
                 format!("gnp_undirected_{tag}_sparse"),
-                undirected(3000, 1e-6).with_leaves(leaves)
+                undirected(3000, 1e-6),
+                algo_d
             ),
-            row!(
+            gnp!(
                 format!("gnp_undirected_{tag}_tiny"),
-                undirected(5, 0.5).with_leaves(leaves)
+                undirected(5, 0.5),
+                algo_d
             ),
         ]);
     }

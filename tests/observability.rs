@@ -67,15 +67,6 @@ fn model_matrix() -> Vec<Vec<&'static str>> {
         vec!["gnm_undirected", "-n", "2000", "-m", "8000"],
         vec!["gnp_directed", "-n", "2000", "-p", "0.002"],
         vec!["gnp_undirected", "-n", "2000", "-p", "0.004"],
-        vec![
-            "gnp_undirected",
-            "-n",
-            "2000",
-            "-p",
-            "0.004",
-            "--gnp-leaves",
-            "algo-d",
-        ],
         vec!["rgg2d", "-n", "2000"],
         vec!["rgg3d", "-n", "1000"],
         vec!["rdg2d", "-n", "600"],
@@ -468,6 +459,43 @@ fn trace_file_is_wellformed_chrome_json() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// `kagen <model> --trace-out` records its two phases, generating and
+/// writing, one span each and in that order.
+#[test]
+fn materialize_trace_records_generate_then_write() {
+    let dir = tmp("materialize_trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (out, trace) = (dir.join("g.txt"), dir.join("t.json"));
+    let (ok, stderr) = kagen(&[
+        "gnm_undirected",
+        "-n",
+        "2000",
+        "-m",
+        "8000",
+        "-o",
+        out.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "materialize failed:\n{stderr}");
+    let doc = json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let events = doc.as_obj("trace").unwrap().get("traceEvents").unwrap();
+    let mut spans: Vec<(u64, String)> = events
+        .as_arr("traceEvents")
+        .unwrap()
+        .iter()
+        .map(|e| {
+            let e = e.as_obj("event").unwrap();
+            let ts = e.get("ts").unwrap().as_u64("ts").unwrap();
+            (ts, e.get("name").unwrap().as_str("name").unwrap().into())
+        })
+        .collect();
+    spans.sort();
+    let names: Vec<&str> = spans.iter().map(|(_, name)| name.as_str()).collect();
+    assert_eq!(names, ["materialize.generate", "materialize.write"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The external merge's telemetry surface: the `merge.*` scalars of
 /// `--metrics-out` — `merge.runs` counts spill files, `merge.passes` the
 /// re-partition depth — and the three phase spans inside `stream.merge`,
@@ -764,6 +792,25 @@ fn launch_federated_trace_has_rank_rows_and_flows() {
         .collect();
     assert_eq!(worker_pids.len(), 3, "one worker.generate span per rank");
     assert!(!worker_pids.contains(&coord_pid));
+
+    // The coordinator's phases, one span each, in order.
+    let mut phases: Vec<(u64, String)> = events
+        .iter()
+        .filter(|e| u64_field(e, "pid") == Some(coord_pid))
+        .filter_map(|e| Some((u64_field(e, "ts")?, str_field(e, "name")?)))
+        .filter(|(_, name)| name.starts_with("launch."))
+        .collect();
+    phases.sort();
+    let phases: Vec<&str> = phases.iter().map(|(_, name)| name.as_str()).collect();
+    assert_eq!(
+        phases,
+        [
+            "launch.prepare",
+            "launch.supervise",
+            "launch.validate",
+            "launch.federate"
+        ]
+    );
 
     // Flow arrows: an `s`/`f` pair per rank, start on the coordinator
     // pid, finish on a worker pid.

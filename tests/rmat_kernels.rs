@@ -127,7 +127,7 @@ proptest! {
 
     // Every (scale, levels) cell delivers the identical edge sequence
     // through bulk fill, point queries, and batched streaming, at any
-    // chunking — the bit-stability contract `--rmat-levels` relies on.
+    // chunking — the bit-stability contract every delivery path relies on.
     #[test]
     fn delivery_paths_agree_for_every_kernel_cell(
         scale in 1u32..=63,
