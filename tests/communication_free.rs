@@ -207,7 +207,12 @@ fn soft_rhg_invariants() {
 fn rhg_and_srhg_sample_the_same_instance() {
     for seed in [1u64, 2, 3] {
         let a = generate_undirected(&Rhg::new(700, 10.0, 2.6).with_seed(seed).with_chunks(4));
-        let b = generate_undirected(&Srhg::new(700, 10.0, 2.6).with_seed(seed).with_chunks(8));
-        assert_eq!(a.edges, b.edges, "seed {seed}");
+        for chunks in [1, 2, 3, 4, 8, 64] {
+            let gen = Srhg::new(700, 10.0, 2.6)
+                .with_seed(seed)
+                .with_chunks(chunks);
+            let b = generate_undirected(&gen);
+            assert_eq!(a.edges, b.edges, "seed {seed}, {chunks} sRHG chunks");
+        }
     }
 }

@@ -572,8 +572,10 @@ fn assert_corners(
 /// The RHG family at the corners the `(SEED, CHUNKS)` rows miss: a
 /// single PE (every query wraps the whole circle), more PEs than the
 /// inner annuli have cells (`chunks = 300`), γ = 2.2 (Δθ = π windows
-/// through most annuli) and one PE of the benchmark's `rhg_stream`
-/// instance. Each row names the PEs it digests.
+/// through most annuli), one PE of the benchmark's `rhg_stream`
+/// instance, and sRHG at 2 and 3 chunks, where its extended sector
+/// (one chunk on each side) spans the whole circle. Each row names the
+/// PEs it digests.
 fn rhg_corners() -> Vec<(&'static str, Box<dyn Generator>, std::ops::Range<usize>)> {
     macro_rules! row {
         ($name:expr, $e:expr, $chunks:expr, $pes:expr) => {
@@ -590,6 +592,8 @@ fn rhg_corners() -> Vec<(&'static str, Box<dyn Generator>, std::ops::Range<usize
         row!("soft_rhg_c1", SoftRhg::new(600, 8.0, 2.8, 0.5), 1, 0..1),
         row!("rhg_c300", Rhg::new(2000, 8.0, 2.8), 300, 0..300),
         row!("srhg_c300", Srhg::new(2000, 8.0, 2.8), 300, 0..300),
+        row!("srhg_c2", Srhg::new(2000, 8.0, 2.8), 2, 0..2),
+        row!("srhg_c3", Srhg::new(2000, 8.0, 2.8), 3, 0..3),
         row!(
             "soft_rhg_c300",
             SoftRhg::new(600, 8.0, 2.8, 0.5),
@@ -598,6 +602,7 @@ fn rhg_corners() -> Vec<(&'static str, Box<dyn Generator>, std::ops::Range<usize
         ),
         row!("rhg_g22", Rhg::new(20_000, 8.0, 2.2), 8, 0..8),
         row!("srhg_g22", Srhg::new(20_000, 8.0, 2.2), 8, 0..8),
+        row!("srhg_c3_g22", Srhg::new(20_000, 8.0, 2.2), 3, 0..3),
         row!("soft_rhg_g22", SoftRhg::new(2000, 8.0, 2.2, 0.5), 8, 0..8),
         row!("rhg_bench_pe", Rhg::new(81_920, 16.0, 2.8), 64, 37..38),
         row!("srhg_bench_pe", Srhg::new(81_920, 16.0, 2.8), 64, 37..38),
@@ -617,9 +622,12 @@ const GOLDEN_RHG_CORNERS: &[(&str, CornerDigest)] = &[
     ("soft_rhg_c1", (2769, 8050584085779275417, 1324398078184991784)),
     ("rhg_c300", (9424, 7868991984126013914, 3841476101310932908)),
     ("srhg_c300", (6603, 18201894897706687952, 8173146684873080046)),
+    ("srhg_c2", (6603, 14166047746273989876, 16973032844250834187)),
+    ("srhg_c3", (6603, 12568430622592622972, 17868424878987805744)),
     ("soft_rhg_c300", (5012, 379865198253634170, 973395563121436207)),
     ("rhg_g22", (43195, 273793910089033816, 14520909610366063784)),
     ("srhg_g22", (40306, 4338053816872157389, 7023174433008815)),
+    ("srhg_c3_g22", (40306, 8131976502202641211, 3169284896143212117)),
     ("soft_rhg_g22", (5016, 3124622861444600932, 5986225423409110156)),
     ("rhg_bench_pe", (9416, 15765292787815167714, 6162897290765324766)),
     ("srhg_bench_pe", (9252, 15798315605666507133, 9803204855279966028)),
