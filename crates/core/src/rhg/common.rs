@@ -186,16 +186,6 @@ impl RhgInstance {
         let count = ((span / width) as u64 + 2).min(cells);
         (first, count)
     }
-
-    /// Call `f(cell)` for every cell of annulus `i` overlapping the angular
-    /// interval `[lo, hi]` (handles wrap-around; each cell at most once).
-    pub fn cells_overlapping(&self, i: usize, lo: f64, hi: f64, f: &mut impl FnMut(u64)) {
-        let cells = self.ann_cells[i];
-        let (first, count) = self.overlap_range(i, lo, hi);
-        for k in 0..count {
-            f((first + k) % cells);
-        }
-    }
 }
 
 /// One PE's view of the instance's cells, bit for bit
@@ -648,22 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn cells_overlapping_covers_interval() {
+    fn overlap_range_covers_interval() {
         let i = inst();
         let a = i.num_annuli() - 1;
         let w = i.cell_width(a);
+        let cells = |lo: f64, hi: f64| -> Vec<u64> {
+            let (first, count) = i.overlap_range(a, lo, hi);
+            (0..count).map(|k| (first + k) % i.ann_cells[a]).collect()
+        };
         // Interval fully inside.
-        let mut cells = Vec::new();
-        i.cells_overlapping(a, 2.0 * w + 0.1 * w, 4.0 * w, &mut |c| cells.push(c));
-        assert!(cells.contains(&2) && cells.contains(&3) && cells.contains(&4));
+        let inside = cells(2.0 * w + 0.1 * w, 4.0 * w);
+        assert!(inside.contains(&2) && inside.contains(&3) && inside.contains(&4));
         // Wrapping interval.
-        let mut wrapped = Vec::new();
-        i.cells_overlapping(a, -w, w * 0.5, &mut |c| wrapped.push(c));
+        let wrapped = cells(-w, w * 0.5);
         assert!(wrapped.contains(&(i.ann_cells[a] - 1)) && wrapped.contains(&0));
         // Full circle.
-        let mut all = Vec::new();
-        i.cells_overlapping(a, 0.0, std::f64::consts::TAU, &mut |c| all.push(c));
-        assert_eq!(all.len() as u64, i.ann_cells[a]);
+        assert_eq!(cells(0.0, TAU).len() as u64, i.ann_cells[a]);
     }
 
     #[test]
@@ -782,17 +772,19 @@ mod tests {
                 // The cells the PE must touch, from the reference formulas:
                 // its sector's, and in every annulus each local vertex's
                 // window, Eq. 8 at the smallest radius of its cell's local
-                // vertices, padded: the cells of `cells_overlapping` that
+                // vertices, padded: the cells of `overlap_range` that
                 // reach into the window (or all of them for a window of π).
                 let (lo, hi) = (
                     TAU * pe as f64 / chunks as f64,
                     TAU * (pe as f64 + 1.0) / chunks as f64,
                 );
+                let overlapping = |a: usize, lo: f64, hi: f64| {
+                    let ((first, count), cells) = (i.overlap_range(a, lo, hi), i.ann_cells[a]);
+                    (0..count).map(move |k| (first + k) % cells)
+                };
                 let mut cells = BTreeSet::new();
                 for a in annuli() {
-                    i.cells_overlapping(a, lo, hi, &mut |c| {
-                        cells.insert((a, c));
-                    });
+                    cells.extend(overlapping(a, lo, hi).map(|c| (a, c)));
                 }
                 for a in annuli() {
                     for c in 0..i.ann_cells[a] {
@@ -815,11 +807,11 @@ mod tests {
                                             && c_lo + width + turn > v.theta - d
                                     })
                                 };
-                                i.cells_overlapping(j, v.theta - d, v.theta + d, &mut |c| {
-                                    if d >= PI || reaches(c) {
-                                        cells.insert((j, c));
-                                    }
-                                });
+                                cells.extend(
+                                    overlapping(j, v.theta - d, v.theta + d)
+                                        .filter(|&c| d >= PI || reaches(c))
+                                        .map(|c| (j, c)),
+                                );
                             }
                         }
                     }

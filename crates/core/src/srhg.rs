@@ -11,16 +11,24 @@
 //! * **global annuli** — the inner annuli whose widest own-annulus request
 //!   exceeds a chunk width `2π/P` (including the `r ≤ R/2` clique); their
 //!   points are generated redundantly on every PE (pseudorandomness makes
-//!   the copies identical) and their requests are clipped to the local
-//!   sector, so the work of high-degree vertices is spread over all PEs;
+//!   the copies identical) and only their requests that meet the local
+//!   sector are kept, so the work of high-degree vertices is spread over
+//!   all PEs;
 //! * **streaming annuli** — swept locally. A PE generates the streaming
 //!   points of its sector extended by one chunk width on each side, which
 //!   covers every request that can reach its nodes (the paper's *final
 //!   phase* over the adjacent chunk, done symmetrically).
 //!
-//! The sweep batches insertion/expiry of requests per angular *cell*
-//! (§7.2.1 batch processing). Point generation is shared with `Rhg`
-//! through [`crate::rhg::common::RhgInstance`], so for equal seeds the two
+//! The sweep runs in the sector's own linear angular frame `[lo, hi)`:
+//! the extended sector `[lo − 2π/P, hi + 2π/P)` is a run of linear cell
+//! indices, and a cell that lies a turn below or above the circle's
+//! `[0, 2π)` (sector 0's lower extension; at P ≤ 3 the extension spans
+//! the whole circle) carries its points' requests shifted by that turn.
+//! So a request is one interval, never split at 0, and the live state is
+//! the requests near the sweep line at every P. The sweep batches
+//! insertion/expiry of requests per angular *cell* (§7.2.1 batch
+//! processing). Point generation is shared with `Rhg` through
+//! [`crate::rhg::common::RhgInstance`], so for equal seeds the two
 //! generators emit the *identical* graph — asserted in tests.
 
 use crate::rhg::common::{CellSource, RhgInstance};
@@ -89,28 +97,6 @@ impl Srhg {
     }
 }
 
-/// Split a possibly-wrapping interval into ≤ 2 subintervals of `[0, 2π)`
-/// and keep those intersecting `[lo, hi)`.
-fn clip_interval(a: f64, b: f64, lo: f64, hi: f64, out: &mut Vec<(f64, f64)>) {
-    let tau = std::f64::consts::TAU;
-    let push = |x: f64, y: f64, out: &mut Vec<(f64, f64)>| {
-        if y >= lo && x < hi {
-            out.push((x, y));
-        }
-    };
-    if b - a >= tau {
-        push(0.0, tau, out);
-    } else if a < 0.0 {
-        push(a + tau, tau, out);
-        push(0.0, b, out);
-    } else if b > tau {
-        push(a, tau, out);
-        push(0.0, b - tau, out);
-    } else {
-        push(a, b, out);
-    }
-}
-
 impl Generator for Srhg {
     fn num_vertices(&self) -> u64 {
         self.n
@@ -163,29 +149,51 @@ impl Generator for Srhg {
 }
 
 /// One contributor annulus' generation cursor during a single-annulus
-/// sweep: its cells over the extended sector, walked in linear angular
-/// order and activated just before the sweep can first need them.
+/// sweep: its cells over the extended sector, as linear cell indices of
+/// the sector's frame (index `k` is cell `k mod cells` shifted by
+/// `⌊k / cells⌋` turns), walked in order and activated just before the
+/// sweep can first need them.
 struct Contrib {
     /// Contributor annulus index.
     i: usize,
     /// Total cells of the annulus.
-    cells: u64,
-    /// First cell of the extended-sector sequence.
-    first: u64,
-    /// Cells in the sequence.
-    count: u64,
-    /// Linear angular position of the sequence's first cell (may be
-    /// negative — the pre-extension of sector 0 sits below zero in
-    /// linear coordinates; requests themselves are clipped in wrapped
-    /// coordinates).
-    pos0: f64,
+    cells: i64,
     /// Cell width.
     w: f64,
     /// Upper bound of this annulus' request half-width into the swept
     /// annulus (Δθ at the annulus' lower radius).
     dt_max: f64,
-    /// Next unactivated cell index.
-    next: u64,
+    /// Next unactivated linear cell index.
+    next: i64,
+    /// One past the last linear cell index.
+    end: i64,
+}
+
+/// Push `p`'s request `[θ − Δθ, θ + Δθ]` from annulus `ann`, shifted by
+/// each of `turns` (multiples of 2π) into the sector's linear frame,
+/// wherever it meets the sector `[lo, hi)`. A request that spans the
+/// whole circle is pushed once, as the sector itself.
+fn push_requests(
+    out: &mut Vec<Request>,
+    (ann, p, dt): (usize, PrePoint, f64),
+    turns: &[f64],
+    (lo, hi): (f64, f64),
+) {
+    let (a, b) = (p.theta - dt, p.theta + dt);
+    if b - a >= std::f64::consts::TAU {
+        return out.push(Request {
+            begin: lo,
+            end: hi,
+            ann,
+            p,
+        });
+    }
+    for turn in turns {
+        let (begin, end) = (a + turn, b + turn);
+        if end >= lo && begin < hi {
+            out.push(Request { begin, end, ann, p });
+        }
+    }
 }
 
 impl Srhg {
@@ -199,6 +207,11 @@ impl Srhg {
     /// replicated global annuli plus the active-request windows — the
     /// two terms Lemmas 15 and 17 bound — never the PE's full request
     /// multiset.
+    ///
+    /// Everything sits in the sector's linear frame (module docs): node
+    /// cells are the sector's cells in order, a contributor cell's
+    /// requests are shifted by its turn, and a global's request is taken
+    /// a turn below, at and a turn above its angle.
     ///
     /// `emit` receives every edge incident to a sector-owned vertex,
     /// normalized `(min, max)`, in deterministic sweep order (globals
@@ -251,7 +264,6 @@ impl Srhg {
         }
 
         // ---- Sweep each streaming annulus, one at a time ------------------
-        let mut clipped: Vec<(f64, f64)> = Vec::new();
         let mut greqs: Vec<Request> = Vec::new();
         let mut nbrs: Vec<(u64, u64)> = Vec::new();
         for j in first_stream..annuli {
@@ -261,22 +273,13 @@ impl Srhg {
             let w_j = inst.cell_width(j);
             let b_j = inst.space.bounds[j].max(1e-12);
 
-            // Requests of the replicated globals, clipped to the local
+            // Requests of the replicated globals that meet the local
             // sector (this is what spreads the work of hubs over all
             // PEs), inserted by begin as the sweep reaches them.
             greqs.clear();
-            for &(ui, ref u) in &globals {
+            for &(ui, u) in &globals {
                 let dt = inst.space.delta_theta(u.r, b_j);
-                clipped.clear();
-                clip_interval(u.theta - dt, u.theta + dt, lo, hi, &mut clipped);
-                for &(a, b) in &clipped {
-                    greqs.push(Request {
-                        begin: a,
-                        end: b,
-                        ann: ui,
-                        p: *u,
-                    });
-                }
+                push_requests(&mut greqs, (ui, u, dt), &[-tau, 0.0, tau], (lo, hi));
             }
             greqs.sort_by(|a, b| a.begin.total_cmp(&b.begin));
             let mut gnext = 0usize;
@@ -284,33 +287,30 @@ impl Srhg {
             // Contributor cursors over the extended sector (one chunk on
             // each side — the symmetric version of the paper's final
             // phase), one per streaming annulus at or below j.
+            let (lo_ext, hi_ext) = (lo - width, hi + width);
             let mut contribs: Vec<Contrib> = Vec::new();
             for i in first_stream..=j {
                 if inst.ann_counts[i] == 0 {
                     continue;
                 }
                 let w_i = inst.cell_width(i);
-                let (first, count) = inst.overlap_range(i, lo - width, hi + width);
-                let lo_ext = lo - width;
-                let wrapped = lo_ext.rem_euclid(tau);
-                let pos0 = lo_ext - (wrapped - first as f64 * w_i);
+                let first = (lo_ext / w_i).floor() as i64;
                 contribs.push(Contrib {
                     i,
-                    cells: inst.ann_cells[i],
-                    first,
-                    count,
-                    pos0,
+                    cells: inst.ann_cells[i] as i64,
                     w: w_i,
                     dt_max: inst.space.delta_theta(inst.space.bounds[i].max(1e-12), b_j),
-                    next: 0,
+                    next: first,
+                    end: first + ((hi_ext - lo_ext) / w_i) as i64 + 2,
                 });
             }
 
+            // Node cells: the sector's, in order (the count, like the
+            // contributors', has a spare cell against rounding).
             let mut active: Vec<Request> = Vec::new();
-            let (n_first, n_count) = inst.overlap_range(j, lo, hi);
-            let n_pos0 = lo - (lo.rem_euclid(tau) - n_first as f64 * w_j);
-            for kn in 0..n_count {
-                let cn = (n_first + kn) % inst.ann_cells[j];
+            let n_first = (lo / w_j) as u64;
+            let n_end = (n_first + ((hi - lo) / w_j) as u64 + 2).min(inst.ann_cells[j]);
+            for cn in n_first..n_end {
                 // Batch expiry at the cell boundary (§7.2.1): expired
                 // requests are dropped once per cell, not per node.
                 let cell_lo = cn as f64 * w_j;
@@ -318,26 +318,15 @@ impl Srhg {
                 // Activate every contributor cell the nodes of this cell
                 // could need: anything whose earliest possible request
                 // start lies at or before the cell's end.
-                let cell_hi_linear = n_pos0 + (kn + 1) as f64 * w_j;
+                let cell_hi = (cn + 1) as f64 * w_j;
                 for cb in contribs.iter_mut() {
-                    while cb.next < cb.count
-                        && cb.pos0 + cb.next as f64 * cb.w - cb.dt_max <= cell_hi_linear
-                    {
-                        let cc = (cb.first + cb.next) % cb.cells;
+                    while cb.next < cb.end && cb.next as f64 * cb.w - cb.dt_max <= cell_hi {
+                        let k = cb.next;
                         cb.next += 1;
-                        let pts = cells.cell_points(cb.i, cc);
-                        for p in pts {
+                        let turn = k.div_euclid(cb.cells) as f64 * tau;
+                        for p in cells.cell_points(cb.i, k.rem_euclid(cb.cells) as u64) {
                             let dt = inst.space.delta_theta(p.r, b_j);
-                            clipped.clear();
-                            clip_interval(p.theta - dt, p.theta + dt, lo, hi, &mut clipped);
-                            for &(a, b) in &clipped {
-                                active.push(Request {
-                                    begin: a,
-                                    end: b,
-                                    ann: cb.i,
-                                    p,
-                                });
-                            }
+                            push_requests(&mut active, (cb.i, p, dt), &[turn], (lo, hi));
                         }
                     }
                 }
@@ -440,26 +429,5 @@ mod tests {
             e.dedup();
             assert_eq!(e.len(), part.edges.len(), "PE {pe} emitted duplicates");
         }
-    }
-
-    #[test]
-    fn clip_interval_cases() {
-        let tau = std::f64::consts::TAU;
-        let mut out = Vec::new();
-        // Plain interval inside range.
-        clip_interval(1.0, 2.0, 0.0, tau, &mut out);
-        assert_eq!(out, vec![(1.0, 2.0)]);
-        // Wrapping below zero.
-        out.clear();
-        clip_interval(-0.5, 0.5, 0.0, tau, &mut out);
-        assert_eq!(out.len(), 2);
-        // Wider than the circle.
-        out.clear();
-        clip_interval(-1.0, tau, 0.0, tau, &mut out);
-        assert_eq!(out, vec![(0.0, tau)]);
-        // Clipped away.
-        out.clear();
-        clip_interval(1.0, 2.0, 3.0, 4.0, &mut out);
-        assert!(out.is_empty());
     }
 }

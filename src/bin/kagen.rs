@@ -70,9 +70,48 @@ fn context(what: impl Display) -> impl FnOnce(io::Error) -> io::Error {
     move |e| io::Error::new(e.kind(), format!("{what}: {e}"))
 }
 
-/// Create the file an output goes to.
-fn create(path: &str) -> io::Result<File> {
-    File::create(path).map_err(context(format_args!("cannot create {path}")))
+/// The file an output goes to, created so that a failed run leaves no
+/// file a reader could take for an empty graph: a regular file, or a
+/// path that does not exist yet, is written under a temporary name
+/// beside it and renamed over it by [`Output::commit`]; dropped
+/// uncommitted, the temporary file is removed. Anything else (a FIFO, a
+/// device, a symlink) is written in place.
+struct Output {
+    path: String,
+    /// The temporary name, until the output is committed.
+    tmp: Option<String>,
+}
+
+impl Output {
+    fn create(path: &str) -> io::Result<(File, Output)> {
+        let staged = match std::fs::symlink_metadata(path) {
+            Ok(meta) => meta.is_file(),
+            Err(e) => e.kind() == io::ErrorKind::NotFound,
+        };
+        let tmp = staged.then(|| format!("{path}.kagen-tmp"));
+        let file = File::create(tmp.as_deref().unwrap_or(path))
+            .map_err(context(format_args!("cannot create {path}")))?;
+        let path = path.to_owned();
+        Ok((file, Output { path, tmp }))
+    }
+
+    /// Give the written file its name.
+    fn commit(mut self) -> io::Result<()> {
+        if let Some(tmp) = &self.tmp {
+            std::fs::rename(tmp, &self.path)
+                .map_err(context(format_args!("cannot write {}", self.path)))?;
+            self.tmp = None;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Output {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            std::fs::remove_file(tmp).ok();
+        }
+    }
 }
 
 /// Materializing mode: generate, merge in RAM, write one file.
@@ -88,9 +127,12 @@ fn run_materialized(o: &Options) -> io::Result<()> {
     }
 
     let write_span = trace::span("materialize.write");
-    let (out, name): (Box<dyn Write>, &str) = match &o.output {
-        Some(path) => (Box::new(create(path)?), path),
-        None => (Box::new(io::stdout().lock()), "stdout"),
+    let (out, output, name): (Box<dyn Write>, _, &str) = match &o.output {
+        Some(path) => {
+            let (file, output) = Output::create(path)?;
+            (Box::new(file), Some(output), path)
+        }
+        None => (Box::new(io::stdout().lock()), None, "stdout"),
     };
     // A shard format leaves through the sink `kagen stream` writes
     // shards with; METIS is a whole-graph layout of its own.
@@ -105,7 +147,10 @@ fn run_materialized(o: &Options) -> io::Result<()> {
     match written {
         // The reader of a pipe may stop early (`| head`): not a failure.
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe && o.output.is_none() => Ok(()),
-        result => result.map_err(context(format_args!("cannot write {name}"))),
+        result => {
+            result.map_err(context(format_args!("cannot write {name}")))?;
+            output.map_or(Ok(()), Output::commit)
+        }
     }
 }
 
@@ -157,8 +202,9 @@ fn run_stream(o: &Options) -> io::Result<()> {
                 .into_owned()
         });
         let to_out = || context(format!("cannot write {out_path}"));
+        let (out_file, output) = Output::create(&out_path)?;
         let out_sink = format
-            .sink(BufWriter::new(create(&out_path)?), manifest.n)
+            .sink(BufWriter::new(out_file), manifest.n)
             .map_err(to_out())?;
         let baseline = CountingAlloc::reset_peak();
         let merge_span = trace::span("stream.merge");
@@ -173,6 +219,7 @@ fn run_stream(o: &Options) -> io::Result<()> {
             .merge(&reader, &mut sink)
             .map_err(in_dir("external merge failed in"))?;
         sink.finish().map_err(to_out())?;
+        output.commit()?;
         let merge_secs = merge_span.finish();
         ALLOC_PEAK_MERGE.record_peak(CountingAlloc::peak_above(baseline));
         info!(

@@ -873,7 +873,9 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("gnm_directed -n 64 -m 128 -f bogus -o {root}/x.txt", &[("x.txt", "keep\n")], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
     ("gnm_directed -n 64 -m 128 -f bogus", &[], "2 - kagen <model>: unknown format 'bogus' (want edge-list | metis | binary | compressed)"),
     ("gnm_directed -n 64 -m 128 -f metis -o {root}/x.txt", &[("x.txt", "keep\n")], "0 D"),
-    ("rmat -n 1099511627776 -m 50000 -c 4 -f metis -o {root}/x.txt", &[], "1 D kagen: cannot write <tmp>/x.txt: cannot allocate the CSR's 1099511627777 offsets"),
+    ("rmat -n 1099511627776 -m 50000 -c 4 -f metis -o {root}/x.txt", &[], "1 - kagen: cannot write <tmp>/x.txt: cannot allocate the CSR's 1099511627777 offsets"),
+    ("rmat -n 1099511627776 -m 50000 -c 4 -f metis -o {root}/x.txt", &[("x.txt", "keep\n")], "1 - kagen: cannot write <tmp>/x.txt: cannot allocate the CSR's 1099511627777 offsets"),
+    ("gnm_directed -n 64 -m 128 -f metis -o /dev/null", &[], "0 -"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f metis", &[], "2 - kagen stream: unknown shard format 'metis'"),
     ("stream gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen stream: unknown shard format 'bogus'"),
     ("launch gnm_undirected -n 64 -m 128 -c 4 --shard-dir {root}/s -f bogus", &[], "2 - kagen launch: unknown shard format 'bogus'"),

@@ -201,6 +201,34 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
     );
 }
 
+/// sRHG's live state is the replicated global annuli plus the requests
+/// near its sweep line (Lemmas 15 and 17) at every chunk count. At one
+/// to three chunks the extended sector (one chunk on each side) spans
+/// the whole circle; a PE there may hold no more than twice what the
+/// worst PE holds at four chunks, where it does not.
+#[test]
+fn srhg_working_set_is_the_sweep_window_at_every_chunk_count() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let peak = |chunks: usize, pe: usize| -> u64 {
+        let gen = Srhg::new(65_536, 32.0, 2.8).with_chunks(chunks);
+        alloc_peak_during(|| {
+            let mut buf = Vec::new();
+            gen.stream_pe_batched(pe, &mut buf, &mut |_| {});
+        })
+    };
+    let worst_of_four = (0..4).map(|pe| peak(4, pe)).max().unwrap();
+    for chunks in 1..=3 {
+        for pe in 0..chunks {
+            let held = peak(chunks, pe);
+            assert!(
+                held <= 2 * worst_of_four,
+                "sRHG PE {pe} of {chunks} peaked at {held} B, the worst of \
+                 four PEs at {worst_of_four} B"
+            );
+        }
+    }
+}
+
 /// The external merge holds `budget × 16 B` of keys plus, per running
 /// thread, one reader block and its I/O buffers — [`MERGE_FIXED_BYTES`]
 /// bounds those — however skewed the instance: RHG hubs and R-MAT
