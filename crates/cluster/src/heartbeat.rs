@@ -151,8 +151,8 @@ pub fn read_all(dir: &Path) -> Vec<Heartbeat> {
 fn sample_counters() -> (u64, u64) {
     let mut edges = 0;
     let mut pes_done = 0;
-    for (name, v) in kagen_obs::metrics::counters() {
-        match name {
+    for (name, v) in kagen_obs::metrics::scalars() {
+        match name.as_str() {
             "gen.edges" => edges = v,
             "worker.pes_done" => pes_done = v,
             _ => {}

@@ -13,9 +13,9 @@
 //! A model supplies four methods: `num_vertices`, `num_chunks`,
 //! `directed` and the batched stream
 //! [`stream_pe_batched`](Generator::stream_pe_batched) (see
-//! [`streaming`]). Everything else is provided over the stream: per-edge
-//! delivery, counting, the whole-instance drivers, and
-//! [`generate_pe`](Generator::generate_pe), which collects the PE's
+//! [`streaming`]). Two methods are provided over the stream: the
+//! whole-instance driver [`stream_all_batched`](Generator::stream_all_batched)
+//! and [`generate_pe`](Generator::generate_pe), which collects the PE's
 //! batches into a [`PeGraph`] and takes the vertex range and coordinates
 //! from [`pe_vertices`](Generator::pe_vertices). [`Rhg`], [`SoftRhg`]
 //! and RDG override it to run their one engine's pass with a hook that
@@ -115,34 +115,6 @@ pub trait Generator: Sync {
         out
     }
 
-    /// PE `pe`'s stream, one edge per `emit` call.
-    fn stream_pe(&self, pe: usize, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
-            for &(u, v) in edges {
-                emit(u, v);
-            }
-        });
-    }
-
-    /// Count a PE's edges without materializing them.
-    fn count_pe(&self, pe: usize) -> u64 {
-        let mut count = 0;
-        self.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
-            count += edges.len() as u64
-        });
-        count
-    }
-
-    /// Drive every PE in order through `emit`, one edge per call. Peak
-    /// memory is generator state plus one batch.
-    fn stream_all(&self, emit: &mut dyn FnMut(u64, u64)) {
-        self.stream_all_batched(&mut Vec::new(), &mut |edges| {
-            for &(u, v) in edges {
-                emit(u, v);
-            }
-        });
-    }
-
     /// Drive every PE in order through `emit` — the sequential sink
     /// driver used by the output pipeline when a single consumer wants
     /// the whole instance as one stream. Peak memory is generator state
@@ -151,13 +123,6 @@ pub trait Generator: Sync {
         for pe in 0..self.num_chunks() {
             self.stream_pe_batched(pe, buf, emit);
         }
-    }
-
-    /// Total edge count of the instance without materializing it.
-    fn count_edges(&self) -> u64 {
-        let mut count = 0;
-        self.stream_all_batched(&mut Vec::new(), &mut |edges| count += edges.len() as u64);
-        count
     }
 }
 

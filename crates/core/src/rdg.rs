@@ -24,6 +24,7 @@
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
 use kagen_delaunay::Mesh;
+use kagen_geometry::cell_stream::record_held;
 use kagen_geometry::grid::levels_for_min_side;
 use kagen_geometry::{FrontierStats, GridCells, Point};
 use kagen_obs::Counter;
@@ -138,7 +139,7 @@ impl<const D: usize> Rdg<D> {
     /// Memory is one block with its halo, never the chunk. Returns the
     /// cells generated (block and halo), the count-tree nodes drawn and
     /// the most points one block held with its halo; no point is held
-    /// between blocks.
+    /// between blocks. The pass records them under `geo.*` ([`record_held`]).
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let max_side_bits = BLOCK_BITS / D as u32;
         Self::blocks(&mut self.cells(pe), max_side_bits, &mut |_, _| {}, emit)
@@ -196,7 +197,9 @@ impl<const D: usize> Rdg<D> {
             ids.clear();
             cells.clear();
         }
-        source.stats()
+        let stats = source.stats();
+        record_held(stats);
+        stats
     }
 
     /// The one triangulate-and-certify routine (§6) behind both

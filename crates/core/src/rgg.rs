@@ -21,6 +21,7 @@
 
 use crate::streaming::{BatchEmit, Batcher};
 use crate::{Generator, PeGraph};
+use kagen_geometry::cell_stream::record_held;
 use kagen_geometry::grid::levels_for_min_side;
 use kagen_geometry::{CellBox, FrontierStats, GridCells, Point};
 use std::collections::BTreeMap;
@@ -103,7 +104,8 @@ impl<const D: usize> Rgg<D> {
     /// PE emits its own copy; merge deduplicates). Each cell pair is
     /// one [`cell_pairs`] call, which reports rows in ascending centre
     /// index and hits in ascending candidate index. The returned
-    /// accounting is what the memory-regression tests read.
+    /// accounting is what the memory-regression tests read and what the
+    /// `geo.*` metrics record ([`record_held`]).
     pub fn stream_cells(&self, pe: usize, emit: &mut impl FnMut(u64, u64)) -> FrontierStats {
         let mut source = self.cells(pe);
         let grid = *source.grid();
@@ -147,7 +149,9 @@ impl<const D: usize> Rgg<D> {
             });
             source.note_held(held_points + pts.len() as u64);
         }
-        source.stats()
+        let stats = source.stats();
+        record_held(stats);
+        stats
     }
 }
 

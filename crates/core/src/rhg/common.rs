@@ -503,7 +503,9 @@ pub(crate) mod reference {
                 let mut union = Vec::new();
                 for pe in 0..chunks {
                     let mut stream = Vec::new();
-                    gen.stream_pe(pe, &mut |u, v| stream.push((u, v)));
+                    gen.stream_pe_batched(pe, &mut Vec::new(), &mut |e| {
+                        stream.extend_from_slice(e)
+                    });
                     union.extend(stream.iter().map(|&(u, v)| (u.min(v), u.max(v))));
                     if sorted {
                         stream.sort_unstable();

@@ -8,10 +8,11 @@
 //! arrive as slices of a caller-provided batch buffer instead of a
 //! materialized [`PeGraph`](crate::PeGraph), so a PE's memory footprint
 //! is its generator state (cells, counts, PRNGs) plus one batch — not
-//! its output. Per-edge delivery, counting, the whole-instance drivers
-//! and the materialized [`Generator::generate_pe`] are provided adapters
-//! over that one method. For the index-based generators (ER, BA, R-MAT,
-//! SBM) the state is O(log)-sized; for the spatial/hyperbolic family it
+//! its output. The whole-instance driver
+//! [`Generator::stream_all_batched`] and the materialized
+//! [`Generator::generate_pe`] are provided adapters over that one
+//! method. For the index-based generators (ER, BA, R-MAT, SBM) the
+//! state is O(log)-sized; for the spatial/hyperbolic family it
 //! is what the cell structures of `kagen_geometry::cell_stream` hold:
 //! the id prefixes of the PE's cells plus the sweep's frontier and the
 //! halo ring (RGG) or one block of cells with its certified halo (RDG), the
@@ -127,18 +128,32 @@ mod tests {
     use super::*;
     use crate::prelude::*;
 
+    /// PE `pe`'s stream through a batch buffer of capacity `cap` (0: the
+    /// default), collected.
+    fn pe_stream<G: Generator + ?Sized>(gen: &G, pe: usize, cap: usize) -> Vec<(u64, u64)> {
+        let mut edges = Vec::new();
+        gen.stream_pe_batched(pe, &mut Vec::with_capacity(cap), &mut |batch| {
+            edges.extend_from_slice(batch)
+        });
+        edges
+    }
+
+    /// Every PE's stream in PE order, through `stream_all_batched`.
+    fn whole_stream<G: Generator + ?Sized>(gen: &G) -> Vec<(u64, u64)> {
+        let mut edges = Vec::new();
+        gen.stream_all_batched(&mut Vec::new(), &mut |batch| edges.extend_from_slice(batch));
+        edges
+    }
+
     /// `generate_pe`'s edge list equals the stream, order included.
     /// For ER, BA, R-MAT, SBM and RGG `generate_pe` is the provided
     /// collect, so this proves batch-capacity independence (capacity 7
-    /// and per-edge delivery vs the default the collect uses); for RHG
+    /// and one edge per batch vs the default the collect uses); for RHG
     /// and soft RHG it compares two engines.
     fn assert_stream_matches<G: Generator>(gen: &G) {
         for pe in 0..gen.num_chunks().min(5) {
             let materialized = gen.generate_pe(pe).edges;
-            let mut streamed = Vec::new();
-            gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
-            assert_eq!(materialized, streamed, "PE {pe}");
-            assert_eq!(gen.count_pe(pe) as usize, materialized.len());
+            assert_eq!(materialized, pe_stream(gen, pe, 1), "PE {pe}");
         }
         assert_batched_matches(gen);
     }
@@ -146,15 +161,13 @@ mod tests {
     /// Like [`assert_stream_matches`], for generators whose native
     /// stream order is the generation sweep, not `generate_pe`'s sorted
     /// list: the streams must be equal as *sets* (and duplicate-free),
-    /// and the batched path must equal the per-edge stream exactly. For
+    /// and every batch capacity must give the same stream exactly. For
     /// RDG this compares one engine at two box sizes (the chunk vs blocks
     /// of cells), for sRHG the sweep with itself sorted.
     fn assert_stream_set_matches<G: Generator>(gen: &G) {
         for pe in 0..gen.num_chunks().min(5) {
             let materialized = gen.generate_pe(pe).edges;
-            let mut streamed = Vec::new();
-            gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
-            assert_eq!(gen.count_pe(pe) as usize, streamed.len());
+            let streamed = pe_stream(gen, pe, 1);
             let mut sorted = streamed.clone();
             sorted.sort_unstable();
             sorted.dedup();
@@ -162,17 +175,18 @@ mod tests {
             let mut reference = materialized;
             reference.sort_unstable();
             assert_eq!(reference, sorted, "PE {pe}: edge sets differ");
-            // Batched delivery must reproduce the per-edge stream
+            // Another batch capacity must reproduce the stream
             // edge-for-edge (order included).
-            let mut buf = Vec::with_capacity(7);
-            let mut batched = Vec::new();
-            gen.stream_pe_batched(pe, &mut buf, &mut |edges| batched.extend_from_slice(edges));
-            assert_eq!(streamed, batched, "PE {pe}: batched order differs");
+            assert_eq!(
+                streamed,
+                pe_stream(gen, pe, 7),
+                "PE {pe}: batched order differs"
+            );
         }
     }
 
     /// The batched path must yield edge-for-edge the same stream as
-    /// `generate_pe`/`stream_pe`, for every PE and any batch capacity.
+    /// `generate_pe`, for every PE and any batch capacity.
     fn assert_batched_matches<G: Generator + ?Sized>(gen: &G) {
         for pe in 0..gen.num_chunks() {
             let materialized = gen.generate_pe(pe).edges;
@@ -332,8 +346,10 @@ mod tests {
         let rhg = Rhg::new(400, 7.0, 2.7).with_seed(13).with_chunks(4);
         let srhg = Srhg::new(400, 7.0, 2.7).with_seed(13).with_chunks(4);
         let collect = |gen: &dyn Generator| {
-            let mut edges = Vec::new();
-            gen.stream_all(&mut |u, v| edges.push((u.min(v), u.max(v))));
+            let mut edges: Vec<_> = whole_stream(gen)
+                .into_iter()
+                .map(|(u, v)| (u.min(v), u.max(v)))
+                .collect();
             edges.sort_unstable();
             edges.dedup();
             edges
@@ -344,25 +360,20 @@ mod tests {
     #[test]
     fn stream_all_batched_concatenates_pes() {
         let gen = Rmat::new(9, 2500).with_seed(12).with_chunks(6);
-        let mut whole = Vec::new();
-        gen.stream_all(&mut |u, v| whole.push((u, v)));
-        let mut buf = Vec::new();
-        let mut batched = Vec::new();
-        gen.stream_all_batched(&mut buf, &mut |edges| batched.extend_from_slice(edges));
-        assert_eq!(whole, batched);
+        let per_pe: Vec<_> = (0..6).flat_map(|pe| pe_stream(&gen, pe, 1)).collect();
+        assert_eq!(whole_stream(&gen), per_pe);
     }
 
     #[test]
     fn stream_all_concatenates_pes() {
         let gen = GnmDirected::new(300, 2000).with_seed(3).with_chunks(5);
-        let mut streamed = Vec::new();
-        gen.stream_all(&mut |u, v| streamed.push((u, v)));
+        let streamed = whole_stream(&gen);
         let mut materialized = Vec::new();
         for pe in 0..5 {
             materialized.extend(gen.generate_pe(pe).edges);
         }
         assert_eq!(streamed, materialized);
-        assert_eq!(gen.count_edges(), 2000);
+        assert_eq!(streamed.len(), 2000);
     }
 
     /// A generator that supplies only the four required methods.
@@ -401,21 +412,14 @@ mod tests {
                         assert!(!edges.is_empty(), "empty batch emitted");
                         batched.extend_from_slice(edges);
                     });
-                    let mut streamed = Vec::new();
-                    gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
-                    assert_eq!(streamed, batched, "PE {pe} cap {cap}");
-                    assert_eq!(gen.count_pe(pe), batched.len() as u64);
                     let part = gen.generate_pe(pe);
                     assert_eq!((part.pe, &part.edges), (pe, &batched), "cap {cap}");
                     whole.extend(batched);
                 }
-                let mut all = Vec::new();
-                gen.stream_all(&mut |u, v| all.push((u, v)));
-                assert_eq!(all, whole, "cap {cap}");
-                assert_eq!(gen.count_edges(), whole.len() as u64);
+                assert_eq!(whole_stream(gen), whole, "cap {cap}");
             }
         }
-        assert_eq!(Ramp.count_edges(), 5 + 10 + 15);
+        assert_eq!(whole_stream(&Ramp).len(), 5 + 10 + 15);
         // No `pe_vertices` override: the empty range, no coordinates.
         let part = Ramp.generate_pe(3);
         assert_eq!((part.vertex_begin, part.vertex_end), (0, 0));
@@ -427,10 +431,7 @@ mod tests {
         // The CLI holds a `Box<dyn Generator>`: it streams through it
         // and `run_materialized` calls `generate_pe` through it.
         let dyn_gen: Box<dyn Generator> = Box::new(Rmat::new(8, 500).with_seed(2).with_chunks(4));
-        assert_eq!(dyn_gen.count_edges(), 500);
-        let mut count = 0u64;
-        dyn_gen.stream_all(&mut |_, _| count += 1);
-        assert_eq!(count, 500);
+        assert_eq!(whole_stream(dyn_gen.as_ref()).len(), 500);
         let parts = crate::generate_parallel(dyn_gen.as_ref(), 1);
         assert_eq!(parts.iter().map(|p| p.edges.len()).sum::<usize>(), 500);
         let ramp: Box<dyn Generator> = Box::new(Ramp);
@@ -445,9 +446,11 @@ mod tests {
         let mut checksum = 0u64;
         let mut count = 0u64;
         for pe in 0..4 {
-            gen.stream_pe(pe, &mut |u, v| {
-                checksum = checksum.wrapping_mul(31).wrapping_add(u ^ v);
-                count += 1;
+            gen.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+                for &(u, v) in edges {
+                    checksum = checksum.wrapping_mul(31).wrapping_add(u ^ v);
+                    count += 1;
+                }
             });
         }
         assert_eq!(count, 50_000);

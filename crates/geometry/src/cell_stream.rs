@@ -35,19 +35,23 @@ use std::ops::Range;
 /// Cells whose points a PE asked for, run-wide: against
 /// `geo.cursor_cells`, the paper's recomputation cost.
 static GEO_CELLS_GENERATED: Counter = Counter::new("geo.cells_generated");
-/// Points a PE holds (value tracks the PE that updated last; the peak is
-/// the run-wide high-water mark).
+/// The most points one PE held at once, run-wide.
 static GEO_FRONTIER_POINTS: Gauge = Gauge::new("geo.frontier_points");
 /// Cells of the PEs' own Morton ranges (counted once per pass).
 static GEO_CURSOR_CELLS: Counter = Counter::new("geo.cursor_cells");
 
-/// Account a pass that is not over a [`GridCells`] under the same
-/// `geo.*` names: the cells it generated and the most points it held at
-/// once — the RHG query engine, which holds every cell it generates, at
-/// its end.
+/// Account one PE's finished pass under the `geo.*` names: the cells it
+/// generated and the most points it held at once. Every spatial pass
+/// reports here, once, from its [`FrontierStats`] — over a
+/// [`GridCells`] (RGG, RDG) and the RHG query engine alike. A zero is
+/// not recorded: a pass that generated or held nothing adds no name.
 pub fn record_held(stats: FrontierStats) {
-    GEO_CELLS_GENERATED.add(stats.generated_cells);
-    GEO_FRONTIER_POINTS.set(stats.peak_points);
+    if stats.generated_cells > 0 {
+        GEO_CELLS_GENERATED.add(stats.generated_cells);
+    }
+    if stats.peak_points > 0 {
+        GEO_FRONTIER_POINTS.record_peak(stats.peak_points);
+    }
 }
 
 /// What one PE's pass over its cell source cost and held.
@@ -183,7 +187,6 @@ impl<const D: usize> GridCells<D> {
     pub fn points(&mut self, morton: u64, out: &mut Vec<Point<D>>) -> (u64, u64) {
         let (first, count) = self.cell(morton);
         self.stats.generated_cells += 1;
-        GEO_CELLS_GENERATED.incr();
         if count > 0 {
             cell_points(&self.grid, self.seed, morton, count, out);
         }
@@ -193,7 +196,6 @@ impl<const D: usize> GridCells<D> {
     /// The generator holds `points` points now.
     pub fn note_held(&mut self, points: u64) {
         self.stats.peak_points = self.stats.peak_points.max(points);
-        GEO_FRONTIER_POINTS.set(points);
     }
 
     /// The accounting so far.

@@ -62,21 +62,6 @@ impl<const D: usize> Point<D> {
         self.dist2(other).sqrt()
     }
 
-    /// Squared distance on the unit torus (wrap-around per axis). Used for
-    /// the periodic boundary conditions of the RDG model (§2.1.4).
-    #[inline]
-    pub fn torus_dist2(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            let mut d = (self.0[i] - other.0[i]).abs();
-            if d > 0.5 {
-                d = 1.0 - d;
-            }
-            acc += d * d;
-        }
-        acc
-    }
-
     /// Translate by an integer offset vector (replica copies for periodic
     /// triangulations).
     #[inline]
@@ -106,33 +91,9 @@ mod tests {
     }
 
     #[test]
-    fn torus_wraps() {
-        let a = Point([0.05, 0.5]);
-        let b = Point([0.95, 0.5]);
-        assert!((a.torus_dist2(&b).sqrt() - 0.1).abs() < 1e-12);
-        // Plain distance would be 0.9.
-        assert!((a.dist(&b) - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn torus_symmetric() {
-        let a = Point([0.1, 0.9, 0.2]);
-        let b = Point([0.8, 0.1, 0.6]);
-        assert_eq!(a.torus_dist2(&b), b.torus_dist2(&a));
-    }
-
-    #[test]
     fn offset_replicas() {
         let p = Point([0.25, 0.75]);
         let q = p.offset([-1, 1]);
         assert_eq!(q.0, [-0.75, 1.75]);
-    }
-
-    #[test]
-    fn torus_never_exceeds_half_diagonal() {
-        let a = Point([0.0, 0.0, 0.0]);
-        let b = Point([0.5, 0.5, 0.5]);
-        let d2 = a.torus_dist2(&b);
-        assert!(d2 <= 0.75 + 1e-12);
     }
 }

@@ -50,16 +50,6 @@ pub fn edge_checksum_step(acc: u64, u: u64, v: u64) -> u64 {
     h ^ (h >> 29)
 }
 
-/// Encoded length of a varint in bytes.
-pub fn varint_len(mut x: u128) -> u64 {
-    let mut len = 1;
-    while x >= 0x80 {
-        x >>= 7;
-        len += 1;
-    }
-    len
-}
-
 /// Encode `x` as a LEB128 varint (7 bits per byte, MSB = continuation).
 pub fn write_varint<W: Write>(w: &mut W, mut x: u128) -> io::Result<()> {
     loop {
@@ -535,7 +525,7 @@ fn next_id_wide(payload: &[u8], pos: &mut usize, prev: u64) -> io::Result<u64> {
 /// the `u64` id range. The one decoder of the format: every reader
 /// fetches blocks through [`CompressedEdgeReader::next_block`], which
 /// runs it.
-pub fn decode_block_into(
+fn decode_block_into(
     payload: &[u8],
     count: usize,
     out: &mut Vec<(u64, u64)>,
@@ -1056,6 +1046,16 @@ pub fn read_binary(bytes: &[u8], n: u64) -> io::Result<EdgeList> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Encoded length of a varint in bytes.
+    fn varint_len(mut x: u128) -> u64 {
+        let mut len = 1;
+        while x >= 0x80 {
+            x >>= 7;
+            len += 1;
+        }
+        len
+    }
 
     fn sample() -> EdgeList {
         EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)])

@@ -1,4 +1,4 @@
-//! Metrics registry: sharded counters and peak-tracking gauges.
+//! Metrics registry: counters and high-water-mark gauges.
 //!
 //! Handles are `const`-constructible statics that lazily self-register
 //! on first update, so instrumented crates declare metrics next to the
@@ -21,11 +21,8 @@
 //! [`crate::json`] and reads back exactly.
 
 use crate::json::{self, Layout, Value};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Number of counter shards; power of two so the thread index masks.
-const SHARDS: usize = 8;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -48,29 +45,20 @@ enum MetricRef {
 
 static REGISTRY: Mutex<Vec<MetricRef>> = Mutex::new(Vec::new());
 
-/// Per-thread shard index: threads round-robin onto `SHARDS` slots, so
-/// concurrent `add`s from a thread pool mostly hit distinct cachelines.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: usize = NEXT.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
+/// Push `metric` into the registry on its first update.
+fn register(registered: &AtomicBool, metric: impl FnOnce() -> MetricRef) {
+    if !registered.load(Ordering::Relaxed) && !registered.swap(true, Ordering::AcqRel) {
+        REGISTRY.lock().unwrap().push(metric());
     }
-    IDX.with(|i| *i)
 }
 
-/// An atomic counter sharded across cachelines.
-#[repr(align(64))]
-#[derive(Debug)]
-struct Shard(AtomicU64);
-
-/// A monotonically increasing sum, sharded to keep hot multi-threaded
-/// sites (one `add` per 4096-edge batch across the PE pool) from
-/// bouncing a single cacheline.
+/// A monotonically increasing sum: one relaxed atomic, updated once per
+/// 4096-edge batch, block or pass — never per edge.
 #[derive(Debug)]
 pub struct Counter {
     name: &'static str,
     registered: AtomicBool,
-    shards: [Shard; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -79,18 +67,19 @@ impl Counter {
         Counter {
             name,
             registered: AtomicBool::new(false),
-            shards: [const { Shard(AtomicU64::new(0)) }; SHARDS],
+            value: AtomicU64::new(0),
         }
     }
 
-    /// Add `n`; no-op while metrics are disabled.
+    /// Add `n`; no-op while metrics are disabled. Adding 0 registers the
+    /// name, so the snapshot lists it.
     #[inline]
     pub fn add(&'static self, n: u64) {
         if !enabled() {
             return;
         }
-        self.register();
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        register(&self.registered, || MetricRef::Counter(self));
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Add one; no-op while metrics are disabled.
@@ -99,36 +88,18 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current sum across all shards.
+    /// Current sum.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn register(&'static self) {
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
-        {
-            REGISTRY.lock().unwrap().push(MetricRef::Counter(self));
-        }
-    }
-
-    fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
+        self.value.load(Ordering::Relaxed)
     }
 }
 
-/// A point-in-time value with a high-water mark (e.g. live cache
-/// points, live heap bytes). `set`/`add` track the peak automatically;
-/// `record_peak` folds in an externally measured maximum.
+/// A high-water mark (e.g. the most points one PE held, a stage's heap
+/// peak): the largest value recorded.
 #[derive(Debug)]
 pub struct Gauge {
     name: &'static str,
     registered: AtomicBool,
-    value: AtomicU64,
     peak: AtomicU64,
 }
 
@@ -138,140 +109,42 @@ impl Gauge {
         Gauge {
             name,
             registered: AtomicBool::new(false),
-            value: AtomicU64::new(0),
             peak: AtomicU64::new(0),
         }
     }
 
-    /// Set the current value, raising the peak if exceeded.
-    #[inline]
-    pub fn set(&'static self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        self.value.store(v, Ordering::Relaxed);
-        self.peak.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Increase the current value by `n`, raising the peak if exceeded.
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        let v = self.value.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Decrease the current value by `n` (saturating at zero).
-    #[inline]
-    pub fn sub(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.register();
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
-    /// Fold an externally measured maximum into the peak without
-    /// touching the current value.
+    /// Raise the high-water mark to `v` if it is below; no-op while
+    /// metrics are disabled. Recording 0 registers the name.
     #[inline]
     pub fn record_peak(&'static self, v: u64) {
         if !enabled() {
             return;
         }
-        self.register();
+        register(&self.registered, || MetricRef::Gauge(self));
         self.peak.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark observed so far.
+    /// High-water mark recorded so far.
     pub fn peak(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
-
-    fn register(&'static self) {
-        if !self.registered.load(Ordering::Relaxed) && !self.registered.swap(true, Ordering::AcqRel)
-        {
-            REGISTRY.lock().unwrap().push(MetricRef::Gauge(self));
-        }
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-        self.peak.store(0, Ordering::Relaxed);
-    }
 }
 
-/// A snapshot of one metric's state.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MetricValue {
-    /// Counter sum.
-    Counter(u64),
-    /// Gauge current value and high-water mark.
-    Gauge {
-        /// Last value set.
-        value: u64,
-        /// High-water mark.
-        peak: u64,
-    },
-}
-
-/// Snapshot every metric touched so far, sorted by name. Metrics that
-/// were never updated (or only while disabled) are absent.
-pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
-    let reg = REGISTRY.lock().unwrap();
-    let mut out: Vec<(&'static str, MetricValue)> = reg
-        .iter()
-        .map(|m| match m {
-            MetricRef::Counter(c) => (c.name, MetricValue::Counter(c.value())),
-            MetricRef::Gauge(g) => (
-                g.name,
-                MetricValue::Gauge {
-                    value: g.value(),
-                    peak: g.peak(),
-                },
-            ),
-        })
-        .collect();
-    out.sort_by_key(|(name, _)| *name);
-    out
-}
-
-/// Counter snapshots only, sorted by name.
-pub fn counters() -> Vec<(&'static str, u64)> {
-    snapshot()
-        .into_iter()
-        .filter_map(|(n, v)| match v {
-            MetricValue::Counter(c) => Some((n, c)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Every touched metric flattened to sorted `(name, u64)` scalars:
+/// Every metric touched so far as sorted `(name, u64)` scalars:
 /// counters as-is, gauges as their high-water mark (suffixed `.peak`).
+/// Metrics that were never updated (or only while disabled) are absent.
 /// This is the flat list federated into per-rank reports and run-wide
 /// metrics files — summing a `.peak` entry across ranks bounds the
 /// run-wide peak from above.
 pub fn scalars() -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for (name, v) in snapshot() {
-        match v {
-            MetricValue::Counter(c) => out.push((name.to_string(), c)),
-            MetricValue::Gauge { peak, .. } => out.push((format!("{name}.peak"), peak)),
-        }
-    }
+    let reg = REGISTRY.lock().unwrap();
+    let mut out: Vec<(String, u64)> = reg
+        .iter()
+        .map(|m| match m {
+            MetricRef::Counter(c) => (c.name.to_string(), c.value()),
+            MetricRef::Gauge(g) => (format!("{}.peak", g.name), g.peak()),
+        })
+        .collect();
     out.sort();
     out
 }
@@ -282,8 +155,8 @@ pub fn reset() {
     let reg = REGISTRY.lock().unwrap();
     for m in reg.iter() {
         match m {
-            MetricRef::Counter(c) => c.reset(),
-            MetricRef::Gauge(g) => g.reset(),
+            MetricRef::Counter(c) => c.value.store(0, Ordering::Relaxed),
+            MetricRef::Gauge(g) => g.peak.store(0, Ordering::Relaxed),
         }
     }
 }
@@ -363,20 +236,19 @@ mod tests {
         let _g = locked();
         set_enabled(false);
         C.add(7);
-        G.set(9);
+        G.record_peak(9);
         assert_eq!(C.value(), 0);
-        assert_eq!(G.value(), 0);
         assert_eq!(G.peak(), 0);
-        // Never registered, so absent from the snapshot.
-        assert!(!snapshot().iter().any(|(n, _)| n.starts_with("test.noop.")));
+        // Never registered, so absent from the scalars.
+        assert!(!scalars().iter().any(|(n, _)| n.starts_with("test.noop.")));
     }
 
     #[test]
-    fn sharded_counter_merges_across_threads() {
-        static C: Counter = Counter::new("test.sharded.counter");
+    fn counter_sums_across_threads() {
+        static C: Counter = Counter::new("test.threads.counter");
         let _g = locked();
         set_enabled(true);
-        C.reset();
+        reset();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
@@ -394,17 +266,27 @@ mod tests {
         static G: Gauge = Gauge::new("test.gauge.peak");
         let _g = locked();
         set_enabled(true);
-        G.reset();
-        G.set(10);
-        G.add(5);
-        G.sub(12);
-        assert_eq!(G.value(), 3);
+        reset();
+        G.record_peak(10);
+        G.record_peak(15);
+        G.record_peak(3);
         assert_eq!(G.peak(), 15);
         G.record_peak(100);
         assert_eq!(G.peak(), 100);
-        assert_eq!(G.value(), 3);
-        G.sub(1000); // saturates, never wraps
-        assert_eq!(G.value(), 0);
+    }
+
+    #[test]
+    fn a_recorded_zero_registers_the_name() {
+        static C: Counter = Counter::new("test.zero.counter");
+        static G: Gauge = Gauge::new("test.zero.gauge");
+        let _g = locked();
+        set_enabled(true);
+        C.add(0);
+        G.record_peak(0);
+        let found = scalars();
+        for name in ["test.zero.counter", "test.zero.gauge.peak"] {
+            assert!(found.iter().any(|(n, v)| n == name && *v == 0), "{name}");
+        }
     }
 
     #[test]
@@ -416,7 +298,7 @@ mod tests {
         set_enabled(true);
         C1.add(2);
         C2.add(1);
-        G.set(5);
+        G.record_peak(5);
         let doc = Telemetry::capture();
         let names: Vec<_> = doc.counters.iter().map(|(n, _)| n.clone()).collect();
         let mut sorted = names.clone();

@@ -243,7 +243,7 @@ mod tests {
         let reader = ShardReader::open(&dir).unwrap();
         let back = reader.read_all().unwrap();
         let mut expect = Vec::new();
-        gen.stream_all(&mut |u, v| expect.push((u, v)));
+        gen.stream_all_batched(&mut Vec::new(), &mut |e| expect.extend_from_slice(e));
         assert_eq!(back.edges, expect, "{tag}: stream order must be preserved");
         assert_eq!(back.n, 150);
         std::fs::remove_dir_all(&dir).ok();

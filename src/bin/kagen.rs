@@ -9,8 +9,6 @@ use kagen_repro::cli::{self, Format, Merge, Mode, Options};
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::core::prelude::*;
 use kagen_repro::graph::io::write_metis;
-use kagen_repro::graph::stats::DegreeStats;
-use kagen_repro::graph::EdgeList;
 use kagen_repro::pipeline::{
     DegreeStatsSink, EdgeSink, ExternalMerge, InstanceMeta, PartialManifest, ShardFormat,
     ShardReader, StreamConfig, TeeSink,
@@ -34,35 +32,6 @@ static ALLOC_PEAK_GENERATE: Gauge = Gauge::new("alloc.peak_bytes.generate");
 static ALLOC_PEAK_MERGE: Gauge = Gauge::new("alloc.peak_bytes.merge");
 /// Live heap bytes when the run finished.
 static ALLOC_LIVE_END: Gauge = Gauge::new("alloc.live_bytes.end");
-
-fn print_stats(el: &EdgeList, directed: bool, gen_time: std::time::Duration) {
-    if directed {
-        let s = DegreeStats::directed(el);
-        info!(
-            "n = {}, m = {}, in-deg {}/{:.2}/{}, out-deg {}/{:.2}/{}, generated in {:.3}s",
-            el.n,
-            el.edges.len(),
-            s.in_deg.min,
-            s.in_deg.mean,
-            s.in_deg.max,
-            s.out_deg.min,
-            s.out_deg.mean,
-            s.out_deg.max,
-            gen_time.as_secs_f64()
-        );
-    } else {
-        let deg = DegreeStats::undirected(el);
-        info!(
-            "n = {}, m = {}, degrees {}/{:.2}/{}, generated in {:.3}s",
-            el.n,
-            el.edges.len(),
-            deg.min,
-            deg.mean,
-            deg.max,
-            gen_time.as_secs_f64()
-        );
-    }
-}
 
 /// `<what>: <the error>`, keeping the error's kind: how every I/O
 /// failure of the front-end names the path it failed on.
@@ -120,10 +89,13 @@ fn run_materialized(o: &Options) -> io::Result<()> {
     let gen_span = trace::span("materialize.generate");
     let gen = gen.as_ref();
     let el = generate_merged(gen, o.threads);
-    let gen_time = std::time::Duration::from_secs_f64(gen_span.finish());
+    let gen_secs = gen_span.finish();
 
     if o.stats {
-        print_stats(&el, gen.directed(), gen_time);
+        let mut deg = DegreeStatsSink::new(el.n, gen.directed());
+        deg.push_batch(&el.edges);
+        let suffix = format!(", generated in {gen_secs:.3}s");
+        print_degree_summary(el.n, el.edges.len() as u64, &deg, &suffix);
     }
 
     let write_span = trace::span("materialize.write");
@@ -238,7 +210,7 @@ fn run_stream(o: &Options) -> io::Result<()> {
                 manifest.n,
                 stats.edges_out,
                 deg,
-                "canonical merged instance",
+                " (canonical merged instance)",
             );
         }
     } else if o.stats {
@@ -252,9 +224,9 @@ fn run_stream(o: &Options) -> io::Result<()> {
             .and_then(|_| deg.finish())
             .map_err(in_dir("cannot read back shards of"))?;
         let label = if manifest.directed {
-            "per-PE streams"
+            " (per-PE streams)"
         } else {
-            "per-PE streams, cross-PE duplicates included"
+            " (per-PE streams, cross-PE duplicates included)"
         };
         print_degree_summary(manifest.n, manifest.edges, &deg, label);
     }
@@ -264,7 +236,7 @@ fn run_stream(o: &Options) -> io::Result<()> {
     // launch-mode federation and the same sum invariant (rank edges ==
     // manifest edges).
     if let Some(path) = &o.metrics_out {
-        ALLOC_LIVE_END.set(CountingAlloc::live());
+        ALLOC_LIVE_END.record_peak(CountingAlloc::live());
         let wall_us = (run_started.elapsed().as_secs_f64() * 1e6) as u64;
         let rank = RankMetrics {
             rank: 0,
@@ -283,16 +255,17 @@ fn run_stream(o: &Options) -> io::Result<()> {
     Ok(())
 }
 
-/// Print a `--stats` line for a streamed degree accumulator.
-fn print_degree_summary(n: u64, m: u64, deg: &DegreeStatsSink, label: &str) {
+/// Print the `--stats` line of a degree accumulator, `suffix` after the
+/// degrees.
+fn print_degree_summary(n: u64, m: u64, deg: &DegreeStatsSink, suffix: &str) {
     let (first, second) = deg.stats();
     match second {
         Some(in_deg) => info!(
-            "n = {n}, m = {m}, in-deg {}/{:.2}/{}, out-deg {}/{:.2}/{} ({label})",
+            "n = {n}, m = {m}, in-deg {}/{:.2}/{}, out-deg {}/{:.2}/{}{suffix}",
             in_deg.min, in_deg.mean, in_deg.max, first.min, first.mean, first.max,
         ),
         None => info!(
-            "n = {n}, m = {m}, degrees {}/{:.2}/{} ({label})",
+            "n = {n}, m = {m}, degrees {}/{:.2}/{}{suffix}",
             first.min, first.mean, first.max,
         ),
     }
@@ -336,10 +309,10 @@ fn run_launch(o: &Options) -> io::Result<()> {
     // and CI assert on `regenerated=[..] reused=N` (the logger
     // supplies the `kagen launch: ` prefix).
     info!(
-        "{} ranks spawned, regenerated={:?} reused={} -> {} edges, \
+        "{} ranks spawned, regenerated={} reused={} -> {} edges, \
          federated manifest in {wall:.3}s",
         report.spawned.len(),
-        report.regenerated_pes,
+        pe_runs(&report.regenerated_pes),
         report.reused_shards,
         report.manifest.edges,
     );
@@ -366,6 +339,20 @@ fn run_launch(o: &Options) -> io::Result<()> {
         );
     }
     Ok(())
+}
+
+/// Ascending PE ids as their maximal runs, a run as half-open `a..b`
+/// and a lone PE as `a`: `[0..4096]`, `[2..5]`, `[3, 8]` — one short
+/// line whatever the chunk count.
+fn pe_runs(pes: &[usize]) -> String {
+    let runs: Vec<String> = pes
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|run| match run {
+            [pe] => pe.to_string(),
+            _ => format!("{}..{}", run[0], run[run.len() - 1] + 1),
+        })
+        .collect();
+    format!("[{}]", runs.join(", "))
 }
 
 /// Worker mode: generate one contiguous PE range into shard files, then

@@ -138,7 +138,7 @@ fn killed_worker_is_resumable_and_resume_spawns_only_missing_ranges() {
     assert!(ok, "resume failed:\n{stderr}");
     let summary = launch_summary(&stderr);
     assert!(
-        summary.contains("regenerated=[2, 3, 4]") && summary.contains("reused=5"),
+        summary.contains("regenerated=[2..5]") && summary.contains("reused=5"),
         "resume must regenerate exactly the dead worker's range: {summary}"
     );
 
@@ -157,6 +157,38 @@ fn killed_worker_is_resumable_and_resume_spawns_only_missing_ranges() {
 /// The rank report is a worker's completion record: a worker that dies
 /// mid-range leaves its earlier shards but no report, and one that
 /// finishes leaves exactly one, written after its shards.
+/// The summary names regenerated PEs by their runs, so a fresh launch
+/// of thousands of PEs still reports on one short line.
+#[test]
+fn fresh_launch_summary_is_one_short_line_at_4096_chunks() {
+    let dir = tmp("summary_4096");
+    let (ok, stderr) = kagen(
+        &[
+            "launch",
+            "gnm_undirected",
+            "-n",
+            "8192",
+            "-m",
+            "8192",
+            "-c",
+            "4096",
+            "--workers",
+            "2",
+            "--shard-dir",
+            dir.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert!(ok, "launch failed:\n{stderr}");
+    let summary = launch_summary(&stderr);
+    assert!(
+        summary.contains("regenerated=[0..4096] reused=0"),
+        "{summary}"
+    );
+    assert!(summary.len() < 200, "{} bytes: {summary}", summary.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn rank_report_is_written_last_or_not_at_all() {
     let dir = tmp("report_last");

@@ -67,7 +67,7 @@ fn binary_bytes(edges: &[(u64, u64)]) -> Vec<u8> {
 
 fn generated(gen: &dyn Generator) -> Vec<(u64, u64)> {
     let mut edges = Vec::new();
-    gen.stream_all(&mut |u, v| edges.push((u, v)));
+    gen.stream_all_batched(&mut Vec::new(), &mut |e| edges.extend_from_slice(e));
     edges
 }
 

@@ -170,7 +170,9 @@ fn rdg_corners_match_reference<const D: usize>(sizes: &[u64]) {
                 assert_eq!(&generate_undirected(&gen).edges, reference, "{label}");
                 // The streamed instance is the same one.
                 let mut streamed = Vec::new();
-                gen.stream_all(&mut |u, v| streamed.push((u.min(v), u.max(v))));
+                gen.stream_all_batched(&mut Vec::new(), &mut |e| {
+                    streamed.extend(e.iter().map(|&(u, v)| (u.min(v), u.max(v))))
+                });
                 streamed.sort_unstable();
                 streamed.dedup();
                 assert_eq!(&streamed, reference, "{label} (streamed)");

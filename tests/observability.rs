@@ -194,57 +194,82 @@ fn launch_metrics_reconcile_with_manifest() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// Run `kagen stream <model>` with `--metrics-out` and return its one
+/// rank's scalars, after checking them against `per_pe`, the passes the
+/// same instance's PEs make in-process: `geo.cells_generated` is the sum
+/// of their generated cells and the `geo.frontier_points` peak the most
+/// points one PE held — every spatial pass records its `FrontierStats`
+/// once, whatever its engine.
+fn assert_geo_metrics(
+    tag: &str,
+    model: &[&str],
+    per_pe: &[kagen_repro::geometry::FrontierStats],
+) -> std::collections::HashMap<String, u64> {
+    let dir = tmp(tag);
+    let metrics = dir.with_extension("metrics.json");
+    let mut argv = vec!["stream"];
+    argv.extend(model);
+    argv.extend(["-t", "2", "--shard-dir", dir.to_str().unwrap()]);
+    argv.extend(["--metrics-out", metrics.to_str().unwrap()]);
+    let (ok, stderr) = kagen(&argv);
+    assert!(ok, "stream failed:\n{stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
+    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
+    let counters: std::collections::HashMap<_, _> = rm.ranks[0].counters.iter().cloned().collect();
+    let counter = |name: &str| {
+        *counters
+            .get(name)
+            .unwrap_or_else(|| panic!("no counter {name}"))
+    };
+    assert_eq!(
+        counter("geo.cells_generated"),
+        per_pe.iter().map(|s| s.generated_cells).sum::<u64>(),
+        "{tag}"
+    );
+    assert_eq!(
+        counter("geo.frontier_points.peak"),
+        per_pe.iter().map(|s| s.peak_points).max().unwrap(),
+        "{tag}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&metrics).ok();
+    counters
+}
+
 /// The RHG query engine has no evicting frontier, but reports under the
 /// same `geo.*` names: cells generated (each touched cell once per PE)
 /// and, as the `geo.frontier_points` peak, the most points one PE held.
 #[test]
 fn rhg_stream_metrics_count_cells_generated_and_points_held() {
     use kagen_repro::core::prelude::*;
-    let dir = tmp("rhg_geo");
-    let metrics = dir.with_extension("metrics.json");
-    let (ok, stderr) = kagen(&[
-        "stream",
-        "rhg",
-        "-n",
-        "4000",
-        "-d",
-        "8",
-        "-g",
-        "2.8",
-        "-c",
-        "16",
-        "-s",
-        "5",
-        "-t",
-        "2",
-        "--shard-dir",
-        dir.to_str().unwrap(),
-        "--metrics-out",
-        metrics.to_str().unwrap(),
-    ]);
-    assert!(ok, "stream failed:\n{stderr}");
-    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
-    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
-    let counter = |name: &str| {
-        let found = rm.ranks[0].counters.iter().find(|(n, _)| n == name);
-        found.unwrap_or_else(|| panic!("no counter {name}")).1
-    };
-
     let gen = Rhg::new(4000, 8.0, 2.8).with_seed(5).with_chunks(16);
     let per_pe: Vec<_> = (0..16)
         .map(|pe| gen.stream_query(pe, &mut |_, _| {}))
         .collect();
-    assert_eq!(
-        counter("geo.cells_generated"),
-        per_pe.iter().map(|s| s.generated_cells).sum::<u64>()
-    );
-    assert_eq!(
-        counter("geo.frontier_points.peak"),
-        per_pe.iter().map(|s| s.peak_points).max().unwrap()
-    );
+    let model = [
+        "rhg", "-n", "4000", "-d", "8", "-g", "2.8", "-c", "16", "-s", "5",
+    ];
+    assert_geo_metrics("rhg_geo", &model, &per_pe);
+}
 
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_file(&metrics).ok();
+/// RGG's sweep reports under the same names: cells generated (own range
+/// and halo, each once per PE) and the most points its frontier and halo
+/// ring held at once.
+#[test]
+fn rgg_stream_metrics_count_cells_generated_and_points_held() {
+    use kagen_repro::core::prelude::*;
+    let gen = Rgg2d::new(20_000, 0.02).with_seed(5).with_chunks(16);
+    let per_pe: Vec<_> = (0..16)
+        .map(|pe| gen.stream_cells(pe, &mut |_, _| {}))
+        .collect();
+    let model = ["rgg2d", "-n", "20000", "-r", "0.02", "-c", "16", "-s", "5"];
+    let counters = assert_geo_metrics("rgg_geo", &model, &per_pe);
+    // Every cell is some PE's own; the halo ring is generated on top.
+    let cursor = counters["geo.cursor_cells"];
+    assert!(
+        cursor < counters["geo.cells_generated"],
+        "{cursor} range cells"
+    );
 }
 
 /// RDG counts the triangulation work behind its stream: points inserted
@@ -252,43 +277,21 @@ fn rhg_stream_metrics_count_cells_generated_and_points_held() {
 /// certification attempts. Every point is inserted into its own box at
 /// least once, and one box per block keeps the benchmark's
 /// `rdg2d_stream` instance below one insert per emitted edge — ⅓ is the
-/// planar ideal, the rest is halo; a box per cell paid 2.9.
+/// planar ideal, the rest is halo; a box per cell paid 2.9. Its cells
+/// and the most points one block held with its halo are under `geo.*`,
+/// as for the other spatial passes.
 #[test]
 fn rdg_stream_metrics_count_inserts() {
     use kagen_repro::core::prelude::*;
-    let dir = tmp("rdg_geo");
-    let metrics = dir.with_extension("metrics.json");
-    let (ok, stderr) = kagen(&[
-        "stream",
-        "rdg2d",
-        "-n",
-        "40000",
-        "-c",
-        "64",
-        "-s",
-        "5",
-        "-t",
-        "2",
-        "--shard-dir",
-        dir.to_str().unwrap(),
-        "--metrics-out",
-        metrics.to_str().unwrap(),
-    ]);
-    assert!(ok, "stream failed:\n{stderr}");
-    let text = std::fs::read_to_string(&metrics).expect("missing metrics file");
-    let rm = kagen_repro::cluster::RunMetrics::from_json(&text).expect("bad metrics file");
-    let counter = |name: &str| {
-        let found = rm.ranks[0].counters.iter().find(|(n, _)| n == name);
-        found.unwrap_or_else(|| panic!("no counter {name}")).1
-    };
-
     let gen = Rdg2d::new(40_000).with_seed(5).with_chunks(64);
     let mut edges = 0u64;
-    let generated_cells: u64 = (0..64)
-        .map(|pe| gen.stream_cells(pe, &mut |_, _| edges += 1).generated_cells)
-        .sum();
+    let per_pe: Vec<_> = (0..64)
+        .map(|pe| gen.stream_cells(pe, &mut |_, _| edges += 1))
+        .collect();
+    let model = ["rdg2d", "-n", "40000", "-c", "64", "-s", "5"];
+    let counters = assert_geo_metrics("rdg_geo", &model, &per_pe);
+    let counter = |name: &str| counters[name];
     assert_eq!(counter("gen.edges"), edges);
-    assert_eq!(counter("geo.cells_generated"), generated_cells);
     let inserts = counter("geo.delaunay_inserts");
     assert!(
         (40_000..=edges).contains(&inserts),
@@ -296,9 +299,6 @@ fn rdg_stream_metrics_count_inserts() {
     );
     let attempts = counter("geo.delaunay_attempts");
     assert!(0 < attempts && attempts <= inserts, "{attempts} attempts");
-
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_file(&metrics).ok();
 }
 
 /// `gen.ba.draws / gen.edges` is BA's attachment-chain length per edge:

@@ -43,7 +43,7 @@ fn roundtrip_format(format: ShardFormat) {
     let reader = ShardReader::open(&dir).unwrap();
     let back = reader.read_all().unwrap();
     let mut expect = Vec::new();
-    directed.stream_all(&mut |u, v| expect.push((u, v)));
+    directed.stream_all_batched(&mut Vec::new(), &mut |e| expect.extend_from_slice(e));
     assert_eq!(back.edges, expect, "{tag}: directed stream order");
     std::fs::remove_dir_all(&dir).ok();
 
@@ -58,7 +58,7 @@ fn roundtrip_format(format: ShardFormat) {
     let reader = ShardReader::open(&dir).unwrap();
     let back = reader.read_all().unwrap();
     let mut expect = Vec::new();
-    undirected.stream_all(&mut |u, v| expect.push((u, v)));
+    undirected.stream_all_batched(&mut Vec::new(), &mut |e| expect.extend_from_slice(e));
     assert_eq!(back.edges, expect, "{tag}: undirected stream order");
     std::fs::remove_dir_all(&dir).ok();
 }

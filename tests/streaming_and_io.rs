@@ -16,8 +16,10 @@ fn stream_to_text_writer_without_materializing() {
     let mut text = Vec::new();
     for pe in 0..4 {
         let mut w = std::io::BufWriter::new(&mut text);
-        gen.stream_pe(pe, &mut |u, v| {
-            writeln!(w, "{u} {v}").unwrap();
+        gen.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            for (u, v) in edges {
+                writeln!(w, "{u} {v}").unwrap();
+            }
         });
         w.flush().unwrap();
     }
@@ -34,9 +36,11 @@ fn stream_to_binary_roundtrip() {
     let gen = GnmUndirected::new(300, 2000).with_seed(9).with_chunks(3);
     let mut bytes = Vec::new();
     for pe in 0..3 {
-        gen.stream_pe(pe, &mut |u, v| {
-            bytes.extend_from_slice(&u.to_le_bytes());
-            bytes.extend_from_slice(&v.to_le_bytes());
+        gen.stream_pe_batched(pe, &mut Vec::new(), &mut |edges| {
+            for (u, v) in edges {
+                bytes.extend_from_slice(&u.to_le_bytes());
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
         });
     }
     let mut parsed = read_binary(&bytes, 300).unwrap();
@@ -47,33 +51,25 @@ fn stream_to_binary_roundtrip() {
 
 #[test]
 fn streamed_counts_match_generated() {
-    let gens: Vec<Box<dyn Fn(usize) -> u64>> = vec![
-        {
-            let g = GnpDirected::new(400, 0.01).with_seed(1).with_chunks(8);
-            Box::new(move |pe| {
-                assert_eq!(g.count_pe(pe) as usize, g.generate_pe(pe).edges.len());
-                g.count_pe(pe)
-            })
-        },
-        {
-            let g = Rmat::new(10, 5000).with_seed(2).with_chunks(8);
-            Box::new(move |pe| {
-                assert_eq!(g.count_pe(pe) as usize, g.generate_pe(pe).edges.len());
-                g.count_pe(pe)
-            })
-        },
-        {
-            let g = StochasticBlockModel::planted(400, 4, 0.05, 0.005)
+    /// PE `pe`'s edges counted off its stream, checked against its
+    /// materialized part.
+    fn count(g: &dyn Generator, pe: usize) -> u64 {
+        let mut count = 0;
+        g.stream_pe_batched(pe, &mut Vec::new(), &mut |e| count += e.len() as u64);
+        assert_eq!(count as usize, g.generate_pe(pe).edges.len());
+        count
+    }
+    let gens: Vec<Box<dyn Generator>> = vec![
+        Box::new(GnpDirected::new(400, 0.01).with_seed(1).with_chunks(8)),
+        Box::new(Rmat::new(10, 5000).with_seed(2).with_chunks(8)),
+        Box::new(
+            StochasticBlockModel::planted(400, 4, 0.05, 0.005)
                 .with_seed(3)
-                .with_chunks(8);
-            Box::new(move |pe| {
-                assert_eq!(g.count_pe(pe) as usize, g.generate_pe(pe).edges.len());
-                g.count_pe(pe)
-            })
-        },
+                .with_chunks(8),
+        ),
     ];
     for g in &gens {
-        let total: u64 = (0..8).map(g).sum();
+        let total: u64 = (0..8).map(|pe| count(g.as_ref(), pe)).sum();
         assert!(total > 0);
     }
 }
@@ -104,7 +100,7 @@ fn merged_streams_equal_merged_pegraphs() {
     let gen = BarabasiAlbert::new(400, 3).with_seed(5).with_chunks(8);
     let mut streamed: Vec<(u64, u64)> = Vec::new();
     for pe in 0..8 {
-        gen.stream_pe(pe, &mut |u, v| streamed.push((u, v)));
+        gen.stream_pe_batched(pe, &mut Vec::new(), &mut |e| streamed.extend_from_slice(e));
     }
     streamed.sort_unstable();
     let mut via_pegraph = generate_directed(&gen);

@@ -113,7 +113,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
         let gen = Rgg2d::new(n, 0.05).with_seed(3).with_chunks(4);
         let mut edges = 0u64;
         let peak = alloc_peak_during(|| {
-            gen.stream_pe(0, &mut |_, _| edges += 1);
+            gen.stream_pe_batched(0, &mut Vec::new(), &mut |e| edges += e.len() as u64);
         });
         (edges, peak)
     };
@@ -186,7 +186,7 @@ fn streaming_working_set_is_sublinear_in_per_pe_edges() {
         let gen = Rhg::new(30_000, deg, 2.8).with_seed(3).with_chunks(8);
         let mut edges = 0u64;
         let peak = alloc_peak_during(|| {
-            gen.stream_pe(0, &mut |_, _| edges += 1);
+            gen.stream_pe_batched(0, &mut Vec::new(), &mut |e| edges += e.len() as u64);
         });
         (edges, peak)
     };
