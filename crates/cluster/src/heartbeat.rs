@@ -5,7 +5,7 @@
 //! ([`HeartbeatPublisher`]) that samples the process-global obs
 //! counters (`gen.edges`, `worker.pes_done`) every ~100 ms and, **only
 //! when something advanced**, rewrites `part-<a>-<b>.heartbeat.json`
-//! via write-to-temp + rename — readers never see a torn file, and an
+//! through [`kagen_obs::Staged`] — readers never see a torn file, and an
 //! unchanged file is itself the signal. The hot path is untouched: the
 //! generators already maintain these counters at batch granularity, so
 //! heartbeats cost one sampling thread and zero per-edge work (and, by
@@ -21,6 +21,8 @@
 //! decision.
 
 use kagen_obs::json::{self, Layout};
+use kagen_obs::Staged;
+use kagen_pipeline::PartialManifest;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -33,9 +35,10 @@ pub const HEARTBEAT_SCHEMA: &str = "kagen-heartbeat/v1";
 /// Default publisher sampling interval.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
-/// Heartbeat file name for the rank covering PEs `[pe_begin, pe_end)`.
+/// Heartbeat file name for the rank covering PEs `[pe_begin, pe_end)`:
+/// its rank report's name with `.heartbeat` before the extension.
 pub fn heartbeat_file_name(pe_begin: u64, pe_end: u64) -> String {
-    format!("part-{pe_begin:05}-{pe_end:05}.heartbeat.json")
+    PartialManifest::file_name(pe_begin, pe_end).replace(".json", ".heartbeat.json")
 }
 
 /// Worker lifecycle stages reported in heartbeats.
@@ -114,12 +117,11 @@ fn unix_us() -> u64 {
         .unwrap_or(0)
 }
 
-/// Write `hb` atomically (see [`json::save_atomic`]), so a polling
-/// reader sees either the previous or the new heartbeat, never a torn
-/// one.
+/// Publish `hb` (staged, see [`Staged`]), so a polling reader sees
+/// either the previous or the new heartbeat, never a torn one.
 pub fn write_atomic(dir: &Path, hb: &Heartbeat) -> io::Result<()> {
     let path = dir.join(heartbeat_file_name(hb.pe_begin, hb.pe_end));
-    json::save_atomic(&path, &hb.to_json())
+    Staged::save_atomic(&path, hb.to_json())
 }
 
 /// Read the heartbeat for PEs `[pe_begin, pe_end)`, if present.
@@ -329,7 +331,7 @@ mod tests {
             .unwrap()
             .file_name()
             .to_string_lossy()
-            .ends_with(".tmp")));
+            .ends_with(".kagen-tmp")));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,6 +19,7 @@
 
 use crate::plan::RankTask;
 use kagen_obs::json::{self, Layout, Value};
+use kagen_obs::Staged;
 use kagen_pipeline::{RunHeader, ShardInfo};
 use std::io;
 use std::path::Path;
@@ -251,11 +252,10 @@ impl Ledger {
         })
     }
 
-    /// Write `ledger.json` into `dir` atomically (see
-    /// [`json::save_atomic`]) — a crash mid-save never leaves a
-    /// truncated ledger behind.
+    /// Publish `ledger.json` in `dir` (staged, see [`Staged`]) — a
+    /// crash mid-save never leaves a truncated ledger behind.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        json::save_atomic(&dir.join(LEDGER_FILE), &self.to_json())
+        Staged::save_atomic(&dir.join(LEDGER_FILE), self.to_json())
     }
 
     /// Load `ledger.json` from `dir`.
@@ -323,7 +323,10 @@ mod tests {
         let mut ledger = Ledger::new(header(), 2, &plan_ranks(4, 2));
         ledger.record_rank_done(1, vec![info(2), info(3)]);
         ledger.save(&dir).unwrap();
-        assert!(!dir.join("ledger.json.tmp").exists(), "tmp not renamed");
+        assert!(
+            !dir.join("ledger.json.kagen-tmp").exists(),
+            "tmp not renamed"
+        );
         let back = Ledger::load(&dir).unwrap();
         assert_eq!(back, ledger);
         std::fs::remove_dir_all(&dir).ok();

@@ -21,6 +21,7 @@
 
 use kagen_obs::json::{self, Layout, Value};
 use kagen_obs::metrics::{counters_from, counters_value};
+use kagen_obs::Staged;
 use kagen_pipeline::Manifest;
 use std::io;
 use std::path::Path;
@@ -135,9 +136,9 @@ impl RunMetrics {
         totals
     }
 
-    /// Write the document to `path`.
+    /// Publish the document at `path` (staged, see [`Staged`]).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
+        Staged::save_atomic(path, self.to_json())
     }
 
     /// Parse a document produced by [`RunMetrics::to_json`] (`totals`

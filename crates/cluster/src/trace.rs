@@ -150,7 +150,7 @@ pub fn federate_with(coord: &ProcessTrace, ranks: &[RankTrace]) -> String {
 /// Write the federated timeline (see [`federate_chrome_trace`]) to
 /// `path`.
 pub fn write_federated_chrome_trace(path: &Path, ranks: &[RankTrace]) -> io::Result<()> {
-    std::fs::write(path, federate_chrome_trace(ranks))
+    kagen_obs::Staged::save_atomic(path, federate_chrome_trace(ranks))
 }
 
 #[cfg(test)]

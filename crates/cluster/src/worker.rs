@@ -11,7 +11,7 @@
 //! `(generator, pe range, format)`, which is the whole point of the paper.
 
 use kagen_core::Generator;
-use kagen_obs::Counter;
+use kagen_obs::{Counter, Staged};
 use kagen_pipeline::{write_shard, ShardFormat, ShardInfo};
 use std::io;
 use std::ops::Range;
@@ -76,7 +76,7 @@ pub fn run_worker(
     std::fs::create_dir_all(dir)?;
     if let Some(marker) = &inject.fail_once_marker {
         if !marker.exists() {
-            std::fs::write(marker, b"failed once\n")?;
+            Staged::save_atomic(marker, b"failed once\n")?;
             return Err(io::Error::other(
                 "injected transient failure (first attempt)",
             ));
@@ -84,7 +84,7 @@ pub fn run_worker(
     }
     if let Some(marker) = &inject.stall_once_marker {
         if !marker.exists() {
-            std::fs::write(marker, b"stalled once\n")?;
+            Staged::save_atomic(marker, b"stalled once\n")?;
             // Wedge: no progress, no exit — the footprint of a hung
             // worker. Only the supervisor's stall watchdog ends this
             // attempt (by killing the process).

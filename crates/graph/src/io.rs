@@ -1,5 +1,11 @@
-//! Writers and readers for the on-disk graph formats, including the
-//! compressed varint+delta shard codec used by `kagen-pipeline`.
+//! The on-disk edge formats: one streaming encoder ([`EdgeEncoder`])
+//! and one block decoder per format — text ([`TextEncoder`],
+//! [`decode_text`]), binary ([`BinaryEncoder`], [`decode_binary`]) and
+//! the compressed varint+delta shard codec ([`CompressedEdgeWriter`],
+//! [`decode_compressed`]) — plus the METIS writer. There is no
+//! whole-[`EdgeList`] reader or writer: files of these formats are
+//! written and read through `kagen_pipeline::ShardFormat::{sink,
+//! stream_file}`, whatever the front end.
 //!
 //! **One pass per edge.** Every encoder ([`EdgeEncoder`]) and decoder
 //! folds the stream checksum the shard manifests record
@@ -731,12 +737,6 @@ impl<E: EdgeEncoder + ?Sized> EdgeEncoder for Box<E> {
 /// What a decoder hands verified blocks of edges to.
 type Emit<'a> = dyn FnMut(&[(u64, u64)]) + 'a;
 
-/// Encode `el` with a fresh encoder.
-fn write_all_edges<E: EdgeEncoder>(mut enc: E, el: &EdgeList) -> io::Result<()> {
-    enc.push_slice(&el.edges)?;
-    enc.close()
-}
-
 impl<W: Write> EdgeEncoder for CompressedEdgeWriter<W> {
     fn push_slice(&mut self, edges: &[(u64, u64)]) -> io::Result<()> {
         CompressedEdgeWriter::push_slice(self, edges)
@@ -762,22 +762,6 @@ pub fn decode_compressed<R: BufRead>(r: R, emit: &mut Emit) -> io::Result<u64> {
         emit(block);
     }
     Ok(dec.checksum())
-}
-
-/// Write a whole edge list in the compressed varint+delta format.
-pub fn write_compressed<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    write_all_edges(CompressedEdgeWriter::new(BufWriter::new(w), el.n)?, el)
-}
-
-/// Read a whole compressed edge stream back (inverse of
-/// [`write_compressed`]).
-pub fn read_compressed<R: BufRead>(r: R) -> io::Result<EdgeList> {
-    let mut dec = CompressedEdgeReader::new(r)?;
-    let mut edges = Vec::new();
-    while let Some(block) = dec.next_block()? {
-        edges.extend_from_slice(block);
-    }
-    Ok(EdgeList::new(dec.n(), edges))
 }
 
 /// Encoder of the text format: one `u v` line per edge (the format the
@@ -909,23 +893,6 @@ pub fn decode_text<R: BufRead>(mut r: R, emit: &mut Emit) -> io::Result<u64> {
     Ok(checksum)
 }
 
-/// Write one `u v` pair per line (the format the KaGen tool emits).
-pub fn write_edge_list<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    write_all_edges(TextEncoder::new(w), el)
-}
-
-/// Parse a text edge list (the grammar of [`decode_text`]). `n` is
-/// inferred as max id + 1 unless given.
-pub fn read_edge_list(text: &str, n: Option<u64>) -> io::Result<EdgeList> {
-    let mut edges = Vec::new();
-    decode_text(text.as_bytes(), &mut |block| edges.extend_from_slice(block))?;
-    let n = n.unwrap_or_else(|| {
-        let max_id = edges.iter().map(|&(u, v)| u.max(v)).max();
-        max_id.map_or(0, |id| id.saturating_add(1))
-    });
-    Ok(EdgeList::new(n, edges))
-}
-
 /// Write METIS format: header `n m`, then one line of 1-based neighbors per
 /// vertex. Expects a canonical undirected edge list.
 pub fn write_metis<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
@@ -1031,18 +998,6 @@ pub fn decode_binary<R: Read>(mut r: R, emit: &mut Emit) -> io::Result<u64> {
     }
 }
 
-/// Write raw little-endian `u64` pairs (binary edge list).
-pub fn write_binary<W: Write>(w: W, el: &EdgeList) -> io::Result<()> {
-    write_all_edges(BinaryEncoder::new(w), el)
-}
-
-/// Read raw little-endian `u64` pairs back (inverse of [`write_binary`]).
-pub fn read_binary(bytes: &[u8], n: u64) -> io::Result<EdgeList> {
-    let mut edges = Vec::new();
-    decode_binary(bytes, &mut |block| edges.extend_from_slice(block))?;
-    Ok(EdgeList::new(n, edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1061,11 +1016,48 @@ mod tests {
         EdgeList::new(4, vec![(0, 1), (1, 2), (2, 3)])
     }
 
+    /// `edges` through a fresh encoder.
+    fn encoded<E: EdgeEncoder>(mut enc: E, edges: &[(u64, u64)]) -> E {
+        enc.push_slice(edges).unwrap();
+        enc.close().unwrap();
+        enc
+    }
+
+    /// The text bytes of `edges`.
+    fn text(edges: &[(u64, u64)]) -> Vec<u8> {
+        encoded(TextEncoder::new(Vec::new()), edges).w
+    }
+
+    /// The compressed stream of `edges` over `n` vertices.
+    fn compressed(n: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+        encoded(CompressedEdgeWriter::new(Vec::new(), n).unwrap(), edges).w
+    }
+
+    /// Every edge `decode` hands out.
+    fn decoded(decode: impl FnOnce(&mut Emit) -> io::Result<u64>) -> io::Result<Vec<(u64, u64)>> {
+        let mut edges = Vec::new();
+        decode(&mut |block| edges.extend_from_slice(block))?;
+        Ok(edges)
+    }
+
+    /// A text stream decoded.
+    fn parse_text(text: &str) -> io::Result<Vec<(u64, u64)>> {
+        decoded(|emit| decode_text(text.as_bytes(), emit))
+    }
+
+    /// A whole compressed stream decoded, with its vertex count.
+    fn decompressed(stream: &[u8]) -> io::Result<EdgeList> {
+        let mut dec = CompressedEdgeReader::new(stream)?;
+        let mut edges = Vec::new();
+        while let Some(block) = dec.next_block()? {
+            edges.extend_from_slice(block);
+        }
+        Ok(EdgeList::new(dec.n(), edges))
+    }
+
     #[test]
     fn edge_list_format() {
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, &sample()).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "0 1\n1 2\n2 3\n");
+        assert_eq!(text(&sample().edges), b"0 1\n1 2\n2 3\n");
     }
 
     #[test]
@@ -1084,16 +1076,17 @@ mod tests {
     #[test]
     fn binary_roundtrip() {
         let el = sample();
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &el).unwrap();
+        let buf = encoded(BinaryEncoder::new(Vec::new()), &el.edges).w;
         assert_eq!(buf.len(), 3 * 16);
-        let back = read_binary(&buf, 4).unwrap();
-        assert_eq!(back, el);
+        assert_eq!(
+            decoded(|emit| decode_binary(&buf[..], emit)).unwrap(),
+            el.edges
+        );
         // Every cut inside a record is an error, never a panic.
         for cut in 0..buf.len() {
-            let res = read_binary(&buf[..cut], 4);
+            let res = decoded(|emit| decode_binary(&buf[..cut], emit));
             if cut % 16 == 0 {
-                assert_eq!(res.unwrap().edges, el.edges[..cut / 16]);
+                assert_eq!(res.unwrap(), el.edges[..cut / 16]);
             } else {
                 assert_eq!(res.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
             }
@@ -1103,25 +1096,21 @@ mod tests {
     #[test]
     fn text_roundtrip() {
         let el = sample();
-        let mut buf = Vec::new();
-        write_edge_list(&mut buf, &el).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let back = read_edge_list(&text, None).unwrap();
-        assert_eq!(back, el);
+        let text = String::from_utf8(text(&el.edges)).unwrap();
+        assert_eq!(parse_text(&text).unwrap(), el.edges);
     }
 
     #[test]
-    fn read_skips_comments_and_infers_n() {
-        let el = read_edge_list("# header\n0 1\n% meta\n5 2\n", None).unwrap();
-        assert_eq!(el.n, 6);
-        assert_eq!(el.edges, vec![(0, 1), (5, 2)]);
+    fn read_skips_comments() {
+        let edges = parse_text("# header\n0 1\n% meta\n5 2\n").unwrap();
+        assert_eq!(edges, vec![(0, 1), (5, 2)]);
     }
 
     #[test]
     fn read_reports_errors() {
-        assert!(read_edge_list("0\n", None).is_err());
-        assert!(read_edge_list("a b\n", None).is_err());
-        assert_eq!(read_edge_list("", None).unwrap().n, 0);
+        assert!(parse_text("0\n").is_err());
+        assert!(parse_text("a b\n").is_err());
+        assert!(parse_text("").unwrap().is_empty());
     }
 
     #[test]
@@ -1134,17 +1123,8 @@ mod tests {
             ("  # 1 2 3\n%x\n", vec![]),
             ("18446744073709551615 0\n", vec![(max, 0)]),
         ] {
-            assert_eq!(
-                read_edge_list(text, Some(0)).unwrap().edges,
-                edges,
-                "{text:?}"
-            );
+            assert_eq!(parse_text(text).unwrap(), edges, "{text:?}");
         }
-        // n inferred from the largest id does not overflow.
-        assert_eq!(
-            read_edge_list("18446744073709551615 0", None).unwrap().n,
-            max
-        );
         for (text, line) in [
             ("1 2\n65 57 999 junk\n", 2),
             ("+66 41\n", 1),
@@ -1163,7 +1143,7 @@ mod tests {
             ("0x10 2\n", 1),
             ("1e3 2\n", 1),
         ] {
-            let err = read_edge_list(text, None).unwrap_err();
+            let err = parse_text(text).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
             assert!(
                 err.to_string().starts_with(&format!("line {line}: ")),
@@ -1172,18 +1152,17 @@ mod tests {
         }
         // A line the decoder will not buffer, with and without an end.
         let long = "#".repeat(MAX_LINE_BYTES + 1);
-        assert!(read_edge_list(&long, None).is_err());
-        assert!(read_edge_list(&format!("{long}\n1 2\n"), None).is_err());
+        assert!(parse_text(&long).is_err());
+        assert!(parse_text(&format!("{long}\n1 2\n")).is_err());
         let longest = format!("{}\n1 2\n", "#".repeat(MAX_LINE_BYTES));
-        assert_eq!(read_edge_list(&longest, None).unwrap().edges, [(1, 2)]);
+        assert_eq!(parse_text(&longest).unwrap(), [(1, 2)]);
     }
 
     #[test]
     fn text_decoder_cuts_blocks_without_changing_the_stream() {
         let m = 2 * BLOCK_EDGES as u64 + 5;
         let el = EdgeList::new(m, (0..m).map(|i| (i, m - 1 - i)).collect());
-        let mut text = Vec::new();
-        write_edge_list(&mut text, &el).unwrap();
+        let text = text(&el.edges);
         let mut sizes = Vec::new();
         let mut edges = Vec::new();
         decode_text(&text[..], &mut |block| {
@@ -1265,9 +1244,7 @@ mod tests {
     #[test]
     fn compressed_roundtrip() {
         let el = EdgeList::new(10, vec![(0, 1), (0, 9), (3, 2), (3, 3), (9, 0), (9, 9)]);
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
-        let back = read_compressed(&buf[..]).unwrap();
+        let back = decompressed(&compressed(el.n, &el.edges)).unwrap();
         assert_eq!(back, el);
     }
 
@@ -1333,7 +1310,7 @@ mod tests {
             let (b, _) = sliced.finish().unwrap();
             assert_eq!(a, b, "cut {cut}");
         }
-        let back = read_compressed(&a[..]).unwrap();
+        let back = decompressed(&a).unwrap();
         assert_eq!(back.edges, edges);
         let lens: std::collections::BTreeSet<u64> = edges
             .windows(2)
@@ -1389,10 +1366,7 @@ mod tests {
 
     #[test]
     fn compressed_empty_stream() {
-        let el = EdgeList::new(5, vec![]);
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
-        let back = read_compressed(&buf[..]).unwrap();
+        let back = decompressed(&compressed(5, &[])).unwrap();
         assert_eq!(back.n, 5);
         assert!(back.edges.is_empty());
     }
@@ -1402,20 +1376,19 @@ mod tests {
         // Sorted edge lists take ~2-3 bytes per edge vs 16 raw.
         let edges: Vec<(u64, u64)> = (0..1000u64).map(|i| (i / 4, i % 997)).collect();
         let el = EdgeList::new(1000, edges);
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
+        let buf = compressed(el.n, &el.edges);
         assert!(
             buf.len() < 1000 * 4 + 16,
             "compressed size {} too large",
             buf.len()
         );
-        assert_eq!(read_compressed(&buf[..]).unwrap(), el);
+        assert_eq!(decompressed(&buf).unwrap(), el);
     }
 
     #[test]
     fn compressed_rejects_bad_magic() {
         let buf = b"NOTMAGIC\0\0\0\0\0\0\0\0".to_vec();
-        assert!(read_compressed(&buf[..]).is_err());
+        assert!(decompressed(&buf).is_err());
     }
 
     /// A one-block stream over 5 vertices with the given header fields
@@ -1432,7 +1405,7 @@ mod tests {
     }
 
     fn kind_of(stream: &[u8]) -> io::ErrorKind {
-        read_compressed(stream).unwrap_err().kind()
+        decompressed(stream).unwrap_err().kind()
     }
 
     #[test]
@@ -1478,14 +1451,12 @@ mod tests {
         }
         let len = payload.len() as u128;
         let good = raw_stream(3, len, checksum, &payload);
-        assert_eq!(read_compressed(&good[..]).unwrap().edges, edges);
+        assert_eq!(decompressed(&good).unwrap().edges, edges);
         // The writer produces exactly these bytes.
-        let mut written = Vec::new();
-        write_compressed(&mut written, &EdgeList::new(5, edges.to_vec())).unwrap();
-        assert_eq!(written, good);
+        assert_eq!(compressed(5, &edges), good);
 
-        assert!(read_compressed(&raw_stream(3, len - 1, checksum, &payload)[..]).is_err());
-        assert!(read_compressed(&raw_stream(3, len + 1, checksum, &payload)[..]).is_err());
+        assert!(decompressed(&raw_stream(3, len - 1, checksum, &payload)).is_err());
+        assert!(decompressed(&raw_stream(3, len + 1, checksum, &payload)).is_err());
         // One byte too long with the byte present: the block has
         // trailing bytes.
         let mut padded = payload.clone();
@@ -1584,8 +1555,7 @@ mod tests {
     fn a_block_that_fails_verification_is_never_exposed() {
         let m = COMPRESSED_BLOCK_EDGES + 10;
         let el = EdgeList::new(100, (0..m).map(|i| (i % 100, (i + 1) % 100)).collect());
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
+        let mut buf = compressed(el.n, &el.edges);
         let last = buf.len() - 1;
         buf[last] ^= 0x01; // inside the second block's payload
         let mut dec = CompressedEdgeReader::new(&buf[..]).unwrap();
@@ -1605,9 +1575,7 @@ mod tests {
         let m = COMPRESSED_BLOCK_EDGES as usize * 2 + 1234;
         let edges: Vec<(u64, u64)> = (0..m as u64).map(|i| (i / 3, (i * 7) % 5000)).collect();
         let el = EdgeList::new(5000, edges);
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
-        assert_eq!(read_compressed(&buf[..]).unwrap(), el);
+        assert_eq!(decompressed(&compressed(el.n, &el.edges)).unwrap(), el);
 
         // Byte identity between push and push_slice across block
         // boundaries.
@@ -1628,8 +1596,7 @@ mod tests {
         // stream wouldn't otherwise notice) must fail the read: the
         // format is self-validating without a manifest.
         let el = EdgeList::new(100, (0..500u64).map(|i| (i % 100, (i + 1) % 100)).collect());
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
+        let buf = compressed(el.n, &el.edges);
         // Bytes 16.. : varint(count), varint(len), then the checksum.
         let mut r = &buf[16..];
         let c = read_varint(&mut r).unwrap().unwrap();
@@ -1637,13 +1604,13 @@ mod tests {
         let checksum_at = 16 + (varint_len(c) + varint_len(l)) as usize;
         let mut corrupt = buf.clone();
         corrupt[checksum_at] ^= 0x01;
-        assert!(read_compressed(&corrupt[..]).is_err());
+        assert!(decompressed(&corrupt).is_err());
         // A payload flip is caught by the same check.
         let mut corrupt = buf.clone();
         corrupt[checksum_at + 9] ^= 0x01;
-        assert!(read_compressed(&corrupt[..]).is_err());
+        assert!(decompressed(&corrupt).is_err());
         // The pristine stream still round-trips.
-        assert_eq!(read_compressed(&buf[..]).unwrap(), el);
+        assert_eq!(decompressed(&buf).unwrap(), el);
     }
 
     #[test]
@@ -1655,8 +1622,7 @@ mod tests {
             100,
             (0..m as u64).map(|i| (i % 100, (i + 1) % 100)).collect(),
         );
-        let mut buf = Vec::new();
-        write_compressed(&mut buf, &el).unwrap();
+        let buf = compressed(el.n, &el.edges);
         let mut dec = CompressedEdgeReader::new(io::Cursor::new(&buf)).unwrap();
         let mut total = 0u64;
         let mut blocks = 0;

@@ -472,19 +472,10 @@ pub fn load_optional<T>(
     }
 }
 
-/// Write `text` to `path` atomically: it lands under `<path>.tmp` and
-/// is renamed into place, so a reader (or a crash) sees either the old
-/// document or the new one, never a torn file.
-pub fn save_atomic(path: &Path, text: &str) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Staged;
 
     fn sample() -> Value {
         obj([
@@ -596,13 +587,13 @@ mod tests {
             load(&path, parse).unwrap_err().kind(),
             io::ErrorKind::NotFound
         );
-        save_atomic(&path, "[1]").unwrap();
-        assert!(!dir.join("doc.json.tmp").exists());
+        Staged::save_atomic(&path, "[1]").unwrap();
+        assert!(!dir.join("doc.json.kagen-tmp").exists());
         assert_eq!(
             load_optional(&path, parse).unwrap(),
             Some(Value::Arr(vec![1u64.into()]))
         );
-        save_atomic(&path, "[1").unwrap();
+        Staged::save_atomic(&path, "[1").unwrap();
         let err = load(&path, parse).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("doc.json"), "{err}");

@@ -23,8 +23,10 @@
 //!   elapsed seconds, so bench timings and `metrics.json` come off the
 //!   same clock.
 //! * [`json`] — the workspace's one JSON layer (value tree, parser,
-//!   escaper, writer, file helpers); every on-disk document of the
+//!   escaper, writer, loaders); every on-disk document of the
 //!   pipeline and the launcher is a struct over it.
+//! * [`staged`] — [`Staged`], the one writer of those documents and of
+//!   `kagen -o`: staged and renamed, so no reader meets a torn file.
 //! * [`log`] — the leveled logger behind `-v`/`-q` and `KAGEN_LOG`,
 //!   replacing ad-hoc `eprintln!`s with consistent
 //!   `kagen <subcmd>:`-prefixed lines on stderr.
@@ -44,8 +46,10 @@
 pub mod json;
 pub mod log;
 pub mod metrics;
+pub mod staged;
 pub mod trace;
 
 pub use log::Level;
 pub use metrics::{Counter, Gauge, Telemetry};
+pub use staged::Staged;
 pub use trace::{span, ProcessTrace, Span, TraceEvent};

@@ -299,7 +299,7 @@ impl ProcessTrace {
 
 /// Write this process's span buffer to `path` (see [`ProcessTrace`]).
 pub fn write_chrome_trace(path: &Path) -> io::Result<()> {
-    std::fs::write(path, ProcessTrace::capture().to_json())
+    crate::Staged::save_atomic(path, ProcessTrace::capture().to_json())
 }
 
 #[cfg(test)]

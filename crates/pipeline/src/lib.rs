@@ -24,8 +24,9 @@
 //!   [`write_shard`] is the single-PE building block the multi-process
 //!   cluster workers reuse.
 //! * [`reader`] — stream shards back a verified block at a time
-//!   ([`stream_shard_file`], the read-side mirror of
-//!   [`EdgeSink::push_batch`]; validating the checksums),
+//!   ([`ShardReader::stream`] over [`ShardFormat::stream_file`], the
+//!   read-side mirror of [`EdgeSink::push_batch`]; validating the
+//!   checksums),
 //!   [`validate_shard`] against recorded info (the resume-time integrity
 //!   check), or reassemble an [`EdgeList`](kagen_graph::EdgeList).
 //! * [`manifest`] — manifest (de)serialization, plus the multi-process
@@ -85,7 +86,7 @@ pub mod writer;
 pub use kagen_graph::io::COMPRESSED_BLOCK_EDGES;
 pub use manifest::{Manifest, PartialManifest, RunHeader, ShardInfo, MANIFEST_FILE};
 pub use merge::{ExternalMerge, MergeStats};
-pub use reader::{stream_shard_file, validate_shard, validate_shard_sampled, ShardReader};
+pub use reader::{validate_shard, validate_shard_sampled, ShardReader};
 pub use sink::{
     checksum_step, BinarySink, ChecksumSink, CompressedSink, CountingSink, DegreeStatsSink,
     EdgeSink, FileSink, FnSink, TeeSink, TextSink,

@@ -21,6 +21,7 @@ pub use kagen_obs::json;
 pub use kagen_obs::json::push_str_value;
 
 use json::{Layout, Obj, Value};
+use kagen_obs::Staged;
 use std::io;
 use std::path::Path;
 
@@ -235,9 +236,9 @@ impl Manifest {
         })
     }
 
-    /// Write `manifest.json` into `dir`.
+    /// Publish `manifest.json` in `dir` (staged, see [`Staged`]).
     pub fn save(&self, dir: &Path) -> io::Result<()> {
-        std::fs::write(dir.join(MANIFEST_FILE), self.to_json())
+        Staged::save_atomic(&dir.join(MANIFEST_FILE), self.to_json())
     }
 
     /// Load `manifest.json` from `dir`.
@@ -321,10 +322,11 @@ impl PartialManifest {
         Ok(part)
     }
 
-    /// Write `part-<a>-<b>.json` into `dir`; returns the path.
+    /// Publish `part-<a>-<b>.json` in `dir` (staged, see [`Staged`]);
+    /// returns the path.
     pub fn save(&self, dir: &Path) -> io::Result<std::path::PathBuf> {
         let path = dir.join(Self::file_name(self.pe_begin, self.pe_end));
-        std::fs::write(&path, self.to_json())?;
+        Staged::save_atomic(&path, self.to_json())?;
         Ok(path)
     }
 

@@ -2,8 +2,8 @@
 //! O(block) memory (validating the manifest checksums as it goes), or
 //! reassemble the whole instance into an [`EdgeList`] when it fits.
 //!
-//! [`stream_shard_file`] is the read-side batch primitive, the mirror of
-//! [`crate::EdgeSink::push_batch`]: every format delivers
+//! [`ShardFormat::stream_file`] is the read-side batch primitive, the
+//! mirror of [`crate::EdgeSink::push_batch`]: every format delivers
 //! `&[(u64, u64)]` slices of at most one restart block's worth of edges
 //! (`COMPRESSED_BLOCK_EDGES`) from its decoder in `kagen_graph::io`,
 //! and a block is delivered only after everything its format can check
@@ -83,17 +83,6 @@ impl ShardReader {
     }
 }
 
-/// Stream one shard *file* (no manifest required) through `emit` and
-/// return its checksum: [`ShardFormat::stream_file`] under the name
-/// readers use.
-pub fn stream_shard_file(
-    path: &Path,
-    format: ShardFormat,
-    emit: &mut BatchEmit,
-) -> io::Result<u64> {
-    format.stream_file(path, emit)
-}
-
 /// Stream the shard described by `info` through `emit`, then verify its
 /// edge count and checksum (the decoder's fold) against `info`.
 fn stream_verified(
@@ -103,7 +92,7 @@ fn stream_verified(
     emit: &mut BatchEmit,
 ) -> io::Result<()> {
     let mut count = 0u64;
-    let checksum = stream_shard_file(&dir.join(&info.file), format, &mut |batch| {
+    let checksum = format.stream_file(&dir.join(&info.file), &mut |batch| {
         count += batch.len() as u64;
         emit(batch);
     })?;
@@ -351,7 +340,7 @@ mod tests {
     fn lying_block_length_fails_full_and_sampled_validation() {
         // A first block header whose `len` is off by one — count,
         // checksum and payload intact — must fail every reader alike.
-        use kagen_graph::io::{read_compressed, read_varint, write_varint};
+        use kagen_graph::io::{read_varint, write_varint};
         let gen = GnmDirected::new(2000, 20_000).with_seed(9).with_chunks(1);
         let dir = std::env::temp_dir().join("kagen_reader_lying_len");
         std::fs::remove_dir_all(&dir).ok();
@@ -382,8 +371,8 @@ mod tests {
                 "sampled, {lie}"
             );
             assert!(
-                read_compressed(&bytes[..]).is_err(),
-                "read_compressed, {lie}"
+                format.stream_file(&path, &mut |_| {}).is_err(),
+                "stream_file, {lie}"
             );
         }
         std::fs::write(&path, &pristine).unwrap();
@@ -403,16 +392,14 @@ mod tests {
         }
         std::fs::write(&path, &bytes).unwrap();
         let mut seen = Vec::new();
-        let res = stream_shard_file(&path, ShardFormat::Binary, &mut |batch| {
-            seen.extend_from_slice(batch)
-        });
+        let res =
+            ShardFormat::Binary.stream_file(&path, &mut |batch| seen.extend_from_slice(batch));
         assert!(res.is_err());
         assert!(seen.is_empty());
         std::fs::write(&path, &bytes[..16]).unwrap();
-        stream_shard_file(&path, ShardFormat::Binary, &mut |batch| {
-            seen.extend_from_slice(batch)
-        })
-        .unwrap();
+        ShardFormat::Binary
+            .stream_file(&path, &mut |batch| seen.extend_from_slice(batch))
+            .unwrap();
         assert_eq!(seen, vec![(0, 1)]);
         std::fs::remove_dir_all(&dir).ok();
     }

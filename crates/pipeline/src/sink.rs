@@ -423,8 +423,10 @@ mod tests {
         drop((text, bin, comp));
         assert_eq!(String::from_utf8(text_bytes).unwrap(), "5 7\n5 8\n6 0\n");
         assert_eq!(bin_bytes.len(), 3 * 16);
-        let back = kagen_graph::io::read_compressed(&comp_bytes[..]).unwrap();
-        assert_eq!((back.n, &back.edges[..]), (10, &edges[..]));
+        let mut dec = kagen_graph::io::CompressedEdgeReader::new(&comp_bytes[..]).unwrap();
+        assert_eq!(dec.n(), 10);
+        assert_eq!(dec.next_block().unwrap().unwrap(), &edges[..]);
+        assert!(dec.next_block().unwrap().is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! every option per mode; both are generated from the tables in
 //! `kagen_repro::cli`, which also parse, validate and forward them.
 
-use kagen_obs::{info, trace, Gauge};
+use kagen_obs::{info, trace, Gauge, Staged};
 use kagen_repro::cli::{self, Format, Merge, Mode, Options};
 use kagen_repro::cluster::metrics::{RankMetrics, RunMetrics};
 use kagen_repro::core::prelude::*;
@@ -15,7 +15,6 @@ use kagen_repro::pipeline::{
 };
 use kagen_repro::util::alloc::CountingAlloc;
 use std::fmt::Display;
-use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
@@ -39,50 +38,6 @@ fn context(what: impl Display) -> impl FnOnce(io::Error) -> io::Error {
     move |e| io::Error::new(e.kind(), format!("{what}: {e}"))
 }
 
-/// The file an output goes to, created so that a failed run leaves no
-/// file a reader could take for an empty graph: a regular file, or a
-/// path that does not exist yet, is written under a temporary name
-/// beside it and renamed over it by [`Output::commit`]; dropped
-/// uncommitted, the temporary file is removed. Anything else (a FIFO, a
-/// device, a symlink) is written in place.
-struct Output {
-    path: String,
-    /// The temporary name, until the output is committed.
-    tmp: Option<String>,
-}
-
-impl Output {
-    fn create(path: &str) -> io::Result<(File, Output)> {
-        let staged = match std::fs::symlink_metadata(path) {
-            Ok(meta) => meta.is_file(),
-            Err(e) => e.kind() == io::ErrorKind::NotFound,
-        };
-        let tmp = staged.then(|| format!("{path}.kagen-tmp"));
-        let file = File::create(tmp.as_deref().unwrap_or(path))
-            .map_err(context(format_args!("cannot create {path}")))?;
-        let path = path.to_owned();
-        Ok((file, Output { path, tmp }))
-    }
-
-    /// Give the written file its name.
-    fn commit(mut self) -> io::Result<()> {
-        if let Some(tmp) = &self.tmp {
-            std::fs::rename(tmp, &self.path)
-                .map_err(context(format_args!("cannot write {}", self.path)))?;
-            self.tmp = None;
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Output {
-    fn drop(&mut self) {
-        if let Some(tmp) = &self.tmp {
-            std::fs::remove_file(tmp).ok();
-        }
-    }
-}
-
 /// Materializing mode: generate, merge in RAM, write one file.
 fn run_materialized(o: &Options) -> io::Result<()> {
     let gen = o.build();
@@ -101,7 +56,10 @@ fn run_materialized(o: &Options) -> io::Result<()> {
     let write_span = trace::span("materialize.write");
     let (out, output, name): (Box<dyn Write>, _, &str) = match &o.output {
         Some(path) => {
-            let (file, output) = Output::create(path)?;
+            // Staged: a failed run leaves no file a reader could take
+            // for an empty graph.
+            let (file, output) = Staged::create(Path::new(path))
+                .map_err(context(format_args!("cannot create {path}")))?;
             (Box::new(file), Some(output), path)
         }
         None => (Box::new(io::stdout().lock()), None, "stdout"),
@@ -119,10 +77,9 @@ fn run_materialized(o: &Options) -> io::Result<()> {
     match written {
         // The reader of a pipe may stop early (`| head`): not a failure.
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe && o.output.is_none() => Ok(()),
-        result => {
-            result.map_err(context(format_args!("cannot write {name}")))?;
-            output.map_or(Ok(()), Output::commit)
-        }
+        result => result
+            .and_then(|()| output.map_or(Ok(()), Staged::commit))
+            .map_err(context(format_args!("cannot write {name}"))),
     }
 }
 
@@ -174,7 +131,8 @@ fn run_stream(o: &Options) -> io::Result<()> {
                 .into_owned()
         });
         let to_out = || context(format!("cannot write {out_path}"));
-        let (out_file, output) = Output::create(&out_path)?;
+        let (out_file, output) = Staged::create(Path::new(&out_path))
+            .map_err(context(format!("cannot create {out_path}")))?;
         let out_sink = format
             .sink(BufWriter::new(out_file), manifest.n)
             .map_err(to_out())?;
@@ -191,7 +149,7 @@ fn run_stream(o: &Options) -> io::Result<()> {
             .merge(&reader, &mut sink)
             .map_err(in_dir("external merge failed in"))?;
         sink.finish().map_err(to_out())?;
-        output.commit()?;
+        output.commit().map_err(to_out())?;
         let merge_secs = merge_span.finish();
         ALLOC_PEAK_MERGE.record_peak(CountingAlloc::peak_above(baseline));
         info!(
@@ -361,6 +319,12 @@ fn pe_runs(pes: &[usize]) -> String {
 fn run_worker(o: &Options) -> io::Result<()> {
     let (shard_dir, (a, b)) = (o.shard_dir(), o.pe_range());
     let gen = o.build();
+    if let Err(msg) = cli::pe_range_within(o, gen.num_chunks()) {
+        // A usage error, like `parse`'s, and raised before anything is
+        // written.
+        eprintln!("{}: {msg}", o.mode.name());
+        std::process::exit(2);
+    }
     let inject = kagen_repro::cluster::FailureInjection::from_env();
     let in_dir = |what: &str| context(format!("{what} {}", shard_dir.display()));
     // Liveness: a background thread samples the obs counters and
@@ -403,7 +367,7 @@ fn run_worker(o: &Options) -> io::Result<()> {
     // Standalone telemetry (hand-run ranks on separate machines): the
     // same two documents, at paths of the operator's choosing.
     if let Some(path) = &o.metrics_out {
-        std::fs::write(path, kagen_obs::Telemetry::capture().to_json())
+        Staged::save_atomic(Path::new(path), kagen_obs::Telemetry::capture().to_json())
             .map_err(context(format_args!("cannot write metrics file {path}")))?;
         kagen_obs::debug!("metrics -> {path}");
     }

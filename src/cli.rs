@@ -1027,17 +1027,31 @@ fn validate(o: &Options) -> Result<(), String> {
         return Err(format!("{} must be >= 1", BUDGET.name()));
     }
     if o.mode == Mode::Worker {
-        let range = PE_RANGE.name();
-        let (a, b) = o.pe_range.ok_or_else(|| format!("{range} is required"))?;
-        if a >= b || b > o.chunks {
-            return Err(format!(
-                "{range} {a}..{b} is not a non-empty sub-range of 0..{} ({})",
-                o.chunks,
-                CHUNKS.name()
-            ));
-        }
+        o.pe_range
+            .ok_or_else(|| format!("{} is required", PE_RANGE.name()))?;
+        pe_range_within(o, o.chunks)?;
     }
     Ok(())
+}
+
+/// A worker's `--pe-range a..b` is a non-empty sub-range of
+/// `0..chunks`: of `-c` when parsed, of its built instance's chunk count
+/// when it runs (RGG, RDG and undirected ER plan fewer chunks than asked).
+pub fn pe_range_within(o: &Options, chunks: usize) -> Result<(), String> {
+    let (a, b) = o.pe_range();
+    if a < b && b <= chunks {
+        return Ok(());
+    }
+    let c = CHUNKS.name();
+    let of = if chunks == o.chunks {
+        c.to_string()
+    } else {
+        format!("the chunks {} plans for {c} {}", o.model.name, o.chunks)
+    };
+    let range = PE_RANGE.name();
+    Err(format!(
+        "{range} {a}..{b} is not a non-empty sub-range of 0..{chunks} ({of})"
+    ))
 }
 
 /// The arguments that re-create this instance in a `kagen worker`

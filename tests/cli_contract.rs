@@ -902,6 +902,9 @@ const SPECIAL: &[(&str, Files, &str)] = &[
     ("stream rmat -n 64 -m 128 -c 4 --shard-dir {root}/s --rmat-kernel liner", &[], "2 - kagen stream: --rmat-kernel is retired; R-MAT has one kernel, the linear-work table of 8 levels per draw; the per-level descent is kagen_baselines::Graph500Rmat"),
     ("worker ba -n 2305843009213693952 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "0 D kagen worker: PEs 1125899906842623..1125899906842624 -> 1 shards, 8192 edges in <t>s"),
     ("worker ba -n 2305843009213693953 -d 4 -c 1125899906842624 --shard-dir {root}/s --pe-range 1125899906842623..1125899906842624", &[], "2 - kagen worker: ba: -d must be a positive integer (with n*d <= 2^63), got 4"),
+    ("worker rgg2d -n 5 -c 64 --shard-dir {root}/s --pe-range 4..5", &[], "2 - kagen worker: --pe-range 4..5 is not a non-empty sub-range of 0..4 (the chunks rgg2d plans for -c 64)"),
+    ("worker rdg2d -n 20 -c 64 --shard-dir {root}/s --pe-range 4..5", &[], "2 - kagen worker: --pe-range 4..5 is not a non-empty sub-range of 0..4 (the chunks rdg2d plans for -c 64)"),
+    ("worker gnm_undirected -n 3 -m 2 -c 64 --shard-dir {root}/s --pe-range 3..4", &[], "2 - kagen worker: --pe-range 3..4 is not a non-empty sub-range of 0..3 (the chunks gnm_undirected plans for -c 64)"),
     ("stream rhg -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: rhg: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream gnm_directed -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: gnm_directed: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),
     ("stream ba -n 1000 -c 18446744073709551615 --shard-dir {root}/s", &[], "2 - kagen stream: ba: -c must be <= 192153584101141162 (one shard record per chunk must fit one allocation), got 18446744073709551615"),

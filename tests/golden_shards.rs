@@ -7,17 +7,18 @@
 //!
 //! Every stream is fed in ragged batches (sizes cycle through
 //! [`BATCHES`], which includes empty and block-straddling slices): how a
-//! stream is cut must never show in the bytes. The whole-list writers
-//! (`write_edge_list`, `write_binary`, `write_compressed`) must produce
-//! their sink's bytes.
+//! stream is cut must never show in the bytes. `ShardFormat::sink` fed
+//! the whole list in one batch — how `kagen <model> -o` writes — must
+//! produce the same bytes.
 //!
 //! On a mismatch the failure message prints every differing row in
 //! source form.
 
 use kagen_repro::core::prelude::*;
-use kagen_repro::graph::io::{read_compressed, write_binary, write_compressed, write_edge_list};
-use kagen_repro::graph::EdgeList;
-use kagen_repro::pipeline::{BinarySink, CompressedSink, EdgeSink, Manifest, TextSink};
+use kagen_repro::graph::io::CompressedEdgeReader;
+use kagen_repro::pipeline::{
+    BinarySink, CompressedSink, EdgeSink, Manifest, ShardFormat, TextSink,
+};
 use std::process::Command;
 
 /// Batch sizes the streams are cut into, cycled until the stream ends.
@@ -172,8 +173,12 @@ fn compressed_shard_bytes_match_golden() {
             ));
         }
         // The bytes must also mean the stream they were written from.
-        let back = read_compressed(&bytes[..]).unwrap();
-        assert_eq!((back.n, &back.edges), (*n, edges), "{name}: round trip");
+        let mut dec = CompressedEdgeReader::new(&bytes[..]).unwrap();
+        let mut back = Vec::new();
+        while let Some(block) = dec.next_block().unwrap() {
+            back.extend_from_slice(block);
+        }
+        assert_eq!((dec.n(), &back), (*n, edges), "{name}: round trip");
     }
     assert!(wrong.is_empty(), "shard bytes moved:\n{wrong}");
 }
@@ -282,19 +287,18 @@ fn text_and_binary_sink_bytes_match_golden() {
 #[test]
 fn whole_list_writers_produce_their_sinks_bytes() {
     for (name, n, edges) in streams() {
-        let el = EdgeList::new(n, edges);
-        let mut text = Vec::new();
-        write_edge_list(&mut text, &el).unwrap();
-        assert!(text == text_bytes(&el.edges), "{name}: write_edge_list");
-        let mut binary = Vec::new();
-        write_binary(&mut binary, &el).unwrap();
-        assert!(binary == binary_bytes(&el.edges), "{name}: write_binary");
-        let mut compressed = Vec::new();
-        write_compressed(&mut compressed, &el).unwrap();
-        assert!(
-            compressed == shard_bytes(n, &el.edges),
-            "{name}: write_compressed"
-        );
+        for (format, want) in [
+            (ShardFormat::EdgeList, text_bytes(&edges)),
+            (ShardFormat::Binary, binary_bytes(&edges)),
+            (ShardFormat::Compressed, shard_bytes(n, &edges)),
+        ] {
+            let mut bytes = Vec::new();
+            let mut sink = format.sink(&mut bytes, n).unwrap();
+            sink.push_batch(&edges);
+            assert_eq!(sink.finish().unwrap(), edges.len() as u64);
+            drop(sink);
+            assert!(bytes == want, "{name}: {format:?} sink, one batch");
+        }
     }
 }
 

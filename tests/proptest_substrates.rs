@@ -11,11 +11,10 @@ use kagen_repro::core::prelude::*;
 use kagen_repro::geometry::{morton, CellGrid, CountTree, GridCells};
 use kagen_repro::graph::components::connected_components;
 use kagen_repro::graph::io::{
-    edge_checksum_step, read_compressed, read_varint, write_compressed, write_varint,
-    COMPRESSED_MAGIC,
+    decode_compressed, edge_checksum_step, read_varint, write_varint, COMPRESSED_MAGIC,
 };
 use kagen_repro::graph::{bfs_distances, merge_pe_edges, Csr, EdgeList};
-use kagen_repro::pipeline::{stream_shard_file, ChecksumSink, EdgeSink, ShardFormat};
+use kagen_repro::pipeline::{ChecksumSink, CompressedSink, EdgeSink, ShardFormat};
 use kagen_repro::util::seed::{stream, SeedTree};
 use kagen_repro::util::{derive_seed, Mt64, Rng64};
 use proptest::prelude::*;
@@ -112,14 +111,14 @@ fn word_varint_matches_bytewise(z: u64) {
         want.extend_from_slice(&checksum.to_le_bytes());
         want.extend_from_slice(&payload);
         let mut got = Vec::new();
-        write_compressed(&mut got, &EdgeList::new(u64::MAX, edges.clone())).unwrap();
+        let mut sink = CompressedSink::new(&mut got, u64::MAX).unwrap();
+        sink.push_batch(&edges);
+        sink.finish().unwrap();
+        drop(sink);
         prop_assert!(got == want, "z = {z:#x}, tail {tail}: encoded bytes differ");
-        prop_assert_eq!(
-            read_compressed(&want[..]).unwrap().edges,
-            edges,
-            "z = {:#x}",
-            z
-        );
+        let mut back = Vec::new();
+        decode_compressed(&want[..], &mut |block| back.extend_from_slice(block)).unwrap();
+        prop_assert_eq!(back, edges, "z = {:#x}", z);
     }
     let mut bytes = Vec::new();
     write_varint(&mut bytes, z as u128).unwrap();
@@ -451,7 +450,7 @@ proptest! {
             let path = dir.join(format!("shard.{}", format.extension()));
             std::fs::write(&path, &bytes).unwrap();
             let mut count = 0;
-            let decoded = stream_shard_file(&path, format, &mut |batch| count += batch.len());
+            let decoded = format.stream_file(&path, &mut |batch| count += batch.len());
             prop_assert_eq!(decoded.unwrap(), reference.checksum(), "{:?} decoder", format);
             prop_assert_eq!(count, m);
         }

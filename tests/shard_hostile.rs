@@ -1,7 +1,7 @@
 //! Hostile shards, one table: for a two-block compressed shard, a
 //! binary shard and a text shard, every proper prefix and every
 //! single-byte substitution goes through every reader —
-//! `stream_shard_file`, `validate_shard`, `validate_shard_sampled` (all
+//! `ShardFormat::stream_file`, `validate_shard`, `validate_shard_sampled` (all
 //! blocks), `ShardReader::read_all` and `ExternalMerge::merge` — and
 //! each answers `Err` or the exact original stream: never a panic, never
 //! a different stream. And because blocks are verified before they are
@@ -11,9 +11,9 @@
 
 use kagen_repro::core::prelude::*;
 use kagen_repro::pipeline::{
-    checksum_step, external_merge_to_vec, stream_shard_file, validate_shard,
-    validate_shard_sampled, write_sharded, CompressedSink, CountingSink, EdgeSink, ExternalMerge,
-    InstanceMeta, RunHeader, ShardFormat, ShardInfo, ShardReader, StreamConfig,
+    checksum_step, external_merge_to_vec, validate_shard, validate_shard_sampled, write_sharded,
+    CompressedSink, CountingSink, EdgeSink, ExternalMerge, InstanceMeta, RunHeader, ShardFormat,
+    ShardInfo, ShardReader, StreamConfig,
 };
 use std::path::PathBuf;
 
@@ -163,9 +163,9 @@ impl Fixture {
         // itself: whatever reached the callback is a run of whole,
         // verified blocks off the front of the stream.
         let mut seen: Vec<(u64, u64)> = Vec::new();
-        let streamed = stream_shard_file(&path, self.format, &mut |batch| {
-            seen.extend_from_slice(batch)
-        });
+        let streamed = self
+            .format
+            .stream_file(&path, &mut |batch| seen.extend_from_slice(batch));
         if self.format == ShardFormat::Compressed {
             assert!(
                 self.edges.starts_with(&seen),
@@ -375,7 +375,10 @@ fn continuation_bit_on_the_last_byte_of_the_word_window_is_rejected() {
     assert_eq!((tally.exact, tally.rejected), (0, 4));
     let path = fx.dir.join(&fx.info.file);
     let mut seen = 0;
-    let err = stream_shard_file(&path, fx.format, &mut |batch| seen += batch.len()).unwrap_err();
+    let err = fx
+        .format
+        .stream_file(&path, &mut |batch| seen += batch.len())
+        .unwrap_err();
     assert_eq!(seen, 0, "a block that failed reached the callback");
     // The varint swallows the next one's byte, every later varint
     // lands in the wrong field, and a v-delta then steps below id 0.

@@ -4,9 +4,20 @@
 
 use kagen_repro::core::prelude::*;
 use kagen_repro::core::Generator;
-use kagen_repro::graph::io::{read_binary, read_edge_list, write_edge_list};
+use kagen_repro::graph::io::{decode_binary, decode_text};
 use kagen_repro::graph::EdgeList;
+use kagen_repro::pipeline::{EdgeSink, ShardFormat};
 use std::io::Write;
+
+/// Every edge `decode` hands out, over `n` vertices.
+fn decoded(
+    n: u64,
+    decode: impl FnOnce(&mut dyn FnMut(&[(u64, u64)])) -> std::io::Result<u64>,
+) -> EdgeList {
+    let mut edges = Vec::new();
+    decode(&mut |block| edges.extend_from_slice(block)).unwrap();
+    EdgeList::new(n, edges)
+}
 
 #[test]
 fn stream_to_text_writer_without_materializing() {
@@ -23,7 +34,7 @@ fn stream_to_text_writer_without_materializing() {
         });
         w.flush().unwrap();
     }
-    let parsed = read_edge_list(std::str::from_utf8(&text).unwrap(), Some(500)).unwrap();
+    let parsed = decoded(500, |emit| decode_text(&text[..], emit));
     let mut direct = generate_directed(&gen);
     let mut sorted = parsed.clone();
     sorted.sort_dedup();
@@ -43,7 +54,7 @@ fn stream_to_binary_roundtrip() {
             }
         });
     }
-    let mut parsed = read_binary(&bytes, 300).unwrap();
+    let mut parsed = decoded(300, |emit| decode_binary(&bytes[..], emit));
     parsed.canonicalize();
     let direct = generate_undirected(&gen);
     assert_eq!(parsed, direct);
@@ -80,8 +91,11 @@ fn writers_produce_consistent_formats() {
     let el = generate_undirected(&gen);
     // edge-list text
     let mut text = Vec::new();
-    write_edge_list(&mut text, &el).unwrap();
-    let parsed = read_edge_list(std::str::from_utf8(&text).unwrap(), Some(el.n)).unwrap();
+    let mut sink = ShardFormat::EdgeList.sink(&mut text, el.n).unwrap();
+    sink.push_batch(&el.edges);
+    sink.finish().unwrap();
+    drop(sink);
+    let parsed = decoded(el.n, |emit| decode_text(&text[..], emit));
     assert_eq!(parsed.edges, el.edges);
     // metis header line consistency
     let mut metis = Vec::new();
